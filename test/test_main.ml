@@ -22,4 +22,5 @@ let () =
          process that has never spawned a domain (OCaml 5.1). *)
       ("experiments", Test_experiments.suite);
       ("edge-cases", Test_edge_cases.suite);
+      ("golden", Test_golden.suite);
     ]

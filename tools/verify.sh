@@ -13,6 +13,10 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+echo "== golden-digest grid (six partitioners x clusters (i)-(iv), every engine and perturbation)"
+# exits 1 on any trace, event-stream or value digest mismatch
+dune exec test/golden/golden_grid.exe
+
 echo "== dune build @lint (race linter + fixture self-test + JSON artifact)"
 dune build @lint
 test -s _build/default/lint.json || {
