@@ -3,90 +3,9 @@ module Pgraph = Cutfit_bsp.Pgraph
 module Cluster = Cutfit_bsp.Cluster
 module Cost_model = Cutfit_bsp.Cost_model
 module Trace = Cutfit_bsp.Trace
-module Obs = Cutfit_obs
+module Pricer = Cutfit_bsp.Pricer
 
 type result = { per_vertex : int array; total : int; trace : Trace.t }
-
-(* Assemble one dataflow stage into a trace record using the same time
-   composition as the Pregel engine, emitting the matching telemetry
-   event when a handle is attached. *)
-let finish_stage ?telemetry ~cluster ~scale ~cost ~step ~work ~bytes_out ~active_edges ~messages
-    ~shuffle_groups ~remote_shuffles ~updated ~bcast ~remote_bcast () =
-  let executors = cluster.Cluster.executors in
-  let num_partitions = cluster.Cluster.num_partitions in
-  let exec_of = Cluster.executor_of_partition cluster in
-  let jittered = Cost_model.jittered cost ~step work in
-  let busy = Array.make executors 0.0 in
-  for e = 0 to executors - 1 do
-    let mine = ref [] in
-    for p = 0 to num_partitions - 1 do
-      if exec_of p = e then mine := jittered.(p) :: !mine
-    done;
-    busy.(e) <-
-      scale
-      *. Cost_model.makespan ~work:(Array.of_list !mine) ~cores:cluster.Cluster.cores_per_executor
-  done;
-  let compute = Array.fold_left Float.max 0.0 busy in
-  let network = ref 0.0 and wire = ref 0.0 in
-  let bandwidth = Cluster.network_bytes_per_s cluster in
-  for e = 0 to executors - 1 do
-    wire := !wire +. (scale *. bytes_out.(e));
-    let t = scale *. bytes_out.(e) /. bandwidth in
-    if t > !network then network := t
-  done;
-  let overhead =
-    cost.Cost_model.superstep_barrier_s
-    +. (float_of_int num_partitions *. cost.Cost_model.task_dispatch_s)
-  in
-  let stats =
-    {
-      Trace.step;
-      active_edges;
-      messages;
-      shuffle_groups;
-      remote_shuffles;
-      updated_vertices = updated;
-      broadcast_replicas = bcast;
-      remote_broadcasts = remote_bcast;
-      wire_bytes = !wire;
-      compute_s = compute;
-      network_s = !network;
-      overhead_s = overhead;
-      time_s = Float.max compute !network +. overhead;
-    }
-  in
-  (match telemetry with
-  | None -> ()
-  | Some t ->
-      let max_task = ref 0.0 and min_task = ref Float.infinity in
-      Array.iter
-        (fun w ->
-          let w = scale *. w in
-          if w > !max_task then max_task := w;
-          if w < !min_task then min_task := w)
-        jittered;
-      Obs.Telemetry.emit t
-        (Obs.Event.Superstep
-           {
-             step;
-             active_vertices = updated;
-             active_edges;
-             messages;
-             local_shuffles = shuffle_groups - remote_shuffles;
-             remote_shuffles;
-             broadcast_replicas = bcast;
-             remote_broadcasts = remote_bcast;
-             wire_bytes = stats.Trace.wire_bytes;
-             executor_busy_s = busy;
-             barrier_wait_s = Array.map (fun b -> compute -. b) busy;
-             max_task_s = !max_task;
-             min_task_s = (if num_partitions = 0 then 0.0 else !min_task);
-             compute_s = stats.Trace.compute_s;
-             network_s = stats.Trace.network_s;
-             overhead_s = stats.Trace.overhead_s;
-             time_s = stats.Trace.time_s;
-           }));
-  stats
 
 (* --- compact CSR kernel -------------------------------------------
 
@@ -187,14 +106,27 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
   (* Materialize each vertex's sorted neighbour set once; fetching a
      fresh copy per edge would cost O(sum deg^2) allocation. *)
   let adjacency = Array.init n (Graph.out_neighbors und) in
-  let exec_of = Cluster.executor_of_partition cluster in
+  (* The four stages are priced by the shared superstep pricer under an
+     inert runtime: no faults, speculation or scale events, so placement
+     is the static round robin and every multiplier is 1.0. A fixed
+     dataflow, unlike an iterated Pregel job, leaves no per-task lineage
+     on the driver, and no checkpoint or re-shuffle ever ships vertex
+     state. *)
+  let pr =
+    Pricer.create ~scale
+      ~cost:{ cost with Cost_model.driver_meta_per_task_bytes = 0.0 }
+      ?telemetry ~label:"triangle_count" ~state_bytes:0 ~cluster pg
+  in
+  let ert = Pricer.runtime pr in
+  let exec_of p = Cutfit_bsp.Elastic.exec_of ert p in
+  let stage ~step c = ignore (Pricer.superstep pr ~step c) in
 
   (* Stage 1 — collect neighbour ids: every edge contributes both
      endpoint ids; partials are merged per partition and reduced at each
      vertex's master, where cut vertices pay the heavy array-merge. *)
-  let stage1 =
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make cluster.Cluster.executors 0.0 in
+  begin
+    let c = Pricer.begin_step pr ~step:0 in
+    let work = c.Pricer.work and bytes_out = c.Pricer.bytes_out in
     let messages = ref 0 and remote = ref 0 in
     for p = 0 to num_partitions - 1 do
       let pexec = exec_of p in
@@ -229,19 +161,25 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
       if r >= 2 then work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
       work.(mp) <- work.(mp) +. (float_of_int (deg v) *. cost.Cost_model.msg_merge_s)
     done;
-    finish_stage ?telemetry ~cluster ~scale ~cost ~step:0 ~work ~bytes_out
-      ~active_edges:(Graph.num_edges g) ~messages:!messages ~shuffle_groups:!groups
-      ~remote_shuffles:!remote ~updated:n ~bcast:0 ~remote_bcast:0 ()
-  in
+    stage ~step:0
+      {
+        c with
+        Pricer.active_edges = Graph.num_edges g;
+        messages = !messages;
+        shuffle_groups = !groups;
+        remote_shuffles = !remote;
+        updated = n;
+      }
+  end;
 
   (* Stage 2 — replicate neighbour sets along the routing table. Each
      set is serialized once at the master and shipped once per remote
      executor (partitions on one machine share the block-manager copy),
      so the wire cost tracks graph size, while the per-cut-vertex
      serialization overhead tracks the Cut metric. *)
-  let stage2 =
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make cluster.Cluster.executors 0.0 in
+  begin
+    let c = Pricer.begin_step pr ~step:1 in
+    let work = c.Pricer.work and bytes_out = c.Pricer.bytes_out in
     let bcast = ref 0 and remote_bcast = ref 0 in
     let exec_seen = Array.make cluster.Cluster.executors (-1) in
     for v = 0 to n - 1 do
@@ -262,18 +200,16 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
             bytes_out.(mexec) <- bytes_out.(mexec) +. set_bytes
           end)
     done;
-    finish_stage ?telemetry ~cluster ~scale ~cost ~step:1 ~work ~bytes_out ~active_edges:0
-      ~messages:0 ~shuffle_groups:0 ~remote_shuffles:0 ~updated:n ~bcast:!bcast
-      ~remote_bcast:!remote_bcast ()
-  in
+    stage ~step:1 { c with Pricer.updated = n; bcast = !bcast; remote_bcast = !remote_bcast }
+  end;
 
   (* Stage 3 — per-edge set intersection, on canonical (unordered)
      edges so each pair is counted exactly once. This is the compute-
      heavy stage whose stragglers make fine-grain partitioning win. *)
   let counts = Array.make n 0 in
-  let stage3 =
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make cluster.Cluster.executors 0.0 in
+  begin
+    let c = Pricer.begin_step pr ~step:2 in
+    let work = c.Pricer.work in
     let active = ref 0 in
     for p = 0 to num_partitions - 1 do
       Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
@@ -311,14 +247,13 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
               +. (float_of_int !probes *. cost.Cost_model.intersect_probe_s)
           end)
     done;
-    finish_stage ?telemetry ~cluster ~scale ~cost ~step:2 ~work ~bytes_out ~active_edges:!active
-      ~messages:0 ~shuffle_groups:0 ~remote_shuffles:0 ~updated:0 ~bcast:0 ~remote_bcast:0 ()
-  in
+    stage ~step:2 { c with Pricer.active_edges = !active }
+  end;
 
   (* Stage 4 — reduce per-vertex counts back at the masters. *)
-  let stage4 =
-    let work = Array.make num_partitions 0.0 in
-    let bytes_out = Array.make cluster.Cluster.executors 0.0 in
+  begin
+    let c = Pricer.begin_step pr ~step:3 in
+    let work = c.Pricer.work and bytes_out = c.Pricer.bytes_out in
     let groups = ref 0 and remote = ref 0 in
     for v = 0 to n - 1 do
       let mexec = exec_of (Pgraph.master pg v) in
@@ -332,64 +267,16 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
               +. float_of_int (8 + cost.Cost_model.msg_wire_overhead_bytes)
           end)
     done;
-    finish_stage ?telemetry ~cluster ~scale ~cost ~step:3 ~work ~bytes_out ~active_edges:0
-      ~messages:!groups ~shuffle_groups:!groups ~remote_shuffles:!remote ~updated:n ~bcast:0
-      ~remote_bcast:0 ()
-  in
+    stage ~step:3
+      {
+        c with
+        Pricer.messages = !groups;
+        shuffle_groups = !groups;
+        remote_shuffles = !remote;
+        updated = n;
+      }
+  end;
 
-  let supersteps = [ stage1; stage2; stage3; stage4 ] in
-  let load_s =
-    scale
-    *. float_of_int (Cutfit_graph.Graph_io.size_bytes g)
-    /. (float_of_int cluster.Cluster.executors *. Cluster.storage_bytes_per_s cluster)
-  in
-  let total_s =
-    List.fold_left (fun acc (s : Trace.superstep) -> acc +. s.time_s) load_s supersteps
-  in
   let total = Array.fold_left ( + ) 0 counts / 3 in
-  let trace =
-    {
-      Trace.supersteps;
-      load_s;
-      checkpoint_s = 0.0;
-      checkpoints = 0;
-      recovery_s = 0.0;
-      recoveries = [];
-      faults_injected = 0;
-      speculations = [];
-      speculation_s = 0.0;
-      reshuffles = [];
-      reshuffle_s = 0.0;
-      total_s;
-      outcome = Trace.Completed;
-      peak_executor_bytes = 0.0;
-      driver_meta_bytes = 0.0;
-    }
-  in
-  (match telemetry with
-  | None -> ()
-  | Some t ->
-      let reg = Obs.Telemetry.metrics t in
-      Obs.Metric.incr (Obs.Metric.counter reg "bsp.runs");
-      Obs.Metric.add (Obs.Metric.counter reg "bsp.messages") (Trace.total_messages trace);
-      Obs.Metric.add
-        (Obs.Metric.counter reg "bsp.remote_messages")
-        (Trace.total_remote_messages trace);
-      Obs.Metric.record (Obs.Metric.timer reg "bsp.simulated_s") trace.Trace.total_s;
-      Obs.Metric.set (Obs.Metric.gauge reg "bsp.last_wire_bytes") (Trace.total_wire_bytes trace);
-      Obs.Metric.add (Obs.Metric.counter reg "bsp.supersteps") (List.length supersteps);
-      Obs.Telemetry.emit t
-        (Obs.Event.Run_end
-           {
-             label = "triangle_count";
-             outcome = Trace.outcome_name Trace.Completed;
-             supersteps = List.length supersteps;
-             total_s;
-             load_s;
-             checkpoint_s = 0.0;
-             recovery_s = 0.0;
-             total_messages = Trace.total_messages trace;
-             total_remote = Trace.total_remote_messages trace;
-             total_wire_bytes = Trace.total_wire_bytes trace;
-           }));
+  let trace = Pricer.finish pr ~outcome:Trace.Completed ~peak_executor_bytes:0.0 in
   { per_vertex = counts; total; trace }

@@ -32,8 +32,6 @@ let config_ii = { base with name = "(ii)"; num_partitions = 256 }
 let config_iii = { config_ii with name = "(iii)"; network_gbps = 40.0 }
 let config_iv = { config_iii with name = "(iv)"; storage = Ssd_local }
 
-let all = [ config_i; config_ii; config_iii; config_iv ]
-
 let find s =
   let s = String.lowercase_ascii s in
   let strip = String.concat "" (String.split_on_char '(' (String.concat "" (String.split_on_char ')' s))) in
@@ -59,5 +57,3 @@ let describe t =
   Printf.sprintf "%s: %d partitions on %d executors x %d cores, %.0f Gbps, %s" t.name
     t.num_partitions t.executors t.cores_per_executor t.network_gbps
     (match t.storage with Hdd_hdfs -> "HDD/HDFS" | Ssd_local -> "local SSD")
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

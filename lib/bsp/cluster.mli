@@ -30,8 +30,6 @@ val config_ii : t
 val config_iii : t
 val config_iv : t
 
-(* lint: unused-export -- catalogue of presets for interactive exploration *)
-val all : t list
 val find : string -> t
 (** Look up by name ("i", "(i)", "128", ...). @raise Not_found. *)
 
@@ -49,7 +47,3 @@ val total_cores : t -> int
 val describe : t -> string
 (** One-line human description (name, partitions, executors, network,
     storage), used by the telemetry console sink and the CLI. *)
-
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp : Format.formatter -> t -> unit
-(** Prints {!describe}. *)

@@ -54,13 +54,10 @@ type t = {
 val default : t
 (** The calibrated constants used throughout the evaluation. *)
 
-(* lint: unused-export -- exposed so external harnesses can replay jitter *)
-val jitter : t -> partition:int -> step:int -> float
-(** The deterministic jitter multiplier of one task instance. *)
-
 val jittered : t -> step:int -> float array -> float array
 (** [jittered t ~step work] is the per-partition [work] array with each
-    task's {!jitter} multiplier applied ([work.(p)] is partition [p]'s
+    task's deterministic jitter multiplier in [\[1, 1 + gc_jitter\]]
+    applied ([work.(p)] is partition [p]'s
     single-core seconds). The engines schedule this array; the telemetry
     layer reads its extrema as the superstep's task-skew signal. *)
 

@@ -33,7 +33,6 @@ val config : ?seed:int -> string -> config
 (** Parse a scale-event spec ("leave@5-1,join@9+2,preempt@12:r1").
     @raise Spec_error.Error (dsl ["scale-events"]) on malformed input. *)
 
-(* lint: unused-export -- parser half exercised by tests and the CLI *)
 val parse_spec : string -> item list
 
 val to_spec : item list -> string
@@ -59,7 +58,6 @@ type hetero = { speeds : float array; bandwidths : float array }
 (** Per-executor capability multipliers: busy time divides by [speeds],
     egress bandwidth multiplies by [bandwidths]. *)
 
-(* lint: unused-export -- neutral element kept for callers and tests *)
 val uniform : executors:int -> hetero
 (** All multipliers 1.0 — bit-identical to the homogeneous model. *)
 
@@ -80,7 +78,7 @@ val describe_hetero : hetero -> string
 
 (** {1 Engine-facing runtime}
 
-    Mutable membership state both BSP engines consult. With no config
+    Mutable membership state {!Pricer} consults. With no config
     and no hetero the runtime is inert: [exec_of] is the static
     round-robin placement and every multiplier is 1.0, so static runs
     stay bit-identical. *)

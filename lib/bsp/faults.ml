@@ -299,112 +299,3 @@ let plan s ~step =
       announce = List.rev !ann;
     }
   end
-
-(* --- Recovery cost accounting ------------------------------------- *)
-
-let rollback_recovery ~cluster ~at_step ~executor ~checkpointed ~graph_bytes ~load_s
-    ~(replayed : Trace.superstep list) =
-  (* All executors restart from the last checkpoint image (or, with no
-     checkpoint yet, re-read the dataset), then the recorded supersteps
-     since that point are replayed at their recorded cost. *)
-  let readback =
-    if checkpointed then
-      graph_bytes /. (float_of_int cluster.Cluster.executors *. Cluster.storage_bytes_per_s cluster)
-    else load_s
-  in
-  let replay_s =
-    List.fold_left (fun acc (s : Trace.superstep) -> acc +. s.time_s) 0.0 replayed
-  in
-  let wire =
-    List.fold_left (fun acc (s : Trace.superstep) -> acc +. s.wire_bytes) 0.0 replayed
-  in
-  {
-    Trace.at_step;
-    kind = "rollback";
-    executor;
-    replayed_steps = List.length replayed;
-    lost_edges = 0;
-    lost_replicas = 0;
-    recovery_wire_bytes = wire;
-    recovery_s = readback +. replay_s;
-  }
-
-let lineage_recovery ~cost ~cluster ~scale ~at_step ~executor ~lost_edges ~lost_vertices
-    ~lost_replicas ~attr_wire_bytes =
-  (* The replacement executor rebuilds exactly the lost edge partitions
-     from lineage: re-shuffle their edges in, re-materialize the local
-     structures, then re-broadcast every vertex view the executor hosted.
-     Cost scales with the replicas the cut placed there. *)
-  let cores = float_of_int cluster.Cluster.cores_per_executor in
-  let rebuild =
-    scale
-    *. ((float_of_int lost_edges *. cost.Cost_model.build_edge_s)
-       +. (float_of_int lost_vertices *. cost.Cost_model.build_vertex_s))
-    /. cores
-  in
-  let bandwidth = Cluster.network_bytes_per_s cluster in
-  let reshuffle_bytes =
-    scale *. float_of_int lost_edges *. float_of_int cost.Cost_model.shuffle_edge_bytes
-  in
-  let bcast_bytes = scale *. float_of_int lost_replicas *. attr_wire_bytes in
-  let wire = reshuffle_bytes +. bcast_bytes in
-  {
-    Trace.at_step;
-    kind = "lineage";
-    executor;
-    replayed_steps = 0;
-    lost_edges;
-    lost_replicas;
-    recovery_wire_bytes = wire;
-    recovery_s = rebuild +. (wire /. bandwidth) +. cost.Cost_model.superstep_barrier_s;
-  }
-
-let preempt_recovery ~cost ~cluster ~scale ~at_step ~executor ~lost_edges ~lost_vertices
-    ~lost_replicas ~attr_wire_bytes ~retries =
-  (* Spot preemption: the instance vanishes at the barrier and a
-     replacement is reacquired after [retries] capped backoff attempts,
-     then rebuilt exactly like a lineage recovery — the replacement
-     re-shuffles the lost edge partitions in and re-broadcasts the
-     hosted vertex views. Membership is unchanged; only time and
-     recovery traffic are charged. *)
-  let cores = float_of_int cluster.Cluster.cores_per_executor in
-  let rebuild =
-    scale
-    *. ((float_of_int lost_edges *. cost.Cost_model.build_edge_s)
-       +. (float_of_int lost_vertices *. cost.Cost_model.build_vertex_s))
-    /. cores
-  in
-  let bandwidth = Cluster.network_bytes_per_s cluster in
-  let reshuffle_bytes =
-    scale *. float_of_int lost_edges *. float_of_int cost.Cost_model.shuffle_edge_bytes
-  in
-  let bcast_bytes = scale *. float_of_int lost_replicas *. attr_wire_bytes in
-  let wire = reshuffle_bytes +. bcast_bytes in
-  {
-    Trace.at_step;
-    kind = "preempt";
-    executor;
-    replayed_steps = 0;
-    lost_edges;
-    lost_replicas;
-    recovery_wire_bytes = wire;
-    recovery_s =
-      Cost_model.retry_backoff cost ~retries
-      +. rebuild
-      +. (wire /. bandwidth)
-      +. cost.Cost_model.superstep_barrier_s;
-  }
-
-let retry_recovery ~cost ~cluster ~at_step ~executor ~egress_bytes ~retries =
-  let bandwidth = Cluster.network_bytes_per_s cluster in
-  let retrans = float_of_int retries *. egress_bytes in
-  {
-    Trace.at_step;
-    kind = "shuffle-retry";
-    executor;
-    replayed_steps = 0;
-    lost_edges = 0;
-    lost_replicas = 0;
-    recovery_wire_bytes = retrans;
-    recovery_s = (retrans /. bandwidth) +. Cost_model.retry_backoff cost ~retries;
-  }

@@ -2,8 +2,8 @@
 
     A fault schedule is parsed from a compact spec string, realized
     against a concrete cluster (unpinned executors are chosen by seeded
-    draws from [lib/prng]), and consulted by the engines once per
-    superstep. Faults only perturb the {e time} accounting — slowdowns,
+    draws from [lib/prng]), and consulted by {!Pricer} once per
+    superstep; the pricer also prices every recovery. Faults only perturb the {e time} accounting — slowdowns,
     degraded bandwidth, retransmissions, checkpoint/lineage recovery —
     never the vertex values, which is what makes the recovery
     equivalence invariant ([Fault_check]) provable bit-for-bit.
@@ -97,66 +97,3 @@ val plan : session -> step:int -> plan
 (** The realized plan for one superstep. Stateless per step: random
     draws are keyed on (seed, item, step), so call order and replay
     never change the schedule. *)
-
-(** {1 Recovery cost accounting}
-
-    Each helper prices one recovery and returns the itemized
-    {!Trace.recovery} record the engine appends to the trace. Recovery
-    traffic lands in [recovery_wire_bytes], deliberately outside the
-    supersteps' [wire_bytes], so the wire-payload law still holds. *)
-
-val rollback_recovery :
-  cluster:Cluster.t ->
-  at_step:int ->
-  executor:int ->
-  checkpointed:bool ->
-  graph_bytes:float ->
-  load_s:float ->
-  replayed:Trace.superstep list ->
-  Trace.recovery
-(** Checkpoint read-back (or dataset reload when [checkpointed] is
-    false, at [load_s]) plus the recorded cost of every replayed
-    superstep. *)
-
-val lineage_recovery :
-  cost:Cost_model.t ->
-  cluster:Cluster.t ->
-  scale:float ->
-  at_step:int ->
-  executor:int ->
-  lost_edges:int ->
-  lost_vertices:int ->
-  lost_replicas:int ->
-  attr_wire_bytes:float ->
-  Trace.recovery
-(** Re-shuffle and rebuild of the lost partitions plus re-broadcast of
-    every vertex view the executor hosted — recovery cost proportional
-    to the replicas the cut placed on the lost executor. *)
-
-val preempt_recovery :
-  cost:Cost_model.t ->
-  cluster:Cluster.t ->
-  scale:float ->
-  at_step:int ->
-  executor:int ->
-  lost_edges:int ->
-  lost_vertices:int ->
-  lost_replicas:int ->
-  attr_wire_bytes:float ->
-  retries:int ->
-  Trace.recovery
-(** Spot preemption ([preempt@T:rN] in the {!Elastic} spec): instance
-    reacquisition after [retries] capped backoff attempts, then a
-    lineage-style rebuild and re-broadcast of the lost partitions.
-    Membership is unchanged — only time and recovery traffic move. *)
-
-val retry_recovery :
-  cost:Cost_model.t ->
-  cluster:Cluster.t ->
-  at_step:int ->
-  executor:int ->
-  egress_bytes:float ->
-  retries:int ->
-  Trace.recovery
-(** Retransmission of the lost egress plus capped exponential backoff
-    ({!Cost_model.retry_backoff}). *)

@@ -19,9 +19,10 @@
       so data-driven programs propagate even when [apply] deactivates
       the vertex itself.
 
-    Costs are accounted with the same cluster model as {!Pregel}
-    (makespan with jitter, overlapped network, task overheads, driver
-    lineage), so times from the two engines are directly comparable. *)
+    Each superstep's counts are priced by the same {!Pricer} as
+    {!Pregel}'s (makespan with jitter, overlapped network, task
+    overheads, driver lineage), so times from the two engines are
+    directly comparable. Executor memory is not modeled. *)
 
 type direction = Gather_in | Gather_out | Gather_both
 

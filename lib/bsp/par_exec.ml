@@ -18,8 +18,6 @@ type t = {
   mutable workers : unit Domain.t array;
 }
 
-let domains t = t.domains
-
 let worker_loop t w =
   let seen = ref 0 in
   let running = ref true in

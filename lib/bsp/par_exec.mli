@@ -20,15 +20,6 @@ type t
 (** A worker pool: the calling domain plus [domains - 1] spawned
     domains. Not thread-safe; drive it from the creating domain only. *)
 
-(* lint: unused-export -- pool construction API; with_pool is the common path *)
-val create : domains:int -> t
-(** [create ~domains] spawns [domains - 1] worker domains (none when
-    [domains = 1]).
-    @raise Invalid_argument when [domains < 1]. *)
-
-(* lint: unused-export -- introspection accessor paired with create *)
-val domains : t -> int
-
 val run : t -> (int -> unit) -> unit
 (** [run t f] executes [f w] on every worker [w] in [\[0, domains)]
     concurrently ([w = 0] is the calling domain) and waits for all of
@@ -49,11 +40,8 @@ val iter_shadowed : t -> shadow:Ownership.t -> n:int -> (int -> int -> unit) -> 
     (via {!Ownership.write}/{!Ownership.read}); the barrier then checks
     the epoch's records against the item-owned-writes discipline. *)
 
-(* lint: unused-export -- teardown half of the create/shutdown pair *)
-val shutdown : t -> unit
-(** Terminate and join the worker domains. The pool must not be used
-    afterwards. Idempotent. *)
-
 val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] brackets [f] with {!create}/{!shutdown}
-    (shutdown also on exception). *)
+(** [with_pool ~domains f] spawns [domains - 1] worker domains (none
+    when [domains = 1]), runs [f] on the pool, then terminates and joins
+    the workers, also on exception.
+    @raise Invalid_argument when [domains < 1]. *)

@@ -17,7 +17,8 @@
     - the loop ends when no messages remain, the iteration cap is hit,
       or the memory model trips (GraphX's unbounded lineage).
 
-    Time is modeled, not measured: each superstep's compute is the
+    Time is modeled, not measured: the engine fills one {!Pricer.counts}
+    record per superstep and {!Pricer} prices it — compute is the
     makespan of per-partition work over each executor's cores, network
     is per-executor egress bytes over the NIC, and fixed task-dispatch
     and barrier overheads are added — so granularity, stragglers,

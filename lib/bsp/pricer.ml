@@ -1,0 +1,530 @@
+module Graph = Cutfit_graph.Graph
+module Obs = Cutfit_obs
+
+type counts = {
+  work : float array;
+  bytes_out : float array;
+  bytes_in : float array;
+  active_edges : int;
+  messages : int;
+  shuffle_groups : int;
+  remote_shuffles : int;
+  updated : int;
+  bcast : int;
+  remote_bcast : int;
+}
+
+type t = {
+  label : string;
+  pg : Pgraph.t;
+  cluster : Cluster.t;
+  cost : Cost_model.t;
+  scale : float;
+  checkpoint_every : int option;
+  speculation : Speculation.config option;
+  telemetry : Obs.Telemetry.t option;
+  ert : Elastic.runtime;
+  fsession : Faults.session option;
+  state_bytes : int;
+  attr_wire_bytes : float;
+  graph_bytes : float;
+  checkpoint_io_s : float;  (** writing or reading back one checkpoint image *)
+  load_s : float;
+  mutable parts_per_exec : int array;
+  mutable steps : Trace.superstep list;  (** newest first *)
+  mutable driver_meta : float;
+  mutable checkpoint_s : float;
+  mutable checkpoints : int;
+  mutable last_ckpt : int option;
+  mutable recoveries : Trace.recovery list;  (** newest first *)
+  mutable recovery_s : float;
+  mutable faults_injected : int;
+  mutable speculations : Trace.speculation list;  (** newest first *)
+  mutable speculation_s : float;
+}
+
+let runtime t = t.ert
+let exec_of t p = Elastic.exec_of t.ert p
+let num_partitions t = Pgraph.num_partitions t.pg
+
+let emit t event =
+  match t.telemetry with None -> () | Some h -> Obs.Telemetry.emit h event
+
+let compute_parts_per_exec t =
+  let a = Array.make (Elastic.live t.ert) 0 in
+  for p = 0 to num_partitions t - 1 do
+    a.(exec_of t p) <- a.(exec_of t p) + 1
+  done;
+  a
+
+let create ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every ?faults ?speculation
+    ?elastic ?hetero ?telemetry ~label ~state_bytes ~cluster pg =
+  let g = Pgraph.graph pg in
+  let executors = cluster.Cluster.executors in
+  let graph_bytes =
+    scale
+    *. (float_of_int (Graph.num_edges g * cost.Cost_model.edge_object_bytes)
+       +. float_of_int (Graph.num_vertices g * (cost.Cost_model.vertex_object_bytes + state_bytes)))
+  in
+  let t =
+    {
+      label;
+      pg;
+      cluster;
+      cost;
+      scale;
+      checkpoint_every;
+      speculation;
+      telemetry;
+      (* Placement is consulted through the elastic runtime: with no
+         scale events it is exactly [Cluster.executor_of_partition];
+         with them, the round-robin target tracks the live membership. *)
+      ert = Elastic.runtime ?config:elastic ?hetero ~executors ();
+      fsession = Option.map (Faults.session ~executors) faults;
+      state_bytes;
+      attr_wire_bytes = float_of_int (state_bytes + cost.Cost_model.msg_wire_overhead_bytes);
+      (* Writing the materialized graph to the storage tier truncates
+         the driver's lineage — Spark's standard fix for long Pregel
+         runs. *)
+      graph_bytes;
+      checkpoint_io_s =
+        graph_bytes /. (float_of_int executors *. Cluster.storage_bytes_per_s cluster);
+      load_s =
+        scale
+        *. float_of_int (Cutfit_graph.Graph_io.size_bytes g)
+        /. (float_of_int executors *. Cluster.storage_bytes_per_s cluster);
+      parts_per_exec = [||];
+      steps = [];
+      driver_meta = 0.0;
+      checkpoint_s = 0.0;
+      checkpoints = 0;
+      last_ckpt = None;
+      recoveries = [];
+      recovery_s = 0.0;
+      faults_injected = 0;
+      speculations = [];
+      speculation_s = 0.0;
+    }
+  in
+  t.parts_per_exec <- compute_parts_per_exec t;
+  t
+
+let fresh t =
+  let max_execs = Elastic.max_executors t.ert in
+  {
+    work = Array.make (num_partitions t) 0.0;
+    bytes_out = Array.make max_execs 0.0;
+    bytes_in = Array.make max_execs 0.0;
+    active_edges = 0;
+    messages = 0;
+    shuffle_groups = 0;
+    remote_shuffles = 0;
+    updated = 0;
+    bcast = 0;
+    remote_bcast = 0;
+  }
+
+let push_recovery t (r : Trace.recovery) =
+  t.recoveries <- r :: t.recoveries;
+  t.recovery_s <- t.recovery_s +. r.Trace.recovery_s;
+  emit t
+    (Obs.Event.Recovery
+       {
+         step = r.Trace.at_step;
+         kind = r.Trace.kind;
+         executor = r.Trace.executor;
+         replayed_steps = r.Trace.replayed_steps;
+         lost_edges = r.Trace.lost_edges;
+         lost_replicas = r.Trace.lost_replicas;
+         wire_bytes = r.Trace.recovery_wire_bytes;
+         recovery_s = r.Trace.recovery_s;
+       })
+
+let push_speculation t (s : Trace.speculation) =
+  t.speculations <- s :: t.speculations;
+  t.speculation_s <- t.speculation_s +. s.Trace.speculative_compute_s;
+  emit t
+    (Obs.Event.Speculative_launch
+       {
+         step = s.Trace.at_step;
+         executor = s.Trace.executor;
+         host = s.Trace.host;
+         cloned_partitions = s.Trace.cloned_partitions;
+         original_busy_s = s.Trace.original_busy_s;
+         clone_busy_s = s.Trace.clone_busy_s;
+         wire_bytes = s.Trace.speculative_wire_bytes;
+         compute_s = s.Trace.speculative_compute_s;
+       });
+  if s.Trace.won then
+    emit t
+      (Obs.Event.Speculative_win
+         {
+           step = s.Trace.at_step;
+           executor = s.Trace.executor;
+           host = s.Trace.host;
+           saved_s = s.Trace.saved_s;
+         })
+
+(* Recovery pricing. Each record's traffic lands in
+   [recovery_wire_bytes], deliberately outside the supersteps'
+   [wire_bytes], so the wire-payload law still holds on faulty runs. *)
+let recovery ~at_step ~kind ~executor ?(replayed_steps = 0) ?(lost_edges = 0)
+    ?(lost_replicas = 0) ~wire recovery_s =
+  {
+    Trace.at_step;
+    kind;
+    executor;
+    replayed_steps;
+    lost_edges;
+    lost_replicas;
+    recovery_wire_bytes = wire;
+    recovery_s;
+  }
+
+(* A replacement for [executor] rebuilds exactly its edge partitions
+   from lineage: re-shuffle their edges in, re-materialize the local
+   structures, then re-broadcast every vertex view it hosted — cost
+   proportional to the replicas the cut placed there. A spot preemption
+   ([kind = "preempt"]) first waits out [backoff_s] of capped
+   reacquisition retries; membership is unchanged. *)
+let rebuild_recovery t ~at_step ~kind ~executor ~backoff_s =
+  let cost = t.cost and scale = t.scale in
+  let lost_edges = ref 0 and lost_vertices = ref 0 in
+  for p = 0 to num_partitions t - 1 do
+    if exec_of t p = executor then begin
+      lost_edges := !lost_edges + Pgraph.num_edges_of_partition t.pg p;
+      lost_vertices := !lost_vertices + Pgraph.local_vertices t.pg p
+    end
+  done;
+  let rebuild =
+    scale
+    *. ((float_of_int !lost_edges *. cost.Cost_model.build_edge_s)
+       +. (float_of_int !lost_vertices *. cost.Cost_model.build_vertex_s))
+    /. float_of_int t.cluster.Cluster.cores_per_executor
+  in
+  let reshuffle_bytes =
+    scale *. float_of_int !lost_edges *. float_of_int cost.Cost_model.shuffle_edge_bytes
+  in
+  let wire = reshuffle_bytes +. (scale *. float_of_int !lost_vertices *. t.attr_wire_bytes) in
+  recovery ~at_step ~kind ~executor ~lost_edges:!lost_edges ~lost_replicas:!lost_vertices ~wire
+    (backoff_s +. rebuild
+    +. (wire /. Cluster.network_bytes_per_s t.cluster)
+    +. cost.Cost_model.superstep_barrier_s)
+
+(* Scale events scheduled before compute superstep [step]: membership
+   changes re-home partitions with a priced re-shuffle; spot
+   preemptions are priced as involuntary crashes (membership
+   unchanged). Both are pure re-accounting — the vertex values never
+   move. *)
+let begin_step t ~step =
+  let cost = t.cost and pg = t.pg in
+  Elastic.step_events t.ert ~step ~num_partitions:(num_partitions t)
+    ~partition_bytes:(fun p ->
+      t.scale
+      *. (float_of_int (Pgraph.num_edges_of_partition pg p * cost.Cost_model.edge_object_bytes)
+         +. float_of_int
+              (Pgraph.local_vertices pg p
+              * (cost.Cost_model.vertex_object_bytes + t.state_bytes))))
+    ~partition_vertices:(fun p -> Pgraph.local_vertices pg p)
+    ~attr_wire_bytes:t.attr_wire_bytes ~scale:t.scale
+    ~bandwidth:(Cluster.network_bytes_per_s t.cluster)
+    ~barrier_s:cost.Cost_model.superstep_barrier_s
+    ~on_reshuffle:(fun r item ->
+      t.parts_per_exec <- compute_parts_per_exec t;
+      (match item with
+      | Elastic.Join { count; _ } ->
+          emit t (Obs.Event.Executor_join { step; count; executors = r.Trace.executors_after })
+      | Elastic.Leave { count; _ } ->
+          emit t (Obs.Event.Executor_leave { step; count; executors = r.Trace.executors_after })
+      | Elastic.Preempt _ -> ());
+      emit t
+        (Obs.Event.Reshuffle
+           {
+             step;
+             executors_before = r.Trace.executors_before;
+             executors_after = r.Trace.executors_after;
+             moved_partitions = r.Trace.moved_partitions;
+             moved_bytes = r.Trace.moved_bytes;
+             rebroadcast_replicas = r.Trace.rebroadcast_replicas;
+             rebroadcast_bytes = r.Trace.rebroadcast_bytes;
+             reshuffle_s = r.Trace.reshuffle_s;
+           }))
+    ~on_preempt:(fun ~executor ~retries ->
+      t.faults_injected <- t.faults_injected + 1;
+      emit t
+        (Obs.Event.Fault_injected
+           {
+             step;
+             kind = "preempt";
+             executor;
+             detail =
+               Printf.sprintf "spot instance preempted, %d reacquisition retr%s" retries
+                 (if retries = 1 then "y" else "ies");
+           });
+      push_recovery t
+        (rebuild_recovery t ~at_step:step ~kind:"preempt" ~executor
+           ~backoff_s:(Cost_model.retry_backoff cost ~retries)));
+  fresh t
+
+let take_checkpoint t ~step =
+  t.checkpoints <- t.checkpoints + 1;
+  t.checkpoint_s <- t.checkpoint_s +. t.checkpoint_io_s;
+  t.driver_meta <- 0.0;
+  t.last_ckpt <- Some step;
+  emit t (Obs.Event.Checkpoint { step; bytes = t.graph_bytes; write_s = t.checkpoint_io_s })
+
+(* The time composition of one priced step, recorded on the trace and
+   mirrored by a [Superstep] event built from the very same counters, so
+   event-stream aggregates reconcile with the trace exactly. *)
+let price t ~step ~(plan : Faults.plan) c =
+  let cost = t.cost and scale = t.scale in
+  let num_partitions = num_partitions t in
+  let executors = t.cluster.Cluster.executors in
+  (* Executor compute = makespan of its partitions' jittered work over
+     its cores, divided by the host's speed multiplier; an active
+     straggler fault stretches its executor on top. *)
+  let live = Elastic.live t.ert in
+  let jittered = Cost_model.jittered cost ~step c.work in
+  let clean_busy = Array.make live 0.0 in
+  let busy = Array.make live 0.0 in
+  for e = 0 to live - 1 do
+    let mine = ref [] in
+    for p = 0 to num_partitions - 1 do
+      if exec_of t p = e then mine := jittered.(p) :: !mine
+    done;
+    clean_busy.(e) <-
+      scale
+      *. Cost_model.makespan ~work:(Array.of_list !mine) ~cores:t.cluster.Cluster.cores_per_executor
+      /. Elastic.speed_of t.ert e;
+    (* Fault plans are realized against the initial membership; late
+       joiners past that width run fault-free. *)
+    let fault_factor = if e < executors then plan.Faults.compute_factor e else 1.0 in
+    busy.(e) <- clean_busy.(e) *. fault_factor
+  done;
+  let bandwidth_eff = Cluster.network_bytes_per_s t.cluster *. plan.Faults.network_factor in
+  (* Speculative re-execution of the slowest executor's tasks: decided
+     from the same deterministic busy/ingress data the step already
+     produced, so it only rewrites the time accounting — the values,
+     counters and superstep wire bytes are untouched. *)
+  let busy, spec =
+    match t.speculation with
+    | Some cfg when step >= 1 ->
+        Speculation.evaluate cfg ~cost ~bandwidth:bandwidth_eff ~step ~busy ~clean_busy
+          ~ingress:(Array.init live (fun e -> scale *. c.bytes_in.(e)))
+          ~partitions:t.parts_per_exec
+    | _ -> (busy, None)
+  in
+  let compute = Array.fold_left Float.max 0.0 busy in
+  let network = ref 0.0 and wire = ref 0.0 in
+  for e = 0 to live - 1 do
+    wire := !wire +. (scale *. c.bytes_out.(e));
+    let s = scale *. c.bytes_out.(e) /. (bandwidth_eff *. Elastic.bandwidth_of t.ert e) in
+    if s > !network then network := s
+  done;
+  let overhead =
+    cost.Cost_model.superstep_barrier_s
+    +. (float_of_int num_partitions *. cost.Cost_model.task_dispatch_s)
+  in
+  t.driver_meta <-
+    t.driver_meta +. (float_of_int num_partitions *. cost.Cost_model.driver_meta_per_task_bytes);
+  let stats =
+    {
+      Trace.step;
+      active_edges = c.active_edges;
+      messages = c.messages;
+      shuffle_groups = c.shuffle_groups;
+      remote_shuffles = c.remote_shuffles;
+      updated_vertices = c.updated;
+      broadcast_replicas = c.bcast;
+      remote_broadcasts = c.remote_bcast;
+      wire_bytes = !wire;
+      compute_s = compute;
+      network_s = !network;
+      overhead_s = overhead;
+      (* Spark pipelines shuffle fetch with task execution, so wire
+         time hides behind compute until it becomes the bottleneck. *)
+      time_s = Float.max compute !network +. overhead;
+    }
+  in
+  t.steps <- stats :: t.steps;
+  (match t.telemetry with
+  | None -> ()
+  | Some h ->
+      let max_task = ref 0.0 and min_task = ref Float.infinity in
+      Array.iter
+        (fun w ->
+          let w = scale *. w in
+          if w > !max_task then max_task := w;
+          if w < !min_task then min_task := w)
+        jittered;
+      Obs.Telemetry.emit h
+        (Obs.Event.Superstep
+           {
+             step;
+             active_vertices = c.updated;
+             active_edges = c.active_edges;
+             messages = c.messages;
+             local_shuffles = c.shuffle_groups - c.remote_shuffles;
+             remote_shuffles = c.remote_shuffles;
+             broadcast_replicas = c.bcast;
+             remote_broadcasts = c.remote_bcast;
+             wire_bytes = stats.Trace.wire_bytes;
+             executor_busy_s = busy;
+             barrier_wait_s = Array.map (fun b -> compute -. b) busy;
+             max_task_s = !max_task;
+             min_task_s = (if num_partitions = 0 then 0.0 else !min_task);
+             compute_s = stats.Trace.compute_s;
+             network_s = stats.Trace.network_s;
+             overhead_s = stats.Trace.overhead_s;
+             time_s = stats.Trace.time_s;
+           }));
+  t.faults_injected <- t.faults_injected + List.length plan.Faults.announce;
+  List.iter
+    (fun (a : Faults.announcement) ->
+      emit t
+        (Obs.Event.Fault_injected
+           { step; kind = a.fault_kind; executor = a.fault_executor; detail = a.detail }))
+    plan.Faults.announce;
+  Option.iter (push_speculation t) spec;
+  (* A transient shuffle loss retransmits the executor's egress with
+     capped exponential backoff — charged as recovery time, outside the
+     superstep's own wire accounting. *)
+  match plan.Faults.loss with
+  | None -> ()
+  | Some (e, retries) ->
+      let wire = float_of_int retries *. (scale *. c.bytes_out.(e)) in
+      push_recovery t
+        (recovery ~at_step:step ~kind:"shuffle-retry" ~executor:e ~wire
+           ((wire /. Cluster.network_bytes_per_s t.cluster) +. Cost_model.retry_backoff cost ~retries))
+
+(* An executor lost at this step's barrier: recover (rollback replay or
+   lineage rebuild of its partitions) or, past the failure budget,
+   report an abort. Replay is pure re-accounting — the values were
+   already computed — so fault-free and faulty runs stay bit-identical. *)
+let recover t ~step ~lost fs =
+  (* Crash executors were resolved against the initial membership; fold
+     them onto a live executor if leaves shrank the cluster. *)
+  let lost = lost mod Elastic.live t.ert in
+  match Faults.note_crash fs with
+  | `Abort -> true
+  | `Recover ->
+      push_recovery t
+        (match (Faults.session_config fs).Faults.mode with
+        | Faults.Rollback ->
+            (* All executors restart from the last checkpoint image (or,
+               with none yet, re-read the dataset), then replay the
+               recorded supersteps since that point at their recorded
+               cost. *)
+            let replayed =
+              match t.last_ckpt with
+              | Some c -> List.filter (fun (s : Trace.superstep) -> s.Trace.step > c) t.steps
+              | None -> t.steps
+            in
+            let readback = if t.last_ckpt <> None then t.checkpoint_io_s else t.load_s in
+            let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 replayed in
+            recovery ~at_step:step ~kind:"rollback" ~executor:lost
+              ~replayed_steps:(List.length replayed)
+              ~wire:(sum (fun s -> s.Trace.wire_bytes))
+              (readback +. sum (fun s -> s.Trace.time_s))
+        | Faults.Lineage ->
+            rebuild_recovery t ~at_step:step ~kind:"lineage" ~executor:lost ~backoff_s:0.0);
+      false
+
+let superstep t ~step c =
+  let plan = match t.fsession with None -> Faults.neutral | Some s -> Faults.plan s ~step in
+  price t ~step ~plan c;
+  let hit_driver_limit =
+    match t.checkpoint_every with
+    | Some k when step >= 1 && step mod k = 0 ->
+        take_checkpoint t ~step;
+        false
+    | _ -> t.driver_meta > t.cluster.Cluster.driver_memory_bytes
+  in
+  let aborted =
+    match (plan.Faults.crash, t.fsession) with
+    | Some lost, Some fs -> recover t ~step ~lost fs
+    | _ -> false
+  in
+  if hit_driver_limit then Some Trace.Out_of_memory
+  else if aborted then Some Trace.Aborted
+  else None
+
+(* Build phase: partitioning shuffles every edge to its partition, then
+   each partition materializes its local edge array and vertex table.
+   One-time, but a large share of short jobs, as in Spark. *)
+let build t =
+  let c = fresh t in
+  let cost = t.cost in
+  let executors = t.cluster.Cluster.executors in
+  let edge_wire = float_of_int cost.Cost_model.shuffle_edge_bytes in
+  (* Edges arrive from the loading executors; on average
+     (executors-1)/executors of them cross the network. *)
+  let remote_frac = float_of_int (executors - 1) /. float_of_int executors in
+  for p = 0 to num_partitions t - 1 do
+    let m_p = float_of_int (Pgraph.num_edges_of_partition t.pg p) in
+    let v_p = float_of_int (Pgraph.local_vertices t.pg p) in
+    c.work.(p) <- (m_p *. cost.Cost_model.build_edge_s) +. (v_p *. cost.Cost_model.build_vertex_s);
+    let e = exec_of t p in
+    c.bytes_out.(e) <- c.bytes_out.(e) +. (m_p *. edge_wire *. remote_frac)
+  done;
+  ignore (superstep t ~step:(-1) c)
+
+let finish t ~outcome ~peak_executor_bytes =
+  let supersteps = List.rev t.steps in
+  let total_s =
+    List.fold_left
+      (fun acc (s : Trace.superstep) -> acc +. s.time_s)
+      (t.load_s +. t.checkpoint_s +. t.recovery_s +. Elastic.reshuffle_s t.ert)
+      supersteps
+  in
+  let trace =
+    {
+      Trace.supersteps;
+      load_s = t.load_s;
+      checkpoint_s = t.checkpoint_s;
+      checkpoints = t.checkpoints;
+      recovery_s = t.recovery_s;
+      recoveries = List.rev t.recoveries;
+      faults_injected = t.faults_injected;
+      speculations = List.rev t.speculations;
+      speculation_s = t.speculation_s;
+      reshuffles = Elastic.reshuffles t.ert;
+      reshuffle_s = Elastic.reshuffle_s t.ert;
+      total_s;
+      outcome;
+      peak_executor_bytes;
+      driver_meta_bytes = t.driver_meta;
+    }
+  in
+  (match t.telemetry with
+  | None -> ()
+  | Some h ->
+      let reg = Obs.Telemetry.metrics h in
+      Obs.Metric.incr (Obs.Metric.counter reg "bsp.runs");
+      Obs.Metric.add (Obs.Metric.counter reg "bsp.messages") (Trace.total_messages trace);
+      Obs.Metric.add
+        (Obs.Metric.counter reg "bsp.remote_messages")
+        (Trace.total_remote_messages trace);
+      Obs.Metric.record (Obs.Metric.timer reg "bsp.simulated_s") total_s;
+      Obs.Metric.set (Obs.Metric.gauge reg "bsp.last_wire_bytes") (Trace.total_wire_bytes trace);
+      let compute_steps =
+        List.fold_left
+          (fun acc (s : Trace.superstep) -> if s.Trace.step >= 0 then acc + 1 else acc)
+          0 supersteps
+      in
+      Obs.Metric.add (Obs.Metric.counter reg "bsp.supersteps") compute_steps;
+      Obs.Telemetry.emit h
+        (Obs.Event.Run_end
+           {
+             label = t.label;
+             outcome = Trace.outcome_name outcome;
+             supersteps = compute_steps;
+             total_s;
+             load_s = t.load_s;
+             checkpoint_s = t.checkpoint_s;
+             recovery_s = t.recovery_s;
+             total_messages = Trace.total_messages trace;
+             total_remote = Trace.total_remote_messages trace;
+             total_wire_bytes = Trace.total_wire_bytes trace;
+           }));
+  trace

@@ -2,7 +2,7 @@
     mitigation, which GraphX inherits).
 
     At each superstep barrier the engine compares per-executor busy
-    times — already jittered by {!Cost_model.jitter} and stretched by
+    times — already jittered by {!Cost_model.jittered} and stretched by
     any active straggler fault — against the superstep median. When the
     slowest executor exceeds [threshold * median], a speculative clone
     of its tasks is launched on the least-loaded executor and the

@@ -85,9 +85,6 @@ let num_speculations t = List.length t.speculations
 let speculation_wins t =
   List.fold_left (fun acc s -> if s.won then acc + 1 else acc) 0 t.speculations
 
-let total_speculative_wire_bytes t =
-  List.fold_left (fun acc s -> acc +. s.speculative_wire_bytes) 0.0 t.speculations
-
 let num_reshuffles t = List.length t.reshuffles
 
 let total_reshuffle_wire_bytes t =
@@ -99,36 +96,6 @@ let outcome_name = function
   | Max_supersteps -> "max-supersteps"
   | Out_of_memory -> "out-of-memory"
   | Aborted -> "aborted"
-
-let pp_superstep ppf s =
-  Format.fprintf ppf
-    "step %2d: active=%d msgs=%d shuffle=%d(+%d remote) bcast=%d(+%d remote) wire=%.0fB t=%.3fs (c=%.3f n=%.3f o=%.3f)"
-    s.step s.active_edges s.messages s.shuffle_groups s.remote_shuffles s.broadcast_replicas
-    s.remote_broadcasts s.wire_bytes s.time_s s.compute_s s.network_s s.overhead_s
-
-let pp_recovery ppf (r : recovery) =
-  Format.fprintf ppf "step %2d: %s of executor %d (%s) %.3fs"
-    r.at_step r.kind r.executor
-    (match r.kind with
-    | "rollback" -> Printf.sprintf "replayed %d supersteps" r.replayed_steps
-    | "lineage" ->
-        Printf.sprintf "rebuilt %d edges, %d replica views" r.lost_edges r.lost_replicas
-    | "preempt" ->
-        Printf.sprintf "spot instance reacquired; rebuilt %d edges, %d replica views"
-          r.lost_edges r.lost_replicas
-    | _ -> Printf.sprintf "%.0f bytes retransmitted" r.recovery_wire_bytes)
-    r.recovery_s
-
-let pp_speculation ppf s =
-  Format.fprintf ppf "step %2d: executor %d cloned onto %d (%d tasks, %.0fB reshuffled) %s%s"
-    s.at_step s.executor s.host s.cloned_partitions s.speculative_wire_bytes
-    (if s.won then "clone won" else "original won")
-    (if s.won then Printf.sprintf ", saved %.3fs" s.saved_s else "")
-
-let pp_reshuffle ppf (r : reshuffle) =
-  Format.fprintf ppf "step %2d: %d -> %d executors, %d partition(s) moved (%.0fB + %d replica views %.0fB) %.3fs"
-    r.resh_step r.executors_before r.executors_after r.moved_partitions r.moved_bytes
-    r.rebroadcast_replicas r.rebroadcast_bytes r.reshuffle_s
 
 let pp_summary ppf t =
   let outcome =

@@ -99,6 +99,9 @@ type t = {
       (** load + checkpoints + recoveries + reshuffles + all supersteps *)
   outcome : outcome;
   peak_executor_bytes : float;
+      (** largest per-executor resident working set; only the Pregel
+          engine models executor memory, so GAS and triangle-counting
+          runs report [0.0] *)
   driver_meta_bytes : float;
 }
 
@@ -115,25 +118,13 @@ val total_wire_bytes : t -> float
 
 val total_network_s : t -> float
 val total_compute_s : t -> float
-(* lint: unused-export -- aggregate kept for report tooling *)
-val total_overhead_s : t -> float
 
 val num_recoveries : t -> int
 
 val num_speculations : t -> int
 
-(* lint: unused-export -- aggregate kept for report tooling *)
-val speculation_wins : t -> int
-(** How many recorded speculations took the clone's result. *)
-
-(* lint: unused-export -- aggregate kept for report tooling *)
-val total_speculative_wire_bytes : t -> float
-(** Sum of {!speculation.speculative_wire_bytes}; like recovery
-    traffic, outside {!total_wire_bytes}. *)
-
 val num_reshuffles : t -> int
 
-(* lint: unused-export -- aggregate kept for report tooling *)
 val total_reshuffle_wire_bytes : t -> float
 (** Sum of moved + rebroadcast bytes over every membership change; like
     recovery traffic, outside {!total_wire_bytes}. *)
@@ -146,11 +137,3 @@ val outcome_name : outcome -> string
     "out-of-memory", "aborted") used in telemetry exports. *)
 
 val pp_summary : Format.formatter -> t -> unit
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp_superstep : Format.formatter -> superstep -> unit
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp_recovery : Format.formatter -> recovery -> unit
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp_speculation : Format.formatter -> speculation -> unit
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp_reshuffle : Format.formatter -> reshuffle -> unit

@@ -30,7 +30,6 @@ val edge_dst : t -> int -> int
 val src_array : t -> int array
 (** The underlying source array; do not mutate. *)
 
-(* lint: unused-export -- raw-array escape hatch for bulk consumers *)
 val dst_array : t -> int array
 (** The underlying destination array; do not mutate. *)
 

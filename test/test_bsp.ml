@@ -324,3 +324,120 @@ let suite =
       Alcotest.test_case "GAS partition mismatch" `Quick test_gas_partition_mismatch;
       Alcotest.test_case "GAS iteration cap" `Quick test_gas_iteration_cap;
     ]
+
+(* --- superstep pricer --- *)
+
+module Pricer = Cutfit_bsp.Pricer
+
+(* Jitter-free constants, so a priced step has a closed form. *)
+let flat_cost = { Cost_model.default with Cost_model.gc_jitter = 0.0 }
+let checkf what want got = Alcotest.(check (float 0.0)) what want got
+
+let test_pricer_closed_form () =
+  (* Tiny cluster: 8 partitions round-robin over 2 executors of 4 cores. *)
+  let pr = Pricer.create ~cost:flat_cost ~label:"test" ~state_bytes:8 ~cluster pg in
+  let bandwidth = Cluster.network_bytes_per_s cluster in
+  let overhead =
+    flat_cost.Cost_model.superstep_barrier_s
+    +. (float_of_int np *. flat_cost.Cost_model.task_dispatch_s)
+  in
+  let step ~s ~egress =
+    let c = Pricer.begin_step pr ~step:s in
+    (* executor 0: one 4 s task; executor 1: four 2 s tasks on 4 cores *)
+    c.Pricer.work.(0) <- 4.0;
+    List.iter (fun p -> c.Pricer.work.(p) <- 2.0) [ 1; 3; 5; 7 ];
+    c.Pricer.bytes_out.(0) <- egress /. 2.0;
+    c.Pricer.bytes_out.(1) <- egress;
+    checkb "no verdict" true
+      (Pricer.superstep pr ~step:s
+         { c with Pricer.messages = 7; shuffle_groups = 5; remote_shuffles = 2 }
+      = None)
+  in
+  step ~s:1 ~egress:1e8;
+  step ~s:2 ~egress:1e9;
+  let t = Pricer.finish pr ~outcome:Trace.Completed ~peak_executor_bytes:0.0 in
+  List.iter2
+    (fun (s : Trace.superstep) egress ->
+      let network = egress /. bandwidth in
+      checkf "compute = slowest executor's makespan" 4.0 s.Trace.compute_s;
+      checkf "network = busiest egress over the NIC" network s.Trace.network_s;
+      checkf "overhead = barrier + dispatch" overhead s.Trace.overhead_s;
+      checkf "time = max(compute, network) + overhead"
+        (Float.max 4.0 network +. overhead)
+        s.Trace.time_s;
+      checkf "wire = total egress" (egress +. (egress /. 2.0)) s.Trace.wire_bytes;
+      checki "counts pass through" 7 s.Trace.messages;
+      checki "remote shuffles pass through" 2 s.Trace.remote_shuffles)
+    t.Trace.supersteps [ 1e8; 1e9 ];
+  checkb "one step compute-bound, one network-bound" true
+    (List.map (fun (s : Trace.superstep) -> s.Trace.compute_s > s.Trace.network_s) t.Trace.supersteps
+    = [ true; false ])
+
+let test_pricer_driver_limit () =
+  (* Every priced step adds one task's metadata per partition; the build
+     (step -1) and steps 0, 1 stay under 3.5 steps' worth, step 2 trips. *)
+  let meta = Cost_model.default.Cost_model.driver_meta_per_task_bytes in
+  let small = { cluster with Cluster.driver_memory_bytes = 3.5 *. float_of_int np *. meta } in
+  let verdicts ?checkpoint_every () =
+    let pr = Pricer.create ?checkpoint_every ~label:"test" ~state_bytes:8 ~cluster:small pg in
+    Pricer.build pr;
+    let vs =
+      List.map
+        (fun step ->
+          match Pricer.superstep pr ~step (Pricer.begin_step pr ~step) with
+          | None -> "-"
+          | Some o -> Trace.outcome_name o)
+        [ 0; 1; 2; 3 ]
+    in
+    (vs, Pricer.finish pr ~outcome:Trace.Completed ~peak_executor_bytes:0.0)
+  in
+  let vs, _ = verdicts () in
+  Alcotest.(check (list string)) "trips on the predicted step" [ "-"; "-"; "out-of-memory"; "out-of-memory" ] vs;
+  let vs, t = verdicts ~checkpoint_every:2 () in
+  Alcotest.(check (list string)) "a checkpoint resets the limit" [ "-"; "-"; "-"; "-" ] vs;
+  checki "one checkpoint" 1 t.Trace.checkpoints;
+  checkf "metadata since the checkpoint" (float_of_int np *. meta) t.Trace.driver_meta_bytes
+
+let test_pricer_speculation_skips_setup () =
+  (* Threshold 1: any skew would launch a clone if speculation were
+     evaluated; the build and superstep 0 must never be considered. *)
+  let speculation = Cutfit_bsp.Speculation.config ~threshold:1.0 () in
+  let pr = Pricer.create ~cost:flat_cost ~speculation ~label:"test" ~state_bytes:8 ~cluster pg in
+  Pricer.build pr;
+  List.iter
+    (fun step ->
+      let c = Pricer.begin_step pr ~step in
+      c.Pricer.work.(0) <- 10.0;
+      c.Pricer.work.(1) <- 1.0;
+      ignore (Pricer.superstep pr ~step c))
+    [ 0; 1 ];
+  let t = Pricer.finish pr ~outcome:Trace.Completed ~peak_executor_bytes:0.0 in
+  Alcotest.(check (list int)) "only step 1 speculated" [ 1 ]
+    (List.map (fun (s : Trace.speculation) -> s.Trace.at_step) t.Trace.speculations)
+
+let test_pricer_loss_is_recovery_traffic () =
+  let faults = Cutfit_bsp.Faults.config "loss@1:e1:r2" in
+  let pr = Pricer.create ~faults ~label:"test" ~state_bytes:8 ~cluster pg in
+  let c = Pricer.begin_step pr ~step:1 in
+  c.Pricer.bytes_out.(0) <- 3e6;
+  c.Pricer.bytes_out.(1) <- 5e6;
+  ignore (Pricer.superstep pr ~step:1 c);
+  let t = Pricer.finish pr ~outcome:Trace.Completed ~peak_executor_bytes:0.0 in
+  match (t.Trace.recoveries, t.Trace.supersteps) with
+  | [ r ], [ s ] ->
+      Alcotest.(check string) "kind" "shuffle-retry" r.Trace.kind;
+      checki "lossy executor" 1 r.Trace.executor;
+      checkf "two retransmissions of its egress" 1e7 r.Trace.recovery_wire_bytes;
+      checkf "superstep wire excludes the retransmission" 8e6 s.Trace.wire_bytes;
+      checkf "recovery time is itemized" r.Trace.recovery_s t.Trace.recovery_s;
+      checkb "and charged to the run" true (t.Trace.total_s > s.Trace.time_s +. t.Trace.load_s)
+  | _ -> Alcotest.fail "expected one step and one shuffle-retry recovery"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "pricer closed form" `Quick test_pricer_closed_form;
+      Alcotest.test_case "pricer driver limit" `Quick test_pricer_driver_limit;
+      Alcotest.test_case "pricer speculation skips setup" `Quick test_pricer_speculation_skips_setup;
+      Alcotest.test_case "pricer loss is recovery traffic" `Quick test_pricer_loss_is_recovery_traffic;
+    ]

@@ -45,6 +45,8 @@
    - unused-export         a .mli [val] never referenced by module name
                            anywhere in the tree; delete the export or
                            waive it with [(* lint: unused-export *)].
+                           A waiver on an export that {e is} referenced
+                           is stale and reported too (not waivable).
 
    Exit status: 0 when clean, 1 otherwise. [--json FILE] also writes
    the findings as a JSON artifact. [--effects] dumps the effect
@@ -1040,6 +1042,25 @@ let exports_of_intf ~file signature =
       | _ -> None)
     signature
 
+(* The unused-export rule over one interface: an unreferenced export
+   is a (waivable) finding; a referenced export under a waiver is a
+   stale waiver, reported past the waiver so it cannot outlive its
+   reason. *)
+let check_exports ~file ~waived ~uses ~emit ~force sg =
+  List.iter
+    (fun (m, v, line) ->
+      if not (Hashtbl.mem uses (m, v)) then
+        emit ~file ~line Unused_export
+          (Printf.sprintf
+             "%s.%s is exported but never referenced; delete the export or waive with \
+              (* lint: unused-export *) and a reason"
+             m v)
+      else if waived line Unused_export then
+        force ~file ~line Unused_export
+          (Printf.sprintf
+             "%s.%s is referenced, so its (* lint: unused-export *) waiver is stale; drop it" m v))
+    (exports_of_intf ~file sg)
+
 (* Record the last two components of every (alias-expanded) value path:
    [Check.Race_check.pagerank] marks (Race_check, pagerank) used. *)
 let record_uses ~aliases uses structure =
@@ -1115,15 +1136,16 @@ let run ~lint_dirs ~use_dirs ~json ~dump_effects =
   let ctx = fresh_ctx () in
   let findings = ref [] in
   let seen = Hashtbl.create 64 in
-  let emit ~file ~line rule msg =
-    let waived =
-      match Hashtbl.find_opt ctx.waived file with Some w -> w line rule | None -> false
-    in
-    if (not waived) && not (Hashtbl.mem seen (file, line, rule)) then begin
+  let force ~file ~line rule msg =
+    if not (Hashtbl.mem seen (file, line, rule)) then begin
       Hashtbl.replace seen (file, line, rule) ();
       findings := { file; line; rule; msg } :: !findings
     end
   in
+  let waived file =
+    match Hashtbl.find_opt ctx.waived file with Some w -> w | None -> fun _ _ -> false
+  in
+  let emit ~file ~line rule msg = if not (waived file line rule) then force ~file ~line rule msg in
   let parsed =
     List.map
       (fun file ->
@@ -1183,16 +1205,7 @@ let run ~lint_dirs ~use_dirs ~json ~dump_effects =
   List.iter
     (fun (file, sg) ->
       match sg with
-      | Some sg ->
-          List.iter
-            (fun (m, v, line) ->
-              if not (Hashtbl.mem uses (m, v)) then
-                emit ~file ~line Unused_export
-                  (Printf.sprintf
-                     "%s.%s is exported but never referenced; delete the export or waive with \
-                      (* lint: unused-export *) and a reason"
-                     m v))
-            (exports_of_intf ~file sg)
+      | Some sg -> check_exports ~file ~waived:(waived file) ~uses ~emit ~force sg
       | None -> ())
     intfs;
   let findings = sort_findings !findings in
@@ -1222,29 +1235,27 @@ let expected_of_fixture source =
     Some (Str.matched_group 1 source)
   with Not_found -> None
 
-let fixture_findings file =
+let fixture_findings ~uses file =
   let source = read_file file in
   let ctx = fresh_ctx () in
   let findings = ref [] in
   let seen = Hashtbl.create 8 in
-  let emit ~file ~line rule msg =
-    let waived =
-      match Hashtbl.find_opt ctx.waived file with Some w -> w line rule | None -> false
-    in
-    if (not waived) && not (Hashtbl.mem seen (file, line, rule)) then begin
+  let force ~file ~line rule msg =
+    if not (Hashtbl.mem seen (file, line, rule)) then begin
       Hashtbl.replace seen (file, line, rule) ();
       findings := { file; line; rule; msg } :: !findings
     end
   in
+  let waived file =
+    match Hashtbl.find_opt ctx.waived file with Some w -> w | None -> fun _ _ -> false
+  in
+  let emit ~file ~line rule msg = if not (waived file line rule) then force ~file ~line rule msg in
   Hashtbl.replace ctx.waived file (waivers_of_source source);
   (if Filename.check_suffix file ".mli" then
      match parse_intf ~file source with
      | sg ->
-         (* No usage sites: every unwaived export is unused. *)
-         List.iter
-           (fun (m, v, line) ->
-             emit ~file ~line Unused_export (Printf.sprintf "%s.%s is exported but never referenced" m v))
-           (exports_of_intf ~file sg)
+         (* Usage sites are the sibling .ml fixtures. *)
+         check_exports ~file ~waived:(waived file) ~uses ~emit ~force sg
      | exception exn -> emit ~file ~line:(parse_error_line exn) Parse_error (parse_error_msg exn)
    else
      match parse_impl ~file source with
@@ -1267,11 +1278,19 @@ let self_test dir =
       (fun f -> Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
       (walk_dir dir)
   in
+  let uses = Hashtbl.create 64 in
+  List.iter
+    (fun file ->
+      if Filename.check_suffix file ".ml" then
+        match parse_impl ~file (read_file file) with
+        | s -> record_uses ~aliases:(Some (collect_aliases s)) uses s
+        | exception _ -> ())
+    fixtures;
   let failures = ref 0 in
   List.iter
     (fun file ->
       let base = Filename.basename file in
-      let findings = fixture_findings file in
+      let findings = fixture_findings ~uses file in
       let got =
         match findings with
         | [] -> "none"
