@@ -1043,20 +1043,23 @@ let exports_of_intf ~file signature =
     signature
 
 (* The unused-export rule over one interface: an unreferenced export
-   is a (waivable) finding; a referenced export under a waiver is a
-   stale waiver, reported past the waiver so it cannot outlive its
+   is a finding unless waived; a referenced export under a waiver is a
+   stale waiver, reported regardless so a waiver cannot outlive its
    reason. *)
-let check_exports ~file ~waived ~uses ~emit ~force sg =
+let check_exports ~file ~waived ~uses ~report sg =
   List.iter
     (fun (m, v, line) ->
-      if not (Hashtbl.mem uses (m, v)) then
-        emit ~file ~line Unused_export
-          (Printf.sprintf
-             "%s.%s is exported but never referenced; delete the export or waive with \
-              (* lint: unused-export *) and a reason"
-             m v)
-      else if waived line Unused_export then
-        force ~file ~line Unused_export
+      let waived = waived line Unused_export in
+      if not (Hashtbl.mem uses (m, v)) then begin
+        if not waived then
+          report ~file ~line Unused_export
+            (Printf.sprintf
+               "%s.%s is exported but never referenced; delete the export or waive with \
+                (* lint: unused-export *) and a reason"
+               m v)
+      end
+      else if waived then
+        report ~file ~line Unused_export
           (Printf.sprintf
              "%s.%s is referenced, so its (* lint: unused-export *) waiver is stale; drop it" m v))
     (exports_of_intf ~file sg)
@@ -1205,7 +1208,7 @@ let run ~lint_dirs ~use_dirs ~json ~dump_effects =
   List.iter
     (fun (file, sg) ->
       match sg with
-      | Some sg -> check_exports ~file ~waived:(waived file) ~uses ~emit ~force sg
+      | Some sg -> check_exports ~file ~waived:(waived file) ~uses ~report:force sg
       | None -> ())
     intfs;
   let findings = sort_findings !findings in
@@ -1255,7 +1258,7 @@ let fixture_findings ~uses file =
      match parse_intf ~file source with
      | sg ->
          (* Usage sites are the sibling .ml fixtures. *)
-         check_exports ~file ~waived:(waived file) ~uses ~emit ~force sg
+         check_exports ~file ~waived:(waived file) ~uses ~report:force sg
      | exception exn -> emit ~file ~line:(parse_error_line exn) Parse_error (parse_error_msg exn)
    else
      match parse_impl ~file source with
