@@ -83,7 +83,7 @@ let ablation_advisor ppf =
     "Regret of the paper-rule advisor (heuristic mode) against the best@.\
      fixed strategy per (dataset, configuration), simulated job time:@.@.";
   List.iter
-    (fun (algo, advisor_algo) ->
+    (fun algo ->
       let cells = Run.filter ~algo ms in
       let regrets = ref [] and wins = ref 0 and total = ref 0 in
       List.iter
@@ -107,7 +107,7 @@ let ablation_advisor ppf =
                   in
                   let pick =
                     Cutfit.Strategy.to_string
-                      (Cutfit.Advisor.heuristic advisor_algo ~size ~num_partitions)
+                      (Cutfit.Advisor.heuristic algo ~size ~num_partitions)
                   in
                   let best =
                     List.fold_left
@@ -132,12 +132,7 @@ let ablation_advisor ppf =
         Format.fprintf ppf "%-5s picked the winner %d/%d times; mean regret %.1f%%, worst %.1f%%@."
           (Run.algo_name algo) !wins !total mean worst
       end)
-    [
-      (Run.Pagerank, Cutfit.Advisor.Pagerank);
-      (Run.Connected_components, Cutfit.Advisor.Connected_components);
-      (Run.Triangle_count, Cutfit.Advisor.Triangle_count);
-      (Run.Shortest_paths, Cutfit.Advisor.Shortest_paths);
-    ]
+    Run.all_algos
 
 (* --- cost-model ablation: the per-cut-vertex reduction term --- *)
 

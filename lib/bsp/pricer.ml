@@ -140,30 +140,35 @@ let push_recovery t (r : Trace.recovery) =
          recovery_s = r.Trace.recovery_s;
        })
 
-let push_speculation t (s : Trace.speculation) =
-  t.speculations <- s :: t.speculations;
-  t.speculation_s <- t.speculation_s +. s.Trace.speculative_compute_s;
-  emit t
-    (Obs.Event.Speculative_launch
-       {
-         step = s.Trace.at_step;
-         executor = s.Trace.executor;
-         host = s.Trace.host;
-         cloned_partitions = s.Trace.cloned_partitions;
-         original_busy_s = s.Trace.original_busy_s;
-         clone_busy_s = s.Trace.clone_busy_s;
-         wire_bytes = s.Trace.speculative_wire_bytes;
-         compute_s = s.Trace.speculative_compute_s;
-       });
-  if s.Trace.won then
-    emit t
-      (Obs.Event.Speculative_win
+let speculation_events (s : Trace.speculation) =
+  Obs.Event.Speculative_launch
+    {
+      step = s.Trace.at_step;
+      executor = s.Trace.executor;
+      host = s.Trace.host;
+      cloned_partitions = s.Trace.cloned_partitions;
+      original_busy_s = s.Trace.original_busy_s;
+      clone_busy_s = s.Trace.clone_busy_s;
+      wire_bytes = s.Trace.speculative_wire_bytes;
+      compute_s = s.Trace.speculative_compute_s;
+    }
+  ::
+  (if s.Trace.won then
+     [
+       Obs.Event.Speculative_win
          {
            step = s.Trace.at_step;
            executor = s.Trace.executor;
            host = s.Trace.host;
            saved_s = s.Trace.saved_s;
-         })
+         };
+     ]
+   else [])
+
+let push_speculation t (s : Trace.speculation) =
+  t.speculations <- s :: t.speculations;
+  t.speculation_s <- t.speculation_s +. s.Trace.speculative_compute_s;
+  List.iter (emit t) (speculation_events s)
 
 (* Recovery pricing. Each record's traffic lands in
    [recovery_wire_bytes], deliberately outside the supersteps'

@@ -62,6 +62,12 @@ val runtime : t -> Elastic.runtime
     currently hosting a partition (round robin over the live
     membership). *)
 
+val speculation_events : Trace.speculation -> Cutfit_obs.Event.t list
+(** The [Speculative_launch] event for one speculative clone, followed
+    by its [Speculative_win] when the clone finished first: what the
+    pricer emits for each speculation it records, and what a caller
+    that ran an engine without telemetry replays from the trace. *)
+
 val build : t -> unit
 (** Price the one-time graph build as step [-1]. *)
 

@@ -24,9 +24,6 @@
     {!Trace_check.validate}'s job; {!validate_elastic} is a convenience
     alias so callers can run both from one module. *)
 
-(* lint: unused-export -- suite identity mirrors the other checkers *)
-val suite : string
-
 val equivalence :
   ?label:string ->
   ?executors:int ->

@@ -20,14 +20,6 @@
 
     All functions return [[]] on success and never raise. *)
 
-(* lint: unused-export -- suite identity mirrors the other checkers *)
-val suite : string
-(** ["engines"]. *)
-
-(* lint: unused-export -- default mirrors the other checkers *)
-val default_domains : int list
-(** [[1; 2; 4]] — inline, one worker domain, three worker domains. *)
-
 val pagerank :
   ?iterations:int ->
   ?domains_counts:int list ->

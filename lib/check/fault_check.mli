@@ -19,9 +19,6 @@
     {!Trace_check.validate}'s job; {!validate_faulty} is a convenience
     alias so callers can run both from one module. *)
 
-(* lint: unused-export -- suite identity mirrors the other checkers *)
-val suite : string
-
 val float_attrs_digest : float array -> string
 (** MD5 over the IEEE-754 bits of every attribute — every ULP matters. *)
 

@@ -10,23 +10,13 @@ type verdict = { name : string; expected : string; measured : string; pass : boo
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(* lint: unused-export -- fine-grained entry kept alongside check_all *)
-val check_correlations : Run.measurement list -> verdict list
-(** Figures 3–6 headline coefficients:
-    PR/CommCost 95/96%, CC/CommCost 92/94%, TR/Cut 95/97% with
-    TR/CommCost low (43/34%), SSSP/CommCost 80/86%. *)
-
-(* lint: unused-export -- fine-grained entry kept alongside check_all *)
-val check_granularity : Run.measurement list -> verdict list
-(** PR slows down at finer grain; CC speeds up on the big datasets (up
-    to ~22%); TR speeds up consistently (up to ~40% on Orkut). *)
-
-(* lint: unused-export -- fine-grained entry kept alongside check_all *)
-val check_sssp_oom : Run.measurement list -> verdict list
-(** The road networks fail with OOM under SSSP; social datasets
-    complete. *)
-
 val check_all : Run.measurement list -> verdict list
+(** Figures 3–6 headline coefficients (PR/CommCost 95/96%, CC/CommCost
+    92/94%, TR/Cut 95/97% with TR/CommCost low at 43/34%,
+    SSSP/CommCost 80/86%); the granularity effects (PR slows down at
+    finer grain, CC speeds up on the big datasets by up to ~22%, TR
+    speeds up consistently by up to ~40% on Orkut); and SSSP's OOM on
+    the road networks while the social datasets complete. *)
 
 val summary : Format.formatter -> verdict list -> unit
 (** Render all verdicts plus a pass count. *)

@@ -7,23 +7,14 @@ module Cost_model = Cutfit_bsp.Cost_model
 module Pgraph = Cutfit_bsp.Pgraph
 module Trace = Cutfit_bsp.Trace
 
-type algo = Pagerank | Connected_components | Triangle_count | Shortest_paths
+type algo = Cutfit.Advisor.algorithm =
+  | Pagerank
+  | Connected_components
+  | Triangle_count
+  | Shortest_paths
 
 let all_algos = [ Pagerank; Connected_components; Triangle_count; Shortest_paths ]
-
-let algo_name = function
-  | Pagerank -> "PR"
-  | Connected_components -> "CC"
-  | Triangle_count -> "TR"
-  | Shortest_paths -> "SSSP"
-
-let algo_of_string s =
-  match String.uppercase_ascii s with
-  | "PR" | "PAGERANK" -> Some Pagerank
-  | "CC" -> Some Connected_components
-  | "TR" | "TRIANGLES" -> Some Triangle_count
-  | "SSSP" -> Some Shortest_paths
-  | _ -> None
+let algo_name = Cutfit.Advisor.algorithm_name
 
 type measurement = {
   dataset : Datasets.spec;
@@ -185,8 +176,6 @@ let run opts =
         opts.clusters)
     opts.datasets;
   List.rev !results
-
-let time_or_nan m = m.time_s
 
 let filter ?algo ?config ?dataset ms =
   List.filter

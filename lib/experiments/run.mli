@@ -6,13 +6,15 @@
     matrix behind the paper's Figures 3–6 is 9 datasets x 6 partitioners
     x 2 granularities x 4 algorithms. *)
 
-type algo = Pagerank | Connected_components | Triangle_count | Shortest_paths
+type algo = Cutfit.Advisor.algorithm =
+  | Pagerank
+  | Connected_components
+  | Triangle_count
+  | Shortest_paths
 
 val all_algos : algo list
 val algo_name : algo -> string
 (** Paper abbreviation: "PR", "CC", "TR", "SSSP". *)
-
-val algo_of_string : string -> algo option
 
 type measurement = {
   dataset : Cutfit_gen.Datasets.spec;
@@ -54,9 +56,6 @@ val run : options -> measurement list
 (** Execute the matrix. Deterministic; the partitioned graph is built
     once per (dataset, partitioner, granularity) and shared across the
     algorithms. *)
-
-(* lint: unused-export -- convenience accessor for ad hoc analysis *)
-val time_or_nan : measurement -> float
 
 val filter :
   ?algo:algo -> ?config:string -> ?dataset:string -> measurement list -> measurement list

@@ -31,10 +31,6 @@ val of_list : (int * int) list -> t
 val to_arrays : t -> int array * int array
 (** Trimmed copies of the source and destination arrays. *)
 
-(* lint: unused-export -- building block kept for external loaders *)
-val sort : t -> unit
-(** Sort edges in place by [(src, dst)] lexicographically. *)
-
 val dedup : ?drop_self_loops:bool -> t -> t
 (** [dedup t] is a new buffer with duplicate edges removed (and
     self-loops dropped when [drop_self_loops], default [true]).

@@ -69,16 +69,6 @@ let iter_in t v f =
     f t.in_adj.(i)
   done
 
-let fold_out t v f init =
-  let acc = ref init in
-  iter_out t v (fun u -> acc := f !acc u);
-  !acc
-
-let fold_in t v f init =
-  let acc = ref init in
-  iter_in t v (fun u -> acc := f !acc u);
-  !acc
-
 let out_neighbors t v = Array.sub t.out_adj t.out_off.(v) (out_degree t v)
 let in_neighbors t v = Array.sub t.in_adj t.in_off.(v) (in_degree t v)
 

@@ -43,11 +43,6 @@ val iter_out : t -> int -> (int -> unit) -> unit
 val iter_in : t -> int -> (int -> unit) -> unit
 (** Same for in-neighbours. *)
 
-(* lint: unused-export -- fold twin of iter_out, kept for symmetry *)
-val fold_out : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-(* lint: unused-export -- fold twin of iter_in, kept for symmetry *)
-val fold_in : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
 val out_neighbors : t -> int -> int array
 (** Fresh sorted array of out-neighbours of [v]. *)
 

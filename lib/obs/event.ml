@@ -444,366 +444,7 @@ let to_json = function
           ("pending", Json.Int t.pending);
         ]
 
-let field kind name conv j =
-  match Json.member name j with
-  | None -> Error (Printf.sprintf "%s: missing field %S" kind name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "%s: field %S has the wrong type" kind name))
-
-let ( let* ) r f = Result.bind r f
-
-let float_array j =
-  match Json.to_list j with
-  | None -> None
-  | Some xs ->
-      let rec go acc = function
-        | [] -> Some (Array.of_list (List.rev acc))
-        | x :: rest -> (
-            match Json.to_float x with Some f -> go (f :: acc) rest | None -> None)
-      in
-      go [] xs
-
-let superstep_of_json j =
-  let int name = field "superstep" name Json.to_int j in
-  let flt name = field "superstep" name Json.to_float j in
-  let arr name = field "superstep" name float_array j in
-  let* step = int "step" in
-  let* active_vertices = int "active_vertices" in
-  let* active_edges = int "active_edges" in
-  let* messages = int "messages" in
-  let* local_shuffles = int "local_shuffles" in
-  let* remote_shuffles = int "remote_shuffles" in
-  let* broadcast_replicas = int "broadcast_replicas" in
-  let* remote_broadcasts = int "remote_broadcasts" in
-  let* wire_bytes = flt "wire_bytes" in
-  let* executor_busy_s = arr "executor_busy_s" in
-  let* barrier_wait_s = arr "barrier_wait_s" in
-  let* max_task_s = flt "max_task_s" in
-  let* min_task_s = flt "min_task_s" in
-  let* compute_s = flt "compute_s" in
-  let* network_s = flt "network_s" in
-  let* overhead_s = flt "overhead_s" in
-  let* time_s = flt "time_s" in
-  Ok
-    (Superstep
-       {
-         step;
-         active_vertices;
-         active_edges;
-         messages;
-         local_shuffles;
-         remote_shuffles;
-         broadcast_replicas;
-         remote_broadcasts;
-         wire_bytes;
-         executor_busy_s;
-         barrier_wait_s;
-         max_task_s;
-         min_task_s;
-         compute_s;
-         network_s;
-         overhead_s;
-         time_s;
-       })
-
-let run_end_of_json j =
-  let int name = field "run_end" name Json.to_int j in
-  let flt name = field "run_end" name Json.to_float j in
-  let str name = field "run_end" name Json.to_string_opt j in
-  let* label = str "label" in
-  let* outcome = str "outcome" in
-  let* supersteps = int "supersteps" in
-  let* total_s = flt "total_s" in
-  let* load_s = flt "load_s" in
-  let* checkpoint_s = flt "checkpoint_s" in
-  let* recovery_s = flt "recovery_s" in
-  let* total_messages = int "total_messages" in
-  let* total_remote = int "total_remote" in
-  let* total_wire_bytes = flt "total_wire_bytes" in
-  Ok
-    (Run_end
-       {
-         label;
-         outcome;
-         supersteps;
-         total_s;
-         load_s;
-         checkpoint_s;
-         recovery_s;
-         total_messages;
-         total_remote;
-         total_wire_bytes;
-       })
-
-let fault_injected_of_json j =
-  let int name = field "fault_injected" name Json.to_int j in
-  let str name = field "fault_injected" name Json.to_string_opt j in
-  let* step = int "step" in
-  let* kind = str "kind" in
-  let* executor = int "executor" in
-  let* detail = str "detail" in
-  Ok (Fault_injected { step; kind; executor; detail })
-
-let checkpoint_of_json j =
-  let* step = field "checkpoint" "step" Json.to_int j in
-  let* bytes = field "checkpoint" "bytes" Json.to_float j in
-  let* write_s = field "checkpoint" "write_s" Json.to_float j in
-  Ok (Checkpoint { step; bytes; write_s })
-
-let recovery_of_json j =
-  let int name = field "recovery" name Json.to_int j in
-  let flt name = field "recovery" name Json.to_float j in
-  let str name = field "recovery" name Json.to_string_opt j in
-  let* step = int "step" in
-  let* kind = str "kind" in
-  let* executor = int "executor" in
-  let* replayed_steps = int "replayed_steps" in
-  let* lost_edges = int "lost_edges" in
-  let* lost_replicas = int "lost_replicas" in
-  let* wire_bytes = flt "wire_bytes" in
-  let* recovery_s = flt "recovery_s" in
-  Ok
-    (Recovery
-       { step; kind; executor; replayed_steps; lost_edges; lost_replicas; wire_bytes; recovery_s })
-
-let speculative_launch_of_json j =
-  let int name = field "speculative_launch" name Json.to_int j in
-  let flt name = field "speculative_launch" name Json.to_float j in
-  let* step = int "step" in
-  let* executor = int "executor" in
-  let* host = int "host" in
-  let* cloned_partitions = int "cloned_partitions" in
-  let* original_busy_s = flt "original_busy_s" in
-  let* clone_busy_s = flt "clone_busy_s" in
-  let* wire_bytes = flt "wire_bytes" in
-  let* compute_s = flt "compute_s" in
-  Ok
-    (Speculative_launch
-       {
-         step;
-         executor;
-         host;
-         cloned_partitions;
-         original_busy_s;
-         clone_busy_s;
-         wire_bytes;
-         compute_s;
-       })
-
-let speculative_win_of_json j =
-  let int name = field "speculative_win" name Json.to_int j in
-  let* step = int "step" in
-  let* executor = int "executor" in
-  let* host = int "host" in
-  let* saved_s = field "speculative_win" "saved_s" Json.to_float j in
-  Ok (Speculative_win { step; executor; host; saved_s })
-
-let job_shed_of_json j =
-  let* job_id = field "job_shed" "job_id" Json.to_int j in
-  let* at_s = field "job_shed" "at_s" Json.to_float j in
-  let* queue_depth = field "job_shed" "queue_depth" Json.to_int j in
-  let* policy = field "job_shed" "policy" Json.to_string_opt j in
-  Ok (Job_shed { job_id; at_s; queue_depth; policy })
-
-let deadline_exceeded_of_json j =
-  let* job_id = field "deadline_exceeded" "job_id" Json.to_int j in
-  let* deadline_s = field "deadline_exceeded" "deadline_s" Json.to_float j in
-  let* overshoot_s = field "deadline_exceeded" "overshoot_s" Json.to_float j in
-  let* started = field "deadline_exceeded" "started" Json.to_bool j in
-  Ok (Deadline_exceeded { job_id; deadline_s; overshoot_s; started })
-
-let breaker_open_of_json j =
-  let* dataset = field "breaker_open" "dataset" Json.to_string_opt j in
-  let* strategy = field "breaker_open" "strategy" Json.to_string_opt j in
-  let* at_s = field "breaker_open" "at_s" Json.to_float j in
-  let* failures = field "breaker_open" "failures" Json.to_int j in
-  Ok (Breaker_open { dataset; strategy; at_s; failures })
-
-let breaker_close_of_json j =
-  let* dataset = field "breaker_close" "dataset" Json.to_string_opt j in
-  let* strategy = field "breaker_close" "strategy" Json.to_string_opt j in
-  let* at_s = field "breaker_close" "at_s" Json.to_float j in
-  Ok (Breaker_close { dataset; strategy; at_s })
-
-let job_submit_of_json j =
-  let int name = field "job_submit" name Json.to_int j in
-  let flt name = field "job_submit" name Json.to_float j in
-  let str name = field "job_submit" name Json.to_string_opt j in
-  let* job_id = int "job_id" in
-  let* algorithm = str "algorithm" in
-  let* dataset = str "dataset" in
-  let* num_partitions = int "num_partitions" in
-  let* arrival_s = flt "arrival_s" in
-  Ok (Job_submit { job_id; algorithm; dataset; num_partitions; arrival_s })
-
-let job_start_of_json j =
-  let int name = field "job_start" name Json.to_int j in
-  let flt name = field "job_start" name Json.to_float j in
-  let str name = field "job_start" name Json.to_string_opt j in
-  let* job_id = int "job_id" in
-  let* strategy = str "strategy" in
-  let* cache_hit = field "job_start" "cache_hit" Json.to_bool j in
-  let* start_s = flt "start_s" in
-  let* queue_s = flt "queue_s" in
-  Ok (Job_start { job_id; strategy; cache_hit; start_s; queue_s })
-
-let job_end_of_json j =
-  let int name = field "job_end" name Json.to_int j in
-  let flt name = field "job_end" name Json.to_float j in
-  let str name = field "job_end" name Json.to_string_opt j in
-  let* job_id = int "job_id" in
-  let* outcome = str "outcome" in
-  let* partition_s = flt "partition_s" in
-  let* exec_s = flt "exec_s" in
-  let* finish_s = flt "finish_s" in
-  Ok (Job_end { job_id; outcome; partition_s; exec_s; finish_s })
-
-let job_retry_of_json j =
-  let int name = field "job_retry" name Json.to_int j in
-  let flt name = field "job_retry" name Json.to_float j in
-  let* job_id = int "job_id" in
-  let* attempt = int "attempt" in
-  let* delay_s = flt "delay_s" in
-  let* resubmit_s = flt "resubmit_s" in
-  Ok (Job_retry { job_id; attempt; delay_s; resubmit_s })
-
-let cache_op_of_json j =
-  let int name = field "cache_op" name Json.to_int j in
-  let flt name = field "cache_op" name Json.to_float j in
-  let str name = field "cache_op" name Json.to_string_opt j in
-  let* op = str "op" in
-  let* graph = str "graph" in
-  let* strategy = str "strategy" in
-  let* num_partitions = int "num_partitions" in
-  let* bytes = flt "bytes" in
-  let* occupancy_bytes = flt "occupancy_bytes" in
-  let* entries = int "entries" in
-  let* at_s = flt "at_s" in
-  Ok (Cache_op { op; graph; strategy; num_partitions; bytes; occupancy_bytes; entries; at_s })
-
-let mutation_batch_of_json j =
-  let int name = field "mutation_batch" name Json.to_int j in
-  let* batch = int "batch" in
-  let* graph = field "mutation_batch" "graph" Json.to_string_opt j in
-  let* inserts = int "inserts" in
-  let* deletes = int "deletes" in
-  let* edges_before = int "edges_before" in
-  let* edges_after = int "edges_after" in
-  let* at_s = field "mutation_batch" "at_s" Json.to_float j in
-  Ok (Mutation_batch { batch; graph; inserts; deletes; edges_before; edges_after; at_s })
-
-let repartition_of_json j =
-  let int name = field "repartition" name Json.to_int j in
-  let flt name = field "repartition" name Json.to_float j in
-  let str name = field "repartition" name Json.to_string_opt j in
-  let* batch = int "batch" in
-  let* graph = str "graph" in
-  let* choice = str "choice" in
-  let* refresh_s = flt "refresh_s" in
-  let* rebuild_s = flt "rebuild_s" in
-  let* placed_edges = int "placed_edges" in
-  let* repaired_vertices = int "repaired_vertices" in
-  let* moved_replicas = int "moved_replicas" in
-  let* at_s = flt "at_s" in
-  Ok
-    (Repartition
-       {
-         batch;
-         graph;
-         choice;
-         refresh_s;
-         rebuild_s;
-         placed_edges;
-         repaired_vertices;
-         moved_replicas;
-         at_s;
-       })
-
-let executor_join_of_json j =
-  let int name = field "executor_join" name Json.to_int j in
-  let* step = int "step" in
-  let* count = int "count" in
-  let* executors = int "executors" in
-  Ok (Executor_join { step; count; executors })
-
-let executor_leave_of_json j =
-  let int name = field "executor_leave" name Json.to_int j in
-  let* step = int "step" in
-  let* count = int "count" in
-  let* executors = int "executors" in
-  Ok (Executor_leave { step; count; executors })
-
-let reshuffle_of_json j =
-  let int name = field "reshuffle" name Json.to_int j in
-  let flt name = field "reshuffle" name Json.to_float j in
-  let* step = int "step" in
-  let* executors_before = int "executors_before" in
-  let* executors_after = int "executors_after" in
-  let* moved_partitions = int "moved_partitions" in
-  let* moved_bytes = flt "moved_bytes" in
-  let* rebroadcast_replicas = int "rebroadcast_replicas" in
-  let* rebroadcast_bytes = flt "rebroadcast_bytes" in
-  let* reshuffle_s = flt "reshuffle_s" in
-  Ok
-    (Reshuffle
-       {
-         step;
-         executors_before;
-         executors_after;
-         moved_partitions;
-         moved_bytes;
-         rebroadcast_replicas;
-         rebroadcast_bytes;
-         reshuffle_s;
-       })
-
-let tenant_throttle_of_json j =
-  let int name = field "tenant_throttle" name Json.to_int j in
-  let flt name = field "tenant_throttle" name Json.to_float j in
-  let str name = field "tenant_throttle" name Json.to_string_opt j in
-  let* tenant = str "tenant" in
-  let* job_id = int "job_id" in
-  let* at_s = flt "at_s" in
-  let* pending = int "pending" in
-  Ok (Tenant_throttle { tenant; job_id; at_s; pending })
-
-let of_json j =
-  let* kind = field "event" "type" Json.to_string_opt j in
-  match kind with
-  | "run_start" ->
-      let* label = field "run_start" "label" Json.to_string_opt j in
-      Ok (Run_start { label })
-  | "superstep" -> superstep_of_json j
-  | "run_end" -> run_end_of_json j
-  | "fault_injected" -> fault_injected_of_json j
-  | "checkpoint" -> checkpoint_of_json j
-  | "recovery" -> recovery_of_json j
-  | "speculative_launch" -> speculative_launch_of_json j
-  | "speculative_win" -> speculative_win_of_json j
-  | "job_submit" -> job_submit_of_json j
-  | "job_start" -> job_start_of_json j
-  | "job_end" -> job_end_of_json j
-  | "job_retry" -> job_retry_of_json j
-  | "job_shed" -> job_shed_of_json j
-  | "deadline_exceeded" -> deadline_exceeded_of_json j
-  | "breaker_open" -> breaker_open_of_json j
-  | "breaker_close" -> breaker_close_of_json j
-  | "cache_op" -> cache_op_of_json j
-  | "mutation_batch" -> mutation_batch_of_json j
-  | "repartition" -> repartition_of_json j
-  | "executor_join" -> executor_join_of_json j
-  | "executor_leave" -> executor_leave_of_json j
-  | "reshuffle" -> reshuffle_of_json j
-  | "tenant_throttle" -> tenant_throttle_of_json j
-  | other -> Error (Printf.sprintf "event: unknown type %S" other)
-
 let to_line t = Json.to_string (to_json t)
-
-let of_line line =
-  let* j = Json.of_string line in
-  of_json j
 
 let pp ppf = function
   | Run_start { label } -> Format.fprintf ppf "run %s" label

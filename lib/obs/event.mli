@@ -264,18 +264,8 @@ val skew : superstep -> float
 (** [max_task_s /. min_task_s], or [infinity] when the smallest task is
     idle — the straggler spread of one superstep. *)
 
-(* lint: unused-export -- codec half; of_string composes it internally *)
-val to_json : t -> Json.t
-(* lint: unused-export -- codec half; of_string composes it internally *)
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; the error names the missing or ill-typed
-    field. *)
-
 val to_line : t -> string
 (** One-line JSON rendering, the JSONL wire format. *)
-
-val of_line : string -> (t, string) result
-(** Parse one JSONL line as produced by {!to_line}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-oriented one-line rendering used by the console sink. *)

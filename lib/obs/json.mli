@@ -1,7 +1,7 @@
 (** Minimal JSON values, printing and parsing.
 
-    The telemetry sinks need to write and re-read JSONL trace files
-    without adding a dependency the container may not have, so this is a
+    The telemetry sinks write JSONL trace files, and tests and tools
+    read them back, without a third-party JSON dependency, so this is a
     small self-contained codec: it supports exactly the JSON subset the
     {!Event} records use (objects, arrays, strings, bools, null, ints
     and doubles). Floats are printed with 17 significant digits so a

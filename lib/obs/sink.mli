@@ -19,11 +19,6 @@ val jsonl : string -> t
 (** Append one JSON object per event to the given file path (truncating
     any existing file). The channel is buffered; [close] flushes. *)
 
-(* lint: unused-export -- sink constructor for long-running services *)
-val jsonl_channel : out_channel -> t
-(** Like {!jsonl} on an already-open channel. [close] flushes but does
-    not close the channel, which the caller owns. *)
-
 val console : ?verbose:bool -> Format.formatter -> t
 (** Pretty printer. With [verbose] (default false) every superstep is
     printed as it is emitted; otherwise only run boundaries and a

@@ -1,5 +1,5 @@
 type t = {
-  mutable sinks : Sink.t list;
+  sinks : Sink.t list;
   registry : Metric.registry;
   mutable emitted : int;
   mutable closed : bool;
@@ -7,8 +7,6 @@ type t = {
 
 let create ?(sinks = []) () =
   { sinks; registry = Metric.create_registry (); emitted = 0; closed = false }
-
-let attach t sink = t.sinks <- t.sinks @ [ sink ]
 
 let metrics t = t.registry
 

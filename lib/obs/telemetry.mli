@@ -22,10 +22,6 @@ val create : ?sinks:Sink.t list -> unit -> t
 (** A handle with the given sinks (default none) and a fresh registry.
     A handle without sinks still accumulates registry metrics. *)
 
-(* lint: unused-export -- dynamic sink attachment for embedders *)
-val attach : t -> Sink.t -> unit
-(** Add a sink; subsequent events reach it. *)
-
 val metrics : t -> Metric.registry
 (** The handle's metric registry. *)
 

@@ -125,8 +125,6 @@ let compute g ~num_partitions assignment =
 
 let metric_names = [ "Balance"; "NonCut"; "Cut"; "CommCost"; "PartStDev" ]
 
-let extended_metric_names = metric_names @ [ "VtxToSame"; "VtxToOther"; "Replication" ]
-
 let metric_value t = function
   | "Balance" -> t.balance
   | "NonCut" -> float_of_int t.non_cut

@@ -48,9 +48,5 @@ val metric_value : t -> string -> float
 val metric_names : string list
 (** The five paper metrics, in Tables 2–3 column order. *)
 
-(* lint: unused-export -- schema listing for report tooling *)
-val extended_metric_names : string list
-(** The five paper metrics plus VtxToSame, VtxToOther and Replication. *)
-
 val pp : Format.formatter -> t -> unit
 (** One row in Table 2/3 column order. *)

@@ -37,8 +37,6 @@ let of_string s =
             | None -> None
           else None)
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 (* Capability-aware placement for heterogeneous clusters: each
    partition's capacity is weighted by the speed of its home executor
    (the standard [p mod executors] mapping), and every edge lands in the

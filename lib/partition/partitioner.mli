@@ -27,9 +27,6 @@ val of_string : string -> t option
 (** Parses paper abbreviations, streaming names, and ["inc-<name>"] for
     the incremental wrapper (e.g. ["inc-greedy"]). *)
 
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp : Format.formatter -> t -> unit
-
 val capability : speeds:float array -> executors:int -> t
 (** Capability-aware placement for heterogeneous clusters: a [Custom]
     partitioner (named ["capability"]) whose partitions are weighted by

@@ -20,8 +20,6 @@ let of_string s =
   | "DC" -> Some Dc
   | _ -> None
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let ceil_sqrt n =
   let r = int_of_float (sqrt (float_of_int n)) in
   if r * r >= n then r else r + 1

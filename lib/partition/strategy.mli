@@ -27,9 +27,6 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Case-insensitive inverse of {!to_string}. *)
 
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp : Format.formatter -> t -> unit
-
 val edge_partition : t -> num_partitions:int -> src:int -> dst:int -> int
 (** Partition index for one edge; pure, so an edge's placement never
     depends on the rest of the graph (the defining property of the

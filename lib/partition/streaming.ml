@@ -17,8 +17,6 @@ let of_string s =
   | "hybrid" -> Some (Hybrid 100)
   | _ -> None
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* Shared streaming state: which partitions each vertex already touches
    and how loaded each partition is. Replica lists stay tiny (bounded by
    the replication factor), so linear scans beat sets here. *)

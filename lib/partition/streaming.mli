@@ -25,8 +25,6 @@ type t = Dbh | Greedy | Hdrf of float | Hybrid of int
 
 val to_string : t -> string
 val of_string : string -> t option
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp : Format.formatter -> t -> unit
 
 type live
 (** Mutable stream state: per-vertex replica sets, per-partition edge

@@ -15,19 +15,12 @@ let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let next_float t =
-  (* 53 high bits -> [0,1) *)
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
-
 let next_int t bound =
   if bound <= 0 then invalid_arg "Splitmix64.next_int: bound <= 0";
   (* Rejection-free for practical purposes: take the high bits modulo bound.
      Bias is < bound / 2^62, negligible for the bounds we use (< 2^32). *)
   let r = Int64.shift_right_logical (next_int64 t) 2 in
   Int64.to_int (Int64.rem r (Int64.of_int bound))
-
-let next_bool t p = next_float t < p
 
 let split t =
   let seed = next_int64 t in

@@ -29,14 +29,6 @@ val next_int : t -> int -> int
 (** [next_int t bound] is a uniform integer in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
 
-(* lint: unused-export -- standard PRNG surface, kept complete *)
-val next_float : t -> float
-(** Uniform float in [\[0, 1)]. *)
-
-(* lint: unused-export -- standard PRNG surface, kept complete *)
-val next_bool : t -> float -> bool
-(** [next_bool t p] is [true] with probability [p]. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     independent of the remainder of [t]'s stream. *)

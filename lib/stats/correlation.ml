@@ -44,5 +44,3 @@ let ranks xs =
 let spearman xs ys =
   check xs ys;
   pearson (ranks xs) (ranks ys)
-
-let pearson_pct xs ys = 100.0 *. pearson xs ys

@@ -11,7 +11,3 @@ val pearson : float array -> float array -> float
 
 val spearman : float array -> float array -> float
 (** Rank correlation (average ranks for ties). Same error conditions. *)
-
-(* lint: unused-export -- percent-scaled variant for report tooling *)
-val pearson_pct : float array -> float array -> float
-(** Pearson coefficient as a percentage, the paper's reporting unit. *)

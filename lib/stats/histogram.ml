@@ -45,6 +45,3 @@ let linear_bins ?(bins = 20) values =
     List.init bins (fun b ->
         (lo +. (float_of_int b *. width), lo +. (float_of_int (b + 1) *. width), counts.(b)))
   end
-
-let pp_log2 ppf bins =
-  List.iter (fun { lo; hi; count } -> Format.fprintf ppf "[%d,%d): %d@." lo hi count) bins

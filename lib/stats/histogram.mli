@@ -15,7 +15,3 @@ val log2_bins : int array -> bin list
 val linear_bins : ?bins:int -> float array -> (float * float * int) list
 (** [(lo, hi, count)] triples over equal-width bins spanning the sample
     range (default 20 bins). @raise Invalid_argument on empty input. *)
-
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp_log2 : Format.formatter -> bin list -> unit
-(** Render one bin per line as ["[lo,hi): count"]. *)

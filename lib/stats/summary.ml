@@ -57,7 +57,3 @@ type t = { n : int; mean : float; stdev : float; min : float; max : float; media
 let describe xs =
   let lo, hi = min_max xs in
   { n = Array.length xs; mean = mean xs; stdev = stdev xs; min = lo; max = hi; median = median xs }
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g stdev=%.4g min=%.4g median=%.4g max=%.4g" t.n t.mean t.stdev
-    t.min t.median t.max

@@ -33,6 +33,3 @@ type t = { n : int; mean : float; stdev : float; min : float; max : float; media
 
 val describe : float array -> t
 (** All of the above in one pass-ish. @raise Invalid_argument on empty. *)
-
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp : Format.formatter -> t -> unit

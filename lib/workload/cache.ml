@@ -79,9 +79,6 @@ let create ?(eviction = Lru) ~budget_bytes () =
     bytes_invalidated = 0.0;
   }
 
-let eviction_policy t = t.eviction
-let budget_bytes t = t.budget
-
 let live_entry t ~at_s k =
   match Hashtbl.find_opt t.table (key_id k) with
   | Some e when e.available_s <= at_s -> Some e

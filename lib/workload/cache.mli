@@ -49,11 +49,6 @@ val create : ?eviction:eviction -> budget_bytes:float -> unit -> t
 (** Default eviction {!Lru}. A non-positive budget disables the cache:
     every lookup misses, every insert is rejected. *)
 
-(* lint: unused-export -- introspection accessor paired with create *)
-val eviction_policy : t -> eviction
-(* lint: unused-export -- introspection accessor paired with create *)
-val budget_bytes : t -> float
-
 val find : t -> at_s:float -> key -> Cutfit_bsp.Pgraph.t option
 (** Counted lookup: increments [lookups] and [hits]/[misses], and on a
     hit refreshes the entry's recency. *)

@@ -335,6 +335,47 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
   let note_placement (k : Cache.key) ~available_s =
     Hashtbl.replace placements (Cache.key_id k) (live_at available_s)
   in
+  let emit_cache_op op (k : Cache.key) ~bytes ~occupancy ~entries ~at_s =
+    emit
+      (Event.Cache_op
+         {
+           Event.op;
+           graph = k.Cache.graph;
+           strategy = k.Cache.strategy;
+           num_partitions = k.Cache.num_partitions;
+           bytes;
+           occupancy_bytes = occupancy;
+           entries;
+           at_s;
+         })
+  in
+  (* One [op] event per dropped entry, in the cache's order, each
+     carrying the occupancy left after it: subtracted one entry at a
+     time from the stats taken [before] the drop. Returns the final
+     (occupancy, entries). *)
+  let narrate_drops op ~(before : Cache.stats) ~at_s dropped =
+    List.fold_left
+      (fun (occ, ents) (k, b) ->
+        let occ = occ -. b and ents = ents - 1 in
+        emit_cache_op op k ~bytes:b ~occupancy:occ ~entries:ents ~at_s;
+        (occ, ents))
+      (before.Cache.bytes_in_cache, before.Cache.entries)
+      dropped
+  in
+  (* Insert a freshly built partitioning, then narrate its evictions and
+     the insert, or the rejection of an entry that can never fit. *)
+  let insert_narrated k ~available_s ~pg ~bytes ~rebuild_s =
+    let before = Cache.stats cache in
+    match Cache.insert cache ~available_s k ~pg ~bytes ~rebuild_s with
+    | `Inserted evicted ->
+        note_placement k ~available_s;
+        let occ, ents = narrate_drops "evict" ~before ~at_s:available_s evicted in
+        emit_cache_op "insert" k ~bytes ~occupancy:(occ +. bytes) ~entries:(ents + 1)
+          ~at_s:available_s
+    | `Rejected ->
+        emit_cache_op "reject" k ~bytes ~occupancy:before.Cache.bytes_in_cache
+          ~entries:before.Cache.entries ~at_s:available_s
+  in
   let stale_placement_hits = ref 0 in
   let joins = ref 0 and leaves = ref 0 and preemptions = ref 0 in
   let mpending =
@@ -361,27 +402,12 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
             | Some placed -> placed > after
             | None -> false
           in
-          let snapshot = Cache.stats cache in
+          let before = Cache.stats cache in
           let dropped = Cache.invalidate cache ~pred:stale in
-          let occ = ref snapshot.Cache.bytes_in_cache and ents = ref snapshot.Cache.entries in
           List.iter
-            (fun ((k : Cache.key), b) ->
-              Hashtbl.remove placements (Cache.key_id k);
-              occ := !occ -. b;
-              ents := !ents - 1;
-              emit
-                (Event.Cache_op
-                   {
-                     Event.op = "invalidate";
-                     graph = k.Cache.graph;
-                     strategy = k.Cache.strategy;
-                     num_partitions = k.Cache.num_partitions;
-                     bytes = b;
-                     occupancy_bytes = !occ;
-                     entries = !ents;
-                     at_s = float_of_int step;
-                   }))
-            dropped
+            (fun ((k : Cache.key), _) -> Hashtbl.remove placements (Cache.key_id k))
+            dropped;
+          ignore (narrate_drops "invalidate" ~before ~at_s:(float_of_int step) dropped)
         end)
       fire
   in
@@ -643,20 +669,6 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
             Hashtbl.replace deadlines job.Job.id v;
             Some v)
   in
-  let emit_cache_op op (k : Cache.key) ~bytes ~occupancy ~entries ~at_s =
-    emit
-      (Event.Cache_op
-         {
-           Event.op;
-           graph = k.Cache.graph;
-           strategy = k.Cache.strategy;
-           num_partitions = k.Cache.num_partitions;
-           bytes;
-           occupancy_bytes = occupancy;
-           entries;
-           at_s;
-         })
-  in
   let run_algorithm (job : Job.t) prepared =
     match job.Job.algorithm with
     | Advisor.Pagerank -> snd (Pipeline.pagerank ?iterations prepared)
@@ -756,13 +768,7 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
             List.iter (Hashtbl.remove rankings) stale;
             let before = Cache.stats cache in
             let dropped = Cache.invalidate cache ~pred in
-            let occ = ref before.Cache.bytes_in_cache and ents = ref before.Cache.entries in
-            List.iter
-              (fun (k, b) ->
-                occ := !occ -. b;
-                ents := !ents - 1;
-                emit_cache_op "invalidate" k ~bytes:b ~occupancy:!occ ~entries:!ents ~at_s)
-              dropped;
+            ignore (narrate_drops "invalidate" ~before ~at_s dropped);
             if refresh_chosen then
               List.iter
                 (fun ((k : Cache.key), (refreshed : Incremental.refreshed), _refresh_s, rebuild_s)
@@ -776,27 +782,7 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
                      is valid the moment the (delayed) triggering job
                      looks it up. The refresh price is charged as the
                      returned stream delay, not as entry latency. *)
-                  let available_s = at_s in
-                  let before = Cache.stats cache in
-                  match Cache.insert cache ~available_s k ~pg:pg' ~bytes ~rebuild_s with
-                  | `Inserted evicted ->
-                      note_placement k ~available_s;
-                      let occ = ref before.Cache.bytes_in_cache
-                      and ents = ref before.Cache.entries in
-                      List.iter
-                        (fun (ek, b) ->
-                          occ := !occ -. b;
-                          ents := !ents - 1;
-                          emit_cache_op "evict" ek ~bytes:b ~occupancy:!occ ~entries:!ents
-                            ~at_s:available_s)
-                        evicted;
-                      occ := !occ +. bytes;
-                      ents := !ents + 1;
-                      emit_cache_op "insert" k ~bytes ~occupancy:!occ ~entries:!ents
-                        ~at_s:available_s
-                  | `Rejected ->
-                      emit_cache_op "reject" k ~bytes ~occupancy:before.Cache.bytes_in_cache
-                        ~entries:before.Cache.entries ~at_s:available_s)
+                  insert_narrated k ~available_s:at_s ~pg:pg' ~bytes ~rebuild_s)
                 resident;
             let sumi f =
               List.fold_left
@@ -945,28 +931,7 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
            workload stream narrates at job granularity), so itemize this
            attempt's speculative clones from the trace it returned. *)
         List.iter
-          (fun (s : Cutfit_bsp.Trace.speculation) ->
-            emit
-              (Event.Speculative_launch
-                 {
-                   Event.step = s.Cutfit_bsp.Trace.at_step;
-                   executor = s.Cutfit_bsp.Trace.executor;
-                   host = s.Cutfit_bsp.Trace.host;
-                   cloned_partitions = s.Cutfit_bsp.Trace.cloned_partitions;
-                   original_busy_s = s.Cutfit_bsp.Trace.original_busy_s;
-                   clone_busy_s = s.Cutfit_bsp.Trace.clone_busy_s;
-                   wire_bytes = s.Cutfit_bsp.Trace.speculative_wire_bytes;
-                   compute_s = s.Cutfit_bsp.Trace.speculative_compute_s;
-                 });
-            if s.Cutfit_bsp.Trace.won then
-              emit
-                (Event.Speculative_win
-                   {
-                     Event.step = s.Cutfit_bsp.Trace.at_step;
-                     executor = s.Cutfit_bsp.Trace.executor;
-                     host = s.Cutfit_bsp.Trace.host;
-                     saved_s = s.Cutfit_bsp.Trace.saved_s;
-                   }))
+          (fun s -> List.iter emit (Cutfit_bsp.Pricer.speculation_events s))
           trace.Trace.speculations;
         (* Decompose the real trace: the engines always record the load
            and the step -1 build stage, whether or not the partitioning
@@ -1021,28 +986,8 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
              | Some (pt, _) -> start_s +. partition_cost <= pt
              | None -> true)
         then begin
-          let bytes = pgraph_bytes ~scale prepared.Pipeline.pg in
-          let available_s = start_s +. partition_cost in
-          let before = Cache.stats cache in
-          match
-            Cache.insert cache ~available_s ckey ~pg:prepared.Pipeline.pg ~bytes
-              ~rebuild_s:partition_cost
-          with
-          | `Inserted evicted ->
-              note_placement ckey ~available_s;
-              let occ = ref before.Cache.bytes_in_cache and ents = ref before.Cache.entries in
-              List.iter
-                (fun (k, b) ->
-                  occ := !occ -. b;
-                  ents := !ents - 1;
-                  emit_cache_op "evict" k ~bytes:b ~occupancy:!occ ~entries:!ents ~at_s:available_s)
-                evicted;
-              occ := !occ +. bytes;
-              ents := !ents + 1;
-              emit_cache_op "insert" ckey ~bytes ~occupancy:!occ ~entries:!ents ~at_s:available_s
-          | `Rejected ->
-              emit_cache_op "reject" ckey ~bytes ~occupancy:before.Cache.bytes_in_cache
-                ~entries:before.Cache.entries ~at_s:available_s
+          insert_narrated ckey ~available_s:(start_s +. partition_cost) ~pg:prepared.Pipeline.pg
+            ~bytes:(pgraph_bytes ~scale prepared.Pipeline.pg) ~rebuild_s:partition_cost
         end;
         let record =
           match preempt with
@@ -1469,15 +1414,8 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
                partitioning was resident on it, so the whole cache is
                invalidated before anything else runs. *)
             let before = Cache.stats cache in
-            let dropped = Cache.invalidate_all cache in
-            let occ = ref before.Cache.bytes_in_cache and ents = ref before.Cache.entries in
-            List.iter
-              (fun (k, b) ->
-                occ := !occ -. b;
-                ents := !ents - 1;
-                emit_cache_op "invalidate" k ~bytes:b ~occupancy:!occ ~entries:!ents
-                  ~at_s:record.finish_s)
-              dropped;
+            ignore
+              (narrate_drops "invalidate" ~before ~at_s:record.finish_s (Cache.invalidate_all cache));
             let delay_s = retry_delay_s ~attempt in
             let resubmit_s = record.finish_s +. delay_s in
             (* A requeue is pointless when the backed-off resubmission
@@ -1715,17 +1653,6 @@ let breaker_trip_json (t : breaker_trip) =
       ("strategy", Json.String t.trip_strategy);
       ("at_s", Json.Float t.trip_at_s);
       ("failures", Json.Int t.trip_failures);
-    ]
-
-let report_json r =
-  Json.Obj
-    [
-      ("params", params_json r);
-      ("records", Json.List (List.map record_json r.records));
-      ("failures", Json.List (List.map failure_json r.failures));
-      ("breaker_trips", Json.List (List.map breaker_trip_json r.breaker_trips));
-      ("mutations", Json.List (List.map mutation_json r.mutations));
-      ("cache", cache_json r.cache);
     ]
 
 let report_lines r =

@@ -72,11 +72,6 @@ type deadline =
           service time at admission (build, skipped when cached, plus
           execution) — the job's SLO scales with its expected cost *)
 
-(* lint: unused-export -- label helper for external log consumers *)
-val deadline_name : deadline -> string
-(** ["absolute:<s>"] or ["factor:<f>"], the canonical spelling used in
-    the report's parameter line. *)
-
 val breaker_scope : tenant:string -> dataset:string -> string
 (** The breaker namespace a (tenant, dataset) pair lives in:
     ["<tenant>/<dataset>"], or the bare dataset for the default tenant —
@@ -366,20 +361,6 @@ val hit_rate : report -> float
 (** Cache hits over lookups (0 when there were none). *)
 
 val mean_queue_s : report -> float
-
-(* lint: unused-export -- JSON codec surface for external log consumers *)
-val record_json : job_record -> Cutfit_obs.Json.t
-(* lint: unused-export -- JSON codec surface for external log consumers *)
-val failure_json : job_failure -> Cutfit_obs.Json.t
-(* lint: unused-export -- JSON codec surface for external log consumers *)
-val breaker_trip_json : breaker_trip -> Cutfit_obs.Json.t
-(* lint: unused-export -- JSON codec surface for external log consumers *)
-val mutation_json : mutation_record -> Cutfit_obs.Json.t
-
-(* lint: unused-export -- JSON codec surface for external log consumers *)
-val report_json : report -> Cutfit_obs.Json.t
-(** Full report: parameters, per-job records, permanent failures,
-    breaker trips, cache stats, aggregates. *)
 
 val report_lines : report -> string list
 (** Canonical JSONL: one parameter/summary line (now carrying the

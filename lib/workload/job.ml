@@ -125,9 +125,3 @@ let generate ~seed ~jobs ?(tenants = []) mix =
         match tenants with [] -> default_tenant | ts -> weighted_pick "tenant" rng ts
       in
       { id; arrival_s = !now; algorithm; dataset; num_partitions; tenant })
-
-let pp ppf j =
-  Format.fprintf ppf "#%d %s%s %s/%d @%.2fs" j.id
-    (if String.equal j.tenant default_tenant then "" else j.tenant ^ ":")
-    (Advisor.algorithm_name j.algorithm)
-    j.dataset j.num_partitions j.arrival_s

@@ -49,7 +49,3 @@ val generate : seed:int64 -> jobs:int -> ?tenants:(string * float) list -> mix -
     name, a non-positive weight sum, an empty dimension, [jobs < 0], a
     non-positive mean inter-arrival, or a tenant name that is empty or
     contains ['/']. *)
-
-(* lint: unused-export -- debug printer, kept for toplevel use *)
-val pp : Format.formatter -> t -> unit
-(** ["#3 PR youtube/128 @2.41s"]. *)

@@ -103,7 +103,7 @@ let test_sssp_sources_fixed () =
 let test_algo_names () =
   List.iter
     (fun a ->
-      match Run.algo_of_string (Run.algo_name a) with
+      match Cutfit.Advisor.algorithm_of_string (Run.algo_name a) with
       | Some a' -> checkb "roundtrip" true (a = a')
       | None -> Alcotest.fail "parse failed")
     Run.all_algos

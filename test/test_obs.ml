@@ -1,7 +1,7 @@
 (* Tests for the observability layer: metric registry semantics, the
-   JSON codec round-trip, and — the load-bearing property — exact
-   reconciliation between the per-superstep event stream and the
-   engine's own Trace.t aggregates. *)
+   JSON codec round-trip, the pinned JSONL rendering, and — the
+   load-bearing property — exact reconciliation between the
+   per-superstep event stream and the engine's own Trace.t aggregates. *)
 
 module Graph = Cutfit_graph.Graph
 module Strategy = Cutfit_partition.Strategy
@@ -88,7 +88,27 @@ let test_json_roundtrip () =
   | Ok _ -> Alcotest.fail "trailing input accepted"
   | Error _ -> ()
 
-let test_event_roundtrip () =
+(* Every finite double, including -0.0 and subnormals, reads back with
+   the same bits: the 17-significant-digit printing is what lets a
+   JSONL trace be re-read exactly. *)
+let prop_json_float_bits =
+  Test_util.qtest "json float bits round-trip" ~print:Int64.to_string
+    QCheck2.Gen.(
+      oneof
+        [
+          int64;
+          (* -0.0, the smallest and largest subnormals, a negative subnormal *)
+          oneofl [ Int64.min_int; 1L; 0x000FFFFFFFFFFFFFL; 0x800FFFFFFFFFFFFFL ];
+        ])
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      (not (Float.is_finite f))
+      ||
+      match Json.to_float (roundtrip (Json.Float f)) with
+      | Some f' -> Int64.equal (Int64.bits_of_float f') bits
+      | None -> false)
+
+let test_event_to_line_pinned () =
   let ss =
     Event.Superstep
       {
@@ -126,12 +146,14 @@ let test_event_roundtrip () =
         total_wire_bytes = 89012.5;
       }
   in
-  List.iter
-    (fun e ->
-      match Event.of_line (Event.to_line e) with
-      | Ok e' -> checkb "event round-trips" true (e = e')
-      | Error msg -> Alcotest.failf "of_line: %s" msg)
-    [ Event.Run_start { label = "PR/DBH" }; ss; re ]
+  Alcotest.(check (list string))
+    "JSONL lines"
+    [
+      {|{"type":"run_start","label":"PR/DBH"}|};
+      {|{"type":"superstep","step":3,"active_vertices":17,"active_edges":90,"messages":123,"local_shuffles":40,"remote_shuffles":60,"broadcast_replicas":55,"remote_broadcasts":21,"wire_bytes":123456.789,"executor_busy_s":[0.1,0.30000000000000004],"barrier_wait_s":[0.2,0.0],"max_task_s":0.025,"min_task_s":1e-09,"compute_s":0.3,"network_s":0.01,"overhead_s":0.05,"time_s":0.35}|};
+      {|{"type":"run_end","label":"pregel","outcome":"completed","supersteps":9,"total_s":1.25,"load_s":0.125,"checkpoint_s":0.0,"recovery_s":0.0,"total_messages":1234,"total_remote":567,"total_wire_bytes":89012.5}|};
+    ]
+    (List.map Event.to_line [ Event.Run_start { label = "PR/DBH" }; ss; re ])
 
 let test_skew () =
   let base =
@@ -337,25 +359,36 @@ let test_jsonl_file_reconciles () =
        lines := input_line ic :: !lines
      done
    with End_of_file -> close_in ic);
-  let parsed =
-    List.rev_map
-      (fun line ->
-        match Event.of_line line with
-        | Ok e -> e
-        | Error msg -> Alcotest.failf "bad JSONL line %s: %s" line msg)
-      !lines
-  in
+  let lines = List.rev !lines in
   Sys.remove path;
-  checki "one line per event" (Telemetry.events_emitted t) (List.length parsed);
-  checkb "file and ring agree" true (parsed = events);
-  let first_run, _ = split_first_run parsed in
-  let ss = supersteps_of first_run in
+  checki "one line per event" (Telemetry.events_emitted t) (List.length lines);
+  Alcotest.(check (list string))
+    "file and ring agree, byte for byte" (List.map Event.to_line events) lines;
+  (* Re-read the pregel run's supersteps from the file as plain JSON. *)
+  let objs =
+    List.map
+      (fun line ->
+        match Json.of_string line with
+        | Ok j -> j
+        | Error msg -> Alcotest.failf "bad JSONL line %s: %s" line msg)
+      lines
+  in
+  let kind j = Option.bind (Json.member "type" j) Json.to_string_opt in
+  let rec first_run = function
+    | [] -> []
+    | j :: rest -> if kind j = Some "run_end" then [] else j :: first_run rest
+  in
+  let ss = List.filter (fun j -> kind j = Some "superstep") (first_run objs) in
+  let num conv name j = Option.get (Option.bind (Json.member name j) conv) in
   checki "remote messages from the file"
     (Trace.total_remote_messages trace)
-    (List.fold_left (fun acc s -> acc + s.Event.remote_shuffles + s.Event.remote_broadcasts) 0 ss);
+    (List.fold_left
+       (fun acc j ->
+         acc + num Json.to_int "remote_shuffles" j + num Json.to_int "remote_broadcasts" j)
+       0 ss);
   checkf "wire bytes from the file, bit-exact"
     (Trace.total_wire_bytes trace)
-    (List.fold_left (fun acc (s : Event.superstep) -> acc +. s.Event.wire_bytes) 0.0 ss)
+    (List.fold_left (fun acc j -> acc +. num Json.to_float "wire_bytes" j) 0.0 ss)
 
 let test_zero_superstep_run () =
   (* An edgeless graph: no messages ever flow, so the run ends after the
@@ -389,7 +422,8 @@ let suite =
     Alcotest.test_case "metric cells" `Quick test_metric_cells;
     Alcotest.test_case "metric time" `Quick test_metric_time_runs_thunk;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "event round-trip" `Quick test_event_roundtrip;
+    prop_json_float_bits;
+    Alcotest.test_case "event to_line pinned" `Quick test_event_to_line_pinned;
     Alcotest.test_case "skew" `Quick test_skew;
     Alcotest.test_case "ring capacity" `Quick test_ring_capacity;
     Alcotest.test_case "close idempotent" `Quick test_close_is_idempotent_and_drops;

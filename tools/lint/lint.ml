@@ -43,10 +43,8 @@
                            [fetch_and_add]/[compare_and_set];
    - parse-error           a file the linter cannot parse;
    - unused-export         a .mli [val] never referenced by module name
-                           anywhere in the tree; delete the export or
-                           waive it with [(* lint: unused-export *)].
-                           A waiver on an export that {e is} referenced
-                           is stale and reported too (not waivable).
+                           anywhere in the tree; delete the export (not
+                           waivable: dead surface is removed, not kept).
 
    Exit status: 0 when clean, 1 otherwise. [--json FILE] also writes
    the findings as a JSON artifact. [--effects] dumps the effect
@@ -1042,26 +1040,15 @@ let exports_of_intf ~file signature =
       | _ -> None)
     signature
 
-(* The unused-export rule over one interface: an unreferenced export
-   is a finding unless waived; a referenced export under a waiver is a
-   stale waiver, reported regardless so a waiver cannot outlive its
-   reason. *)
-let check_exports ~file ~waived ~uses ~report sg =
+(* The unused-export rule over one interface: every unreferenced
+   export is a finding. The rule takes no waiver, so the report goes
+   through [force]. *)
+let check_exports ~file ~uses ~report sg =
   List.iter
     (fun (m, v, line) ->
-      let waived = waived line Unused_export in
-      if not (Hashtbl.mem uses (m, v)) then begin
-        if not waived then
-          report ~file ~line Unused_export
-            (Printf.sprintf
-               "%s.%s is exported but never referenced; delete the export or waive with \
-                (* lint: unused-export *) and a reason"
-               m v)
-      end
-      else if waived then
+      if not (Hashtbl.mem uses (m, v)) then
         report ~file ~line Unused_export
-          (Printf.sprintf
-             "%s.%s is referenced, so its (* lint: unused-export *) waiver is stale; drop it" m v))
+          (Printf.sprintf "%s.%s is exported but never referenced; delete the export" m v))
     (exports_of_intf ~file sg)
 
 (* Record the last two components of every (alias-expanded) value path:
@@ -1208,7 +1195,7 @@ let run ~lint_dirs ~use_dirs ~json ~dump_effects =
   List.iter
     (fun (file, sg) ->
       match sg with
-      | Some sg -> check_exports ~file ~waived:(waived file) ~uses ~report:force sg
+      | Some sg -> check_exports ~file ~uses ~report:force sg
       | None -> ())
     intfs;
   let findings = sort_findings !findings in
@@ -1258,7 +1245,7 @@ let fixture_findings ~uses file =
      match parse_intf ~file source with
      | sg ->
          (* Usage sites are the sibling .ml fixtures. *)
-         check_exports ~file ~waived:(waived file) ~uses ~report:force sg
+         check_exports ~file ~uses ~report:force sg
      | exception exn -> emit ~file ~line:(parse_error_line exn) Parse_error (parse_error_msg exn)
    else
      match parse_impl ~file source with

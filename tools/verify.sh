@@ -17,6 +17,15 @@ echo "== golden-digest grid (six partitioners x clusters (i)-(iv), every engine 
 # exits 1 on any trace, event-stream or value digest mismatch
 dune exec test/golden/golden_grid.exe
 
+echo "== bench/e2e golden digests (six workloads x seeds 1 and 2, one untimed pass each)"
+# exits non-zero when a workload's output digest differs from the one
+# committed in bench/e2e/golden.ml
+for w in repro jobs-churn jobs-mutate chaos kernels triangles; do
+  for s in 1 2; do
+    _build/default/bench/e2e/cutfit_bench.exe --workload "$w" --seed "$s" --seconds 0 >/dev/null
+  done
+done
+
 echo "== dune build @lint (race linter + fixture self-test + JSON artifact)"
 dune build @lint
 test -s _build/default/lint.json || {
