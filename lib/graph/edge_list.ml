@@ -68,10 +68,3 @@ let dedup ?(drop_self_loops = true) t =
     end
   done;
   out
-
-let symmetrize t =
-  let both = create ~capacity:(max 1 (2 * t.len)) () in
-  iter t (fun ~src ~dst ->
-      add both ~src ~dst;
-      add both ~src:dst ~dst:src);
-  dedup both

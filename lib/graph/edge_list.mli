@@ -1,9 +1,9 @@
 (** Growable edge buffer.
 
     The mutable builder for directed graphs: generators append edges
-    here, then the list is cleaned (dedup, self-loop removal,
-    symmetrization) and frozen into a {!Graph.t}. Edges are pairs of
-    dense vertex ids in [\[0, n)]. *)
+    here, then the list is cleaned (dedup, self-loop removal) and
+    frozen into a {!Graph.t}, whose {!Graph.symmetrize} gives the
+    undirected view. Edges are pairs of dense vertex ids in [\[0, n)]. *)
 
 type t
 
@@ -35,7 +35,3 @@ val dedup : ?drop_self_loops:bool -> t -> t
 (** [dedup t] is a new buffer with duplicate edges removed (and
     self-loops dropped when [drop_self_loops], default [true]).
     Sorts the input as a side effect. *)
-
-val symmetrize : t -> t
-(** [symmetrize t] is a new buffer containing each edge of [t] in both
-    directions, deduplicated, without self-loops. *)

@@ -87,10 +87,49 @@ let iter_edges t f =
     f ~src:t.src.(i) ~dst:t.dst.(i)
   done
 
+(* Merge v's sorted out- and in-lists, dropping duplicates and v itself.
+   The union is written into [adj] from [pos] when [write] holds; either
+   way the end position is returned. *)
+let merge_neighbours t v ~write adj pos =
+  let a = ref t.out_off.(v) and a_end = t.out_off.(v + 1) in
+  let b = ref t.in_off.(v) and b_end = t.in_off.(v + 1) in
+  let pos = ref pos and last = ref (-1) in
+  while !a < a_end || !b < b_end do
+    let x =
+      if !b >= b_end || (!a < a_end && t.out_adj.(!a) <= t.in_adj.(!b)) then begin
+        let x = t.out_adj.(!a) in
+        incr a;
+        x
+      end
+      else begin
+        let x = t.in_adj.(!b) in
+        incr b;
+        x
+      end
+    in
+    if x <> !last && x <> v then begin
+      if write then adj.(!pos) <- x;
+      incr pos;
+      last := x
+    end
+  done;
+  !pos
+
+(* Vertex by vertex, the undirected edges come out in ascending (src,
+   dst) order, so [dst] is the adjacency itself; being symmetric, the
+   in-direction shares the out-direction's arrays. *)
 let symmetrize t =
-  let el = Edge_list.create ~capacity:(max 1 (num_edges t)) () in
-  iter_edges t (fun ~src ~dst -> Edge_list.add el ~src ~dst);
-  of_edge_list ~n:t.n (Edge_list.symmetrize el)
+  let n = t.n in
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- merge_neighbours t v ~write:false [||] off.(v)
+  done;
+  let adj = Array.make off.(n) 0 and src = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    ignore (merge_neighbours t v ~write:true adj off.(v));
+    Array.fill src off.(v) (off.(v + 1) - off.(v)) v
+  done;
+  { n; src; dst = adj; out_off = off; out_adj = adj; in_off = off; in_adj = adj }
 
 let is_symmetric t =
   let ok = ref true in

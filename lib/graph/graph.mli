@@ -56,7 +56,10 @@ val iter_edges : t -> (src:int -> dst:int -> unit) -> unit
 
 val symmetrize : t -> t
 (** [symmetrize g] is the undirected view of [g]: every edge present in
-    both directions, deduplicated, self-loops removed. *)
+    both directions, deduplicated, self-loops removed. Its edges are in
+    ascending [(src, dst)] order, so {!iter_edges} visits each vertex's
+    neighbours contiguously and in ascending order. O(n + m): a merge
+    of each vertex's sorted out- and in-lists, with no sort. *)
 
 val is_symmetric : t -> bool
 (** Whether every edge is reciprocated. *)

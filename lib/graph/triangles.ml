@@ -18,19 +18,13 @@ let oriented g =
   done;
   let adj = Array.make off.(n) 0 in
   let cursor = Array.copy off in
+  (* [symmetrize]'s edges come in ascending (src, dst) order, so each
+     oriented slice fills in ascending order and needs no sort. *)
   Graph.iter_edges und (fun ~src ~dst ->
       if rank src dst then begin
         adj.(cursor.(src)) <- dst;
         cursor.(src) <- cursor.(src) + 1
       end);
-  for v = 0 to n - 1 do
-    let lo = off.(v) and hi = off.(v + 1) in
-    if hi - lo > 1 then begin
-      let slice = Array.sub adj lo (hi - lo) in
-      Array.sort compare slice;
-      Array.blit slice 0 adj lo (hi - lo)
-    end
-  done;
   (und, off, adj)
 
 let fold_triangles g f =

@@ -105,6 +105,20 @@ let test_engines_cc () =
 let test_engines_triangles () =
   no_violations "triangles" (Check.Engine_check.triangle_count ~domains_counts ~cluster pg)
 
+let test_engines_triangles_multigraph () =
+  (* Parallel, reciprocal and self-loop edges: [symmetrize] deduplicates
+     for real and the canonical-edge rule counts parallel copies. *)
+  let mg = Test_util.random_multigraph ~seed:77L ~n:40 ~m:600 in
+  let edges = List.init (Graph.num_edges mg) (fun i -> (Graph.edge_src mg i, Graph.edge_dst mg i)) in
+  checkb "has self-loops" true (List.exists (fun (s, d) -> s = d) edges);
+  checkb "has reciprocal edges" true (List.exists (fun (s, d) -> s <> d && List.mem (d, s) edges) edges);
+  checkb "has parallel edges" true (List.length (List.sort_uniq compare edges) < List.length edges);
+  let mpg = pg_of mg in
+  checkb "parallel copies count a triangle again" true
+    (snd (Tr.run_csr (Csr.build mpg)) > Cutfit_graph.Triangles.count mg);
+  no_violations "triangles on a multigraph"
+    (Check.Engine_check.triangle_count ~domains_counts ~cluster mpg)
+
 let test_engines_sssp () =
   let landmarks = Sssp.pick_landmarks ~seed:11L ~count:3 g in
   no_violations "sssp" (Check.Engine_check.shortest_paths ~domains_counts ~landmarks ~cluster pg)
@@ -188,6 +202,8 @@ let suite =
     Alcotest.test_case "engines: cc boxed=csr at 1/2/4 domains" `Quick test_engines_cc;
     Alcotest.test_case "engines: triangles boxed=csr at 1/2/4 domains" `Quick
       test_engines_triangles;
+    Alcotest.test_case "engines: triangles boxed=csr on a multigraph" `Quick
+      test_engines_triangles_multigraph;
     Alcotest.test_case "engines: sssp boxed=csr at 1/2/4 domains" `Quick test_engines_sssp;
     Alcotest.test_case "pagerank bits identical across domains" `Quick
       test_pagerank_bits_across_domains;

@@ -36,10 +36,6 @@ let test_edge_list_dedup () =
   let d2 = Edge_list.dedup ~drop_self_loops:false (Edge_list.of_list [ (3, 3); (3, 3) ]) in
   checki "loop kept when asked" 1 (Edge_list.length d2)
 
-let test_edge_list_symmetrize () =
-  let s = Edge_list.symmetrize (Edge_list.of_list [ (0, 1); (1, 2); (1, 0) ]) in
-  checki "4 directed edges" 4 (Edge_list.length s)
-
 let test_edge_list_bounds () =
   let el = Edge_list.of_list [ (0, 1) ] in
   Alcotest.check_raises "src OOB" (Invalid_argument "Edge_list.src: index out of bounds")
@@ -82,6 +78,29 @@ let prop_symmetrize_symmetric =
   Test_util.qtest "symmetrize yields symmetric graph" ~print:Test_util.print_small_graph
     Test_util.small_graph_gen (fun g ->
       Graph.is_symmetric (Graph.symmetrize (Test_util.build g)))
+
+(* The definition [symmetrize] must match array for array: both edge
+   directions, sorted and deduplicated, self-loops dropped. *)
+let symmetrize_model g =
+  let el = Edge_list.create () in
+  Graph.iter_edges g (fun ~src ~dst ->
+      Edge_list.add el ~src ~dst;
+      Edge_list.add el ~src:dst ~dst:src);
+  Graph.of_edge_list ~n:(Graph.num_vertices g) (Edge_list.dedup el)
+
+let prop_symmetrize_matches_model =
+  Test_util.qtest ~count:300 "symmetrize = sorted deduplicated both-ways model"
+    ~print:Test_util.print_small_graph Test_util.small_multigraph_gen (fun (n, edges) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      let s = Graph.symmetrize g and m = symmetrize_model g in
+      Graph.num_vertices s = n
+      && Graph.src_array s = Graph.src_array m
+      && Graph.dst_array s = Graph.dst_array m
+      && List.for_all
+           (fun v ->
+             Graph.out_neighbors s v = Graph.out_neighbors m v
+             && Graph.in_neighbors s v = Graph.in_neighbors m v)
+           (List.init n Fun.id))
 
 let prop_degree_sums =
   Test_util.qtest "sum out-degree = sum in-degree = m" ~print:Test_util.print_small_graph
@@ -274,7 +293,6 @@ let suite =
     Alcotest.test_case "edge_list basic" `Quick test_edge_list_basic;
     Alcotest.test_case "edge_list growth" `Quick test_edge_list_growth;
     Alcotest.test_case "edge_list dedup" `Quick test_edge_list_dedup;
-    Alcotest.test_case "edge_list symmetrize" `Quick test_edge_list_symmetrize;
     Alcotest.test_case "edge_list bounds" `Quick test_edge_list_bounds;
     Alcotest.test_case "graph degrees" `Quick test_graph_degrees;
     Alcotest.test_case "neighbors sorted" `Quick test_graph_neighbors_sorted;
@@ -282,6 +300,7 @@ let suite =
     Alcotest.test_case "bad input rejected" `Quick test_graph_rejects_bad_input;
     Alcotest.test_case "graph symmetrize" `Quick test_graph_symmetrize;
     prop_symmetrize_symmetric;
+    prop_symmetrize_matches_model;
     prop_degree_sums;
     Alcotest.test_case "union_find" `Quick test_union_find;
     Alcotest.test_case "weak components" `Quick test_weak_components;

@@ -53,6 +53,7 @@ echo "== multicore smoke (csr engine, 4 domains)"
 # which proves boxed-vs-csr bit-identity at domain counts 1, 2 and 4
 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --engine csr --domains 4 >/dev/null
 dune exec bin/cutfit_cli.exe -- check CC roadnet_pa --engine csr --domains 4 >/dev/null
+dune exec bin/cutfit_cli.exe -- check TR roadnet_pa --engine csr --domains 4 >/dev/null
 
 echo "== workload smoke (20 jobs, checked + digested)"
 dune exec bin/cutfit_cli.exe -- workload --jobs 20 --check >/dev/null
