@@ -843,9 +843,10 @@ let telemetry ppf =
   let _ranks, trace = Cutfit.Pipeline.pagerank p in
   Cutfit.Telemetry.close t;
   let events = contents () in
-  let supersteps =
-    List.filter_map (function Cutfit.Event.Superstep s -> Some s | _ -> None) events
+  let profiled =
+    List.filter_map (function Cutfit.Event.Superstep (s, p) -> Some (s, p) | _ -> None) events
   in
+  let supersteps = List.map fst profiled in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 supersteps in
   let sumf f = List.fold_left (fun acc s -> acc +. f s) 0.0 supersteps in
   let rows =
@@ -877,13 +878,13 @@ let telemetry ppf =
     (E.Report.table ~header:[ "Quantity"; "Event stream"; "Trace.t" ] ~rows);
   Format.fprintf ppf "straggler spread (max/min jittered task time) per superstep:@.";
   List.iter
-    (fun (s : Cutfit.Event.superstep) ->
+    (fun ((s : Cutfit.Event.superstep), p) ->
       if s.Cutfit.Event.step >= 0 then
         Format.fprintf ppf "  step %2d: skew %.2f, barrier waits %s@." s.Cutfit.Event.step
-          (Cutfit.Event.skew s)
+          (Cutfit.Event.skew p)
           (String.concat " "
-             (List.map (Printf.sprintf "%.3fs") (Array.to_list s.Cutfit.Event.barrier_wait_s))))
-    supersteps;
+             (List.map (Printf.sprintf "%.3fs") (Array.to_list p.Cutfit.Event.barrier_wait_s))))
+    profiled;
   Format.fprintf ppf "registry: @.";
   List.iter
     (fun (name, v) -> Format.fprintf ppf "  %-24s %.3f@." name v)

@@ -181,8 +181,6 @@ type runtime = {
   initial : int;
   max_execs : int;
   mutable live : int;
-  mutable resh : Trace.reshuffle list; (* reversed *)
-  mutable resh_s : float;
 }
 
 let runtime ?config ?hetero ~executors () =
@@ -196,8 +194,6 @@ let runtime ?config ?hetero ~executors () =
     initial = executors;
     max_execs;
     live = executors;
-    resh = [];
-    resh_s = 0.0;
   }
 
 let live rt = rt.live
@@ -205,64 +201,51 @@ let max_executors rt = rt.max_execs
 let exec_of rt p = p mod rt.live
 let speed_of rt e = match rt.rhetero with None -> 1.0 | Some h -> speed h e
 let bandwidth_of rt e = match rt.rhetero with None -> 1.0 | Some h -> bandwidth h e
-let reshuffles rt = List.rev rt.resh
-let reshuffle_s rt = rt.resh_s
 
 (* Apply the scale events scheduled before compute superstep [step].
    Membership changes re-home every partition whose round-robin
    assignment moves and price the move over the wire; preemptions are
    handed back to the engine, which routes them through the Faults
-   recovery machinery. Callbacks keep this module free of Pgraph and
-   telemetry dependencies. *)
+   recovery machinery. Callbacks keep this module free of Pgraph and of
+   the telemetry handle; the pricer records each reshuffle. *)
 let step_events rt ~step ~num_partitions ~partition_bytes ~partition_vertices ~attr_wire_bytes
     ~scale ~bandwidth ~barrier_s ~on_reshuffle ~on_preempt =
   match rt.rconfig with
   | None -> ()
   | Some c ->
+      let resize change after =
+        let before = rt.live in
+        if after <> before then begin
+          let moved = ref 0 and moved_bytes = ref 0.0 in
+          let replicas = ref 0 in
+          for p = 0 to num_partitions - 1 do
+            if p mod before <> p mod after then begin
+              incr moved;
+              moved_bytes := !moved_bytes +. partition_bytes p;
+              replicas := !replicas + partition_vertices p
+            end
+          done;
+          let rebroadcast_bytes = scale *. float_of_int !replicas *. attr_wire_bytes in
+          rt.live <- after;
+          on_reshuffle change
+            {
+              Cutfit_obs.Event.step;
+              executors_before = before;
+              executors_after = after;
+              moved_partitions = !moved;
+              moved_bytes = !moved_bytes;
+              rebroadcast_replicas = !replicas;
+              rebroadcast_bytes;
+              reshuffle_s = ((!moved_bytes +. rebroadcast_bytes) /. bandwidth) +. barrier_s;
+            }
+        end
+      in
       List.iter
-        (fun item ->
-          match item with
+        (function
           | Preempt { retries; _ } ->
               on_preempt ~executor:(victim c ~step ~alive:rt.live) ~retries
-          | Join _ | Leave _ ->
-              let before = rt.live in
-              let after =
-                match item with
-                | Join { count; _ } -> min rt.max_execs (before + count)
-                | Leave { count; _ } -> max 1 (before - count)
-                | Preempt _ -> before
-              in
-              if after <> before then begin
-                let moved = ref 0 and moved_bytes = ref 0.0 in
-                let replicas = ref 0 in
-                for p = 0 to num_partitions - 1 do
-                  if p mod before <> p mod after then begin
-                    incr moved;
-                    moved_bytes := !moved_bytes +. partition_bytes p;
-                    replicas := !replicas + partition_vertices p
-                  end
-                done;
-                let rebroadcast_bytes =
-                  scale *. float_of_int !replicas *. attr_wire_bytes
-                in
-                let r =
-                  {
-                    Trace.resh_step = step;
-                    executors_before = before;
-                    executors_after = after;
-                    moved_partitions = !moved;
-                    moved_bytes = !moved_bytes;
-                    rebroadcast_replicas = !replicas;
-                    rebroadcast_bytes;
-                    reshuffle_s =
-                      ((!moved_bytes +. rebroadcast_bytes) /. bandwidth) +. barrier_s;
-                  }
-                in
-                rt.live <- after;
-                rt.resh <- r :: rt.resh;
-                rt.resh_s <- rt.resh_s +. r.Trace.reshuffle_s;
-                on_reshuffle r item
-              end)
+          | Join { count; _ } -> resize (`Join count) (min rt.max_execs (rt.live + count))
+          | Leave { count; _ } -> resize (`Leave count) (max 1 (rt.live - count)))
         (events_at c ~step)
 
 let describe_hetero h =

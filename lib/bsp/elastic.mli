@@ -109,17 +109,15 @@ val step_events :
   scale:float ->
   bandwidth:float ->
   barrier_s:float ->
-  on_reshuffle:(Trace.reshuffle -> item -> unit) ->
+  on_reshuffle:([ `Join of int | `Leave of int ] -> Trace.reshuffle -> unit) ->
   on_preempt:(executor:int -> retries:int -> unit) ->
   unit
 (** Apply the events scheduled before compute superstep [step]: price
-    and record membership changes ([on_reshuffle] fires after the
+    each membership change and hand it to [on_reshuffle] with the
+    spec's join or leave count ([on_reshuffle] fires after the
     membership has moved, so the engine can refresh placement-derived
-    state and emit events), and hand preemptions to [on_preempt].
+    state, record the change and emit events), and hand preemptions to
+    [on_preempt]. A join or leave that leaves the membership unchanged
+    is not reported.
     [partition_bytes] must return the {e scaled} resident bytes of a
     partition; [partition_vertices] its hosted vertex views. *)
-
-val reshuffles : runtime -> Trace.reshuffle list
-(** Chronological itemized membership changes so far. *)
-
-val reshuffle_s : runtime -> float

@@ -105,8 +105,7 @@ val run :
     the [elastic] sanitizer suite enforces.
 
     When [telemetry] is given, every stage (including the [step = -1]
-    build stage) emits one {!Cutfit_obs.Event.Superstep} record derived
-    from the same counters as the trace — so the event stream's message
-    and byte aggregates reconcile with the returned {!Trace.t} exactly —
-    followed by one [Run_end] record labelled ["pregel"]. Without it the
-    engine allocates no telemetry records at all. *)
+    build stage) emits one {!Cutfit_obs.Event.Superstep} event carrying
+    the very record stored in the returned {!Trace.t}, plus its executor
+    profile, followed by one [Run_end] record labelled ["pregel"].
+    Without it the engine allocates no telemetry records at all. *)

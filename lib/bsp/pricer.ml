@@ -1,5 +1,6 @@
 module Graph = Cutfit_graph.Graph
 module Obs = Cutfit_obs
+module Event = Cutfit_obs.Event
 
 type counts = {
   work : float array;
@@ -37,10 +38,9 @@ type t = {
   mutable checkpoints : int;
   mutable last_ckpt : int option;
   mutable recoveries : Trace.recovery list;  (** newest first *)
-  mutable recovery_s : float;
   mutable faults_injected : int;
   mutable speculations : Trace.speculation list;  (** newest first *)
-  mutable speculation_s : float;
+  mutable reshuffles : Trace.reshuffle list;  (** newest first *)
 }
 
 let runtime t = t.ert
@@ -49,6 +49,8 @@ let num_partitions t = Pgraph.num_partitions t.pg
 
 let emit t event =
   match t.telemetry with None -> () | Some h -> Obs.Telemetry.emit h event
+
+let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
 
 let compute_parts_per_exec t =
   let a = Array.make (Elastic.live t.ert) 0 in
@@ -100,10 +102,9 @@ let create ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every ?faults
       checkpoints = 0;
       last_ckpt = None;
       recoveries = [];
-      recovery_s = 0.0;
       faults_injected = 0;
       speculations = [];
-      speculation_s = 0.0;
+      reshuffles = [];
     }
   in
   t.parts_per_exec <- compute_parts_per_exec t;
@@ -124,65 +125,24 @@ let fresh t =
     remote_bcast = 0;
   }
 
-let push_recovery t (r : Trace.recovery) =
+(* Each record is stored once and the same value goes to the sinks. *)
+let push_recovery t r =
   t.recoveries <- r :: t.recoveries;
-  t.recovery_s <- t.recovery_s +. r.Trace.recovery_s;
-  emit t
-    (Obs.Event.Recovery
-       {
-         step = r.Trace.at_step;
-         kind = r.Trace.kind;
-         executor = r.Trace.executor;
-         replayed_steps = r.Trace.replayed_steps;
-         lost_edges = r.Trace.lost_edges;
-         lost_replicas = r.Trace.lost_replicas;
-         wire_bytes = r.Trace.recovery_wire_bytes;
-         recovery_s = r.Trace.recovery_s;
-       })
+  emit t (Event.Recovery r)
 
-let speculation_events (s : Trace.speculation) =
-  Obs.Event.Speculative_launch
-    {
-      step = s.Trace.at_step;
-      executor = s.Trace.executor;
-      host = s.Trace.host;
-      cloned_partitions = s.Trace.cloned_partitions;
-      original_busy_s = s.Trace.original_busy_s;
-      clone_busy_s = s.Trace.clone_busy_s;
-      wire_bytes = s.Trace.speculative_wire_bytes;
-      compute_s = s.Trace.speculative_compute_s;
-    }
-  ::
-  (if s.Trace.won then
-     [
-       Obs.Event.Speculative_win
-         {
-           step = s.Trace.at_step;
-           executor = s.Trace.executor;
-           host = s.Trace.host;
-           saved_s = s.Trace.saved_s;
-         };
-     ]
-   else [])
-
-let push_speculation t (s : Trace.speculation) =
-  t.speculations <- s :: t.speculations;
-  t.speculation_s <- t.speculation_s +. s.Trace.speculative_compute_s;
-  List.iter (emit t) (speculation_events s)
-
-(* Recovery pricing. Each record's traffic lands in
-   [recovery_wire_bytes], deliberately outside the supersteps'
-   [wire_bytes], so the wire-payload law still holds on faulty runs. *)
-let recovery ~at_step ~kind ~executor ?(replayed_steps = 0) ?(lost_edges = 0)
+(* Recovery pricing. Each record's traffic lands in its own
+   [wire_bytes], deliberately outside the supersteps' [wire_bytes], so
+   the wire-payload law still holds on faulty runs. *)
+let recovery ~step ~kind ~executor ?(replayed_steps = 0) ?(lost_edges = 0)
     ?(lost_replicas = 0) ~wire recovery_s =
   {
-    Trace.at_step;
+    Event.step;
     kind;
     executor;
     replayed_steps;
     lost_edges;
     lost_replicas;
-    recovery_wire_bytes = wire;
+    wire_bytes = wire;
     recovery_s;
   }
 
@@ -192,7 +152,7 @@ let recovery ~at_step ~kind ~executor ?(replayed_steps = 0) ?(lost_edges = 0)
    proportional to the replicas the cut placed there. A spot preemption
    ([kind = "preempt"]) first waits out [backoff_s] of capped
    reacquisition retries; membership is unchanged. *)
-let rebuild_recovery t ~at_step ~kind ~executor ~backoff_s =
+let rebuild_recovery t ~step ~kind ~executor ~backoff_s =
   let cost = t.cost and scale = t.scale in
   let lost_edges = ref 0 and lost_vertices = ref 0 in
   for p = 0 to num_partitions t - 1 do
@@ -211,7 +171,7 @@ let rebuild_recovery t ~at_step ~kind ~executor ~backoff_s =
     scale *. float_of_int !lost_edges *. float_of_int cost.Cost_model.shuffle_edge_bytes
   in
   let wire = reshuffle_bytes +. (scale *. float_of_int !lost_vertices *. t.attr_wire_bytes) in
-  recovery ~at_step ~kind ~executor ~lost_edges:!lost_edges ~lost_replicas:!lost_vertices ~wire
+  recovery ~step ~kind ~executor ~lost_edges:!lost_edges ~lost_replicas:!lost_vertices ~wire
     (backoff_s +. rebuild
     +. (wire /. Cluster.network_bytes_per_s t.cluster)
     +. cost.Cost_model.superstep_barrier_s)
@@ -234,30 +194,19 @@ let begin_step t ~step =
     ~attr_wire_bytes:t.attr_wire_bytes ~scale:t.scale
     ~bandwidth:(Cluster.network_bytes_per_s t.cluster)
     ~barrier_s:cost.Cost_model.superstep_barrier_s
-    ~on_reshuffle:(fun r item ->
+    ~on_reshuffle:(fun change r ->
       t.parts_per_exec <- compute_parts_per_exec t;
-      (match item with
-      | Elastic.Join { count; _ } ->
-          emit t (Obs.Event.Executor_join { step; count; executors = r.Trace.executors_after })
-      | Elastic.Leave { count; _ } ->
-          emit t (Obs.Event.Executor_leave { step; count; executors = r.Trace.executors_after })
-      | Elastic.Preempt _ -> ());
+      t.reshuffles <- r :: t.reshuffles;
+      let executors = r.Event.executors_after in
       emit t
-        (Obs.Event.Reshuffle
-           {
-             step;
-             executors_before = r.Trace.executors_before;
-             executors_after = r.Trace.executors_after;
-             moved_partitions = r.Trace.moved_partitions;
-             moved_bytes = r.Trace.moved_bytes;
-             rebroadcast_replicas = r.Trace.rebroadcast_replicas;
-             rebroadcast_bytes = r.Trace.rebroadcast_bytes;
-             reshuffle_s = r.Trace.reshuffle_s;
-           }))
+        (match change with
+        | `Join count -> Event.Executor_join { step; count; executors }
+        | `Leave count -> Event.Executor_leave { step; count; executors });
+      emit t (Event.Reshuffle r))
     ~on_preempt:(fun ~executor ~retries ->
       t.faults_injected <- t.faults_injected + 1;
       emit t
-        (Obs.Event.Fault_injected
+        (Event.Fault_injected
            {
              step;
              kind = "preempt";
@@ -267,7 +216,7 @@ let begin_step t ~step =
                  (if retries = 1 then "y" else "ies");
            });
       push_recovery t
-        (rebuild_recovery t ~at_step:step ~kind:"preempt" ~executor
+        (rebuild_recovery t ~step ~kind:"preempt" ~executor
            ~backoff_s:(Cost_model.retry_backoff cost ~retries)));
   fresh t
 
@@ -276,11 +225,11 @@ let take_checkpoint t ~step =
   t.checkpoint_s <- t.checkpoint_s +. t.checkpoint_io_s;
   t.driver_meta <- 0.0;
   t.last_ckpt <- Some step;
-  emit t (Obs.Event.Checkpoint { step; bytes = t.graph_bytes; write_s = t.checkpoint_io_s })
+  emit t (Event.Checkpoint { step; bytes = t.graph_bytes; write_s = t.checkpoint_io_s })
 
-(* The time composition of one priced step, recorded on the trace and
-   mirrored by a [Superstep] event built from the very same counters, so
-   event-stream aggregates reconcile with the trace exactly. *)
+(* The time composition of one priced step, recorded on the trace; the
+   [Superstep] event carries that same record plus the per-executor
+   profile the trace drops. *)
 let price t ~step ~(plan : Faults.plan) c =
   let cost = t.cost and scale = t.scale in
   let num_partitions = num_partitions t in
@@ -334,7 +283,7 @@ let price t ~step ~(plan : Faults.plan) c =
     t.driver_meta +. (float_of_int num_partitions *. cost.Cost_model.driver_meta_per_task_bytes);
   let stats =
     {
-      Trace.step;
+      Event.step;
       active_edges = c.active_edges;
       messages = c.messages;
       shuffle_groups = c.shuffle_groups;
@@ -363,34 +312,26 @@ let price t ~step ~(plan : Faults.plan) c =
           if w < !min_task then min_task := w)
         jittered;
       Obs.Telemetry.emit h
-        (Obs.Event.Superstep
-           {
-             step;
-             active_vertices = c.updated;
-             active_edges = c.active_edges;
-             messages = c.messages;
-             local_shuffles = c.shuffle_groups - c.remote_shuffles;
-             remote_shuffles = c.remote_shuffles;
-             broadcast_replicas = c.bcast;
-             remote_broadcasts = c.remote_bcast;
-             wire_bytes = stats.Trace.wire_bytes;
-             executor_busy_s = busy;
-             barrier_wait_s = Array.map (fun b -> compute -. b) busy;
-             max_task_s = !max_task;
-             min_task_s = (if num_partitions = 0 then 0.0 else !min_task);
-             compute_s = stats.Trace.compute_s;
-             network_s = stats.Trace.network_s;
-             overhead_s = stats.Trace.overhead_s;
-             time_s = stats.Trace.time_s;
-           }));
+        (Event.Superstep
+           ( stats,
+             {
+               executor_busy_s = busy;
+               barrier_wait_s = Array.map (fun b -> compute -. b) busy;
+               max_task_s = !max_task;
+               min_task_s = (if num_partitions = 0 then 0.0 else !min_task);
+             } )));
   t.faults_injected <- t.faults_injected + List.length plan.Faults.announce;
   List.iter
     (fun (a : Faults.announcement) ->
       emit t
-        (Obs.Event.Fault_injected
+        (Event.Fault_injected
            { step; kind = a.fault_kind; executor = a.fault_executor; detail = a.detail }))
     plan.Faults.announce;
-  Option.iter (push_speculation t) spec;
+  Option.iter
+    (fun s ->
+      t.speculations <- s :: t.speculations;
+      List.iter (emit t) (Event.speculation_events s))
+    spec;
   (* A transient shuffle loss retransmits the executor's egress with
      capped exponential backoff — charged as recovery time, outside the
      superstep's own wire accounting. *)
@@ -399,7 +340,7 @@ let price t ~step ~(plan : Faults.plan) c =
   | Some (e, retries) ->
       let wire = float_of_int retries *. (scale *. c.bytes_out.(e)) in
       push_recovery t
-        (recovery ~at_step:step ~kind:"shuffle-retry" ~executor:e ~wire
+        (recovery ~step ~kind:"shuffle-retry" ~executor:e ~wire
            ((wire /. Cluster.network_bytes_per_s t.cluster) +. Cost_model.retry_backoff cost ~retries))
 
 (* An executor lost at this step's barrier: recover (rollback replay or
@@ -422,17 +363,16 @@ let recover t ~step ~lost fs =
                cost. *)
             let replayed =
               match t.last_ckpt with
-              | Some c -> List.filter (fun (s : Trace.superstep) -> s.Trace.step > c) t.steps
+              | Some c -> List.filter (fun (s : Trace.superstep) -> s.step > c) t.steps
               | None -> t.steps
             in
             let readback = if t.last_ckpt <> None then t.checkpoint_io_s else t.load_s in
-            let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 replayed in
-            recovery ~at_step:step ~kind:"rollback" ~executor:lost
+            recovery ~step ~kind:"rollback" ~executor:lost
               ~replayed_steps:(List.length replayed)
-              ~wire:(sum (fun s -> s.Trace.wire_bytes))
-              (readback +. sum (fun s -> s.Trace.time_s))
+              ~wire:(sum (fun (s : Trace.superstep) -> s.wire_bytes) replayed)
+              (readback +. sum (fun (s : Trace.superstep) -> s.time_s) replayed)
         | Faults.Lineage ->
-            rebuild_recovery t ~at_step:step ~kind:"lineage" ~executor:lost ~backoff_s:0.0);
+            rebuild_recovery t ~step ~kind:"lineage" ~executor:lost ~backoff_s:0.0);
       false
 
 let superstep t ~step c =
@@ -474,12 +414,19 @@ let build t =
   done;
   ignore (superstep t ~step:(-1) c)
 
+(* Itemized costs fold from 0.0 in production order; the golden digests
+   pin these sums bit for bit. *)
 let finish t ~outcome ~peak_executor_bytes =
   let supersteps = List.rev t.steps in
+  let recoveries = List.rev t.recoveries in
+  let speculations = List.rev t.speculations in
+  let reshuffles = List.rev t.reshuffles in
+  let recovery_s = sum (fun (r : Trace.recovery) -> r.recovery_s) recoveries in
+  let reshuffle_s = sum (fun (r : Trace.reshuffle) -> r.reshuffle_s) reshuffles in
   let total_s =
     List.fold_left
       (fun acc (s : Trace.superstep) -> acc +. s.time_s)
-      (t.load_s +. t.checkpoint_s +. t.recovery_s +. Elastic.reshuffle_s t.ert)
+      (t.load_s +. t.checkpoint_s +. recovery_s +. reshuffle_s)
       supersteps
   in
   let trace =
@@ -488,13 +435,13 @@ let finish t ~outcome ~peak_executor_bytes =
       load_s = t.load_s;
       checkpoint_s = t.checkpoint_s;
       checkpoints = t.checkpoints;
-      recovery_s = t.recovery_s;
-      recoveries = List.rev t.recoveries;
+      recovery_s;
+      recoveries;
       faults_injected = t.faults_injected;
-      speculations = List.rev t.speculations;
-      speculation_s = t.speculation_s;
-      reshuffles = Elastic.reshuffles t.ert;
-      reshuffle_s = Elastic.reshuffle_s t.ert;
+      speculations;
+      speculation_s = sum (fun (s : Trace.speculation) -> s.compute_s) speculations;
+      reshuffles;
+      reshuffle_s;
       total_s;
       outcome;
       peak_executor_bytes;
@@ -514,12 +461,12 @@ let finish t ~outcome ~peak_executor_bytes =
       Obs.Metric.set (Obs.Metric.gauge reg "bsp.last_wire_bytes") (Trace.total_wire_bytes trace);
       let compute_steps =
         List.fold_left
-          (fun acc (s : Trace.superstep) -> if s.Trace.step >= 0 then acc + 1 else acc)
+          (fun acc (s : Trace.superstep) -> if s.step >= 0 then acc + 1 else acc)
           0 supersteps
       in
       Obs.Metric.add (Obs.Metric.counter reg "bsp.supersteps") compute_steps;
       Obs.Telemetry.emit h
-        (Obs.Event.Run_end
+        (Event.Run_end
            {
              label = t.label;
              outcome = Trace.outcome_name outcome;
@@ -527,7 +474,7 @@ let finish t ~outcome ~peak_executor_bytes =
              total_s;
              load_s = t.load_s;
              checkpoint_s = t.checkpoint_s;
-             recovery_s = t.recovery_s;
+             recovery_s;
              total_messages = Trace.total_messages trace;
              total_remote = Trace.total_remote_messages trace;
              total_wire_bytes = Trace.total_wire_bytes trace;

@@ -15,8 +15,10 @@
     recovery, the one-time build stage, the [Superstep], [Fault_injected],
     [Speculative_*], [Recovery], [Checkpoint], [Executor_join]/[leave]
     and [Reshuffle] telemetry events, and finally the {!Trace.t}, its
-    [Run_end] event and the [bsp.*] metrics. Engines keep their vertex
-    programs and their own stop rules.
+    [Run_end] event and the [bsp.*] metrics. Each superstep, recovery,
+    speculation and reshuffle record is stored once: the trace keeps it
+    and the matching event carries the same value. Engines keep their
+    vertex programs and their own stop rules.
 
     With no faults, speculation, scale events or heterogeneous hosts the
     runtime is inert: placement is {!Cluster.executor_of_partition} and
@@ -61,12 +63,6 @@ val runtime : t -> Elastic.runtime
 (** The run's elastic runtime: {!Elastic.exec_of} on it is the executor
     currently hosting a partition (round robin over the live
     membership). *)
-
-val speculation_events : Trace.speculation -> Cutfit_obs.Event.t list
-(** The [Speculative_launch] event for one speculative clone, followed
-    by its [Speculative_win] when the clone finished first: what the
-    pricer emits for each speculation it records, and what a caller
-    that ran an engine without telemetry replays from the trace. *)
 
 val build : t -> unit
 (** Price the one-time graph build as step [-1]. *)

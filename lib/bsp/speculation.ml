@@ -53,7 +53,7 @@ let evaluate cfg ~cost ~bandwidth ~step ~busy ~clean_busy ~ingress ~partitions =
          can start, the driver round-trips a launch RPC, re-dispatches
          the straggler's tasks, and the host re-fetches the straggler's
          shuffle ingress — traffic charged outside the wire-payload law,
-         exactly like recovery_wire_bytes. *)
+         exactly like recovery traffic. *)
       let launch_s =
         cost.Cost_model.speculation_rpc_s
         +. (float_of_int partitions.(s) *. cost.Cost_model.task_dispatch_s)
@@ -78,14 +78,14 @@ let evaluate cfg ~cost ~bandwidth ~step ~busy ~clean_busy ~ingress ~partitions =
         busy'.(host) <- busy.(s);
       let record =
         {
-          Trace.at_step = step;
+          Cutfit_obs.Event.step;
           executor = s;
           host;
           cloned_partitions = partitions.(s);
           original_busy_s = busy.(s);
           clone_busy_s = clone_busy;
-          speculative_compute_s = clone_compute;
-          speculative_wire_bytes = reshuffle_bytes;
+          wire_bytes = reshuffle_bytes;
+          compute_s = clone_compute;
           won;
           saved_s = (if won then busy.(s) -. clone_busy else 0.0);
         }

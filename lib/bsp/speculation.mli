@@ -13,7 +13,7 @@
     wire bytes. The clone's compute and its re-shuffled ingress are
     itemized on {!Trace.speculation} records, priced through
     {!Cost_model} but kept outside the wire-payload law exactly like
-    [recovery_wire_bytes]. *)
+    recovery traffic. *)
 
 type config = private { threshold : float; seed : int }
 

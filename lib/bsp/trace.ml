@@ -1,53 +1,9 @@
-type superstep = {
-  step : int;
-  active_edges : int;
-  messages : int;
-  shuffle_groups : int;
-  remote_shuffles : int;
-  updated_vertices : int;
-  broadcast_replicas : int;
-  remote_broadcasts : int;
-  wire_bytes : float;
-  compute_s : float;
-  network_s : float;
-  overhead_s : float;
-  time_s : float;
-}
+module Event = Cutfit_obs.Event
 
-type recovery = {
-  at_step : int;
-  kind : string;
-  executor : int;
-  replayed_steps : int;
-  lost_edges : int;
-  lost_replicas : int;
-  recovery_wire_bytes : float;
-  recovery_s : float;
-}
-
-type speculation = {
-  at_step : int;
-  executor : int;
-  host : int;
-  cloned_partitions : int;
-  original_busy_s : float;
-  clone_busy_s : float;
-  speculative_compute_s : float;
-  speculative_wire_bytes : float;
-  won : bool;
-  saved_s : float;
-}
-
-type reshuffle = {
-  resh_step : int;
-  executors_before : int;
-  executors_after : int;
-  moved_partitions : int;
-  moved_bytes : float;
-  rebroadcast_replicas : int;
-  rebroadcast_bytes : float;
-  reshuffle_s : float;
-}
+type superstep = Event.superstep
+type recovery = Event.recovery
+type speculation = Event.speculation
+type reshuffle = Event.reshuffle
 
 type outcome = Completed | Max_supersteps | Out_of_memory | Aborted
 
@@ -70,25 +26,32 @@ type t = {
 }
 
 let num_supersteps t = List.length t.supersteps
-let total_messages t = List.fold_left (fun acc s -> acc + s.messages) 0 t.supersteps
+let total_messages t =
+  List.fold_left (fun acc (s : superstep) -> acc + s.messages) 0 t.supersteps
 
 let total_remote_messages t =
-  List.fold_left (fun acc s -> acc + s.remote_shuffles + s.remote_broadcasts) 0 t.supersteps
+  List.fold_left
+    (fun acc (s : superstep) -> acc + s.remote_shuffles + s.remote_broadcasts)
+    0 t.supersteps
 
-let total_wire_bytes t = List.fold_left (fun acc s -> acc +. s.wire_bytes) 0.0 t.supersteps
-let total_network_s t = List.fold_left (fun acc s -> acc +. s.network_s) 0.0 t.supersteps
-let total_compute_s t = List.fold_left (fun acc s -> acc +. s.compute_s) 0.0 t.supersteps
-let total_overhead_s t = List.fold_left (fun acc s -> acc +. s.overhead_s) 0.0 t.supersteps
+let sum_steps f t = List.fold_left (fun acc (s : superstep) -> acc +. f s) 0.0 t.supersteps
+let total_wire_bytes = sum_steps (fun s -> s.wire_bytes)
+let total_network_s = sum_steps (fun s -> s.network_s)
+let total_compute_s = sum_steps (fun s -> s.compute_s)
+let total_overhead_s = sum_steps (fun s -> s.overhead_s)
 let num_recoveries t = List.length t.recoveries
 let num_speculations t = List.length t.speculations
 
 let speculation_wins t =
-  List.fold_left (fun acc s -> if s.won then acc + 1 else acc) 0 t.speculations
+  List.fold_left (fun acc (s : speculation) -> if s.won then acc + 1 else acc) 0 t.speculations
 
 let num_reshuffles t = List.length t.reshuffles
 
 let total_reshuffle_wire_bytes t =
-  List.fold_left (fun acc r -> acc +. r.moved_bytes +. r.rebroadcast_bytes) 0.0 t.reshuffles
+  List.fold_left
+    (fun acc (r : reshuffle) -> acc +. r.moved_bytes +. r.rebroadcast_bytes)
+    0.0 t.reshuffles
+
 let completed t = match t.outcome with Out_of_memory | Aborted -> false | Completed | Max_supersteps -> true
 
 let outcome_name = function

@@ -12,48 +12,48 @@ let trace_digest (t : Trace.t) =
   let b = Buffer.create 1024 in
   List.iter
     (fun (s : Trace.superstep) ->
-      buf_int b s.Trace.step;
-      buf_int b s.Trace.active_edges;
-      buf_int b s.Trace.messages;
-      buf_int b s.Trace.shuffle_groups;
-      buf_int b s.Trace.remote_shuffles;
-      buf_int b s.Trace.updated_vertices;
-      buf_int b s.Trace.broadcast_replicas;
-      buf_int b s.Trace.remote_broadcasts;
-      buf_float b s.Trace.wire_bytes;
-      buf_float b s.Trace.compute_s;
-      buf_float b s.Trace.network_s;
-      buf_float b s.Trace.overhead_s;
-      buf_float b s.Trace.time_s)
+      buf_int b s.Event.step;
+      buf_int b s.Event.active_edges;
+      buf_int b s.Event.messages;
+      buf_int b s.Event.shuffle_groups;
+      buf_int b s.Event.remote_shuffles;
+      buf_int b s.Event.updated_vertices;
+      buf_int b s.Event.broadcast_replicas;
+      buf_int b s.Event.remote_broadcasts;
+      buf_float b s.Event.wire_bytes;
+      buf_float b s.Event.compute_s;
+      buf_float b s.Event.network_s;
+      buf_float b s.Event.overhead_s;
+      buf_float b s.Event.time_s)
     t.Trace.supersteps;
   buf_float b t.Trace.load_s;
   buf_float b t.Trace.checkpoint_s;
   buf_int b t.Trace.checkpoints;
   List.iter
     (fun (r : Trace.recovery) ->
-      buf_int b r.Trace.at_step;
-      Buffer.add_string b (r.Trace.kind ^ ";");
-      buf_int b r.Trace.executor;
-      buf_int b r.Trace.replayed_steps;
-      buf_int b r.Trace.lost_edges;
-      buf_int b r.Trace.lost_replicas;
-      buf_float b r.Trace.recovery_wire_bytes;
-      buf_float b r.Trace.recovery_s)
+      buf_int b r.Event.step;
+      Buffer.add_string b (r.Event.kind ^ ";");
+      buf_int b r.Event.executor;
+      buf_int b r.Event.replayed_steps;
+      buf_int b r.Event.lost_edges;
+      buf_int b r.Event.lost_replicas;
+      buf_float b r.Event.wire_bytes;
+      buf_float b r.Event.recovery_s)
     t.Trace.recoveries;
   buf_float b t.Trace.recovery_s;
   buf_int b t.Trace.faults_injected;
   List.iter
     (fun (s : Trace.speculation) ->
-      buf_int b s.Trace.at_step;
-      buf_int b s.Trace.executor;
-      buf_int b s.Trace.host;
-      buf_int b s.Trace.cloned_partitions;
-      buf_float b s.Trace.original_busy_s;
-      buf_float b s.Trace.clone_busy_s;
-      buf_float b s.Trace.speculative_compute_s;
-      buf_float b s.Trace.speculative_wire_bytes;
-      buf_int b (if s.Trace.won then 1 else 0);
-      buf_float b s.Trace.saved_s)
+      buf_int b s.Event.step;
+      buf_int b s.Event.executor;
+      buf_int b s.Event.host;
+      buf_int b s.Event.cloned_partitions;
+      buf_float b s.Event.original_busy_s;
+      buf_float b s.Event.clone_busy_s;
+      buf_float b s.Event.compute_s;
+      buf_float b s.Event.wire_bytes;
+      buf_int b (if s.Event.won then 1 else 0);
+      buf_float b s.Event.saved_s)
     t.Trace.speculations;
   buf_float b t.Trace.speculation_s;
   buf_float b t.Trace.total_s;

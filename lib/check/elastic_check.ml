@@ -1,4 +1,5 @@
 module Trace = Cutfit_bsp.Trace
+module Event = Cutfit_obs.Event
 
 let suite = "elastic"
 
@@ -32,16 +33,16 @@ let equivalence ?(label = "run") ?executors ?num_partitions ~baseline ~elastic ~
     | [], _ :: _ ->
         bad "superstep-mismatch" "%s: elastic run has more supersteps than the baseline" label
     | (b : Trace.superstep) :: bs, (e : Trace.superstep) :: es ->
-        let step = e.Trace.step in
-        if b.Trace.step <> step then
-          bad "superstep-mismatch" "%s: baseline step %d vs elastic step %d" label b.Trace.step
+        let step = e.Event.step in
+        if b.Event.step <> step then
+          bad "superstep-mismatch" "%s: baseline step %d vs elastic step %d" label b.Event.step
             step
         else if
-          b.Trace.active_edges <> e.Trace.active_edges
-          || b.Trace.messages <> e.Trace.messages
-          || b.Trace.shuffle_groups <> e.Trace.shuffle_groups
-          || b.Trace.updated_vertices <> e.Trace.updated_vertices
-          || b.Trace.broadcast_replicas <> e.Trace.broadcast_replicas
+          b.Event.active_edges <> e.Event.active_edges
+          || b.Event.messages <> e.Event.messages
+          || b.Event.shuffle_groups <> e.Event.shuffle_groups
+          || b.Event.updated_vertices <> e.Event.updated_vertices
+          || b.Event.broadcast_replicas <> e.Event.broadcast_replicas
         then
           bad "counter-divergence" "%s: step %d logical counters diverge under scale events" label
             step;
@@ -63,22 +64,22 @@ let equivalence ?(label = "run") ?executors ?num_partitions ~baseline ~elastic ~
     (List.fold_left
        (fun prev (r : Trace.reshuffle) ->
          (match prev with
-         | Some after when r.Trace.executors_before <> after ->
+         | Some after when r.Event.executors_before <> after ->
              bad "membership-chain" "%s: step %d reshuffle starts from %d executors, not %d" label
-               r.Trace.resh_step r.Trace.executors_before after
+               r.Event.step r.Event.executors_before after
          | None -> (
              match executors with
-             | Some e when r.Trace.executors_before <> e ->
+             | Some e when r.Event.executors_before <> e ->
                  bad "membership-chain" "%s: first reshuffle starts from %d executors, not %d"
-                   label r.Trace.executors_before e
+                   label r.Event.executors_before e
              | _ -> ())
          | _ -> ());
          (match num_partitions with
-         | Some n when r.Trace.moved_partitions > n ->
+         | Some n when r.Event.moved_partitions > n ->
              bad "partition-conservation" "%s: step %d reshuffle moved %d of %d partitions" label
-               r.Trace.resh_step r.Trace.moved_partitions n
+               r.Event.step r.Event.moved_partitions n
          | _ -> ());
-         Some r.Trace.executors_after)
+         Some r.Event.executors_after)
        None elastic.Trace.reshuffles);
   List.rev !acc
 

@@ -1,4 +1,5 @@
 module Trace = Cutfit_bsp.Trace
+module Event = Cutfit_obs.Event
 
 let suite = "faults"
 
@@ -30,11 +31,11 @@ let equivalence ?(label = "run") ~baseline ~faulty ~baseline_attrs ~faulty_attrs
      preempt-attributable records and nothing more. *)
   let preempts, injected =
     List.partition
-      (fun (r : Trace.recovery) -> String.equal r.Trace.kind "preempt")
+      (fun (r : Trace.recovery) -> String.equal r.Event.kind "preempt")
       baseline.Trace.recoveries
   in
   let preempt_s =
-    List.fold_left (fun a (r : Trace.recovery) -> a +. r.Trace.recovery_s) 0.0 preempts
+    List.fold_left (fun a (r : Trace.recovery) -> a +. r.Event.recovery_s) 0.0 preempts
   in
   if
     baseline.Trace.faults_injected <> List.length preempts
@@ -65,22 +66,22 @@ let equivalence ?(label = "run") ~baseline ~faulty ~baseline_attrs ~faulty_attrs
     | [], _ :: _ ->
         bad "superstep-mismatch" "%s: faulty run has more supersteps than the baseline" label
     | (b : Trace.superstep) :: bs, (f : Trace.superstep) :: fs ->
-        let step = f.Trace.step in
-        if b.Trace.step <> step then
-          bad "superstep-mismatch" "%s: baseline step %d vs faulty step %d" label b.Trace.step step
+        let step = f.Event.step in
+        if b.Event.step <> step then
+          bad "superstep-mismatch" "%s: baseline step %d vs faulty step %d" label b.Event.step step
         else begin
           if
-            b.Trace.active_edges <> f.Trace.active_edges
-            || b.Trace.messages <> f.Trace.messages
-            || b.Trace.shuffle_groups <> f.Trace.shuffle_groups
-            || b.Trace.remote_shuffles <> f.Trace.remote_shuffles
-            || b.Trace.updated_vertices <> f.Trace.updated_vertices
-            || b.Trace.broadcast_replicas <> f.Trace.broadcast_replicas
-            || b.Trace.remote_broadcasts <> f.Trace.remote_broadcasts
+            b.Event.active_edges <> f.Event.active_edges
+            || b.Event.messages <> f.Event.messages
+            || b.Event.shuffle_groups <> f.Event.shuffle_groups
+            || b.Event.remote_shuffles <> f.Event.remote_shuffles
+            || b.Event.updated_vertices <> f.Event.updated_vertices
+            || b.Event.broadcast_replicas <> f.Event.broadcast_replicas
+            || b.Event.remote_broadcasts <> f.Event.remote_broadcasts
           then bad "counter-divergence" "%s: step %d counters diverge under faults" label step;
-          if not (feq b.Trace.wire_bytes f.Trace.wire_bytes) then
+          if not (feq b.Event.wire_bytes f.Event.wire_bytes) then
             bad "wire-divergence" "%s: step %d wire bytes %.17g vs %.17g under faults" label step
-              b.Trace.wire_bytes f.Trace.wire_bytes
+              b.Event.wire_bytes f.Event.wire_bytes
         end;
         zip_prefix bs fs
   in
@@ -93,7 +94,7 @@ let equivalence ?(label = "run") ~baseline ~faulty ~baseline_attrs ~faulty_attrs
   (* A faulty run is never cheaper: it pays the baseline's supersteps
      (each possibly stretched) plus checkpoints and recovery. *)
   let sum_steps t =
-    List.fold_left (fun a (s : Trace.superstep) -> a +. s.Trace.time_s) 0.0 t.Trace.supersteps
+    List.fold_left (fun a (s : Trace.superstep) -> a +. s.Event.time_s) 0.0 t.Trace.supersteps
   in
   if faulty_valid && sum_steps faulty +. 1e-12 < sum_steps baseline then
     bad "time-regression" "%s: faulty supersteps sum to %.17g < baseline %.17g" label

@@ -23,80 +23,80 @@ let validate ?payload (t : Trace.t) =
   (match t.Trace.supersteps with
   | [] -> ()
   | first :: _ ->
-      if first.Trace.step > 0 then bad "step-order" "first stage is step %d" first.Trace.step;
+      if first.Event.step > 0 then bad "step-order" "first stage is step %d" first.Event.step;
       ignore
         (List.fold_left
            (fun prev (s : Trace.superstep) ->
              (match prev with
-             | Some p when s.Trace.step <> p + 1 ->
-                 bad "step-order" "step %d follows step %d" s.Trace.step p
+             | Some p when s.Event.step <> p + 1 ->
+                 bad "step-order" "step %d follows step %d" s.Event.step p
              | _ -> ());
-             Some s.Trace.step)
+             Some s.Event.step)
            None t.Trace.supersteps));
   List.iter
     (fun (s : Trace.superstep) ->
-      let step = s.Trace.step in
+      let step = s.Event.step in
       List.iter
         (fun (name, v) ->
           if v < 0 then bad "negative-count" "step %d: %s = %d, expected >= 0" step name v)
         [
-          ("active_edges", s.Trace.active_edges);
-          ("messages", s.Trace.messages);
-          ("shuffle_groups", s.Trace.shuffle_groups);
-          ("remote_shuffles", s.Trace.remote_shuffles);
-          ("updated_vertices", s.Trace.updated_vertices);
-          ("broadcast_replicas", s.Trace.broadcast_replicas);
-          ("remote_broadcasts", s.Trace.remote_broadcasts);
+          ("active_edges", s.Event.active_edges);
+          ("messages", s.Event.messages);
+          ("shuffle_groups", s.Event.shuffle_groups);
+          ("remote_shuffles", s.Event.remote_shuffles);
+          ("updated_vertices", s.Event.updated_vertices);
+          ("broadcast_replicas", s.Event.broadcast_replicas);
+          ("remote_broadcasts", s.Event.remote_broadcasts);
         ];
       (* Conservation: every emitted message is merged into exactly one
          (vertex, partition) aggregate, so aggregates cannot outnumber
          messages; remote subsets cannot outgrow their totals. *)
-      if s.Trace.shuffle_groups > s.Trace.messages then
+      if s.Event.shuffle_groups > s.Event.messages then
         bad "message-conservation" "step %d: %d shuffle groups from only %d messages" step
-          s.Trace.shuffle_groups s.Trace.messages;
-      if s.Trace.remote_shuffles > s.Trace.shuffle_groups then
+          s.Event.shuffle_groups s.Event.messages;
+      if s.Event.remote_shuffles > s.Event.shuffle_groups then
         bad "shuffle-conservation" "step %d: remote_shuffles %d > shuffle_groups %d" step
-          s.Trace.remote_shuffles s.Trace.shuffle_groups;
-      if s.Trace.remote_broadcasts > s.Trace.broadcast_replicas then
+          s.Event.remote_shuffles s.Event.shuffle_groups;
+      if s.Event.remote_broadcasts > s.Event.broadcast_replicas then
         bad "broadcast-conservation" "step %d: remote_broadcasts %d > broadcast_replicas %d" step
-          s.Trace.remote_broadcasts s.Trace.broadcast_replicas;
-      if s.Trace.wire_bytes < 0.0 then
-        bad "wire-bytes" "step %d: wire_bytes = %g < 0" step s.Trace.wire_bytes;
+          s.Event.remote_broadcasts s.Event.broadcast_replicas;
+      if s.Event.wire_bytes < 0.0 then
+        bad "wire-bytes" "step %d: wire_bytes = %g < 0" step s.Event.wire_bytes;
       (* Compute supersteps move bytes only for remote traffic (the
          build stage shuffles raw edges and is exempt). *)
       if
         step >= 0
-        && s.Trace.remote_shuffles + s.Trace.remote_broadcasts = 0
-        && s.Trace.wire_bytes <> 0.0
+        && s.Event.remote_shuffles + s.Event.remote_broadcasts = 0
+        && s.Event.wire_bytes <> 0.0
       then
         bad "wire-without-remote" "step %d: %g wire bytes with no remote messages" step
-          s.Trace.wire_bytes;
+          s.Event.wire_bytes;
       (match payload with
       | Some { msg_wire_bytes; attr_wire_bytes; scale } when step >= 0 ->
           let expect =
             scale
-            *. ((float_of_int s.Trace.remote_shuffles *. msg_wire_bytes)
-               +. (float_of_int s.Trace.remote_broadcasts *. attr_wire_bytes))
+            *. ((float_of_int s.Event.remote_shuffles *. msg_wire_bytes)
+               +. (float_of_int s.Event.remote_broadcasts *. attr_wire_bytes))
           in
-          if not (close s.Trace.wire_bytes expect) then
+          if not (close s.Event.wire_bytes expect) then
             bad "wire-payload"
               "step %d: wire_bytes = %.17g but %d remote shuffles x %g + %d remote broadcasts x \
                %g at scale %g = %.17g"
-              step s.Trace.wire_bytes s.Trace.remote_shuffles msg_wire_bytes
-              s.Trace.remote_broadcasts attr_wire_bytes scale expect
+              step s.Event.wire_bytes s.Event.remote_shuffles msg_wire_bytes
+              s.Event.remote_broadcasts attr_wire_bytes scale expect
       | _ -> ());
-      if not (feq s.Trace.time_s (Float.max s.Trace.compute_s s.Trace.network_s +. s.Trace.overhead_s))
+      if not (feq s.Event.time_s (Float.max s.Event.compute_s s.Event.network_s +. s.Event.overhead_s))
       then
         bad "time-decomposition"
           "step %d: time_s = %.17g but max(compute %.17g, network %.17g) + overhead %.17g = %.17g"
-          step s.Trace.time_s s.Trace.compute_s s.Trace.network_s s.Trace.overhead_s
-          (Float.max s.Trace.compute_s s.Trace.network_s +. s.Trace.overhead_s))
+          step s.Event.time_s s.Event.compute_s s.Event.network_s s.Event.overhead_s
+          (Float.max s.Event.compute_s s.Event.network_s +. s.Event.overhead_s))
     t.Trace.supersteps;
   (* Total time is rebuilt with the same left fold the engines use, so
      the comparison is exact. *)
   let total =
     List.fold_left
-      (fun a (s : Trace.superstep) -> a +. s.Trace.time_s)
+      (fun a (s : Trace.superstep) -> a +. s.Event.time_s)
       (t.Trace.load_s +. t.Trace.checkpoint_s +. t.Trace.recovery_s +. t.Trace.reshuffle_s)
       t.Trace.supersteps
   in
@@ -111,7 +111,7 @@ let validate ?payload (t : Trace.t) =
      to the trace total exactly, and no recovery exists without a fault
      having been injected. *)
   let recovery_total =
-    List.fold_left (fun a (r : Trace.recovery) -> a +. r.Trace.recovery_s) 0.0 t.Trace.recoveries
+    List.fold_left (fun a (r : Trace.recovery) -> a +. r.Event.recovery_s) 0.0 t.Trace.recoveries
   in
   if not (feq recovery_total t.Trace.recovery_s) then
     bad "recovery-time" "recovery_s = %.17g but itemized recoveries sum to %.17g"
@@ -123,30 +123,29 @@ let validate ?payload (t : Trace.t) =
       (List.length t.Trace.recoveries) t.Trace.faults_injected;
   List.iter
     (fun (r : Trace.recovery) ->
-      (match r.Trace.kind with
+      (match r.Event.kind with
       | "rollback" | "lineage" | "shuffle-retry" | "preempt" -> ()
-      | k -> bad "recovery-kind" "step %d: unknown recovery kind %S" r.Trace.at_step k);
-      if r.Trace.recovery_s < 0.0 then
-        bad "recovery-cost" "step %d: recovery_s = %g < 0" r.Trace.at_step r.Trace.recovery_s;
-      if r.Trace.recovery_wire_bytes < 0.0 then
-        bad "recovery-cost" "step %d: recovery_wire_bytes = %g < 0" r.Trace.at_step
-          r.Trace.recovery_wire_bytes;
-      if r.Trace.replayed_steps < 0 || r.Trace.lost_edges < 0 || r.Trace.lost_replicas < 0 then
-        bad "recovery-cost" "step %d: negative recovery counters" r.Trace.at_step;
+      | k -> bad "recovery-kind" "step %d: unknown recovery kind %S" r.Event.step k);
+      if r.Event.recovery_s < 0.0 then
+        bad "recovery-cost" "step %d: recovery_s = %g < 0" r.Event.step r.Event.recovery_s;
+      if r.Event.wire_bytes < 0.0 then
+        bad "recovery-cost" "step %d: wire_bytes = %g < 0" r.Event.step r.Event.wire_bytes;
+      if r.Event.replayed_steps < 0 || r.Event.lost_edges < 0 || r.Event.lost_replicas < 0 then
+        bad "recovery-cost" "step %d: negative recovery counters" r.Event.step;
       if
-        (not (String.equal r.Trace.kind "rollback"))
-        && r.Trace.replayed_steps <> 0
+        (not (String.equal r.Event.kind "rollback"))
+        && r.Event.replayed_steps <> 0
       then
-        bad "recovery-shape" "step %d: %s recovery replayed %d steps" r.Trace.at_step r.Trace.kind
-          r.Trace.replayed_steps;
+        bad "recovery-shape" "step %d: %s recovery replayed %d steps" r.Event.step r.Event.kind
+          r.Event.replayed_steps;
       (* Lineage rebuilds and spot preemptions both lose resident
          partitions; rollbacks and shuffle retries never do. *)
       if
-        (not (String.equal r.Trace.kind "lineage" || String.equal r.Trace.kind "preempt"))
-        && (r.Trace.lost_edges <> 0 || r.Trace.lost_replicas <> 0)
+        (not (String.equal r.Event.kind "lineage" || String.equal r.Event.kind "preempt"))
+        && (r.Event.lost_edges <> 0 || r.Event.lost_replicas <> 0)
       then
-        bad "recovery-shape" "step %d: %s recovery claims lost partitions" r.Trace.at_step
-          r.Trace.kind)
+        bad "recovery-shape" "step %d: %s recovery claims lost partitions" r.Event.step
+          r.Event.kind)
     t.Trace.recoveries;
   (* Speculation accounting: every clone is itemized, its extra compute
      folds up to the trace total exactly, and each record is internally
@@ -157,7 +156,7 @@ let validate ?payload (t : Trace.t) =
      parallel), which the total-time law above already enforces. *)
   let speculation_total =
     List.fold_left
-      (fun a (s : Trace.speculation) -> a +. s.Trace.speculative_compute_s)
+      (fun a (s : Trace.speculation) -> a +. s.Event.compute_s)
       0.0 t.Trace.speculations
   in
   if not (feq speculation_total t.Trace.speculation_s) then
@@ -165,37 +164,37 @@ let validate ?payload (t : Trace.t) =
       t.Trace.speculation_s speculation_total;
   List.iter
     (fun (s : Trace.speculation) ->
-      let step = s.Trace.at_step in
+      let step = s.Event.step in
       if step < 1 then bad "speculation-step" "speculation at step %d: clones race only at compute supersteps" step;
-      if s.Trace.host = s.Trace.executor then
+      if s.Event.host = s.Event.executor then
         bad "speculation-shape" "step %d: clone hosted on the straggler itself (executor %d)" step
-          s.Trace.executor;
-      if s.Trace.executor < 0 || s.Trace.host < 0 then
-        bad "speculation-shape" "step %d: negative executor ids (%d -> %d)" step s.Trace.executor
-          s.Trace.host;
-      if s.Trace.cloned_partitions <= 0 then
-        bad "speculation-shape" "step %d: clone of %d partitions" step s.Trace.cloned_partitions;
+          s.Event.executor;
+      if s.Event.executor < 0 || s.Event.host < 0 then
+        bad "speculation-shape" "step %d: negative executor ids (%d -> %d)" step s.Event.executor
+          s.Event.host;
+      if s.Event.cloned_partitions <= 0 then
+        bad "speculation-shape" "step %d: clone of %d partitions" step s.Event.cloned_partitions;
       if
-        s.Trace.original_busy_s <= 0.0 || s.Trace.clone_busy_s < 0.0
-        || s.Trace.speculative_compute_s < 0.0
-        || s.Trace.speculative_wire_bytes < 0.0
+        s.Event.original_busy_s <= 0.0 || s.Event.clone_busy_s < 0.0
+        || s.Event.compute_s < 0.0
+        || s.Event.wire_bytes < 0.0
       then bad "speculation-cost" "step %d: negative speculation cost component" step;
-      if s.Trace.won <> (s.Trace.clone_busy_s < s.Trace.original_busy_s) then
+      if s.Event.won <> (s.Event.clone_busy_s < s.Event.original_busy_s) then
         bad "speculation-winner" "step %d: won = %b yet clone busy %.17g vs original %.17g" step
-          s.Trace.won s.Trace.clone_busy_s s.Trace.original_busy_s;
-      let saved = if s.Trace.won then s.Trace.original_busy_s -. s.Trace.clone_busy_s else 0.0 in
-      if not (feq s.Trace.saved_s saved) then
-        bad "speculation-saved" "step %d: saved_s = %.17g, expected %.17g" step s.Trace.saved_s
+          s.Event.won s.Event.clone_busy_s s.Event.original_busy_s;
+      let saved = if s.Event.won then s.Event.original_busy_s -. s.Event.clone_busy_s else 0.0 in
+      if not (feq s.Event.saved_s saved) then
+        bad "speculation-saved" "step %d: saved_s = %.17g, expected %.17g" step s.Event.saved_s
           saved;
       match
-        List.find_opt (fun (ss : Trace.superstep) -> ss.Trace.step = step) t.Trace.supersteps
+        List.find_opt (fun (ss : Trace.superstep) -> ss.Event.step = step) t.Trace.supersteps
       with
       | None -> bad "speculation-step" "speculation at step %d which the trace never ran" step
       | Some ss ->
-          let winner = if s.Trace.won then s.Trace.clone_busy_s else s.Trace.original_busy_s in
-          if ss.Trace.compute_s < winner then
+          let winner = if s.Event.won then s.Event.clone_busy_s else s.Event.original_busy_s in
+          if ss.Event.compute_s < winner then
             bad "speculation-compute" "step %d: compute_s %.17g < winning busy time %.17g" step
-              ss.Trace.compute_s winner)
+              ss.Event.compute_s winner)
     t.Trace.speculations;
   (* Reshuffle accounting: every membership change is itemized, its cost
      folds up to the trace total exactly, and each record conserves the
@@ -203,29 +202,29 @@ let validate ?payload (t : Trace.t) =
      nothing was created or destroyed, and zero moved partitions means
      zero moved (and re-broadcast) bytes. *)
   let reshuffle_total =
-    List.fold_left (fun a (r : Trace.reshuffle) -> a +. r.Trace.reshuffle_s) 0.0 t.Trace.reshuffles
+    List.fold_left (fun a (r : Trace.reshuffle) -> a +. r.Event.reshuffle_s) 0.0 t.Trace.reshuffles
   in
   if not (feq reshuffle_total t.Trace.reshuffle_s) then
     bad "reshuffle-time" "reshuffle_s = %.17g but itemized reshuffles sum to %.17g"
       t.Trace.reshuffle_s reshuffle_total;
   List.iter
     (fun (r : Trace.reshuffle) ->
-      let step = r.Trace.resh_step in
-      if r.Trace.executors_before <= 0 || r.Trace.executors_after <= 0 then
+      let step = r.Event.step in
+      if r.Event.executors_before <= 0 || r.Event.executors_after <= 0 then
         bad "reshuffle-shape" "step %d: non-positive membership (%d -> %d)" step
-          r.Trace.executors_before r.Trace.executors_after;
-      if r.Trace.executors_before = r.Trace.executors_after then
+          r.Event.executors_before r.Event.executors_after;
+      if r.Event.executors_before = r.Event.executors_after then
         bad "reshuffle-shape" "step %d: reshuffle without a membership change (%d executors)" step
-          r.Trace.executors_before;
-      if r.Trace.moved_partitions < 0 || r.Trace.rebroadcast_replicas < 0 then
+          r.Event.executors_before;
+      if r.Event.moved_partitions < 0 || r.Event.rebroadcast_replicas < 0 then
         bad "reshuffle-cost" "step %d: negative reshuffle counters" step;
-      if r.Trace.moved_bytes < 0.0 || r.Trace.rebroadcast_bytes < 0.0 || r.Trace.reshuffle_s < 0.0
+      if r.Event.moved_bytes < 0.0 || r.Event.rebroadcast_bytes < 0.0 || r.Event.reshuffle_s < 0.0
       then bad "reshuffle-cost" "step %d: negative reshuffle cost component" step;
       if
-        r.Trace.moved_partitions = 0
-        && (r.Trace.moved_bytes <> 0.0
-           || r.Trace.rebroadcast_replicas <> 0
-           || r.Trace.rebroadcast_bytes <> 0.0)
+        r.Event.moved_partitions = 0
+        && (r.Event.moved_bytes <> 0.0
+           || r.Event.rebroadcast_replicas <> 0
+           || r.Event.rebroadcast_bytes <> 0.0)
       then
         bad "reshuffle-conservation" "step %d: bytes re-shipped without any moved partition" step)
     t.Trace.reshuffles;
@@ -233,65 +232,45 @@ let validate ?payload (t : Trace.t) =
 
 let tsuite = "telemetry"
 
+(* Events carry the trace's own records, so their fields agree by
+   construction. The laws checked here constrain values: one event per
+   record, the executor profile rebuilding each stage's compute, and the
+   [Run_end] aggregates. *)
 let reconcile (t : Trace.t) events =
   let acc = ref [] in
   let bad rule fmt =
     Format.kasprintf (fun d -> acc := Violation.v ~suite:tsuite ~rule "%s" d :: !acc) fmt
   in
-  let steps = List.filter_map (function Event.Superstep s -> Some s | _ -> None) events in
+  let count rule what n records =
+    if n <> List.length records then
+      bad rule "%d %s events for %d trace records" n what (List.length records)
+  in
+  let steps = List.filter_map (function Event.Superstep (s, p) -> Some (s, p) | _ -> None) events in
   let run_ends = List.filter_map (function Event.Run_end r -> Some r | _ -> None) events in
-  if List.length steps <> List.length t.Trace.supersteps then
-    bad "event-count" "%d superstep events for %d trace stages" (List.length steps)
-      (List.length t.Trace.supersteps)
-  else
-    List.iter2
-      (fun (s : Trace.superstep) (e : Event.superstep) ->
-        let step = s.Trace.step in
-        let check_int name got want =
-          if got <> want then bad name "step %d: event %s = %d, trace has %d" step name got want
-        in
-        let check_float name got want =
-          if not (feq got want) then
-            bad name "step %d: event %s = %.17g, trace has %.17g" step name got want
-        in
-        check_int "step" e.Event.step step;
-        check_int "active-vertices" e.Event.active_vertices s.Trace.updated_vertices;
-        check_int "active-edges" e.Event.active_edges s.Trace.active_edges;
-        (* Sent = received: the event stream's emitted-message count must
-           equal the count the trace merged at the receiving vertices,
-           and local + remote shuffle aggregates must rebuild the
-           trace's group count. *)
-        check_int "messages" e.Event.messages s.Trace.messages;
-        check_int "shuffle-groups"
-          (e.Event.local_shuffles + e.Event.remote_shuffles)
-          s.Trace.shuffle_groups;
-        check_int "remote-shuffles" e.Event.remote_shuffles s.Trace.remote_shuffles;
-        check_int "broadcast-replicas" e.Event.broadcast_replicas s.Trace.broadcast_replicas;
-        check_int "remote-broadcasts" e.Event.remote_broadcasts s.Trace.remote_broadcasts;
-        check_float "wire-bytes" e.Event.wire_bytes s.Trace.wire_bytes;
-        check_float "compute" e.Event.compute_s s.Trace.compute_s;
-        check_float "network" e.Event.network_s s.Trace.network_s;
-        check_float "overhead" e.Event.overhead_s s.Trace.overhead_s;
-        check_float "time" e.Event.time_s s.Trace.time_s;
-        (* Executor decomposition: compute is the slowest executor, and
-           barrier wait is exactly the slack against it. *)
-        let busy_max = Array.fold_left Float.max 0.0 e.Event.executor_busy_s in
-        check_float "busy-makespan" busy_max s.Trace.compute_s;
-        if Array.length e.Event.barrier_wait_s <> Array.length e.Event.executor_busy_s then
-          bad "barrier-shape" "step %d: %d barrier entries for %d executors" step
-            (Array.length e.Event.barrier_wait_s)
-            (Array.length e.Event.executor_busy_s)
-        else
-          Array.iteri
-            (fun i w ->
-              let expect = s.Trace.compute_s -. e.Event.executor_busy_s.(i) in
-              if not (feq w expect) then
-                bad "barrier-wait" "step %d: executor %d barrier wait %.17g, expected %.17g" step
-                  i w expect;
-              if w < 0.0 then
-                bad "barrier-wait" "step %d: executor %d waits %g < 0" step i w)
-            e.Event.barrier_wait_s)
-      t.Trace.supersteps steps;
+  count "event-count" "superstep" (List.length steps) t.Trace.supersteps;
+  List.iter
+    (fun ((s : Event.superstep), (p : Event.executor_profile)) ->
+      let step = s.step in
+      (* Executor decomposition: compute is the slowest executor, and
+         barrier wait is exactly the slack against it. *)
+      let busy_max = Array.fold_left Float.max 0.0 p.executor_busy_s in
+      if not (feq busy_max s.compute_s) then
+        bad "busy-makespan" "step %d: slowest executor busy %.17g, compute_s %.17g" step busy_max
+          s.compute_s;
+      if Array.length p.barrier_wait_s <> Array.length p.executor_busy_s then
+        bad "barrier-shape" "step %d: %d barrier entries for %d executors" step
+          (Array.length p.barrier_wait_s)
+          (Array.length p.executor_busy_s)
+      else
+        Array.iteri
+          (fun i w ->
+            let expect = s.compute_s -. p.executor_busy_s.(i) in
+            if not (feq w expect) then
+              bad "barrier-wait" "step %d: executor %d barrier wait %.17g, expected %.17g" step i w
+                expect;
+            if w < 0.0 then bad "barrier-wait" "step %d: executor %d waits %g < 0" step i w)
+          p.barrier_wait_s)
+    steps;
   (match run_ends with
   | [] -> ()
   | _ :: _ :: _ -> bad "run-end" "%d run_end events for one run" (List.length run_ends)
@@ -314,112 +293,37 @@ let reconcile (t : Trace.t) events =
           (Trace.outcome_name t.Trace.outcome);
       check_int "supersteps" r.Event.supersteps
         (List.fold_left
-           (fun n (s : Trace.superstep) -> if s.Trace.step >= 0 then n + 1 else n)
+           (fun n (s : Trace.superstep) -> if s.Event.step >= 0 then n + 1 else n)
            0 t.Trace.supersteps));
-  (* Fault-layer events mirror the trace's recovery bookkeeping 1:1. *)
   let ckpts = List.filter_map (function Event.Checkpoint c -> Some c | _ -> None) events in
   if List.length ckpts <> t.Trace.checkpoints then
     bad "checkpoint-events" "%d checkpoint events for %d trace checkpoints" (List.length ckpts)
       t.Trace.checkpoints
   else begin
-    let written = List.fold_left (fun a (c : Event.checkpoint) -> a +. c.Event.write_s) 0.0 ckpts in
+    let written = List.fold_left (fun a (c : Event.checkpoint) -> a +. c.write_s) 0.0 ckpts in
     if not (feq written t.Trace.checkpoint_s) then
       bad "checkpoint-events" "checkpoint events sum to %.17g write seconds, trace has %.17g"
         written t.Trace.checkpoint_s
   end;
-  let faults = List.filter_map (function Event.Fault_injected f -> Some f | _ -> None) events in
-  if List.length faults <> t.Trace.faults_injected then
-    bad "fault-events" "%d fault_injected events for %d injected faults" (List.length faults)
+  let kinds f = List.length (List.filter f events) in
+  let faults = kinds (function Event.Fault_injected _ -> true | _ -> false) in
+  if faults <> t.Trace.faults_injected then
+    bad "fault-events" "%d fault_injected events for %d injected faults" faults
       t.Trace.faults_injected;
-  let recovs = List.filter_map (function Event.Recovery r -> Some r | _ -> None) events in
-  if List.length recovs <> List.length t.Trace.recoveries then
-    bad "recovery-events" "%d recovery events for %d trace recoveries" (List.length recovs)
-      (List.length t.Trace.recoveries)
-  else
-    List.iter2
-      (fun (r : Trace.recovery) (e : Event.recovery) ->
-        if
-          e.Event.step <> r.Trace.at_step
-          || (not (String.equal e.Event.kind r.Trace.kind))
-          || e.Event.executor <> r.Trace.executor
-          || e.Event.replayed_steps <> r.Trace.replayed_steps
-          || e.Event.lost_edges <> r.Trace.lost_edges
-          || e.Event.lost_replicas <> r.Trace.lost_replicas
-          || (not (feq e.Event.wire_bytes r.Trace.recovery_wire_bytes))
-          || not (feq e.Event.recovery_s r.Trace.recovery_s)
-        then
-          bad "recovery-events" "recovery event at step %d disagrees with the trace record"
-            e.Event.step)
-      t.Trace.recoveries recovs;
-  (* Speculation events mirror the trace's clone bookkeeping 1:1: one
-     launch per record, one win per record that took the clone. *)
-  let launches =
-    List.filter_map (function Event.Speculative_launch s -> Some s | _ -> None) events
-  in
-  if List.length launches <> List.length t.Trace.speculations then
-    bad "speculation-events" "%d speculative_launch events for %d trace speculations"
-      (List.length launches)
-      (List.length t.Trace.speculations)
-  else
-    List.iter2
-      (fun (s : Trace.speculation) (e : Event.speculative_launch) ->
-        if
-          e.Event.step <> s.Trace.at_step
-          || e.Event.executor <> s.Trace.executor
-          || e.Event.host <> s.Trace.host
-          || e.Event.cloned_partitions <> s.Trace.cloned_partitions
-          || (not (feq e.Event.original_busy_s s.Trace.original_busy_s))
-          || (not (feq e.Event.clone_busy_s s.Trace.clone_busy_s))
-          || (not (feq e.Event.wire_bytes s.Trace.speculative_wire_bytes))
-          || not (feq e.Event.compute_s s.Trace.speculative_compute_s)
-        then
-          bad "speculation-events" "speculative_launch at step %d disagrees with the trace record"
-            e.Event.step)
-      t.Trace.speculations launches;
-  let wins = List.filter_map (function Event.Speculative_win w -> Some w | _ -> None) events in
-  let won = List.filter (fun (s : Trace.speculation) -> s.Trace.won) t.Trace.speculations in
-  if List.length wins <> List.length won then
-    bad "speculation-events" "%d speculative_win events for %d winning clones" (List.length wins)
-      (List.length won)
-  else
-    List.iter2
-      (fun (s : Trace.speculation) (e : Event.speculative_win) ->
-        if
-          e.Event.step <> s.Trace.at_step
-          || e.Event.executor <> s.Trace.executor
-          || e.Event.host <> s.Trace.host
-          || not (feq e.Event.saved_s s.Trace.saved_s)
-        then
-          bad "speculation-events" "speculative_win at step %d disagrees with the trace record"
-            e.Event.step)
-      won wins;
-  (* Elasticity events mirror the trace's reshuffle bookkeeping 1:1:
-     one reshuffle event per itemized record, and every membership
-     change (join or leave) produced exactly one reshuffle. *)
-  let reshuffles = List.filter_map (function Event.Reshuffle r -> Some r | _ -> None) events in
-  if List.length reshuffles <> List.length t.Trace.reshuffles then
-    bad "reshuffle-events" "%d reshuffle events for %d trace reshuffles" (List.length reshuffles)
-      (List.length t.Trace.reshuffles)
-  else
-    List.iter2
-      (fun (r : Trace.reshuffle) (e : Event.reshuffle) ->
-        if
-          e.Event.step <> r.Trace.resh_step
-          || e.Event.executors_before <> r.Trace.executors_before
-          || e.Event.executors_after <> r.Trace.executors_after
-          || e.Event.moved_partitions <> r.Trace.moved_partitions
-          || e.Event.rebroadcast_replicas <> r.Trace.rebroadcast_replicas
-          || (not (feq e.Event.moved_bytes r.Trace.moved_bytes))
-          || (not (feq e.Event.rebroadcast_bytes r.Trace.rebroadcast_bytes))
-          || not (feq e.Event.reshuffle_s r.Trace.reshuffle_s)
-        then
-          bad "reshuffle-events" "reshuffle event at step %d disagrees with the trace record"
-            e.Event.step)
-      t.Trace.reshuffles reshuffles;
-  let joins = List.filter_map (function Event.Executor_join j -> Some j | _ -> None) events in
-  let leaves = List.filter_map (function Event.Executor_leave l -> Some l | _ -> None) events in
-  if List.length joins + List.length leaves <> List.length t.Trace.reshuffles then
-    bad "scale-events" "%d membership events for %d trace reshuffles"
-      (List.length joins + List.length leaves)
-      (List.length t.Trace.reshuffles);
+  count "recovery-events" "recovery"
+    (kinds (function Event.Recovery _ -> true | _ -> false))
+    t.Trace.recoveries;
+  count "speculation-events" "speculative_launch"
+    (kinds (function Event.Speculative_launch _ -> true | _ -> false))
+    t.Trace.speculations;
+  count "speculation-events" "speculative_win"
+    (kinds (function Event.Speculative_win _ -> true | _ -> false))
+    (List.filter (fun (s : Trace.speculation) -> s.won) t.Trace.speculations);
+  count "reshuffle-events" "reshuffle"
+    (kinds (function Event.Reshuffle _ -> true | _ -> false))
+    t.Trace.reshuffles;
+  (* Every membership change (join or leave) produced one reshuffle. *)
+  count "scale-events" "membership"
+    (kinds (function Event.Executor_join _ | Event.Executor_leave _ -> true | _ -> false))
+    t.Trace.reshuffles;
   List.rev !acc

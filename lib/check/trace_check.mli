@@ -1,4 +1,4 @@
-(** Sanitizer for {!Cutfit_bsp.Trace} and its telemetry mirror.
+(** Sanitizer for {!Cutfit_bsp.Trace} and its telemetry stream.
 
     [validate] checks a trace's internal conservation laws: stage
     ordering, non-negative counters, aggregates never outnumbering the
@@ -20,15 +20,15 @@
     (within 1e-9 relative tolerance, as the engines accumulate bytes
     per executor).
 
-    [reconcile] replays the §telemetry contract from PR 1: every
-    superstep event must carry exactly the counters its trace stage was
-    built from (sent = received, local + remote = total, bit-equal
-    floats), executor busy/barrier decompositions must rebuild
-    [compute_s], and the [Run_end] record must match the trace's own
-    aggregates. Fault-layer events reconcile too: checkpoint events
+    [reconcile] checks the telemetry contract. Superstep, recovery,
+    speculation and reshuffle events carry the trace's own records, so
+    their fields agree by construction; what it checks are the laws
+    that still constrain values: one event per trace record of each
+    kind (and one join or leave per reshuffle), executor busy/barrier
+    decompositions that rebuild [compute_s], checkpoint events that
     match the trace's checkpoint count and write time, [Fault_injected]
-    events count the trace's [faults_injected], and each [Recovery]
-    event mirrors its trace record field-for-field. *)
+    events that count the trace's [faults_injected], and a single
+    [Run_end] record that matches the trace's own aggregates. *)
 
 type payload = {
   msg_wire_bytes : float;  (** bytes per remote shuffle aggregate, overhead included *)

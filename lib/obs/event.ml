@@ -1,21 +1,24 @@
 type superstep = {
   step : int;
-  active_vertices : int;
   active_edges : int;
   messages : int;
-  local_shuffles : int;
+  shuffle_groups : int;
   remote_shuffles : int;
+  updated_vertices : int;
   broadcast_replicas : int;
   remote_broadcasts : int;
   wire_bytes : float;
-  executor_busy_s : float array;
-  barrier_wait_s : float array;
-  max_task_s : float;
-  min_task_s : float;
   compute_s : float;
   network_s : float;
   overhead_s : float;
   time_s : float;
+}
+
+type executor_profile = {
+  executor_busy_s : float array;
+  barrier_wait_s : float array;
+  max_task_s : float;
+  min_task_s : float;
 }
 
 type run_end = {
@@ -33,7 +36,7 @@ type run_end = {
 
 type fault_injected = {
   step : int;
-  kind : string;  (** "crash" | "straggler" | "net" | "loss" *)
+  kind : string;  (** "crash" | "straggler" | "net" | "loss" | "preempt" *)
   executor : int;  (** -1 when cluster-wide *)
   detail : string;
 }
@@ -42,7 +45,7 @@ type checkpoint = { step : int; bytes : float; write_s : float }
 
 type recovery = {
   step : int;
-  kind : string;  (** "rollback" | "lineage" | "shuffle-retry" *)
+  kind : string;  (** "rollback" | "lineage" | "shuffle-retry" | "preempt" *)
   executor : int;
   replayed_steps : int;
   lost_edges : int;
@@ -51,7 +54,7 @@ type recovery = {
   recovery_s : float;
 }
 
-type speculative_launch = {
+type speculation = {
   step : int;
   executor : int;  (** the straggler whose tasks were cloned *)
   host : int;  (** the least-loaded executor hosting the clone *)
@@ -60,9 +63,9 @@ type speculative_launch = {
   clone_busy_s : float;
   wire_bytes : float;  (** re-shuffled ingress, outside the wire-payload law *)
   compute_s : float;  (** extra compute burned by the clone *)
+  won : bool;
+  saved_s : float;
 }
-
-type speculative_win = { step : int; executor : int; host : int; saved_s : float }
 
 type job_retry = { job_id : int; attempt : int; delay_s : float; resubmit_s : float }
 
@@ -168,13 +171,13 @@ type tenant_throttle = {
 
 type t =
   | Run_start of { label : string }
-  | Superstep of superstep
+  | Superstep of superstep * executor_profile
   | Run_end of run_end
   | Fault_injected of fault_injected
   | Checkpoint of checkpoint
   | Recovery of recovery
-  | Speculative_launch of speculative_launch
-  | Speculative_win of speculative_win
+  | Speculative_launch of speculation
+  | Speculative_win of speculation
   | Job_submit of job_submit
   | Job_start of job_start
   | Job_end of job_end
@@ -191,10 +194,13 @@ type t =
   | Reshuffle of reshuffle
   | Tenant_throttle of tenant_throttle
 
-let skew s =
-  if s.min_task_s > 0.0 then s.max_task_s /. s.min_task_s
-  else if s.max_task_s > 0.0 then Float.infinity
+let skew p =
+  if p.min_task_s > 0.0 then p.max_task_s /. p.min_task_s
+  else if p.max_task_s > 0.0 then Float.infinity
   else 1.0
+
+let speculation_events s =
+  Speculative_launch s :: (if s.won then [ Speculative_win s ] else [])
 
 (* --- JSON --- *)
 
@@ -203,23 +209,23 @@ let floats arr = Json.List (Array.to_list (Array.map (fun f -> Json.Float f) arr
 let to_json = function
   | Run_start { label } ->
       Json.Obj [ ("type", Json.String "run_start"); ("label", Json.String label) ]
-  | Superstep s ->
+  | Superstep (s, p) ->
       Json.Obj
         [
           ("type", Json.String "superstep");
           ("step", Json.Int s.step);
-          ("active_vertices", Json.Int s.active_vertices);
+          ("active_vertices", Json.Int s.updated_vertices);
           ("active_edges", Json.Int s.active_edges);
           ("messages", Json.Int s.messages);
-          ("local_shuffles", Json.Int s.local_shuffles);
+          ("local_shuffles", Json.Int (s.shuffle_groups - s.remote_shuffles));
           ("remote_shuffles", Json.Int s.remote_shuffles);
           ("broadcast_replicas", Json.Int s.broadcast_replicas);
           ("remote_broadcasts", Json.Int s.remote_broadcasts);
           ("wire_bytes", Json.Float s.wire_bytes);
-          ("executor_busy_s", floats s.executor_busy_s);
-          ("barrier_wait_s", floats s.barrier_wait_s);
-          ("max_task_s", Json.Float s.max_task_s);
-          ("min_task_s", Json.Float s.min_task_s);
+          ("executor_busy_s", floats p.executor_busy_s);
+          ("barrier_wait_s", floats p.barrier_wait_s);
+          ("max_task_s", Json.Float p.max_task_s);
+          ("min_task_s", Json.Float p.min_task_s);
           ("compute_s", Json.Float s.compute_s);
           ("network_s", Json.Float s.network_s);
           ("overhead_s", Json.Float s.overhead_s);
@@ -448,18 +454,19 @@ let to_line t = Json.to_string (to_json t)
 
 let pp ppf = function
   | Run_start { label } -> Format.fprintf ppf "run %s" label
-  | Superstep s ->
+  | Superstep (s, p) ->
       if s.step = -1 then
         Format.fprintf ppf
           "build  : wire=%.0fB compute=%.3fs network=%.3fs skew=%.2f t=%.3fs" s.wire_bytes
-          s.compute_s s.network_s (skew s) s.time_s
+          s.compute_s s.network_s (skew p) s.time_s
       else
         Format.fprintf ppf
           "step %2d: act=%d edges=%d msgs=%d shfl=%d(+%d rem) bcast=%d(+%d rem) wire=%.0fB \
            skew=%.2f t=%.3fs (c=%.3f n=%.3f o=%.3f)"
-          s.step s.active_vertices s.active_edges s.messages s.local_shuffles s.remote_shuffles
-          s.broadcast_replicas s.remote_broadcasts s.wire_bytes (skew s) s.time_s s.compute_s
-          s.network_s s.overhead_s
+          s.step s.updated_vertices s.active_edges s.messages
+          (s.shuffle_groups - s.remote_shuffles)
+          s.remote_shuffles s.broadcast_replicas s.remote_broadcasts s.wire_bytes (skew p)
+          s.time_s s.compute_s s.network_s s.overhead_s
   | Run_end r ->
       Format.fprintf ppf
         "end %s: %s, %d supersteps, %.2fs total, %d msgs (%d remote), %.0f wire bytes" r.label

@@ -1,39 +1,49 @@
-(** Structured telemetry events emitted by the BSP engines.
+(** The per-run records of a simulated BSP execution and the structured
+    telemetry events that carry them.
 
-    A {!superstep} record is the observability counterpart of
-    [Trace.superstep]: it is built from the {e same} counters, at the
-    same point in the engine, so summing the event stream reproduces the
-    run's trace aggregates exactly — the invariant the test suite
-    checks. On top of the trace quantities it carries the signals the
-    trace discards: total bytes on the wire, per-executor busy time and
-    barrier wait, and the jittered task-skew extrema that explain
-    straggler behaviour.
+    Four facts of a run are declared once, here, below the engines:
+    {!superstep} (one priced stage), {!recovery}, {!speculation} and
+    {!reshuffle}. The pricer stores each record in the run's [Trace.t]
+    and hands the very same value to the sinks, so the event stream and
+    the trace cannot disagree on them. On top of a stage's counters a
+    [Superstep] event carries the signals the trace discards: per-executor
+    busy time and barrier wait, and the jittered task-skew extrema that
+    explain straggler behaviour ({!executor_profile}).
 
     Events are plain data; the sinks decide what to do with them. The
     JSON encoding is stable and versioned by field names only — one
-    object per event, suitable for JSONL streams. *)
+    object per event, suitable for JSONL streams. Field names are the
+    JSON keys, except for the superstep keys noted on {!superstep}. *)
 
 type superstep = {
   step : int;  (** -1 is the one-time graph build/partitioning stage *)
-  active_vertices : int;  (** vertices that ran the vertex program *)
   active_edges : int;  (** triplets whose send/gather function ran *)
   messages : int;  (** messages emitted before local aggregation *)
-  local_shuffles : int;  (** shuffle aggregates staying on their executor *)
-  remote_shuffles : int;  (** shuffle aggregates crossing executors *)
+  shuffle_groups : int;  (** distinct (vertex, partition) aggregates shuffled *)
+  remote_shuffles : int;  (** shuffle groups crossing executors *)
+  updated_vertices : int;
+      (** vertices that ran the vertex program; JSON key ["active_vertices"] *)
   broadcast_replicas : int;  (** replica copies refreshed from masters *)
   remote_broadcasts : int;  (** replica refreshes crossing executors *)
   wire_bytes : float;  (** total scaled egress bytes across all executors *)
+  compute_s : float;  (** modeled executor compute (max over executors) *)
+  network_s : float;  (** modeled wire time (max over executors) *)
+  overhead_s : float;  (** task dispatch + superstep barrier *)
+  time_s : float;  (** max(compute, network) + overhead — shuffle overlaps compute *)
+}
+(** One priced stage. Its JSON adds the derived key ["local_shuffles"]
+    ([shuffle_groups - remote_shuffles]). *)
+
+type executor_profile = {
   executor_busy_s : float array;  (** per-executor jittered compute makespan *)
   barrier_wait_s : float array;
       (** per-executor idle time at the superstep barrier: the slowest
           executor's compute minus this executor's own *)
   max_task_s : float;  (** largest single jittered task in the superstep *)
   min_task_s : float;  (** smallest (often 0 when a partition is idle) *)
-  compute_s : float;  (** modeled executor compute (max over executors) *)
-  network_s : float;  (** modeled wire time (max over executors) *)
-  overhead_s : float;  (** task dispatch + superstep barrier *)
-  time_s : float;  (** max(compute, network) + overhead *)
 }
+(** The telemetry-only half of a [Superstep] event; runs without a
+    telemetry handle never build one. *)
 
 type run_end = {
   label : string;  (** engine or algorithm identifier, e.g. ["pregel"] *)
@@ -55,12 +65,11 @@ type run_end = {
     Emitted by the engines when a [Faults] schedule is attached: one
     {!fault_injected} per fault firing, one {!checkpoint} per superstep
     checkpoint written, one {!recovery} per recovery the engine paid
-    for. The records mirror the trace's own recovery bookkeeping
-    field-for-field, so event aggregates reconcile exactly. *)
+    for — the same record the trace itemizes. *)
 
 type fault_injected = {
   step : int;
-  kind : string;  (** "crash" | "straggler" | "net" | "loss" *)
+  kind : string;  (** "crash" | "straggler" | "net" | "loss" | "preempt" *)
   executor : int;  (** -1 when the fault is cluster-wide (net) *)
   detail : string;
 }
@@ -68,36 +77,44 @@ type fault_injected = {
 type checkpoint = { step : int; bytes : float; write_s : float }
 
 type recovery = {
-  step : int;
-  kind : string;  (** "rollback" | "lineage" | "shuffle-retry" *)
-  executor : int;
-  replayed_steps : int;
-  lost_edges : int;
-  lost_replicas : int;
-  wire_bytes : float;  (** bytes moved only because of the fault *)
-  recovery_s : float;
+  step : int;  (** superstep at whose barrier the fault surfaced *)
+  kind : string;  (** "rollback" | "lineage" | "shuffle-retry" | "preempt" *)
+  executor : int;  (** the executor that crashed / lost the shuffle *)
+  replayed_steps : int;  (** rollback: supersteps replayed since checkpoint *)
+  lost_edges : int;  (** lineage and preempt: edges rebuilt on the replacement *)
+  lost_replicas : int;  (** lineage and preempt: replica views re-broadcast *)
+  wire_bytes : float;
+      (** bytes moved only because of the fault (reshuffle, retransmit) —
+          deliberately outside {!superstep.wire_bytes} so the wire-payload
+          law over supersteps still holds on faulty runs *)
+  recovery_s : float;  (** modeled time charged for this recovery *)
 }
 
 (** {2 Speculation records}
 
     Emitted by the engines when a [Speculation] config is attached: one
-    {!speculative_launch} per clone launched at a superstep barrier,
-    followed by a {!speculative_win} when the clone finished first and
-    its results were taken. The fields mirror [Trace.speculation]
-    exactly, so event counts and sums reconcile with the trace. *)
+    [Speculative_launch] per clone launched at a superstep barrier,
+    followed by a [Speculative_win] carrying the same record when the
+    clone finished first and its results were taken. *)
 
-type speculative_launch = {
-  step : int;
-  executor : int;  (** the straggler whose tasks were cloned *)
-  host : int;  (** the least-loaded executor hosting the clone *)
-  cloned_partitions : int;
-  original_busy_s : float;
+type speculation = {
+  step : int;  (** superstep whose barrier launched the clone *)
+  executor : int;  (** the straggling executor whose tasks were cloned *)
+  host : int;  (** the least-loaded executor the clone ran on *)
+  cloned_partitions : int;  (** tasks re-dispatched to the host *)
+  original_busy_s : float;  (** the straggler's (stretched) busy time *)
   clone_busy_s : float;
-  wire_bytes : float;  (** re-shuffled ingress, outside the wire-payload law *)
-  compute_s : float;  (** extra compute burned by the clone *)
+      (** the clone's finish time from barrier start: host's own busy +
+          launch RPC + re-dispatch + re-shuffle + clean re-execution *)
+  wire_bytes : float;
+      (** the straggler's shuffle ingress, re-sent to the host — outside
+          {!superstep.wire_bytes}, like {!recovery.wire_bytes} *)
+  compute_s : float;
+      (** compute the clone burned re-running the straggler's tasks —
+          resource cost charged whether or not the clone won *)
+  won : bool;  (** the clone finished first and its results were taken *)
+  saved_s : float;  (** original - clone busy when won, else 0 *)
 }
-
-type speculative_win = { step : int; executor : int; host : int; saved_s : float }
 
 (** {2 Workload-engine records}
 
@@ -215,16 +232,18 @@ type executor_join = {
 type executor_leave = { step : int; count : int; executors : int }
 
 type reshuffle = {
-  step : int;
+  step : int;  (** superstep before which the membership changed *)
   executors_before : int;
   executors_after : int;
-  moved_partitions : int;  (** partitions whose home executor changed *)
-  moved_bytes : float;
-      (** resident bytes re-shipped; outside the superstep wire-payload
-          law, like recovery traffic *)
-  rebroadcast_replicas : int;
+  moved_partitions : int;  (** partitions whose round-robin home moved *)
+  moved_bytes : float;  (** scaled resident bytes of the moved partitions *)
+  rebroadcast_replicas : int;  (** vertex views re-broadcast from new homes *)
   rebroadcast_bytes : float;
-  reshuffle_s : float;
+      (** both byte columns are deliberately outside
+          {!superstep.wire_bytes}, like recovery and speculation
+          traffic, so the wire-payload law over supersteps still holds
+          on elastic runs *)
+  reshuffle_s : float;  (** modeled time the membership change charged *)
 }
 
 type tenant_throttle = {
@@ -237,13 +256,15 @@ type tenant_throttle = {
 type t =
   | Run_start of { label : string }
       (** segments multi-run streams (e.g. [compare] traces) *)
-  | Superstep of superstep
+  | Superstep of superstep * executor_profile
   | Run_end of run_end
   | Fault_injected of fault_injected
   | Checkpoint of checkpoint
   | Recovery of recovery
-  | Speculative_launch of speculative_launch
-  | Speculative_win of speculative_win
+  | Speculative_launch of speculation
+  | Speculative_win of speculation
+      (** only for a [won] clone; its JSON writes [step], [executor],
+          [host] and [saved_s] *)
   | Job_submit of job_submit
   | Job_start of job_start
   | Job_end of job_end
@@ -260,9 +281,14 @@ type t =
   | Reshuffle of reshuffle
   | Tenant_throttle of tenant_throttle
 
-val skew : superstep -> float
-(** [max_task_s /. min_task_s], or [infinity] when the smallest task is
-    idle — the straggler spread of one superstep. *)
+val skew : executor_profile -> float
+(** [max_task_s /. min_task_s] — the straggler spread of one superstep:
+    [infinity] when the smallest task is idle but some task worked, and
+    [1.0] when every task was idle. *)
+
+val speculation_events : speculation -> t list
+(** The events one clone produces: [Speculative_launch s], then
+    [Speculative_win s] when [s.won]. *)
 
 val to_line : t -> string
 (** One-line JSON rendering, the JSONL wire format. *)

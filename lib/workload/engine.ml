@@ -931,7 +931,7 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
            workload stream narrates at job granularity), so itemize this
            attempt's speculative clones from the trace it returned. *)
         List.iter
-          (fun s -> List.iter emit (Cutfit_bsp.Pricer.speculation_events s))
+          (fun s -> List.iter emit (Event.speculation_events s))
           trace.Trace.speculations;
         (* Decompose the real trace: the engines always record the load
            and the step -1 build stage, whether or not the partitioning
@@ -939,9 +939,9 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
            them. *)
         let build_s =
           match
-            List.find_opt (fun (s : Trace.superstep) -> s.Trace.step = -1) trace.Trace.supersteps
+            List.find_opt (fun (s : Trace.superstep) -> s.Event.step = -1) trace.Trace.supersteps
           with
-          | Some s -> s.Trace.time_s
+          | Some s -> s.Event.time_s
           | None -> 0.0
         in
         let partition_cost = trace.Trace.load_s +. build_s in

@@ -7,6 +7,7 @@ module Cost_model = Cutfit_bsp.Cost_model
 module Pgraph = Cutfit_bsp.Pgraph
 module Pregel = Cutfit_bsp.Pregel
 module Trace = Cutfit_bsp.Trace
+module Event = Cutfit_obs.Event
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -141,14 +142,14 @@ let test_pregel_trace_sanity () =
   checkb "positive total" true (t.Trace.total_s > 0.0);
   checkb "load positive" true (t.Trace.load_s > 0.0);
   List.iter
-    (fun s ->
-      checkb "nonneg compute" true (s.Trace.compute_s >= 0.0);
-      checkb "nonneg network" true (s.Trace.network_s >= 0.0);
-      checkb "time >= overhead" true (s.Trace.time_s >= s.Trace.overhead_s))
+    (fun (s : Trace.superstep) ->
+      checkb "nonneg compute" true (s.Event.compute_s >= 0.0);
+      checkb "nonneg network" true (s.Event.network_s >= 0.0);
+      checkb "time >= overhead" true (s.Event.time_s >= s.Event.overhead_s))
     t.Trace.supersteps;
   (* First trace entry is the build stage. *)
   (match t.Trace.supersteps with
-  | first :: _ -> checki "build stage" (-1) first.Trace.step
+  | first :: _ -> checki "build stage" (-1) first.Event.step
   | [] -> Alcotest.fail "no supersteps");
   checkb "summary mentions supersteps" true
     (String.length (Format.asprintf "%a" Trace.pp_summary t) > 0)
@@ -359,18 +360,18 @@ let test_pricer_closed_form () =
   List.iter2
     (fun (s : Trace.superstep) egress ->
       let network = egress /. bandwidth in
-      checkf "compute = slowest executor's makespan" 4.0 s.Trace.compute_s;
-      checkf "network = busiest egress over the NIC" network s.Trace.network_s;
-      checkf "overhead = barrier + dispatch" overhead s.Trace.overhead_s;
+      checkf "compute = slowest executor's makespan" 4.0 s.Event.compute_s;
+      checkf "network = busiest egress over the NIC" network s.Event.network_s;
+      checkf "overhead = barrier + dispatch" overhead s.Event.overhead_s;
       checkf "time = max(compute, network) + overhead"
         (Float.max 4.0 network +. overhead)
-        s.Trace.time_s;
-      checkf "wire = total egress" (egress +. (egress /. 2.0)) s.Trace.wire_bytes;
-      checki "counts pass through" 7 s.Trace.messages;
-      checki "remote shuffles pass through" 2 s.Trace.remote_shuffles)
+        s.Event.time_s;
+      checkf "wire = total egress" (egress +. (egress /. 2.0)) s.Event.wire_bytes;
+      checki "counts pass through" 7 s.Event.messages;
+      checki "remote shuffles pass through" 2 s.Event.remote_shuffles)
     t.Trace.supersteps [ 1e8; 1e9 ];
   checkb "one step compute-bound, one network-bound" true
-    (List.map (fun (s : Trace.superstep) -> s.Trace.compute_s > s.Trace.network_s) t.Trace.supersteps
+    (List.map (fun (s : Trace.superstep) -> s.Event.compute_s > s.Event.network_s) t.Trace.supersteps
     = [ true; false ])
 
 let test_pricer_driver_limit () =
@@ -413,7 +414,7 @@ let test_pricer_speculation_skips_setup () =
     [ 0; 1 ];
   let t = Pricer.finish pr ~outcome:Trace.Completed ~peak_executor_bytes:0.0 in
   Alcotest.(check (list int)) "only step 1 speculated" [ 1 ]
-    (List.map (fun (s : Trace.speculation) -> s.Trace.at_step) t.Trace.speculations)
+    (List.map (fun (s : Trace.speculation) -> s.Event.step) t.Trace.speculations)
 
 let test_pricer_loss_is_recovery_traffic () =
   let faults = Cutfit_bsp.Faults.config "loss@1:e1:r2" in
@@ -425,12 +426,12 @@ let test_pricer_loss_is_recovery_traffic () =
   let t = Pricer.finish pr ~outcome:Trace.Completed ~peak_executor_bytes:0.0 in
   match (t.Trace.recoveries, t.Trace.supersteps) with
   | [ r ], [ s ] ->
-      Alcotest.(check string) "kind" "shuffle-retry" r.Trace.kind;
-      checki "lossy executor" 1 r.Trace.executor;
-      checkf "two retransmissions of its egress" 1e7 r.Trace.recovery_wire_bytes;
-      checkf "superstep wire excludes the retransmission" 8e6 s.Trace.wire_bytes;
-      checkf "recovery time is itemized" r.Trace.recovery_s t.Trace.recovery_s;
-      checkb "and charged to the run" true (t.Trace.total_s > s.Trace.time_s +. t.Trace.load_s)
+      Alcotest.(check string) "kind" "shuffle-retry" r.Event.kind;
+      checki "lossy executor" 1 r.Event.executor;
+      checkf "two retransmissions of its egress" 1e7 r.Event.wire_bytes;
+      checkf "superstep wire excludes the retransmission" 8e6 s.Event.wire_bytes;
+      checkf "recovery time is itemized" r.Event.recovery_s t.Trace.recovery_s;
+      checkb "and charged to the run" true (t.Trace.total_s > s.Event.time_s +. t.Trace.load_s)
   | _ -> Alcotest.fail "expected one step and one shuffle-retry recovery"
 
 let suite =

@@ -5,6 +5,7 @@
 module Graph = Cutfit_graph.Graph
 module Pgraph = Cutfit_bsp.Pgraph
 module Trace = Cutfit_bsp.Trace
+module Event = Cutfit_obs.Event
 module Metrics = Cutfit.Metrics
 module Partitioner = Cutfit.Partitioner
 module Pipeline = Cutfit.Pipeline
@@ -166,25 +167,74 @@ let with_first_compute_step f t =
   {
     t with
     Trace.supersteps =
-      List.map (fun s -> if s.Trace.step = 0 then f s else s) t.Trace.supersteps;
+      List.map (fun (s : Trace.superstep) -> if s.Event.step = 0 then f s else s) t.Trace.supersteps;
   }
 
 let test_trace_time_decomposition () =
-  let broken = with_first_compute_step (fun s -> { s with Trace.time_s = s.Trace.time_s +. 0.25 }) trace in
+  let broken = with_first_compute_step (fun s -> { s with Event.time_s = s.Event.time_s +. 0.25 }) trace in
   check_rule "padded superstep time" "time-decomposition" (Trace_check.validate broken);
   check_rule "total no longer folds" "total-time" (Trace_check.validate broken)
 
 let test_trace_conservation () =
-  let broken = with_first_compute_step (fun s -> { s with Trace.remote_shuffles = s.Trace.shuffle_groups + 1 }) trace in
+  let broken = with_first_compute_step (fun s -> { s with Event.remote_shuffles = s.Event.shuffle_groups + 1 }) trace in
   check_rule "more remote than total" "shuffle-conservation" (Trace_check.validate broken)
 
 let test_trace_negative_counter () =
-  let broken = with_first_compute_step (fun s -> { s with Trace.messages = -4 }) trace in
+  let broken = with_first_compute_step (fun s -> { s with Event.messages = -4 }) trace in
   check_rule "negative messages" "negative-count" (Trace_check.validate broken)
 
 let test_trace_checkpoint_time () =
   let broken = { trace with Trace.checkpoints = 0; checkpoint_s = 1.0; total_s = trace.Trace.total_s +. 1.0 -. trace.Trace.checkpoint_s } in
   check_rule "phantom checkpoint seconds" "checkpoint-time" (Trace_check.validate broken)
+
+(* --- telemetry reconciliation: each defect fires its named rule --- *)
+
+(* A checkpointed run with one crash, so the stream carries a recovery. *)
+let observed_run () =
+  let ring, contents = Cutfit.Sink.ring () in
+  let t = Cutfit.Telemetry.create ~sinks:[ ring ] () in
+  let p =
+    Pipeline.prepare ~cluster ~partitioner:(Partitioner.Hash Cutfit.Strategy.Two_d)
+      ~checkpoint_every:2 ~faults:(Cutfit.Faults.config "crash@2") ~telemetry:t
+      ~algorithm:Cutfit.Advisor.Pagerank g
+  in
+  let trace = snd (Pipeline.pagerank p) in
+  Cutfit.Telemetry.close t;
+  (trace, contents ())
+
+(* Rewrite the executor profile of compute superstep 0. *)
+let on_step0 f =
+  List.map (function
+    | Event.Superstep (s, p) when s.Event.step = 0 -> Event.Superstep (s, f p)
+    | e -> e)
+
+let test_reconcile_defects () =
+  let trace, events = observed_run () in
+  checki "the run recovered once" 1 (List.length trace.Trace.recoveries);
+  check_clean "intact event stream" (Trace_check.reconcile trace events);
+  List.iter
+    (fun (what, rule, defect) -> check_rule what rule (Trace_check.reconcile trace (defect events)))
+    [
+      ( "total_s one ULP off",
+        "total-time",
+        List.map (function
+          | Event.Run_end r -> Event.Run_end { r with total_s = Float.succ r.Event.total_s }
+          | e -> e) );
+      ( "slowest executor off compute",
+        "busy-makespan",
+        on_step0 (fun p ->
+            { p with Event.executor_busy_s = Array.map (fun b -> b +. 1.0) p.executor_busy_s }) );
+      ( "negative barrier wait",
+        "barrier-wait",
+        on_step0 (fun p ->
+            { p with Event.barrier_wait_s = Array.map (fun _ -> -1.0) p.barrier_wait_s }) );
+      ( "second run_end",
+        "run-end",
+        fun events -> events @ List.filter (function Event.Run_end _ -> true | _ -> false) events );
+      ( "dropped recovery",
+        "recovery-events",
+        List.filter (function Event.Recovery _ -> false | _ -> true) );
+    ]
 
 (* --- determinism digests --- *)
 
@@ -195,7 +245,7 @@ let test_digest_stability () =
   checkb "digest is hex md5" true (String.length (Determinism.trace_digest t1) = 32)
 
 let test_digest_sensitivity () =
-  let broken = with_first_compute_step (fun s -> { s with Trace.messages = s.Trace.messages + 1 }) trace in
+  let broken = with_first_compute_step (fun s -> { s with Event.messages = s.Event.messages + 1 }) trace in
   checkb "one counter flips the digest" true
     (Determinism.trace_digest broken <> Determinism.trace_digest trace)
 
@@ -264,6 +314,7 @@ let suite =
     Alcotest.test_case "trace: conservation" `Quick test_trace_conservation;
     Alcotest.test_case "trace: negative counter" `Quick test_trace_negative_counter;
     Alcotest.test_case "trace: checkpoint time" `Quick test_trace_checkpoint_time;
+    Alcotest.test_case "reconcile: each defect fires its rule" `Quick test_reconcile_defects;
     Alcotest.test_case "determinism: digest stability" `Quick test_digest_stability;
     Alcotest.test_case "determinism: digest sensitivity" `Quick test_digest_sensitivity;
     Alcotest.test_case "determinism: run twice" `Quick test_run_twice;

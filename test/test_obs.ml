@@ -111,25 +111,27 @@ let prop_json_float_bits =
 let test_event_to_line_pinned () =
   let ss =
     Event.Superstep
-      {
-        Event.step = 3;
-        active_vertices = 17;
-        active_edges = 90;
-        messages = 123;
-        local_shuffles = 40;
-        remote_shuffles = 60;
-        broadcast_replicas = 55;
-        remote_broadcasts = 21;
-        wire_bytes = 123456.789;
-        executor_busy_s = [| 0.1; 0.30000000000000004 |];
-        barrier_wait_s = [| 0.2; 0.0 |];
-        max_task_s = 0.025;
-        min_task_s = 1e-9;
-        compute_s = 0.3;
-        network_s = 0.01;
-        overhead_s = 0.05;
-        time_s = 0.35;
-      }
+      ( {
+          Event.step = 3;
+          active_edges = 90;
+          messages = 123;
+          shuffle_groups = 100;
+          remote_shuffles = 60;
+          updated_vertices = 17;
+          broadcast_replicas = 55;
+          remote_broadcasts = 21;
+          wire_bytes = 123456.789;
+          compute_s = 0.3;
+          network_s = 0.01;
+          overhead_s = 0.05;
+          time_s = 0.35;
+        },
+        {
+          Event.executor_busy_s = [| 0.1; 0.30000000000000004 |];
+          barrier_wait_s = [| 0.2; 0.0 |];
+          max_task_s = 0.025;
+          min_task_s = 1e-9;
+        } )
   in
   let re =
     Event.Run_end
@@ -157,25 +159,7 @@ let test_event_to_line_pinned () =
 
 let test_skew () =
   let base =
-    {
-      Event.step = 0;
-      active_vertices = 0;
-      active_edges = 0;
-      messages = 0;
-      local_shuffles = 0;
-      remote_shuffles = 0;
-      broadcast_replicas = 0;
-      remote_broadcasts = 0;
-      wire_bytes = 0.0;
-      executor_busy_s = [||];
-      barrier_wait_s = [||];
-      max_task_s = 0.0;
-      min_task_s = 0.0;
-      compute_s = 0.0;
-      network_s = 0.0;
-      overhead_s = 0.0;
-      time_s = 0.0;
-    }
+    { Event.executor_busy_s = [||]; barrier_wait_s = [||]; max_task_s = 0.0; min_task_s = 0.0 }
   in
   checkf "idle superstep skews 1.0" 1.0 (Event.skew base);
   checkf "balanced" 2.0 (Event.skew { base with Event.max_task_s = 0.4; min_task_s = 0.2 });
@@ -274,7 +258,7 @@ let observed_run () =
   (r.Pregel.trace, contents (), t, path)
 
 let supersteps_of events =
-  List.filter_map (function Event.Superstep s -> Some s | _ -> None) events
+  List.filter_map (function Event.Superstep (s, p) -> Some (s, p) | _ -> None) events
 
 let run_ends_of events =
   List.filter_map (function Event.Run_end e -> Some e | _ -> None) events
@@ -289,43 +273,62 @@ let split_first_run events =
   in
   take [] events
 
+(* What the event stream alone carries: each stage's executor profile.
+   The counters are the trace's own records (see the next test). *)
 let test_event_stream_reconciles_with_trace () =
   let trace, events, _t, path = observed_run () in
   Sys.remove path;
   let first_run, _rest = split_first_run events in
   let ss = supersteps_of first_run in
   checki "one event per trace superstep" (List.length trace.Trace.supersteps) (List.length ss);
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 ss in
-  let sumf f = List.fold_left (fun acc s -> acc +. f s) 0.0 ss in
-  checki "messages" (Trace.total_messages trace) (sum (fun s -> s.Event.messages));
-  checki "remote messages"
-    (Trace.total_remote_messages trace)
-    (sum (fun s -> s.Event.remote_shuffles + s.Event.remote_broadcasts));
-  checkf "wire bytes, exactly"
-    (Trace.total_wire_bytes trace)
-    (sumf (fun s -> s.Event.wire_bytes));
-  checkb "remote traffic observed" true (Trace.total_remote_messages trace > 0);
-  (* Per-superstep: the event's fields agree with the trace record. *)
-  List.iter2
-    (fun (ts : Trace.superstep) (es : Event.superstep) ->
-      checki "step" ts.Trace.step es.Event.step;
-      checki "msgs" ts.Trace.messages es.Event.messages;
-      checki "remote shuffles" ts.Trace.remote_shuffles es.Event.remote_shuffles;
-      checki "local + remote = shuffle groups" ts.Trace.shuffle_groups
-        (es.Event.local_shuffles + es.Event.remote_shuffles);
-      checkf "wire" ts.Trace.wire_bytes es.Event.wire_bytes;
-      checkf "compute" ts.Trace.compute_s es.Event.compute_s;
-      checkf "time" ts.Trace.time_s es.Event.time_s;
+  List.iter
+    (fun ((s : Event.superstep), (p : Event.executor_profile)) ->
       (* Barrier accounting: waits are measured against the slowest
-         executor, so the minimum wait is exactly zero and
-         busy + wait is constant across executors. *)
-      let slowest = Array.fold_left Float.max 0.0 es.Event.executor_busy_s in
+         executor, so busy + wait is constant across executors and
+         equals the stage's compute. *)
+      let slowest = Array.fold_left Float.max 0.0 p.executor_busy_s in
+      checkf "slowest executor is the compute" s.compute_s slowest;
       Array.iteri
-        (fun e wait ->
-          checkf "busy + wait = slowest" slowest (es.Event.executor_busy_s.(e) +. wait))
-        es.Event.barrier_wait_s;
-      checkb "max task bounds min" true (es.Event.max_task_s >= es.Event.min_task_s))
-    trace.Trace.supersteps ss
+        (fun e wait -> checkf "busy + wait = slowest" slowest (p.executor_busy_s.(e) +. wait))
+        p.barrier_wait_s;
+      checkb "max task bounds min" true (p.max_task_s >= p.min_task_s))
+    ss
+
+(* The pricer stores each record once: the payload every [Superstep],
+   [Recovery], [Speculative_launch]/[_win] and [Reshuffle] event carries
+   is the trace's own value, in the trace's order. The schedule below
+   fires one crash (a rollback recovery), a straggler whose clone wins,
+   and one leave and one join (two reshuffles). *)
+let test_events_share_trace_records () =
+  let g = Cutfit.Datasets.generate (Cutfit.Datasets.find "roadnet_pa") in
+  let ring, contents = Sink.ring () in
+  let t = Telemetry.create ~sinks:[ ring ] () in
+  let p =
+    Cutfit.Pipeline.prepare ~checkpoint_every:2
+      ~faults:(Cutfit.Faults.config ~seed:42 "crash@2,straggler@3-4:x20")
+      ~speculation:(Cutfit.Speculation.config ~seed:42 ())
+      ~elastic:(Cutfit.Elastic.config ~seed:42 "leave@4-1,join@5+1")
+      ~telemetry:t ~algorithm:Cutfit.Advisor.Pagerank g
+  in
+  let _ranks, trace = Cutfit.Pipeline.pagerank p in
+  Telemetry.close t;
+  let events = contents () in
+  let same what records payloads =
+    checkb (what ^ ": some recorded") true (records <> []);
+    checki (what ^ ": one event per record") (List.length records) (List.length payloads);
+    List.iter2 (fun r e -> checkb (what ^ ": same value") true (r == e)) records payloads
+  in
+  same "superstep" trace.Trace.supersteps
+    (List.filter_map (function Event.Superstep (s, _) -> Some s | _ -> None) events);
+  same "recovery" trace.Trace.recoveries
+    (List.filter_map (function Event.Recovery r -> Some r | _ -> None) events);
+  same "speculative_launch" trace.Trace.speculations
+    (List.filter_map (function Event.Speculative_launch s -> Some s | _ -> None) events);
+  same "speculative_win"
+    (List.filter (fun (s : Trace.speculation) -> s.won) trace.Trace.speculations)
+    (List.filter_map (function Event.Speculative_win s -> Some s | _ -> None) events);
+  same "reshuffle" trace.Trace.reshuffles
+    (List.filter_map (function Event.Reshuffle r -> Some r | _ -> None) events)
 
 let test_run_end_matches_trace () =
   let trace, events, t, path = observed_run () in
@@ -404,7 +407,7 @@ let test_zero_superstep_run () =
   let r = Pregel.run ~telemetry:t ~cluster pg min_label_program in
   Telemetry.close t;
   let trace = r.Pregel.trace in
-  let ss = supersteps_of (contents ()) in
+  let ss = List.map fst (supersteps_of (contents ())) in
   checki "events match trace length" (List.length trace.Trace.supersteps) (List.length ss);
   checki "no messages" 0 (Trace.total_messages trace);
   checki "no remote messages" (Trace.total_remote_messages trace)
@@ -429,6 +432,7 @@ let suite =
     Alcotest.test_case "close idempotent" `Quick test_close_is_idempotent_and_drops;
     Alcotest.test_case "console sink" `Quick test_console_sink_renders;
     Alcotest.test_case "events reconcile with trace" `Quick test_event_stream_reconciles_with_trace;
+    Alcotest.test_case "events share trace records" `Quick test_events_share_trace_records;
     Alcotest.test_case "run end matches trace" `Quick test_run_end_matches_trace;
     Alcotest.test_case "jsonl file reconciles" `Quick test_jsonl_file_reconciles;
     Alcotest.test_case "zero-message run" `Quick test_zero_superstep_run;

@@ -11,6 +11,7 @@ module Check = Cutfit.Check
 module Faults = Cutfit_bsp.Faults
 module Speculation = Cutfit_bsp.Speculation
 module Trace = Cutfit_bsp.Trace
+module Event = Cutfit_obs.Event
 module Summary = Cutfit_stats.Summary
 module Job = Cutfit_workload.Job
 module Cache = Cutfit_workload.Cache
@@ -68,8 +69,8 @@ let test_speculation_preserves_values () =
      accounting moves. *)
   List.iter2
     (fun (a : Trace.superstep) (b : Trace.superstep) ->
-      checki "messages" a.Trace.messages b.Trace.messages;
-      checkb "wire bytes" true (Float.equal a.Trace.wire_bytes b.Trace.wire_bytes))
+      checki "messages" a.Event.messages b.Event.messages;
+      checkb "wire bytes" true (Float.equal a.Event.wire_bytes b.Event.wire_bytes))
     trace_plain.Trace.supersteps trace_spec.Trace.supersteps
 
 let test_speculation_sanitizer_green () =

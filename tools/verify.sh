@@ -158,6 +158,26 @@ if [ "$d1" != "$d2" ]; then
   echo "  $d2" >&2
   exit 1
 fi
+# The JSONL stream of a run with every shared record kind: a crash
+# (recovery), a straggler whose clone wins, one leave and one join
+# (reshuffles). Two runs must write byte-identical files.
+jdir=$(mktemp -d)
+for f in a b; do
+  dune exec bin/cutfit_cli.exe -- run PR roadnet_pa \
+    --faults 'crash@2,straggler@3-4:x20' --checkpoint-every 2 --speculate \
+    --scale-events 'leave@4-1,join@5+1' --trace-out "$jdir/$f.jsonl" >/dev/null
+done
+if ! cmp "$jdir/a.jsonl" "$jdir/b.jsonl"; then
+  echo "faulty JSONL traces diverge" >&2
+  exit 1
+fi
+for kind in superstep recovery speculative_launch speculative_win reshuffle; do
+  if ! grep -q "\"type\":\"$kind\"" "$jdir/a.jsonl"; then
+    echo "faulty JSONL trace has no $kind event" >&2
+    exit 1
+  fi
+done
+rm -rf "$jdir"
 
 echo "== exit-code contract (0 success / 1 failure / 2 usage)"
 expect_exit() {
