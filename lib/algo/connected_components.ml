@@ -8,7 +8,7 @@ let program =
     initial_msg = max_int;
     vprog = (fun _ label m -> min label m);
     send =
-      (fun ~edge:_ ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
+      (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
         if src_attr < dst_attr then emit Pregel.To_dst src_attr
         else if dst_attr < src_attr then emit Pregel.To_src dst_attr);
     merge = min;

@@ -8,14 +8,15 @@ type result = { ranks : float array; trace : Cutfit_bsp.Trace.t }
 let sentinel = -1.0
 
 let program g =
+  let out_deg = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.out_degree g v)) in
   {
     Pregel.init = (fun _ -> 1.0);
     initial_msg = sentinel;
     vprog = (fun _ rank m -> if m = sentinel then rank else 0.15 +. (0.85 *. m));
     send =
-      (fun ~edge:_ ~src ~dst:_ ~src_attr ~dst_attr:_ ~emit ->
-        let d = Graph.out_degree g src in
-        if d > 0 then emit Pregel.To_dst (src_attr /. float_of_int d));
+      (fun ~src ~dst:_ ~src_attr ~dst_attr:_ ~emit ->
+        let d = out_deg.(src) in
+        if d > 0.0 then emit Pregel.To_dst (src_attr /. d));
     merge = ( +. );
     state_bytes = 8;
     msg_bytes = 8;

@@ -7,14 +7,22 @@ let infinity_dist = max_int
 
 (* Distance vectors are tiny (one slot per landmark); messages carry a
    full vector, as GraphX ships the whole landmark map. *)
-let improves ~candidate ~current =
-  let better = ref false in
-  Array.iteri (fun i c -> if c < current.(i) then better := true) candidate;
-  !better
-
 let pointwise_min a b = Array.mapi (fun i x -> min x b.(i)) a
 
 let increment a = Array.map (fun d -> if d = infinity_dist then infinity_dist else d + 1) a
+
+(* Whether [increment dist] would improve on [current] in some slot,
+   decided in place: the candidate vector is built only when it is
+   sent. *)
+let improves_after_hop ~dist ~current =
+  let k = Array.length dist in
+  let rec from i =
+    i < k
+    &&
+    let d = dist.(i) in
+    (d <> infinity_dist && d + 1 < current.(i)) || from (i + 1)
+  in
+  from 0
 
 let program ~landmarks =
   let k = Array.length landmarks in
@@ -30,9 +38,9 @@ let program ~landmarks =
     initial_msg = Array.make k infinity_dist;
     vprog = (fun _ current m -> pointwise_min current m);
     send =
-      (fun ~edge:_ ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
-        let candidate = increment dst_attr in
-        if improves ~candidate ~current:src_attr then emit Pregel.To_src candidate);
+      (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
+        if improves_after_hop ~dist:dst_attr ~current:src_attr then
+          emit Pregel.To_src (increment dst_attr));
     merge = pointwise_min;
     state_bytes = bytes;
     msg_bytes = bytes;

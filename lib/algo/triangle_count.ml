@@ -119,6 +119,9 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
   in
   let ert = Pricer.runtime pr in
   let exec_of p = Cutfit_bsp.Elastic.exec_of ert p in
+  let part_off = Pgraph.part_off pg and part_edges = Pgraph.part_edges pg in
+  let route_off = Pgraph.route_off pg and route_parts = Pgraph.route_parts pg in
+  let gsrc = Graph.src_array g and gdst = Graph.dst_array g in
   let stage ~step c = ignore (Pricer.superstep pr ~step c) in
 
   (* Stage 1 — collect neighbour ids: every edge contributes both
@@ -130,16 +133,17 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
     let messages = ref 0 and remote = ref 0 in
     for p = 0 to num_partitions - 1 do
       let pexec = exec_of p in
-      Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-          work.(p) <-
-            work.(p) +. cost.Cost_model.edge_scan_s +. (2.0 *. cost.Cost_model.msg_merge_s);
-          messages := !messages + 2;
-          let ship v =
-            if exec_of (Pgraph.master pg v) <> pexec then
-              bytes_out.(pexec) <- bytes_out.(pexec) +. 8.0
-          in
-          ship src;
-          ship dst)
+      let ship v =
+        if exec_of (Pgraph.master pg v) <> pexec then bytes_out.(pexec) <- bytes_out.(pexec) +. 8.0
+      in
+      for i = part_off.(p) to part_off.(p + 1) - 1 do
+        let e = part_edges.(i) in
+        work.(p) <-
+          work.(p) +. cost.Cost_model.edge_scan_s +. (2.0 *. cost.Cost_model.msg_merge_s);
+        messages := !messages + 2;
+        ship gsrc.(e);
+        ship gdst.(e)
+      done
     done;
     (* One aggregate per (vertex, partition) routing entry. The master
        merges one partial array per replica; for cut vertices that is a
@@ -151,13 +155,14 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
       groups := !groups + r;
       let mp = Pgraph.master pg v in
       let mexec = exec_of mp in
-      Pgraph.iter_replicas pg v (fun q ->
-          if exec_of q <> mexec then begin
-            incr remote;
-            bytes_out.(exec_of q) <-
-              bytes_out.(exec_of q)
-              +. float_of_int cost.Cost_model.msg_wire_overhead_bytes
-          end);
+      for i = route_off.(v) to route_off.(v + 1) - 1 do
+        let q = route_parts.(i) in
+        if exec_of q <> mexec then begin
+          incr remote;
+          bytes_out.(exec_of q) <-
+            bytes_out.(exec_of q) +. float_of_int cost.Cost_model.msg_wire_overhead_bytes
+        end
+      done;
       if r >= 2 then work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
       work.(mp) <- work.(mp) +. (float_of_int (deg v) *. cost.Cost_model.msg_merge_s)
     done;
@@ -191,14 +196,15 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
         +. (float_of_int (deg v) *. cost.Cost_model.array_element_s);
       if Pgraph.replica_count pg v >= 2 then
         work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
-      Pgraph.iter_replicas pg v (fun q ->
-          incr bcast;
-          let e = exec_of q in
-          if e <> mexec && exec_seen.(e) <> v then begin
-            exec_seen.(e) <- v;
-            incr remote_bcast;
-            bytes_out.(mexec) <- bytes_out.(mexec) +. set_bytes
-          end)
+      for i = route_off.(v) to route_off.(v + 1) - 1 do
+        incr bcast;
+        let e = exec_of route_parts.(i) in
+        if e <> mexec && exec_seen.(e) <> v then begin
+          exec_seen.(e) <- v;
+          incr remote_bcast;
+          bytes_out.(mexec) <- bytes_out.(mexec) +. set_bytes
+        end
+      done
     done;
     stage ~step:1 { c with Pricer.updated = n; bcast = !bcast; remote_bcast = !remote_bcast }
   end;
@@ -212,40 +218,43 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
     let work = c.Pricer.work in
     let active = ref 0 in
     for p = 0 to num_partitions - 1 do
-      Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-          let canonical =
-            src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src))
-          in
-          if not canonical then work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s
-          else begin
-            incr active;
-            (* Intersect small-into-large with binary search, as a hash
-               "contains" probe does in GraphX's VertexSet. *)
-            let sa = adjacency.(src) and sb = adjacency.(dst) in
-            let small, big = if Array.length sa <= Array.length sb then (sa, sb) else (sb, sa) in
-            let probes = ref 0 in
-            Array.iter
-              (fun x ->
-                incr probes;
-                let lo = ref 0 and hi = ref (Array.length big - 1) and found = ref false in
-                while (not !found) && !lo <= !hi do
-                  let mid = (!lo + !hi) / 2 in
-                  let y = big.(mid) in
-                  if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
-                done;
-                (* A triangle is discovered once per edge; demanding the
-                   common neighbour be the largest vertex counts each
-                   triangle exactly once. *)
-                if !found && x > src && x > dst then begin
-                  counts.(src) <- counts.(src) + 1;
-                  counts.(dst) <- counts.(dst) + 1;
-                  counts.(x) <- counts.(x) + 1
-                end)
-              small;
-            work.(p) <-
-              work.(p) +. cost.Cost_model.edge_scan_s
-              +. (float_of_int !probes *. cost.Cost_model.intersect_probe_s)
-          end)
+      for i = part_off.(p) to part_off.(p + 1) - 1 do
+        let e = part_edges.(i) in
+        let src = gsrc.(e) and dst = gdst.(e) in
+        let canonical =
+          src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src))
+        in
+        if not canonical then work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s
+        else begin
+          incr active;
+          (* Intersect small-into-large with binary search, as a hash
+             "contains" probe does in GraphX's VertexSet. *)
+          let sa = adjacency.(src) and sb = adjacency.(dst) in
+          let small, big = if Array.length sa <= Array.length sb then (sa, sb) else (sb, sa) in
+          let probes = ref 0 in
+          Array.iter
+            (fun x ->
+              incr probes;
+              let lo = ref 0 and hi = ref (Array.length big - 1) and found = ref false in
+              while (not !found) && !lo <= !hi do
+                let mid = (!lo + !hi) / 2 in
+                let y = big.(mid) in
+                if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
+              done;
+              (* A triangle is discovered once per edge; demanding the
+                 common neighbour be the largest vertex counts each
+                 triangle exactly once. *)
+              if !found && x > src && x > dst then begin
+                counts.(src) <- counts.(src) + 1;
+                counts.(dst) <- counts.(dst) + 1;
+                counts.(x) <- counts.(x) + 1
+              end)
+            small;
+          work.(p) <-
+            work.(p) +. cost.Cost_model.edge_scan_s
+            +. (float_of_int !probes *. cost.Cost_model.intersect_probe_s)
+        end
+      done
     done;
     stage ~step:2 { c with Pricer.active_edges = !active }
   end;
@@ -257,15 +266,16 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
     let groups = ref 0 and remote = ref 0 in
     for v = 0 to n - 1 do
       let mexec = exec_of (Pgraph.master pg v) in
-      Pgraph.iter_replicas pg v (fun q ->
-          incr groups;
-          work.(q) <- work.(q) +. cost.Cost_model.msg_serialize_s;
-          if exec_of q <> mexec then begin
-            incr remote;
-            bytes_out.(exec_of q) <-
-              bytes_out.(exec_of q)
-              +. float_of_int (8 + cost.Cost_model.msg_wire_overhead_bytes)
-          end)
+      for i = route_off.(v) to route_off.(v + 1) - 1 do
+        let q = route_parts.(i) in
+        incr groups;
+        work.(q) <- work.(q) +. cost.Cost_model.msg_serialize_s;
+        if exec_of q <> mexec then begin
+          incr remote;
+          bytes_out.(exec_of q) <-
+            bytes_out.(exec_of q) +. float_of_int (8 + cost.Cost_model.msg_wire_overhead_bytes)
+        end
+      done
     done;
     stage ~step:3
       {

@@ -54,27 +54,30 @@ let build pg =
   let mark = Array.make n (-1) in
   let vertex_slot = Array.make n 0 in
   let red_count = Array.make n 0 in
-  let ecur = ref 0 in
+  let pg_off = Pgraph.part_off pg and pg_edges = Pgraph.part_edges pg in
+  let gsrc = Graph.src_array g and gdst = Graph.dst_array g in
   for p = 0 to num_partitions - 1 do
     let scur = ref slot_off.{p} in
-    Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-        let slot_of v =
-          if mark.(v) <> p then begin
-            mark.(v) <- p;
-            vertex_slot.(v) <- !scur;
-            slot_vertex.{!scur} <- v;
-            red_count.(v) <- red_count.(v) + 1;
-            incr scur
-          end;
-          vertex_slot.(v)
-        in
-        let ss = slot_of src in
-        let ds = slot_of dst in
-        edge_src.{!ecur} <- src;
-        edge_dst.{!ecur} <- dst;
-        src_slot.{!ecur} <- ss;
-        dst_slot.{!ecur} <- ds;
-        incr ecur);
+    let slot_of v =
+      if mark.(v) <> p then begin
+        mark.(v) <- p;
+        vertex_slot.(v) <- !scur;
+        slot_vertex.{!scur} <- v;
+        red_count.(v) <- red_count.(v) + 1;
+        incr scur
+      end;
+      vertex_slot.(v)
+    in
+    for i = pg_off.(p) to pg_off.(p + 1) - 1 do
+      let e = pg_edges.(i) in
+      let src = gsrc.(e) and dst = gdst.(e) in
+      let ss = slot_of src in
+      let ds = slot_of dst in
+      edge_src.{i} <- src;
+      edge_dst.{i} <- dst;
+      src_slot.{i} <- ss;
+      dst_slot.{i} <- ds
+    done;
     if !scur <> slot_off.{p + 1} then invalid_arg "Csr.build: local vertex table mismatch"
   done;
   (* Reduction table: slots are numbered ascending by partition, so

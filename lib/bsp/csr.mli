@@ -1,8 +1,8 @@
 (** Compact per-partition CSR edge representation: the real-execution
     counterpart of {!Pgraph}.
 
-    {!Pgraph} is what the cost simulator iterates — edge indices behind
-    closures, per-vertex [option] accumulators. This module freezes the
+    {!Pgraph} is what the cost simulator iterates — edge indices into
+    the graph's endpoint arrays, one boxed message per vertex. This module freezes the
     same partitioned graph into flat [Bigarray] buffers that the
     [run_csr] kernels in [Cutfit_algo] scan at memory speed, plus the
     preallocated per-partition message buffers the kernels accumulate
@@ -10,7 +10,7 @@
 
     - [part_off]/[edge_src]/[edge_dst]: every partition's edges as a
       contiguous range of endpoint arrays, in exactly the order
-      {!Pgraph.iter_partition_edges} visits them;
+      {!Pgraph.part_edges} lists them;
     - one {e accumulator slot} per (partition, vertex) pair where the
       vertex has at least one edge in the partition — GraphX's local
       combiner made concrete. [slot_off] gives each partition's

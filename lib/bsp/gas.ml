@@ -28,6 +28,9 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   in
   let ert = Pricer.runtime pr in
   let exec_of p = Elastic.exec_of ert p in
+  let part_off = Pgraph.part_off pg and part_edges = Pgraph.part_edges pg in
+  let route_off = Pgraph.route_off pg and route_parts = Pgraph.route_parts pg in
+  let gsrc = Graph.src_array g and gdst = Graph.dst_array g in
 
   let attrs = Array.init n program.init in
   let active = Bytes.make n '\001' in
@@ -81,27 +84,30 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
           end
         end
       in
-      Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-          let dst_gathers =
-            (program.direction = Gather_in || program.direction = Gather_both) && is_active dst
+      for i = part_off.(p) to part_off.(p + 1) - 1 do
+        let e = part_edges.(i) in
+        let src = gsrc.(e) and dst = gdst.(e) in
+        let dst_gathers =
+          (program.direction = Gather_in || program.direction = Gather_both) && is_active dst
+        in
+        let src_gathers =
+          (program.direction = Gather_out || program.direction = Gather_both) && is_active src
+        in
+        if dst_gathers || src_gathers then begin
+          incr active_edges;
+          work.(p) <- work.(p) +. cost.Cost_model.edge_scan_s;
+          let emit target =
+            match
+              program.gather ~src ~dst ~src_attr:attrs.(src) ~dst_attr:attrs.(dst) ~target
+            with
+            | Some v -> contribute target v
+            | None -> ()
           in
-          let src_gathers =
-            (program.direction = Gather_out || program.direction = Gather_both) && is_active src
-          in
-          if dst_gathers || src_gathers then begin
-            incr active_edges;
-            work.(p) <- work.(p) +. cost.Cost_model.edge_scan_s;
-            let emit target =
-              match
-                program.gather ~src ~dst ~src_attr:attrs.(src) ~dst_attr:attrs.(dst) ~target
-              with
-              | Some v -> contribute target v
-              | None -> ()
-            in
-            if dst_gathers then emit dst;
-            if src_gathers then emit src
-          end
-          else work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s);
+          if dst_gathers then emit dst;
+          if src_gathers then emit src
+        end
+        else work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s
+      done;
       (* Flush the partition's partial sums into the master-side
          accumulator; each vertex holds at most one partial per
          partition, so the per-vertex cross-partition sum is a left fold
@@ -136,14 +142,16 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
       if changed then begin
         incr updated;
         let mexec = exec_of mp in
-        Pgraph.iter_replicas pg v (fun q ->
-            incr bcast;
-            work.(mp) <- work.(mp) +. cost.Cost_model.msg_serialize_s;
-            if exec_of q <> mexec then begin
-              incr remote_bcast;
-              bytes_out.(mexec) <- bytes_out.(mexec) +. attr_wire;
-              bytes_in.(exec_of q) <- bytes_in.(exec_of q) +. attr_wire
-            end);
+        for i = route_off.(v) to route_off.(v + 1) - 1 do
+          let q = route_parts.(i) in
+          incr bcast;
+          work.(mp) <- work.(mp) +. cost.Cost_model.msg_serialize_s;
+          if exec_of q <> mexec then begin
+            incr remote_bcast;
+            bytes_out.(mexec) <- bytes_out.(mexec) +. attr_wire;
+            bytes_in.(exec_of q) <- bytes_in.(exec_of q) +. attr_wire
+          end
+        done;
         (* Scatter signals the neighbours, GraphLab-style, so data-driven
            programs (stay = false) still propagate. *)
         let signal u = Bytes.unsafe_set next_active u '\001' in

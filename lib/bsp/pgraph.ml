@@ -95,21 +95,15 @@ let assignment t = Array.copy t.assignment
 let edges_of_partition t p = Array.sub t.part_edges t.part_off.(p) (t.part_off.(p + 1) - t.part_off.(p))
 let num_edges_of_partition t p = t.part_off.(p + 1) - t.part_off.(p)
 
-let iter_partition_edges t p f =
-  for i = t.part_off.(p) to t.part_off.(p + 1) - 1 do
-    let e = t.part_edges.(i) in
-    f ~edge:e ~src:(Graph.edge_src t.graph e) ~dst:(Graph.edge_dst t.graph e)
-  done
-
 let replicas t v = Array.sub t.route_parts t.route_off.(v) (t.route_off.(v + 1) - t.route_off.(v))
 let replica_count t v = t.route_off.(v + 1) - t.route_off.(v)
 
-let iter_replicas t v f =
-  for i = t.route_off.(v) to t.route_off.(v + 1) - 1 do
-    f t.route_parts.(i)
-  done
-
+let part_off t = t.part_off
+let part_edges t = t.part_edges
+let route_off t = t.route_off
+let route_parts t = t.route_parts
 let master t v = t.master.(v)
+let masters t = t.master
 let local_vertices t p = t.local_verts.(p)
 let total_replicas t = Array.length t.route_parts
 

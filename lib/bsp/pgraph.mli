@@ -34,20 +34,33 @@ val edges_of_partition : t -> int -> int array
 
 val num_edges_of_partition : t -> int -> int
 
-val iter_partition_edges : t -> int -> (edge:int -> src:int -> dst:int -> unit) -> unit
-(** Iterate a partition's edges with endpoints pre-fetched. *)
+val part_off : t -> int array
+(** Partition [p]'s edges are [part_edges.(i)] for
+    [part_off.(p) <= i < part_off.(p + 1)]; do not mutate. *)
+
+val part_edges : t -> int array
+(** Edge ids grouped by partition, ascending within each group: the
+    order every engine scans a partition in; do not mutate. *)
 
 val replicas : t -> int -> int array
 (** Sorted partitions in which the vertex is present (fresh array). *)
 
 val replica_count : t -> int -> int
 
-val iter_replicas : t -> int -> (int -> unit) -> unit
-(** Iterate the vertex's partitions without allocating. *)
+val route_off : t -> int array
+(** Vertex [v]'s partitions are [route_parts.(i)] for
+    [route_off.(v) <= i < route_off.(v + 1)]; do not mutate. *)
+
+val route_parts : t -> int array
+(** Every vertex's partitions, ascending within each vertex; do not
+    mutate. *)
 
 val master : t -> int -> int
 (** The vertex's master partition, [v mod num_partitions] (it may hold
     none of the vertex's edges, exactly as in GraphX). *)
+
+val masters : t -> int array
+(** [masters.(v)] is [master t v]; do not mutate. *)
 
 val local_vertices : t -> int -> int
 (** Size of a partition's local vertex table. *)

@@ -6,14 +6,7 @@ type ('v, 'm) program = {
   init : int -> 'v;
   initial_msg : 'm;
   vprog : int -> 'v -> 'm -> 'v;
-  send :
-    edge:int ->
-    src:int ->
-    dst:int ->
-    src_attr:'v ->
-    dst_attr:'v ->
-    emit:(direction -> 'm -> unit) ->
-    unit;
+  send : src:int -> dst:int -> src_attr:'v -> dst_attr:'v -> emit:(direction -> 'm -> unit) -> unit;
   merge : 'm -> 'm -> 'm;
   state_bytes : int;
   msg_bytes : int;
@@ -37,11 +30,6 @@ module Ivec = struct
     t.len <- t.len + 1
 
   let clear t = t.len <- 0
-  let iter t f =
-    for i = 0 to t.len - 1 do
-      f t.data.(i)
-    done
-  let length t = t.len
 end
 
 let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every
@@ -56,12 +44,31 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
       ~label:"pregel" ~state_bytes:program.state_bytes ~cluster pg
   in
   let ert = Pricer.runtime pr in
-  let exec_of p = Elastic.exec_of ert p in
+  (* The executor of every partition under the live membership. Only
+     [Pricer.begin_step] changes the membership (through
+     [Elastic.step_events]), so the array is refreshed right after each
+     [begin_step] and the hot loops read it with no call per message. *)
+  let pex = Array.make num_partitions 0 in
+  let refresh_placement () =
+    for p = 0 to num_partitions - 1 do
+      pex.(p) <- Elastic.exec_of ert p
+    done
+  in
+  refresh_placement ();
+  let master = Pgraph.masters pg in
+  let part_off = Pgraph.part_off pg and part_edges = Pgraph.part_edges pg in
+  let route_off = Pgraph.route_off pg and route_parts = Pgraph.route_parts pg in
+  let gsrc = Graph.src_array g and gdst = Graph.dst_array g in
+  let merge_s = cost.Cost_model.msg_merge_s and serialize_s = cost.Cost_model.msg_serialize_s in
+  let scan_s = cost.Cost_model.edge_scan_s and skip_s = cost.Cost_model.edge_skip_s in
 
   let attrs = Array.init n program.init in
   let active = Bytes.make n '\000' in
-  let is_active v = Bytes.unsafe_get active v <> '\000' in
-  let msg : 'm option array = Array.make n None in
+  (* Master-side accumulator: [msg.(v)] is meaningful only while
+     [has] marks [v]; [touched] lists the marked vertices in first-touch
+     order. *)
+  let msg = Array.make n program.initial_msg in
+  let has = Bytes.make n '\000' in
   let touched = Ivec.create () in
   (* Partition-local combiner scratch: messages emitted while one
      partition's edges are scanned merge here first (in edge order),
@@ -69,18 +76,18 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
      partition order. This fixes the cross-partition reduction order
      per partition index — the order the parallel {!Csr} kernels
      reproduce, which is what makes boxed and CSR results bit-identical
-     for non-associative float merges. *)
-  let plocal : 'm option array = Array.make n None in
+     for non-associative float merges. A vertex's first message in a
+     partition is also its one shuffle aggregate for that partition. *)
+  let plocal = Array.make n program.initial_msg in
+  let phas = Bytes.make n '\000' in
   let ptouched = Ivec.create () in
-  let last_part = Array.make n (-1) in
-  let last_step = Array.make n (-1) in
 
   (* Per-executor static working set (the cached graph), paper-scale,
      against the initial placement. It never changes during a run, so
      the executor-memory check is loop-invariant. *)
   let resident = Array.make cluster.Cluster.executors 0.0 in
   for p = 0 to num_partitions - 1 do
-    let e = exec_of p in
+    let e = pex.(p) in
     resident.(e) <-
       resident.(e)
       +. scale
@@ -97,27 +104,25 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
     float_of_int (program.state_bytes + cost.Cost_model.msg_wire_overhead_bytes)
   in
 
-  (* One superstep of vertex-side work shared by superstep 0 and the
-     main loop: run vprog on [vertices], then broadcast the updated
-     attributes along the routing table, charging work and bytes. *)
-  let apply_and_broadcast ~work ~bytes_out ~bytes_in ~run_vprog vertices =
-    let updated = ref 0 and bcast = ref 0 and remote_bcast = ref 0 in
-    vertices (fun v ->
-        incr updated;
-        (if run_vprog then
-           let mp = Pgraph.master pg v in
-           work.(mp) <- work.(mp) +. cost.Cost_model.vprog_s);
-        let mp = Pgraph.master pg v in
-        let mexec = exec_of mp in
-        Pgraph.iter_replicas pg v (fun q ->
-            incr bcast;
-            work.(mp) <- work.(mp) +. cost.Cost_model.msg_serialize_s;
-            if exec_of q <> mexec then begin
-              incr remote_bcast;
-              bytes_out.(mexec) <- bytes_out.(mexec) +. attr_wire_bytes;
-              bytes_in.(exec_of q) <- bytes_in.(exec_of q) +. attr_wire_bytes
-            end));
-    (!updated, !bcast, !remote_bcast)
+  (* Vertex-side charges of one updated vertex, shared by superstep 0
+     and the main loop: the vprog cost at its master, then the refresh
+     of every replica along the routing table. *)
+  let bcast = ref 0 and remote_bcast = ref 0 in
+  let broadcast (c : Pricer.counts) v =
+    let mp = master.(v) in
+    let mexec = pex.(mp) in
+    let wm = ref (c.Pricer.work.(mp) +. cost.Cost_model.vprog_s) in
+    for i = route_off.(v) to route_off.(v + 1) - 1 do
+      let qexec = pex.(route_parts.(i)) in
+      incr bcast;
+      wm := !wm +. serialize_s;
+      if qexec <> mexec then begin
+        incr remote_bcast;
+        c.Pricer.bytes_out.(mexec) <- c.Pricer.bytes_out.(mexec) +. attr_wire_bytes;
+        c.Pricer.bytes_in.(qexec) <- c.Pricer.bytes_in.(qexec) +. attr_wire_bytes
+      end
+    done;
+    c.Pricer.work.(mp) <- !wm
   in
 
   Pricer.build pr;
@@ -126,97 +131,106 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
      broadcast materializes the replicated vertex views. *)
   let outcome =
     let c = Pricer.begin_step pr ~step:0 in
+    refresh_placement ();
     for v = 0 to n - 1 do
       attrs.(v) <- program.vprog v attrs.(v) program.initial_msg;
-      Bytes.unsafe_set active v '\001'
+      Bytes.unsafe_set active v '\001';
+      broadcast c v
     done;
-    let updated, bcast, remote_bcast =
-      apply_and_broadcast ~work:c.Pricer.work ~bytes_out:c.Pricer.bytes_out
-        ~bytes_in:c.Pricer.bytes_in ~run_vprog:true (fun f ->
-          for v = 0 to n - 1 do
-            f v
-          done)
-    in
-    ref (Pricer.superstep pr ~step:0 { c with Pricer.updated; bcast; remote_bcast })
+    ref
+      (Pricer.superstep pr ~step:0
+         { c with Pricer.updated = n; bcast = !bcast; remote_bcast = !remote_bcast })
   in
 
   let step = ref 1 in
+  let cur_src = ref 0 and cur_dst = ref 0 in
+  let messages = ref 0 and shuffle_groups = ref 0 and remote_shuffles = ref 0 in
   while Option.is_none !outcome do
     let c = Pricer.begin_step pr ~step:!step in
+    refresh_placement ();
     let work = c.Pricer.work and bytes_out = c.Pricer.bytes_out and bytes_in = c.Pricer.bytes_in in
-    let active_edges = ref 0 and messages = ref 0 in
-    let shuffle_groups = ref 0 and remote_shuffles = ref 0 in
+    let active_edges = ref 0 in
+    messages := 0;
+    shuffle_groups := 0;
+    remote_shuffles := 0;
     Ivec.clear touched;
     (* Message generation, partition by partition. *)
     for p = 0 to num_partitions - 1 do
-      let pexec = exec_of p in
-      let cur_src = ref 0 and cur_dst = ref 0 in
+      let pexec = pex.(p) in
       let emit dir m =
         let v = match dir with To_src -> !cur_src | To_dst -> !cur_dst in
         incr messages;
-        work.(p) <- work.(p) +. cost.Cost_model.msg_merge_s;
-        (match plocal.(v) with
-        | None ->
-            plocal.(v) <- Some m;
-            Ivec.push ptouched v
-        | Some m0 -> plocal.(v) <- Some (program.merge m0 m));
-        (* Count one shuffle aggregate per (vertex, partition) pair. *)
-        if last_step.(v) <> !step || last_part.(v) <> p then begin
-          last_step.(v) <- !step;
-          last_part.(v) <- p;
+        work.(p) <- work.(p) +. merge_s;
+        if Bytes.unsafe_get phas v <> '\000' then plocal.(v) <- program.merge plocal.(v) m
+        else begin
+          Bytes.unsafe_set phas v '\001';
+          plocal.(v) <- m;
+          Ivec.push ptouched v;
+          (* The first message to [v] here opens the one shuffle
+             aggregate of the (vertex, partition) pair. *)
           incr shuffle_groups;
-          let mp = Pgraph.master pg v in
-          work.(p) <- work.(p) +. cost.Cost_model.msg_serialize_s;
-          if exec_of mp <> pexec then begin
+          let mp = master.(v) in
+          let mexec = pex.(mp) in
+          work.(p) <- work.(p) +. serialize_s;
+          if mexec <> pexec then begin
             incr remote_shuffles;
             bytes_out.(pexec) <- bytes_out.(pexec) +. msg_wire_bytes;
-            bytes_in.(exec_of mp) <- bytes_in.(exec_of mp) +. msg_wire_bytes;
-            work.(mp) <- work.(mp) +. cost.Cost_model.msg_serialize_s
+            bytes_in.(mexec) <- bytes_in.(mexec) +. msg_wire_bytes;
+            work.(mp) <- work.(mp) +. serialize_s
           end
         end
       in
-      Pgraph.iter_partition_edges pg p (fun ~edge ~src ~dst ->
-          if is_active src || is_active dst then begin
-            incr active_edges;
-            work.(p) <- work.(p) +. cost.Cost_model.edge_scan_s;
-            cur_src := src;
-            cur_dst := dst;
-            program.send ~edge ~src ~dst ~src_attr:attrs.(src) ~dst_attr:attrs.(dst) ~emit
-          end
-          else work.(p) <- work.(p) +. cost.Cost_model.edge_skip_s);
+      (* The cost constants are not dyadic, so every charge stays its
+         own float addition, in edge order. Skip charges chain through
+         the local [wp], which is written back before [send] (its
+         [emit] adds to [work.(p)] directly) and reloaded after it. *)
+      let wp = ref work.(p) in
+      for i = part_off.(p) to part_off.(p + 1) - 1 do
+        let e = part_edges.(i) in
+        let src = gsrc.(e) and dst = gdst.(e) in
+        if Bytes.unsafe_get active src <> '\000' || Bytes.unsafe_get active dst <> '\000' then begin
+          incr active_edges;
+          work.(p) <- !wp +. scan_s;
+          cur_src := src;
+          cur_dst := dst;
+          program.send ~src ~dst ~src_attr:attrs.(src) ~dst_attr:attrs.(dst) ~emit;
+          wp := work.(p)
+        end
+        else wp := !wp +. skip_s
+      done;
+      work.(p) <- !wp;
       (* Flush this partition's combined partials into the master-side
          accumulator. Partitions are visited in ascending order, so each
          vertex's cross-partition merge is a left fold over ascending
          partition indices; within a flush, vertices appear in
          first-touch (edge) order, which keeps the global [touched]
          order identical to direct per-message merging. *)
-      Ivec.iter ptouched (fun v ->
-          (match plocal.(v) with
-          | None -> assert false
-          | Some m -> (
-              match msg.(v) with
-              | None ->
-                  msg.(v) <- Some m;
-                  Ivec.push touched v
-              | Some m0 -> msg.(v) <- Some (program.merge m0 m)));
-          plocal.(v) <- None);
+      for j = 0 to ptouched.Ivec.len - 1 do
+        let v = ptouched.Ivec.data.(j) in
+        let m = plocal.(v) in
+        plocal.(v) <- program.initial_msg;
+        Bytes.unsafe_set phas v '\000';
+        if Bytes.unsafe_get has v <> '\000' then msg.(v) <- program.merge msg.(v) m
+        else begin
+          Bytes.unsafe_set has v '\001';
+          msg.(v) <- m;
+          Ivec.push touched v
+        end
+      done;
       Ivec.clear ptouched
     done;
     (* Vertex programs at masters, then replica refresh. *)
     Bytes.fill active 0 n '\000';
-    Ivec.iter touched (fun v ->
-        (match msg.(v) with
-        | Some m -> attrs.(v) <- program.vprog v attrs.(v) m
-        | None -> assert false);
-        msg.(v) <- None;
-        Bytes.unsafe_set active v '\001');
-    (* The state transition happened above (so broadcast ships the new
-       values); apply_and_broadcast only charges the vprog cost and the
-       replica refresh. *)
-    let updated, bcast, remote_bcast =
-      apply_and_broadcast ~work ~bytes_out ~bytes_in ~run_vprog:true (fun f ->
-          Ivec.iter touched f)
-    in
+    bcast := 0;
+    remote_bcast := 0;
+    for j = 0 to touched.Ivec.len - 1 do
+      let v = touched.Ivec.data.(j) in
+      attrs.(v) <- program.vprog v attrs.(v) msg.(v);
+      msg.(v) <- program.initial_msg;
+      Bytes.unsafe_set has v '\000';
+      Bytes.unsafe_set active v '\001';
+      broadcast c v
+    done;
     let verdict =
       Pricer.superstep pr ~step:!step
         {
@@ -225,15 +239,15 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
           messages = !messages;
           shuffle_groups = !shuffle_groups;
           remote_shuffles = !remote_shuffles;
-          updated;
-          bcast;
-          remote_bcast;
+          updated = touched.Ivec.len;
+          bcast = !bcast;
+          remote_bcast = !remote_bcast;
         }
     in
     outcome :=
       if exec_oom then Some Trace.Out_of_memory
       else if Option.is_some verdict then verdict
-      else if Ivec.length touched = 0 then Some Trace.Completed
+      else if touched.Ivec.len = 0 then Some Trace.Completed
       else if !step >= max_supersteps then Some Trace.Max_supersteps
       else begin
         incr step;

@@ -31,17 +31,18 @@ type ('v, 'm) program = {
   init : int -> 'v;  (** initial attribute per vertex *)
   initial_msg : 'm;  (** delivered to every vertex at superstep 0 *)
   vprog : int -> 'v -> 'm -> 'v;  (** vertex program *)
-  send :
-    edge:int ->
-    src:int ->
-    dst:int ->
-    src_attr:'v ->
-    dst_attr:'v ->
-    emit:(direction -> 'm -> unit) ->
-    unit;
-      (** message generation over one triplet; call [emit] any number of
-          times *)
-  merge : 'm -> 'm -> 'm;  (** commutative, associative message combiner *)
+  send : src:int -> dst:int -> src_attr:'v -> dst_attr:'v -> emit:(direction -> 'm -> unit) -> unit;
+      (** message generation over one active triplet: the edge's
+          endpoint ids and their current attributes. [emit To_src m] and
+          [emit To_dst m] send [m] toward the source or the destination;
+          call [emit] any number of times, and only during this [send].
+          The engine calls [send] once per edge with an endpoint whose
+          vertex program ran in the previous superstep, partition by
+          partition in edge order. *)
+  merge : 'm -> 'm -> 'm;
+      (** message combiner, applied in the fixed order above: a left
+          fold in edge order within each partition, then across
+          partitions in ascending index order *)
   state_bytes : int;  (** serialized payload of one vertex attribute *)
   msg_bytes : int;  (** serialized payload of one message *)
 }

@@ -72,11 +72,14 @@ let test_pgraph_routing_consistency () =
      edges. *)
   let n = Graph.num_vertices g in
   let expected = Array.make n [] in
+  let part_off = Pgraph.part_off pg and part_edges = Pgraph.part_edges pg in
   for p = 0 to np - 1 do
-    Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-        let add v = if not (List.mem p expected.(v)) then expected.(v) <- p :: expected.(v) in
-        add src;
-        add dst)
+    for i = part_off.(p) to part_off.(p + 1) - 1 do
+      let e = part_edges.(i) in
+      let add v = if not (List.mem p expected.(v)) then expected.(v) <- p :: expected.(v) in
+      add (Graph.edge_src g e);
+      add (Graph.edge_dst g e)
+    done
   done;
   for v = 0 to n - 1 do
     let routed = Array.to_list (Pgraph.replicas pg v) in
@@ -118,7 +121,7 @@ let min_label_program =
     initial_msg = max_int;
     vprog = (fun _ l m -> min l m);
     send =
-      (fun ~edge:_ ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
+      (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
         if src_attr < dst_attr then emit Pregel.To_dst src_attr
         else if dst_attr < src_attr then emit Pregel.To_src dst_attr);
     merge = min;
@@ -180,6 +183,69 @@ let test_pregel_message_counts_positive () =
   let r = Pregel.run ~cluster pg min_label_program in
   checkb "messages flowed" true (Trace.total_messages r.Pregel.trace > 0)
 
+(* Concatenation is not commutative, so a vertex's delivered message
+   spells out the order in which the engine merged its messages: a left
+   fold in edge order within each partition, then across partitions in
+   ascending index order. Each message names its edge, and the vertex
+   program keeps every delivered message, newest first. *)
+let test_pregel_merge_order () =
+  let n = Graph.num_vertices g in
+  let code src dst = (src * n) + dst in
+  let to_src src dst = (src + dst) mod 3 = 0 in
+  let program =
+    {
+      Pregel.init = (fun _ -> []);
+      initial_msg = [];
+      vprog = (fun _ delivered m -> m :: delivered);
+      send =
+        (fun ~src ~dst ~src_attr:_ ~dst_attr:_ ~emit ->
+          emit Pregel.To_dst [ code src dst ];
+          if to_src src dst then emit Pregel.To_src [ code src dst ]);
+      merge = ( @ );
+      state_bytes = 8;
+      msg_bytes = 8;
+    }
+  in
+  let supersteps = 3 in
+  let r = Pregel.run ~max_supersteps:supersteps ~cluster pg program in
+  checkb "capped" true (r.Pregel.trace.Trace.outcome = Trace.Max_supersteps);
+  let expected = Array.make n [ [] ] in
+  let active = Array.make n true in
+  let most_feeders = ref 0 and total = ref 0 in
+  for _ = 1 to supersteps do
+    let delivered = Array.make n [] and feeders = Array.make n 0 in
+    for p = 0 to np - 1 do
+      let local = Array.make n [] in
+      Array.iter
+        (fun e ->
+          let src = Graph.edge_src g e and dst = Graph.edge_dst g e in
+          if active.(src) || active.(dst) then begin
+            local.(dst) <- local.(dst) @ [ code src dst ];
+            if to_src src dst then local.(src) <- local.(src) @ [ code src dst ]
+          end)
+        (Pgraph.edges_of_partition pg p);
+      Array.iteri
+        (fun v m ->
+          if m <> [] then begin
+            delivered.(v) <- delivered.(v) @ m;
+            feeders.(v) <- feeders.(v) + 1
+          end)
+        local
+    done;
+    Array.iteri
+      (fun v m ->
+        active.(v) <- m <> [];
+        most_feeders := max !most_feeders feeders.(v);
+        total := !total + List.length m;
+        if m <> [] then expected.(v) <- m :: expected.(v))
+      delivered
+  done;
+  checkb "reference delivers messages" true (!total > 0);
+  checkb "a vertex is fed by three partitions" true (!most_feeders >= 3);
+  Array.iteri
+    (fun v want -> Alcotest.(check (list (list int))) (Printf.sprintf "vertex %d" v) want r.Pregel.attrs.(v))
+    expected
+
 let test_network_faster_cluster_not_slower () =
   (* Same partitioning on a 40x network must not be slower. *)
   let fast = { cluster with Cluster.network_gbps = 40.0 } in
@@ -219,6 +285,7 @@ let suite =
     Alcotest.test_case "pregel executor OOM" `Quick test_pregel_executor_oom;
     Alcotest.test_case "pregel partition mismatch" `Quick test_pregel_partition_count_mismatch;
     Alcotest.test_case "pregel messages flowed" `Quick test_pregel_message_counts_positive;
+    Alcotest.test_case "pregel merge order" `Quick test_pregel_merge_order;
     Alcotest.test_case "faster network not slower" `Quick test_network_faster_cluster_not_slower;
     prop_pregel_cc_matches_reference;
   ]

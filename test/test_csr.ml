@@ -44,14 +44,17 @@ let test_roundtrip_sizes () =
   checki "slot offsets end" csr.Csr.num_slots (B1.get csr.Csr.slot_off csr.Csr.num_partitions)
 
 let test_roundtrip_edges_in_partition_order () =
-  (* The flat edge arrays replay iter_partition_edges exactly: same
-     partition ranges, same order, same endpoints. *)
+  (* The flat edge arrays replay the partitioned graph's edge order
+     exactly: same partition ranges, same order, same endpoints. *)
+  let part_off = Pgraph.part_off pg and part_edges = Pgraph.part_edges pg in
   for p = 0 to csr.Csr.num_partitions - 1 do
     let e = ref (B1.get csr.Csr.part_off p) in
-    Pgraph.iter_partition_edges pg p (fun ~edge:_ ~src ~dst ->
-        checki "src" src (B1.get csr.Csr.edge_src !e);
-        checki "dst" dst (B1.get csr.Csr.edge_dst !e);
-        incr e);
+    for i = part_off.(p) to part_off.(p + 1) - 1 do
+      let edge = part_edges.(i) in
+      checki "src" (Graph.edge_src g edge) (B1.get csr.Csr.edge_src !e);
+      checki "dst" (Graph.edge_dst g edge) (B1.get csr.Csr.edge_dst !e);
+      incr e
+    done;
     checki "partition edge count" (B1.get csr.Csr.part_off (p + 1)) !e
   done
 

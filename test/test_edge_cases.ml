@@ -137,7 +137,7 @@ let test_pregel_both_directions_emit () =
       initial_msg = 0;
       vprog = (fun _ acc m -> acc + m);
       send =
-        (fun ~edge:_ ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
+        (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
           (* Only fire on the first round (attrs still zero). *)
           if src_attr = 0 || dst_attr = 0 then begin
             emit Cutfit_bsp.Pregel.To_src 1;

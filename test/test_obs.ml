@@ -218,7 +218,7 @@ let min_label_program =
     initial_msg = max_int;
     vprog = (fun _ l m -> min l m);
     send =
-      (fun ~edge:_ ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
+      (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
         if src_attr < dst_attr then emit Pregel.To_dst src_attr
         else if dst_attr < src_attr then emit Pregel.To_src dst_attr);
     merge = min;

@@ -117,6 +117,26 @@ dune exec bin/cutfit_cli.exe -- workload --jobs 20 --slots 2 \
 # the eighth sanitizer suite: elastic run vs static baseline
 dune exec bin/cutfit_cli.exe -- check PR roadnet_pa \
   --elastic 'leave@2-1,join@4+2' --hetero draw >/dev/null
+# pinned digests of checked elastic runs: a placement the engine
+# failed to refresh after a membership change moves wire bytes, so
+# these fail loudly
+expect_elastic_digests() {
+  algo="$1" dataset="$2" trace="$3" events="$4"
+  if ! out=$(dune exec bin/cutfit_cli.exe -- check "$algo" "$dataset" \
+    --elastic 'leave@2-1,join@4+2' --hetero draw); then
+    echo "elastic $algo $dataset check failed:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  if ! echo "$out" | grep -q "trace digest  $trace" ||
+    ! echo "$out" | grep -q "events digest $events"; then
+    echo "elastic $algo $dataset digests moved:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+}
+expect_elastic_digests SSSP roadnet_pa ad03cd0ff3f53076b5cf47da851fac2f c59331ae594b38c1d54e6da1f593869e
+expect_elastic_digests CC youtube f67313892633df9dabc6e569dc91c5fa 66b36a0e1730b4ed5313ab6cb2ed8a1e
 
 echo "== chaos smoke (25-scenario seeded campaign, shrink off)"
 # the cross-subsystem chaos harness: every scenario through the real
