@@ -1,13 +1,20 @@
-(* Tier-1 slice of the golden-digest corpus (test/golden): every engine
-   under every perturbation on roadnet_pa and youtube, one partitioner,
-   clusters (i) and (iv). Each case must reproduce its committed trace,
-   event-stream and value digests bit for bit; golden_grid.exe checks
-   the full grid. *)
+(* Tier-1 slices of the golden corpora (test/golden). The engine slice:
+   every engine under every perturbation on roadnet_pa and youtube, one
+   partitioner, clusters (i) and (iv), each reproducing its committed
+   trace, event-stream and value digests bit for bit. The workload
+   slice: the first cases of the workload corpus, each reproducing its
+   committed report and event-stream digests. golden_grid.exe and
+   workload_grid.exe check the full corpora. *)
 
 module C = Golden_corpus
+module W = Workload_corpus
 
 let case c =
   Alcotest.test_case (C.key c) `Quick (fun () ->
       match C.check c with None -> () | Some why -> Alcotest.fail why)
 
-let suite = List.map case C.fast_slice
+let workload_case (c : W.case) =
+  Alcotest.test_case c.W.key `Quick (fun () ->
+      match W.check c with None -> () | Some why -> Alcotest.fail why)
+
+let suite = List.map case C.fast_slice @ List.map workload_case W.fast_slice

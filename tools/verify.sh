@@ -17,6 +17,10 @@ echo "== golden-digest grid (six partitioners x clusters (i)-(iv), every engine 
 # exits 1 on any trace, event-stream or value digest mismatch
 dune exec test/golden/golden_grid.exe
 
+echo "== workload golden corpus (hand cases + 100 chaos workload phases)"
+# exits 1 on any report or event-stream digest mismatch
+dune exec test/golden/workload_grid.exe
+
 echo "== bench/e2e golden digests (six workloads x seeds 1 and 2, one untimed pass each)"
 # exits non-zero when a workload's output digest differs from the one
 # committed in bench/e2e/golden.ml
