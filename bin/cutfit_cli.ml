@@ -172,7 +172,15 @@ let checkpoint_every_arg =
     "Write a superstep checkpoint every $(docv) compute supersteps (costed via the storage \
      bandwidth of the cost model). Rollback recovery replays from the last checkpoint."
   in
-  Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some k when k >= 1 -> Ok k
+      | _ -> Error (`Msg (Printf.sprintf "expected a positive step count, got %S" s))
+    in
+    Arg.conv (parse, Fmt.int)
+  in
+  Arg.(value & opt (some positive) None & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
 let fault_seed_arg =
   Arg.(
@@ -802,27 +810,11 @@ let workload_cmd =
     let deadline =
       match (deadline_s, deadline_factor) with
       | None, None -> None
-      | Some s, None ->
-          if s <= 0.0 then fail "deadline-s must be positive (got %g)" s;
-          Some (W.Engine.Absolute s)
-      | None, Some f ->
-          if f <= 0.0 then fail "deadline-factor must be positive (got %g)" f;
-          Some (W.Engine.Factor f)
+      | Some s, None -> Some (W.Engine.Absolute s)
+      | None, Some f -> Some (W.Engine.Factor f)
       | Some _, Some _ -> fail "--deadline-s and --deadline-factor are mutually exclusive"
     in
-    (match queue_bound with
-    | Some b when b < 1 -> fail "queue-bound must be >= 1 (got %d)" b
-    | _ -> ());
-    (match breaker_k with
-    | Some k when k < 1 -> fail "breaker-k must be >= 1 (got %d)" k
-    | _ -> ());
-    (match backpressure with
-    | Some w when w < 0 -> fail "backpressure must be >= 0 (got %d)" w
-    | _ -> ());
-    if breaker_cooldown < 0.0 then fail "breaker-cooldown must be >= 0 (got %g)" breaker_cooldown;
-    if max_retries < 0 then fail "max-retries must be >= 0 (got %d)" max_retries;
     let mutations = mutations_of_flags ~spec:mutations_spec ~seed:mutation_seed in
-    if mutate_every < 1 then fail "mutate-every must be >= 1 (got %d)" mutate_every;
     let mutation_mode =
       match W.Engine.mutation_mode_of_string mutation_mode_name with
       | Some m -> m
@@ -832,7 +824,7 @@ let workload_cmd =
     (* NAME[:VALUE] comma lists shared by --tenants / --tenant-weights /
        --tenant-deadline. Tenant names must be usable as breaker-scope
        prefixes, so '/' is rejected here with exit 2 rather than letting
-       the engine's Invalid_argument map to exit 1. *)
+       Job.generate's Invalid_argument map to exit 1. *)
     let tenant_entries ~flag spec =
       List.filter_map
         (fun item ->
@@ -885,10 +877,7 @@ let workload_cmd =
               | None -> fail "bad --tenant-deadline entry %S (expected NAME:SECONDS)" n)
             (tenant_entries ~flag:"tenant-deadline" s)
     in
-    (match tenant_quota with
-    | Some q when q < 1 -> fail "tenant-quota must be >= 1 (got %d)" q
-    | _ -> ());
-    let stream = W.Job.generate ~seed ~jobs ?tenants mix in
+    if jobs < 0 then fail "jobs must be >= 0 (got %d)" jobs;
     let ring, read_ring = Cutfit.Sink.ring ~capacity:65536 () in
     let sinks =
       (match trace_out with Some path -> [ Cutfit.Sink.jsonl path ] | None -> [])
@@ -896,13 +885,20 @@ let workload_cmd =
       @ if check then [ ring ] else []
     in
     let telemetry = if sinks = [] then None else Some (Cutfit.Telemetry.create ~sinks ()) in
-    let budget_bytes = cache_gb *. 1.0e9 in
-    let report =
-      W.Engine.run ~slots ~eviction ~budget_bytes ?checkpoint_every ?faults ?speculation
-        ~max_retries ?queue_bound ~shed_policy ?deadline ?breaker_k
+    let run ?telemetry () =
+      W.Engine.run ~slots ~eviction ~budget_bytes:(cache_gb *. 1.0e9) ?checkpoint_every ?faults
+        ?speculation ~max_retries ?queue_bound ~shed_policy ?deadline ?breaker_k
         ~breaker_cooldown_s:breaker_cooldown ?backpressure ~policy ~selection ?telemetry
         ?mutations ~mutate_every ~mutation_mode ?scale_events ~tenant_weights ?tenant_quota
-        ~tenant_deadlines ~fairness ~seed stream
+        ~tenant_deadlines ~fairness ~seed
+        (W.Job.generate ~seed ~jobs ?tenants mix)
+    in
+    (* The engine validates every numeric knob; a rejected one is a
+       usage error. *)
+    let report =
+      match run ?telemetry () with
+      | r -> r
+      | exception Cutfit.Spec_error.Error e -> fail "%s" (Cutfit.Spec_error.message e)
     in
     let rows =
       List.map
@@ -939,13 +935,7 @@ let workload_cmd =
         let violations = W.Workload_check.report ~events:(read_ring ()) report in
         let twice =
           W.Workload_check.run_twice ~label:(Printf.sprintf "workload %s seed %Ld" mix_name seed)
-            (fun () ->
-              W.Engine.run ~slots ~eviction ~budget_bytes ?checkpoint_every ?faults ?speculation
-                ~max_retries ?queue_bound ~shed_policy ?deadline ?breaker_k
-                ~breaker_cooldown_s:breaker_cooldown ?backpressure ~policy ~selection ?mutations
-                ~mutate_every ~mutation_mode ?scale_events ~tenant_weights ?tenant_quota
-                ~tenant_deadlines ~fairness ~seed
-                (W.Job.generate ~seed ~jobs ?tenants mix))
+            (fun () -> run ())
         in
         match violations @ twice with
         | [] ->

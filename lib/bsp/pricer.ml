@@ -61,6 +61,9 @@ let compute_parts_per_exec t =
 
 let create ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every ?faults ?speculation
     ?elastic ?hetero ?telemetry ~label ~state_bytes ~cluster pg =
+  (match checkpoint_every with
+  | Some k when k < 1 -> invalid_arg "Pricer.create: checkpoint_every must be >= 1"
+  | _ -> ());
   let g = Pgraph.graph pg in
   let executors = cluster.Cluster.executors in
   let graph_bytes =

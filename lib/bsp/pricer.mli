@@ -57,7 +57,8 @@ val create :
   t
 (** [label] names the run in its [Run_end] event; [state_bytes] is the
     per-vertex state size that checkpoints, re-shuffles and replica
-    re-broadcasts ship. Defaults: scale 1.0, {!Cost_model.default}. *)
+    re-broadcasts ship. Defaults: scale 1.0, {!Cost_model.default}.
+    @raise Invalid_argument if [checkpoint_every < 1]. *)
 
 val runtime : t -> Elastic.runtime
 (** The run's elastic runtime: {!Elastic.exec_of} on it is the executor

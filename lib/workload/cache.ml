@@ -180,8 +180,6 @@ let invalidate t ~pred =
       (e.ekey, e.bytes))
     victims
 
-let invalidate_all t = invalidate t ~pred:(fun _ -> true)
-
 let peek_entries t ~pred =
   List.filter_map (fun e -> if pred e.ekey then Some (e.ekey, e.pg) else None) (entries_by_seq t)
 

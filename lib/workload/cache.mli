@@ -34,7 +34,7 @@ type stats = {
   misses : int;
   insertions : int;
   evictions : int;
-  invalidations : int;  (** entries dropped by {!invalidate_all} *)
+  invalidations : int;  (** entries dropped by {!invalidate} *)
   rejections : int;  (** entries larger than the whole budget *)
   bytes_inserted : float;
   bytes_evicted : float;
@@ -87,12 +87,6 @@ val invalidate : t -> pred:(key -> bool) -> (key * float) list
     [invalidations], not [evictions]; the conservation law
     [entries = insertions - evictions - invalidations] holds
     unchanged. *)
-
-val invalidate_all : t -> (key * float) list
-(** [invalidate ~pred:(fun _ -> true)]: drop everything. The workload
-    engine calls this when a job's cluster dies past its crash budget:
-    cached partitionings were resident on the lost executors, so none
-    survives the cluster restart. *)
 
 val peek_entries : t -> pred:(key -> bool) -> (key * Cutfit_bsp.Pgraph.t) list
 (** Uncounted peek at the entries (live or pending) matching [pred], in

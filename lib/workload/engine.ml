@@ -11,6 +11,7 @@ module Pgraph = Cutfit_bsp.Pgraph
 module Trace = Cutfit_bsp.Trace
 module Faults = Cutfit_bsp.Faults
 module Speculation = Cutfit_bsp.Speculation
+module Spec_error = Cutfit_bsp.Spec_error
 module Summary = Cutfit_stats.Summary
 module Datasets = Cutfit_gen.Datasets
 module Sssp = Cutfit_algo.Sssp
@@ -178,6 +179,9 @@ let shed_jobs = count_outcome "shed"
 let deadline_jobs = count_outcome "deadline"
 let total_speculations r = List.fold_left (fun acc x -> acc + x.speculations) 0 r.records
 
+let trip_count ~opened r =
+  List.length (List.filter (fun t -> Bool.equal t.opened opened) r.breaker_trips)
+
 (* Job latency = finish - arrival, over the jobs that actually produced
    a result: sheds, deadline cancels and other permanent failures are
    accounted separately (their latency would be an artifact of the
@@ -216,127 +220,229 @@ let pgraph_bytes ~scale pg =
   *. ((float_of_int !edges *. float_of_int cost.Cost_model.edge_object_bytes)
      +. (float_of_int !verts *. float_of_int cost.Cost_model.vertex_object_bytes))
 
-let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
-    ?(budget_bytes = 8.0e9) ?iterations ?checkpoint_every ?faults ?speculation ?(max_retries = 2)
-    ?queue_bound ?(shed_policy = Reject) ?deadline ?breaker_k ?(breaker_cooldown_s = 60.0)
-    ?backpressure ?telemetry ?(policy = Fifo) ?(selection = Cache_aware 0.25) ?mutations
-    ?(mutate_every = 8) ?(mutation_mode = Priced) ?(mutation_heuristic = Streaming.Greedy)
-    ?scale_events ?(tenant_weights = []) ?tenant_quota ?(tenant_deadlines = [])
-    ?(fairness = false) ~seed jobs =
-  if slots < 1 then invalid_arg "Engine.run: slots must be >= 1";
-  if mutate_every < 1 then invalid_arg "Engine.run: mutate_every must be >= 1";
-  if max_retries < 0 then invalid_arg "Engine.run: max_retries must be >= 0";
-  (match queue_bound with
-  | Some b when b < 1 -> invalid_arg "Engine.run: queue_bound must be >= 1"
-  | _ -> ());
-  (match deadline with
-  | Some (Absolute s) when s <= 0.0 -> invalid_arg "Engine.run: absolute deadline must be > 0"
-  | Some (Factor f) when f <= 0.0 -> invalid_arg "Engine.run: deadline factor must be > 0"
-  | _ -> ());
-  (match breaker_k with
-  | Some k when k < 1 -> invalid_arg "Engine.run: breaker_k must be >= 1"
-  | _ -> ());
-  if breaker_cooldown_s < 0.0 then invalid_arg "Engine.run: breaker_cooldown_s must be >= 0";
-  (match backpressure with
-  | Some w when w < 0 -> invalid_arg "Engine.run: backpressure watermark must be >= 0"
-  | _ -> ());
+(* --- argument validation --- *)
+
+(* Every rejected argument raises [Spec_error.Error] with dsl
+   ["workload"] and the argument's name as the item, so a front end maps
+   them all to one usage error. *)
+let validate ~slots ~budget_bytes ~selection ~checkpoint_every ~max_retries ~queue_bound
+    ~deadline ~breaker_k ~breaker_cooldown_s ~backpressure ~mutate_every ~tenant_weights
+    ~tenant_quota ~tenant_deadlines =
+  let require ok item fmt =
+    Printf.ksprintf
+      (fun reason -> if not ok then Spec_error.fail ~dsl:"workload" ~item "%s" reason)
+      fmt
+  in
+  let at_least lo item v = require (v >= lo) item "must be >= %d (got %d)" lo v in
+  let positive item = function
+    | Absolute s -> require (s > 0.0) item "absolute deadline must be > 0 (got %g)" s
+    | Factor f -> require (f > 0.0) item "deadline factor must be > 0 (got %g)" f
+  in
+  at_least 1 "slots" slots;
+  require
+    (Float.is_finite budget_bytes && budget_bytes >= 0.0)
+    "budget_bytes" "must be finite and >= 0 (got %g)" budget_bytes;
+  (match selection with
+  | Cache_aware th -> require (th >= 0.0) "selection" "cache-aware threshold must be >= 0 (got %g)" th
+  | Heuristic | Measured -> ());
+  Option.iter (at_least 1 "checkpoint_every") checkpoint_every;
+  at_least 0 "max_retries" max_retries;
+  Option.iter (at_least 1 "queue_bound") queue_bound;
+  Option.iter (positive "deadline") deadline;
+  Option.iter (at_least 1 "breaker_k") breaker_k;
+  require (breaker_cooldown_s >= 0.0) "breaker_cooldown_s" "must be >= 0 (got %g)" breaker_cooldown_s;
+  Option.iter (at_least 0 "backpressure") backpressure;
+  at_least 1 "mutate_every" mutate_every;
   List.iter
     (fun (tn, w) ->
-      if String.length tn = 0 then invalid_arg "Engine.run: empty tenant name in weights";
-      if not (w > 0.0) then invalid_arg "Engine.run: tenant weights must be > 0")
+      require (String.length tn > 0) "tenant_weights" "empty tenant name";
+      require (w > 0.0) "tenant_weights" "weight of %S must be > 0 (got %g)" tn w)
     tenant_weights;
-  (match tenant_quota with
-  | Some q when q < 1 -> invalid_arg "Engine.run: tenant_quota must be >= 1"
-  | _ -> ());
-  List.iter
-    (fun (_, d) ->
-      match d with
-      | Absolute s when s <= 0.0 -> invalid_arg "Engine.run: absolute tenant deadline must be > 0"
-      | Factor f when f <= 0.0 -> invalid_arg "Engine.run: tenant deadline factor must be > 0"
-      | _ -> ())
-    tenant_deadlines;
-  let cache = Cache.create ~eviction ~budget_bytes () in
-  let emit e = match telemetry with None -> () | Some t -> Telemetry.emit t e in
-  (* --- elastic membership timeline --- *)
-  (* Scale events are a static function of simulated time: the spec's
-     join/leave items fold into a membership chain from the initial
-     [slots], clamped to [1, slots + total joins], and every preempt
-     item realizes its victim against the membership at its instant —
-     all decided up front, so the simulation stays bit-reproducible.
-     A leave is a graceful drain: the departing slot finishes its
-     running job and simply never gets another; a join opens a fresh
-     slot at the join instant; a preemption kills the job running on
-     the victim slot mid-flight (spot reclamation). *)
-  let total_joins = match scale_events with None -> 0 | Some c -> Elastic.total_joins c in
-  let max_slots = slots + total_joins in
-  let timeline =
-    match scale_events with
-    | None -> []
-    | Some (c : Elastic.config) ->
-        let step_of = function
-          | Elastic.Join { step; _ } | Elastic.Leave { step; _ } | Elastic.Preempt { step; _ } ->
-              step
-        in
-        let items = List.stable_sort (fun a b -> compare (step_of a) (step_of b)) c.Elastic.items in
-        List.rev
-          (fst
-             (List.fold_left
-                (fun (acc, live) item ->
-                  match item with
-                  | Elastic.Join { step; count } ->
-                      let after = min max_slots (live + count) in
-                      if after = live then (acc, live)
-                      else (`Scale (step, live, after) :: acc, after)
-                  | Elastic.Leave { step; count } ->
-                      let after = max 1 (live - count) in
-                      if after = live then (acc, live)
-                      else (`Scale (step, live, after) :: acc, after)
-                  | Elastic.Preempt { step; retries } ->
-                      let victim = Elastic.victim c ~step ~alive:live in
-                      (`Preempt (step, victim, retries) :: acc, live))
-                ([], slots) items))
-  in
-  let live_at t =
+  Option.iter (at_least 1 "tenant_quota") tenant_quota;
+  List.iter (fun (_, d) -> positive "tenant_deadlines" d) tenant_deadlines
+
+(* The one job_record builder: queue and finish instants derive from the
+   start instant and the charged partition and execution seconds. *)
+let job_record ?(strategy = "-") ?(cache_hit = false) ?(recoveries = 0) ?(recovery_s = 0.0)
+    ?(speculations = 0) ?(partition_s = 0.0) ?(exec_s = 0.0) ~outcome ~attempts ~preemptions
+    ~deadline_s ~start_s (job : Job.t) =
+  {
+    job;
+    strategy;
+    cache_hit;
+    outcome;
+    attempts;
+    preemptions;
+    recoveries;
+    recovery_s;
+    speculations;
+    deadline_s;
+    failed = false;
+    start_s;
+    queue_s = start_s -. job.Job.arrival_s;
+    partition_s;
+    exec_s;
+    finish_s = start_s +. partition_s +. exec_s;
+  }
+
+(* --- the slot/membership timeline --- *)
+
+(* Scale events are a static function of simulated time: the spec's
+   join/leave items fold into a membership chain from the initial
+   [slots], clamped to [1, slots + total joins], and every preempt
+   item realizes its victim against the membership at its instant —
+   all decided up front, so the simulation stays bit-reproducible.
+   A leave is a graceful drain: the departing slot finishes its
+   running job and simply never gets another; a join opens a fresh
+   slot at the join instant; a preemption kills the job running on
+   the victim slot mid-flight (spot reclamation). *)
+module Timeline = struct
+  type change = { step : int; before : int; after : int }
+
+  type t = {
+    slots : int;
+    max_slots : int;
+    changes : change list;  (** membership changes, in step order *)
+    preempts : (int * int * int) list;  (** (step, victim slot, backoff retries) *)
+    mutable unfired : change list;
+    mutable joins : int;
+    mutable leaves : int;
+  }
+
+  let create ~slots scale_events =
+    let max_slots = slots + Option.fold ~none:0 ~some:Elastic.total_joins scale_events in
+    let realize (c : Elastic.config) =
+      let step_of = function
+        | Elastic.Join { step; _ } | Elastic.Leave { step; _ } | Elastic.Preempt { step; _ } -> step
+      in
+      let sorted = List.stable_sort (fun a b -> compare (step_of a) (step_of b)) c.Elastic.items in
+      let change ((changes, preempts, live) as acc) step after =
+        if after = live then acc else ({ step; before = live; after } :: changes, preempts, after)
+      in
+      let changes, preempts, _ =
+        List.fold_left
+          (fun ((changes, preempts, live) as acc) -> function
+            | Elastic.Join { step; count } -> change acc step (min max_slots (live + count))
+            | Elastic.Leave { step; count } -> change acc step (max 1 (live - count))
+            | Elastic.Preempt { step; retries } ->
+                (changes, (step, Elastic.victim c ~step ~alive:live, retries) :: preempts, live))
+          ([], [], slots) sorted
+      in
+      (List.rev changes, List.rev preempts)
+    in
+    let changes, preempts = Option.fold ~none:([], []) ~some:realize scale_events in
+    { slots; max_slots; changes; preempts; unfired = changes; joins = 0; leaves = 0 }
+
+  let live_at t time =
     List.fold_left
-      (fun live ev ->
-        match ev with
-        | `Scale (step, _, after) when float_of_int step <= t -> after
-        | `Scale _ | `Preempt _ -> live)
-      slots timeline
-  in
+      (fun live c -> if float_of_int c.step <= time then c.after else live)
+      t.slots t.changes
+
   (* Earliest instant >= [t0] at which slot [s] is a live executor —
      [None] only for a slot that never (re)joins past [t0]; slot 0 is
      always live (membership is clamped at 1). *)
-  let slot_usable_from s t0 =
-    if s < live_at t0 then Some t0
+  let usable_from t s t0 =
+    if s < live_at t t0 then Some t0
     else
-      List.fold_left
-        (fun acc ev ->
-          match (acc, ev) with
-          | Some _, _ -> acc
-          | None, `Scale (step, _, after) when float_of_int step > t0 && s < after ->
-              Some (float_of_int step)
-          | None, (`Scale _ | `Preempt _) -> None)
-        None timeline
-  in
-  let preempts_for s =
+      List.find_map
+        (fun c ->
+          if float_of_int c.step > t0 && s < c.after then Some (float_of_int c.step) else None)
+        t.changes
+
+  let preempts_for t s =
     List.filter_map
-      (function
-        | `Preempt (step, victim, r) when victim = s -> Some (float_of_int step, r)
-        | `Preempt _ | `Scale _ -> None)
-      timeline
-  in
-  (* Where each cached partitioning lives: the membership at the instant
-     the entry became available. An entry whose placement references a
-     since-departed executor is stale and must never serve a hit — the
-     leave handler invalidates eagerly, and [stale_placement_hits]
-     recounts the law independently on every hit. *)
-  let placements : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let note_placement (k : Cache.key) ~available_s =
-    Hashtbl.replace placements (Cache.key_id k) (live_at available_s)
-  in
-  let emit_cache_op op (k : Cache.key) ~bytes ~occupancy ~entries ~at_s =
-    emit
+      (fun (step, victim, r) -> if victim = s then Some (float_of_int step, r) else None)
+      t.preempts
+
+  (* Apply the membership changes due by [upto], in order: one join or
+     leave event each, and [on_leave] right after every shrink. *)
+  let advance t ~upto ~emit ~on_leave =
+    let fire, keep = List.partition (fun c -> float_of_int c.step <= upto) t.unfired in
+    t.unfired <- keep;
+    List.iter
+      (fun { step; before; after } ->
+        if after > before then begin
+          t.joins <- t.joins + 1;
+          emit (Event.Executor_join { Event.step; count = after - before; executors = after })
+        end
+        else begin
+          t.leaves <- t.leaves + 1;
+          emit (Event.Executor_leave { Event.step; count = before - after; executors = after });
+          on_leave ~step ~after
+        end)
+      fire
+end
+
+(* --- memoized graphs and advisor rankings --- *)
+
+(* Per-dataset graph (and its paper scale) and per (dataset,
+   granularity, metric) advisor rankings — jobs sharing a dataset share
+   the measurement, as a resident advisor service would. *)
+module Memo = struct
+  type t = {
+    graphs : (string, Graph.t * float * Datasets.spec) Hashtbl.t;
+    rankings : (string, Advisor.ranked list) Hashtbl.t;
+  }
+
+  let graph_of t dataset =
+    match Hashtbl.find_opt t.graphs dataset with
+    | Some entry -> entry
+    | None ->
+        let spec = Datasets.find dataset in
+        let g = Datasets.generate spec in
+        let scale = float_of_int spec.Datasets.paper_edges /. float_of_int (Graph.num_edges g) in
+        let entry = (g, scale, spec) in
+        Hashtbl.replace t.graphs dataset entry;
+        entry
+
+  let ranked_for t (job : Job.t) =
+    let metric = Advisor.predictive_metric job.Job.algorithm in
+    let key = Printf.sprintf "%s#%d#%s" job.Job.dataset job.Job.num_partitions metric in
+    match Hashtbl.find_opt t.rankings key with
+    | Some r -> r
+    | None ->
+        let g, _, _ = graph_of t job.Job.dataset in
+        let r = Advisor.measure job.Job.algorithm ~num_partitions:job.Job.num_partitions g in
+        Hashtbl.replace t.rankings key r;
+        r
+
+  (* A mutation batch advanced [dataset]'s graph: the advisor re-measures
+     on the next job that needs a ranking for it. *)
+  let advance t dataset entry =
+    Hashtbl.replace t.graphs dataset entry;
+    let prefix = dataset ^ "#" in
+    let stale =
+      (* lint: order-independent *)
+      Hashtbl.fold
+        (fun key _ acc -> if String.starts_with ~prefix key then key :: acc else acc)
+        t.rankings []
+    in
+    List.iter (Hashtbl.remove t.rankings) stale
+end
+
+(* --- the narrated partitioning cache --- *)
+
+(* Every cache state change is narrated as [Cache_op] events. The cache
+   also records where each partitioning lives: the membership at the
+   instant the entry became available. An entry whose placement
+   references a since-departed executor is stale and must never serve a
+   hit — a shrink invalidates eagerly, and [stale_hits] recounts the
+   law independently on every hit. *)
+module Narrated = struct
+  type t = {
+    cache : Cache.t;
+    emit : Event.t -> unit;
+    live_at : float -> int;
+    placements : (string, int) Hashtbl.t;
+    mutable stale_hits : int;
+  }
+
+  let create ~eviction ~budget_bytes ~emit ~live_at =
+    let cache = Cache.create ~eviction ~budget_bytes () in
+    { cache; emit; live_at; placements = Hashtbl.create 16; stale_hits = 0 }
+
+  let op t op (k : Cache.key) ~bytes ~occupancy ~entries ~at_s =
+    t.emit
       (Event.Cache_op
          {
            Event.op;
@@ -348,722 +454,998 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
            entries;
            at_s;
          })
-  in
+
   (* One [op] event per dropped entry, in the cache's order, each
      carrying the occupancy left after it: subtracted one entry at a
      time from the stats taken [before] the drop. Returns the final
      (occupancy, entries). *)
-  let narrate_drops op ~(before : Cache.stats) ~at_s dropped =
+  let narrate_drops t op_name ~(before : Cache.stats) ~at_s dropped =
     List.fold_left
       (fun (occ, ents) (k, b) ->
         let occ = occ -. b and ents = ents - 1 in
-        emit_cache_op op k ~bytes:b ~occupancy:occ ~entries:ents ~at_s;
+        op t op_name k ~bytes:b ~occupancy:occ ~entries:ents ~at_s;
         (occ, ents))
       (before.Cache.bytes_in_cache, before.Cache.entries)
       dropped
-  in
+
+  (* A counted lookup, narrated as a hit or a miss. *)
+  let find t ~at_s ~scale k =
+    let cached = Cache.find t.cache ~at_s k in
+    (match (cached, Hashtbl.find_opt t.placements (Cache.key_id k)) with
+    | Some _, Some placed when placed > t.live_at at_s -> t.stale_hits <- t.stale_hits + 1
+    | _ -> ());
+    let s = Cache.stats t.cache in
+    op t
+      (if Option.is_some cached then "hit" else "miss")
+      k
+      ~bytes:(Option.fold ~none:0.0 ~some:(pgraph_bytes ~scale) cached)
+      ~occupancy:s.Cache.bytes_in_cache ~entries:s.Cache.entries ~at_s;
+    cached
+
   (* Insert a freshly built partitioning, then narrate its evictions and
      the insert, or the rejection of an entry that can never fit. *)
-  let insert_narrated k ~available_s ~pg ~bytes ~rebuild_s =
-    let before = Cache.stats cache in
-    match Cache.insert cache ~available_s k ~pg ~bytes ~rebuild_s with
+  let insert t k ~available_s ~pg ~bytes ~rebuild_s =
+    let before = Cache.stats t.cache in
+    match Cache.insert t.cache ~available_s k ~pg ~bytes ~rebuild_s with
     | `Inserted evicted ->
-        note_placement k ~available_s;
-        let occ, ents = narrate_drops "evict" ~before ~at_s:available_s evicted in
-        emit_cache_op "insert" k ~bytes ~occupancy:(occ +. bytes) ~entries:(ents + 1)
-          ~at_s:available_s
+        Hashtbl.replace t.placements (Cache.key_id k) (t.live_at available_s);
+        let occ, ents = narrate_drops t "evict" ~before ~at_s:available_s evicted in
+        op t "insert" k ~bytes ~occupancy:(occ +. bytes) ~entries:(ents + 1) ~at_s:available_s
     | `Rejected ->
-        emit_cache_op "reject" k ~bytes ~occupancy:before.Cache.bytes_in_cache
-          ~entries:before.Cache.entries ~at_s:available_s
-  in
-  let stale_placement_hits = ref 0 in
-  let joins = ref 0 and leaves = ref 0 and preemptions = ref 0 in
-  let mpending =
-    ref (List.filter_map (function `Scale e -> Some e | `Preempt _ -> None) timeline)
-  in
-  let process_membership ~upto =
-    let fire, keep =
-      List.partition (fun (step, _, _) -> float_of_int step <= upto) !mpending
+        op t "reject" k ~bytes ~occupancy:before.Cache.bytes_in_cache ~entries:before.Cache.entries
+          ~at_s:available_s
+
+  (* Drop (and narrate) every entry matching [pred]; returns the drops. *)
+  let invalidate t ~at_s pred =
+    let before = Cache.stats t.cache in
+    let dropped = Cache.invalidate t.cache ~pred in
+    List.iter (fun ((k : Cache.key), _) -> Hashtbl.remove t.placements (Cache.key_id k)) dropped;
+    ignore (narrate_drops t "invalidate" ~before ~at_s dropped);
+    dropped
+
+  (* A shrink to [after] members drops the entries placed on departed
+     executors the instant it happens. *)
+  let drop_departed t ~step ~after =
+    let departed (k : Cache.key) =
+      match Hashtbl.find_opt t.placements (Cache.key_id k) with
+      | Some placed -> placed > after
+      | None -> false
     in
-    mpending := keep;
-    List.iter
-      (fun (step, before, after) ->
-        if after > before then begin
-          incr joins;
-          emit (Event.Executor_join { Event.step; count = after - before; executors = after })
-        end
-        else begin
-          incr leaves;
-          emit (Event.Executor_leave { Event.step; count = before - after; executors = after });
-          (* Satellite law: entries placed on departed executors are
-             dropped the instant the membership shrinks. *)
-          let stale (k : Cache.key) =
-            match Hashtbl.find_opt placements (Cache.key_id k) with
-            | Some placed -> placed > after
-            | None -> false
-          in
-          let before = Cache.stats cache in
-          let dropped = Cache.invalidate cache ~pred:stale in
-          List.iter
-            (fun ((k : Cache.key), _) -> Hashtbl.remove placements (Cache.key_id k))
-            dropped;
-          ignore (narrate_drops "invalidate" ~before ~at_s:(float_of_int step) dropped)
-        end)
-      fire
-  in
-  (* --- multi-tenancy --- *)
-  let weight_of tn =
-    match List.assoc_opt tn tenant_weights with Some w -> w | None -> 1.0
-  in
-  let tenant_busy : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let busy_of tn = Option.value ~default:0.0 (Hashtbl.find_opt tenant_busy tn) in
-  let note_busy tn s = Hashtbl.replace tenant_busy tn (busy_of tn +. s) in
-  let fairness_violations = ref 0 in
-  (* Memoized per-dataset graph (and its paper scale) and per
-     (dataset, granularity, metric) advisor rankings — jobs sharing a
-     dataset share the measurement, as a resident advisor service
-     would. *)
-  let graphs : (string, Graph.t * float * Datasets.spec) Hashtbl.t = Hashtbl.create 16 in
-  let graph_of dataset =
-    match Hashtbl.find_opt graphs dataset with
-    | Some entry -> entry
-    | None ->
-        let spec = Datasets.find dataset in
-        let g = Datasets.generate spec in
-        let scale = float_of_int spec.Datasets.paper_edges /. float_of_int (Graph.num_edges g) in
-        let entry = (g, scale, spec) in
-        Hashtbl.replace graphs dataset entry;
-        entry
-  in
-  let rankings : (string, Advisor.ranked list) Hashtbl.t = Hashtbl.create 16 in
-  let ranked_for (job : Job.t) =
-    let metric = Advisor.predictive_metric job.Job.algorithm in
-    let key = Printf.sprintf "%s#%d#%s" job.Job.dataset job.Job.num_partitions metric in
-    match Hashtbl.find_opt rankings key with
-    | Some r -> r
-    | None ->
-        let g, _, _ = graph_of job.Job.dataset in
-        let r = Advisor.measure job.Job.algorithm ~num_partitions:job.Job.num_partitions g in
-        Hashtbl.replace rankings key r;
-        r
-  in
-  let cluster_for (job : Job.t) = { cluster with Cluster.num_partitions = job.Job.num_partitions } in
-  (* One fault realization per (job, attempt): the schedule's items stay
-     exactly as specified, but the seeded draws (random faults, unpinned
-     executors) differ per job and per retry — a retried job faces a
-     fresh realization of the same fault environment, so a [rand@R]
-     schedule can kill one attempt and spare the next. *)
-  let faults_for (job : Job.t) ~attempt =
-    match faults with
-    | None -> None
-    | Some (f : Faults.config) ->
-        let mixed =
-          Splitmix64.mix64
-            (Int64.logxor
-               (Int64.mul (Int64.of_int (job.Job.id + 1)) 0x9E3779B97F4A7C15L)
-               (Int64.add
-                  (Int64.of_int f.Faults.seed)
-                  (Int64.mul (Int64.of_int attempt) 0xBF58476D1CE4E5B9L)))
-        in
-        Some { f with Faults.seed = Int64.to_int mixed land 0x3FFFFFFF }
-  in
-  (* Structural admission control: a malformed job must produce a failed
-     record, never an exception out of the scheduler loop. *)
-  let invalid_reason (job : Job.t) =
-    if job.Job.num_partitions < 1 then
-      Some (Printf.sprintf "num_partitions %d < 1" job.Job.num_partitions)
-    else
-      match Datasets.find job.Job.dataset with
-      | _ -> None
-      | exception Not_found -> Some (Printf.sprintf "unknown dataset %S" job.Job.dataset)
-  in
-  (* --- circuit breakers --- *)
-  (* One breaker per (dataset, strategy): [breaker_k] consecutive
-     aborted / error / out-of-memory attempts open it; while open (and
-     inside the cooldown) selection routes around the strategy via the
-     degraded cache-aware path. Past the cooldown the breaker is
-     half-open: the next job that selects the strategy is the probe — a
-     success closes the breaker, a failure re-arms the cooldown. Cells
-     are (consecutive failures, open-since). *)
-  let breakers : (string, int ref * float option ref) Hashtbl.t = Hashtbl.create 16 in
-  let breaker_trips = ref [] in
-  let breaker_key ~tenant ~dataset ~strategy =
-    breaker_scope ~tenant ~dataset ^ "/" ^ strategy
-  in
-  let breaker_cell ~tenant ~dataset ~strategy =
-    let key = breaker_key ~tenant ~dataset ~strategy in
-    match Hashtbl.find_opt breakers key with
-    | Some c -> c
-    | None ->
-        let c = (ref 0, ref None) in
-        Hashtbl.replace breakers key c;
-        c
-  in
-  let breaker_blocks ~at_s ~tenant ~dataset strategy_name =
-    match breaker_k with
+    ignore (invalidate t ~at_s:(float_of_int step) departed)
+end
+
+(* --- retries and circuit breakers --- *)
+
+(* Per-job attempt and preemption counts, and one breaker per (tenant
+   scope, dataset, strategy): [breaker_k] consecutive aborted / error /
+   out-of-memory attempts open it; while open (and inside the cooldown)
+   selection routes around the strategy via the degraded cache-aware
+   path. Past the cooldown the breaker is half-open: the next job that
+   selects the strategy is the probe — a success closes the breaker, a
+   failure re-arms the cooldown. *)
+module Retry = struct
+  type breaker = { mutable fails : int; mutable open_since : float option }
+
+  type t = {
+    breaker_k : int option;
+    cooldown_s : float;
+    emit : Event.t -> unit;
+    attempts : (int, int) Hashtbl.t;
+    preempts : (int, int) Hashtbl.t;
+    breakers : (string, breaker) Hashtbl.t;
+    mutable trips : breaker_trip list;
+    mutable retries : int;
+    mutable preemptions : int;
+  }
+
+  let create ?breaker_k ~cooldown_s ~emit () =
+    let attempts = Hashtbl.create 16 and preempts = Hashtbl.create 16 in
+    let breakers = Hashtbl.create 16 in
+    let trips = [] and retries = 0 and preemptions = 0 in
+    { breaker_k; cooldown_s; emit; attempts; preempts; breakers; trips; retries; preemptions }
+
+  let attempt_of t (j : Job.t) = Option.value ~default:1 (Hashtbl.find_opt t.attempts j.Job.id)
+  let preempts_of t (j : Job.t) = Option.value ~default:0 (Hashtbl.find_opt t.preempts j.Job.id)
+
+  let note_preempt t (j : Job.t) =
+    t.preemptions <- t.preemptions + 1;
+    Hashtbl.replace t.preempts j.Job.id (preempts_of t j + 1)
+
+  let bump t (j : Job.t) ~attempt =
+    t.retries <- t.retries + 1;
+    Hashtbl.replace t.attempts j.Job.id (attempt + 1)
+
+  let key ~tenant ~dataset strategy = breaker_scope ~tenant ~dataset ^ "/" ^ strategy
+
+  let blocks t ~at_s ~tenant ~dataset strategy =
+    match t.breaker_k with
     | None -> false
     | Some _ -> (
-        match Hashtbl.find_opt breakers (breaker_key ~tenant ~dataset ~strategy:strategy_name) with
-        | Some (_, { contents = Some since }) -> at_s < since +. breaker_cooldown_s
+        match Hashtbl.find_opt t.breakers (key ~tenant ~dataset strategy) with
+        | Some { open_since = Some since; _ } -> at_s < since +. t.cooldown_s
         | _ -> false)
-  in
-  let breaker_note ~at_s ~tenant ~dataset ~strategy ok =
-    match breaker_k with
+
+  (* Record a breaker transition and narrate it. *)
+  let trip t ~at_s ~tenant ~dataset ~strategy ~opened ~failures =
+    t.trips <-
+      {
+        trip_tenant = tenant;
+        trip_dataset = dataset;
+        trip_strategy = strategy;
+        trip_at_s = at_s;
+        opened;
+        trip_failures = failures;
+      }
+      :: t.trips;
+    let dataset = breaker_scope ~tenant ~dataset in
+    t.emit
+      (if opened then Event.Breaker_open { Event.dataset; strategy; at_s; failures }
+       else Event.Breaker_close { Event.dataset; strategy; at_s })
+
+  (* Feed one attempt's verdict to its breaker. *)
+  let note t ~at_s ~tenant ~dataset ~strategy ok =
+    match t.breaker_k with
     | None -> ()
     | Some k ->
-        let fails, open_since = breaker_cell ~tenant ~dataset ~strategy in
-        let scope = breaker_scope ~tenant ~dataset in
+        let b =
+          match Hashtbl.find_opt t.breakers (key ~tenant ~dataset strategy) with
+          | Some b -> b
+          | None ->
+              let b = { fails = 0; open_since = None } in
+              Hashtbl.replace t.breakers (key ~tenant ~dataset strategy) b;
+              b
+        in
         if ok then begin
-          fails := 0;
-          match !open_since with
-          | None -> ()
-          | Some _ ->
-              open_since := None;
-              breaker_trips :=
-                {
-                  trip_tenant = tenant;
-                  trip_dataset = dataset;
-                  trip_strategy = strategy;
-                  trip_at_s = at_s;
-                  opened = false;
-                  trip_failures = 0;
-                }
-                :: !breaker_trips;
-              emit (Event.Breaker_close { Event.dataset = scope; strategy; at_s })
+          b.fails <- 0;
+          if b.open_since <> None then begin
+            b.open_since <- None;
+            trip t ~at_s ~tenant ~dataset ~strategy ~opened:false ~failures:0
+          end
         end
         else begin
-          incr fails;
+          b.fails <- b.fails + 1;
           (* Trip on the k-th consecutive failure; a failed half-open
              probe re-arms the open state (a fresh cooldown). *)
-          if !fails >= k || !open_since <> None then begin
-            open_since := Some at_s;
-            breaker_trips :=
-              {
-                trip_tenant = tenant;
-                trip_dataset = dataset;
-                trip_strategy = strategy;
-                trip_at_s = at_s;
-                opened = true;
-                trip_failures = !fails;
-              }
-              :: !breaker_trips;
-            emit (Event.Breaker_open { Event.dataset = scope; strategy; at_s; failures = !fails })
+          if b.fails >= k || b.open_since <> None then begin
+            b.open_since <- Some at_s;
+            trip t ~at_s ~tenant ~dataset ~strategy ~opened:true ~failures:b.fails
           end
         end
-  in
-  (* The degraded selection path, used under queue backpressure and when
-     the preferred strategy's breaker is open: best-ranked strategy that
-     is already cached (zero build cost) and not breaker-blocked, then
-     the best non-blocked strategy, then the overall best as a last
-     resort (everything blocked — the probe). *)
-  let degraded_pick ~at_s (job : Job.t) =
-    let ranked = ranked_for job in
-    let cached =
-      Cache.cached_strategies cache ~at_s ~graph:job.Job.dataset
-        ~num_partitions:job.Job.num_partitions
+end
+
+(* --- admission: quotas, the bounded queue, SLO culls, the fair pick --- *)
+
+module Admission = struct
+  (* Arrival order, ties to the smaller id. *)
+  let earlier (a : Job.t) (b : Job.t) =
+    a.Job.arrival_s < b.Job.arrival_s
+    || (a.Job.arrival_s = b.Job.arrival_s && a.Job.id < b.Job.id)
+
+  type t = {
+    policy : policy;
+    fairness : bool;
+    tenant_weights : (string * float) list;
+    tenant_quota : int option;
+    queue_bound : int option;
+    shed_policy : shed_policy;
+    emit : Event.t -> unit;
+    mutable pending : Job.t list;
+    busy : (string, float) Hashtbl.t;
+    mutable violations : int;
+  }
+
+  let create ~policy ~fairness ~tenant_weights ~tenant_quota ~queue_bound ~shed_policy ~emit =
+    let busy = Hashtbl.create 8 and pending = [] and violations = 0 in
+    { policy; fairness; tenant_weights; tenant_quota; queue_bound; shed_policy; emit; pending; busy;
+      violations }
+
+  let depth t = List.length t.pending
+  let busy_of t tn = Option.value ~default:0.0 (Hashtbl.find_opt t.busy tn)
+  let note_busy t tn s = Hashtbl.replace t.busy tn (busy_of t tn +. s)
+
+  (* Queue a ready job. A first-attempt job over its tenant's quota is
+     throttled and shed; one meeting a full queue is shed ([Reject]) or
+     displaces the oldest queued job ([Drop_oldest]). Requeued retries
+     bypass both — they already held a queue claim when they first ran.
+     Returns the shed jobs with their cause and the queue depth. *)
+  let admit t ~retry ~ready (j : Job.t) =
+    let enqueue () =
+      t.pending <- t.pending @ [ j ];
+      []
     in
-    let is_cached (r : Advisor.ranked) =
-      List.exists (String.equal (Strategy.to_string r.Advisor.strategy)) cached
+    let mine () =
+      List.length (List.filter (fun (x : Job.t) -> String.equal x.Job.tenant j.Job.tenant) t.pending)
     in
-    let unblocked (r : Advisor.ranked) =
-      not
-        (breaker_blocks ~at_s ~tenant:job.Job.tenant ~dataset:job.Job.dataset
-           (Strategy.to_string r.Advisor.strategy))
-    in
-    match List.find_opt (fun r -> is_cached r && unblocked r) ranked with
-    | Some r -> r.Advisor.strategy
-    | None -> (
-        match List.find_opt unblocked ranked with
-        | Some r -> r.Advisor.strategy
-        | None -> (List.hd ranked).Advisor.strategy)
-  in
-  let choose_strategy ?(depth = 0) ~at_s (job : Job.t) =
-    let preferred =
-      match selection with
-      | Heuristic ->
-          let _, _, spec = graph_of job.Job.dataset in
-          let size =
-            Advisor.classify ~paper_scale_edges:(float_of_int spec.Datasets.paper_edges)
-          in
-          Advisor.heuristic job.Job.algorithm ~size ~num_partitions:job.Job.num_partitions
-      | Measured -> (List.hd (ranked_for job)).Advisor.strategy
-      | Cache_aware threshold -> (
-          let ranked = ranked_for job in
-          let best = List.hd ranked in
-          let cached =
-            Cache.cached_strategies cache ~at_s ~graph:job.Job.dataset
-              ~num_partitions:job.Job.num_partitions
-          in
-          let is_cached (r : Advisor.ranked) =
-            List.exists (String.equal (Strategy.to_string r.Advisor.strategy)) cached
-          in
-          match List.find_opt is_cached ranked with
-          | Some r
-            when (r.Advisor.score -. best.Advisor.score) /. Float.max best.Advisor.score 1.0
-                 <= threshold ->
-              r.Advisor.strategy
-          | Some _ | None -> best.Advisor.strategy)
-    in
-    let overloaded = match backpressure with Some w -> depth > w | None -> false in
-    if overloaded then degraded_pick ~at_s job
-    else if
-      breaker_blocks ~at_s ~tenant:job.Job.tenant ~dataset:job.Job.dataset
-        (Strategy.to_string preferred)
-    then degraded_pick ~at_s job
-    else preferred
-  in
-  let metrics_of (job : Job.t) strategy =
-    let name = Strategy.to_string strategy in
-    let r =
-      List.find
-        (fun (r : Advisor.ranked) -> String.equal (Strategy.to_string r.Advisor.strategy) name)
-        (ranked_for job)
-    in
-    r.Advisor.metrics
-  in
-  let predicted_service ~at_s (job : Job.t) =
-    let g, scale, _ = graph_of job.Job.dataset in
-    let strategy = choose_strategy ~at_s job in
-    let m = metrics_of job strategy in
-    let cl = cluster_for job in
-    let key =
-      {
-        Cache.graph = job.Job.dataset;
-        strategy = Strategy.to_string strategy;
-        num_partitions = job.Job.num_partitions;
-      }
-    in
-    let build =
-      if Cache.mem cache ~at_s key then 0.0
-      else Advisor.predicted_build_s ~cluster:cl ~scale g m
-    in
-    build +. Advisor.predicted_exec_s ~cluster:cl ~scale job.Job.algorithm g m
-  in
-  (* Per-job SLO deadline, memoized at first use (admission or SJF
-     ranking): an absolute offset from arrival, or the advisor-predicted
-     service time times a factor — so a job's SLO scales with what the
-     advisor believes the job should cost. The deadline never moves
-     across retries: the SLO is a property of the job, not the
-     attempt. *)
-  let deadlines : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  (* A tenant-level SLO overrides the global one: premium tenants buy
-     tighter (or looser) deadlines without touching anyone else's. *)
-  let deadline_spec_for (job : Job.t) =
-    match List.assoc_opt job.Job.tenant tenant_deadlines with
-    | Some d -> Some d
-    | None -> deadline
-  in
-  let deadline_of (job : Job.t) =
-    match deadline_spec_for job with
-    | None -> None
-    | Some d -> (
-        match Hashtbl.find_opt deadlines job.Job.id with
-        | Some v -> Some v
-        | None ->
-            let v =
-              match d with
-              | Absolute s -> job.Job.arrival_s +. s
-              | Factor f ->
-                  job.Job.arrival_s +. (f *. predicted_service ~at_s:job.Job.arrival_s job)
+    match (t.tenant_quota, t.queue_bound) with
+    | _ when retry -> enqueue ()
+    | Some q, _ when mine () >= q ->
+        t.emit
+          (Event.Tenant_throttle
+             { Event.tenant = j.Job.tenant; job_id = j.Job.id; at_s = ready; pending = mine () });
+        [ (j, `Quota, mine ()) ]
+    | _, Some bound when depth t >= bound -> (
+        let depth = depth t in
+        match t.shed_policy with
+        | Reject -> [ (j, `Queue t.shed_policy, depth) ]
+        | Drop_oldest ->
+            let oldest =
+              List.fold_left
+                (fun best c -> if earlier c best then c else best)
+                (List.hd t.pending) (List.tl t.pending)
             in
-            Hashtbl.replace deadlines job.Job.id v;
-            Some v)
-  in
-  let run_algorithm (job : Job.t) prepared =
-    match job.Job.algorithm with
-    | Advisor.Pagerank -> snd (Pipeline.pagerank ?iterations prepared)
-    | Advisor.Connected_components -> snd (Pipeline.connected_components ?iterations prepared)
-    | Advisor.Triangle_count ->
-        let _, _, trace = Pipeline.triangles prepared in
-        trace
-    | Advisor.Shortest_paths ->
-        let g, _, _ = graph_of job.Job.dataset in
-        let job_seed =
-          Splitmix64.mix64 (Int64.logxor seed (Int64.mul (Int64.of_int (job.Job.id + 1)) 0x9E3779B97F4A7C15L))
+            t.pending <- List.filter (fun (x : Job.t) -> x.Job.id <> oldest.Job.id) t.pending;
+            ignore (enqueue ());
+            [ (oldest, `Queue t.shed_policy, depth) ])
+    | _ -> enqueue ()
+
+  (* SLO enforcement in the queue: removes and returns every pending job
+     already past its deadline, with that deadline. *)
+  let cull t ~at_s ~deadline_of =
+    let expired, alive =
+      List.partition_map
+        (fun (j : Job.t) ->
+          match deadline_of j with Some d when at_s >= d -> Either.Left (j, d) | _ -> Either.Right j)
+        t.pending
+    in
+    t.pending <- alive;
+    expired
+
+  let pick_base t ~cost = function
+    | [] -> None
+    | first :: rest ->
+        let better (a : Job.t) (b : Job.t) =
+          match t.policy with
+          | Fifo -> earlier a b
+          | Sjf ->
+              let ca = cost a and cb = cost b in
+              if ca <> cb then ca < cb else a.Job.id < b.Job.id
         in
-        let landmarks = Sssp.pick_landmarks ~seed:job_seed ~count:3 g in
-        snd (Pipeline.shortest_paths ~landmarks prepared)
-  in
-  (* Streaming ingestion: every [mutate_every]-th job launch first lands
-     a mutation batch on its own dataset. The memoized graph advances,
-     the advisor's rankings for that dataset are forgotten, and the
-     cache loses exactly that dataset's keys. On the refresh path the
-     incremental repair runs synchronously with the batch — the
-     refreshed partitionings are valid the instant it completes, and
-     the triggering job is delayed by the summed refresh price (the
-     returned value). On the rebuild path nothing is re-inserted: the
-     next job on the dataset pays its full partition build on the
-     miss. *)
-  let launches = ref 0 in
-  let mutation_log = ref [] in
-  let apply_mutations ~at_s (job : Job.t) =
-    match mutations with
+        Some (List.fold_left (fun best c -> if better c best then c else best) first rest)
+
+  (* Weighted fair sharing (DRF over the single bottleneck resource,
+     slot busy-time): serve the pending tenant with the smallest
+     weighted service deficit (ties to the smaller name), then let the
+     scheduling policy order the jobs within the chosen tenant. Without
+     [fairness] the policy ranges over the whole queue — a greedy tenant
+     can starve the others. *)
+  let pick t ~cost =
+    match t.pending with
+    | _ :: _ when t.fairness ->
+        let weight_of tn = Option.value ~default:1.0 (List.assoc_opt tn t.tenant_weights) in
+        let deficit tn = busy_of t tn /. weight_of tn in
+        let tenants =
+          List.sort_uniq String.compare (List.map (fun (j : Job.t) -> j.Job.tenant) t.pending)
+        in
+        let chosen =
+          List.fold_left
+            (fun best tn -> if deficit tn < deficit best then tn else best)
+            (List.hd tenants) tenants
+        in
+        (* Independent recount of the fairness law: no pending tenant
+           may hold a strictly smaller weighted deficit than the
+           tenant just served. *)
+        if List.exists (fun tn -> deficit tn < deficit chosen) tenants then
+          t.violations <- t.violations + 1;
+        pick_base t ~cost
+          (List.filter (fun (j : Job.t) -> String.equal j.Job.tenant chosen) t.pending)
+    | _ -> pick_base t ~cost t.pending
+
+  (* Remove and return the job the next free slot serves. *)
+  let take t ~cost =
+    let picked = pick t ~cost in
+    Option.iter
+      (fun (job : Job.t) ->
+        t.pending <- List.filter (fun (j : Job.t) -> j.Job.id <> job.Job.id) t.pending)
+      picked;
+    picked
+end
+
+(* --- mutation ingest --- *)
+
+(* Streaming ingestion: every [every]-th job launch first lands a
+   mutation batch on its own dataset. The memoized graph advances, the
+   advisor's rankings for that dataset are forgotten, and the cache
+   loses exactly that dataset's keys. On the refresh path the
+   incremental repair runs synchronously with the batch — the refreshed
+   partitionings are valid the instant it completes, and the triggering
+   job is delayed by the summed refresh price (the value [launch]
+   returns). On the rebuild path nothing is re-inserted: the next job
+   on the dataset pays its full partition build on the miss. *)
+module Ingest = struct
+  type t = {
+    mutations : Mutation.config option;
+    every : int;
+    mode : mutation_mode;
+    heuristic : Streaming.t;
+    cluster : Cluster.t;
+    mutable launches : int;
+    mutable log : mutation_record list;
+  }
+
+  let create ?mutations ~every ~mode ~heuristic ~cluster () =
+    { mutations; every; mode; heuristic; cluster; launches = 0; log = [] }
+
+  (* Price refreshing each resident partitioning of [dataset] against
+     rebuilding it on the post-delta graph. Every resident entry was
+     built against the memoized pre-delta graph (an earlier batch
+     dropped anything older), so the refresh is well-defined. *)
+  let price_resident t ~cache ~on_dataset ~g ~new_g ~new_scale delta =
+    List.map
+      (fun ((k : Cache.key), pg) ->
+        let refreshed =
+          Incremental.refresh t.heuristic ~num_partitions:k.Cache.num_partitions ~graph:g
+            ~assignment:(Pgraph.assignment pg) delta
+        in
+        let refresh_s =
+          Repartition.refresh_price ~cluster:t.cluster ~scale:new_scale
+            ~placed_edges:refreshed.Incremental.placed_edges
+            ~repaired_vertices:refreshed.Incremental.repaired_vertices
+            ~moved_replicas:refreshed.Incremental.moved_replicas ()
+        in
+        let rebuild_s =
+          Repartition.rebuild_price ~cluster:t.cluster ~scale:new_scale new_g (Pgraph.metrics pg)
+        in
+        (k, refreshed, refresh_s, rebuild_s))
+      (Cache.peek_entries cache.Narrated.cache ~pred:on_dataset)
+
+  let land_batch t ~memo ~cache ~emit ~at_s ~batch ~dataset cfg =
+    let g, _, spec = Memo.graph_of memo dataset in
+    let delta = Mutation.plan cfg ~batch g in
+    if Mutation.is_empty delta then 0.0
+    else begin
+      let new_g = Mutation.apply g delta in
+      let new_scale =
+        float_of_int spec.Datasets.paper_edges /. float_of_int (Graph.num_edges new_g)
+      in
+      let on_dataset (k : Cache.key) = String.equal k.Cache.graph dataset in
+      let resident = price_resident t ~cache ~on_dataset ~g ~new_g ~new_scale delta in
+      let sumf f = List.fold_left (fun acc x -> acc +. f x) 0.0 resident in
+      let refresh_total = sumf (fun (_, _, r, _) -> r) in
+      let rebuild_total = sumf (fun (_, _, _, b) -> b) in
+      let refresh_chosen =
+        match t.mode with
+        | Force_refresh -> true
+        | Force_rebuild -> false
+        | Priced -> refresh_total <= rebuild_total
+      in
+      let choice = if refresh_chosen then "refresh" else "rebuild" in
+      Memo.advance memo dataset (new_g, new_scale, spec);
+      let dropped = Narrated.invalidate cache ~at_s on_dataset in
+      if refresh_chosen then
+        List.iter
+          (fun ((k : Cache.key), (refreshed : Incremental.refreshed), _, rebuild_s) ->
+            let pg' =
+              Pgraph.build new_g ~num_partitions:k.Cache.num_partitions
+                refreshed.Incremental.assignment
+            in
+            (* The repair is synchronous with the batch: the entry is
+               valid the moment the (delayed) triggering job looks it
+               up. The refresh price is charged as the returned stream
+               delay, not as entry latency. *)
+            Narrated.insert cache k ~available_s:at_s ~pg:pg'
+              ~bytes:(pgraph_bytes ~scale:new_scale pg')
+              ~rebuild_s)
+          resident;
+      let sumi f =
+        List.fold_left (fun acc (_, (r : Incremental.refreshed), _, _) -> acc + f r) 0 resident
+      in
+      let inserts = Array.length delta.Mutation.inserts in
+      let deletes = Array.length delta.Mutation.deletes in
+      emit
+        (Event.Mutation_batch
+           {
+             Event.batch;
+             graph = dataset;
+             inserts;
+             deletes;
+             edges_before = Graph.num_edges g;
+             edges_after = Graph.num_edges new_g;
+             at_s;
+           });
+      emit
+        (Event.Repartition
+           {
+             Event.batch;
+             graph = dataset;
+             choice;
+             refresh_s = refresh_total;
+             rebuild_s = rebuild_total;
+             placed_edges = sumi (fun r -> r.Incremental.placed_edges);
+             repaired_vertices = sumi (fun r -> r.Incremental.repaired_vertices);
+             moved_replicas = sumi (fun r -> r.Incremental.moved_replicas);
+             at_s;
+           });
+      t.log <-
+        {
+          mut_batch = batch;
+          mut_dataset = dataset;
+          mut_at_s = at_s;
+          mut_inserts = inserts;
+          mut_deletes = deletes;
+          mut_edges_after = Graph.num_edges new_g;
+          mut_refresh_s = refresh_total;
+          mut_rebuild_s = rebuild_total;
+          mut_choice = choice;
+          mut_dropped_entries = List.length dropped;
+          mut_refreshed_entries = (if refresh_chosen then List.length resident else 0);
+        }
+        :: t.log;
+      if refresh_chosen then refresh_total else 0.0
+    end
+
+  (* Count one job launch; returns the stream delay of the batch it
+     triggers, if any. *)
+  let launch t ~memo ~cache ~emit ~at_s (job : Job.t) =
+    match t.mutations with
     | None -> 0.0
     | Some cfg ->
-        incr launches;
-        if !launches mod mutate_every <> 0 then 0.0
-        else begin
-          let batch = !launches / mutate_every in
-          let dataset = job.Job.dataset in
-          let g, _, spec = graph_of dataset in
-          let delta = Mutation.plan cfg ~batch g in
-          if Mutation.is_empty delta then 0.0
-          else begin
-            let edges_before = Graph.num_edges g in
-            let new_g = Mutation.apply g delta in
-            let new_scale =
-              float_of_int spec.Datasets.paper_edges /. float_of_int (Graph.num_edges new_g)
-            in
-            let pred (k : Cache.key) = String.equal k.Cache.graph dataset in
-            (* Price refreshing each resident partitioning of this
-               dataset against rebuilding it on the post-delta graph.
-               Every resident entry was built against the memoized
-               pre-delta graph (an earlier batch dropped anything
-               older), so the refresh is well-defined. *)
-            let resident =
-              List.map
-                (fun ((k : Cache.key), pg) ->
-                  let refreshed =
-                    Incremental.refresh mutation_heuristic
-                      ~num_partitions:k.Cache.num_partitions ~graph:g
-                      ~assignment:(Pgraph.assignment pg) delta
-                  in
-                  let refresh_s =
-                    Repartition.refresh_price ~cluster ~scale:new_scale
-                      ~placed_edges:refreshed.Incremental.placed_edges
-                      ~repaired_vertices:refreshed.Incremental.repaired_vertices
-                      ~moved_replicas:refreshed.Incremental.moved_replicas ()
-                  in
-                  let rebuild_s =
-                    Repartition.rebuild_price ~cluster ~scale:new_scale new_g
-                      (Pgraph.metrics pg)
-                  in
-                  (k, refreshed, refresh_s, rebuild_s))
-                (Cache.peek_entries cache ~pred)
-            in
-            let sumf f = List.fold_left (fun acc x -> acc +. f x) 0.0 resident in
-            let refresh_total = sumf (fun (_, _, r, _) -> r) in
-            let rebuild_total = sumf (fun (_, _, _, b) -> b) in
-            let refresh_chosen =
-              match mutation_mode with
-              | Force_refresh -> true
-              | Force_rebuild -> false
-              | Priced -> refresh_total <= rebuild_total
-            in
-            (* Advance the memoized graph; the advisor re-measures on the
-               next job that needs a ranking for this dataset. *)
-            Hashtbl.replace graphs dataset (new_g, new_scale, spec);
-            let prefix = dataset ^ "#" in
-            let stale =
-              (* lint: order-independent *)
-              Hashtbl.fold
-                (fun key _ acc ->
-                  if
-                    String.length key >= String.length prefix
-                    && String.equal (String.sub key 0 (String.length prefix)) prefix
-                  then key :: acc
-                  else acc)
-                rankings []
-            in
-            List.iter (Hashtbl.remove rankings) stale;
-            let before = Cache.stats cache in
-            let dropped = Cache.invalidate cache ~pred in
-            ignore (narrate_drops "invalidate" ~before ~at_s dropped);
-            if refresh_chosen then
-              List.iter
-                (fun ((k : Cache.key), (refreshed : Incremental.refreshed), _refresh_s, rebuild_s)
-                   ->
-                  let pg' =
-                    Pgraph.build new_g ~num_partitions:k.Cache.num_partitions
-                      refreshed.Incremental.assignment
-                  in
-                  let bytes = pgraph_bytes ~scale:new_scale pg' in
-                  (* The repair is synchronous with the batch: the entry
-                     is valid the moment the (delayed) triggering job
-                     looks it up. The refresh price is charged as the
-                     returned stream delay, not as entry latency. *)
-                  insert_narrated k ~available_s:at_s ~pg:pg' ~bytes ~rebuild_s)
-                resident;
-            let sumi f =
-              List.fold_left
-                (fun acc (_, (r : Incremental.refreshed), _, _) -> acc + f r)
-                0 resident
-            in
-            emit
-              (Event.Mutation_batch
-                 {
-                   Event.batch;
-                   graph = dataset;
-                   inserts = Array.length delta.Mutation.inserts;
-                   deletes = Array.length delta.Mutation.deletes;
-                   edges_before;
-                   edges_after = Graph.num_edges new_g;
-                   at_s;
-                 });
-            emit
-              (Event.Repartition
-                 {
-                   Event.batch;
-                   graph = dataset;
-                   choice = (if refresh_chosen then "refresh" else "rebuild");
-                   refresh_s = refresh_total;
-                   rebuild_s = rebuild_total;
-                   placed_edges = sumi (fun r -> r.Incremental.placed_edges);
-                   repaired_vertices = sumi (fun r -> r.Incremental.repaired_vertices);
-                   moved_replicas = sumi (fun r -> r.Incremental.moved_replicas);
-                   at_s;
-                 });
-            mutation_log :=
-              {
-                mut_batch = batch;
-                mut_dataset = dataset;
-                mut_at_s = at_s;
-                mut_inserts = Array.length delta.Mutation.inserts;
-                mut_deletes = Array.length delta.Mutation.deletes;
-                mut_edges_after = Graph.num_edges new_g;
-                mut_refresh_s = refresh_total;
-                mut_rebuild_s = rebuild_total;
-                mut_choice = (if refresh_chosen then "refresh" else "rebuild");
-                mut_dropped_entries = List.length dropped;
-                mut_refreshed_entries = (if refresh_chosen then List.length resident else 0);
-              }
-              :: !mutation_log;
-            if refresh_chosen then refresh_total else 0.0
-          end
-        end
+        t.launches <- t.launches + 1;
+        if t.launches mod t.every <> 0 then 0.0
+        else
+          land_batch t ~memo ~cache ~emit ~at_s ~batch:(t.launches / t.every)
+            ~dataset:job.Job.dataset cfg
+end
+
+(* --- the event loop --- *)
+
+type state = {
+  cluster : Cluster.t;
+  seed : int64;
+  iterations : int option;
+  checkpoint_every : int option;
+  faults : Faults.config option;
+  speculation : Speculation.config option;
+  selection : selection;
+  backpressure : int option;
+  deadline : deadline option;
+  tenant_deadlines : (string * deadline) list;
+  max_retries : int;
+  emit : Event.t -> unit;
+  timeline : Timeline.t;
+  memo : Memo.t;
+  cache : Narrated.t;
+  retry : Retry.t;
+  admission : Admission.t;
+  ingest : Ingest.t;
+  deadlines : (int, float) Hashtbl.t;  (** memoized per-job SLO instants *)
+  slot_free : float array;
+  (* [(ready_s, job)] in ready order: a job's own arrival instant, or for
+     a requeued job its backed-off resubmit instant. The job itself is
+     never altered, so every record and event keeps the original
+     arrival. *)
+  mutable future : (float * Job.t) list;
+  mutable records : job_record list;
+  mutable failures : job_failure list;
+}
+
+let cluster_for st (job : Job.t) =
+  { st.cluster with Cluster.num_partitions = job.Job.num_partitions }
+
+(* One fault realization per (job, attempt): the schedule's items stay
+   exactly as specified, but the seeded draws (random faults, unpinned
+   executors) differ per job and per retry — a retried job faces a
+   fresh realization of the same fault environment, so a [rand@R]
+   schedule can kill one attempt and spare the next. *)
+let faults_for st (job : Job.t) ~attempt =
+  Option.map
+    (fun (f : Faults.config) ->
+      let mixed =
+        Splitmix64.mix64
+          (Int64.logxor
+             (Int64.mul (Int64.of_int (job.Job.id + 1)) 0x9E3779B97F4A7C15L)
+             (Int64.add
+                (Int64.of_int f.Faults.seed)
+                (Int64.mul (Int64.of_int attempt) 0xBF58476D1CE4E5B9L)))
+      in
+      { f with Faults.seed = Int64.to_int mixed land 0x3FFFFFFF })
+    st.faults
+
+(* Structural admission control: a malformed job must produce a failed
+   record, never an exception out of the scheduler loop. *)
+let invalid_reason (job : Job.t) =
+  if job.Job.num_partitions < 1 then
+    Some (Printf.sprintf "num_partitions %d < 1" job.Job.num_partitions)
+  else
+    match Datasets.find job.Job.dataset with
+    | _ -> None
+    | exception Not_found -> Some (Printf.sprintf "unknown dataset %S" job.Job.dataset)
+
+(* --- strategy selection --- *)
+
+let unblocked st ~at_s (job : Job.t) strategy =
+  not
+    (Retry.blocks st.retry ~at_s ~tenant:job.Job.tenant ~dataset:job.Job.dataset
+       (Strategy.to_string strategy))
+
+(* Whether a ranked strategy already has a live cached partitioning for
+   this job's graph and granularity. *)
+let cached_for st ~at_s (job : Job.t) =
+  let cached =
+    Cache.cached_strategies st.cache.Narrated.cache ~at_s ~graph:job.Job.dataset
+      ~num_partitions:job.Job.num_partitions
   in
-  (* One attempt of one job. Returns the attempt's record plus its
-     structural status: [`Ok] (recorded as-is), [`Lost] (the cluster
-     died past the run's crash budget — candidate for requeueing),
-     [`Preempted] (the slot was reclaimed mid-run — requeued without
-     consuming the retry budget), or [`Error reason] (an exception from
-     the pipeline, converted into a failed record so nothing escapes
-     the scheduler loop). *)
-  let preempt_no : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let preempts_of (j : Job.t) =
-    Option.value ~default:0 (Hashtbl.find_opt preempt_no j.Job.id)
+  fun (r : Advisor.ranked) ->
+    List.exists (String.equal (Strategy.to_string r.Advisor.strategy)) cached
+
+(* The degraded selection path, used under queue backpressure and when
+   the preferred strategy's breaker is open: best-ranked strategy that
+   is already cached (zero build cost) and not breaker-blocked, then
+   the best non-blocked strategy, then the overall best as a last
+   resort (everything blocked — the probe). *)
+let degraded_pick st ~at_s (job : Job.t) =
+  let ranked = Memo.ranked_for st.memo job in
+  let is_cached = cached_for st ~at_s job in
+  let ok (r : Advisor.ranked) = unblocked st ~at_s job r.Advisor.strategy in
+  match List.find_opt (fun r -> is_cached r && ok r) ranked with
+  | Some r -> r.Advisor.strategy
+  | None -> (
+      match List.find_opt ok ranked with
+      | Some r -> r.Advisor.strategy
+      | None -> (List.hd ranked).Advisor.strategy)
+
+let choose_strategy ?(depth = 0) st ~at_s (job : Job.t) =
+  let preferred =
+    match st.selection with
+    | Heuristic ->
+        let _, _, spec = Memo.graph_of st.memo job.Job.dataset in
+        let size = Advisor.classify ~paper_scale_edges:(float_of_int spec.Datasets.paper_edges) in
+        Advisor.heuristic job.Job.algorithm ~size ~num_partitions:job.Job.num_partitions
+    | Measured -> (List.hd (Memo.ranked_for st.memo job)).Advisor.strategy
+    | Cache_aware threshold -> (
+        let ranked = Memo.ranked_for st.memo job in
+        let best = List.hd ranked in
+        match List.find_opt (cached_for st ~at_s job) ranked with
+        | Some r
+          when (r.Advisor.score -. best.Advisor.score) /. Float.max best.Advisor.score 1.0
+               <= threshold ->
+            r.Advisor.strategy
+        | Some _ | None -> best.Advisor.strategy)
   in
-  let execute ~start_s ~attempt ~slot_preempts ~depth (job : Job.t) =
-    let g, scale, _ = graph_of job.Job.dataset in
-    let dl = deadline_of job in
-    let strategy = choose_strategy ~depth ~at_s:start_s job in
-    let sname = Strategy.to_string strategy in
-    let ckey =
-      { Cache.graph = job.Job.dataset; strategy = sname; num_partitions = job.Job.num_partitions }
-    in
-    let cached = Cache.find cache ~at_s:start_s ckey in
-    (* Stale-placement law: a hit served from an entry whose recorded
-       placement references executors beyond the current membership
-       would hand the job partitions homed on departed hosts. The leave
-       handler invalidates eagerly, so this recount must stay zero. *)
-    (match cached with
-    | Some _ -> (
-        match Hashtbl.find_opt placements (Cache.key_id ckey) with
-        | Some placed when placed > live_at start_s -> incr stale_placement_hits
-        | _ -> ())
-    | None -> ());
-    let job_faults = faults_for job ~attempt in
-    let prepared, hit =
-      match cached with
-      | Some pg ->
-          ( Pipeline.of_pgraph ~cluster:(cluster_for job) ~scale ?checkpoint_every
-              ?faults:job_faults ?speculation ~partitioner:(Partitioner.Hash strategy) pg,
-            true )
+  let overloaded = match st.backpressure with Some w -> depth > w | None -> false in
+  if overloaded || not (unblocked st ~at_s job preferred) then degraded_pick st ~at_s job
+  else preferred
+
+let cache_key (job : Job.t) strategy =
+  {
+    Cache.graph = job.Job.dataset;
+    strategy = Strategy.to_string strategy;
+    num_partitions = job.Job.num_partitions;
+  }
+
+let predicted_service st ~at_s (job : Job.t) =
+  let g, scale, _ = Memo.graph_of st.memo job.Job.dataset in
+  let strategy = choose_strategy st ~at_s job in
+  let name = Strategy.to_string strategy in
+  let m =
+    (List.find
+       (fun (r : Advisor.ranked) -> String.equal (Strategy.to_string r.Advisor.strategy) name)
+       (Memo.ranked_for st.memo job))
+      .Advisor.metrics
+  in
+  let cl = cluster_for st job in
+  let build =
+    if Cache.mem st.cache.Narrated.cache ~at_s (cache_key job strategy) then 0.0
+    else Advisor.predicted_build_s ~cluster:cl ~scale g m
+  in
+  build +. Advisor.predicted_exec_s ~cluster:cl ~scale job.Job.algorithm g m
+
+(* Per-job SLO deadline, memoized at first use (admission or SJF
+   ranking): an absolute offset from arrival, or the advisor-predicted
+   service time times a factor — so a job's SLO scales with what the
+   advisor believes the job should cost. The deadline never moves
+   across retries: the SLO is a property of the job, not the attempt.
+   A tenant-level SLO overrides the global one: premium tenants buy
+   tighter (or looser) deadlines without touching anyone else's. *)
+let deadline_of st (job : Job.t) =
+  let spec =
+    match List.assoc_opt job.Job.tenant st.tenant_deadlines with
+    | Some d -> Some d
+    | None -> st.deadline
+  in
+  Option.map
+    (fun d ->
+      match Hashtbl.find_opt st.deadlines job.Job.id with
+      | Some v -> v
       | None ->
-          ( Pipeline.prepare ~cluster:(cluster_for job) ~partitioner:(Partitioner.Hash strategy)
-              ~scale ?checkpoint_every ?faults:job_faults ?speculation
-              ~algorithm:job.Job.algorithm g,
-            false )
-    in
-    let snapshot = Cache.stats cache in
-    emit_cache_op
-      (if hit then "hit" else "miss")
-      ckey
-      ~bytes:(if hit then pgraph_bytes ~scale prepared.Pipeline.pg else 0.0)
-      ~occupancy:snapshot.Cache.bytes_in_cache ~entries:snapshot.Cache.entries ~at_s:start_s;
-    emit
-      (Event.Job_start
-         {
-           Event.job_id = job.Job.id;
-           strategy = sname;
-           cache_hit = hit;
-           start_s;
-           queue_s = start_s -. job.Job.arrival_s;
-         });
-    let mk_record ~outcome ~recoveries ~recovery_s ~speculations ~partition_s ~exec_s =
-      {
-        job;
-        strategy = sname;
-        cache_hit = hit;
-        outcome;
-        attempts = attempt;
-        preemptions = preempts_of job;
-        recoveries;
-        recovery_s;
-        speculations;
-        deadline_s = dl;
-        failed = false;
-        start_s;
-        queue_s = start_s -. job.Job.arrival_s;
-        partition_s;
-        exec_s;
-        finish_s = start_s +. partition_s +. exec_s;
-      }
-    in
-    match run_algorithm job prepared with
-    | exception (Invalid_argument reason | Failure reason) ->
-        let record =
-          mk_record ~outcome:"error" ~recoveries:0 ~recovery_s:0.0 ~speculations:0
-            ~partition_s:0.0 ~exec_s:0.0
-        in
-        emit
-          (Event.Job_end
-             {
-               Event.job_id = job.Job.id;
-               outcome = record.outcome;
-               partition_s = 0.0;
-               exec_s = 0.0;
-               finish_s = record.finish_s;
-             });
-        (record, `Error reason)
-    | trace ->
-        (* The BSP engines run without a telemetry handle here (the
-           workload stream narrates at job granularity), so itemize this
-           attempt's speculative clones from the trace it returned. *)
-        List.iter
-          (fun s -> List.iter emit (Event.speculation_events s))
-          trace.Trace.speculations;
-        (* Decompose the real trace: the engines always record the load
-           and the step -1 build stage, whether or not the partitioning
-           was freshly built — a cache hit is exactly the run that skips
-           them. *)
-        let build_s =
-          match
-            List.find_opt (fun (s : Trace.superstep) -> s.Event.step = -1) trace.Trace.supersteps
-          with
-          | Some s -> s.Event.time_s
-          | None -> 0.0
-        in
-        let partition_cost = trace.Trace.load_s +. build_s in
-        let exec_total = trace.Trace.total_s -. partition_cost in
-        let partition_s = if hit then 0.0 else partition_cost in
-        let lost = trace.Trace.outcome = Trace.Aborted in
-        let natural_finish = start_s +. partition_s +. exec_total in
-        (* An SLO cancel kills the run at its deadline: the slot frees
-           there, the work past the deadline is never paid — but the
-           work up to it is, which is the wasted-work accounting. Lost
-           (aborted) runs keep their own outcome; the retry gate decides
-           whether the deadline still leaves room to requeue. *)
-        let overdue =
-          (not lost) && match dl with Some d -> natural_finish > d | None -> false
-        in
-        (* Spot preemption: the earliest scheduled reclamation of this
-           slot that lands strictly inside the attempt's occupancy wins
-           over both the natural outcome and a later deadline cancel —
-           the slot is simply taken away at that instant. A later
-           attempt on the same slot starts past the reclamation, so a
-           preempt item fires at most once. *)
-        let occupied_until =
-          if overdue then (match dl with Some d -> d | None -> assert false)
-          else natural_finish
-        in
-        let preempt =
-          List.fold_left
-            (fun acc (pt, r) ->
-              if start_s < pt && pt < occupied_until then
-                match acc with Some (best, _) when best <= pt -> acc | _ -> Some (pt, r)
-              else acc)
-            None slot_preempts
-        in
-        (* A partitioning built by a run whose cluster then died never
-           becomes reusable — it was resident on the lost executors. A
-           build that would only have finished past the job's deadline
-           cancel (or its slot's reclamation) never completed either. *)
-        if
-          (not hit) && (not lost)
-          && (match dl with Some d -> start_s +. partition_cost <= d | None -> true)
-          && (match preempt with
-             | Some (pt, _) -> start_s +. partition_cost <= pt
-             | None -> true)
-        then begin
-          insert_narrated ckey ~available_s:(start_s +. partition_cost) ~pg:prepared.Pipeline.pg
-            ~bytes:(pgraph_bytes ~scale prepared.Pipeline.pg) ~rebuild_s:partition_cost
-        end;
-        let record =
-          match preempt with
-          | Some (pt, _) ->
-              let run_s = pt -. start_s in
-              let truncated_partition_s = Float.min partition_s run_s in
-              mk_record ~outcome:"preempted" ~recoveries:(Trace.num_recoveries trace)
-                ~recovery_s:trace.Trace.recovery_s ~speculations:(Trace.num_speculations trace)
-                ~partition_s:truncated_partition_s
-                ~exec_s:(run_s -. truncated_partition_s)
-          | None ->
-              if overdue then begin
-                let d = match dl with Some d -> d | None -> assert false in
-                let run_s = d -. start_s in
-                let truncated_partition_s = Float.min partition_s run_s in
-                mk_record ~outcome:"deadline" ~recoveries:(Trace.num_recoveries trace)
-                  ~recovery_s:trace.Trace.recovery_s ~speculations:(Trace.num_speculations trace)
-                  ~partition_s:truncated_partition_s
-                  ~exec_s:(run_s -. truncated_partition_s)
-              end
-              else
-                mk_record
-                  ~outcome:(Trace.outcome_name trace.Trace.outcome)
-                  ~recoveries:(Trace.num_recoveries trace) ~recovery_s:trace.Trace.recovery_s
-                  ~speculations:(Trace.num_speculations trace) ~partition_s ~exec_s:exec_total
-        in
-        emit
-          (Event.Job_end
-             {
-               Event.job_id = job.Job.id;
-               outcome = record.outcome;
-               partition_s = record.partition_s;
-               exec_s = record.exec_s;
-               finish_s = record.finish_s;
-             });
-        (match preempt with
-        | Some (pt, r) ->
-            emit
-              (Event.Fault_injected
-                 {
-                   Event.step = int_of_float pt;
-                   kind = "preempt";
-                   executor = -1;
-                   detail =
-                     Printf.sprintf "slot reclaimed under job %d (attempt %d, backoff r%d)"
-                       job.Job.id attempt r;
-                 });
-            (record, `Preempted (pt, r))
-        | None ->
-            if overdue then begin
-              let d = match dl with Some d -> d | None -> assert false in
-              emit
-                (Event.Deadline_exceeded
-                   {
-                     Event.job_id = job.Job.id;
-                     deadline_s = d;
-                     overshoot_s = natural_finish -. d;
-                     started = true;
-                   });
-              (record, `Deadline (natural_finish -. d))
-            end
-            else (record, if lost then `Lost else `Ok))
+          let v =
+            match d with
+            | Absolute s -> job.Job.arrival_s +. s
+            | Factor f ->
+                job.Job.arrival_s +. (f *. predicted_service st ~at_s:job.Job.arrival_s job)
+          in
+          Hashtbl.replace st.deadlines job.Job.id v;
+          v)
+    spec
+
+(* --- one attempt --- *)
+
+let run_algorithm st (job : Job.t) prepared =
+  match job.Job.algorithm with
+  | Advisor.Pagerank -> snd (Pipeline.pagerank ?iterations:st.iterations prepared)
+  | Advisor.Connected_components ->
+      snd (Pipeline.connected_components ?iterations:st.iterations prepared)
+  | Advisor.Triangle_count ->
+      let _, _, trace = Pipeline.triangles prepared in
+      trace
+  | Advisor.Shortest_paths ->
+      let g, _, _ = Memo.graph_of st.memo job.Job.dataset in
+      let job_seed =
+        Splitmix64.mix64
+          (Int64.logxor st.seed (Int64.mul (Int64.of_int (job.Job.id + 1)) 0x9E3779B97F4A7C15L))
+      in
+      let landmarks = Sssp.pick_landmarks ~seed:job_seed ~count:3 g in
+      snd (Pipeline.shortest_paths ~landmarks prepared)
+
+let emit_end st r =
+  st.emit
+    (Event.Job_end
+       {
+         Event.job_id = r.job.Job.id;
+         outcome = r.outcome;
+         partition_s = r.partition_s;
+         exec_s = r.exec_s;
+         finish_s = r.finish_s;
+       })
+
+(* Settle an attempt that produced a trace. The trace decomposes into
+   the partition cost (load + the step -1 build stage, which the engines
+   always record — a cache hit is exactly the run that skips them) and
+   execution. The attempt is then cut short at the earliest of a spot
+   reclamation of its slot and its SLO deadline, if either lands inside
+   it. *)
+let conclude st ~(job : Job.t) ~attempt ~start_s ~hit ~dl ~ckey ~scale ~slot_preempts
+    (prepared : Pipeline.prepared) trace =
+  (* The BSP engines run without a telemetry handle here (the workload
+     stream narrates at job granularity), so itemize this attempt's
+     speculative clones from the trace it returned. *)
+  List.iter (fun s -> List.iter st.emit (Event.speculation_events s)) trace.Trace.speculations;
+  let build_s =
+    match
+      List.find_opt (fun (s : Trace.superstep) -> s.Event.step = -1) trace.Trace.supersteps
+    with
+    | Some s -> s.Event.time_s
+    | None -> 0.0
   in
-  (* --- discrete-event loop over executor slots --- *)
-  (* The future queue carries [(ready_s, job)]: initially the job's own
-     arrival instant, and for a requeued job its backed-off resubmit
-     instant. The job record itself is never altered, so every record
-     and event keeps the original arrival. *)
-  let by_ready (ra, (a : Job.t)) (rb, (b : Job.t)) =
-    if ra <> rb then Float.compare ra rb else compare a.Job.id b.Job.id
+  let partition_cost = trace.Trace.load_s +. build_s in
+  let exec_total = trace.Trace.total_s -. partition_cost in
+  let partition_s = if hit then 0.0 else partition_cost in
+  let lost = trace.Trace.outcome = Trace.Aborted in
+  let natural_finish = start_s +. partition_s +. exec_total in
+  (* An SLO cancel kills the run at its deadline: the slot frees there,
+     the work past the deadline is never paid — but the work up to it
+     is, which is the wasted-work accounting. Lost (aborted) runs keep
+     their own outcome; the retry gate decides whether the deadline
+     still leaves room to requeue. *)
+  let overdue = match dl with Some d when (not lost) && natural_finish > d -> Some d | _ -> None in
+  (* Spot preemption: the earliest scheduled reclamation of this slot
+     that lands strictly inside the attempt's occupancy wins over both
+     the natural outcome and a later deadline cancel — the slot is
+     simply taken away at that instant. A later attempt on the same
+     slot starts past the reclamation, so a preempt item fires at most
+     once. *)
+  let occupied_until = Option.value overdue ~default:natural_finish in
+  let preempt =
+    List.fold_left
+      (fun acc (pt, r) ->
+        if start_s < pt && pt < occupied_until then
+          match acc with Some (best, _) when best <= pt -> acc | _ -> Some (pt, r)
+        else acc)
+      None slot_preempts
   in
-  let rec insert_future entry = function
-    | [] -> [ entry ]
-    | e :: rest -> if by_ready entry e < 0 then entry :: e :: rest else e :: insert_future entry rest
+  (* A partitioning built by a run whose cluster then died never becomes
+     reusable — it was resident on the lost executors. A build that
+     would only have finished past the job's deadline cancel (or its
+     slot's reclamation) never completed either. *)
+  let built_by at = start_s +. partition_cost <= at in
+  if
+    (not hit) && (not lost)
+    && Option.fold ~none:true ~some:built_by dl
+    && Option.fold ~none:true ~some:(fun (pt, _) -> built_by pt) preempt
+  then
+    Narrated.insert st.cache ckey ~available_s:(start_s +. partition_cost)
+      ~pg:prepared.Pipeline.pg
+      ~bytes:(pgraph_bytes ~scale prepared.Pipeline.pg)
+      ~rebuild_s:partition_cost;
+  let cut =
+    match preempt with
+    | Some (pt, _) -> Some ("preempted", pt)
+    | None -> Option.map (fun d -> ("deadline", d)) overdue
   in
-  let sorted = List.sort (fun (a : Job.t) b -> by_ready (a.Job.arrival_s, a) (b.Job.arrival_s, b)) jobs in
+  let record ~outcome ~partition_s ~exec_s =
+    job_record ~strategy:ckey.Cache.strategy ~cache_hit:hit ~recoveries:(Trace.num_recoveries trace)
+      ~recovery_s:trace.Trace.recovery_s ~speculations:(Trace.num_speculations trace)
+      ~partition_s ~exec_s ~outcome ~attempts:attempt
+      ~preemptions:(Retry.preempts_of st.retry job) ~deadline_s:dl ~start_s job
+  in
+  let record =
+    match cut with
+    | Some (outcome, at) ->
+        let run_s = at -. start_s in
+        let partition_s = Float.min partition_s run_s in
+        record ~outcome ~partition_s ~exec_s:(run_s -. partition_s)
+    | None -> record ~outcome:(Trace.outcome_name trace.Trace.outcome) ~partition_s ~exec_s:exec_total
+  in
+  emit_end st record;
+  match (preempt, overdue) with
+  | Some (pt, r), _ ->
+      st.emit
+        (Event.Fault_injected
+           {
+             Event.step = int_of_float pt;
+             kind = "preempt";
+             executor = -1;
+             detail =
+               Printf.sprintf "slot reclaimed under job %d (attempt %d, backoff r%d)" job.Job.id
+                 attempt r;
+           });
+      (record, `Preempted r)
+  | None, Some d ->
+      st.emit
+        (Event.Deadline_exceeded
+           {
+             Event.job_id = job.Job.id;
+             deadline_s = d;
+             overshoot_s = natural_finish -. d;
+             started = true;
+           });
+      (record, `Deadline (natural_finish -. d))
+  | None, None -> (record, if lost then `Lost else `Ok)
+
+(* One attempt of one job. Returns the attempt's record plus its
+   structural status: [`Ok] (recorded as-is), [`Lost] (the cluster died
+   past the run's crash budget — candidate for requeueing),
+   [`Preempted] (the slot was reclaimed mid-run — requeued without
+   consuming the retry budget), [`Deadline] (cancelled at its SLO) or
+   [`Error reason] (an exception from the pipeline, converted into a
+   failed record so nothing escapes the scheduler loop). *)
+let execute st ~start_s ~attempt ~slot_preempts ~depth (job : Job.t) =
+  let g, scale, _ = Memo.graph_of st.memo job.Job.dataset in
+  let dl = deadline_of st job in
+  let strategy = choose_strategy ~depth st ~at_s:start_s job in
+  let ckey = cache_key job strategy in
+  let cached = Narrated.find st.cache ~at_s:start_s ~scale ckey in
+  let faults = faults_for st job ~attempt in
+  let cluster = cluster_for st job and partitioner = Partitioner.Hash strategy in
+  let checkpoint_every = st.checkpoint_every and speculation = st.speculation in
+  let prepared =
+    match cached with
+    | Some pg ->
+        Pipeline.of_pgraph ~cluster ~scale ?checkpoint_every ?faults ?speculation ~partitioner pg
+    | None ->
+        Pipeline.prepare ~cluster ~partitioner ~scale ?checkpoint_every ?faults ?speculation
+          ~algorithm:job.Job.algorithm g
+  in
+  let hit = Option.is_some cached in
+  st.emit
+    (Event.Job_start
+       {
+         Event.job_id = job.Job.id;
+         strategy = ckey.Cache.strategy;
+         cache_hit = hit;
+         start_s;
+         queue_s = start_s -. job.Job.arrival_s;
+       });
+  match run_algorithm st job prepared with
+  | exception (Invalid_argument reason | Failure reason) ->
+      let record =
+        job_record ~strategy:ckey.Cache.strategy ~cache_hit:hit ~outcome:"error" ~attempts:attempt
+          ~preemptions:(Retry.preempts_of st.retry job) ~deadline_s:dl ~start_s job
+      in
+      emit_end st record;
+      (record, `Error reason)
+  | trace ->
+      conclude st ~job ~attempt ~start_s ~hit ~dl ~ckey ~scale ~slot_preempts prepared
+        trace
+
+(* --- records, sheds, culls and the requeue --- *)
+
+let fail st record reason =
+  st.records <- { record with failed = true } :: st.records;
+  st.failures <-
+    { job_id = record.job.Job.id; failed_attempts = record.attempts; reason } :: st.failures
+
+(* A job that did not run: a zero-cost record pinned at [at_s]. Sheds
+   and deadline culls never consume a retry attempt and never touch the
+   cache. *)
+let unrun_record st ~outcome ~at_s ~deadline_s (j : Job.t) =
+  job_record ~outcome ~attempts:(max 0 (Retry.attempt_of st.retry j - 1))
+    ~preemptions:(Retry.preempts_of st.retry j) ~deadline_s ~start_s:at_s j
+
+(* A job the admission queue refused. *)
+let shed st ~at_s ((j : Job.t), why, depth) =
+  fail st
+    (unrun_record st ~outcome:"shed" ~at_s ~deadline_s:(Hashtbl.find_opt st.deadlines j.Job.id) j)
+    (match why with
+    | `Queue p ->
+        Printf.sprintf "shed by admission control (%s, queue depth %d)" (shed_policy_name p) depth
+    | `Quota ->
+        Printf.sprintf "shed by the tenant quota (%s already has %d job(s) queued)" j.Job.tenant
+          depth);
+  let policy = match why with `Queue p -> shed_policy_name p | `Quota -> "quota" in
+  st.emit (Event.Job_shed { Event.job_id = j.Job.id; at_s; queue_depth = depth; policy })
+
+(* A queue-style deadline cancel: a failed record pinned at the deadline
+   instant [d], no slot time, no retry consumed. Shared by the queue
+   cull and the late-start cancel (a mutation batch holding the slot
+   past the launching job's own deadline). *)
+let deadline_cull st ~at_s ((j : Job.t), d) =
+  fail st
+    (unrun_record st ~outcome:"deadline" ~at_s:d ~deadline_s:(Some d) j)
+    (Printf.sprintf "missed its SLO deadline (%.2f s) in the queue" d);
+  st.emit
+    (Event.Deadline_exceeded
+       { Event.job_id = j.Job.id; deadline_s = d; overshoot_s = at_s -. d; started = false })
+
+let by_ready (ra, (a : Job.t)) (rb, (b : Job.t)) =
+  if ra <> rb then Float.compare ra rb else compare a.Job.id b.Job.id
+
+let rec insert_future entry = function
+  | [] -> [ entry ]
+  | e :: rest -> if by_ready entry e < 0 then entry :: e :: rest else e :: insert_future entry rest
+
+(* Requeue an attempt that was preempted or lost its cluster, after a
+   backoff of [backoff] steps. The requeue is pointless when the
+   resubmission would already land past the job's SLO deadline (or, for
+   a lost cluster, the retry budget is spent): the job then fails here
+   and now. *)
+let requeue st (job : Job.t) ~attempt ~record ~backoff ~budget_left ~cause ~verb =
+  let delay_s = retry_delay_s ~attempt:backoff in
+  let resubmit_s = record.finish_s +. delay_s in
+  let deadline_allows =
+    match deadline_of st job with Some d -> resubmit_s < d | None -> true
+  in
+  if budget_left && deadline_allows then begin
+    st.emit (Event.Job_retry { Event.job_id = job.Job.id; attempt; delay_s; resubmit_s });
+    Retry.bump st.retry job ~attempt;
+    st.future <- insert_future (resubmit_s, job) st.future
+  end
+  else
+    (* A preempted record was built before its preemption was counted;
+       refresh it so the conservation law (summed record preemptions =
+       the report counter) holds. *)
+    fail st
+      { record with preemptions = Retry.preempts_of st.retry job }
+      (if deadline_allows then
+         Printf.sprintf "cluster lost beyond the retry budget (%d attempt(s))" attempt
+       else
+         Printf.sprintf "%s and the SLO deadline leaves no time to %s (%d attempt(s))" cause verb
+           attempt)
+
+(* File an attempt's outcome. The breaker judges its real verdict:
+   aborted, error and out-of-memory count against the (tenant, dataset,
+   strategy) triple; deadline cancels and preemptions are environment,
+   not a strategy failure, and carry no verdict. *)
+let settle st ~slot (job : Job.t) ~attempt (record, status) =
+  st.slot_free.(slot) <- record.finish_s;
+  Admission.note_busy st.admission job.Job.tenant (record.partition_s +. record.exec_s);
+  let verdict ok =
+    Retry.note st.retry ~at_s:record.finish_s ~tenant:job.Job.tenant ~dataset:job.Job.dataset
+      ~strategy:record.strategy ok
+  in
+  match status with
+  | `Ok ->
+      verdict (not (String.equal record.outcome "out-of-memory"));
+      st.records <- record :: st.records
+  | `Error reason ->
+      verdict false;
+      fail st record reason
+  | `Deadline overshoot ->
+      fail st record (Printf.sprintf "cancelled at its SLO deadline (ran %.2f s over)" overshoot)
+  | `Preempted r ->
+      (* Spot reclamation is an involuntary failure: the job requeues
+         with a fresh attempt but its retry budget untouched. *)
+      Retry.note_preempt st.retry job;
+      requeue st job ~attempt ~record ~backoff:(max 1 r) ~budget_left:true ~cause:"preempted"
+        ~verb:"resubmit"
+  | `Lost ->
+      verdict false;
+      (* The job's cluster died past its crash budget: every cached
+         partitioning was resident on it, so the whole cache is
+         invalidated before anything else runs. Preempted attempts were
+         involuntary: only the voluntary ones count against the retry
+         budget. *)
+      ignore (Narrated.invalidate st.cache ~at_s:record.finish_s (fun _ -> true));
+      requeue st job ~attempt ~record ~backoff:attempt
+        ~budget_left:(attempt - Retry.preempts_of st.retry job <= st.max_retries)
+        ~cause:"cluster lost" ~verb:"retry"
+
+let advance_membership st ~upto =
+  Timeline.advance st.timeline ~upto ~emit:st.emit ~on_leave:(Narrated.drop_departed st.cache)
+
+(* Launch [job] on [slot] at [at_s]: land the mutation batch the launch
+   triggers, apply the membership changes due by the delayed start,
+   then run the attempt — unless the batch held the slot past the job's
+   own SLO deadline, in which case the run never starts and the job is
+   cancelled cull-style while the mutation work keeps the slot busy. *)
+let launch st ~slot ~at_s (job : Job.t) =
+  let delay_s =
+    Ingest.launch st.ingest ~memo:st.memo ~cache:st.cache ~emit:st.emit ~at_s job
+  in
+  let start_s = at_s +. delay_s in
+  advance_membership st ~upto:start_s;
+  match deadline_of st job with
+  | Some d when start_s >= d ->
+      deadline_cull st ~at_s:start_s (job, d);
+      st.slot_free.(slot) <- start_s
+  | _ ->
+      let attempt = Retry.attempt_of st.retry job in
+      execute st ~start_s ~attempt
+        ~slot_preempts:(Timeline.preempts_for st.timeline slot)
+        ~depth:(Admission.depth st.admission) job
+      |> settle st ~slot job ~attempt
+
+(* One turn of the event loop. The next launch goes to the slot that can
+   usably run soonest: free time for a live slot, the (re)join instant
+   for one that is not yet (or no longer) a member. Slot 0 is always
+   live, so the scan always finds a candidate. With an empty queue the
+   slot idles until the next ready job. *)
+let step st =
+  let usable s = Timeline.usable_from st.timeline s st.slot_free.(s) in
+  let slot = ref 0 in
+  let best = ref (Option.value (usable 0) ~default:0.0) in
+  for s = 1 to Array.length st.slot_free - 1 do
+    match usable s with
+    | Some t when t < !best ->
+        slot := s;
+        best := t
+    | Some _ | None -> ()
+  done;
+  let t =
+    match st.future with
+    | (ready, _) :: _ when Admission.depth st.admission = 0 -> Float.max !best ready
+    | _ -> !best
+  in
+  (* An idle jump may carry the chosen slot past a leave that retires
+     it; re-anchor on its next usable instant. *)
+  let t = Option.value (Timeline.usable_from st.timeline !slot t) ~default:t in
+  let arrived, rest = List.partition (fun (ready, _) -> ready <= t) st.future in
+  st.future <- rest;
+  List.iter
+    (fun (ready, (j : Job.t)) ->
+      let retry = Retry.attempt_of st.retry j > 1 in
+      List.iter (shed st ~at_s:ready) (Admission.admit st.admission ~retry ~ready j))
+    arrived;
+  List.iter (deadline_cull st ~at_s:t)
+    (Admission.cull st.admission ~at_s:t ~deadline_of:(deadline_of st));
+  match Admission.take st.admission ~cost:(predicted_service st ~at_s:t) with
+  | None -> advance_membership st ~upto:t
+  | Some job -> launch st ~slot:!slot ~at_s:t job
+
+let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
+    ?(budget_bytes = 8.0e9) ?iterations ?checkpoint_every ?faults ?speculation ?(max_retries = 2)
+    ?queue_bound ?(shed_policy = Reject) ?deadline ?breaker_k ?(breaker_cooldown_s = 60.0)
+    ?backpressure ?telemetry ?(policy = Fifo) ?(selection = Cache_aware 0.25) ?mutations
+    ?(mutate_every = 8) ?(mutation_mode = Priced) ?(mutation_heuristic = Streaming.Greedy)
+    ?scale_events ?(tenant_weights = []) ?tenant_quota ?(tenant_deadlines = [])
+    ?(fairness = false) ~seed jobs =
+  validate ~slots ~budget_bytes ~selection ~checkpoint_every ~max_retries ~queue_bound ~deadline
+    ~breaker_k ~breaker_cooldown_s ~backpressure ~mutate_every ~tenant_weights ~tenant_quota
+    ~tenant_deadlines;
+  let emit e = match telemetry with None -> () | Some t -> Telemetry.emit t e in
+  let timeline = Timeline.create ~slots scale_events in
+  let st =
+    {
+      cluster; seed; iterations; checkpoint_every; faults; speculation; selection; backpressure;
+      deadline; tenant_deadlines; max_retries; emit; timeline;
+      memo = { Memo.graphs = Hashtbl.create 16; rankings = Hashtbl.create 16 };
+      cache = Narrated.create ~eviction ~budget_bytes ~emit ~live_at:(Timeline.live_at timeline);
+      retry = Retry.create ?breaker_k ~cooldown_s:breaker_cooldown_s ~emit ();
+      admission =
+        Admission.create ~policy ~fairness ~tenant_weights ~tenant_quota ~queue_bound ~shed_policy
+          ~emit;
+      ingest =
+        Ingest.create ?mutations ~every:mutate_every ~mode:mutation_mode
+          ~heuristic:mutation_heuristic ~cluster ();
+      deadlines = Hashtbl.create 16;
+      slot_free = Array.make timeline.Timeline.max_slots 0.0;
+      future = [];
+      records = [];
+      failures = [];
+    }
+  in
+  let sorted =
+    List.sort (fun (a : Job.t) b -> by_ready (a.Job.arrival_s, a) (b.Job.arrival_s, b)) jobs
+  in
   List.iter
     (fun (j : Job.t) ->
       emit
@@ -1076,383 +1458,29 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
              arrival_s = j.Job.arrival_s;
            }))
     sorted;
-  let records = ref [] in
-  let failures = ref [] in
-  let retries = ref 0 in
   (* Malformed jobs fail structurally at admission: a zero-attempt
      failed record, no slot time, no cache traffic. *)
-  let admitted =
-    List.filter
+  st.future <-
+    List.filter_map
       (fun (j : Job.t) ->
         match invalid_reason j with
-        | None -> true
+        | None -> Some (j.Job.arrival_s, j)
         | Some reason ->
-            records :=
-              {
-                job = j;
-                strategy = "-";
-                cache_hit = false;
-                outcome = "invalid";
-                attempts = 0;
-                preemptions = 0;
-                recoveries = 0;
-                recovery_s = 0.0;
-                speculations = 0;
-                deadline_s = None;
-                failed = true;
-                start_s = j.Job.arrival_s;
-                queue_s = 0.0;
-                partition_s = 0.0;
-                exec_s = 0.0;
-                finish_s = j.Job.arrival_s;
-              }
-              :: !records;
-            failures := { job_id = j.Job.id; failed_attempts = 0; reason } :: !failures;
-            false)
-      sorted
-  in
-  let future = ref (List.map (fun (j : Job.t) -> (j.Job.arrival_s, j)) admitted) in
-  let attempt_no : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let attempt_of (j : Job.t) = Option.value ~default:1 (Hashtbl.find_opt attempt_no j.Job.id) in
-  let pending = ref [] in
-  let slot_free = Array.make max_slots 0.0 in
-  let more () = match (!future, !pending) with [], [] -> false | _ -> true in
-  let pick_base ~at_s = function
-    | [] -> None
-    | first :: rest ->
-        let better (a : Job.t) (b : Job.t) =
-          match policy with
-          | Fifo ->
-              if a.Job.arrival_s <> b.Job.arrival_s then a.Job.arrival_s < b.Job.arrival_s
-              else a.Job.id < b.Job.id
-          | Sjf ->
-              let ca = predicted_service ~at_s a and cb = predicted_service ~at_s b in
-              if ca <> cb then ca < cb else a.Job.id < b.Job.id
-        in
-        Some (List.fold_left (fun best c -> if better c best then c else best) first rest)
-  in
-  (* Weighted fair sharing (DRF over the single bottleneck resource,
-     slot busy-time): serve the pending tenant with the smallest
-     weighted service deficit, then let the scheduling policy order the
-     jobs within the chosen tenant. Without [fairness] the policy ranges
-     over the whole queue — a greedy tenant can starve the others. *)
-  let pick ~at_s queue =
-    if not fairness then pick_base ~at_s queue
-    else
-      match queue with
-      | [] -> None
-      | first :: _ ->
-          let deficit tn = busy_of tn /. weight_of tn in
-          let tenants =
-            List.fold_left
-              (fun acc (j : Job.t) ->
-                if List.exists (String.equal j.Job.tenant) acc then acc
-                else j.Job.tenant :: acc)
-              [] queue
-            |> List.rev
-          in
-          let chosen =
-            List.fold_left
-              (fun best tn ->
-                let d = deficit tn and db = deficit best in
-                if d < db || (d = db && String.compare tn best < 0) then tn else best)
-              first.Job.tenant tenants
-          in
-          (* Independent recount of the fairness law: no pending tenant
-             may hold a strictly smaller weighted deficit than the
-             tenant just served. *)
-          if List.exists (fun tn -> deficit tn < deficit chosen) tenants then
-            incr fairness_violations;
-          pick_base ~at_s
-            (List.filter (fun (j : Job.t) -> String.equal j.Job.tenant chosen) queue)
-  in
-  let fail record reason =
-    records := { record with failed = true } :: !records;
-    failures := { job_id = record.job.Job.id; failed_attempts = record.attempts; reason } :: !failures
-  in
-  (* A job the admission queue refused: a failed zero-cost record at the
-     shed instant. Sheds never consume a retry attempt and never touch
-     the cache. *)
-  let shed ?(why = `Admission) ~at_s ~depth (j : Job.t) =
-    let launched = max 0 (attempt_of j - 1) in
-    let record =
-      {
-        job = j;
-        strategy = "-";
-        cache_hit = false;
-        outcome = "shed";
-        attempts = launched;
-        preemptions = preempts_of j;
-        recoveries = 0;
-        recovery_s = 0.0;
-        speculations = 0;
-        deadline_s = Hashtbl.find_opt deadlines j.Job.id;
-        failed = false;
-        start_s = at_s;
-        queue_s = at_s -. j.Job.arrival_s;
-        partition_s = 0.0;
-        exec_s = 0.0;
-        finish_s = at_s;
-      }
-    in
-    let policy_str =
-      match why with `Admission -> shed_policy_name shed_policy | `Quota -> "quota"
-    in
-    fail record
-      (match why with
-      | `Admission ->
-          Printf.sprintf "shed by admission control (%s, queue depth %d)"
-            (shed_policy_name shed_policy) depth
-      | `Quota ->
-          Printf.sprintf "shed by the tenant quota (%s already has %d job(s) queued)"
-            j.Job.tenant depth);
-    emit
-      (Event.Job_shed
-         { Event.job_id = j.Job.id; at_s; queue_depth = depth; policy = policy_str })
-  in
-  (* Bounded admission: a first-attempt job meeting a full queue is shed
-     ([Reject]) or displaces the oldest queued job ([Drop_oldest]).
-     Requeued retries bypass the bound — they already held a queue claim
-     when they first ran. *)
-  let admit ~ready (j : Job.t) =
-    if attempt_of j > 1 then pending := !pending @ [ j ]
-    else
-      let quota_blocked =
-        match tenant_quota with
-        | None -> None
-        | Some q ->
-            let mine =
-              List.length
-                (List.filter
-                   (fun (x : Job.t) -> String.equal x.Job.tenant j.Job.tenant)
-                   !pending)
-            in
-            if mine >= q then Some mine else None
-      in
-      match quota_blocked with
-      | Some mine ->
-          (* Per-tenant admission quota: the tenant already holds its
-             full share of the queue, so the job is throttled and shed
-             — other tenants' queue claims are untouched. *)
-          emit
-            (Event.Tenant_throttle
-               { Event.tenant = j.Job.tenant; job_id = j.Job.id; at_s = ready; pending = mine });
-          shed ~why:`Quota ~at_s:ready ~depth:mine j
-      | None -> (
-          match queue_bound with
-      | Some bound when List.length !pending >= bound -> (
-          let depth = List.length !pending in
-          match shed_policy with
-          | Reject -> shed ~at_s:ready ~depth j
-          | Drop_oldest ->
-              let oldest =
-                List.fold_left
-                  (fun (best : Job.t) (c : Job.t) ->
-                    if
-                      c.Job.arrival_s < best.Job.arrival_s
-                      || (c.Job.arrival_s = best.Job.arrival_s && c.Job.id < best.Job.id)
-                    then c
-                    else best)
-                  (List.hd !pending) (List.tl !pending)
-              in
-              pending := List.filter (fun (x : Job.t) -> x.Job.id <> oldest.Job.id) !pending;
-              shed ~at_s:ready ~depth oldest;
-              pending := !pending @ [ j ])
-          | _ -> pending := !pending @ [ j ])
-  in
-  (* SLO enforcement in the queue: any pending job already past its
-     deadline is cancelled where it stands — a failed record pinned at
-     the deadline instant, no slot time, no retry consumed. *)
-  (* One queue-style deadline cancel: a failed record pinned at the
-     deadline instant, no slot time, no retry consumed. Shared by the
-     queue cull and the late-start cancel (a mutation batch holding the
-     slot past the launching job's own deadline). *)
-  let deadline_cull ~at_s (j : Job.t) =
-    let d = match deadline_of j with Some d -> d | None -> assert false in
-    let launched = max 0 (attempt_of j - 1) in
-    let record =
-      {
-        job = j;
-        strategy = "-";
-        cache_hit = false;
-        outcome = "deadline";
-        attempts = launched;
-        preemptions = preempts_of j;
-        recoveries = 0;
-        recovery_s = 0.0;
-        speculations = 0;
-        deadline_s = Some d;
-        failed = false;
-        start_s = d;
-        queue_s = d -. j.Job.arrival_s;
-        partition_s = 0.0;
-        exec_s = 0.0;
-        finish_s = d;
-      }
-    in
-    fail record (Printf.sprintf "missed its SLO deadline (%.2f s) in the queue" d);
-    emit
-      (Event.Deadline_exceeded
-         { Event.job_id = j.Job.id; deadline_s = d; overshoot_s = at_s -. d; started = false })
-  in
-  let cull_expired ~at_s =
-    match (deadline, tenant_deadlines) with
-    | None, [] -> ()
-    | _ ->
-        let expired, alive =
-          List.partition
-            (fun (j : Job.t) ->
-              match deadline_of j with Some d -> at_s >= d | None -> false)
-            !pending
-        in
-        pending := alive;
-        List.iter (deadline_cull ~at_s) expired
-  in
-  while more () do
-    (* The next launch goes to the slot that can usably run soonest:
-       free time for a live slot, the (re)join instant for one that is
-       not yet (or no longer) a member. Slot 0 is always live, so the
-       scan always finds a candidate. *)
-    let slot = ref 0 in
-    let best = ref (match slot_usable_from 0 slot_free.(0) with Some t -> t | None -> 0.0) in
-    for i = 1 to max_slots - 1 do
-      match slot_usable_from i slot_free.(i) with
-      | Some t when t < !best ->
-          slot := i;
-          best := t
-      | Some _ | None -> ()
-    done;
-    let t0 = !best in
-    (* With an empty queue the slot idles until the next ready job. *)
-    let t =
-      match (!pending, !future) with
-      | [], (ready, _) :: _ -> Float.max t0 ready
-      | _ -> t0
-    in
-    (* An idle jump may carry the chosen slot past a leave that retires
-       it; re-anchor on its next usable instant. *)
-    let t = match slot_usable_from !slot t with Some t' -> t' | None -> t in
-    let arrived, rest = List.partition (fun (ready, _) -> ready <= t) !future in
-    future := rest;
-    List.iter (fun (ready, j) -> admit ~ready j) arrived;
-    cull_expired ~at_s:t;
-    match pick ~at_s:t !pending with
-    | None -> process_membership ~upto:t
-    | Some job -> (
-        pending := List.filter (fun (j : Job.t) -> j.Job.id <> job.Job.id) !pending;
-        let mutation_delay_s = apply_mutations ~at_s:t job in
-        let start_s = t +. mutation_delay_s in
-        process_membership ~upto:start_s;
-        match deadline_of job with
-        | Some d when start_s >= d ->
-            (* The mutation batch this job triggered held the slot past
-               the job's own SLO deadline: the run never starts. The
-               job is cancelled cull-style — record pinned at the
-               deadline, no slot time billed to it, no retry consumed —
-               while the mutation work keeps the slot busy until it
-               finished. *)
-            deadline_cull ~at_s:start_s job;
-            slot_free.(!slot) <- start_s
-        | _ -> (
-        let attempt = attempt_of job in
-        let record, status =
-          execute ~start_s ~attempt ~slot_preempts:(preempts_for !slot)
-            ~depth:(List.length !pending) job
-        in
-        slot_free.(!slot) <- record.finish_s;
-        note_busy job.Job.tenant (record.partition_s +. record.exec_s);
-        (* The breaker judges the attempt's real verdict: aborted, error
-           and out-of-memory count against the (tenant, dataset,
-           strategy) triple; deadline cancels and preemptions are
-           environment, not a strategy failure, and carry no verdict. *)
-        (match status with
-        | `Deadline _ | `Preempted _ -> ()
-        | (`Ok | `Error _ | `Lost) as s ->
-            let ok =
-              match s with
-              | `Error _ | `Lost -> false
-              | `Ok -> not (String.equal record.outcome "out-of-memory")
-            in
-            breaker_note ~at_s:record.finish_s ~tenant:job.Job.tenant ~dataset:job.Job.dataset
-              ~strategy:record.strategy ok);
-        match status with
-        | `Ok -> records := record :: !records
-        | `Error reason -> fail record reason
-        | `Deadline overshoot ->
-            fail record
-              (Printf.sprintf "cancelled at its SLO deadline (ran %.2f s over)" overshoot)
-        | `Preempted (_, r) ->
-            (* Spot reclamation is an involuntary failure — the same
-               rule that keeps sheds and deadline culls from consuming
-               the retry budget applies: the job requeues with a fresh
-               attempt but its budget untouched, unless its SLO leaves
-               no room to resubmit. *)
-            incr preemptions;
-            Hashtbl.replace preempt_no job.Job.id (preempts_of job + 1);
-            let delay_s = retry_delay_s ~attempt:(max 1 r) in
-            let resubmit_s = record.finish_s +. delay_s in
-            let deadline_allows =
-              match deadline_of job with Some d -> resubmit_s < d | None -> true
-            in
-            if deadline_allows then begin
-              emit (Event.Job_retry { Event.job_id = job.Job.id; attempt; delay_s; resubmit_s });
-              incr retries;
-              Hashtbl.replace attempt_no job.Job.id (attempt + 1);
-              future := insert_future (resubmit_s, job) !future
-            end
-            else
-              (* The record was built before this preemption was
-                 counted; refresh it so the conservation law (summed
-                 record preemptions = the report counter) holds. *)
-              fail
-                { record with preemptions = preempts_of job }
-                (Printf.sprintf
-                   "preempted and the SLO deadline leaves no time to resubmit (%d attempt(s))"
-                   attempt)
-        | `Lost ->
-            (* The job's cluster died past its crash budget: every cached
-               partitioning was resident on it, so the whole cache is
-               invalidated before anything else runs. *)
-            let before = Cache.stats cache in
-            ignore
-              (narrate_drops "invalidate" ~before ~at_s:record.finish_s (Cache.invalidate_all cache));
-            let delay_s = retry_delay_s ~attempt in
-            let resubmit_s = record.finish_s +. delay_s in
-            (* A requeue is pointless when the backed-off resubmission
-               would already land past the job's SLO deadline — the
-               attempt is not consumed, the job fails here and now. *)
-            let deadline_allows =
-              match deadline_of job with Some d -> resubmit_s < d | None -> true
-            in
-            (* Preempted attempts were involuntary: only the voluntary
-               ones count against the retry budget. *)
-            if attempt - preempts_of job <= max_retries && deadline_allows then begin
-              emit
-                (Event.Job_retry { Event.job_id = job.Job.id; attempt; delay_s; resubmit_s });
-              incr retries;
-              Hashtbl.replace attempt_no job.Job.id (attempt + 1);
-              future := insert_future (resubmit_s, job) !future
-            end
-            else if not deadline_allows then
-              fail record
-                (Printf.sprintf
-                   "cluster lost and the SLO deadline leaves no time to retry (%d attempt(s))"
-                   attempt)
-            else
-              fail record
-                (Printf.sprintf "cluster lost beyond the retry budget (%d attempt(s))" attempt)))
+            fail st
+              (job_record ~outcome:"invalid" ~attempts:0 ~preemptions:0 ~deadline_s:None
+                 ~start_s:j.Job.arrival_s j)
+              reason;
+            None)
+      sorted;
+  while match st.future with _ :: _ -> true | [] -> Admission.depth st.admission > 0 do
+    step st
   done;
-  (* Flush scale events past the last launch so the event stream and
-     the report agree on the whole spec. *)
-  process_membership ~upto:infinity;
-  let records = List.sort (fun a b -> compare a.job.Job.id b.job.Job.id) !records in
-  let failures =
-    List.sort (fun (a : job_failure) b -> compare a.job_id b.job_id) !failures
-  in
-  let makespan_s = List.fold_left (fun acc r -> Float.max acc r.finish_s) 0.0 records in
-  let total_queue_s = List.fold_left (fun acc r -> acc +. r.queue_s) 0.0 records in
-  let total_partition_s = List.fold_left (fun acc r -> acc +. r.partition_s) 0.0 records in
-  let total_exec_s = List.fold_left (fun acc r -> acc +. r.exec_s) 0.0 records in
+  (* Flush scale events past the last launch so the event stream and the
+     report agree on the whole spec. *)
+  advance_membership st ~upto:infinity;
+  let records = List.sort (fun a b -> compare a.job.Job.id b.job.Job.id) st.records in
+  let failures = List.sort (fun (a : job_failure) b -> compare a.job_id b.job_id) st.failures in
+  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 records in
   {
     policy;
     selection;
@@ -1480,26 +1508,27 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
     fairness;
     records;
     failures;
-    breaker_trips = List.rev !breaker_trips;
-    mutations = List.rev !mutation_log;
-    retries = !retries;
-    joins = !joins;
-    leaves = !leaves;
-    preemptions = !preemptions;
-    stale_placement_hits = !stale_placement_hits;
-    fairness_violations = !fairness_violations;
-    cache = Cache.stats cache;
-    makespan_s;
-    total_queue_s;
-    total_partition_s;
-    total_exec_s;
+    breaker_trips = List.rev st.retry.Retry.trips;
+    mutations = List.rev st.ingest.Ingest.log;
+    retries = st.retry.Retry.retries;
+    joins = timeline.Timeline.joins;
+    leaves = timeline.Timeline.leaves;
+    preemptions = st.retry.Retry.preemptions;
+    stale_placement_hits = st.cache.Narrated.stale_hits;
+    fairness_violations = st.admission.Admission.violations;
+    cache = Cache.stats st.cache.Narrated.cache;
+    makespan_s = List.fold_left (fun acc r -> Float.max acc r.finish_s) 0.0 records;
+    total_queue_s = sum (fun r -> r.queue_s);
+    total_partition_s = sum (fun r -> r.partition_s);
+    total_exec_s = sum (fun r -> r.exec_s);
   }
 
-let hit_rate r =
+
+let hit_rate (r : report) =
   if r.cache.Cache.lookups = 0 then 0.0
   else float_of_int r.cache.Cache.hits /. float_of_int r.cache.Cache.lookups
 
-let mean_queue_s r =
+let mean_queue_s (r : report) =
   match r.records with [] -> 0.0 | l -> r.total_queue_s /. float_of_int (List.length l)
 
 (* --- canonical serialization --- *)
@@ -1599,10 +1628,8 @@ let params_json r =
       ("shed_jobs", Json.Int (shed_jobs r));
       ("deadline_jobs", Json.Int (deadline_jobs r));
       ("speculations", Json.Int (total_speculations r));
-      ( "breaker_opens",
-        Json.Int (List.length (List.filter (fun t -> t.opened) r.breaker_trips)) );
-      ( "breaker_closes",
-        Json.Int (List.length (List.filter (fun t -> not t.opened) r.breaker_trips)) );
+      ("breaker_opens", Json.Int (trip_count ~opened:true r));
+      ("breaker_closes", Json.Int (trip_count ~opened:false r));
       ("jobs", Json.Int (List.length r.records));
       ("makespan_s", Json.Float r.makespan_s);
       ("total_queue_s", Json.Float r.total_queue_s);
@@ -1655,17 +1682,17 @@ let breaker_trip_json (t : breaker_trip) =
       ("failures", Json.Int t.trip_failures);
     ]
 
-let report_lines r =
+let report_lines (r : report) =
   (Json.to_string (params_json r) :: List.map (fun x -> Json.to_string (record_json x)) r.records)
   @ List.map (fun f -> Json.to_string (failure_json f)) r.failures
   @ List.map (fun t -> Json.to_string (breaker_trip_json t)) r.breaker_trips
   @ List.map (fun m -> Json.to_string (mutation_json m)) r.mutations
   @ [ Json.to_string (cache_json r.cache) ]
 
-let pp_summary ppf r =
+let pp_summary ppf (r : report) =
   let n = List.length r.records in
   let hits = List.length (List.filter (fun x -> x.cache_hit) r.records) in
-  let oom = List.length (List.filter (fun x -> String.equal x.outcome "out-of-memory") r.records) in
+  let oom = count_outcome "out-of-memory" r in
   Format.fprintf ppf "@[<v>workload: %d jobs, policy %s, selection %s, %d slot(s)@," n
     (policy_name r.policy) (selection_name r.selection) r.slots;
   Format.fprintf ppf "cache: %s eviction, budget %.1f GB: %d/%d hits, %d evictions, %d rejections@,"
@@ -1697,10 +1724,8 @@ let pp_summary ppf r =
   (match r.breaker_k with
   | None -> ()
   | Some k ->
-      let opens = List.length (List.filter (fun t -> t.opened) r.breaker_trips) in
-      let closes = List.length (List.filter (fun t -> not t.opened) r.breaker_trips) in
       Format.fprintf ppf "@,breakers (k=%d, cooldown %.0f s): %d open(s), %d close(s)" k
-        r.breaker_cooldown_s opens closes);
+        r.breaker_cooldown_s (trip_count ~opened:true r) (trip_count ~opened:false r));
   (match r.scale_spec with
   | None -> ()
   | Some spec ->
@@ -1711,19 +1736,10 @@ let pp_summary ppf r =
       List.sort_uniq String.compare
         (List.map (fun x -> x.job.Job.tenant) r.records)
     in
-    let throttled =
-      List.length
-        (List.filter
-           (fun (f : job_failure) ->
-             List.exists
-               (fun x -> x.job.Job.id = f.job_id && String.equal x.outcome "shed")
-               r.records)
-           r.failures)
-    in
     Format.fprintf ppf "@,tenants: %d, fairness %s, %d violation(s), %d shed at admission"
       (List.length tenants)
       (if r.fairness then "on" else "off")
-      r.fairness_violations throttled
+      r.fairness_violations (shed_jobs r)
   end;
   (match r.mutation_spec with
   | None -> ()

@@ -351,11 +351,13 @@ val run :
     [tenant_deadlines] overrides the global [deadline] per tenant.
     Circuit breakers are namespaced per tenant ({!breaker_scope}), so
     one tenant's failures never degrade another's routing.
-    @raise Invalid_argument if [slots < 1], [max_retries < 0],
-    [queue_bound < 1], a non-positive deadline, [breaker_k < 1],
-    [breaker_cooldown_s < 0], [backpressure < 0], [mutate_every < 1],
-    a non-positive tenant weight or deadline, an empty tenant name in
-    the weights, or [tenant_quota < 1]. *)
+    @raise Cutfit_bsp.Spec_error.Error (dsl ["workload"], item the
+    argument's name) before any job runs if [slots], [checkpoint_every],
+    [queue_bound], [breaker_k], [mutate_every] or [tenant_quota] is
+    below 1, [max_retries], [backpressure], [breaker_cooldown_s] or a
+    [Cache_aware] threshold is below 0 or NaN, [budget_bytes] is
+    negative or not finite (0 disables the cache), a deadline or tenant
+    weight is not positive, or a tenant weight has an empty name. *)
 
 val hit_rate : report -> float
 (** Cache hits over lookups (0 when there were none). *)

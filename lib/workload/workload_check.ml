@@ -323,7 +323,8 @@ let aggregate_checks (r : Engine.report) =
     r.Engine.failures;
   List.rev !v
 
-let event_checks (r : Engine.report) events =
+(* Event counts reconcile with the report's counters and lists. *)
+let event_count_checks (r : Engine.report) events =
   let v = ref [] in
   let add rule fmt = Format.kasprintf (fun detail -> v := Violation.v ~suite ~rule "%s" detail :: !v) fmt in
   let count f = List.length (List.filter f events) in
@@ -341,57 +342,48 @@ let event_checks (r : Engine.report) events =
   let retry_events = count (function Event.Job_retry _ -> true | _ -> false) in
   if retry_events <> r.Engine.retries then
     add "event-retries" "%d Job_retry events for %d counted retries" retry_events r.Engine.retries;
-  let outcome name =
-    List.length (List.filter (fun (x : Engine.job_record) -> String.equal x.Engine.outcome name) r.Engine.records)
-  in
   let sheds = count (function Event.Job_shed _ -> true | _ -> false) in
-  if sheds <> outcome "shed" then
-    add "event-sheds" "%d Job_shed events for %d shed records" sheds (outcome "shed");
+  if sheds <> Engine.shed_jobs r then
+    add "event-sheds" "%d Job_shed events for %d shed records" sheds (Engine.shed_jobs r);
   let cancels = count (function Event.Deadline_exceeded _ -> true | _ -> false) in
-  if cancels <> outcome "deadline" then
+  if cancels <> Engine.deadline_jobs r then
     add "event-deadlines" "%d Deadline_exceeded events for %d deadline-cancelled records" cancels
-      (outcome "deadline");
+      (Engine.deadline_jobs r);
   (* Breaker events are the trip list, narrated: same transitions, same
      order, same fields. *)
-  let opens = List.filter_map (function Event.Breaker_open b -> Some b | _ -> None) events in
-  let closes = List.filter_map (function Event.Breaker_close b -> Some b | _ -> None) events in
-  let opened_trips = List.filter (fun (t : Engine.breaker_trip) -> t.Engine.opened) r.Engine.breaker_trips in
-  let closed_trips = List.filter (fun (t : Engine.breaker_trip) -> not t.Engine.opened) r.Engine.breaker_trips in
-  if List.length opens <> List.length opened_trips then
-    add "event-breaker" "%d Breaker_open events for %d opening trips" (List.length opens)
-      (List.length opened_trips)
-  else
-    List.iter2
-      (fun (b : Event.breaker_open) (t : Engine.breaker_trip) ->
-        if
-          (not
-             (String.equal b.Event.dataset
-                (Engine.breaker_scope ~tenant:t.Engine.trip_tenant
-                   ~dataset:t.Engine.trip_dataset)))
-          || (not (String.equal b.Event.strategy t.Engine.trip_strategy))
-          || b.Event.at_s <> t.Engine.trip_at_s
-          || b.Event.failures <> t.Engine.trip_failures
-        then
-          add "event-breaker" "Breaker_open for %s/%s disagrees with its trip" b.Event.dataset
-            b.Event.strategy)
-      opens opened_trips;
-  if List.length closes <> List.length closed_trips then
-    add "event-breaker" "%d Breaker_close events for %d closing trips" (List.length closes)
-      (List.length closed_trips)
-  else
-    List.iter2
-      (fun (b : Event.breaker_close) (t : Engine.breaker_trip) ->
-        if
-          (not
-             (String.equal b.Event.dataset
-                (Engine.breaker_scope ~tenant:t.Engine.trip_tenant
-                   ~dataset:t.Engine.trip_dataset)))
-          || (not (String.equal b.Event.strategy t.Engine.trip_strategy))
-          || b.Event.at_s <> t.Engine.trip_at_s
-        then
-          add "event-breaker" "Breaker_close for %s/%s disagrees with its trip" b.Event.dataset
-            b.Event.strategy)
-      closes closed_trips;
+  let breaker_events kind adjective ~opened narrated =
+    let trips =
+      List.filter (fun (t : Engine.breaker_trip) -> Bool.equal t.Engine.opened opened) r.Engine.breaker_trips
+    in
+    if List.length narrated <> List.length trips then
+      add "event-breaker" "%d Breaker_%s events for %d %s trips" (List.length narrated) kind
+        (List.length trips) adjective
+    else
+      List.iter2
+        (fun (dataset, strategy, at_s, failures) (t : Engine.breaker_trip) ->
+          if
+            (not
+               (String.equal dataset
+                  (Engine.breaker_scope ~tenant:t.Engine.trip_tenant ~dataset:t.Engine.trip_dataset)))
+            || (not (String.equal strategy t.Engine.trip_strategy))
+            || at_s <> t.Engine.trip_at_s
+            || match failures with Some f -> f <> t.Engine.trip_failures | None -> false
+          then add "event-breaker" "Breaker_%s for %s/%s disagrees with its trip" kind dataset strategy)
+        narrated trips
+  in
+  breaker_events "open" "opening" ~opened:true
+    (List.filter_map
+       (function
+         | Event.Breaker_open b ->
+             Some (b.Event.dataset, b.Event.strategy, b.Event.at_s, Some b.Event.failures)
+         | _ -> None)
+       events);
+  breaker_events "close" "closing" ~opened:false
+    (List.filter_map
+       (function
+         | Event.Breaker_close b -> Some (b.Event.dataset, b.Event.strategy, b.Event.at_s, None)
+         | _ -> None)
+       events);
   (* Superseded (retried) attempts launched speculations of their own,
      so the stream may carry more launches than the surviving records —
      never fewer, and none at all without a speculation config. *)
@@ -408,7 +400,7 @@ let event_checks (r : Engine.report) events =
       if launches < record_specs then
         add "event-speculation" "%d Speculative_launch events for %d recorded clones" launches
           record_specs;
-      if r.Engine.retries = 0 && outcome "deadline" = 0 && launches <> record_specs then
+      if r.Engine.retries = 0 && Engine.deadline_jobs r = 0 && launches <> record_specs then
         add "event-speculation"
           "%d Speculative_launch events for %d recorded clones with no superseded attempts"
           launches record_specs;
@@ -450,6 +442,25 @@ let event_checks (r : Engine.report) events =
           add "event-throttle" "Tenant_throttle %d disagrees with its quota shed %d"
             t.Event.job_id s.Event.job_id)
       throttles quota_sheds;
+  let ops name = count (function Event.Cache_op c -> String.equal c.Event.op name | _ -> false) in
+  let stats = r.Engine.cache in
+  let pair name observed expected =
+    if observed <> expected then
+      add "event-cache-ops" "%d %S cache events for %d counted in the stats" observed name
+        expected
+  in
+  pair "hit" (ops "hit") stats.Cache.hits;
+  pair "miss" (ops "miss") stats.Cache.misses;
+  pair "insert" (ops "insert") stats.Cache.insertions;
+  pair "evict" (ops "evict") stats.Cache.evictions;
+  pair "invalidate" (ops "invalidate") stats.Cache.invalidations;
+  pair "reject" (ops "reject") stats.Cache.rejections;
+  List.rev !v
+
+(* Every job event reconciles field-for-field with its job's record. *)
+let event_record_checks (r : Engine.report) events =
+  let v = ref [] in
+  let add rule fmt = Format.kasprintf (fun detail -> v := Violation.v ~suite ~rule "%s" detail :: !v) fmt in
   let find_record id =
     List.find_opt (fun (x : Engine.job_record) -> x.Engine.job.Job.id = id) r.Engine.records
   in
@@ -533,19 +544,6 @@ let event_checks (r : Engine.report) events =
       | Event.Breaker_close _ | Event.Mutation_batch _ | Event.Repartition _
       | Event.Executor_join _ | Event.Executor_leave _ | Event.Reshuffle _ -> ())
     events;
-  let ops name = count (function Event.Cache_op c -> String.equal c.Event.op name | _ -> false) in
-  let stats = r.Engine.cache in
-  let pair name observed expected =
-    if observed <> expected then
-      add "event-cache-ops" "%d %S cache events for %d counted in the stats" observed name
-        expected
-  in
-  pair "hit" (ops "hit") stats.Cache.hits;
-  pair "miss" (ops "miss") stats.Cache.misses;
-  pair "insert" (ops "insert") stats.Cache.insertions;
-  pair "evict" (ops "evict") stats.Cache.evictions;
-  pair "invalidate" (ops "invalidate") stats.Cache.invalidations;
-  pair "reject" (ops "reject") stats.Cache.rejections;
   List.rev !v
 
 let report ?events (r : Engine.report) =
@@ -555,7 +553,7 @@ let report ?events (r : Engine.report) =
   @ breaker_checks r
   @ mutation_checks r
   @ elastic_checks r
-  @ match events with None -> [] | Some evs -> event_checks r evs
+  @ match events with None -> [] | Some evs -> event_count_checks r evs @ event_record_checks r evs
 
 let digest r = Determinism.lines_digest (Engine.report_lines r)
 

@@ -466,6 +466,16 @@ let test_pricer_driver_limit () =
   checki "one checkpoint" 1 t.Trace.checkpoints;
   checkf "metadata since the checkpoint" (float_of_int np *. meta) t.Trace.driver_meta_bytes
 
+let test_pricer_rejects_bad_checkpoint () =
+  (* k = 0 would divide by zero at [step mod k]; a negative k would
+     silently checkpoint every |k| steps. *)
+  List.iter
+    (fun k ->
+      Alcotest.check_raises (Printf.sprintf "checkpoint_every %d" k)
+        (Invalid_argument "Pricer.create: checkpoint_every must be >= 1") (fun () ->
+          ignore (Pricer.create ~checkpoint_every:k ~label:"test" ~state_bytes:8 ~cluster pg)))
+    [ 0; -2 ]
+
 let test_pricer_speculation_skips_setup () =
   (* Threshold 1: any skew would launch a clone if speculation were
      evaluated; the build and superstep 0 must never be considered. *)
@@ -506,6 +516,7 @@ let suite =
   @ [
       Alcotest.test_case "pricer closed form" `Quick test_pricer_closed_form;
       Alcotest.test_case "pricer driver limit" `Quick test_pricer_driver_limit;
+      Alcotest.test_case "pricer rejects bad checkpoint" `Quick test_pricer_rejects_bad_checkpoint;
       Alcotest.test_case "pricer speculation skips setup" `Quick test_pricer_speculation_skips_setup;
       Alcotest.test_case "pricer loss is recovery traffic" `Quick test_pricer_loss_is_recovery_traffic;
     ]

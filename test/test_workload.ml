@@ -259,9 +259,42 @@ let test_engine_selection_modes () =
         (Workload_check.report report = []))
     [ Engine.Heuristic; Engine.Measured ]
 
-let test_engine_rejects_bad_slots () =
-  Alcotest.check_raises "slots >= 1" (Invalid_argument "Engine.run: slots must be >= 1") (fun () ->
-      ignore (Engine.run ~slots:0 ~seed:1L []))
+(* One row per engine argument check: each must raise the structured
+   [Spec_error] naming the offending argument, before any job runs. *)
+let test_engine_validator () =
+  let rejects item f =
+    match f () with
+    | (_ : Engine.report) -> Alcotest.failf "%s: accepted" item
+    | exception Cutfit.Spec_error.Error e ->
+        Alcotest.(check string) (item ^ ": dsl") "workload" e.Cutfit.Spec_error.dsl;
+        Alcotest.(check (option string)) (item ^ ": item") (Some item) e.Cutfit.Spec_error.item
+  in
+  let run = Engine.run ~seed:1L in
+  List.iter
+    (fun (item, f) -> rejects item f)
+    [
+      ("slots", fun () -> run ~slots:0 []);
+      ("budget_bytes", fun () -> run ~budget_bytes:(-1.0) []);
+      ("budget_bytes", fun () -> run ~budget_bytes:Float.nan []);
+      ("budget_bytes", fun () -> run ~budget_bytes:Float.infinity []);
+      ("selection", fun () -> run ~selection:(Engine.Cache_aware (-0.1)) []);
+      ("selection", fun () -> run ~selection:(Engine.Cache_aware Float.nan) []);
+      ("checkpoint_every", fun () -> run ~checkpoint_every:0 []);
+      ("max_retries", fun () -> run ~max_retries:(-1) []);
+      ("queue_bound", fun () -> run ~queue_bound:0 []);
+      ("deadline", fun () -> run ~deadline:(Engine.Absolute 0.0) []);
+      ("deadline", fun () -> run ~deadline:(Engine.Factor (-2.0)) []);
+      ("breaker_k", fun () -> run ~breaker_k:0 []);
+      ("breaker_cooldown_s", fun () -> run ~breaker_cooldown_s:(-1.0) []);
+      ("backpressure", fun () -> run ~backpressure:(-1) []);
+      ("mutate_every", fun () -> run ~mutate_every:0 []);
+      ("tenant_weights", fun () -> run ~tenant_weights:[ ("", 1.0) ] []);
+      ("tenant_weights", fun () -> run ~tenant_weights:[ ("acme", 0.0) ] []);
+      ("tenant_quota", fun () -> run ~tenant_quota:0 []);
+      ("tenant_deadlines", fun () -> run ~tenant_deadlines:[ ("acme", Engine.Factor 0.0) ] []);
+    ];
+  (* A zero budget is the no-cache control arm, not an error. *)
+  checki "zero budget runs" 0 (List.length (run ~budget_bytes:0.0 []).Engine.records)
 
 let test_report_lines_roundtrip () =
   let report = run () in
@@ -294,7 +327,7 @@ let suite =
     Alcotest.test_case "engine cache effect" `Quick test_engine_cache_effect;
     Alcotest.test_case "engine policies same jobs" `Quick test_engine_policies_same_jobs;
     Alcotest.test_case "engine selection modes" `Quick test_engine_selection_modes;
-    Alcotest.test_case "engine rejects bad slots" `Quick test_engine_rejects_bad_slots;
+    Alcotest.test_case "engine validator" `Quick test_engine_validator;
     Alcotest.test_case "report lines roundtrip" `Quick test_report_lines_roundtrip;
   ]
 

@@ -236,6 +236,16 @@ expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --tenants 'a/b:1'
 expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --tenant-weights 'acme:0'
 expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --tenant-deadline acme
 expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --tenant-quota 0
+# engine-validated knobs and the checkpoint interval are usage errors,
+# never an uncaught exception
+expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --slots 0
+expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --jobs=-3
+expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --cache-gb=-1
+expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --cache-gb=nan
+expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --select cache-aware --threshold=-0.5
+expect_exit 2 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --checkpoint-every 0
+expect_exit 2 dune exec bin/cutfit_cli.exe -- check PR roadnet_pa --checkpoint-every 0
+expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --checkpoint-every 0
 expect_exit 0 dune exec bin/cutfit_cli.exe -- check CC roadnet_tx --elastic --hetero '1.5,0.8/2.0'
 expect_exit 0 dune exec bin/cutfit_cli.exe -- check CC roadnet_tx --dynamic
 expect_exit 1 _build/default/tools/lint/lint.exe --self-test no_such_fixture_dir
