@@ -36,9 +36,19 @@ let graph_arg =
   let doc = "Dataset name (see $(b,cutfit datasets)) or path to an edge-list file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"GRAPH" ~doc)
 
+(* A strictly positive integer flag value: anything below 1 is a usage
+   error (exit 2) at parse time. [what] names the value in the error. *)
+let positive_int what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive %s, got %S" what s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let partitions_arg =
   let doc = "Number of edge partitions." in
-  Arg.(value & opt int 128 & info [ "n"; "partitions" ] ~docv:"N" ~doc)
+  Arg.(value & opt (positive_int "partition count") 128 & info [ "n"; "partitions" ] ~docv:"N" ~doc)
 
 let partitioner_arg =
   let parse s =
@@ -172,15 +182,7 @@ let checkpoint_every_arg =
     "Write a superstep checkpoint every $(docv) compute supersteps (costed via the storage \
      bandwidth of the cost model). Rollback recovery replays from the last checkpoint."
   in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 1 -> Ok k
-      | _ -> Error (`Msg (Printf.sprintf "expected a positive step count, got %S" s))
-    in
-    Arg.conv (parse, Fmt.int)
-  in
-  Arg.(value & opt (some positive) None & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (positive_int "step count")) None & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
 let fault_seed_arg =
   Arg.(
@@ -1106,7 +1108,6 @@ let mutate_cmd =
              laws, refresh-rebuild value equivalence); exits non-zero on any violation.")
   in
   let action graph n config spec heuristic batches mutation_seed check =
-    if n < 1 then usage_fail "partitions must be >= 1 (got %d)" n;
     (match batches with
     | Some b when b < 1 -> usage_fail "batches must be >= 1 (got %d)" b
     | _ -> ());

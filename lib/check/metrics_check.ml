@@ -52,8 +52,9 @@ let validate g ~num_partitions assignment (t : Metrics.t) =
       let check_int name got want =
         if got <> want then bad name "%s = %d, recomputed %d" name got want
       in
-      (* Recomputation runs the same code on the same input, so floats
-         must agree bit for bit. *)
+      (* [t] normally comes from the Pgraph layout (Pgraph.metrics) and
+         [r] from the raw assignment (Metrics.compute): two paths into
+         one record builder, so floats must agree bit for bit. *)
       let check_float name got want =
         if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)) then
           bad name "%s = %.17g, recomputed %.17g" name got want

@@ -15,7 +15,8 @@ type t = {
 }
 
 (* Presence bitset: one bit per (vertex, partition) pair, packed in
-   int words. 256 partitions over 154k vertices is ~5 MB. *)
+   int words. 256 partitions over 154k vertices is ~5 MB. Only the
+   oracle [replica_count] uses it; [presence] needs O(n + m + P). *)
 let presence_words num_partitions = (num_partitions + 62) / 63
 
 let replica_count g ~num_partitions assignment =
@@ -48,80 +49,112 @@ let replica_count g ~num_partitions assignment =
       done;
       !acc)
 
-let compute g ~num_partitions assignment =
-  if num_partitions <= 0 then invalid_arg "Metrics.compute: num_partitions <= 0";
-  let m = Graph.num_edges g in
-  if Array.length assignment <> m then invalid_arg "Metrics.compute: assignment length mismatch";
-  let edges_per_partition = Array.make num_partitions 0 in
-  Array.iter
-    (fun p ->
-      if p < 0 || p >= num_partitions then invalid_arg "Metrics.compute: partition id out of range";
-      edges_per_partition.(p) <- edges_per_partition.(p) + 1)
-    assignment;
-  let replicas = replica_count g ~num_partitions assignment in
-  let vertices_per_partition = Array.make num_partitions 0 in
-  (* Count local vertex-table sizes with a second presence sweep folded
-     into replica counting would save a pass; clarity wins here. *)
-  let words = presence_words num_partitions in
-  let bits = Array.make (Graph.num_vertices g * words) 0 in
-  for i = 0 to m - 1 do
-    let p = assignment.(i) in
-    let mark v =
-      let w = (v * words) + (p / 63) and b = p mod 63 in
-      if bits.(w) land (1 lsl b) = 0 then begin
-        bits.(w) <- bits.(w) lor (1 lsl b);
-        vertices_per_partition.(p) <- vertices_per_partition.(p) + 1
-      end
-    in
-    mark (Graph.edge_src g i);
-    mark (Graph.edge_dst g i)
+type presence = {
+  part_off : int array;
+  part_edges : int array;
+  route_off : int array;
+  local_verts : int array;
+  at_master : int;
+}
+
+let presence ~who g ~num_partitions assignment =
+  let n = Graph.num_vertices g and m = Graph.num_edges g in
+  if num_partitions <= 0 then invalid_arg (who ^ ": num_partitions <= 0");
+  if Array.length assignment <> m then invalid_arg (who ^ ": assignment length mismatch");
+  (* Group edge ids by partition with a counting sort. *)
+  let part_off = Array.make (num_partitions + 1) 0 in
+  for e = 0 to m - 1 do
+    let p = assignment.(e) in
+    if p < 0 || p >= num_partitions then invalid_arg (who ^ ": partition out of range");
+    part_off.(p + 1) <- part_off.(p + 1) + 1
   done;
-  let non_cut = ref 0 and cut = ref 0 and comm_cost = ref 0 and present = ref 0 in
-  let to_same = ref 0 and to_other = ref 0 in
-  Array.iteri
-    (fun v r ->
-      if r = 1 then incr non_cut
-      else if r > 1 then begin
-        incr cut;
-        comm_cost := !comm_cost + r
+  for p = 1 to num_partitions do
+    part_off.(p) <- part_off.(p) + part_off.(p - 1)
+  done;
+  let part_edges = Array.make m 0 in
+  let cursor = Array.sub part_off 0 num_partitions in
+  for e = 0 to m - 1 do
+    let p = assignment.(e) in
+    part_edges.(cursor.(p)) <- e;
+    cursor.(p) <- cursor.(p) + 1
+  done;
+  (* Walk the partitions in ascending order, stamping the last partition
+     each vertex was seen in, so each (vertex, partition) pair is met
+     once. Replica counts accumulate in route_off.(v + 1) and become
+     offsets at the end. *)
+  let src = Graph.src_array g and dst = Graph.dst_array g in
+  let stamp = Array.make n (-1) in
+  let route_off = Array.make (n + 1) 0 in
+  let local_verts = Array.make num_partitions 0 in
+  let at_master = ref 0 in
+  for p = 0 to num_partitions - 1 do
+    let local = ref 0 in
+    for i = part_off.(p) to part_off.(p + 1) - 1 do
+      let e = part_edges.(i) in
+      let s = src.(e) and d = dst.(e) in
+      if stamp.(s) <> p then begin
+        stamp.(s) <- p;
+        route_off.(s + 1) <- route_off.(s + 1) + 1;
+        incr local
       end;
-      if r > 0 then begin
-        incr present;
-        (* A replica collocated with the vertex's (identity-hash) master
-           partition syncs locally; the rest need shipping. *)
-        let mp = v mod num_partitions in
-        let w = (v * words) + (mp / 63) and b = mp mod 63 in
-        let at_master = bits.(w) land (1 lsl b) <> 0 in
-        if at_master then begin
-          incr to_same;
-          to_other := !to_other + (r - 1)
-        end
-        else to_other := !to_other + r
-      end)
-    replicas;
-  let avg = float_of_int m /. float_of_int num_partitions in
+      if stamp.(d) <> p then begin
+        stamp.(d) <- p;
+        route_off.(d + 1) <- route_off.(d + 1) + 1;
+        incr local
+      end
+    done;
+    local_verts.(p) <- !local;
+    (* The vertices mastered here (identity hash: v mod P = p) are
+       p, p + P, ...; a stamp of p means this partition holds a replica. *)
+    let v = ref p in
+    while !v < n do
+      if stamp.(!v) = p then incr at_master;
+      v := !v + num_partitions
+    done
+  done;
+  for v = 1 to n do
+    route_off.(v) <- route_off.(v) + route_off.(v - 1)
+  done;
+  { part_off; part_edges; route_off; local_verts; at_master = !at_master }
+
+let of_presence pr =
+  let num_partitions = Array.length pr.part_off - 1 and n = Array.length pr.route_off - 1 in
+  let edges_per_partition = Array.init num_partitions (fun p -> pr.part_off.(p + 1) - pr.part_off.(p)) in
+  let non_cut = ref 0 and cut = ref 0 and comm_cost = ref 0 in
+  for v = 0 to n - 1 do
+    let r = pr.route_off.(v + 1) - pr.route_off.(v) in
+    if r = 1 then incr non_cut
+    else if r > 1 then begin
+      incr cut;
+      comm_cost := !comm_cost + r
+    end
+  done;
+  let replicas = pr.route_off.(n) and present = !non_cut + !cut in
+  let avg = float_of_int pr.part_off.(num_partitions) /. float_of_int num_partitions in
   let max_edges = Array.fold_left max 0 edges_per_partition in
   let balance = if avg = 0.0 then 1.0 else float_of_int max_edges /. avg in
-  let part_stdev =
-    Cutfit_stats.Summary.stdev (Array.map float_of_int edges_per_partition)
-  in
+  let part_stdev = Cutfit_stats.Summary.stdev (Array.map float_of_int edges_per_partition) in
   let replication_factor =
-    if !present = 0 then 0.0
-    else float_of_int (Array.fold_left ( + ) 0 replicas) /. float_of_int !present
+    if present = 0 then 0.0 else float_of_int replicas /. float_of_int present
   in
   {
     num_partitions;
     edges_per_partition;
-    vertices_per_partition;
+    vertices_per_partition = Array.copy pr.local_verts;
     balance;
     non_cut = !non_cut;
     cut = !cut;
     comm_cost = !comm_cost;
     part_stdev;
     replication_factor;
-    vertices_to_same = !to_same;
-    vertices_to_other = !to_other;
+    (* A replica collocated with the vertex's (identity-hash) master
+       partition syncs locally; the rest need shipping. *)
+    vertices_to_same = pr.at_master;
+    vertices_to_other = replicas - pr.at_master;
   }
+
+let compute g ~num_partitions assignment =
+  of_presence (presence ~who:"Metrics.compute" g ~num_partitions assignment)
 
 let metric_names = [ "Balance"; "NonCut"; "Cut"; "CommCost"; "PartStDev" ]
 

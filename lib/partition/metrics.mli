@@ -31,14 +31,42 @@ type t = {
           [comm_cost + non_cut = vertices_to_same + vertices_to_other]. *)
 }
 
+type presence = {
+  part_off : int array;
+      (** partition [p]'s edges are [part_edges.(i)] for
+          [part_off.(p) <= i < part_off.(p + 1)] *)
+  part_edges : int array;  (** edge ids grouped by partition, ascending within each *)
+  route_off : int array;
+      (** vertex [v] is present in [route_off.(v + 1) - route_off.(v)]
+          partitions; [route_off.(n)] is the total replica count *)
+  local_verts : int array;  (** partition -> size of its local vertex table *)
+  at_master : int;
+      (** vertices present in their master partition [v mod num_partitions] *)
+}
+(** The presence relation of an assignment, in the layout both the
+    metrics and the partitioned graph ([Cutfit_bsp.Pgraph]) are built from. *)
+
+val presence :
+  who:string -> Cutfit_graph.Graph.t -> num_partitions:int -> int array -> presence
+(** [presence g ~num_partitions assignment] validates the assignment,
+    counting-sorts edge ids by partition and walks the partitions in
+    ascending order once, meeting each (vertex, partition) pair exactly
+    once. O(n + m + num_partitions) time and memory.
+    @raise Invalid_argument on a malformed assignment, with a message
+    that starts with the caller's name [who]. *)
+
+val of_presence : presence -> t
+(** The metrics record of a presence relation. *)
+
 val compute : Cutfit_graph.Graph.t -> num_partitions:int -> int array -> t
 (** [compute g ~num_partitions assignment] with [assignment] as produced
-    by {!Partitioner.assign}. O(E + V * num_partitions / 64).
+    by {!Partitioner.assign}: [of_presence] of {!presence}.
     @raise Invalid_argument on a malformed assignment. *)
 
 val replica_count : Cutfit_graph.Graph.t -> num_partitions:int -> int array -> int array
 (** Per-vertex number of partitions the vertex is present in (0 for
-    isolated vertices). *)
+    isolated vertices), counted independently of {!presence} with a
+    (vertex, partition) presence bitset: the sanitizers' oracle. *)
 
 val metric_value : t -> string -> float
 (** Look up a metric by its paper name ("Balance", "NonCut", "Cut",

@@ -87,12 +87,11 @@ let assign t ~num_partitions g =
   if num_partitions <= 0 then invalid_arg "Partitioner.assign: num_partitions <= 0";
   match t with
   | Hash strategy ->
-      let m = Graph.num_edges g in
-      let out = Array.make m 0 in
-      for i = 0 to m - 1 do
-        out.(i) <-
-          Strategy.edge_partition strategy ~num_partitions ~src:(Graph.edge_src g i)
-            ~dst:(Graph.edge_dst g i)
+      let place = Strategy.edge_partition strategy ~num_partitions in
+      let src = Graph.src_array g and dst = Graph.dst_array g in
+      let out = Array.make (Array.length src) 0 in
+      for i = 0 to Array.length src - 1 do
+        out.(i) <- place ~src:src.(i) ~dst:dst.(i)
       done;
       out
   | Stream s | Incremental s -> Streaming.assign s ~num_partitions g

@@ -24,32 +24,39 @@ let ceil_sqrt n =
   let r = int_of_float (sqrt (float_of_int n)) in
   if r * r >= n then r else r + 1
 
-let edge_partition t ~num_partitions ~src ~dst =
+(* Applied to [t] and [num_partitions] alone, this resolves the strategy
+   and its grid shape once; the returned function places one edge. *)
+let edge_partition t ~num_partitions =
   if num_partitions <= 0 then invalid_arg "Strategy.edge_partition: num_partitions <= 0";
-  if src < 0 || dst < 0 then invalid_arg "Strategy.edge_partition: negative vertex id";
-  match t with
-  | Rvc -> Hashing.hash2 src dst ~num_partitions
-  | One_d -> Hashing.hash1 src ~num_partitions
-  | Two_d ->
-      (* GraphX's grid. Perfect squares get the clean sqrt x sqrt grid;
-         otherwise GraphX falls back to a cols x rows rectangle with a
-         short last column, which is where the "potentially creates
-         imbalanced partitioning" caveat of the paper comes from. *)
-      let side = ceil_sqrt num_partitions in
-      if side * side = num_partitions then begin
-        let col = Hashing.mix src mod side and row = Hashing.mix dst mod side in
-        (col * side) + row
-      end
-      else begin
-        let cols = side in
-        let rows = (num_partitions + cols - 1) / cols in
-        let last_col_rows = num_partitions - (rows * (cols - 1)) in
-        let col = Hashing.mix src mod num_partitions / rows in
-        let row = Hashing.mix dst mod (if col < cols - 1 then rows else last_col_rows) in
-        (col * rows) + row
-      end
-  | Crvc ->
-      if src < dst then Hashing.hash2 src dst ~num_partitions
-      else Hashing.hash2 dst src ~num_partitions
-  | Sc -> src mod num_partitions
-  | Dc -> dst mod num_partitions
+  let place =
+    match t with
+    | Rvc -> fun src dst -> Hashing.hash2 src dst ~num_partitions
+    | One_d -> fun src _ -> Hashing.hash1 src ~num_partitions
+    | Two_d ->
+        (* GraphX's grid. Perfect squares get the clean sqrt x sqrt grid;
+           otherwise GraphX falls back to a cols x rows rectangle with a
+           short last column, which is where the "potentially creates
+           imbalanced partitioning" caveat of the paper comes from. *)
+        let side = ceil_sqrt num_partitions in
+        if side * side = num_partitions then fun src dst ->
+          let col = Hashing.mix src mod side and row = Hashing.mix dst mod side in
+          (col * side) + row
+        else begin
+          let cols = side in
+          let rows = (num_partitions + cols - 1) / cols in
+          let last_col_rows = num_partitions - (rows * (cols - 1)) in
+          fun src dst ->
+            let col = Hashing.mix src mod num_partitions / rows in
+            let row = Hashing.mix dst mod (if col < cols - 1 then rows else last_col_rows) in
+            (col * rows) + row
+        end
+    | Crvc ->
+        fun src dst ->
+          if src < dst then Hashing.hash2 src dst ~num_partitions
+          else Hashing.hash2 dst src ~num_partitions
+    | Sc -> fun src _ -> src mod num_partitions
+    | Dc -> fun _ dst -> dst mod num_partitions
+  in
+  fun ~src ~dst ->
+    if src < 0 || dst < 0 then invalid_arg "Strategy.edge_partition: negative vertex id";
+    place src dst

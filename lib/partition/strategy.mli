@@ -30,5 +30,8 @@ val of_string : string -> t option
 val edge_partition : t -> num_partitions:int -> src:int -> dst:int -> int
 (** Partition index for one edge; pure, so an edge's placement never
     depends on the rest of the graph (the defining property of the
-    hash-family strategies). @raise Invalid_argument if
-    [num_partitions <= 0] or an endpoint id is negative. *)
+    hash-family strategies). The partial application
+    [edge_partition t ~num_partitions] checks [num_partitions] and
+    resolves the strategy once, for loops over many edges.
+    @raise Invalid_argument if [num_partitions <= 0] or an endpoint id
+    is negative. *)

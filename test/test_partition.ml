@@ -4,6 +4,7 @@ module Streaming = Cutfit_partition.Streaming
 module Partitioner = Cutfit_partition.Partitioner
 module Metrics = Cutfit_partition.Metrics
 module Hashing = Cutfit_partition.Hashing
+module Pgraph = Cutfit_bsp.Pgraph
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -76,40 +77,84 @@ let test_hashing_nonnegative () =
     checkb "mix nonneg" true (Hashing.mix i >= 0)
   done
 
-(* Brute-force metrics re-implementation for cross-checking. *)
-let brute_metrics g a =
-  let n = Graph.num_vertices g in
-  let parts = Array.make n [] in
+(* A small multigraph (self-loops, parallel edges, isolated vertices)
+   with a random assignment over P partitions, drawn from [0, used) so
+   that partitions at and past [used] stay empty. *)
+let presence_case_gen =
+  let open QCheck2.Gen in
+  int_range 1 30 >>= fun n ->
+  int_range 0 80 >>= fun m ->
+  list_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) >>= fun edges ->
+  oneof [ oneofl [ 1; 2; 7; 63; 64; 65; 128 ]; int_range (n + 1) (n + 70) ] >>= fun np ->
+  int_range 1 np >>= fun used ->
+  list_repeat m (int_range 0 (used - 1)) >|= fun a -> (n, edges, np, Array.of_list a)
+
+let print_presence_case (n, edges, np, a) =
+  Printf.sprintf "%s P=%d assignment=[%s]"
+    (Test_util.print_small_graph (n, edges))
+    np
+    (String.concat ";" (Array.to_list (Array.map string_of_int a)))
+
+(* Each vertex's partitions, ascending and without repeats. *)
+let naive_parts g a =
+  let parts = Array.make (Graph.num_vertices g) [] in
   Array.iteri
     (fun e p ->
-      let add v = if not (List.mem p parts.(v)) then parts.(v) <- p :: parts.(v) in
-      add (Graph.edge_src g e);
-      add (Graph.edge_dst g e))
+      parts.(Graph.edge_src g e) <- p :: parts.(Graph.edge_src g e);
+      parts.(Graph.edge_dst g e) <- p :: parts.(Graph.edge_dst g e))
     a;
-  let non_cut = ref 0 and cut = ref 0 and comm = ref 0 in
-  Array.iter
-    (fun ps ->
-      match List.length ps with
-      | 0 -> ()
-      | 1 -> incr non_cut
-      | k ->
-          incr cut;
-          comm := !comm + k)
-    parts;
-  (!non_cut, !cut, !comm)
+  Array.map (List.sort_uniq Int.compare) parts
+
+let naive_metrics g ~num_partitions a =
+  let parts = naive_parts g a in
+  let edges_per_partition = Array.make num_partitions 0 in
+  Array.iter (fun p -> edges_per_partition.(p) <- edges_per_partition.(p) + 1) a;
+  let vertices_per_partition = Array.make num_partitions 0 in
+  Array.iter (List.iter (fun p -> vertices_per_partition.(p) <- vertices_per_partition.(p) + 1)) parts;
+  let count f = Array.fold_left (fun acc ps -> acc + f ps) 0 parts in
+  let non_cut = count (fun ps -> if List.length ps = 1 then 1 else 0) in
+  let cut = count (fun ps -> if List.length ps > 1 then 1 else 0) in
+  let comm_cost = count (fun ps -> if List.length ps > 1 then List.length ps else 0) in
+  let replicas = count List.length in
+  let vertices_to_same = ref 0 in
+  Array.iteri (fun v ps -> if List.mem (v mod num_partitions) ps then incr vertices_to_same) parts;
+  let avg = float_of_int (Array.length a) /. float_of_int num_partitions in
+  let max_edges = Array.fold_left max 0 edges_per_partition in
+  {
+    Metrics.num_partitions;
+    edges_per_partition;
+    vertices_per_partition;
+    balance = (if avg = 0.0 then 1.0 else float_of_int max_edges /. avg);
+    non_cut;
+    cut;
+    comm_cost;
+    part_stdev = Cutfit_stats.Summary.stdev (Array.map float_of_int edges_per_partition);
+    replication_factor =
+      (if non_cut + cut = 0 then 0.0 else float_of_int replicas /. float_of_int (non_cut + cut));
+    vertices_to_same = !vertices_to_same;
+    vertices_to_other = replicas - !vertices_to_same;
+  }
+
+(* Every field equal, floats bit for bit. *)
+let same_metrics (x : Metrics.t) (y : Metrics.t) =
+  let bits f = Int64.bits_of_float f in
+  x.Metrics.num_partitions = y.Metrics.num_partitions
+  && x.Metrics.edges_per_partition = y.Metrics.edges_per_partition
+  && x.Metrics.vertices_per_partition = y.Metrics.vertices_per_partition
+  && Int64.equal (bits x.Metrics.balance) (bits y.Metrics.balance)
+  && x.Metrics.non_cut = y.Metrics.non_cut
+  && x.Metrics.cut = y.Metrics.cut
+  && x.Metrics.comm_cost = y.Metrics.comm_cost
+  && Int64.equal (bits x.Metrics.part_stdev) (bits y.Metrics.part_stdev)
+  && Int64.equal (bits x.Metrics.replication_factor) (bits y.Metrics.replication_factor)
+  && x.Metrics.vertices_to_same = y.Metrics.vertices_to_same
+  && x.Metrics.vertices_to_other = y.Metrics.vertices_to_other
 
 let prop_metrics_match_bruteforce =
-  Test_util.qtest "metrics match brute force" ~print:Test_util.print_small_graph
-    Test_util.small_graph_gen (fun sg ->
-      let g = Test_util.build sg in
-      if Graph.num_edges g = 0 then true
-      else begin
-        let num_partitions = 5 in
-        let a = Partitioner.assign (Partitioner.Hash Strategy.Rvc) ~num_partitions g in
-        let m = Metrics.compute g ~num_partitions a in
-        let nc, c, cc = brute_metrics g a in
-        m.Metrics.non_cut = nc && m.Metrics.cut = c && m.Metrics.comm_cost = cc
-      end)
+  Test_util.qtest ~count:300 "metrics match brute force" ~print:print_presence_case
+    presence_case_gen (fun (n, edges, num_partitions, a) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      same_metrics (Metrics.compute g ~num_partitions a) (naive_metrics g ~num_partitions a))
 
 let test_metrics_identities () =
   let a = Partitioner.assign (Partitioner.Hash Strategy.Crvc) ~num_partitions g in
@@ -380,3 +425,29 @@ let suite =
       Alcotest.test_case "hybrid balance bound" `Quick test_hybrid_balance_bound;
       Alcotest.test_case "DBH lower-degree endpoint" `Quick test_dbh_hashes_lower_degree_endpoint;
     ]
+
+(* --- the presence sweep behind Pgraph, and hoisted strategy dispatch --- *)
+
+let prop_pgraph_matches_assignment =
+  Test_util.qtest ~count:300 "Pgraph layout = raw assignment" ~print:print_presence_case
+    presence_case_gen (fun (n, edges, num_partitions, a) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      let pg = Pgraph.build g ~num_partitions a in
+      let parts = naive_parts g a in
+      same_metrics (Pgraph.metrics pg) (Metrics.compute g ~num_partitions a)
+      && Array.for_all Fun.id (Array.mapi (fun v ps -> Pgraph.replicas pg v = Array.of_list ps) parts))
+
+let prop_assign_matches_edge_partition =
+  Test_util.qtest ~count:50 "assign = per-edge edge_partition"
+    QCheck2.Gen.(pair (int_range 1 5000) (int_range 0 3000))
+    (fun (n, m) ->
+      let g = Test_util.random_multigraph ~seed:(Int64.of_int ((n * 7919) + m)) ~n ~m in
+      List.for_all
+        (fun (s, num_partitions) ->
+          Partitioner.assign (Partitioner.Hash s) ~num_partitions g
+          = Array.init (Graph.num_edges g) (fun i ->
+                Strategy.edge_partition s ~num_partitions ~src:(Graph.edge_src g i)
+                  ~dst:(Graph.edge_dst g i)))
+        (List.concat_map (fun s -> List.map (fun p -> (s, p)) [ 16; 256; 7; 12 ]) Strategy.all))
+
+let suite = suite @ [ prop_pgraph_matches_assignment; prop_assign_matches_edge_partition ]

@@ -203,6 +203,14 @@ for kind in superstep recovery speculative_launch speculative_win reshuffle; do
 done
 rm -rf "$jdir"
 
+echo "== large-P smoke (a million partitions under a 3 GB address-space limit)"
+# the metrics sweep needs O(n + m + P) memory; a (vertex, partition)
+# presence bitset would need about 2.9 GB here
+(
+  ulimit -v 3000000
+  _build/default/bin/cutfit_cli.exe partition youtube -n 1000000 -p RVC >/dev/null
+)
+
 echo "== exit-code contract (0 success / 1 failure / 2 usage)"
 expect_exit() {
   want="$1"; shift
@@ -246,6 +254,9 @@ expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --select cache-aware --th
 expect_exit 2 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --checkpoint-every 0
 expect_exit 2 dune exec bin/cutfit_cli.exe -- check PR roadnet_pa --checkpoint-every 0
 expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --checkpoint-every 0
+expect_exit 2 dune exec bin/cutfit_cli.exe -- partition youtube --partitions=0
+expect_exit 2 dune exec bin/cutfit_cli.exe -- advise PR youtube --partitions=0
+expect_exit 2 dune exec bin/cutfit_cli.exe -- mutate youtube --partitions=0
 expect_exit 0 dune exec bin/cutfit_cli.exe -- check CC roadnet_tx --elastic --hetero '1.5,0.8/2.0'
 expect_exit 0 dune exec bin/cutfit_cli.exe -- check CC roadnet_tx --dynamic
 expect_exit 1 _build/default/tools/lint/lint.exe --self-test no_such_fixture_dir
