@@ -880,13 +880,10 @@ let workload_cmd =
             (tenant_entries ~flag:"tenant-deadline" s)
     in
     if jobs < 0 then fail "jobs must be >= 0 (got %d)" jobs;
-    let ring, read_ring = Cutfit.Sink.ring ~capacity:65536 () in
     let sinks =
       (match trace_out with Some path -> [ Cutfit.Sink.jsonl path ] | None -> [])
-      @ (if verbose then [ Cutfit.Sink.console ~verbose:true Format.std_formatter ] else [])
-      @ if check then [ ring ] else []
+      @ if verbose then [ Cutfit.Sink.console ~verbose:true Format.std_formatter ] else []
     in
-    let telemetry = if sinks = [] then None else Some (Cutfit.Telemetry.create ~sinks ()) in
     let run ?telemetry () =
       W.Engine.run ~slots ~eviction ~budget_bytes:(cache_gb *. 1.0e9) ?checkpoint_every ?faults
         ?speculation ~max_retries ?queue_bound ~shed_policy ?deadline ?breaker_k
@@ -895,10 +892,22 @@ let workload_cmd =
         ~tenant_deadlines ~fairness ~seed
         (W.Job.generate ~seed ~jobs ?tenants mix)
     in
-    (* The engine validates every numeric knob; a rejected one is a
-       usage error. *)
-    let report =
-      match run ?telemetry () with
+    (* With --check the printed run is the sanitized one: checked
+       against its own event stream, then replayed once untraced. The
+       engine validates every numeric knob; a rejected one is a usage
+       error. *)
+    let report, violations =
+      match
+        if check then
+          W.Workload_check.check_run
+            ~label:(Printf.sprintf "workload %s seed %Ld" mix_name seed)
+            ~sinks run
+        else
+          let telemetry = if sinks = [] then None else Some (Cutfit.Telemetry.create ~sinks ()) in
+          let r = run ?telemetry () in
+          Option.iter Cutfit.Telemetry.close telemetry;
+          (r, [])
+      with
       | r -> r
       | exception Cutfit.Spec_error.Error e -> fail "%s" (Cutfit.Spec_error.message e)
     in
@@ -927,27 +936,17 @@ let workload_cmd =
              "finish"; "outcome" ]
          ~rows);
     Fmt.pr "%a@." W.Engine.pp_summary report;
-    (match telemetry with Some t -> Cutfit.Telemetry.close t | None -> ());
     (match trace_out with
     | Some path -> Fmt.pr "wrote workload events to %s@." path
     | None -> ());
     let check_code =
-      if not check then exit_ok
-      else begin
-        let violations = W.Workload_check.report ~events:(read_ring ()) report in
-        let twice =
-          W.Workload_check.run_twice ~label:(Printf.sprintf "workload %s seed %Ld" mix_name seed)
-            (fun () -> run ())
-        in
-        match violations @ twice with
-        | [] ->
-            Fmt.pr "workload check: ok (digest %s)@." (W.Workload_check.digest report);
-            exit_ok
-        | vs ->
-            Fmt.epr "cutfit: workload sanitizer violations:@.%a@." Cutfit.Check.Violation.pp_list
-              vs;
-            exit_failure
-      end
+      match violations with
+      | [] ->
+          if check then Fmt.pr "workload check: ok (digest %s)@." (W.Workload_check.digest report);
+          exit_ok
+      | vs ->
+          Fmt.epr "cutfit: workload sanitizer violations:@.%a@." Cutfit.Check.Violation.pp_list vs;
+          exit_failure
     in
     if W.Engine.failed_jobs report > 0 then begin
       Fmt.epr "cutfit: %d job(s) failed permanently@." (W.Engine.failed_jobs report);

@@ -6,8 +6,6 @@ module Datasets = Cutfit_gen.Datasets
 module Engine = Cutfit_workload.Engine
 module Job = Cutfit_workload.Job
 module Workload_check = Cutfit_workload.Workload_check
-module Sink = Cutfit_obs.Sink
-module Telemetry = Cutfit_obs.Telemetry
 module Clock = Cutfit_obs.Clock
 
 type outcome =
@@ -64,15 +62,7 @@ let execute (sc : Scenario.t) =
           ?scale_events:sc.Scenario.elastic ~tenant_weights:t.Scenario.tenants
           ?tenant_quota:t.Scenario.quota ~fairness:t.Scenario.fairness ~seed:seed64 stream
       in
-      let ring, read_ring = Sink.ring ~capacity:65536 () in
-      let telemetry = Telemetry.create ~sinks:[ ring ] () in
-      let report = run ~telemetry () in
-      Telemetry.close telemetry;
-      let direct = Workload_check.report ~events:(read_ring ()) report in
-      let twice =
-        Workload_check.run_twice ~label:("chaos " ^ Scenario.to_spec sc) (fun () -> run ())
-      in
-      direct @ twice
+      snd (Workload_check.check_run ~label:("chaos " ^ Scenario.to_spec sc) run)
     end
   in
   let injected =

@@ -69,8 +69,7 @@ let events_digest events =
 
 let lines_digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 
-let run_twice ~label f =
-  let first = f () in
+let replay ~label ~first f =
   let second = f () in
   if String.equal first second then []
   else
@@ -78,3 +77,5 @@ let run_twice ~label f =
       Violation.v ~suite ~rule:"divergence" "%s: first run digest %s, second run digest %s" label
         first second;
     ]
+
+let run_twice ~label f = replay ~label ~first:(f ()) f

@@ -1,4 +1,5 @@
 module Graph = Cutfit_graph.Graph
+module Metrics = Cutfit_partition.Metrics
 module Pgraph = Cutfit_bsp.Pgraph
 
 let suite = "pgraph"
@@ -97,20 +98,26 @@ let validate_view t =
         (fun e c -> if c = 0 then report cover "edge %d is in no partition's edge list" e)
         seen;
       add cover;
-      (* Recompute vertex presence from the per-partition edge lists and
-         compare against the routing table. *)
-      let words = (p_count + 62) / 63 in
+      (* Recompute vertex presence from the assignment into a (vertex,
+         partition) bitset of its own, 63 partitions per word, and
+         compare the routing table and the local vertex tables against
+         it. One walk over each vertex's words yields both its replica
+         count (popcount) and, bit by bit, the local table sizes, so the
+         cost is O(m + n * words + replicas), not O(n * P). *)
+      let words = Metrics.presence_words p_count in
       let bits = Array.make (n * words) 0 in
       let present v p = bits.((v * words) + (p / 63)) land (1 lsl (p mod 63)) <> 0 in
       let mark v p =
         let w = (v * words) + (p / 63) in
         bits.(w) <- bits.(w) lor (1 lsl (p mod 63))
       in
+      let src = Graph.src_array g and dst = Graph.dst_array g in
       Array.iteri
         (fun e p ->
-          mark (Graph.edge_src g e) p;
-          mark (Graph.edge_dst g e) p)
+          mark src.(e) p;
+          mark dst.(e) p)
         t.assignment;
+      let local_expect = Array.make p_count 0 in
       let routes = reporter "replicas" in
       let total = ref 0 in
       for v = 0 to n - 1 do
@@ -129,8 +136,18 @@ let validate_view t =
               report routes "vertex %d: routed to partition %d which holds none of its edges" v p)
           reps;
         let expect = ref 0 in
-        for p = 0 to p_count - 1 do
-          if present v p then incr expect
+        for w = 0 to words - 1 do
+          let word = bits.((v * words) + w) in
+          expect := !expect + Metrics.popcount word;
+          (* Peel the set bits lowest first; the partition of a lone bit
+             [low] is [w * 63] plus the count of the bits below it. *)
+          let rest = ref word in
+          while !rest <> 0 do
+            let low = !rest land (- !rest) in
+            let p = (w * 63) + Metrics.popcount (low - 1) in
+            local_expect.(p) <- local_expect.(p) + 1;
+            rest := !rest lxor low
+          done
         done;
         if !sorted && Array.length reps <> !expect then
           report routes "vertex %d: %d replicas routed, %d partitions hold its edges" v
@@ -156,13 +173,9 @@ let validate_view t =
       (* Local vertex-table sizes match the presence relation. *)
       let locals = reporter "local-vertices" in
       for p = 0 to p_count - 1 do
-        let expect = ref 0 in
-        for v = 0 to n - 1 do
-          if present v p then incr expect
-        done;
-        if t.local_vertices p <> !expect then
+        if t.local_vertices p <> local_expect.(p) then
           report locals "partition %d: local vertex table has %d entries, expected %d" p
-            (t.local_vertices p) !expect
+            (t.local_vertices p) local_expect.(p)
       done;
       add locals;
       !acc

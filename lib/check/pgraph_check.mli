@@ -6,15 +6,18 @@
     - every edge appears in exactly one partition's edge list — the list
       of the partition its assignment names;
     - per-vertex replica lists are strictly ascending (sorted, deduped)
-      and agree exactly with the presence relation recomputed from the
-      edge lists; [total_replicas] is their sum;
+      and agree exactly with the presence relation, which the checker
+      recomputes from the assignment into a (vertex, partition) bitset
+      of its own; [total_replicas] is their sum;
     - [master v = v mod num_partitions] (the GraphX identity-hash
       alignment the paper's DC result depends on);
     - per-partition local vertex-table sizes match the presence
       relation.
 
     All checks report {!Violation.t} values (capped per rule) rather
-    than raising. *)
+    than raising. Cost: O(m + n * ceil(P / 63) + replicas) — replica
+    counts are popcounts over each vertex's bitset words, and the local
+    table sizes come from one pass over the set bits. *)
 
 val assignment :
   Cutfit_graph.Graph.t -> num_partitions:int -> int array -> Violation.t list

@@ -103,6 +103,9 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
   let label =
     Printf.sprintf "%s/%s" (Advisor.algorithm_name algorithm) (Partitioner.name partitioner)
   in
+  (* The sanitized run above is the first of the two complete
+     executions the determinism suite compares; one replay through the
+     same [run_once] configuration (ring sink included) is the second. *)
   let digest_of_run () =
     let _, trace, _, events =
       run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~cluster ~partitioner
@@ -110,7 +113,9 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     in
     Check.Determinism.trace_digest trace ^ "/" ^ Check.Determinism.events_digest events
   in
-  let determinism_v = Check.Determinism.run_twice ~label digest_of_run in
+  let determinism_v =
+    Check.Determinism.replay ~label ~first:(trace_digest ^ "/" ^ events_digest) digest_of_run
+  in
   (* With a fault schedule (or speculation) the sanitized run above is
      the perturbed one; a sixth suite replays the same pipeline
      fault-free and speculation-free and proves the equivalence

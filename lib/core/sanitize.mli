@@ -7,11 +7,12 @@
     Suites, in order: [pgraph] (structure vs assignment), [metrics]
     (recomputation + §3.1 identity), [trace] (conservation laws, with
     the wire-payload law on the Pregel-engine algorithms), [telemetry]
-    (event stream vs trace reconciliation), [determinism] (two more
-    identical runs must digest identically). With a fault schedule or a
-    speculation config a sixth suite, [faults], replays the pipeline
-    fault-free and speculation-free and proves the equivalence invariant
-    via {!Cutfit_check.Fault_check}: the perturbed run's final vertex
+    (event stream vs trace reconciliation), [determinism] (the
+    sanitized run and one replay of it must digest identically). With
+    a fault schedule or a speculation config a sixth suite, [faults],
+    replays the pipeline fault-free and speculation-free and proves the
+    equivalence invariant via {!Cutfit_check.Fault_check}: the
+    perturbed run's final vertex
     values are bit-identical to the baseline's, its communication
     structure is unchanged, and its compute supersteps never sum
     cheaper. With [engine_domains] a further suite, [engines], proves
@@ -61,9 +62,10 @@ val check_run :
 (** Defaults mirror {!Pipeline.prepare}: cluster configuration (i), the
     advisor's partitioner, scale 1.0. SSSP uses the same 3 deterministic
     landmarks as {!Pipeline.compare_partitioners}. Runs the pipeline
-    three times in total (once observed, twice for the determinism
-    digest) — four with [faults] or [speculation], which add the
-    unperturbed baseline for the equivalence suite, and one more with
-    [elastic] or [hetero] for the static-replay baseline. *)
+    twice in total (once observed, once more as the determinism
+    replay, whose digest must equal the observed run's) — three with
+    [faults] or [speculation], which add the unperturbed baseline for
+    the equivalence suite, and one more with [elastic] or [hetero] for
+    the static-replay baseline. *)
 
 val pp_report : Format.formatter -> report -> unit

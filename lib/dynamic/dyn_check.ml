@@ -44,40 +44,50 @@ let graph_identity ~expect got =
     done;
   capped (List.rev !errs)
 
+(* Validate a raw cut before anything is built from it, then build it
+   once: the cut laws and the value law share this one Pgraph. *)
+let build_checked g ~num_partitions assignment =
+  match Pgraph_check.assignment g ~num_partitions assignment with
+  | _ :: _ as bad -> Error bad
+  | [] -> Ok (Pgraph.build g ~num_partitions assignment)
+
 (* Law 2: a refreshed cut is a first-class cut — it satisfies every
    Pgraph_check and Metrics_check law a cold-built one does. *)
-let cut_laws g ~num_partitions assignment =
-  match Pgraph_check.assignment g ~num_partitions assignment with
-  | _ :: _ as bad -> bad
-  | [] ->
-      let pg = Pgraph.build g ~num_partitions assignment in
-      Pgraph_check.validate pg
-      @ Metrics_check.validate g ~num_partitions assignment (Pgraph.metrics pg)
+let built_cut_laws g ~num_partitions assignment pg =
+  Pgraph_check.validate pg @ Metrics_check.validate g ~num_partitions assignment (Pgraph.metrics pg)
 
-(* Law 3: running on a refreshed cut is indistinguishable from running
-   on a cold rebuild of the same assignment — PageRank values are
-   bit-identical. *)
-let value_equivalence ?(cluster = Cluster.config_i) ?(iterations = 3) g ~num_partitions
-    assignment =
+let cut_laws g ~num_partitions assignment =
+  match build_checked g ~num_partitions assignment with
+  | Error bad -> bad
+  | Ok pg -> built_cut_laws g ~num_partitions assignment pg
+
+(* Law 3: building and running on the refreshed assignment is
+   reproducible. There is no incremental Pgraph — a refreshed cut is
+   always built from scratch — so the law compares PageRank on [warm],
+   the Pgraph the cut laws validated, with PageRank on a second build
+   from a copy of the assignment: the values must be bit-identical. *)
+let built_value_equivalence ?(cluster = Cluster.config_i) ?(iterations = 3) ~warm assignment =
+  let num_partitions = Pgraph.num_partitions warm in
   (* The engines insist the cluster agrees with the cut's granularity. *)
   let cluster = { cluster with Cluster.num_partitions } in
-  match Pgraph_check.assignment g ~num_partitions assignment with
-  | _ :: _ as bad -> bad
-  | [] ->
-      let warm = Pgraph.build g ~num_partitions assignment in
-      let cold = Pgraph.build g ~num_partitions (Array.copy assignment) in
-      let warm_ranks = (Pagerank.run ~iterations ~cluster warm).Pagerank.ranks in
-      let cold_ranks = (Pagerank.run ~iterations ~cluster cold).Pagerank.ranks in
-      let dw = Fault_check.float_attrs_digest warm_ranks in
-      let dc = Fault_check.float_attrs_digest cold_ranks in
-      if String.equal dw dc then []
-      else
-        [
-          v "refresh-rebuild-equivalence"
-            "PageRank on the refreshed cut digests to %s but a cold rebuild of the same \
-             assignment gives %s"
-            dw dc;
-        ]
+  let cold = Pgraph.build (Pgraph.graph warm) ~num_partitions (Array.copy assignment) in
+  let warm_ranks = (Pagerank.run ~iterations ~cluster warm).Pagerank.ranks in
+  let cold_ranks = (Pagerank.run ~iterations ~cluster cold).Pagerank.ranks in
+  let dw = Fault_check.float_attrs_digest warm_ranks in
+  let dc = Fault_check.float_attrs_digest cold_ranks in
+  if String.equal dw dc then []
+  else
+    [
+      v "refresh-rebuild-equivalence"
+        "PageRank on the refreshed cut digests to %s but a cold rebuild of the same \
+         assignment gives %s"
+        dw dc;
+    ]
+
+let value_equivalence ?cluster ?iterations g ~num_partitions assignment =
+  match build_checked g ~num_partitions assignment with
+  | Error bad -> bad
+  | Ok warm -> built_value_equivalence ?cluster ?iterations ~warm assignment
 
 let validate ?cluster ?batches ~heuristic ~num_partitions cfg g0 =
   if num_partitions <= 0 then invalid_arg "Dyn_check.validate: num_partitions <= 0";
@@ -122,11 +132,16 @@ let validate ?cluster ?batches ~heuristic ~num_partitions cfg g0 =
       let refreshed = Incremental.refresh heuristic ~num_partitions ~graph:!g ~assignment:!a delta in
       let g' = refreshed.Incremental.graph in
       let scratch = Graph.create ~n ~src:(Array.copy src') ~dst:(Array.copy dst') in
-      errs := !errs @ graph_identity ~expect:scratch g';
-      errs := !errs @ cut_laws g' ~num_partitions refreshed.Incremental.assignment;
-      errs := !errs @ value_equivalence ?cluster g' ~num_partitions refreshed.Incremental.assignment;
+      let a' = refreshed.Incremental.assignment in
+      let cut_vs =
+        match build_checked g' ~num_partitions a' with
+        | Error bad -> bad
+        | Ok warm ->
+            built_cut_laws g' ~num_partitions a' warm @ built_value_equivalence ?cluster ~warm a'
+      in
+      errs := !errs @ graph_identity ~expect:scratch g' @ cut_vs;
       g := g';
-      a := refreshed.Incremental.assignment
+      a := a'
     end
   done;
   !errs

@@ -9,9 +9,10 @@
     + {b cut laws} — a refreshed cut passes every
       {!Cutfit_check.Pgraph_check} / {!Cutfit_check.Metrics_check} law a
       cold-built cut does;
-    + {b refresh-rebuild-equivalence} — algorithm values on the
-      refreshed cut are bit-identical to a cold rebuild of the same
-      assignment.
+    + {b refresh-rebuild-equivalence} — building and running on the
+      refreshed assignment is reproducible: algorithm values on the
+      validated build of the cut are bit-identical to those on a second,
+      cold build of a copy of the same assignment.
 
     Like every suite, the checks report {!Cutfit_check.Violation.t}
     values and never raise on law breaches. *)
@@ -47,5 +48,7 @@ val validate :
   Cutfit_check.Violation.t list
 (** Walk batches [1..batches] (default {!Mutation.max_batch}) from a
     fresh [heuristic] cut of the graph, refreshing incrementally and
-    checking all three laws at every non-empty batch.
+    checking all three laws at every non-empty batch. Each refreshed
+    assignment is validated and built once; Laws 2 and 3 share that
+    build.
     @raise Invalid_argument if [num_partitions <= 0]. *)

@@ -16,8 +16,18 @@ type t = {
 
 (* Presence bitset: one bit per (vertex, partition) pair, packed in
    int words. 256 partitions over 154k vertices is ~5 MB. Only the
-   oracle [replica_count] uses it; [presence] needs O(n + m + P). *)
+   oracles ([replica_count] here, the pgraph sanitizer) use it;
+   [presence] needs O(n + m + P). *)
 let presence_words num_partitions = (num_partitions + 62) / 63
+
+(* Set bits of a 63-bit int in constant time (SWAR). The top byte of
+   the final product holds the sum of all byte counts; 63 fits in its
+   seven bits. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let replica_count g ~num_partitions assignment =
   let n = Graph.num_vertices g and m = Graph.num_edges g in
@@ -34,14 +44,6 @@ let replica_count g ~num_partitions assignment =
     mark (Graph.edge_src g i) p;
     mark (Graph.edge_dst g i) p
   done;
-  let popcount x =
-    let c = ref 0 and v = ref x in
-    while !v <> 0 do
-      v := !v land (!v - 1);
-      incr c
-    done;
-    !c
-  in
   Array.init n (fun v ->
       let acc = ref 0 in
       for w = 0 to words - 1 do

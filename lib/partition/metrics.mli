@@ -68,6 +68,13 @@ val replica_count : Cutfit_graph.Graph.t -> num_partitions:int -> int array -> i
     isolated vertices), counted independently of {!presence} with a
     (vertex, partition) presence bitset: the sanitizers' oracle. *)
 
+val presence_words : int -> int
+(** Words per vertex in a (vertex, partition) presence bitset over
+    [num_partitions] partitions: 63 partitions per int. *)
+
+val popcount : int -> int
+(** Number of set bits of an int (all 63), in constant time. *)
+
 val metric_value : t -> string -> float
 (** Look up a metric by its paper name ("Balance", "NonCut", "Cut",
     "CommCost", "PartStDev"); used by the correlation harness.

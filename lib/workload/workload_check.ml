@@ -1,6 +1,8 @@
 module Violation = Cutfit_check.Violation
 module Determinism = Cutfit_check.Determinism
 module Event = Cutfit_obs.Event
+module Sink = Cutfit_obs.Sink
+module Telemetry = Cutfit_obs.Telemetry
 
 let suite = "workload"
 
@@ -558,3 +560,11 @@ let report ?events (r : Engine.report) =
 let digest r = Determinism.lines_digest (Engine.report_lines r)
 
 let run_twice ~label f = Determinism.run_twice ~label (fun () -> digest (f ()))
+
+let check_run ~label ?(sinks = []) (run : ?telemetry:Telemetry.t -> unit -> Engine.report) =
+  let ring, read_ring = Sink.ring ~capacity:65536 () in
+  let telemetry = Telemetry.create ~sinks:(sinks @ [ ring ]) () in
+  let r = run ~telemetry () in
+  Telemetry.close telemetry;
+  let direct = report ~events:(read_ring ()) r in
+  (r, direct @ Determinism.replay ~label ~first:(digest r) (fun () -> digest (run ())))

@@ -22,7 +22,9 @@
       — including the shed / deadline / breaker / speculation
       narration;
     - {!digest}/{!run_twice} canonicalize a report through the JSONL
-      codec for bit-exact determinism checking. *)
+      codec for bit-exact determinism checking;
+    - {!check_run} is the whole battery on one stream: one observed run
+      checked against its own event stream, then one replay. *)
 
 val cache_accounting : Cache.stats -> Cutfit_check.Violation.t list
 
@@ -37,3 +39,16 @@ val digest : Engine.report -> string
 val run_twice : label:string -> (unit -> Engine.report) -> Cutfit_check.Violation.t list
 (** Runs the thunk twice and compares {!digest}s
     ({!Cutfit_check.Determinism.run_twice}). *)
+
+val check_run :
+  label:string ->
+  ?sinks:Cutfit_obs.Sink.t list ->
+  (?telemetry:Cutfit_obs.Telemetry.t -> unit -> Engine.report) ->
+  Engine.report * Cutfit_check.Violation.t list
+(** [check_run ~label ?sinks run] runs [run] once with telemetry on (the
+    given [sinks], default none, plus a ring sink capturing the event
+    stream), checks that report against the stream with {!report}, then
+    runs [run] once more with telemetry off and compares the two
+    {!digest}s ({!Cutfit_check.Determinism.replay}): the report must
+    not depend on whether anything observes the run. Returns the
+    observed run's report and the violations, {!report}'s first. *)

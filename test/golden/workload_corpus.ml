@@ -149,4 +149,19 @@ let check c =
       List.find_map Fun.id
         [ differ "report" got.report want.report; differ "events" got.events want.events ]
 
+(* Telemetry invariance: the chaos runner compares a ring-sink run with
+   one untraced replay, so a report must digest the same whether or not
+   anything observes the run. [None] when an untraced run matches the
+   committed report digest, which [check] holds the ring-sink run to. *)
+let check_untraced c =
+  let got = Workload_check.digest (c.run ()) in
+  match Hashtbl.find_opt table c.key with
+  | None -> Some (c.key ^ ": no committed digest")
+  | Some want ->
+      if String.equal got want.report then None
+      else
+        Some
+          (Printf.sprintf "%s: untraced report digest %s, ring-sink digest %s" c.key got
+             want.report)
+
 let table_row c d = Printf.sprintf "    (%S, %S, %S);" c.key d.report d.events

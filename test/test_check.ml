@@ -117,6 +117,69 @@ let test_view_reports_are_capped () =
   let vs = corrupt (fun v -> { v with Pgraph_check.master = (fun _ -> 0) }) in
   checkb "capped" true (List.length vs <= 10)
 
+(* --- word boundaries of the checker's presence bitset --- *)
+
+(* The checker packs 63 partitions per word: partitions 62 | 63 and
+   125 | 126 straddle word boundaries at P = 128, and 252-255 open the
+   last word at P = 256. Each corruption there must surface under its
+   own rule. *)
+let wide_graph = Test_util.random_graph ~seed:91L ~n:300 ~m:6000
+
+let wide_pg num_partitions =
+  let a =
+    Partitioner.assign (Partitioner.Hash Cutfit.Strategy.Rvc) ~num_partitions wide_graph
+  in
+  Pgraph.build wide_graph ~num_partitions a
+
+let test_word_boundaries () =
+  List.iter
+    (fun (num_partitions, targets) ->
+      let pg = wide_pg num_partitions in
+      let view = Pgraph_check.view_of_pgraph pg in
+      check_clean (Printf.sprintf "intact pgraph at P = %d" num_partitions) (Pgraph_check.validate_view view);
+      List.iter
+        (fun target ->
+          let what = Printf.sprintf "P = %d, partition %d" num_partitions target in
+          let locals =
+            Pgraph_check.validate_view
+              {
+                view with
+                Pgraph_check.local_vertices =
+                  (fun p -> view.Pgraph_check.local_vertices p + if p = target then 1 else 0);
+              }
+          in
+          checkb (what ^ ": one local-vertices report") true
+            (match locals with [ v ] -> v.Violation.rule = "local-vertices" | _ -> false);
+          let holder =
+            let n = Graph.num_vertices wide_graph in
+            let rec find v =
+              if v = n then Alcotest.failf "%s: no vertex is present there" what
+              else if Array.mem target (Pgraph.replicas pg v) then v
+              else find (v + 1)
+            in
+            find 0
+          in
+          let dropped =
+            Pgraph_check.validate_view
+              {
+                view with
+                Pgraph_check.replicas =
+                  (fun v ->
+                    let r = view.Pgraph_check.replicas v in
+                    if v = holder then Array.of_list (List.filter (( <> ) target) (Array.to_list r))
+                    else r);
+              }
+          in
+          check_rule (what ^ ": dropped replica") "replicas" dropped;
+          checkb (what ^ ": the report names the vertex") true
+            (List.exists
+               (fun v ->
+                 v.Violation.rule = "replicas"
+                 && String.starts_with ~prefix:(Printf.sprintf "vertex %d:" holder) v.Violation.detail)
+               dropped))
+        targets)
+    [ (128, [ 62; 63; 125; 126 ]); (256, [ 252; 253; 254; 255 ]) ]
+
 (* --- metrics identity and recomputation --- *)
 
 let metrics = Pgraph.metrics pg
@@ -259,6 +322,15 @@ let test_run_twice () =
   in
   check_rule "diverging thunk" "divergence" vs
 
+let test_replay () =
+  let run () = Determinism.trace_digest (run_pagerank ()) in
+  check_clean "identical replay" (Determinism.replay ~label:"pr" ~first:(run ()) run);
+  let broken = with_first_compute_step (fun s -> { s with Event.messages = s.Event.messages + 1 }) trace in
+  let vs = Determinism.replay ~label:"pr" ~first:(Determinism.trace_digest broken) run in
+  check_rule "replay against a different first digest" "divergence" vs;
+  checkb "every violation names the determinism suite" true
+    (List.for_all (fun v -> v.Violation.suite = "determinism") vs)
+
 (* --- full-pipeline sanitizer --- *)
 
 let test_check_run () =
@@ -304,6 +376,7 @@ let suite =
     Alcotest.test_case "pgraph: master identity" `Quick test_view_master_identity;
     Alcotest.test_case "pgraph: local vertices" `Quick test_view_local_vertices;
     Alcotest.test_case "pgraph: capped reports" `Quick test_view_reports_are_capped;
+    Alcotest.test_case "pgraph: bitset word boundaries" `Quick test_word_boundaries;
     Alcotest.test_case "metrics: clean" `Quick test_metrics_clean;
     Alcotest.test_case "metrics: replica identity" `Quick test_metrics_identity_violation;
     Alcotest.test_case "metrics: comm-cost floor" `Quick test_metrics_comm_cost_floor;
@@ -318,6 +391,7 @@ let suite =
     Alcotest.test_case "determinism: digest stability" `Quick test_digest_stability;
     Alcotest.test_case "determinism: digest sensitivity" `Quick test_digest_sensitivity;
     Alcotest.test_case "determinism: run twice" `Quick test_run_twice;
+    Alcotest.test_case "determinism: replay" `Quick test_replay;
     Alcotest.test_case "sanitize: full pipeline" `Quick test_check_run;
     Alcotest.test_case "pipeline: ?check flag" `Quick test_pipeline_check_flag;
     Alcotest.test_case "clock: counter" `Quick test_clock_counter;

@@ -3,7 +3,8 @@
    partitioner, clusters (i) and (iv), each reproducing its committed
    trace, event-stream and value digests bit for bit. The workload
    slice: the first cases of the workload corpus, each reproducing its
-   committed report and event-stream digests. golden_grid.exe and
+   committed report and event-stream digests, and reproducing the same
+   report digest again with telemetry off. golden_grid.exe and
    workload_grid.exe check the full corpora. *)
 
 module C = Golden_corpus
@@ -17,4 +18,11 @@ let workload_case (c : W.case) =
   Alcotest.test_case c.W.key `Quick (fun () ->
       match W.check c with None -> () | Some why -> Alcotest.fail why)
 
-let suite = List.map case C.fast_slice @ List.map workload_case W.fast_slice
+let untraced_case (c : W.case) =
+  Alcotest.test_case (c.W.key ^ " untraced") `Quick (fun () ->
+      match W.check_untraced c with None -> () | Some why -> Alcotest.fail why)
+
+let suite =
+  List.map case C.fast_slice
+  @ List.map workload_case W.fast_slice
+  @ List.map untraced_case W.fast_slice

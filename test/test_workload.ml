@@ -208,6 +208,29 @@ let test_engine_deterministic () =
   checkb "run-twice digest" true
     (Workload_check.run_twice ~label:"engine" (fun () -> run ()) = [])
 
+(* The chaos runner's and the CLI's battery: one traced run checked
+   against its events, one untraced replay — two engine runs, and a
+   replay that drifts from the traced run is a divergence. *)
+let test_engine_check_run () =
+  let calls = ref 0 in
+  let counted ?telemetry () =
+    incr calls;
+    run ?telemetry ()
+  in
+  let report, vs = Workload_check.check_run ~label:"engine" counted in
+  Alcotest.(check (list string)) "no violations" []
+    (List.map (fun v -> v.Cutfit_check.Violation.rule) vs);
+  checki "two engine runs" 2 !calls;
+  Alcotest.(check string) "returns the traced run's report" (Workload_check.digest (run ()))
+    (Workload_check.digest report);
+  let drifting ?telemetry () =
+    incr calls;
+    run ?telemetry ~policy:(if !calls mod 2 = 0 then Engine.Sjf else Engine.Fifo) ()
+  in
+  let _, vs = Workload_check.check_run ~label:"drift" drifting in
+  checkb "drifting replay diverges" true
+    (List.exists (fun v -> v.Cutfit_check.Violation.rule = "divergence") vs)
+
 let test_engine_report_clean () =
   let sink, read = Cutfit_obs.Sink.ring ~capacity:4096 () in
   let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
@@ -324,6 +347,7 @@ let suite =
     Alcotest.test_case "cache accounting fabricated" `Quick test_cache_accounting_fabricated;
     Alcotest.test_case "engine deterministic" `Quick test_engine_deterministic;
     Alcotest.test_case "engine report clean" `Quick test_engine_report_clean;
+    Alcotest.test_case "engine check_run replays once" `Quick test_engine_check_run;
     Alcotest.test_case "engine cache effect" `Quick test_engine_cache_effect;
     Alcotest.test_case "engine policies same jobs" `Quick test_engine_policies_same_jobs;
     Alcotest.test_case "engine selection modes" `Quick test_engine_selection_modes;

@@ -152,6 +152,14 @@ grep -q '"digest"' _build/chaos_smoke.json || {
   echo "chaos smoke report is missing its digest" >&2
   exit 1
 }
+# the campaign digest pins every scenario's spec and outcome: a check
+# layer that skips work must still reach the same verdicts
+chaos_smoke_digest=225470b6051285343fcd075e2185052a
+grep -q "\"digest\": *\"$chaos_smoke_digest\"" _build/chaos_smoke.json || {
+  echo "chaos smoke digest moved (want $chaos_smoke_digest):" >&2
+  grep -o '"digest": *"[0-9a-f]*"' _build/chaos_smoke.json >&2
+  exit 1
+}
 
 echo "== chaos exit-code contract (repro / inject / malformed spec)"
 expect_chaos_exit() {
