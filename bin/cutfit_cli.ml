@@ -992,8 +992,8 @@ let check_cmd =
     let doc =
       "Add the $(b,dynamic) suite: replay $(docv) (a mutation spec; the flag alone uses \
        $(b,ins\\@1-2:r48,del\\@1-2:r16)) from a fresh streaming cut of the same graph and \
-       prove the delta-identity, cut-law and refresh-rebuild-equivalence laws of the \
-       dynamic-graph subsystem."
+       prove the delta-identity, cut-law, refresh-rebuild-equivalence and moved-replicas \
+       laws of the dynamic-graph subsystem."
     in
     Arg.(
       value

@@ -193,10 +193,11 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
   in
   (* The dynamic suite replays the mutation schedule from a fresh
      streaming cut of the same graph, proving the delta-identity, the
-     cut laws on every refreshed assignment, and refresh-rebuild value
-     equivalence. The heuristic follows the partitioner when it is a
-     streaming one; the hash strategies have no live state to repair,
-     so they fall back to Greedy. *)
+     cut laws on every refreshed assignment, refresh-rebuild value
+     equivalence and the delta-local moved-replica count. The heuristic
+     follows the partitioner when it is a streaming one; the hash
+     strategies have no live state to repair, so they fall back to
+     Greedy. *)
   let dynamic_v =
     match dynamic with
     | None -> None

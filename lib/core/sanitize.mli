@@ -24,7 +24,7 @@
     domain count and self-tests the detector against two seeded
     corruptions ({!Cutfit_check.Race_check}). With [dynamic] a
     [dynamic] suite replays the mutation schedule from a fresh
-    streaming cut of the same graph and proves the three dynamic-graph
+    streaming cut of the same graph and proves the four dynamic-graph
     laws ({!Cutfit_dynamic.Dyn_check}). With [elastic] (a scale-event
     schedule) or [hetero] (per-executor speed/bandwidth multipliers) an
     [elastic] suite replays the pipeline statically and homogeneously

@@ -89,6 +89,42 @@ let value_equivalence ?cluster ?iterations g ~num_partitions assignment =
   | Error bad -> bad
   | Ok warm -> built_value_equivalence ?cluster ?iterations ~warm assignment
 
+(* Law 4: the refresh's delta-local moved count equals the replica
+   entries that differ between the old and new cuts' route tables, a
+   merge of each vertex's two sorted segments. *)
+let moved_between old_pg new_pg =
+  let o_off = Pgraph.route_off old_pg and o_parts = Pgraph.route_parts old_pg in
+  let n_off = Pgraph.route_off new_pg and n_parts = Pgraph.route_parts new_pg in
+  let moved = ref 0 in
+  for v = 0 to Array.length o_off - 2 do
+    let i = ref o_off.(v) and j = ref n_off.(v) in
+    let i_end = o_off.(v + 1) and j_end = n_off.(v + 1) in
+    while !i < i_end && !j < j_end do
+      let a = o_parts.(!i) and b = n_parts.(!j) in
+      if a = b then begin
+        incr i;
+        incr j
+      end
+      else begin
+        incr moved;
+        if a < b then incr i else incr j
+      end
+    done;
+    moved := !moved + (i_end - !i) + (j_end - !j)
+  done;
+  !moved
+
+let moved_replicas ~batch ~old_pg ~warm (r : Incremental.refreshed) =
+  let want = moved_between old_pg warm in
+  if want = r.Incremental.moved_replicas then []
+  else
+    [
+      v "moved-replicas"
+        "batch %d: the refresh counted %d moved replica entries, but the old and new cuts' \
+         route tables differ in %d"
+        batch r.Incremental.moved_replicas want;
+    ]
+
 let validate ?cluster ?batches ~heuristic ~num_partitions cfg g0 =
   if num_partitions <= 0 then invalid_arg "Dyn_check.validate: num_partitions <= 0";
   let batches = match batches with Some b -> b | None -> Mutation.max_batch cfg in
@@ -100,6 +136,9 @@ let validate ?cluster ?batches ~heuristic ~num_partitions cfg g0 =
   let n = Graph.num_vertices g0 in
   let g = ref g0 in
   let a = ref (Streaming.assign heuristic ~num_partitions g0) in
+  (* The previous batch's validated build is the next batch's old cut;
+     the initial cut is built when the first non-empty batch needs it. *)
+  let prev_pg = ref None in
   let errs = ref [] in
   for batch = 1 to batches do
     let delta = Mutation.plan cfg ~batch !g in
@@ -129,17 +168,30 @@ let validate ?cluster ?batches ~heuristic ~num_partitions cfg g0 =
       mirror_src := src';
       mirror_dst := dst';
       (* delta application + refresh under test *)
-      let refreshed = Incremental.refresh heuristic ~num_partitions ~graph:!g ~assignment:!a delta in
-      let g' = refreshed.Incremental.graph in
+      let old_pg =
+        match !prev_pg with
+        | Some _ as pg -> pg
+        | None -> Result.to_option (build_checked !g ~num_partitions !a)
+      in
+      let applied = Mutation.apply !g delta in
+      let refreshed = Incremental.refresh heuristic ~num_partitions ~assignment:!a applied in
+      let g' = applied.Mutation.graph in
       let scratch = Graph.create ~n ~src:(Array.copy src') ~dst:(Array.copy dst') in
       let a' = refreshed.Incremental.assignment in
+      let warm = build_checked g' ~num_partitions a' in
       let cut_vs =
-        match build_checked g' ~num_partitions a' with
+        match warm with
         | Error bad -> bad
         | Ok warm ->
-            built_cut_laws g' ~num_partitions a' warm @ built_value_equivalence ?cluster ~warm a'
+            built_cut_laws g' ~num_partitions a' warm
+            @ built_value_equivalence ?cluster ~warm a'
+            @
+            match old_pg with
+            | Some old_pg -> moved_replicas ~batch ~old_pg ~warm refreshed
+            | None -> []
       in
       errs := !errs @ graph_identity ~expect:scratch g' @ cut_vs;
+      prev_pg := Result.to_option warm;
       g := g';
       a := a'
     end

@@ -1,6 +1,6 @@
 (** Dynamic-graph sanitizer suite (["dynamic"]).
 
-    Three laws tie the dynamic subsystem to the frozen-graph world:
+    Four laws tie the dynamic subsystem to the frozen-graph world:
 
     + {b delta-identity} — a delta-applied graph is bit-identical (edge
       arrays, vertex count, hence CSR adjacency) to a from-scratch
@@ -12,7 +12,10 @@
     + {b refresh-rebuild-equivalence} — building and running on the
       refreshed assignment is reproducible: algorithm values on the
       validated build of the cut are bit-identical to those on a second,
-      cold build of a copy of the same assignment.
+      cold build of a copy of the same assignment;
+    + {b moved-replicas} — the refresh's delta-local moved count equals
+      the replica entries in which the old and new cuts' route tables
+      differ, recounted over every vertex.
 
     Like every suite, the checks report {!Cutfit_check.Violation.t}
     values and never raise on law breaches. *)
@@ -48,7 +51,8 @@ val validate :
   Cutfit_check.Violation.t list
 (** Walk batches [1..batches] (default {!Mutation.max_batch}) from a
     fresh [heuristic] cut of the graph, refreshing incrementally and
-    checking all three laws at every non-empty batch. Each refreshed
+    checking all four laws at every non-empty batch. Each refreshed
     assignment is validated and built once; Laws 2 and 3 share that
-    build.
+    build, and Law 4 compares it with the previous batch's build (the
+    initial cut is built once, for the first batch).
     @raise Invalid_argument if [num_partitions <= 0]. *)

@@ -2,77 +2,89 @@ module Graph = Cutfit_graph.Graph
 module Streaming = Cutfit_partition.Streaming
 
 type refreshed = {
-  graph : Graph.t;
   assignment : int array;
   placed_edges : int;
   repaired_vertices : int;
   moved_replicas : int;
 }
 
-(* Per-vertex sorted replica sets of a cut, for the moved-replica count.
-   Linear in edges plus total replicas. *)
-let replica_sets g assignment =
-  let n = Graph.num_vertices g in
-  let sets = Array.make n [] in
-  let add v p = if not (List.mem p sets.(v)) then sets.(v) <- p :: sets.(v) in
-  Array.iteri
-    (fun e p ->
-      add (Graph.edge_src g e) p;
-      add (Graph.edge_dst g e) p)
-    assignment;
-  Array.map (List.sort compare) sets
+let add p ps = if List.mem p ps then ps else p :: ps
 
-let rec symdiff a b =
-  match (a, b) with
-  | [], rest | rest, [] -> List.length rest
-  | x :: xs, y :: ys ->
-      if x = y then symdiff xs ys
-      else if x < y then 1 + symdiff xs (y :: ys)
-      else 1 + symdiff (x :: xs) ys
+(* |a Δ b| for two duplicate-free replica lists. *)
+let symdiff_count a b =
+  let common = List.fold_left (fun acc p -> if List.mem p b then acc + 1 else acc) 0 a in
+  List.length a + List.length b - (2 * common)
 
-let refresh heuristic ~num_partitions ~graph ~assignment delta =
+let refresh heuristic ~num_partitions ~assignment (applied : Mutation.applied) =
   if num_partitions <= 0 then invalid_arg "Incremental.refresh: num_partitions <= 0";
-  if Array.length assignment <> Graph.num_edges graph then
+  let before = applied.Mutation.before and g' = applied.Mutation.graph in
+  let delta = applied.Mutation.delta in
+  if Array.length assignment <> Graph.num_edges before then
     invalid_arg "Incremental.refresh: assignment length mismatch";
-  let keep = Mutation.kept graph delta in
-  let g' = Mutation.apply graph delta in
-  let m' = Graph.num_edges g' in
-  let k = Array.length keep in
+  Array.iter
+    (fun p ->
+      if p < 0 || p >= num_partitions then
+        invalid_arg "Incremental.refresh: assignment partition out of range")
+    assignment;
+  (* Kept edges keep their partitions, so only an endpoint of a deleted
+     or inserted edge can change its replica set. Each touched vertex
+     maps to the distinct partitions of its deleted edges. *)
+  let deleted_parts = Hashtbl.create 64 and touched = ref [] in
+  let touch v =
+    if not (Hashtbl.mem deleted_parts v) then begin
+      Hashtbl.add deleted_parts v [];
+      touched := v :: !touched
+    end
+  in
+  Array.iter
+    (fun e ->
+      let p = assignment.(e) in
+      List.iter
+        (fun v ->
+          touch v;
+          Hashtbl.replace deleted_parts v (add p (Hashtbl.find deleted_parts v)))
+        [ Graph.edge_src before e; Graph.edge_dst before e ])
+    delta.Mutation.deletes;
+  let repaired_vertices = Hashtbl.length deleted_parts in
+  Array.iter
+    (fun (s, t) ->
+      touch s;
+      touch t)
+    delta.Mutation.inserts;
   (* Deletes trigger bounded local repair: the replica tables and loads
      are rebuilt from the surviving edges only (a shrink — no edge moves),
      priced by the vertices whose neighbourhood the deletes touched. *)
+  let m' = Graph.num_edges g' and k = Array.length applied.Mutation.kept in
   let st = Streaming.live_create ~n:(Graph.num_vertices g') ~num_partitions in
   let out = Array.make m' 0 in
   Array.iteri
     (fun j e ->
       let p = assignment.(e) in
-      if p < 0 || p >= num_partitions then
-        invalid_arg "Incremental.refresh: assignment partition out of range";
       Streaming.live_record st ~src:(Graph.edge_src g' j) ~dst:(Graph.edge_dst g' j) p;
       out.(j) <- p)
-    keep;
+    applied.Mutation.kept;
+  (* A touched vertex's kept replicas K_v are live now; its old replica
+     set was K_v plus the partitions of its deleted edges. *)
+  let vw = Streaming.live_view g' st in
+  let old_sets =
+    List.map
+      (fun v ->
+        let kept_v = vw.Streaming.v_replicas v in
+        (v, List.fold_left (fun ps p -> add p ps) kept_v (Hashtbl.find deleted_parts v)))
+      !touched
+  in
   (* Inserted edges are placed online by the wrapped streaming heuristic
      against the live state of the surviving cut. *)
-  let vw = Streaming.live_view g' st in
   for j = k to m' - 1 do
     let src = Graph.edge_src g' j and dst = Graph.edge_dst g' j in
     let p = Streaming.choose heuristic vw ~num_partitions ~src ~dst in
     Streaming.live_record st ~src ~dst p;
     out.(j) <- p
   done;
-  let repaired_vertices =
-    let seen = Hashtbl.create 64 in
-    Array.iter
-      (fun e ->
-        Hashtbl.replace seen (Graph.edge_src graph e) ();
-        Hashtbl.replace seen (Graph.edge_dst graph e) ())
-      delta.Mutation.deletes;
-    Hashtbl.length seen
-  in
+  (* The new replica set is K_v plus the partitions of v's inserts. *)
   let moved_replicas =
-    let old_sets = replica_sets graph assignment and new_sets = replica_sets g' out in
-    let moved = ref 0 in
-    Array.iteri (fun v old_s -> moved := !moved + symdiff old_s new_sets.(v)) old_sets;
-    !moved
+    List.fold_left
+      (fun acc (v, old) -> acc + symdiff_count old (vw.Streaming.v_replicas v))
+      0 old_sets
   in
-  { graph = g'; assignment = out; placed_edges = m' - k; repaired_vertices; moved_replicas }
+  { assignment = out; placed_edges = m' - k; repaired_vertices; moved_replicas }

@@ -11,7 +11,6 @@
     and the cost is accounted by the vertices the deletes touched. *)
 
 type refreshed = {
-  graph : Cutfit_graph.Graph.t;  (** post-delta graph ({!Mutation.apply}) *)
   assignment : int array;
       (** one partition per post-delta edge; kept edges keep their old
           partition, inserts are placed online *)
@@ -19,19 +18,21 @@ type refreshed = {
   repaired_vertices : int;  (** distinct endpoints of deleted edges *)
   moved_replicas : int;
       (** replica-set entries that differ from the old cut — the
-          vertices whose mirrors must be re-broadcast *)
+          vertices whose mirrors must be re-broadcast. Counted over the
+          delta's endpoints only: every other vertex keeps exactly its
+          kept edges, hence its replica set. *)
 }
 
 val refresh :
   Cutfit_partition.Streaming.t ->
   num_partitions:int ->
-  graph:Cutfit_graph.Graph.t ->
   assignment:int array ->
-  Mutation.delta ->
+  Mutation.applied ->
   refreshed
-(** [refresh heuristic ~num_partitions ~graph ~assignment delta]
-    applies [delta] to [graph] (the pre-delta graph, whose edges
-    [assignment] maps to partitions) and returns the refreshed cut.
-    Deterministic. @raise Invalid_argument if [num_partitions <= 0],
-    the assignment has the wrong length or a partition out of range, or
-    the delta refers to out-of-range edges. *)
+(** [refresh heuristic ~num_partitions ~assignment applied] refreshes
+    the cut [assignment] of [applied.before] across the applied delta
+    and returns the cut of [applied.graph]. The delta is not re-applied.
+    Work is one replay of the kept edges plus time proportional to the
+    delta. Deterministic. @raise Invalid_argument if
+    [num_partitions <= 0], or the assignment has the wrong length or
+    any partition out of range (deleted edges included). *)

@@ -155,6 +155,8 @@ let plan cfg ~batch g =
   in
   { batch; inserts; deletes }
 
+type applied = { delta : delta; before : Graph.t; graph : Graph.t; kept : int array }
+
 let kept g d =
   let m = Graph.num_edges g in
   let dead = Array.make m false in
@@ -190,4 +192,4 @@ let apply g d =
       src.(k + i) <- s;
       dst.(k + i) <- t)
     d.inserts;
-  Graph.create ~n ~src ~dst
+  { delta = d; before = g; graph = Graph.create ~n ~src ~dst; kept = keep }

@@ -59,14 +59,24 @@ val plan : config -> batch:int -> Cutfit_graph.Graph.t -> delta
     of edges). Deterministic in (config, batch, graph shape).
     @raise Invalid_argument if [batch < 1]. *)
 
-val kept : Cutfit_graph.Graph.t -> delta -> int array
-(** Surviving pre-delta edge ids in build order — the delta's deletes
-    removed. The refreshed graph's edge [j] is [kept.(j)] for
-    [j < Array.length kept], then the inserts in draw order.
-    @raise Invalid_argument if a delete id is out of range. *)
+type applied = {
+  delta : delta;
+  before : Cutfit_graph.Graph.t;  (** the pre-delta graph *)
+  graph : Cutfit_graph.Graph.t;
+      (** frozen post-delta graph: kept edges in build order, then the
+          inserts in draw order *)
+  kept : int array;
+      (** surviving pre-delta edge ids in build order: the post-delta
+          edge [j] is [before]'s edge [kept.(j)] for
+          [j < Array.length kept] *)
+}
+(** A delta applied once. Everything downstream of a batch (the
+    incremental refresh of every cached cut, the priced decision, the
+    dynamic sanitizer) reads this one value instead of re-applying the
+    delta. *)
 
-val apply : Cutfit_graph.Graph.t -> delta -> Cutfit_graph.Graph.t
-(** Frozen post-delta graph: kept edges in build order, then inserts.
-    Bit-identical to a from-scratch {!Cutfit_graph.Graph.create} over
+val apply : Cutfit_graph.Graph.t -> delta -> applied
+(** [apply g delta] builds the post-delta graph once. It is
+    bit-identical to a from-scratch {!Cutfit_graph.Graph.create} over
     the same edge list ({!Dyn_check} proves this).
     @raise Invalid_argument on out-of-range delete ids or endpoints. *)

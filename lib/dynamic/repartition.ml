@@ -89,15 +89,17 @@ type decision = {
   edges_after : int;
 }
 
-let decide ?cost ?cluster ?scale ~batch ~delta ~old_metrics (r : Incremental.refreshed) =
+let decide ?cost ?cluster ?scale ~old_metrics (applied : Mutation.applied)
+    (r : Incremental.refreshed) =
+  let delta = applied.Mutation.delta and g' = applied.Mutation.graph in
   let refresh_s =
     refresh_price ?cost ?cluster ?scale ~placed_edges:r.Incremental.placed_edges
       ~repaired_vertices:r.Incremental.repaired_vertices
       ~moved_replicas:r.Incremental.moved_replicas ()
   in
-  let rebuild_s = rebuild_price ?cost ?cluster ?scale r.Incremental.graph old_metrics in
+  let rebuild_s = rebuild_price ?cost ?cluster ?scale g' old_metrics in
   {
-    batch;
+    batch = delta.Mutation.batch;
     inserts = Array.length delta.Mutation.inserts;
     deletes = Array.length delta.Mutation.deletes;
     refresh_s;
@@ -106,7 +108,7 @@ let decide ?cost ?cluster ?scale ~batch ~delta ~old_metrics (r : Incremental.ref
     placed_edges = r.Incremental.placed_edges;
     repaired_vertices = r.Incremental.repaired_vertices;
     moved_replicas = r.Incremental.moved_replicas;
-    edges_after = Graph.num_edges r.Incremental.graph;
+    edges_after = Graph.num_edges g';
   }
 
 let emit_events ?telemetry ~graph_name ~at_s ~edges_before (d : decision) =
@@ -157,16 +159,15 @@ let run ?cost ?cluster ?scale ?telemetry ?batches ~heuristic ~num_partitions cfg
     let delta = Mutation.plan cfg ~batch !g in
     if not (Mutation.is_empty delta) then begin
       let edges_before = Graph.num_edges !g in
-      let refreshed =
-        Incremental.refresh heuristic ~num_partitions ~graph:!g ~assignment:!a delta
-      in
-      let d = decide ?cost ?cluster ?scale ~batch ~delta ~old_metrics:!metrics refreshed in
+      let applied = Mutation.apply !g delta in
+      let refreshed = Incremental.refresh heuristic ~num_partitions ~assignment:!a applied in
+      let d = decide ?cost ?cluster ?scale ~old_metrics:!metrics applied refreshed in
       emit_events ?telemetry ~graph_name:"-" ~at_s:0.0 ~edges_before d;
-      (g := refreshed.Incremental.graph);
+      g := applied.Mutation.graph;
       (a :=
          match d.choice with
          | Refresh -> refreshed.Incremental.assignment
-         | Rebuild -> Streaming.assign heuristic ~num_partitions refreshed.Incremental.graph);
+         | Rebuild -> Streaming.assign heuristic ~num_partitions !g);
       metrics := Metrics.compute !g ~num_partitions !a;
       steps := { decision = d; graph = !g; assignment = !a; metrics = !metrics } :: !steps
     end

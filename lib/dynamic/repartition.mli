@@ -55,13 +55,12 @@ val decide :
   ?cost:Cutfit_bsp.Cost_model.t ->
   ?cluster:Cutfit_bsp.Cluster.t ->
   ?scale:float ->
-  batch:int ->
-  delta:Mutation.delta ->
   old_metrics:Cutfit_partition.Metrics.t ->
+  Mutation.applied ->
   Incremental.refreshed ->
   decision
-(** Price both options for one refreshed batch and pick the cheaper
-    (ties go to refresh). *)
+(** Price both options for one applied, refreshed batch and pick the
+    cheaper (ties go to refresh). *)
 
 val emit_events :
   ?telemetry:Cutfit_obs.Telemetry.t ->

@@ -8,6 +8,28 @@ type t = {
   in_adj : int array;
 }
 
+(* Buckets up to this length are sorted in place by insertion sort;
+   longer ones (hubs) are merge-sorted with [Int.compare], which beats
+   [Array.sort]'s heap sort on them. *)
+let insertion_max = 24
+
+let sort_bucket (adj : int array) lo hi =
+  if hi - lo <= insertion_max then
+    for i = lo + 1 to hi - 1 do
+      let x = adj.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && adj.(!j) > x do
+        adj.(!j + 1) <- adj.(!j);
+        decr j
+      done;
+      adj.(!j + 1) <- x
+    done
+  else begin
+    let slice = Array.sub adj lo (hi - lo) in
+    Array.stable_sort Int.compare slice;
+    Array.blit slice 0 adj lo (hi - lo)
+  end
+
 (* Build one direction of CSR adjacency with a counting sort, then sort
    each bucket so membership tests can binary-search. *)
 let build_csr n keys values =
@@ -27,12 +49,7 @@ let build_csr n keys values =
     cursor.(k) <- cursor.(k) + 1
   done;
   for v = 0 to n - 1 do
-    let lo = off.(v) and hi = off.(v + 1) in
-    if hi - lo > 1 then begin
-      let slice = Array.sub adj lo (hi - lo) in
-      Array.sort compare slice;
-      Array.blit slice 0 adj lo (hi - lo)
-    end
+    sort_bucket adj off.(v) off.(v + 1)
   done;
   (off, adj)
 

@@ -54,7 +54,13 @@ let load ?n path =
       let n = match n with Some n -> n | None -> !max_id + 1 in
       Graph.of_edge_list ~n el)
 
-let digits v = if v = 0 then 1 else int_of_float (log10 (float_of_int v)) + 1
+(* Compare against successive powers of ten; a bound past [max_int / 10]
+   would overflow, and anything at or above it has one digit more. *)
+let digits v =
+  let rec go d bound =
+    if v < bound then d else if bound > max_int / 10 then d + 1 else go (d + 1) (bound * 10)
+  in
+  go 1 10
 
 let size_bytes g =
   let total = ref 0 in

@@ -12,5 +12,9 @@ val load : ?n:int -> string -> Graph.t
 (** Read an edge list. Vertex count defaults to [1 + max id].
     @raise Failure on malformed lines. *)
 
+val digits : int -> int
+(** Decimal digits of a non-negative integer, the width {!save} writes
+    it in. *)
+
 val size_bytes : Graph.t -> int
 (** Exact byte size the edge list would occupy on disk via {!save}. *)

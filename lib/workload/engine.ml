@@ -769,12 +769,13 @@ module Ingest = struct
      rebuilding it on the post-delta graph. Every resident entry was
      built against the memoized pre-delta graph (an earlier batch
      dropped anything older), so the refresh is well-defined. *)
-  let price_resident t ~cache ~on_dataset ~g ~new_g ~new_scale delta =
+  let price_resident t ~cache ~on_dataset ~new_scale (applied : Mutation.applied) =
+    let new_g = applied.Mutation.graph in
     List.map
       (fun ((k : Cache.key), pg) ->
         let refreshed =
-          Incremental.refresh t.heuristic ~num_partitions:k.Cache.num_partitions ~graph:g
-            ~assignment:(Pgraph.assignment pg) delta
+          Incremental.refresh t.heuristic ~num_partitions:k.Cache.num_partitions
+            ~assignment:(Pgraph.assignment pg) applied
         in
         let refresh_s =
           Repartition.refresh_price ~cluster:t.cluster ~scale:new_scale
@@ -793,12 +794,13 @@ module Ingest = struct
     let delta = Mutation.plan cfg ~batch g in
     if Mutation.is_empty delta then 0.0
     else begin
-      let new_g = Mutation.apply g delta in
+      let applied = Mutation.apply g delta in
+      let new_g = applied.Mutation.graph in
       let new_scale =
         float_of_int spec.Datasets.paper_edges /. float_of_int (Graph.num_edges new_g)
       in
       let on_dataset (k : Cache.key) = String.equal k.Cache.graph dataset in
-      let resident = price_resident t ~cache ~on_dataset ~g ~new_g ~new_scale delta in
+      let resident = price_resident t ~cache ~on_dataset ~new_scale applied in
       let sumf f = List.fold_left (fun acc x -> acc +. f x) 0.0 resident in
       let refresh_total = sumf (fun (_, _, r, _) -> r) in
       let rebuild_total = sumf (fun (_, _, _, b) -> b) in

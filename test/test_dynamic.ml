@@ -105,7 +105,7 @@ let test_plan_shape () =
 let test_apply_matches_scratch_build () =
   let d = Mutation.plan cfg ~batch:1 g in
   let applied = Mutation.apply g d in
-  let kept = Mutation.kept g d in
+  let kept = applied.Mutation.kept in
   let k = Array.length kept in
   let extra = Array.length d.Mutation.inserts in
   let src = Array.make (k + extra) 0 and dst = Array.make (k + extra) 0 in
@@ -120,12 +120,12 @@ let test_apply_matches_scratch_build () =
       dst.(k + i) <- t)
     d.Mutation.inserts;
   let scratch = Graph.create ~n:(Graph.num_vertices g) ~src ~dst in
-  check_clean "delta identity" (Dyn_check.graph_identity ~expect:scratch applied);
-  checki "edge arithmetic" (Graph.num_edges g - 12 + 48) (Graph.num_edges applied)
+  check_clean "delta identity" (Dyn_check.graph_identity ~expect:scratch applied.Mutation.graph);
+  checki "edge arithmetic" (Graph.num_edges g - 12 + 48) (Graph.num_edges applied.Mutation.graph)
 
 let test_kept_excludes_deletes () =
   let d = Mutation.plan cfg ~batch:1 g in
-  let kept = Mutation.kept g d in
+  let kept = (Mutation.apply g d).Mutation.kept in
   checki "kept size" (Graph.num_edges g - Array.length d.Mutation.deletes) (Array.length kept);
   Array.iter
     (fun e -> checkb "no deleted survivor" false (Array.exists (( = ) e) d.Mutation.deletes))
@@ -136,9 +136,10 @@ let test_kept_excludes_deletes () =
 let test_refresh_preserves_kept_edges () =
   let a = Streaming.assign Streaming.Greedy ~num_partitions g in
   let d = Mutation.plan cfg ~batch:1 g in
-  let r = Incremental.refresh Streaming.Greedy ~num_partitions ~graph:g ~assignment:a d in
-  let kept = Mutation.kept g d in
-  checki "assignment covers the new graph" (Graph.num_edges r.Incremental.graph)
+  let applied = Mutation.apply g d in
+  let r = Incremental.refresh Streaming.Greedy ~num_partitions ~assignment:a applied in
+  let kept = applied.Mutation.kept in
+  checki "assignment covers the new graph" (Graph.num_edges applied.Mutation.graph)
     (Array.length r.Incremental.assignment);
   Array.iteri
     (fun j e -> checki "kept edge keeps its partition" a.(e) r.Incremental.assignment.(j))
@@ -147,13 +148,109 @@ let test_refresh_preserves_kept_edges () =
   checkb "repairs touch at most 2 vertices per delete" true
     (r.Incremental.repaired_vertices <= 2 * Array.length d.Mutation.deletes);
   check_clean "refreshed cut laws"
-    (Dyn_check.cut_laws r.Incremental.graph ~num_partitions r.Incremental.assignment)
+    (Dyn_check.cut_laws applied.Mutation.graph ~num_partitions r.Incremental.assignment)
 
 let test_refresh_validation () =
   let d = Mutation.plan cfg ~batch:1 g in
+  let applied = Mutation.apply g d in
+  let refresh assignment =
+    ignore (Incremental.refresh Streaming.Greedy ~num_partitions ~assignment applied)
+  in
   Alcotest.check_raises "wrong assignment length"
     (Invalid_argument "Incremental.refresh: assignment length mismatch") (fun () ->
-      ignore (Incremental.refresh Streaming.Greedy ~num_partitions ~graph:g ~assignment:[| 0 |] d))
+      refresh [| 0 |]);
+  (* A corrupt partition on a deleted edge is rejected like one on a
+     kept edge, although the refreshed cut never carries it. *)
+  let a = Streaming.assign Streaming.Greedy ~num_partitions g in
+  a.(d.Mutation.deletes.(0)) <- num_partitions;
+  Alcotest.check_raises "deleted edge's partition out of range"
+    (Invalid_argument "Incremental.refresh: assignment partition out of range") (fun () ->
+      refresh a)
+
+(* The O(m) oracle the delta-local count replaced: per-vertex sorted
+   replica lists of the whole old and new cuts, compared vertex by
+   vertex. *)
+let replica_sets g assignment =
+  let sets = Array.make (Graph.num_vertices g) [] in
+  let add v p = if not (List.mem p sets.(v)) then sets.(v) <- p :: sets.(v) in
+  Array.iteri
+    (fun e p ->
+      add (Graph.edge_src g e) p;
+      add (Graph.edge_dst g e) p)
+    assignment;
+  Array.map (List.sort compare) sets
+
+let rec symdiff a b =
+  match (a, b) with
+  | [], rest | rest, [] -> List.length rest
+  | x :: xs, y :: ys ->
+      if x = y then symdiff xs ys
+      else if x < y then 1 + symdiff xs (y :: ys)
+      else 1 + symdiff (x :: xs) ys
+
+let oracle_moved ~before ~assignment ~after assignment' =
+  let olds = replica_sets before assignment and news = replica_sets after assignment' in
+  let moved = ref 0 in
+  Array.iteri (fun v o -> moved := !moved + symdiff o news.(v)) olds;
+  !moved
+
+type moved_case = {
+  mc_n : int;
+  mc_edges : (int * int) list;
+  mc_heuristic : Streaming.t;
+  mc_parts : int;
+  mc_delta : Mutation.delta;
+}
+
+(* Multigraphs with self-loops; deltas are insert-only, delete-only,
+   mixed, or delete every edge of one vertex (plus inserts). *)
+let moved_case_gen =
+  let open QCheck2.Gen in
+  int_range 2 24 >>= fun n ->
+  int_range 1 90 >>= fun m ->
+  list_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) >>= fun edges ->
+  oneofl [ Streaming.Dbh; Streaming.Greedy; Streaming.Hdrf 1.0; Streaming.Hybrid 3 ]
+  >>= fun heuristic ->
+  int_range 1 8 >>= fun parts ->
+  int_range 0 3 >>= fun mode ->
+  list_size (int_range 1 30) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) >>= fun ins ->
+  list_repeat m (float_bound_exclusive 1.0) >|= fun coins ->
+  let ids = List.init m Fun.id in
+  let deletes =
+    match mode with
+    | 0 -> []
+    | 3 ->
+        let v = fst (List.hd edges) in
+        List.filter (fun e -> let s, d = List.nth edges e in s = v || d = v) ids
+    | _ -> List.filteri (fun e _ -> List.nth coins e < 0.3) ids
+  in
+  let inserts = if mode = 1 then [] else ins in
+  {
+    mc_n = n;
+    mc_edges = edges;
+    mc_heuristic = heuristic;
+    mc_parts = parts;
+    mc_delta =
+      { Mutation.batch = 1; inserts = Array.of_list inserts; deletes = Array.of_list deletes };
+  }
+
+let print_moved_case c =
+  let pairs l = String.concat ";" (List.map (fun (s, d) -> Printf.sprintf "(%d,%d)" s d) l) in
+  Printf.sprintf "n=%d P=%d %s edges=[%s] ins=[%s] del=[%s]" c.mc_n c.mc_parts
+    (Streaming.to_string c.mc_heuristic) (pairs c.mc_edges)
+    (pairs (Array.to_list c.mc_delta.Mutation.inserts))
+    (String.concat ";" (List.map string_of_int (Array.to_list c.mc_delta.Mutation.deletes)))
+
+let prop_moved_replicas_oracle =
+  Test_util.qtest ~count:400 "moved replicas = whole-cut oracle" ~print:print_moved_case
+    moved_case_gen (fun c ->
+      let before = Test_util.graph_of_edges ~n:c.mc_n c.mc_edges in
+      let num_partitions = c.mc_parts in
+      let assignment = Streaming.assign c.mc_heuristic ~num_partitions before in
+      let applied = Mutation.apply before c.mc_delta in
+      let r = Incremental.refresh c.mc_heuristic ~num_partitions ~assignment applied in
+      r.Incremental.moved_replicas
+      = oracle_moved ~before ~assignment ~after:applied.Mutation.graph r.Incremental.assignment)
 
 (* --- pricing and decisions --- *)
 
@@ -175,14 +272,15 @@ let test_decide_picks_cheaper () =
   let a = Streaming.assign Streaming.Greedy ~num_partitions g in
   let m = Metrics.compute g ~num_partitions a in
   let d = Mutation.plan cfg ~batch:1 g in
-  let r = Incremental.refresh Streaming.Greedy ~num_partitions ~graph:g ~assignment:a d in
-  let dec = Repartition.decide ~batch:1 ~delta:d ~old_metrics:m r in
+  let applied = Mutation.apply g d in
+  let r = Incremental.refresh Streaming.Greedy ~num_partitions ~assignment:a applied in
+  let dec = Repartition.decide ~old_metrics:m applied r in
   checkb "choice matches the prices" true
     (dec.Repartition.choice
     = if dec.Repartition.refresh_s <= dec.Repartition.rebuild_s then Repartition.Refresh
       else Repartition.Rebuild);
   checki "decision counts the delta" 48 dec.Repartition.inserts;
-  checki "edges after" (Graph.num_edges r.Incremental.graph) dec.Repartition.edges_after;
+  checki "edges after" (Graph.num_edges applied.Mutation.graph) dec.Repartition.edges_after;
   (* one event pair per decision *)
   let sink, read = Cutfit_obs.Sink.ring ~capacity:16 () in
   let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
@@ -217,7 +315,7 @@ let test_dyn_check_clean () =
 
 let test_dyn_check_catches_bad_graph () =
   let d = Mutation.plan cfg ~batch:1 g in
-  let applied = Mutation.apply g d in
+  let applied = (Mutation.apply g d).Mutation.graph in
   let src = Array.init (Graph.num_edges applied) (Graph.edge_src applied) in
   let dst = Array.init (Graph.num_edges applied) (Graph.edge_dst applied) in
   (* corrupt one edge *)
@@ -332,6 +430,7 @@ let suite =
     Alcotest.test_case "kept excludes deletes" `Quick test_kept_excludes_deletes;
     Alcotest.test_case "refresh preserves kept edges" `Quick test_refresh_preserves_kept_edges;
     Alcotest.test_case "refresh validation" `Quick test_refresh_validation;
+    prop_moved_replicas_oracle;
     Alcotest.test_case "prices monotone" `Quick test_prices_monotone;
     Alcotest.test_case "decide picks cheaper" `Quick test_decide_picks_cheaper;
     Alcotest.test_case "driver + events" `Quick test_run_driver_and_events;

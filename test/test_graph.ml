@@ -288,6 +288,59 @@ let test_symmetry_partial () =
   let s = Characterize.symmetry_pct g in
   checkb "2 of 3 reciprocated" true (abs_float (s -. (200.0 /. 3.0)) < 1e-9)
 
+(* Adjacency against a List.sort oracle: multi-edges and self-loops
+   kept, and a hub whose out- and in-buckets exceed the insertion-sort
+   threshold. *)
+let hub_graph_gen =
+  let open QCheck2.Gen in
+  int_range 2 30 >>= fun n ->
+  let edge = pair (int_range 0 (n - 1)) (int_range 0 (n - 1)) in
+  list_size (int_range 0 120) edge >>= fun edges ->
+  int_range 0 (n - 1) >>= fun hub ->
+  list_size (int_range 25 60) (int_range 0 (n - 1)) >>= fun outs ->
+  list_size (int_range 25 60) (int_range 0 (n - 1)) >>= fun ins ->
+  shuffle_l (edges @ List.map (fun d -> (hub, d)) outs @ List.map (fun s -> (s, hub)) ins)
+  >|= fun edges -> (n, edges)
+
+let prop_adjacency_sorted_oracle =
+  Test_util.qtest ~count:200 "adjacency = List.sort oracle" ~print:Test_util.print_small_graph
+    hub_graph_gen (fun (n, edges) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      let bucket key value v =
+        List.filter (fun e -> key e = v) edges
+        |> List.map value |> List.sort compare |> Array.of_list
+      in
+      List.for_all
+        (fun v ->
+          Graph.out_neighbors g v = bucket fst snd v && Graph.in_neighbors g v = bucket snd fst v)
+        (List.init n Fun.id))
+
+(* --- Graph_io --- *)
+
+let log10_digits v = if v = 0 then 1 else int_of_float (log10 (float_of_int v)) + 1
+
+let test_digits_at_powers_of_ten () =
+  for k = 0 to 15 do
+    let p = int_of_float (10.0 ** float_of_int k) in
+    List.iter
+      (fun v ->
+        if v >= 0 then begin
+          let name = string_of_int v in
+          checki (name ^ " digits") (String.length name) (Graph_io.digits v);
+          (* log10 (10^15 - 1) rounds up to 15.0, so the float version
+             over-counts there; below it the two agree. *)
+          if v < 999_999_999_999_999 then
+            checki (name ^ " agrees with log10") (log10_digits v) (Graph_io.digits v)
+        end)
+      [ p - 1; p; p + 1 ]
+  done;
+  checki "max_int digits" (String.length (string_of_int max_int)) (Graph_io.digits max_int)
+
+let prop_digits_sample =
+  Test_util.qtest ~count:500 "digits = log10 digits" ~print:string_of_int
+    QCheck2.Gen.(oneof [ int_range 0 1000; int_range 0 (1 lsl 40) ])
+    (fun v -> Graph_io.digits v = log10_digits v)
+
 let suite =
   [
     Alcotest.test_case "edge_list basic" `Quick test_edge_list_basic;
@@ -323,8 +376,11 @@ let suite =
     Alcotest.test_case "diameter estimate bound" `Quick test_diameter_estimate_lower_bound;
     Alcotest.test_case "io roundtrip" `Quick test_io_roundtrip;
     Alcotest.test_case "io comments and tabs" `Quick test_io_comments_and_tabs;
+    Alcotest.test_case "digits at powers of ten" `Quick test_digits_at_powers_of_ten;
+    prop_digits_sample;
     Alcotest.test_case "characterize small" `Quick test_characterize_small;
     Alcotest.test_case "partial symmetry" `Quick test_symmetry_partial;
+    prop_adjacency_sorted_oracle;
   ]
 
 (* --- binary I/O --- *)

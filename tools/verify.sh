@@ -104,9 +104,17 @@ echo "== dynamic-graph smoke (mutation batches + priced repartitioning)"
 dune exec bin/cutfit_cli.exe -- mutate youtube -n 16 \
   --mutations 'ins@1-4:r64,del@1-4:r16' --check >/dev/null
 # a mutating workload must pass the full sanitizer (cache conservation
-# now includes partial invalidations) and keep its run-twice digest
-dune exec bin/cutfit_cli.exe -- workload --jobs 16 \
-  --mutations 'ins@1-8:r64,del@1-8:r16' --mutate-every 4 --check >/dev/null
+# now includes partial invalidations) and keep its run-twice digest;
+# the digest is pinned, so a batch that refreshes, prices or counts
+# moved replicas differently fails here
+mutate_digest=c3b2264c804260de319f0eb71270276f
+out=$(dune exec bin/cutfit_cli.exe -- workload --jobs 16 \
+  --mutations 'ins@1-8:r64,del@1-8:r16' --mutate-every 4 --check)
+echo "$out" | grep -q "workload check: ok (digest $mutate_digest)" || {
+  echo "mutating workload digest moved (want $mutate_digest):" >&2
+  echo "$out" | tail -3 >&2
+  exit 1
+}
 # the seventh sanitizer suite: delta-identity, refreshed-cut laws and
 # refresh-rebuild value equivalence
 dune exec bin/cutfit_cli.exe -- check PR youtube --dynamic >/dev/null
