@@ -6,34 +6,49 @@ type result = { distances : int array array; trace : Cutfit_bsp.Trace.t }
 let infinity_dist = max_int
 
 (* Distance vectors are tiny (one slot per landmark); messages carry a
-   full vector, as GraphX ships the whole landmark map. *)
-let pointwise_min a b = Array.mapi (fun i x -> min x b.(i)) a
+   full vector, as GraphX ships the whole landmark map. These run once
+   per message, so they are plain loops over ints: no closure and no
+   polymorphic comparison. *)
+let pointwise_min a b =
+  let r = Array.copy a in
+  for i = 0 to Array.length r - 1 do
+    let y = b.(i) in
+    if y < r.(i) then r.(i) <- y
+  done;
+  r
 
-let increment a = Array.map (fun d -> if d = infinity_dist then infinity_dist else d + 1) a
+let increment a =
+  let r = Array.copy a in
+  for i = 0 to Array.length r - 1 do
+    if r.(i) <> infinity_dist then r.(i) <- r.(i) + 1
+  done;
+  r
 
 (* Whether [increment dist] would improve on [current] in some slot,
    decided in place: the candidate vector is built only when it is
    sent. *)
 let improves_after_hop ~dist ~current =
   let k = Array.length dist in
-  let rec from i =
-    i < k
-    &&
-    let d = dist.(i) in
-    (d <> infinity_dist && d + 1 < current.(i)) || from (i + 1)
-  in
-  from 0
+  let i = ref 0 and found = ref false in
+  while (not !found) && !i < k do
+    let d = dist.(!i) in
+    if d <> infinity_dist && d + 1 < current.(!i) then found := true;
+    incr i
+  done;
+  !found
 
 let program ~landmarks =
   let k = Array.length landmarks in
-  let index_of = Hashtbl.create k in
-  Array.iteri (fun i v -> Hashtbl.replace index_of v i) landmarks;
   let bytes = 96 + (64 * k) in
   {
+    (* Slot i starts at 0 on landmark i, so a landmark listed twice
+       starts both of its slots there. *)
     Pregel.init =
       (fun v ->
         let d = Array.make k infinity_dist in
-        (match Hashtbl.find_opt index_of v with Some i -> d.(i) <- 0 | None -> ());
+        for i = 0 to k - 1 do
+          if landmarks.(i) = v then d.(i) <- 0
+        done;
         d);
     initial_msg = Array.make k infinity_dist;
     vprog = (fun _ current m -> pointwise_min current m);

@@ -117,8 +117,11 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
       ~cost:{ cost with Cost_model.driver_meta_per_task_bytes = 0.0 }
       ?telemetry ~label:"triangle_count" ~state_bytes:0 ~cluster pg
   in
+  (* Under the inert runtime no [begin_step] changes the membership, so
+     one placement array serves all four stages. *)
   let ert = Pricer.runtime pr in
-  let exec_of p = Cutfit_bsp.Elastic.exec_of ert p in
+  let pex = Array.init num_partitions (Cutfit_bsp.Elastic.exec_of ert) in
+  let master = Pgraph.masters pg in
   let part_off = Pgraph.part_off pg and part_edges = Pgraph.part_edges pg in
   let route_off = Pgraph.route_off pg and route_parts = Pgraph.route_parts pg in
   let gsrc = Graph.src_array g and gdst = Graph.dst_array g in
@@ -132,10 +135,8 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
     let work = c.Pricer.work and bytes_out = c.Pricer.bytes_out in
     let messages = ref 0 and remote = ref 0 in
     for p = 0 to num_partitions - 1 do
-      let pexec = exec_of p in
-      let ship v =
-        if exec_of (Pgraph.master pg v) <> pexec then bytes_out.(pexec) <- bytes_out.(pexec) +. 8.0
-      in
+      let pexec = pex.(p) in
+      let ship v = if pex.(master.(v)) <> pexec then bytes_out.(pexec) <- bytes_out.(pexec) +. 8.0 in
       for i = part_off.(p) to part_off.(p + 1) - 1 do
         let e = part_edges.(i) in
         work.(p) <-
@@ -153,14 +154,14 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
     for v = 0 to n - 1 do
       let r = Pgraph.replica_count pg v in
       groups := !groups + r;
-      let mp = Pgraph.master pg v in
-      let mexec = exec_of mp in
+      let mp = master.(v) in
+      let mexec = pex.(mp) in
       for i = route_off.(v) to route_off.(v + 1) - 1 do
-        let q = route_parts.(i) in
-        if exec_of q <> mexec then begin
+        let qexec = pex.(route_parts.(i)) in
+        if qexec <> mexec then begin
           incr remote;
-          bytes_out.(exec_of q) <-
-            bytes_out.(exec_of q) +. float_of_int cost.Cost_model.msg_wire_overhead_bytes
+          bytes_out.(qexec) <-
+            bytes_out.(qexec) +. float_of_int cost.Cost_model.msg_wire_overhead_bytes
         end
       done;
       if r >= 2 then work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
@@ -188,8 +189,8 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
     let bcast = ref 0 and remote_bcast = ref 0 in
     let exec_seen = Array.make cluster.Cluster.executors (-1) in
     for v = 0 to n - 1 do
-      let mp = Pgraph.master pg v in
-      let mexec = exec_of mp in
+      let mp = master.(v) in
+      let mexec = pex.(mp) in
       let set_bytes = float_of_int ((8 * deg v) + cost.Cost_model.msg_wire_overhead_bytes) in
       work.(mp) <-
         work.(mp) +. cost.Cost_model.msg_serialize_s
@@ -198,7 +199,7 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
         work.(mp) <- work.(mp) +. cost.Cost_model.cut_vertex_reduce_s;
       for i = route_off.(v) to route_off.(v + 1) - 1 do
         incr bcast;
-        let e = exec_of route_parts.(i) in
+        let e = pex.(route_parts.(i)) in
         if e <> mexec && exec_seen.(e) <> v then begin
           exec_seen.(e) <- v;
           incr remote_bcast;
@@ -265,15 +266,16 @@ let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~clus
     let work = c.Pricer.work and bytes_out = c.Pricer.bytes_out in
     let groups = ref 0 and remote = ref 0 in
     for v = 0 to n - 1 do
-      let mexec = exec_of (Pgraph.master pg v) in
+      let mexec = pex.(master.(v)) in
       for i = route_off.(v) to route_off.(v + 1) - 1 do
         let q = route_parts.(i) in
+        let qexec = pex.(q) in
         incr groups;
         work.(q) <- work.(q) +. cost.Cost_model.msg_serialize_s;
-        if exec_of q <> mexec then begin
+        if qexec <> mexec then begin
           incr remote;
-          bytes_out.(exec_of q) <-
-            bytes_out.(exec_of q) +. float_of_int (8 + cost.Cost_model.msg_wire_overhead_bytes)
+          bytes_out.(qexec) <-
+            bytes_out.(qexec) +. float_of_int (8 + cost.Cost_model.msg_wire_overhead_bytes)
         end
       done
     done;

@@ -27,7 +27,16 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
       ~label:"gas" ~state_bytes:program.state_bytes ~cluster pg
   in
   let ert = Pricer.runtime pr in
-  let exec_of p = Elastic.exec_of ert p in
+  (* The executor of every partition under the live membership, read
+     per message. [Pricer.begin_step] may change the membership, so
+     the array is refreshed after each one. *)
+  let pex = Array.make num_partitions 0 in
+  let refresh_placement () =
+    for p = 0 to num_partitions - 1 do
+      pex.(p) <- Elastic.exec_of ert p
+    done
+  in
+  let master = Pgraph.masters pg in
   let part_off = Pgraph.part_off pg and part_edges = Pgraph.part_edges pg in
   let route_off = Pgraph.route_off pg and route_parts = Pgraph.route_parts pg in
   let gsrc = Graph.src_array g and gdst = Graph.dst_array g in
@@ -54,6 +63,7 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   let outcome = ref None in
   while Option.is_none !outcome do
     let c = Pricer.begin_step pr ~step:!step in
+    refresh_placement ();
     let work = c.Pricer.work and bytes_out = c.Pricer.bytes_out and bytes_in = c.Pricer.bytes_in in
     let active_edges = ref 0 and messages = ref 0 in
     let shuffle_groups = ref 0 and remote_shuffles = ref 0 in
@@ -61,7 +71,7 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
     (* Gather: mirrors pre-aggregate per partition; one partial sum per
        (vertex, partition) ships to the master. *)
     for p = 0 to num_partitions - 1 do
-      let pexec = exec_of p in
+      let pexec = pex.(p) in
       let contribute target value =
         incr messages;
         work.(p) <- work.(p) +. cost.Cost_model.msg_merge_s;
@@ -75,11 +85,12 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
           last_part.(target) <- p;
           incr shuffle_groups;
           work.(p) <- work.(p) +. cost.Cost_model.msg_serialize_s;
-          let mp = Pgraph.master pg target in
-          if exec_of mp <> pexec then begin
+          let mp = master.(target) in
+          let mexec = pex.(mp) in
+          if mexec <> pexec then begin
             incr remote_shuffles;
             bytes_out.(pexec) <- bytes_out.(pexec) +. gather_wire;
-            bytes_in.(exec_of mp) <- bytes_in.(exec_of mp) +. gather_wire;
+            bytes_in.(mexec) <- bytes_in.(mexec) +. gather_wire;
             work.(mp) <- work.(mp) +. cost.Cost_model.msg_serialize_s
           end
         end
@@ -137,19 +148,19 @@ let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
       let changed = state <> attrs.(v) in
       attrs.(v) <- state;
       if stay then Bytes.unsafe_set next_active v '\001';
-      let mp = Pgraph.master pg v in
+      let mp = master.(v) in
       work.(mp) <- work.(mp) +. cost.Cost_model.vprog_s;
       if changed then begin
         incr updated;
-        let mexec = exec_of mp in
+        let mexec = pex.(mp) in
         for i = route_off.(v) to route_off.(v + 1) - 1 do
-          let q = route_parts.(i) in
+          let qexec = pex.(route_parts.(i)) in
           incr bcast;
           work.(mp) <- work.(mp) +. cost.Cost_model.msg_serialize_s;
-          if exec_of q <> mexec then begin
+          if qexec <> mexec then begin
             incr remote_bcast;
             bytes_out.(mexec) <- bytes_out.(mexec) +. attr_wire;
-            bytes_in.(exec_of q) <- bytes_in.(exec_of q) +. attr_wire
+            bytes_in.(qexec) <- bytes_in.(qexec) +. attr_wire
           end
         done;
         (* Scatter signals the neighbours, GraphLab-style, so data-driven

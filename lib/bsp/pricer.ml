@@ -32,6 +32,10 @@ type t = {
   checkpoint_io_s : float;  (** writing or reading back one checkpoint image *)
   load_s : float;
   mutable parts_per_exec : int array;
+  mutable exec_parts : int array array;
+      (** each live executor's partitions, descending: the order its
+          makespan sums their work in *)
+  mutable exec_work : float array array;  (** per-executor scratch for that sum *)
   mutable steps : Trace.superstep list;  (** newest first *)
   mutable driver_meta : float;
   mutable checkpoint_s : float;
@@ -52,12 +56,22 @@ let emit t event =
 
 let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
 
-let compute_parts_per_exec t =
-  let a = Array.make (Elastic.live t.ert) 0 in
+(* Recomputed only when the live membership changes. *)
+let place t =
+  let counts = Array.make (Elastic.live t.ert) 0 in
   for p = 0 to num_partitions t - 1 do
-    a.(exec_of t p) <- a.(exec_of t p) + 1
+    counts.(exec_of t p) <- counts.(exec_of t p) + 1
   done;
-  a
+  let parts = Array.map (fun k -> Array.make k 0) counts in
+  let fill = Array.make (Elastic.live t.ert) 0 in
+  for p = num_partitions t - 1 downto 0 do
+    let e = exec_of t p in
+    parts.(e).(fill.(e)) <- p;
+    fill.(e) <- fill.(e) + 1
+  done;
+  t.parts_per_exec <- counts;
+  t.exec_parts <- parts;
+  t.exec_work <- Array.map (fun k -> Array.make k 0.0) counts
 
 let create ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every ?faults ?speculation
     ?elastic ?hetero ?telemetry ~label ~state_bytes ~cluster pg =
@@ -99,6 +113,8 @@ let create ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every ?faults
         *. float_of_int (Cutfit_graph.Graph_io.size_bytes g)
         /. (float_of_int executors *. Cluster.storage_bytes_per_s cluster);
       parts_per_exec = [||];
+      exec_parts = [||];
+      exec_work = [||];
       steps = [];
       driver_meta = 0.0;
       checkpoint_s = 0.0;
@@ -110,7 +126,7 @@ let create ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every ?faults
       reshuffles = [];
     }
   in
-  t.parts_per_exec <- compute_parts_per_exec t;
+  place t;
   t
 
 let fresh t =
@@ -198,7 +214,7 @@ let begin_step t ~step =
     ~bandwidth:(Cluster.network_bytes_per_s t.cluster)
     ~barrier_s:cost.Cost_model.superstep_barrier_s
     ~on_reshuffle:(fun change r ->
-      t.parts_per_exec <- compute_parts_per_exec t;
+      place t;
       t.reshuffles <- r :: t.reshuffles;
       let executors = r.Event.executors_after in
       emit t
@@ -245,13 +261,13 @@ let price t ~step ~(plan : Faults.plan) c =
   let clean_busy = Array.make live 0.0 in
   let busy = Array.make live 0.0 in
   for e = 0 to live - 1 do
-    let mine = ref [] in
-    for p = 0 to num_partitions - 1 do
-      if exec_of t p = e then mine := jittered.(p) :: !mine
+    let parts = t.exec_parts.(e) and mine = t.exec_work.(e) in
+    for j = 0 to Array.length parts - 1 do
+      mine.(j) <- jittered.(parts.(j))
     done;
     clean_busy.(e) <-
       scale
-      *. Cost_model.makespan ~work:(Array.of_list !mine) ~cores:t.cluster.Cluster.cores_per_executor
+      *. Cost_model.makespan ~work:mine ~cores:t.cluster.Cluster.cores_per_executor
       /. Elastic.speed_of t.ert e;
     (* Fault plans are realized against the initial membership; late
        joiners past that width run fault-free. *)

@@ -75,6 +75,7 @@ let src_array t = t.src
 let dst_array t = t.dst
 let out_degree t v = t.out_off.(v + 1) - t.out_off.(v)
 let in_degree t v = t.in_off.(v + 1) - t.in_off.(v)
+let degree_sum t ~lo ~hi = t.out_off.(hi) - t.out_off.(lo) + t.in_off.(hi) - t.in_off.(lo)
 
 let iter_out t v f =
   for i = t.out_off.(v) to t.out_off.(v + 1) - 1 do

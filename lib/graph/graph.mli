@@ -36,6 +36,11 @@ val dst_array : t -> int array
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
+val degree_sum : t -> lo:int -> hi:int -> int
+(** [degree_sum g ~lo ~hi] is the sum of [out_degree + in_degree] over
+    the vertices in [\[lo, hi)], in O(1) from the CSR offsets; requires
+    [0 <= lo <= hi <= num_vertices g]. *)
+
 val iter_out : t -> int -> (int -> unit) -> unit
 (** [iter_out g v f] applies [f] to every out-neighbour of [v]
     (ascending order, duplicates preserved). *)

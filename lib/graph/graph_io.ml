@@ -62,7 +62,19 @@ let digits v =
   in
   go 1 10
 
+(* Every edge writes both ids, a space and a newline: 2m bytes plus
+   each vertex's width times its degree. The width is constant on each
+   [\[10^(d-1), 10^d)], so one degree-range sum per width covers all
+   vertices, in the same bounds [digits] uses. *)
 let size_bytes g =
-  let total = ref 0 in
-  Graph.iter_edges g (fun ~src ~dst -> total := !total + digits src + digits dst + 2);
+  let n = Graph.num_vertices g in
+  let total = ref (2 * Graph.num_edges g) in
+  let rec go d lo bound =
+    let hi = min n bound in
+    total := !total + (d * Graph.degree_sum g ~lo ~hi);
+    if hi < n then
+      if bound > max_int / 10 then total := !total + ((d + 1) * Graph.degree_sum g ~lo:hi ~hi:n)
+      else go (d + 1) hi (bound * 10)
+  in
+  go 1 0 10;
   !total

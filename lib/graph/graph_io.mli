@@ -17,4 +17,5 @@ val digits : int -> int
     it in. *)
 
 val size_bytes : Graph.t -> int
-(** Exact byte size the edge list would occupy on disk via {!save}. *)
+(** Exact byte size the edge list would occupy on disk via {!save}, in
+    O(log n): one degree-range sum per decimal width. *)

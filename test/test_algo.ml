@@ -148,6 +148,25 @@ let test_sssp_pick_landmarks () =
       Hashtbl.add tbl v ())
     l
 
+(* Each slot starts at its own landmark, also when a landmark repeats:
+   boxed, CSR and the BFS reference agree slot for slot. *)
+let test_sssp_repeated_landmarks () =
+  let csr = Cutfit_bsp.Csr.build pg in
+  List.iter
+    (fun landmarks ->
+      let name = String.concat "," (Array.to_list (Array.map string_of_int landmarks)) in
+      let want = Sssp.reference g ~landmarks in
+      Alcotest.(check (array (array int)))
+        ("boxed = reference for " ^ name)
+        want (Sssp.run ~cluster ~landmarks pg).Sssp.distances;
+      Alcotest.(check (array (array int)))
+        ("run_csr = reference for " ^ name)
+        want (Sssp.run_csr ~landmarks csr);
+      Array.iteri
+        (fun i l -> checki (Printf.sprintf "slot %d at its landmark" i) 0 want.(l).(i))
+        landmarks)
+    [ [| 7; 7 |]; [| 3; 77; 3 |] ]
+
 let test_sssp_long_path_ooms_small_driver () =
   (* Hundreds of supersteps against a small driver reproduces the
      paper's road-network OOM. *)
@@ -190,6 +209,7 @@ let suite =
     Alcotest.test_case "SSSP unreachable" `Quick test_sssp_unreachable_infinite;
     Alcotest.test_case "SSSP validation" `Quick test_sssp_validation;
     Alcotest.test_case "SSSP pick landmarks" `Quick test_sssp_pick_landmarks;
+    Alcotest.test_case "SSSP repeated landmarks" `Quick test_sssp_repeated_landmarks;
     Alcotest.test_case "SSSP long path OOM" `Quick test_sssp_long_path_ooms_small_driver;
     prop_sssp_matches_bfs;
   ]

@@ -520,3 +520,158 @@ let suite =
       Alcotest.test_case "pricer speculation skips setup" `Quick test_pricer_speculation_skips_setup;
       Alcotest.test_case "pricer loss is recovery traffic" `Quick test_pricer_loss_is_recovery_traffic;
     ]
+
+(* --- frontier edge cases ---
+
+   Small hand graphs whose active sets are tiny, shrink and grow, so
+   the engine's choice between scanning every edge and visiting only
+   the frontier's edges is exercised at its edges. Each case is pinned
+   by the trace, event-stream and value digests the engine produced
+   when it still scanned every edge on every superstep, and its values
+   are checked against a sequential reference. *)
+
+module Sssp = Cutfit_algo.Sssp
+module Cc = Cutfit_algo.Connected_components
+module Determinism = Cutfit_check.Determinism
+module Fault_check = Cutfit_check.Fault_check
+
+let path_edges ~n = List.init (n - 1) (fun i -> (i, i + 1))
+
+let hash_pgraph ~num_partitions g =
+  Pgraph.build g ~num_partitions
+    (Partitioner.assign (Partitioner.Hash Strategy.Rvc) ~num_partitions g)
+
+(* A path 0 -> 13 -> ... -> 52 into a 12-clique on 1..12, with a tail
+   12 -> 53 -> ... -> 62. Label 0 walks the path one vertex a step,
+   floods the clique at once, then walks the tail: the frontier goes
+   from everything to one vertex, up to the clique and down again. *)
+let broom =
+  let path = (0, 13) :: List.init 39 (fun i -> (13 + i, 14 + i)) @ [ (52, 1) ] in
+  let clique =
+    List.concat_map (fun i -> List.init (12 - i) (fun j -> (i, i + j + 1))) (List.init 12 succ)
+  in
+  let tail = (12, 53) :: List.init 9 (fun i -> (53 + i, 54 + i)) in
+  Test_util.graph_of_edges ~n:63 (path @ clique @ tail)
+
+(* A path whose every edge is doubled, with self-loops on every third
+   vertex and a few reciprocal edges. *)
+let multi_path =
+  let n = 30 in
+  let doubled = List.concat_map (fun e -> [ e; e ]) (path_edges ~n) in
+  let loops = List.init 10 (fun i -> (3 * i, 3 * i)) in
+  Test_util.graph_of_edges ~n (doubled @ loops @ [ (7, 6); (20, 19); (21, 20) ])
+
+type frontier_case = {
+  fc_name : string;
+  fc_run : Cutfit_obs.Telemetry.t -> Trace.t * string;
+      (** the run's trace and values digest; fails on a reference mismatch *)
+}
+
+let sssp_case ?elastic ?faults ?checkpoint_every fc_name ~num_partitions ~pgraph ~landmarks g =
+  let fc_run telemetry =
+    let cluster = Test_util.tiny_cluster ~num_partitions () in
+    let r =
+      Sssp.run ?elastic ?faults ?checkpoint_every ~telemetry ~cluster ~landmarks
+        (pgraph ~num_partitions g)
+    in
+    Alcotest.(check (array (array int)))
+      (fc_name ^ ": distances = reference")
+      (Sssp.reference g ~landmarks) r.Sssp.distances;
+    (r.Sssp.trace, Fault_check.int_attrs_digest (Array.concat (Array.to_list r.Sssp.distances)))
+  in
+  { fc_name; fc_run }
+
+let cc_case fc_name ~num_partitions g =
+  let fc_run telemetry =
+    let cluster = Test_util.tiny_cluster ~num_partitions () in
+    let r = Cc.run ~iterations:200 ~telemetry ~cluster (hash_pgraph ~num_partitions g) in
+    checkb (fc_name ^ ": completed") true (Trace.completed r.Cc.trace);
+    Alcotest.(check (array int)) (fc_name ^ ": labels = reference") (Cc.reference g) r.Cc.labels;
+    (r.Cc.trace, Fault_check.int_attrs_digest r.Cc.labels)
+  in
+  { fc_name; fc_run }
+
+(* Hand placement of the 200-edge path: partitions of 63, 65 and 72
+   edges, so partition ends and every 32-, 62-, 63- and 64-bit word
+   boundary fall on consecutive positions the walking frontier
+   visits. *)
+let boundary_pgraph ~num_partitions g =
+  Pgraph.build g ~num_partitions
+    (Array.init (Graph.num_edges g) (fun e -> if e < 63 then 0 else if e < 128 then 1 else 2))
+
+let frontier_cases =
+  let path40 = Test_util.graph_of_edges ~n:40 (path_edges ~n:40) in
+  [
+    sssp_case "directed path, one active vertex a step" ~num_partitions:4 ~pgraph:hash_pgraph
+      ~landmarks:[| 39 |] path40;
+    sssp_case "directed path under scale events and faults" ~num_partitions:4
+      ~pgraph:hash_pgraph ~landmarks:[| 39 |] ~checkpoint_every:3
+      ~elastic:(Cutfit_bsp.Elastic.config ~seed:5 "leave@4-1,join@9+2,preempt@12:r1")
+      ~faults:(Cutfit_bsp.Faults.config ~seed:3 "crash@6,straggler@2-3:x3,loss@8:r1")
+      path40;
+    sssp_case "more partitions than edges" ~num_partitions:16 ~pgraph:hash_pgraph
+      ~landmarks:[| 12 |]
+      (Test_util.graph_of_edges ~n:13 (path_edges ~n:13));
+    sssp_case "self-loops and parallel edges" ~num_partitions:4 ~pgraph:hash_pgraph
+      ~landmarks:[| 29; 15 |] multi_path;
+    cc_case "self-loops and parallel edges, CC" ~num_partitions:4 multi_path;
+    sssp_case "partition ends and bitmap word boundaries" ~num_partitions:3
+      ~pgraph:boundary_pgraph ~landmarks:[| 200 |]
+      (Test_util.graph_of_edges ~n:201 (path_edges ~n:201));
+    cc_case "CC frontier crosses the dense/sparse switch both ways" ~num_partitions:4 broom;
+  ]
+
+let frontier_digests c =
+  let sink, read = Cutfit_obs.Sink.ring ~capacity:(1 lsl 14) () in
+  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
+  let trace, values = c.fc_run telemetry in
+  Cutfit_obs.Telemetry.close telemetry;
+  (Determinism.trace_digest trace, Determinism.events_digest (read ()), values)
+
+(* (case, trace, events, values) *)
+let frontier_table =
+  [
+    ( "directed path, one active vertex a step",
+      "da4e0c7253d8c4dd53000fd9bb578b1b",
+      "e93b73b9a0740d845d36803d2add354d",
+      "d7b262f656dbea5d9e46c4217b4c77cc" );
+    ( "directed path under scale events and faults",
+      "bf6c15174e66a8505157fbec82010f20",
+      "9ce77c0ab9f694fb870d901941701dd8",
+      "d7b262f656dbea5d9e46c4217b4c77cc" );
+    ( "more partitions than edges",
+      "5cfd74de2079a98f7bb54ccd910b7ba6",
+      "5c134cc2e86e6c698de7161ee6cf9767",
+      "1796fb4daedbf49ed3033701e316edcb" );
+    ( "self-loops and parallel edges",
+      "8867b4b2dc4237334e389bb3342545ef",
+      "dc40c8955eb49715a7e33357940e7eb4",
+      "acb60b49d8fa978a486c0ef6eb5c66c0" );
+    ( "self-loops and parallel edges, CC",
+      "327c262a22adde859615c93230d2aae7",
+      "419fb41af881a7ba92dcff3614be9504",
+      "af18d03371ab67930e9dec55515d4208" );
+    ( "partition ends and bitmap word boundaries",
+      "d47c4a9fc950a493327cdf3bafd5d3e8",
+      "d194a7bc3223989121ad5c34bbc4dc80",
+      "a38e82fc3a7f53695a96fadbaf3076b7" );
+    ( "CC frontier crosses the dense/sparse switch both ways",
+      "709d628e2006dcc21837490cd563ad73",
+      "bdabfe862220e16b0f7ab5e31c8f07d2",
+      "6a21b93c85b7eaea2089e2466148ebca" );
+  ]
+
+let test_frontier_case c () =
+  match List.find_opt (fun (name, _, _, _) -> name = c.fc_name) frontier_table with
+  | None -> Alcotest.fail (c.fc_name ^ ": no committed digests")
+  | Some (_, trace, events, values) ->
+      let t, e, v = frontier_digests c in
+      Alcotest.(check string) "trace digest" trace t;
+      Alcotest.(check string) "events digest" events e;
+      Alcotest.(check string) "values digest" values v
+
+let suite =
+  suite
+  @ List.map
+      (fun c -> Alcotest.test_case ("frontier: " ^ c.fc_name) `Quick (test_frontier_case c))
+      frontier_cases

@@ -341,6 +341,34 @@ let prop_digits_sample =
     QCheck2.Gen.(oneof [ int_range 0 1000; int_range 0 (1 lsl 40) ])
     (fun v -> Graph_io.digits v = log10_digits v)
 
+(* [size_bytes] sums one degree range per decimal width; the oracle is
+   the per-edge fold it replaced. Vertex counts sit at and around
+   powers of ten, and edges favour the ids at 10^k - 1, 10^k and
+   10^k + 1, so every width boundary is crossed by real degrees; with
+   few edges most vertices stay isolated, and n = 0 is drawn too. *)
+let size_bytes_fold g =
+  let total = ref 0 in
+  Graph.iter_edges g (fun ~src ~dst ->
+      total := !total + Graph_io.digits src + Graph_io.digits dst + 2);
+  !total
+
+let width_boundary_graph_gen =
+  let open QCheck2.Gen in
+  oneofl [ 0; 1; 2; 9; 10; 11; 99; 100; 101; 1000; 1001; 10_001; 100_002 ] >>= fun n ->
+  let near_powers =
+    List.concat_map (fun p -> [ p - 1; p; p + 1 ]) [ 1; 10; 100; 1000; 10_000; 100_000 ]
+    |> List.filter (fun v -> v >= 0 && v < n)
+  in
+  let any = int_range 0 (max 0 (n - 1)) in
+  let id = if near_powers = [] then any else oneof [ oneofl near_powers; any ] in
+  (if n = 0 then pure [] else list_size (int_range 0 40) (pair id id)) >|= fun edges -> (n, edges)
+
+let prop_size_bytes_oracle =
+  Test_util.qtest ~count:300 "size_bytes = per-edge fold" ~print:Test_util.print_small_graph
+    width_boundary_graph_gen (fun (n, edges) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      Graph_io.size_bytes g = size_bytes_fold g)
+
 let suite =
   [
     Alcotest.test_case "edge_list basic" `Quick test_edge_list_basic;
@@ -378,6 +406,7 @@ let suite =
     Alcotest.test_case "io comments and tabs" `Quick test_io_comments_and_tabs;
     Alcotest.test_case "digits at powers of ten" `Quick test_digits_at_powers_of_ten;
     prop_digits_sample;
+    prop_size_bytes_oracle;
     Alcotest.test_case "characterize small" `Quick test_characterize_small;
     Alcotest.test_case "partial symmetry" `Quick test_symmetry_partial;
     prop_adjacency_sorted_oracle;
