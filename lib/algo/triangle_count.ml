@@ -9,77 +9,72 @@ type result = { per_vertex : int array; total : int; trace : Trace.t }
 
 (* --- compact CSR kernel -------------------------------------------
 
-   The stage-3 intersection work of [run], executed for real: canonical
-   edges of each partition intersect their endpoints' sorted undirected
-   neighbour lists (flattened to one offsets + one adjacency buffer).
+   A forward count in vertex-id order over the upper-neighbour view
+   ([Graph.upper_neighbours]: each vertex's distinct undirected
+   neighbours above it). For u ascending, up(u) is stamped with u in a
+   mark array; then for each v in up(u), every x in up(v) that carries
+   u's stamp closes the triangle u < v < x, found exactly once. This is
+   the intersection of up(u)'s part after v with up(v) — every x in
+   up(v) is above v — done by lookup rather than by a merge, so a pair
+   costs |up(v)| predictable loads instead of a branchy walk of both
+   lists. [run] finds each triangle once per canonical edge instance
+   between u and v (its two lowest ids), so it is weighted here by that
+   same number: the count of u -> v edges if there is one, else of
+   v -> u.
+
+   The partition layout is not read: walking edges in partition order
+   touches two random adjacency lists per edge, which on large graphs
+   is bound by memory latency, while id order walks up(u) sequentially.
    Counts are plain int sums — exact under any accumulation order — so
-   each worker counts into its own array and the arrays are summed
-   per-vertex afterwards; no ordering discipline is needed for
-   bit-identical totals. *)
+   each worker counts into its own array over dynamically claimed
+   vertex ranges and the arrays are summed per vertex afterwards. *)
 
 module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
-module B1 = Bigarray.Array1
 
 let csr_chunk = 4096
+let num_chunks n = (n + csr_chunk - 1) / csr_chunk
 
-let run_csr ?(domains = 1) (c : Csr.t) =
+let scatter_csr pool ~domains (c : Csr.t) =
   let g = c.Csr.graph in
   let n = c.Csr.num_vertices in
-  let parts = c.Csr.num_partitions in
-  let part_off = c.Csr.part_off in
-  let esrc = c.Csr.edge_src and edst = c.Csr.edge_dst in
-  (* Flatten the symmetrized adjacency once: und_adj.(und_off v ..) is
-     vertex v's sorted, deduplicated undirected neighbour list. *)
-  let und = Graph.symmetrize g in
-  let und_off = B1.create Bigarray.int Bigarray.c_layout (n + 1) in
-  B1.unsafe_set und_off 0 0;
-  for v = 0 to n - 1 do
-    B1.unsafe_set und_off (v + 1) (B1.unsafe_get und_off v + Graph.out_degree und v)
-  done;
-  let und_adj = B1.create Bigarray.int Bigarray.c_layout (B1.unsafe_get und_off n) in
-  for v = 0 to n - 1 do
-    let i = ref (B1.unsafe_get und_off v) in
-    Graph.iter_out und v (fun u ->
-        B1.unsafe_set und_adj !i u;
-        incr i)
-  done;
+  let off, up = Graph.upper_neighbours g in
   let worker_counts = Array.init domains (fun _ -> Array.make n 0) in
-  let scatter w p =
-    let counts = worker_counts.(w) in
-    for e = B1.unsafe_get part_off p to B1.unsafe_get part_off (p + 1) - 1 do
-      let src = B1.unsafe_get esrc e and dst = B1.unsafe_get edst e in
-      let canonical = src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src)) in
-      if canonical then begin
-        let alo = B1.unsafe_get und_off src and ahi = B1.unsafe_get und_off (src + 1) in
-        let blo = B1.unsafe_get und_off dst and bhi = B1.unsafe_get und_off (dst + 1) in
-        (* Intersect small-into-large with binary search, as [run]'s
-           stage 3 does on its boxed adjacency arrays. *)
-        let slo, shi, glo, ghi =
-          if ahi - alo <= bhi - blo then (alo, ahi, blo, bhi) else (blo, bhi, alo, ahi)
-        in
-        for i = slo to shi - 1 do
-          let x = B1.unsafe_get und_adj i in
-          if x > src && x > dst then begin
-            let lo = ref glo and hi = ref (ghi - 1) and found = ref false in
-            while (not !found) && !lo <= !hi do
-              let mid = (!lo + !hi) / 2 in
-              let y = B1.unsafe_get und_adj mid in
-              if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
-            done;
-            if !found then begin
-              counts.(src) <- counts.(src) + 1;
-              counts.(dst) <- counts.(dst) + 1;
-              counts.(x) <- counts.(x) + 1
-            end
+  let worker_marks = Array.init domains (fun _ -> Array.make n (-1)) in
+  let scatter w ch =
+    let counts = worker_counts.(w) and mark = worker_marks.(w) in
+    (* Unchecked reads: [off] is monotone with [off.(n) = length up]
+       and every id in [up] is below [n]. *)
+    for u = ch * csr_chunk to min n ((ch * csr_chunk) + csr_chunk) - 1 do
+      let u_lo = Array.unsafe_get off u and u_hi = Array.unsafe_get off (u + 1) in
+      for i = u_lo to u_hi - 1 do
+        mark.(Array.unsafe_get up i) <- u
+      done;
+      for i = u_lo to u_hi - 1 do
+        let v = Array.unsafe_get up i in
+        let weight = ref 0 in
+        for j = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
+          let x = Array.unsafe_get up j in
+          if Array.unsafe_get mark x = u then begin
+            if !weight = 0 then begin
+              let k = Graph.edge_multiplicity g ~src:u ~dst:v in
+              weight := if k > 0 then k else Graph.edge_multiplicity g ~src:v ~dst:u
+            end;
+            counts.(u) <- counts.(u) + !weight;
+            counts.(v) <- counts.(v) + !weight;
+            counts.(x) <- counts.(x) + !weight
           end
         done
-      end
+      done
     done
   in
+  Par_exec.iter pool ~n:(num_chunks n) scatter;
+  worker_counts
+
+let run_csr ?(domains = 1) (c : Csr.t) =
+  let n = c.Csr.num_vertices in
   let per_vertex = Array.make n 0 in
-  let nchunks = (n + csr_chunk - 1) / csr_chunk in
-  let reduce ch =
+  let reduce worker_counts ch =
     let lo = ch * csr_chunk and hi = min n ((ch * csr_chunk) + csr_chunk) in
     for v = lo to hi - 1 do
       let total = ref 0 in
@@ -90,8 +85,8 @@ let run_csr ?(domains = 1) (c : Csr.t) =
     done
   in
   Par_exec.with_pool ~domains (fun pool ->
-      Par_exec.iter pool ~n:parts scatter;
-      Par_exec.iter pool ~n:nchunks (fun _ ch -> reduce ch));
+      let worker_counts = scatter_csr pool ~domains c in
+      Par_exec.iter pool ~n:(num_chunks n) (fun _ ch -> reduce worker_counts ch));
   (per_vertex, Array.fold_left ( + ) 0 per_vertex / 3)
 
 let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~cluster pg =

@@ -35,9 +35,27 @@ val run :
     partitioned graph's underlying graph. *)
 
 val run_csr : ?domains:int -> Cutfit_bsp.Csr.t -> int array * int
-(** [run_csr c] is [(per_vertex, total)] computed for real on the
-    compact {!Cutfit_bsp.Csr} layout (the stage-3 intersections,
-    without the simulated dataflow trace); identical to {!run}'s counts
-    at any [domains] (default 1) since int sums are order-exact. Both
-    orient edges by vertex id, not by degree, and that shared rule is
-    what keeps the two identical on multigraphs. *)
+(** [run_csr c] is [(per_vertex, total)] computed for real from the
+    graph under the compact {!Cutfit_bsp.Csr} layout, without the
+    simulated dataflow trace; identical to {!run}'s counts at any
+    [domains] (default 1), on multigraphs too, since int sums are
+    order-exact.
+
+    It enumerates forward in vertex-id order over
+    {!Cutfit_graph.Graph.upper_neighbours}: for each [u] and each [v]
+    in [up(u)], the part of [up(u)] after [v] is intersected with
+    [up(v)] (by probing a mark array stamped with [up(u)]), so each
+    triangle [u < v < x] is found exactly once. It is then weighted by the number of canonical edge instances
+    between [u] and [v] (the [u -> v] edges if there are any, else the
+    [v -> u] edges), which is how often {!run} finds it. The partition
+    layout is not read. The substrate {!Cutfit_graph.Triangles} counts
+    distinct triangles, so it agrees with [total] only on graphs
+    without parallel edges. *)
+
+val scatter_csr : Cutfit_bsp.Par_exec.t -> domains:int -> Cutfit_bsp.Csr.t -> int array array
+(** The scatter phase of {!run_csr} on a pool of [domains] workers:
+    one per-vertex count array per worker, each triangle added to the
+    array of the worker that found it. Summed per vertex they are
+    {!run_csr}'s [per_vertex]. Exported for
+    [Cutfit_check.Race_check.triangle_count], which runs its own
+    instrumented reduce over this production scatter. *)

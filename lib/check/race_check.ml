@@ -1,7 +1,6 @@
 module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
 module Ownership = Cutfit_bsp.Ownership
-module Graph = Cutfit_graph.Graph
 module B1 = Bigarray.Array1
 
 let suite = "races"
@@ -40,7 +39,9 @@ let chunk = 4096
    [Par_exec.iter_shadowed] so the discipline is checked at every
    barrier. Mirroring (instead of instrumenting the production code)
    keeps the hot kernels free of sanitizer branches; the [instr-vs-csr]
-   digest rule below proves the mirrors faithful. *)
+   digest rule below proves the mirrors faithful. Triangle counting is
+   the exception: its scatter writes only worker-owned arrays, so the
+   mirror runs the production scatter and instruments only the reduce. *)
 
 let pagerank_instr ?(iterations = 10) ~domains ~corruption (c : Csr.t) =
   let own = Csr.shadow ~workers:domains c in
@@ -290,63 +291,15 @@ let sssp_instr ?(max_supersteps = 2000) ~domains ~landmarks (c : Csr.t) =
   (own, Array.init n (fun v -> Array.init k (fun j -> B1.unsafe_get dist ((v * k) + j))))
 
 let triangle_instr ~domains (c : Csr.t) =
-  (* Triangle counting has no accumulator slots: scatter counts into
-     worker-owned arrays (race-free by construction, not tracked) and
-     the tracked discipline is the reduce phase's per-vertex writes —
-     hence a vertex-space recorder. *)
+  (* Triangle counting has no accumulator slots: the production scatter
+     counts into worker-owned arrays (race-free by construction, not
+     tracked) and the tracked discipline is the reduce phase's
+     per-vertex writes — hence a vertex-space recorder. *)
   let own = Csr.shadow ~vertex_space:true ~workers:domains c in
-  let g = c.Csr.graph in
   let n = c.Csr.num_vertices in
-  let parts = c.Csr.num_partitions in
-  let part_off = c.Csr.part_off in
-  let esrc = c.Csr.edge_src and edst = c.Csr.edge_dst in
-  let und = Graph.symmetrize g in
-  let und_off = B1.create Bigarray.int Bigarray.c_layout (n + 1) in
-  B1.unsafe_set und_off 0 0;
-  for v = 0 to n - 1 do
-    B1.unsafe_set und_off (v + 1) (B1.unsafe_get und_off v + Graph.out_degree und v)
-  done;
-  let und_adj = B1.create Bigarray.int Bigarray.c_layout (B1.unsafe_get und_off n) in
-  for v = 0 to n - 1 do
-    let i = ref (B1.unsafe_get und_off v) in
-    Graph.iter_out und v (fun u ->
-        B1.unsafe_set und_adj !i u;
-        incr i)
-  done;
-  let worker_counts = Array.init domains (fun _ -> Array.make n 0) in
-  let scatter w p =
-    let counts = worker_counts.(w) in
-    for e = B1.unsafe_get part_off p to B1.unsafe_get part_off (p + 1) - 1 do
-      let src = B1.unsafe_get esrc e and dst = B1.unsafe_get edst e in
-      let canonical = src <> dst && (src < dst || not (Graph.has_edge g ~src:dst ~dst:src)) in
-      if canonical then begin
-        let alo = B1.unsafe_get und_off src and ahi = B1.unsafe_get und_off (src + 1) in
-        let blo = B1.unsafe_get und_off dst and bhi = B1.unsafe_get und_off (dst + 1) in
-        let slo, shi, glo, ghi =
-          if ahi - alo <= bhi - blo then (alo, ahi, blo, bhi) else (blo, bhi, alo, ahi)
-        in
-        for i = slo to shi - 1 do
-          let x = B1.unsafe_get und_adj i in
-          if x > src && x > dst then begin
-            let lo = ref glo and hi = ref (ghi - 1) and found = ref false in
-            while (not !found) && !lo <= !hi do
-              let mid = (!lo + !hi) / 2 in
-              let y = B1.unsafe_get und_adj mid in
-              if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
-            done;
-            if !found then begin
-              counts.(src) <- counts.(src) + 1;
-              counts.(dst) <- counts.(dst) + 1;
-              counts.(x) <- counts.(x) + 1
-            end
-          end
-        done
-      end
-    done
-  in
   let per_vertex = Array.make n 0 in
   let nchunks = (n + chunk - 1) / chunk in
-  let reduce w ch =
+  let reduce worker_counts w ch =
     let lo = ch * chunk and hi = min n ((ch * chunk) + chunk) in
     for v = lo to hi - 1 do
       let total = ref 0 in
@@ -358,8 +311,8 @@ let triangle_instr ~domains (c : Csr.t) =
     done
   in
   Par_exec.with_pool ~domains (fun pool ->
-      Par_exec.iter_shadowed pool ~shadow:own ~n:parts (fun w p -> scatter w p);
-      Par_exec.iter_shadowed pool ~shadow:own ~n:nchunks (fun w ch -> reduce w ch));
+      let worker_counts = Cutfit_algo.Triangle_count.scatter_csr pool ~domains c in
+      Par_exec.iter_shadowed pool ~shadow:own ~n:nchunks (fun w ch -> reduce worker_counts w ch));
   (own, per_vertex, Array.fold_left ( + ) 0 per_vertex / 3)
 
 (* --- violation assembly -------------------------------------------- *)

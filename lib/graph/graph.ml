@@ -100,17 +100,36 @@ let has_edge t ~src ~dst =
   done;
   !found
 
+let edge_multiplicity t ~src ~dst =
+  (* Lower bound of [dst] in src's sorted out-list, then count the run. *)
+  let lo = ref t.out_off.(src) and hi = ref t.out_off.(src + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.out_adj.(mid) < dst then lo := mid + 1 else hi := mid
+  done;
+  let i = ref !lo and last = t.out_off.(src + 1) in
+  while !i < last && t.out_adj.(!i) = dst do
+    incr i
+  done;
+  !i - !lo
+
 let iter_edges t f =
   for i = 0 to num_edges t - 1 do
     f ~src:t.src.(i) ~dst:t.dst.(i)
   done
 
-(* Merge v's sorted out- and in-lists, dropping duplicates and v itself.
-   The union is written into [adj] from [pos] when [write] holds; either
-   way the end position is returned. *)
-let merge_neighbours t v ~write adj pos =
+(* Merge v's sorted out- and in-lists, dropping duplicates, v itself and
+   every id below [lo]. The union is written into [adj] from [pos] when
+   [write] holds; either way the end position is returned. *)
+let merge_neighbours t v ~lo ~write adj pos =
   let a = ref t.out_off.(v) and a_end = t.out_off.(v + 1) in
   let b = ref t.in_off.(v) and b_end = t.in_off.(v + 1) in
+  while !a < a_end && t.out_adj.(!a) < lo do
+    incr a
+  done;
+  while !b < b_end && t.in_adj.(!b) < lo do
+    incr b
+  done;
   let pos = ref pos and last = ref (-1) in
   while !a < a_end || !b < b_end do
     let x =
@@ -140,14 +159,25 @@ let symmetrize t =
   let n = t.n in
   let off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    off.(v + 1) <- merge_neighbours t v ~write:false [||] off.(v)
+    off.(v + 1) <- merge_neighbours t v ~lo:0 ~write:false [||] off.(v)
   done;
   let adj = Array.make off.(n) 0 and src = Array.make off.(n) 0 in
   for v = 0 to n - 1 do
-    ignore (merge_neighbours t v ~write:true adj off.(v));
+    ignore (merge_neighbours t v ~lo:0 ~write:true adj off.(v));
     Array.fill src off.(v) (off.(v + 1) - off.(v)) v
   done;
   { n; src; dst = adj; out_off = off; out_adj = adj; in_off = off; in_adj = adj }
+
+(* One pass into an m-word buffer, then trimmed: each edge adds at most
+   one entry, to its lower endpoint's list. *)
+let upper_neighbours t =
+  let n = t.n in
+  let off = Array.make (n + 1) 0 in
+  let buf = Array.make (num_edges t) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- merge_neighbours t v ~lo:(v + 1) ~write:true buf off.(v)
+  done;
+  (off, Array.sub buf 0 off.(n))
 
 let is_symmetric t =
   let ok = ref true in

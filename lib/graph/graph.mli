@@ -56,6 +56,10 @@ val in_neighbors : t -> int -> int array
 val has_edge : t -> src:int -> dst:int -> bool
 (** O(log out_degree src) membership test. *)
 
+val edge_multiplicity : t -> src:int -> dst:int -> int
+(** Number of parallel [src -> dst] edges (0 when absent); O(log
+    out_degree src + result). *)
+
 val iter_edges : t -> (src:int -> dst:int -> unit) -> unit
 (** Iterate over all edges in build order. *)
 
@@ -65,6 +69,12 @@ val symmetrize : t -> t
     ascending [(src, dst)] order, so {!iter_edges} visits each vertex's
     neighbours contiguously and in ascending order. O(n + m): a merge
     of each vertex's sorted out- and in-lists, with no sort. *)
+
+val upper_neighbours : t -> int array * int array
+(** [upper_neighbours g] is [(off, adj)], where [adj.(off.(u))] ..
+    [adj.(off.(u + 1) - 1)] are [u]'s distinct undirected neighbours
+    with an id above [u], ascending: the upper half of {!symmetrize}'s
+    adjacency, in about half its words. O(n + m), by the same merge. *)
 
 val is_symmetric : t -> bool
 (** Whether every edge is reciprocated. *)

@@ -122,6 +122,75 @@ let test_engines_triangles_multigraph () =
   no_violations "triangles on a multigraph"
     (Check.Engine_check.triangle_count ~domains_counts ~cluster mpg)
 
+(* Multigraphs for the triangle kernel: random edges with self-loops,
+   parallel and reciprocal copies, a few isolated top ids, and vertex 0
+   as a hub joined to most vertices by 0-3 edges in either direction. *)
+let tr_multigraph_gen =
+  let open QCheck2.Gen in
+  int_range 1 30 >>= fun n ->
+  int_range 0 3 >>= fun isolated ->
+  int_range 0 90 >>= fun m ->
+  list_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) >>= fun edges ->
+  list_repeat n (int_range 0 5) >|= fun hub ->
+  let spoke v = function
+    | 0 -> []
+    | 1 -> [ (0, v) ]
+    | 2 -> [ (v, 0) ]
+    | 3 -> [ (0, v); (0, v) ]
+    | 4 -> [ (0, v); (v, 0) ]
+    | _ -> [ (v, 0); (v, 0); (0, v) ]
+  in
+  (n + isolated, edges @ List.concat (List.mapi spoke hub))
+
+(* The canonical-instance rule applied edge by edge: an instance
+   [s -> d] is canonical when [s <> d] and either [s < d] or no [d -> s]
+   exists; it closes one triangle with each common undirected neighbour
+   [x] above both endpoints. *)
+let brute_force_triangles (n, edges) =
+  let adj = Array.make_matrix n n false in
+  List.iter
+    (fun (s, d) ->
+      adj.(s).(d) <- true;
+      adj.(d).(s) <- true)
+    edges;
+  let counts = Array.make n 0 in
+  List.iter
+    (fun (s, d) ->
+      if s <> d && (s < d || not (List.mem (d, s) edges)) then
+        for x = max s d + 1 to n - 1 do
+          if adj.(s).(x) && adj.(d).(x) then begin
+            counts.(s) <- counts.(s) + 1;
+            counts.(d) <- counts.(d) + 1;
+            counts.(x) <- counts.(x) + 1
+          end
+        done)
+    edges;
+  (counts, Array.fold_left ( + ) 0 counts / 3)
+
+let test_tr_csr_oracles =
+  Test_util.qtest ~count:60 "triangles: csr = brute force = boxed on multigraphs"
+    ~print:Test_util.print_small_graph tr_multigraph_gen (fun ((n, edges) as case) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      let expect = brute_force_triangles case in
+      List.for_all
+        (fun num_partitions ->
+          let cluster = Test_util.tiny_cluster ~num_partitions () in
+          let a = Partitioner.assign (Partitioner.Hash Strategy.Rvc) ~num_partitions g in
+          let pg = Pgraph.build g ~num_partitions a in
+          let boxed = Tr.run ~cluster pg in
+          let c = Csr.build pg in
+          (boxed.Tr.per_vertex, boxed.Tr.total) = expect
+          && List.for_all (fun domains -> Tr.run_csr ~domains c = expect) domains_counts)
+        [ 1; 3; 16 ])
+
+let test_engines_triangles_chunks () =
+  (* Over 4096 vertices the kernel claims several vertex ranges, so at
+     2 and 4 domains the triangles really spread over worker arrays. *)
+  let mpg = pg_of (Test_util.random_multigraph ~seed:78L ~n:10_000 ~m:60_000) in
+  checkb "triangles found" true (snd (Tr.run_csr (Csr.build mpg)) > 0);
+  no_violations "triangles over vertex chunks"
+    (Check.Engine_check.triangle_count ~domains_counts ~cluster mpg)
+
 let test_engines_sssp () =
   let landmarks = Sssp.pick_landmarks ~seed:11L ~count:3 g in
   no_violations "sssp" (Check.Engine_check.shortest_paths ~domains_counts ~landmarks ~cluster pg)
@@ -207,6 +276,9 @@ let suite =
       test_engines_triangles;
     Alcotest.test_case "engines: triangles boxed=csr on a multigraph" `Quick
       test_engines_triangles_multigraph;
+    test_tr_csr_oracles;
+    Alcotest.test_case "engines: triangles boxed=csr over vertex chunks" `Quick
+      test_engines_triangles_chunks;
     Alcotest.test_case "engines: sssp boxed=csr at 1/2/4 domains" `Quick test_engines_sssp;
     Alcotest.test_case "pagerank bits identical across domains" `Quick
       test_pagerank_bits_across_domains;

@@ -58,6 +58,21 @@ echo "== multicore smoke (csr engine, 4 domains)"
 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --engine csr --domains 4 >/dev/null
 dune exec bin/cutfit_cli.exe -- check CC roadnet_pa --engine csr --domains 4 >/dev/null
 dune exec bin/cutfit_cli.exe -- check TR roadnet_pa --engine csr --domains 4 >/dev/null
+# the forward triangle kernel must print the counts the partition-order
+# kernel printed, at one domain and at four
+expect_triangles() {
+  want="$1" ds="$2" d="$3"
+  out=$(dune exec bin/cutfit_cli.exe -- run TR "$ds" --engine csr --domains "$d")
+  echo "$out" | grep -qx "triangles: $want" || {
+    echo "run TR $ds --engine csr --domains $d: want 'triangles: $want', got:" >&2
+    echo "$out" >&2
+    exit 1
+  }
+}
+for d in 1 4; do
+  expect_triangles 5,191 youtube "$d"
+  expect_triangles 239,419 pocek "$d"
+done
 
 echo "== workload smoke (20 jobs, checked + digested)"
 dune exec bin/cutfit_cli.exe -- workload --jobs 20 --check >/dev/null
