@@ -23,7 +23,8 @@ let usage_fail fmt =
     fmt
 
 let load_graph name_or_path =
-  if Sys.file_exists name_or_path then Cutfit.Graph_io.load name_or_path
+  if Sys.file_exists name_or_path then
+    match Cutfit.Graph_io.load name_or_path with Ok g -> g | Error msg -> usage_fail "%s" msg
   else begin
     match Cutfit.Datasets.find name_or_path with
     | spec -> Cutfit.Datasets.generate spec

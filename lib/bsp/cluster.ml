@@ -42,8 +42,6 @@ let find s =
   | "iv" -> config_iv
   | _ -> raise Not_found
 
-let executor_of_partition t p = p mod t.executors
-
 (* TCP + Spark framing keeps goodput below line rate; ~70% is a common
    rule of thumb for shuffle-heavy traffic. *)
 let network_bytes_per_s t = t.network_gbps *. 125_000_000.0 *. 0.70

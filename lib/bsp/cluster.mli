@@ -33,9 +33,6 @@ val config_iv : t
 val find : string -> t
 (** Look up by name ("i", "(i)", "128", ...). @raise Not_found. *)
 
-val executor_of_partition : t -> int -> int
-(** Round-robin placement of edge partitions onto executors. *)
-
 val network_bytes_per_s : t -> float
 (** Usable per-executor NIC bandwidth in bytes/second. *)
 

@@ -115,9 +115,6 @@ let victim c ~step ~alive = draw_mod (draw ~seed:c.seed ~salt:(7000 + step) ~k:0
 
 type hetero = { speeds : float array; bandwidths : float array }
 
-let uniform ~executors =
-  { speeds = Array.make executors 1.0; bandwidths = Array.make executors 1.0 }
-
 (* Per-executor capability multipliers in [0.6, 1.4]: wide enough to
    shift placement decisions, narrow enough that a slow host is a tax,
    not a straggler fault (those belong to Faults). *)

@@ -40,9 +40,6 @@ val to_spec : item list -> string
     omitted, so [parse_spec (to_spec items) = items] and the printed
     string is the minimal spec for those items. *)
 
-val events_at : config -> step:int -> item list
-(** Events scheduled to fire before superstep [step], in spec order. *)
-
 val total_joins : config -> int
 (** Upper bound on executors beyond the initial membership; engines size
     per-executor state to [initial + total_joins]. *)
@@ -58,9 +55,6 @@ type hetero = { speeds : float array; bandwidths : float array }
 (** Per-executor capability multipliers: busy time divides by [speeds],
     egress bandwidth multiplies by [bandwidths]. *)
 
-val uniform : executors:int -> hetero
-(** All multipliers 1.0 — bit-identical to the homogeneous model. *)
-
 val draw_hetero : seed:int -> executors:int -> hetero
 (** Stateless multipliers in [0.6, 1.4] keyed on (seed, executor). *)
 
@@ -68,11 +62,6 @@ val hetero_of_spec : executors:int -> string -> hetero
 (** Explicit multipliers, one [SPEED] or [SPEED/BANDWIDTH] entry per
     executor, cycled when fewer entries than executors are given.
     @raise Spec_error.Error (dsl ["hetero"]) on malformed input. *)
-
-val speed : hetero -> int -> float
-val bandwidth : hetero -> int -> float
-(** Multiplier lookups; executors beyond the drawn width (late joiners
-    past the sized arrays) run at 1.0. *)
 
 val describe_hetero : hetero -> string
 
@@ -98,6 +87,9 @@ val exec_of : runtime -> int -> int
 
 val speed_of : runtime -> int -> float
 val bandwidth_of : runtime -> int -> float
+(** Multiplier lookups; executors beyond the drawn width (late joiners
+    past the sized arrays) run at 1.0, and so does every executor of a
+    runtime without hetero. *)
 
 val step_events :
   runtime ->

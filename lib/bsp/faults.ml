@@ -208,7 +208,6 @@ let session ~executors c =
   { sconfig = c; executors; resolved; crashes = 0 }
 
 let session_config s = s.sconfig
-let failures s = s.crashes
 
 let note_crash s =
   s.crashes <- s.crashes + 1;

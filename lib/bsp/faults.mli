@@ -66,9 +66,6 @@ type session
 val session : executors:int -> config -> session
 val session_config : session -> config
 
-val failures : session -> int
-(** Crashes recorded so far via {!note_crash}. *)
-
 val note_crash : session -> [ `Recover | `Abort ]
 (** Record one executor loss against the budget. [`Abort] once the count
     exceeds [max_failures]. *)

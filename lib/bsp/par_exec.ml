@@ -64,6 +64,9 @@ let create ~domains =
   t.workers <- Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
   t
 
+(* [f w] on every worker [w] in [0, domains), [w = 0] inline on the
+   caller; waits for all of them and re-raises a worker's exception
+   after the barrier. *)
 let run t f =
   if t.domains = 1 then f 0
   else begin

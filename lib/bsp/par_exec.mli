@@ -2,8 +2,8 @@
     barrier between phases.
 
     The pool executes one {e phase} at a time (a scatter over partitions
-    or a reduce over vertex chunks); {!run} and {!iter} return only when
-    every worker has finished, so a phase's writes happen-before the
+    or a reduce over vertex chunks); {!iter} returns only when every
+    worker has finished, so a phase's writes happen-before the
     next phase's reads. Work items are handed out dynamically through an
     atomic cursor — scheduling is therefore nondeterministic, and
     determinism of the {e results} comes from the data layout instead:
@@ -20,18 +20,14 @@ type t
 (** A worker pool: the calling domain plus [domains - 1] spawned
     domains. Not thread-safe; drive it from the creating domain only. *)
 
-val run : t -> (int -> unit) -> unit
-(** [run t f] executes [f w] on every worker [w] in [\[0, domains)]
-    concurrently ([w = 0] is the calling domain) and waits for all of
-    them — a barrier. An exception in any worker is re-raised here
-    after the barrier. *)
-
 val iter : t -> n:int -> (int -> int -> unit) -> unit
 (** [iter t ~n f] calls [f w i] exactly once for every [i] in
     [\[0, n)], where [w] is the worker that claimed item [i]. Items are
     claimed dynamically (atomic cursor) for load balance; [f] must
     confine its writes to state owned by item [i] (or by worker [w]) so
-    the outcome is schedule-independent. Barrier semantics as {!run}. *)
+    the outcome is schedule-independent. It returns only when every
+    worker has finished — a barrier — and an exception in any worker is
+    re-raised here after the barrier. *)
 
 val iter_shadowed : t -> shadow:Ownership.t -> n:int -> (int -> int -> unit) -> unit
 (** [iter_shadowed t ~shadow ~n f] is {!iter} followed by

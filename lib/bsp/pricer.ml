@@ -96,7 +96,7 @@ let create ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every ?faults
       speculation;
       telemetry;
       (* Placement is consulted through the elastic runtime: with no
-         scale events it is exactly [Cluster.executor_of_partition];
+         scale events it is the static round robin [p mod executors];
          with them, the round-robin target tracks the live membership. *)
       ert = Elastic.runtime ?config:elastic ?hetero ~executors ();
       fsession = Option.map (Faults.session ~executors) faults;

@@ -21,7 +21,7 @@
     vertex programs and their own stop rules.
 
     With no faults, speculation, scale events or heterogeneous hosts the
-    runtime is inert: placement is {!Cluster.executor_of_partition} and
+    runtime is inert: placement is the static round robin [p mod executors] and
     every multiplier is exactly 1.0. *)
 
 type counts = {

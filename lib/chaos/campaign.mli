@@ -36,11 +36,9 @@ val failures : t -> entry list
 
 val hung : t -> entry list
 
-val repro_spec : entry -> string
-(** The shrunk spec when present, else the original. *)
-
 val repro_command : entry -> string
-(** ["cutfit chaos --repro '<spec>'"] — copy-pasteable. *)
+(** ["cutfit chaos --repro '<spec>'"] — copy-pasteable; the spec is the
+    shrunk one when present, else the original. *)
 
 val digest : t -> string
 (** MD5 hex over the deterministic campaign lines (specs, outcomes,

@@ -5,21 +5,16 @@
     repro: whole-dimension drops and count halvings first (biggest cut
     wins), then single-event removals, then refinements (windows
     collapsed to one step, knobs walked back to defaults). The result is
-    a fixpoint over a superset of {!drop_one}, so it is locally minimal:
-    removing any single remaining event clears the failure. *)
-
-val drop_one : Scenario.t -> Scenario.t list
-(** Every scenario obtainable by deleting exactly one event (a fault /
-    scale / mutation item, a domains entry) or resetting exactly one
-    knob to its default. Local minimality is defined against this set. *)
-
-val candidates : Scenario.t -> Scenario.t list
-(** All shrink moves in attempt order (coarse, then {!drop_one}, then
-    refinements), deduplicated, the unchanged scenario excluded. *)
+    a fixpoint over every single-event removal (a fault / scale /
+    mutation item, a domains entry, or one knob reset to its default),
+    so it is locally minimal: removing any single remaining event clears
+    the failure. *)
 
 val shrink : ?max_steps:int -> oracle:(Scenario.t -> bool) -> Scenario.t -> Scenario.t
 (** Greedy fixpoint: repeatedly move to the first candidate the oracle
-    accepts (i.e. that still fails). The input scenario is assumed to
+    accepts (i.e. that still fails). Candidates come in attempt order
+    (coarse cuts, then single-event removals, then refinements),
+    deduplicated, the unchanged scenario excluded. The input scenario is assumed to
     fail; the result is it or a smaller scenario the oracle accepted at
     every step. [max_steps] (default 10000) is a backstop only. *)
 
@@ -35,8 +30,6 @@ val class_name : failure_class -> string
 val classify : Runner.outcome -> failure_class option
 (** [None] for [Passed] and [Hung] — a scenario that merely outgrew its
     budget is not a failure to preserve. *)
-
-val class_equal : failure_class -> failure_class -> bool
 
 val oracle_for : ?budget_s:float -> failure_class -> Scenario.t -> bool
 (** The real-run oracle: fork-isolated {!Runner.run}, accepting exactly

@@ -102,5 +102,3 @@ let equivalence ?(label = "run") ~baseline ~faulty ~baseline_attrs ~faulty_attrs
   (* Recovery-cost accounting on the faulty trace itself (the full
      conservation suite runs separately via Trace_check.validate). *)
   List.rev !acc
-
-let validate_faulty ?payload (t : Trace.t) = Trace_check.validate ?payload t

@@ -16,8 +16,7 @@
     - a genuinely fault-free baseline (no faults, no recoveries).
 
     Recovery-cost conservation on the faulty trace itself is
-    {!Trace_check.validate}'s job; {!validate_faulty} is a convenience
-    alias so callers can run both from one module. *)
+    {!Trace_check.validate}'s job. *)
 
 val float_attrs_digest : float array -> string
 (** MD5 over the IEEE-754 bits of every attribute — every ULP matters. *)
@@ -35,8 +34,3 @@ val equivalence :
 (** [equivalence ~baseline ~faulty ~baseline_attrs ~faulty_attrs ()]
     with the attribute digests produced by the digest helpers above (or
     any canonical encoding, as long as both runs use the same one). *)
-
-val validate_faulty :
-  ?payload:Trace_check.payload -> Cutfit_bsp.Trace.t -> Violation.t list
-(** Alias for {!Trace_check.validate}: the conservation suite already
-    covers recovery itemization on faulty traces. *)

@@ -1,16 +1,13 @@
 (** Sanitizer for {!Cutfit_partition.Metrics}: proves a metrics record
     is the one its graph and assignment actually produce.
 
-    [identity] checks internal consistency alone — array shapes,
-    non-negative counts, [comm_cost >= 2 * cut], and the paper's §3.1
-    identity [comm_cost + non_cut = vertices_to_same +
-    vertices_to_other]. [validate] additionally recomputes every field
-    from scratch ({!Cutfit_partition.Metrics.compute} and
+    [validate] checks internal consistency — array shapes, non-negative
+    counts, [comm_cost >= 2 * cut], and the paper's §3.1 identity
+    [comm_cost + non_cut = vertices_to_same + vertices_to_other] — and
+    recomputes every field from scratch ({!Cutfit_partition.Metrics.compute} and
     {!Cutfit_partition.Metrics.replica_count}) and demands exact
     agreement — bit-for-bit on floats, since the recomputation runs the
     same deterministic code on the same input. *)
-
-val identity : Cutfit_partition.Metrics.t -> Violation.t list
 
 val validate :
   Cutfit_graph.Graph.t ->

@@ -17,15 +17,15 @@
     is what proves the mirror checks the code we actually ship — and
     [corruption-undetected] from {!self_check}.
 
-    All functions return [[]] on success and never raise. *)
-
-val suite : string
-(** ["races"]. *)
-
-val default_domains : int list
-(** [[1; 2; 4]]. Conflicts are item-based and merged deterministically,
+    Violations carry suite ["races"]. [domains_counts] defaults to
+    [[1; 2; 4]]. Conflicts are item-based and merged deterministically,
     so a discipline breach is reported identically at every domain
-    count — including 1. *)
+    count — including 1.
+
+    All functions return [[]] on success and never raise. The two
+    [seeded_*] corruptions are test hooks: no public path runs one
+    alone, and the tests that prove each rule fires call them
+    directly. *)
 
 val pagerank :
   ?iterations:int -> ?domains_counts:int list -> Cutfit_bsp.Pgraph.t -> Violation.t list

@@ -17,8 +17,9 @@ exception Violations of t list
 val v : suite:string -> rule:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 (** [v ~suite ~rule fmt ...] formats the detail field. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
+(** ["all invariants hold"], or the count and one ["[suite] rule:
+    detail"] line per violation. *)
 
 val raise_if_any : t list -> unit
 (** @raise Violations when the list is non-empty. *)

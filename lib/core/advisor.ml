@@ -133,25 +133,6 @@ let predicted_exec_s ?(cost = Cost_model.default) ?(cluster = Cluster.config_i) 
            per_step_network)
      +. overhead)
 
-type amortized = { base : ranked; build_s : float; exec_s : float; amortized_s : float }
-
-let measure_amortized ?candidates ?cost ?cluster ?scale ?supersteps ~expected_reuse algo
-    ~num_partitions g =
-  if expected_reuse <= 0.0 then invalid_arg "Advisor.measure_amortized: expected_reuse <= 0";
-  let amortized =
-    List.map
-      (fun base ->
-        let build_s = predicted_build_s ?cost ?cluster ?scale g base.metrics in
-        let exec_s = predicted_exec_s ?cost ?cluster ?scale ?supersteps algo g base.metrics in
-        { base; build_s; exec_s; amortized_s = exec_s +. (build_s /. expected_reuse) })
-      (measure ?candidates algo ~num_partitions g)
-  in
-  List.sort
-    (fun a b ->
-      let c = compare a.amortized_s b.amortized_s in
-      if c <> 0 then c else compare a.base.score b.base.score)
-    amortized
-
 let advise ?(measure_threshold_edges = 5_000_000) algo ~scale ~num_partitions g =
   if Graph.num_edges g <= measure_threshold_edges then
     match measure algo ~num_partitions g with

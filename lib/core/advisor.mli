@@ -52,7 +52,7 @@ val measure :
     its metrics, and rank ascending by the algorithm's predictive
     metric (ties broken by balance). *)
 
-(** {2 Predicted cost and amortized ranking}
+(** {2 Predicted cost}
 
     When partitionings are {e reused} across a stream of jobs (the
     workload engine's cache), the one-time partition-build cost must be
@@ -89,32 +89,6 @@ val predicted_exec_s :
 (** Predicted per-run execution cost over [supersteps] (default 10)
     rounds. Monotone in the algorithm's predictive metric for a fixed
     graph and cluster, so ranking by it agrees with {!measure}. *)
-
-type amortized = {
-  base : ranked;
-  build_s : float;  (** {!predicted_build_s} of this candidate *)
-  exec_s : float;  (** {!predicted_exec_s} of this candidate *)
-  amortized_s : float;  (** [exec_s +. build_s /. expected_reuse] *)
-}
-
-val measure_amortized :
-  ?candidates:Cutfit_partition.Strategy.t list ->
-  ?cost:Cutfit_bsp.Cost_model.t ->
-  ?cluster:Cutfit_bsp.Cluster.t ->
-  ?scale:float ->
-  ?supersteps:int ->
-  expected_reuse:float ->
-  algorithm ->
-  num_partitions:int ->
-  Cutfit_graph.Graph.t ->
-  amortized list
-(** {!measure}, re-ranked by amortized per-job cost: each candidate's
-    partition-build cost is folded over [expected_reuse] jobs sharing
-    the partitioning. As [expected_reuse] grows the ranking converges
-    to the plain {!measure} order (execution dominates); at low reuse
-    counts cheap-to-build strategies overtake better-fitting ones — the
-    paper's "cost of trying" tradeoff as a number.
-    @raise Invalid_argument if [expected_reuse <= 0]. *)
 
 val advise :
   ?measure_threshold_edges:int ->

@@ -25,7 +25,7 @@
     - {!Pagerank}, {!Connected_components}, {!Triangle_count}, {!Sssp} —
       the four analytics algorithms;
     - {!Grid}, {!Social}, {!Datasets} — synthetic dataset generators;
-    - {!Summary}, {!Correlation}, {!Cdf}, {!Histogram}, {!Linreg} —
+    - {!Summary}, {!Correlation}, {!Cdf}, {!Histogram} —
       statistics. *)
 
 module Advisor = Advisor
@@ -102,4 +102,3 @@ module Summary = Cutfit_stats.Summary
 module Correlation = Cutfit_stats.Correlation
 module Cdf = Cutfit_stats.Cdf
 module Histogram = Cutfit_stats.Histogram
-module Linreg = Cutfit_stats.Linreg

@@ -73,12 +73,6 @@ let of_pgraph ?(cluster = Cluster.config_i) ?(scale = 1.0) ?checkpoint_every ?fa
 
 let metrics p = Pgraph.metrics p.pg
 
-let check_prepared p =
-  let num_partitions = Cluster.(p.cluster.num_partitions) in
-  let assignment = Pgraph.assignment p.pg in
-  Cutfit_check.Pgraph_check.validate p.pg
-  @ Cutfit_check.Metrics_check.validate p.graph ~num_partitions assignment (metrics p)
-
 (* Each runner brackets the engine's event stream with a [Run_start]
    naming the algorithm and the partitioner, so multi-run trace files
    (e.g. from [compare_partitioners]) are self-describing. *)

@@ -97,11 +97,6 @@ val of_pgraph :
 val metrics : prepared -> Cutfit_partition.Metrics.t
 (** Partitioning metrics of the prepared graph. *)
 
-val check_prepared : prepared -> Cutfit_check.Violation.t list
-(** The structural sanitizer suites of an already-prepared pipeline
-    (partitioned graph + metrics), as a report instead of an
-    exception. *)
-
 val pagerank : ?iterations:int -> prepared -> float array * Cutfit_bsp.Trace.t
 val connected_components : ?iterations:int -> prepared -> int array * Cutfit_bsp.Trace.t
 

@@ -53,26 +53,21 @@ let build_checked g ~num_partitions assignment =
 
 (* Law 2: a refreshed cut is a first-class cut — it satisfies every
    Pgraph_check and Metrics_check law a cold-built one does. *)
-let built_cut_laws g ~num_partitions assignment pg =
+let cut_laws g ~num_partitions assignment pg =
   Pgraph_check.validate pg @ Metrics_check.validate g ~num_partitions assignment (Pgraph.metrics pg)
-
-let cut_laws g ~num_partitions assignment =
-  match build_checked g ~num_partitions assignment with
-  | Error bad -> bad
-  | Ok pg -> built_cut_laws g ~num_partitions assignment pg
 
 (* Law 3: building and running on the refreshed assignment is
    reproducible. There is no incremental Pgraph — a refreshed cut is
    always built from scratch — so the law compares PageRank on [warm],
    the Pgraph the cut laws validated, with PageRank on a second build
    from a copy of the assignment: the values must be bit-identical. *)
-let built_value_equivalence ?(cluster = Cluster.config_i) ?(iterations = 3) ~warm assignment =
+let value_equivalence ?(cluster = Cluster.config_i) ~warm assignment =
   let num_partitions = Pgraph.num_partitions warm in
   (* The engines insist the cluster agrees with the cut's granularity. *)
   let cluster = { cluster with Cluster.num_partitions } in
   let cold = Pgraph.build (Pgraph.graph warm) ~num_partitions (Array.copy assignment) in
-  let warm_ranks = (Pagerank.run ~iterations ~cluster warm).Pagerank.ranks in
-  let cold_ranks = (Pagerank.run ~iterations ~cluster cold).Pagerank.ranks in
+  let warm_ranks = (Pagerank.run ~iterations:3 ~cluster warm).Pagerank.ranks in
+  let cold_ranks = (Pagerank.run ~iterations:3 ~cluster cold).Pagerank.ranks in
   let dw = Fault_check.float_attrs_digest warm_ranks in
   let dc = Fault_check.float_attrs_digest cold_ranks in
   if String.equal dw dc then []
@@ -83,11 +78,6 @@ let built_value_equivalence ?(cluster = Cluster.config_i) ?(iterations = 3) ~war
          assignment gives %s"
         dw dc;
     ]
-
-let value_equivalence ?cluster ?iterations g ~num_partitions assignment =
-  match build_checked g ~num_partitions assignment with
-  | Error bad -> bad
-  | Ok warm -> built_value_equivalence ?cluster ?iterations ~warm assignment
 
 (* Law 4: the refresh's delta-local moved count equals the replica
    entries that differ between the old and new cuts' route tables, a
@@ -183,8 +173,8 @@ let validate ?cluster ?batches ~heuristic ~num_partitions cfg g0 =
         match warm with
         | Error bad -> bad
         | Ok warm ->
-            built_cut_laws g' ~num_partitions a' warm
-            @ built_value_equivalence ?cluster ~warm a'
+            cut_laws g' ~num_partitions a' warm
+            @ value_equivalence ?cluster ~warm a'
             @
             match old_pg with
             | Some old_pg -> moved_replicas ~batch ~old_pg ~warm refreshed

@@ -20,26 +20,11 @@
     Like every suite, the checks report {!Cutfit_check.Violation.t}
     values and never raise on law breaches. *)
 
-val suite : string
-
 val graph_identity :
   expect:Cutfit_graph.Graph.t -> Cutfit_graph.Graph.t -> Cutfit_check.Violation.t list
 (** Law 1 on one pair: is [got] bit-identical to [expect]? Reports are
-    capped at 8 per call. *)
-
-val cut_laws : Cutfit_graph.Graph.t -> num_partitions:int -> int array -> Cutfit_check.Violation.t list
-(** Law 2 on one cut: raw-assignment shape, then the full
-    [Pgraph_check]/[Metrics_check] battery over the built pgraph. *)
-
-val value_equivalence :
-  ?cluster:Cutfit_bsp.Cluster.t ->
-  ?iterations:int ->
-  Cutfit_graph.Graph.t ->
-  num_partitions:int ->
-  int array ->
-  Cutfit_check.Violation.t list
-(** Law 3 on one cut: PageRank (default 3 iterations) digests equal
-    between the cut and a cold rebuild of a copied assignment. *)
+    capped at 8 per call. A test hook: {!validate} builds [expect]
+    itself, so only a direct call can hand the law a corrupted graph. *)
 
 val validate :
   ?cluster:Cutfit_bsp.Cluster.t ->
@@ -54,5 +39,6 @@ val validate :
     checking all four laws at every non-empty batch. Each refreshed
     assignment is validated and built once; Laws 2 and 3 share that
     build, and Law 4 compares it with the previous batch's build (the
-    initial cut is built once, for the first batch).
+    initial cut is built once, for the first batch). Law 3 runs
+    PageRank for 3 iterations on each build.
     @raise Invalid_argument if [num_partitions <= 0]. *)

@@ -111,7 +111,9 @@ let decide ?cost ?cluster ?scale ~old_metrics (applied : Mutation.applied)
     edges_after = Graph.num_edges g';
   }
 
-let emit_events ?telemetry ~graph_name ~at_s ~edges_before (d : decision) =
+(* The standalone driver has neither a graph name nor a clock: events
+   carry graph ["-"] at time 0. *)
+let emit_events ?telemetry ~edges_before (d : decision) =
   match telemetry with
   | None -> ()
   | Some tel ->
@@ -119,25 +121,25 @@ let emit_events ?telemetry ~graph_name ~at_s ~edges_before (d : decision) =
         (Event.Mutation_batch
            {
              batch = d.batch;
-             graph = graph_name;
+             graph = "-";
              inserts = d.inserts;
              deletes = d.deletes;
              edges_before;
              edges_after = d.edges_after;
-             at_s;
+             at_s = 0.0;
            });
       Telemetry.emit tel
         (Event.Repartition
            {
              batch = d.batch;
-             graph = graph_name;
+             graph = "-";
              choice = choice_name d.choice;
              refresh_s = d.refresh_s;
              rebuild_s = d.rebuild_s;
              placed_edges = d.placed_edges;
              repaired_vertices = d.repaired_vertices;
              moved_replicas = d.moved_replicas;
-             at_s;
+             at_s = 0.0;
            })
 
 type step = {
@@ -162,7 +164,7 @@ let run ?cost ?cluster ?scale ?telemetry ?batches ~heuristic ~num_partitions cfg
       let applied = Mutation.apply !g delta in
       let refreshed = Incremental.refresh heuristic ~num_partitions ~assignment:!a applied in
       let d = decide ?cost ?cluster ?scale ~old_metrics:!metrics applied refreshed in
-      emit_events ?telemetry ~graph_name:"-" ~at_s:0.0 ~edges_before d;
+      emit_events ?telemetry ~edges_before d;
       g := applied.Mutation.graph;
       (a :=
          match d.choice with

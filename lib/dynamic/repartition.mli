@@ -51,28 +51,6 @@ type decision = {
   edges_after : int;
 }
 
-val decide :
-  ?cost:Cutfit_bsp.Cost_model.t ->
-  ?cluster:Cutfit_bsp.Cluster.t ->
-  ?scale:float ->
-  old_metrics:Cutfit_partition.Metrics.t ->
-  Mutation.applied ->
-  Incremental.refreshed ->
-  decision
-(** Price both options for one applied, refreshed batch and pick the
-    cheaper (ties go to refresh). *)
-
-val emit_events :
-  ?telemetry:Cutfit_obs.Telemetry.t ->
-  graph_name:string ->
-  at_s:float ->
-  edges_before:int ->
-  decision ->
-  unit
-(** Emit the {!Cutfit_obs.Event.Mutation_batch} /
-    {!Cutfit_obs.Event.Repartition} pair for one decision (no-op without
-    telemetry). *)
-
 type step = {
   decision : decision;
   graph : Cutfit_graph.Graph.t;  (** post-batch graph *)
@@ -93,7 +71,9 @@ val run :
   step list
 (** The standalone mutation driver behind [cutfit mutate]: stream an
     initial cut with [heuristic], then walk batches [1..batches]
-    (default {!Mutation.max_batch}), refreshing or re-streaming per the
-    priced decision. Batches whose delta is empty are skipped. Emits
-    one event pair per non-empty batch when [telemetry] is given.
+    (default {!Mutation.max_batch}), refreshing or re-streaming,
+    whichever is priced cheaper (ties go to refresh). Batches whose
+    delta is empty are skipped. Emits one
+    {!Cutfit_obs.Event.Mutation_batch} / {!Cutfit_obs.Event.Repartition}
+    pair per non-empty batch when [telemetry] is given.
     @raise Invalid_argument if [num_partitions <= 0] or [batches < 1]. *)

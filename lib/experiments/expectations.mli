@@ -8,8 +8,6 @@
 
 type verdict = { name : string; expected : string; measured : string; pass : bool }
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val check_all : Run.measurement list -> verdict list
 (** Figures 3–6 headline coefficients (PR/CommCost 95/96%, CC/CommCost
     92/94%, TR/Cut 95/97% with TR/CommCost low at 43/34%,
@@ -19,4 +17,5 @@ val check_all : Run.measurement list -> verdict list
     the road networks while the social datasets complete. *)
 
 val summary : Format.formatter -> verdict list -> unit
-(** Render all verdicts plus a pass count. *)
+(** Render all verdicts, one [\[PASS\]] or [\[DEVIATION\]] line each,
+    plus a pass count. *)

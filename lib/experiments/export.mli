@@ -4,15 +4,9 @@
     with the five paper metrics and the simulated time decomposition,
     for analysis outside the harness (spreadsheets, R, gnuplot). *)
 
-val header : string
-(** The CSV header line. *)
-
-val to_csv : Run.measurement list -> string
-(** Render all measurements; OOMed cells carry an empty time and
-    [completed=false]. *)
-
 val save : string -> Run.measurement list -> unit
-(** Write [to_csv] to a file. *)
+(** Write the CSV to a file: a header line, then one row per
+    measurement; OOMed cells carry an empty time and [completed=false]. *)
 
 val json_of_measurements : Run.measurement list -> Cutfit_obs.Json.t
 (** The same matrix as a JSON array of objects (one per cell, same

@@ -20,10 +20,6 @@ val correlations :
     configuration. log10 is applied to both axes, matching the log-log
     presentation of the paper's figures. *)
 
-val best_partitioners :
-  Run.measurement list -> Run.algo -> config:string -> (string * string * float) list
-(** Per dataset: (display name, best partitioner, its time). *)
-
 val figure_algo :
   Run.measurement list -> Run.algo -> metric:string -> Format.formatter -> unit
 (** Full reproduction block for one algorithm: scatter rows, metric

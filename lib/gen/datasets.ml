@@ -127,16 +127,6 @@ let all =
       ~paper_vertices:26_339_971 ~paper_edges:204_912_093;
   ]
 
-let small =
-  List.filter
-    (fun s -> List.mem s.name [ "roadnet_pa"; "youtube"; "roadnet_tx"; "pocek"; "roadnet_ca" ])
-    all
-
-let large =
-  List.filter
-    (fun s -> List.mem s.name [ "orkut"; "soclivejournal"; "follow_jul"; "follow_dec" ])
-    all
-
 let find name =
   match List.find_opt (fun s -> s.name = name) all with
   | Some s -> s

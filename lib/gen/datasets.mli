@@ -21,14 +21,6 @@ type spec = {
 val all : spec list
 (** The nine datasets, in Table 1 order (ascending vertex count). *)
 
-val small : spec list
-(** The five smaller datasets ("DC for smaller datasets" bucket in the
-    paper's PageRank discussion). *)
-
-val large : spec list
-(** The four larger datasets (Orkut, socLiveJournal and the two follow
-    crawls). *)
-
 val find : string -> spec
 (** Look up by machine [name]. @raise Not_found if unknown. *)
 

@@ -1,15 +1,11 @@
-let run ?(undirected = false) g sources =
+(* Hop distances from [src]; unreachable vertices get [max_int]. *)
+let distances ?(undirected = false) g src =
   let n = Graph.num_vertices g in
+  if src < 0 || src >= n then invalid_arg "Bfs: source out of range";
   let dist = Array.make n max_int in
   let queue = Queue.create () in
-  List.iter
-    (fun s ->
-      if s < 0 || s >= n then invalid_arg "Bfs: source out of range";
-      if dist.(s) = max_int then begin
-        dist.(s) <- 0;
-        Queue.push s queue
-      end)
-    sources;
+  dist.(src) <- 0;
+  Queue.push src queue;
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
     let d = dist.(v) in
@@ -23,9 +19,6 @@ let run ?(undirected = false) g sources =
     if undirected then Graph.iter_in g v visit
   done;
   dist
-
-let distances ?undirected g src = run ?undirected g [ src ]
-let multi_source ?undirected g sources = run ?undirected g sources
 
 let farthest ?undirected g v =
   let dist = distances ?undirected g v in

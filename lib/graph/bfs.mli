@@ -1,16 +1,6 @@
-(** Breadth-first search.
-
-    Distance computations used by the diameter estimator and as the
-    sequential reference implementation that the BSP SSSP is validated
-    against in the test suite. *)
-
-val distances : ?undirected:bool -> Graph.t -> int -> int array
-(** [distances g src] is the array of hop distances from [src] along out
-    edges; unreachable vertices get [max_int]. With [~undirected:true]
-    edges are traversed in both directions. *)
-
-val multi_source : ?undirected:bool -> Graph.t -> int list -> int array
-(** Distances to the nearest of several sources. *)
+(** Breadth-first search: the distance computations behind the diameter
+    estimator. Hops follow out edges; with [~undirected:true] edges are
+    traversed in both directions. *)
 
 val eccentricity : ?undirected:bool -> Graph.t -> int -> int
 (** Greatest finite distance from the vertex; 0 for an isolated vertex. *)

@@ -18,9 +18,6 @@ type t = {
   size_bytes : int;
 }
 
-val symmetry_pct : Graph.t -> float
-(** Reciprocated-edge percentage in isolation. *)
-
 val compute : ?exact_diameter:bool -> Graph.t -> t
 (** Measure every column. Diameter is estimated by double sweeps unless
     [exact_diameter] is set (small graphs only). *)

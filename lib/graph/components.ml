@@ -15,73 +15,3 @@ let weak g =
   (out, Union_find.count uf)
 
 let weak_count g = snd (weak g)
-
-(* Iterative Tarjan SCC; the explicit stack carries (vertex, next edge
-   index) frames so deep road-network chains do not overflow the OCaml
-   call stack. *)
-let strong g =
-  let n = Graph.num_vertices g in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let comp = Array.make n (-1) in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let comp_count = ref 0 in
-  let adj v = Graph.out_neighbors g v in
-  for start = 0 to n - 1 do
-    if index.(start) = -1 then begin
-      let frames = Stack.create () in
-      let push_vertex v =
-        index.(v) <- !next_index;
-        lowlink.(v) <- !next_index;
-        incr next_index;
-        stack := v :: !stack;
-        on_stack.(v) <- true;
-        Stack.push (v, adj v, ref 0) frames
-      in
-      push_vertex start;
-      while not (Stack.is_empty frames) do
-        let v, neighbors, cursor = Stack.top frames in
-        if !cursor < Array.length neighbors then begin
-          let w = neighbors.(!cursor) in
-          incr cursor;
-          if index.(w) = -1 then push_vertex w
-          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
-        end
-        else begin
-          ignore (Stack.pop frames);
-          if lowlink.(v) = index.(v) then begin
-            let continue = ref true in
-            while !continue do
-              match !stack with
-              | [] -> continue := false
-              | w :: rest ->
-                  stack := rest;
-                  on_stack.(w) <- false;
-                  comp.(w) <- !comp_count;
-                  if w = v then continue := false
-            done;
-            incr comp_count
-          end;
-          if not (Stack.is_empty frames) then begin
-            let parent, _, _ = Stack.top frames in
-            lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-          end
-        end
-      done
-    end
-  done;
-  (comp, !comp_count)
-
-let strong_count g = snd (strong g)
-
-let largest_weak_size g =
-  let label, _ = weak g in
-  let sizes = Hashtbl.create 64 in
-  Array.iter
-    (fun l ->
-      let cur = try Hashtbl.find sizes l with Not_found -> 0 in
-      Hashtbl.replace sizes l (cur + 1))
-    label;
-  Hashtbl.fold (fun _ s acc -> max s acc) sizes 0

@@ -1,9 +1,7 @@
-(** Connected components.
-
-    Weak components via union-find (edge direction ignored) and strongly
-    connected components via iterative Tarjan — the paper reports SCC
-    counts for its directed datasets (Table 1, "Conn.Comp." column
-    measured with GraphX's strongly-connected-components). *)
+(** Weak connected components via union-find (edge direction ignored),
+    behind Table 1's "Conn.Comp." column: the paper names strongly
+    connected components, but its counts are only consistent with weak
+    ones. *)
 
 val weak : Graph.t -> int array * int
 (** [weak g] is [(label, count)]: [label.(v)] identifies the weak
@@ -12,13 +10,3 @@ val weak : Graph.t -> int array * int
 
 val weak_count : Graph.t -> int
 (** Just the number of weak components. *)
-
-val strong : Graph.t -> int array * int
-(** [strong g] is [(label, count)] for strongly connected components;
-    labels are arbitrary but consistent ids in [\[0, count)]. *)
-
-val strong_count : Graph.t -> int
-(** Number of strongly connected components. *)
-
-val largest_weak_size : Graph.t -> int
-(** Vertices in the biggest weak component. *)

@@ -20,23 +20,10 @@ let add t ~src ~dst =
   t.dsts.(t.len) <- dst;
   t.len <- t.len + 1
 
-let src t i =
-  if i < 0 || i >= t.len then invalid_arg "Edge_list.src: index out of bounds";
-  t.srcs.(i)
-
-let dst t i =
-  if i < 0 || i >= t.len then invalid_arg "Edge_list.dst: index out of bounds";
-  t.dsts.(i)
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f ~src:t.srcs.(i) ~dst:t.dsts.(i)
   done
-
-let of_list pairs =
-  let t = create ~capacity:(max 1 (List.length pairs)) () in
-  List.iter (fun (s, d) -> add t ~src:s ~dst:d) pairs;
-  t
 
 let to_arrays t = (Array.sub t.srcs 0 t.len, Array.sub t.dsts 0 t.len)
 

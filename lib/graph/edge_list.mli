@@ -16,17 +16,8 @@ val length : t -> int
 val add : t -> src:int -> dst:int -> unit
 (** Append one directed edge. Amortized O(1). *)
 
-val src : t -> int -> int
-(** [src t i] is the source of the [i]-th edge. *)
-
-val dst : t -> int -> int
-(** [dst t i] is the destination of the [i]-th edge. *)
-
 val iter : t -> (src:int -> dst:int -> unit) -> unit
 (** Iterate over edges in insertion order. *)
-
-val of_list : (int * int) list -> t
-(** Buffer holding the given [(src, dst)] pairs. *)
 
 val to_arrays : t -> int array * int array
 (** Trimmed copies of the source and destination arrays. *)

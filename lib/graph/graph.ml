@@ -88,7 +88,6 @@ let iter_in t v f =
   done
 
 let out_neighbors t v = Array.sub t.out_adj t.out_off.(v) (out_degree t v)
-let in_neighbors t v = Array.sub t.in_adj t.in_off.(v) (in_degree t v)
 
 let has_edge t ~src ~dst =
   let lo = ref t.out_off.(src) and hi = ref (t.out_off.(src + 1) - 1) in
@@ -178,14 +177,3 @@ let upper_neighbours t =
     off.(v + 1) <- merge_neighbours t v ~lo:(v + 1) ~write:true buf off.(v)
   done;
   (off, Array.sub buf 0 off.(n))
-
-let is_symmetric t =
-  let ok = ref true in
-  (try
-     iter_edges t (fun ~src ~dst ->
-         if src <> dst && not (has_edge t ~src:dst ~dst:src) then begin
-           ok := false;
-           raise Exit
-         end)
-   with Exit -> ());
-  !ok

@@ -51,8 +51,6 @@ val iter_in : t -> int -> (int -> unit) -> unit
 val out_neighbors : t -> int -> int array
 (** Fresh sorted array of out-neighbours of [v]. *)
 
-val in_neighbors : t -> int -> int array
-
 val has_edge : t -> src:int -> dst:int -> bool
 (** O(log out_degree src) membership test. *)
 
@@ -75,6 +73,3 @@ val upper_neighbours : t -> int array * int array
     [adj.(off.(u + 1) - 1)] are [u]'s distinct undirected neighbours
     with an id above [u], ascending: the upper half of {!symmetrize}'s
     adjacency, in about half its words. O(n + m), by the same merge. *)
-
-val is_symmetric : t -> bool
-(** Whether every edge is reciprocated. *)

@@ -15,57 +15,58 @@ let save path g =
           end);
       Buffer.output_buffer oc buf)
 
-let parse_line line lineno =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then None
-  else
-    match String.split_on_char '\t' line with
-    | [ a; b ] -> Some (int_of_string a, int_of_string b)
-    | _ -> (
-        match String.split_on_char ' ' (String.concat " " (String.split_on_char '\t' line)) with
-        | a :: rest -> (
-            match List.filter (fun s -> s <> "") rest with
-            | [ b ] -> (
-                try Some (int_of_string a, int_of_string b)
-                with Failure _ -> failwith (Printf.sprintf "Graph_io.load: bad line %d" lineno))
-            | _ -> failwith (Printf.sprintf "Graph_io.load: bad line %d" lineno))
-        | [] -> None)
-
-let load ?n path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let el = Edge_list.create () in
-      let max_id = ref (-1) in
-      let lineno = ref 0 in
-      (try
-         while true do
-           incr lineno;
-           let line = input_line ic in
-           match parse_line line !lineno with
-           | None -> ()
-           | Some (s, d) ->
-               Edge_list.add el ~src:s ~dst:d;
-               if s > !max_id then max_id := s;
-               if d > !max_id then max_id := d
-         done
-       with End_of_file -> ());
-      let n = match n with Some n -> n | None -> !max_id + 1 in
-      Graph.of_edge_list ~n el)
-
-(* Compare against successive powers of ten; a bound past [max_int / 10]
-   would overflow, and anything at or above it has one digit more. *)
-let digits v =
-  let rec go d bound =
-    if v < bound then d else if bound > max_int / 10 then d + 1 else go (d + 1) (bound * 10)
+(* Space- and tab-separated lines share one tokenizer. A line is blank,
+   a ['#'] comment, or exactly two vertex ids; an id must be
+   non-negative and leave the vertex count [1 + id] within
+   [Sys.max_array_length]. *)
+let parse_line line =
+  let tokens =
+    String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) (String.trim line))
+    |> List.filter (fun t -> t <> "")
   in
-  go 1 10
+  let id t =
+    match int_of_string_opt t with
+    | None -> Error (Printf.sprintf "vertex id %S is not an integer" t)
+    | Some v when v < 0 -> Error (Printf.sprintf "vertex id %d is negative" v)
+    | Some v when v >= Sys.max_array_length ->
+        Error (Printf.sprintf "vertex id %d needs more than Sys.max_array_length vertices" v)
+    | Some v -> Ok v
+  in
+  match tokens with
+  | [] -> Ok None
+  | t :: _ when t.[0] = '#' -> Ok None
+  | [ a; b ] -> Result.bind (id a) (fun s -> Result.map (fun d -> Some (s, d)) (id b))
+  | _ -> Error (Printf.sprintf "expected two vertex ids, got %d field(s)" (List.length tokens))
+
+let load path =
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let el = Edge_list.create () in
+          let max_id = ref (-1) in
+          let rec go lineno =
+            match input_line ic with
+            | exception End_of_file -> Ok (Graph.of_edge_list ~n:(!max_id + 1) el)
+            | exception Sys_error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg)
+            | line -> (
+                match parse_line line with
+                | Error reason -> Error (Printf.sprintf "%s:%d: %s" path lineno reason)
+                | Ok None -> go (lineno + 1)
+                | Ok (Some (s, d)) ->
+                    Edge_list.add el ~src:s ~dst:d;
+                    max_id := max !max_id (max s d);
+                    go (lineno + 1))
+          in
+          go 1)
 
 (* Every edge writes both ids, a space and a newline: 2m bytes plus
    each vertex's width times its degree. The width is constant on each
    [\[10^(d-1), 10^d)], so one degree-range sum per width covers all
-   vertices, in the same bounds [digits] uses. *)
+   vertices; a bound past [max_int / 10] would overflow, and every id
+   at or above it has one digit more. *)
 let size_bytes g =
   let n = Graph.num_vertices g in
   let total = ref (2 * Graph.num_edges g) in

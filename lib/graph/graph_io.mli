@@ -8,13 +8,12 @@
 val save : string -> Graph.t -> unit
 (** Write the graph's edges to the given path. *)
 
-val load : ?n:int -> string -> Graph.t
-(** Read an edge list. Vertex count defaults to [1 + max id].
-    @raise Failure on malformed lines. *)
-
-val digits : int -> int
-(** Decimal digits of a non-negative integer, the width {!save} writes
-    it in. *)
+val load : string -> (Graph.t, string) result
+(** Read an edge list; the vertex count is [1 + max id]. Space- and
+    tab-separated ids are both accepted. [Error] names the path, the
+    line and the reason for a malformed line (not two fields, an id
+    that is not an integer, is negative or needs a vertex count above
+    [Sys.max_array_length]) or an unreadable file; no input raises. *)
 
 val size_bytes : Graph.t -> int
 (** Exact byte size the edge list would occupy on disk via {!save}, in

@@ -53,15 +53,6 @@ let count g =
   fold_triangles g (fun _ _ _ -> incr total);
   !total
 
-let per_vertex g =
-  let n = Graph.num_vertices g in
-  let counts = Array.make n 0 in
-  fold_triangles g (fun u v w ->
-      counts.(u) <- counts.(u) + 1;
-      counts.(v) <- counts.(v) + 1;
-      counts.(w) <- counts.(w) + 1);
-  counts
-
 let global_clustering g =
   let und = Graph.symmetrize g in
   let n = Graph.num_vertices und in

@@ -1,15 +1,11 @@
 (** Exact triangle counting.
 
-    The substrate reference used to (a) characterize datasets (Table 1's
-    triangle column) and (b) validate the BSP triangle-count algorithm.
+    The substrate reference used to characterize datasets (Table 1's
+    triangle column) and to verify the triangle-count kernels' totals.
     Edge direction is ignored, as in GraphX's [TriangleCount]. *)
 
 val count : Graph.t -> int
 (** Total number of triangles in the undirected view of the graph. *)
-
-val per_vertex : Graph.t -> int array
-(** [per_vertex g] maps each vertex to the number of triangles through
-    it. The sum of the array is [3 * count g]. *)
 
 val global_clustering : Graph.t -> float
 (** Ratio of closed triplets: [3 * triangles / open-or-closed wedges];

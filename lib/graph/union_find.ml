@@ -1,7 +1,7 @@
-type t = { parent : int array; rank : int array; size : int array; mutable sets : int }
+type t = { parent : int array; rank : int array; mutable sets : int }
 
 let create n =
-  { parent = Array.init n (fun i -> i); rank = Array.make n 0; size = Array.make n 1; sets = n }
+  { parent = Array.init n (fun i -> i); rank = Array.make n 0; sets = n }
 
 let rec find t x =
   let p = t.parent.(x) in
@@ -18,7 +18,6 @@ let union t a b =
   else begin
     let ra, rb = if t.rank.(ra) < t.rank.(rb) then (rb, ra) else (ra, rb) in
     t.parent.(rb) <- ra;
-    t.size.(ra) <- t.size.(ra) + t.size.(rb);
     if t.rank.(ra) = t.rank.(rb) then t.rank.(ra) <- t.rank.(ra) + 1;
     t.sets <- t.sets - 1;
     true
@@ -26,4 +25,3 @@ let union t a b =
 
 let same t a b = find t a = find t b
 let count t = t.sets
-let size_of t x = t.size.(find t x)

@@ -20,6 +20,3 @@ val same : t -> int -> int -> bool
 
 val count : t -> int
 (** Current number of disjoint sets. *)
-
-val size_of : t -> int -> int
-(** Number of elements in the element's set. *)

@@ -1,6 +1,6 @@
 type counter = { mutable count : int }
 type gauge = { mutable last : float }
-type timer = { mutable sum : float; mutable n : int }
+type timer = { mutable sum : float }
 
 type cell = Counter of counter | Gauge of gauge | Timer of timer
 
@@ -31,27 +31,20 @@ let timer reg name =
   | Some (Timer t) -> t
   | Some _ -> invalid_arg (Printf.sprintf "Metric.timer: %S is registered as another kind" name)
   | None ->
-      let t = { sum = 0.0; n = 0 } in
+      let t = { sum = 0.0 } in
       Hashtbl.replace reg name (Timer t);
       t
 
 let incr c = c.count <- c.count + 1
 let add c k = c.count <- c.count + k
-let value c = c.count
 
 let set g v = g.last <- v
-let read g = g.last
 
-let record t s =
-  t.sum <- t.sum +. s;
-  t.n <- t.n + 1
+let record t s = t.sum <- t.sum +. s
 
 let time ?(clock = Clock.wall) t f =
   let start = clock () in
   Fun.protect ~finally:(fun () -> record t (clock () -. start)) f
-
-let total t = t.sum
-let observations t = t.n
 
 let snapshot reg =
   (* lint: order-independent — the accumulated list is sorted below. *)

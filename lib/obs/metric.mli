@@ -16,8 +16,7 @@ type gauge
 (** Last-value float (bytes on wire, peak memory). *)
 
 type timer
-(** Accumulating float duration with an observation count, so both the
-    total and the mean of recorded spans are recoverable. *)
+(** Accumulating float duration. *)
 
 val create_registry : unit -> registry
 
@@ -32,10 +31,8 @@ val timer : registry -> string -> timer
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val value : counter -> int
 
 val set : gauge -> float -> unit
-val read : gauge -> float
 
 val record : timer -> float -> unit
 (** Add one observed span of the given seconds. *)
@@ -44,9 +41,6 @@ val time : ?clock:Clock.t -> timer -> (unit -> 'a) -> 'a
 (** Run the thunk, recording its duration as read from [clock]
     (default {!Clock.wall}); pass {!Clock.counter} for a deterministic
     measurement in tests. *)
-
-val total : timer -> float
-val observations : timer -> int
 
 val snapshot : registry -> (string * float) list
 (** Every cell's current value, sorted by name. Counters export their

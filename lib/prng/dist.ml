@@ -12,28 +12,6 @@ let geometric rng ~p =
     let u = 1.0 -. Xoshiro.next_float rng in
     int_of_float (floor (log u /. log (1.0 -. p)))
 
-(* Rejection-inversion sampling for the Zipf distribution, after
-   W. Hörmann & G. Derflinger, "Rejection-inversion to generate variates
-   from monotone discrete distributions" (1996). *)
-let zipf rng ~n ~s =
-  if n <= 0 then invalid_arg "Dist.zipf: n <= 0";
-  if s <= 0.0 then invalid_arg "Dist.zipf: s <= 0";
-  if n = 1 then 1
-  else begin
-    let h x = if s = 1.0 then log x else (x ** (1.0 -. s)) /. (1.0 -. s) in
-    let h_inv x = if s = 1.0 then exp x else ((1.0 -. s) *. x) ** (1.0 /. (1.0 -. s)) in
-    let hx0 = h 0.5 -. 1.0 in
-    let hn = h (float_of_int n +. 0.5) in
-    let rec draw () =
-      let u = hx0 +. (Xoshiro.next_float rng *. (hn -. hx0)) in
-      let x = h_inv u in
-      let k = int_of_float (floor (x +. 0.5)) in
-      let k = if k < 1 then 1 else if k > n then n else k in
-      if u >= h (float_of_int k +. 0.5) -. (float_of_int k ** -.s) then k else draw ()
-    in
-    draw ()
-  end
-
 let power_law_weights ~n ~alpha ~min_weight =
   if n <= 0 then invalid_arg "Dist.power_law_weights: n <= 0";
   if alpha <= 1.0 then invalid_arg "Dist.power_law_weights: alpha <= 1";

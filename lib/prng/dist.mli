@@ -1,9 +1,9 @@
 (** Random distributions on top of {!Xoshiro}.
 
-    Everything needed by the synthetic dataset generators: Zipf /
-    power-law sampling (degree sequences of social graphs), alias tables
-    for arbitrary discrete distributions (Chung–Lu edge sampling),
-    permutations and reservoir sampling. *)
+    Everything needed by the synthetic dataset generators: power-law
+    weights (expected degree sequences of social graphs), alias tables
+    for arbitrary discrete distributions (Chung–Lu edge sampling) and
+    distinct sampling. *)
 
 type rng = Xoshiro.t
 
@@ -14,11 +14,6 @@ val exponential : rng -> rate:float -> float
 val geometric : rng -> p:float -> int
 (** [geometric rng ~p] is the number of failures before the first success
     of a Bernoulli(p); requires [0 < p <= 1]. *)
-
-val zipf : rng -> n:int -> s:float -> int
-(** [zipf rng ~n ~s] samples a rank in [\[1, n\]] with P(k) proportional to
-    [k ** -. s], by inversion of the truncated zeta CDF approximated with
-    rejection (Hörmann's rejection-inversion).  Exact for [s > 0]. *)
 
 val power_law_weights : n:int -> alpha:float -> min_weight:float -> float array
 (** [power_law_weights ~n ~alpha ~min_weight] is a deterministic expected
@@ -43,9 +38,6 @@ module Alias : sig
   val size : t -> int
   (** Number of outcomes. *)
 end
-
-val shuffle : rng -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
 
 val sample_distinct : rng -> n:int -> k:int -> int array
 (** [sample_distinct rng ~n ~k] draws [k] distinct integers uniformly from

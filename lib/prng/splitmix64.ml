@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 let mix64 x =
   let x = Int64.(mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L) in
   let x = Int64.(mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL) in
@@ -21,7 +19,3 @@ let next_int t bound =
      Bias is < bound / 2^62, negligible for the bounds we use (< 2^32). *)
   let r = Int64.shift_right_logical (next_int64 t) 2 in
   Int64.to_int (Int64.rem r (Int64.of_int bound))
-
-let split t =
-  let seed = next_int64 t in
-  create (mix64 seed)

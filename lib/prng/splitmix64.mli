@@ -15,9 +15,6 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Distinct seeds yield
     independent-looking streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val mix64 : int64 -> int64
 (** [mix64 x] is the stateless SplitMix64 finalizer: a bijective avalanche
     mix of [x].  Suitable as a hash function for 64-bit keys. *)
@@ -28,7 +25,3 @@ val next_int64 : t -> int64
 val next_int : t -> int -> int
 (** [next_int t bound] is a uniform integer in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    independent of the remainder of [t]'s stream. *)

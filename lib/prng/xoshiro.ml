@@ -8,8 +8,6 @@ let create seed =
   let s3 = Splitmix64.next_int64 sm in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl x k = Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
 
 let next_int64 t =
@@ -33,24 +31,3 @@ let next_int t bound =
   Int64.to_int (Int64.rem r (Int64.of_int bound))
 
 let next_bool t p = next_float t < p
-
-let jump_table = [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
-
-let jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
-  Array.iter
-    (fun jump_word ->
-      for b = 0 to 63 do
-        if Int64.(logand jump_word (shift_left 1L b)) <> 0L then begin
-          s0 := Int64.logxor !s0 t.s0;
-          s1 := Int64.logxor !s1 t.s1;
-          s2 := Int64.logxor !s2 t.s2;
-          s3 := Int64.logxor !s3 t.s3
-        end;
-        ignore (next_int64 t)
-      done)
-    jump_table;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3

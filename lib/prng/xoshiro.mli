@@ -11,12 +11,6 @@ val create : int64 -> t
 (** [create seed] seeds the four state words from a SplitMix64 stream,
     as recommended by the authors. *)
 
-val copy : t -> t
-(** Independent generator with the same current state. *)
-
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val next_int : t -> int -> int
 (** [next_int t bound] is a uniform integer in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
@@ -26,7 +20,3 @@ val next_float : t -> float
 
 val next_bool : t -> float -> bool
 (** [next_bool t p] is [true] with probability [p]. *)
-
-val jump : t -> unit
-(** Advance the state by 2^128 steps; used to carve independent
-    sub-streams out of one seed. *)

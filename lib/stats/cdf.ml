@@ -17,21 +17,3 @@ let count_le t x =
   !lo
 
 let eval t x = float_of_int (count_le t x) /. float_of_int (Array.length t.sorted)
-
-let quantile t q =
-  if q <= 0.0 || q > 1.0 then invalid_arg "Cdf.quantile: q out of (0,1]";
-  let n = Array.length t.sorted in
-  let k = int_of_float (ceil (q *. float_of_int n)) - 1 in
-  t.sorted.(max 0 (min (n - 1) k))
-
-let support t = (t.sorted.(0), t.sorted.(Array.length t.sorted - 1))
-
-let curve ?(points = 32) t =
-  let lo, hi = support t in
-  if lo = hi then [| (lo, 1.0) |]
-  else begin
-    let step = (hi -. lo) /. float_of_int points in
-    Array.init (points + 1) (fun i ->
-        let x = lo +. (float_of_int i *. step) in
-        (x, eval t x))
-  end

@@ -1,8 +1,8 @@
 (** Empirical cumulative distribution functions.
 
     Figure 2 of the paper plots the CDF of the out-degree/in-degree
-    ratio over all vertices of each dataset; this module produces that
-    curve and evaluates it at chosen points. *)
+    ratio over all vertices of each dataset; this module evaluates that
+    curve at chosen points. *)
 
 type t
 
@@ -12,14 +12,3 @@ val of_samples : float array -> t
 
 val eval : t -> float -> float
 (** [eval t x] is P(X <= x), a step function in [\[0, 1\]]. *)
-
-val quantile : t -> float -> float
-(** [quantile t q] is the smallest sample value [x] with
-    [eval t x >= q], for [0 < q <= 1]. *)
-
-val support : t -> float * float
-(** Smallest and largest sample values. *)
-
-val curve : ?points:int -> t -> (float * float) array
-(** [(x, F(x))] pairs suitable for plotting; [points] samples spread
-    over the support (default 32) plus the extremes. *)

@@ -20,27 +20,3 @@ let pearson xs ys =
     let c = !sxy /. sqrt (!sxx *. !syy) in
     Float.min 1.0 (Float.max (-1.0) c)
   end
-
-(* Average ranks so tied values do not bias the coefficient. *)
-let ranks xs =
-  let n = Array.length xs in
-  let idx = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> compare xs.(a) xs.(b)) idx;
-  let rank = Array.make n 0.0 in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while !j + 1 < n && xs.(idx.(!j + 1)) = xs.(idx.(!i)) do
-      incr j
-    done;
-    let avg = float_of_int (!i + !j) /. 2.0 in
-    for k = !i to !j do
-      rank.(idx.(k)) <- avg
-    done;
-    i := !j + 1
-  done;
-  rank
-
-let spearman xs ys =
-  check xs ys;
-  pearson (ranks xs) (ranks ys)

@@ -28,20 +28,3 @@ let log2_bins values =
     end
   done;
   !bins
-
-let linear_bins ?(bins = 20) values =
-  if Array.length values = 0 then invalid_arg "Histogram.linear_bins: empty sample";
-  if bins <= 0 then invalid_arg "Histogram.linear_bins: bins <= 0";
-  let lo, hi = Summary.min_max values in
-  if lo = hi then [ (lo, hi, Array.length values) ]
-  else begin
-    let width = (hi -. lo) /. float_of_int bins in
-    let counts = Array.make bins 0 in
-    Array.iter
-      (fun v ->
-        let b = min (bins - 1) (int_of_float ((v -. lo) /. width)) in
-        counts.(b) <- counts.(b) + 1)
-      values;
-    List.init bins (fun b ->
-        (lo +. (float_of_int b *. width), lo +. (float_of_int (b + 1) *. width), counts.(b)))
-  end

@@ -11,7 +11,3 @@ val log2_bins : int array -> bin list
 (** Log-binned histogram of non-negative integers. Zero values get their
     own [\[0,1)] bin; bin boundaries are powers of two. Empty bins are
     omitted. *)
-
-val linear_bins : ?bins:int -> float array -> (float * float * int) list
-(** [(lo, hi, count)] triples over equal-width bins spanning the sample
-    range (default 20 bins). @raise Invalid_argument on empty input. *)

@@ -20,18 +20,3 @@ let fit_alpha ?(x_min = 2) values =
         x_min;
         tail_fraction = float_of_int !n /. float_of_int (max 1 n_total);
       }
-
-let is_heavy_tailed values =
-  (* The tail must exist well past the mode: fit from the 90th
-     percentile of positive values, at least 4. *)
-  let positives = Array.of_list (List.filter (fun x -> x > 0) (Array.to_list values)) in
-  if Array.length positives < 20 then false
-  else begin
-    let sorted = Array.copy positives in
-    Array.sort compare sorted;
-    let p90 = sorted.(9 * (Array.length sorted - 1) / 10) in
-    let x_min = max 4 p90 in
-    match fit_alpha ~x_min positives with
-    | Some f -> f.alpha < 3.5 && f.tail_fraction >= 0.01
-    | None -> false
-  end

@@ -19,8 +19,3 @@ val fit_alpha : ?x_min:int -> int array -> fit option
     (default 2) with the discrete MLE
     [alpha = 1 + n / sum (ln (x / (x_min - 0.5)))].
     [None] when fewer than 10 samples reach the tail. *)
-
-val is_heavy_tailed : int array -> bool
-(** Crude classifier: a fit exists with [alpha < 3.5] and at least 1% of
-    the mass in the tail — true for the social analogues, false for road
-    lattices. *)

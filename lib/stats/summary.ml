@@ -13,10 +13,6 @@ let variance xs =
 
 let stdev xs = sqrt (variance xs)
 
-let min_max xs =
-  if Array.length xs = 0 then invalid_arg "Summary.min_max: empty sample";
-  Array.fold_left (fun (lo, hi) x -> (min lo x, max hi x)) (xs.(0), xs.(0)) xs
-
 let quantile xs q =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Summary.quantile: empty sample";
@@ -51,9 +47,3 @@ let percentiles xs =
 
 let pp_ptiles ppf p =
   Format.fprintf ppf "p50=%.4g p95=%.4g p99=%.4g" p.p50 p.p95 p.p99
-
-type t = { n : int; mean : float; stdev : float; min : float; max : float; median : float }
-
-let describe xs =
-  let lo, hi = min_max xs in
-  { n = Array.length xs; mean = mean xs; stdev = stdev xs; min = lo; max = hi; median = median xs }

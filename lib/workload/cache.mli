@@ -10,7 +10,7 @@
     or {!Cost_aware} (cheapest to rebuild per byte goes first).
 
     Every mutation is counted in {!stats}; the accounting obeys the
-    conservation laws checked by {!Workload_check.cache_accounting}.
+    conservation laws checked by {!Workload_check.report}.
 
     Time is the simulation's clock, supplied by the caller: an entry
     inserted with [available_s = t] is invisible to lookups strictly

@@ -23,7 +23,9 @@
     cluster dies past its crash budget ends with outcome [aborted]; the
     engine then invalidates the whole partitioning cache (everything
     was resident on the lost cluster) and requeues the job with capped
-    exponential backoff, up to [max_retries] extra attempts — each
+    exponential backoff ([min 30.0 (2.0 *. 2.0 ** (attempt - 1))]
+    simulated seconds after the [attempt]-th failed attempt), up to
+    [max_retries] extra attempts — each
     retry gets a {e fresh} fault realization, so transient schedules
     ([rand@R]) usually succeed on retry while pinned deterministic
     crashes exhaust the budget and fail the job {e structurally}: a
@@ -224,11 +226,6 @@ val latency_percentiles : report -> Cutfit_stats.Summary.ptiles option
 (** Nearest-rank p50/p95/p99 of job latency ([finish_s -. arrival_s])
     over the records that produced a result (failed jobs excluded);
     [None] when every job failed. *)
-
-val retry_delay_s : attempt:int -> float
-(** Requeue backoff after the [attempt]-th failed attempt (1-based):
-    capped exponential, [min 30.0 (2.0 *. 2.0 ** (attempt - 1))]
-    simulated seconds. *)
 
 val run :
   ?cluster:Cutfit_bsp.Cluster.t ->

@@ -29,13 +29,13 @@ type mix = {
   mean_interarrival_s : float;  (** exponential inter-arrival mean *)
 }
 
-val mixes : mix list
-(** The built-in mixes: ["uniform"] (everything, two granularities),
-    ["reuse-heavy"] (edge-dominated algorithms hammering two graphs at
-    one granularity — high partitioning reuse), ["churn"] (five graphs
-    at three granularities — low reuse, stresses eviction). *)
-
 val find_mix : string -> mix option
+(** A built-in mix by name: ["uniform"] (everything, two
+    granularities), ["reuse-heavy"] (edge-dominated algorithms hammering
+    two graphs at one granularity — high partitioning reuse),
+    ["churn"] (five graphs at three granularities — low reuse, stresses
+    eviction). *)
+
 val mix_names : string list
 
 val generate : seed:int64 -> jobs:int -> ?tenants:(string * float) list -> mix -> t list

@@ -3,12 +3,12 @@
     Never asserts — returns {!Cutfit_check.Violation.t} lists, in the
     house style. Three layers:
 
-    - {!cache_accounting} checks the cache's conservation laws on a bare
-      {!Cache.stats} record (lookups split into hits and misses, live
-      entries = insertions - evictions - invalidations, bytes in cache
-      = bytes inserted - evicted - invalidated, budget respected) —
-      fabricate an inconsistent record and it must object;
-    - {!report} checks a full {!Engine.report}: per-record arithmetic
+    - {!report} checks the cache's conservation laws on the report's
+      {!Cache.stats} (lookups split into hits and misses, live entries =
+      insertions - evictions - invalidations, bytes in cache = bytes
+      inserted - evicted - invalidated, budget respected) — fabricate an
+      inconsistent record and it must object — and a full
+      {!Engine.report}: per-record arithmetic
       (queue, finish, hit implies no partition cost, failed jobs carry
       a failing outcome, zero-attempt jobs carry no run artifacts, shed
       jobs accrue no cost, deadline-cancelled jobs finish at their
@@ -25,8 +25,6 @@
       codec for bit-exact determinism checking;
     - {!check_run} is the whole battery on one stream: one observed run
       checked against its own event stream, then one replay. *)
-
-val cache_accounting : Cache.stats -> Cutfit_check.Violation.t list
 
 val report : ?events:Cutfit_obs.Event.t list -> Engine.report -> Cutfit_check.Violation.t list
 (** With [events], additionally reconciles the narrated stream against

@@ -36,8 +36,10 @@ let test_cluster_configs () =
   Alcotest.check_raises "unknown" Not_found (fun () -> ignore (Cluster.find "x"))
 
 let test_executor_round_robin () =
-  checki "p0 -> e0" 0 (Cluster.executor_of_partition Cluster.config_i 0);
-  checki "p5 -> e1" 1 (Cluster.executor_of_partition Cluster.config_i 5);
+  (* a runtime without scale events places partitions statically *)
+  let rt = Cutfit_bsp.Elastic.runtime ~executors:Cluster.config_i.Cluster.executors () in
+  checki "p0 -> e0" 0 (Cutfit_bsp.Elastic.exec_of rt 0);
+  checki "p5 -> e1" 1 (Cutfit_bsp.Elastic.exec_of rt 5);
   checki "total cores" 128 (Cluster.total_cores Cluster.config_i)
 
 (* --- Cost model --- *)

@@ -185,23 +185,21 @@ let test_word_boundaries () =
 let metrics = Pgraph.metrics pg
 
 let test_metrics_clean () =
-  check_clean "identity on computed metrics" (Metrics_check.identity metrics);
   check_clean "validate on computed metrics" (Metrics_check.validate g ~num_partitions:np assignment metrics)
 
 let test_metrics_identity_violation () =
   (* Breaking §3.1: comm_cost + non_cut <> vertices_to_same + vertices_to_other. *)
   let broken = { metrics with Metrics.vertices_to_other = metrics.Metrics.vertices_to_other + 1 } in
-  check_rule "broken replica identity" "replica-identity" (Metrics_check.identity broken);
-  check_rule "broken replica identity (validate)" "replica-identity"
+  check_rule "broken replica identity" "replica-identity"
     (Metrics_check.validate g ~num_partitions:np assignment broken)
 
 let test_metrics_comm_cost_floor () =
   let broken = { metrics with Metrics.comm_cost = 0; vertices_to_same = 0; vertices_to_other = metrics.Metrics.non_cut } in
-  check_rule "comm_cost below 2*cut" "comm-cost-floor" (Metrics_check.identity broken)
+  check_rule "comm_cost below 2*cut" "comm-cost-floor" (Metrics_check.validate g ~num_partitions:np assignment broken)
 
 let test_metrics_negative_count () =
   let broken = { metrics with Metrics.cut = -1 } in
-  check_rule "negative cut" "negative-count" (Metrics_check.identity broken)
+  check_rule "negative cut" "negative-count" (Metrics_check.validate g ~num_partitions:np assignment broken)
 
 let test_metrics_recomputation () =
   (* Identity still holds, but the numbers are not this graph's. *)
@@ -212,9 +210,10 @@ let test_metrics_recomputation () =
       vertices_to_same = metrics.Metrics.vertices_to_same + 2;
     }
   in
-  check_clean "identity alone cannot see it" (Metrics_check.identity broken);
-  checkb "recomputation catches it" true
-    (Metrics_check.validate g ~num_partitions:np assignment broken <> [])
+  let vs = Metrics_check.validate g ~num_partitions:np assignment broken in
+  checkb "the identity rules cannot see it" false
+    (List.exists (fun r -> has_rule r vs) [ "replica-identity"; "comm-cost-floor"; "negative-count" ]);
+  check_rule "recomputation catches it" "comm-cost" vs
 
 (* --- trace conservation laws --- *)
 
@@ -344,7 +343,9 @@ let test_check_run () =
 
 let test_pipeline_check_flag () =
   let p = Pipeline.prepare ~check:true ~cluster ~algorithm:Cutfit.Advisor.Connected_components g in
-  check_clean "check_prepared after paranoid prepare" (Pipeline.check_prepared p)
+  (* a valid graph passes the paranoid build, and its sanitized layout
+     stays clean *)
+  check_clean "pgraph after paranoid prepare" (Pgraph_check.validate p.Pipeline.pg)
 
 (* --- injectable clock --- *)
 
@@ -358,10 +359,10 @@ let test_metric_time_with_clock () =
   let t = Metric.timer reg "span" in
   let result = Metric.time ~clock:(Clock.counter ~step:2.0 ()) t (fun () -> 42) in
   checki "thunk result" 42 result;
-  Alcotest.(check (float 1e-12)) "span is exactly one step" 2.0 (Metric.total t);
-  checki "one observation" 1 (Metric.observations t);
+  let total () = List.assoc "span" (Metric.snapshot reg) in
+  Alcotest.(check (float 1e-12)) "span is exactly one step" 2.0 (total ());
   Metric.time ~clock:(Clock.fixed 5.0) t (fun () -> ());
-  Alcotest.(check (float 1e-12)) "fixed clock measures zero" 2.0 (Metric.total t)
+  Alcotest.(check (float 1e-12)) "fixed clock measures zero" 2.0 (total ())
 
 let suite =
   [

@@ -67,36 +67,6 @@ let test_advise_large_uses_heuristic () =
   in
   checkb "falls back to heuristic (large)" true (s = Strategy.Two_d)
 
-let test_amortized_converges_to_measure () =
-  (* With effectively infinite reuse the build cost amortizes away, so
-     the amortized ranking must agree with the plain measured one. *)
-  let plain = Advisor.measure Advisor.Pagerank ~num_partitions:16 g in
-  let amortized =
-    Advisor.measure_amortized ~expected_reuse:1.0e12 Advisor.Pagerank ~num_partitions:16 g
-  in
-  checki "same candidate count" (List.length plain) (List.length amortized);
-  List.iter2
-    (fun (p : Advisor.ranked) (a : Advisor.amortized) ->
-      checkb "same order as measure" true (p.Advisor.strategy = a.Advisor.base.Advisor.strategy))
-    plain amortized
-
-let test_amortized_ranking () =
-  let amortized =
-    Advisor.measure_amortized ~expected_reuse:1.0 Advisor.Pagerank ~num_partitions:16 g
-  in
-  List.iter
-    (fun (a : Advisor.amortized) ->
-      checkb "amortized_s = exec + build/reuse" true
-        (a.Advisor.amortized_s = a.Advisor.exec_s +. (a.Advisor.build_s /. 1.0));
-      checkb "build predicted positive" true (a.Advisor.build_s > 0.0);
-      checkb "exec predicted positive" true (a.Advisor.exec_s > 0.0))
-    amortized;
-  let costs = List.map (fun (a : Advisor.amortized) -> a.Advisor.amortized_s) amortized in
-  checkb "ascending by amortized cost" true (List.sort compare costs = costs);
-  Alcotest.check_raises "reuse must be positive"
-    (Invalid_argument "Advisor.measure_amortized: expected_reuse <= 0") (fun () ->
-      ignore (Advisor.measure_amortized ~expected_reuse:0.0 Advisor.Pagerank ~num_partitions:16 g))
-
 let test_predicted_exec_monotone () =
   (* predicted_exec_s is monotone in the predictive metric: the measured
      winner can never be predicted slower than the measured loser. *)
@@ -170,8 +140,6 @@ let suite =
     Alcotest.test_case "measure respects metric" `Quick test_measure_respects_metric;
     Alcotest.test_case "advise small measures" `Quick test_advise_small_measures;
     Alcotest.test_case "advise large heuristic" `Quick test_advise_large_uses_heuristic;
-    Alcotest.test_case "amortized converges to measure" `Quick test_amortized_converges_to_measure;
-    Alcotest.test_case "amortized ranking" `Quick test_amortized_ranking;
     Alcotest.test_case "predicted exec monotone" `Quick test_predicted_exec_monotone;
     Alcotest.test_case "algorithm strings" `Quick test_algorithm_strings;
     Alcotest.test_case "pipeline pagerank" `Quick test_pipeline_pagerank;

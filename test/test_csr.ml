@@ -142,36 +142,11 @@ let tr_multigraph_gen =
   in
   (n + isolated, edges @ List.concat (List.mapi spoke hub))
 
-(* The canonical-instance rule applied edge by edge: an instance
-   [s -> d] is canonical when [s <> d] and either [s < d] or no [d -> s]
-   exists; it closes one triangle with each common undirected neighbour
-   [x] above both endpoints. *)
-let brute_force_triangles (n, edges) =
-  let adj = Array.make_matrix n n false in
-  List.iter
-    (fun (s, d) ->
-      adj.(s).(d) <- true;
-      adj.(d).(s) <- true)
-    edges;
-  let counts = Array.make n 0 in
-  List.iter
-    (fun (s, d) ->
-      if s <> d && (s < d || not (List.mem (d, s) edges)) then
-        for x = max s d + 1 to n - 1 do
-          if adj.(s).(x) && adj.(d).(x) then begin
-            counts.(s) <- counts.(s) + 1;
-            counts.(d) <- counts.(d) + 1;
-            counts.(x) <- counts.(x) + 1
-          end
-        done)
-    edges;
-  (counts, Array.fold_left ( + ) 0 counts / 3)
-
 let test_tr_csr_oracles =
   Test_util.qtest ~count:60 "triangles: csr = brute force = boxed on multigraphs"
     ~print:Test_util.print_small_graph tr_multigraph_gen (fun ((n, edges) as case) ->
       let g = Test_util.graph_of_edges ~n edges in
-      let expect = brute_force_triangles case in
+      let expect = Test_util.brute_force_triangles case in
       List.for_all
         (fun num_partitions ->
           let cluster = Test_util.tiny_cluster ~num_partitions () in
@@ -250,8 +225,8 @@ let test_par_exec_iter_covers_items () =
       checkb "each item exactly once" true (Array.for_all (fun h -> h = 1) hits);
       (* The pool survives across epochs. *)
       let sum = Atomic.make 0 in
-      Par_exec.run pool (fun w -> ignore (Atomic.fetch_and_add sum (w + 1)));
-      checki "all workers ran" 10 (Atomic.get sum))
+      Par_exec.iter pool ~n:4 (fun _ i -> ignore (Atomic.fetch_and_add sum (i + 1)));
+      checki "all items ran" 10 (Atomic.get sum))
 
 let test_par_exec_propagates_exceptions () =
   Par_exec.with_pool ~domains:2 (fun pool ->

@@ -147,8 +147,12 @@ let test_refresh_preserves_kept_edges () =
   checki "placed = inserts" (Array.length d.Mutation.inserts) r.Incremental.placed_edges;
   checkb "repairs touch at most 2 vertices per delete" true
     (r.Incremental.repaired_vertices <= 2 * Array.length d.Mutation.deletes);
+  let g' = applied.Mutation.graph and a' = r.Incremental.assignment in
+  let pg = Cutfit_bsp.Pgraph.build g' ~num_partitions a' in
   check_clean "refreshed cut laws"
-    (Dyn_check.cut_laws applied.Mutation.graph ~num_partitions r.Incremental.assignment)
+    (Cutfit_check.Pgraph_check.assignment g' ~num_partitions a'
+    @ Cutfit_check.Pgraph_check.validate pg
+    @ Cutfit_check.Metrics_check.validate g' ~num_partitions a' (Cutfit_bsp.Pgraph.metrics pg))
 
 let test_refresh_validation () =
   let d = Mutation.plan cfg ~batch:1 g in
@@ -269,23 +273,22 @@ let test_prices_monotone () =
     (Repartition.rebuild_price ~scale:10.0 g m > 2.0 *. rebuild)
 
 let test_decide_picks_cheaper () =
-  let a = Streaming.assign Streaming.Greedy ~num_partitions g in
-  let m = Metrics.compute g ~num_partitions a in
-  let d = Mutation.plan cfg ~batch:1 g in
-  let applied = Mutation.apply g d in
-  let r = Incremental.refresh Streaming.Greedy ~num_partitions ~assignment:a applied in
-  let dec = Repartition.decide ~old_metrics:m applied r in
+  let applied = Mutation.apply g (Mutation.plan cfg ~batch:1 g) in
+  (* one event pair per decision *)
+  let sink, read = Cutfit_obs.Sink.ring ~capacity:16 () in
+  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
+  let dec =
+    match Repartition.run ~telemetry ~batches:1 ~heuristic:Streaming.Greedy ~num_partitions cfg g with
+    | [ s ] -> s.Repartition.decision
+    | steps -> Alcotest.failf "expected one step, got %d" (List.length steps)
+  in
+  Cutfit_obs.Telemetry.close telemetry;
   checkb "choice matches the prices" true
     (dec.Repartition.choice
     = if dec.Repartition.refresh_s <= dec.Repartition.rebuild_s then Repartition.Refresh
       else Repartition.Rebuild);
   checki "decision counts the delta" 48 dec.Repartition.inserts;
   checki "edges after" (Graph.num_edges applied.Mutation.graph) dec.Repartition.edges_after;
-  (* one event pair per decision *)
-  let sink, read = Cutfit_obs.Sink.ring ~capacity:16 () in
-  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
-  Repartition.emit_events ~telemetry ~graph_name:"g" ~at_s:1.0 ~edges_before:(Graph.num_edges g) dec;
-  Cutfit_obs.Telemetry.close telemetry;
   checki "mutation + repartition events" 2 (List.length (read ()))
 
 let test_run_driver_and_events () =
@@ -325,16 +328,24 @@ let test_dyn_check_catches_bad_graph () =
   checkb "delta-identity fires" true
     (List.exists (fun v -> v.Cutfit_check.Violation.rule = "delta-identity") vs);
   checkb "tagged with the dynamic suite" true
-    (List.for_all (fun v -> v.Cutfit_check.Violation.suite = Dyn_check.suite) vs)
+    (List.for_all (fun v -> v.Cutfit_check.Violation.suite = "dynamic") vs)
 
 let test_dyn_check_catches_bad_cut () =
   let a = Streaming.assign Streaming.Greedy ~num_partitions g in
   a.(0) <- num_partitions (* out of range *);
-  checkb "cut laws fire" true (Dyn_check.cut_laws g ~num_partitions a <> [])
+  checkb "cut laws fire" true (Cutfit_check.Pgraph_check.assignment g ~num_partitions a <> [])
 
+(* Law 3 on a clean cut: PageRank on a built cut and on a cold rebuild
+   of a copied assignment digests to the same value. *)
 let test_value_equivalence_clean () =
   let a = Streaming.assign Streaming.Greedy ~num_partitions g in
-  check_clean "pagerank digests agree" (Dyn_check.value_equivalence g ~num_partitions a)
+  let cluster = { Cutfit_bsp.Cluster.config_i with Cutfit_bsp.Cluster.num_partitions } in
+  let digest a =
+    let pg = Cutfit_bsp.Pgraph.build g ~num_partitions a in
+    Cutfit_check.Fault_check.float_attrs_digest
+      (Cutfit_algo.Pagerank.run ~iterations:3 ~cluster pg).Cutfit_algo.Pagerank.ranks
+  in
+  Alcotest.(check string) "pagerank digests agree" (digest a) (digest (Array.copy a))
 
 let test_incremental_partitioner_variant () =
   (match Partitioner.of_string "inc-greedy" with

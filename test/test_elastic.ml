@@ -102,13 +102,26 @@ let test_to_spec_minimal () =
 
 (* --- stateless realization --- *)
 
+(* The events a fresh runtime over [c] fires before superstep [step]. *)
+let events_at c ~step =
+  let rt = Elastic.runtime ~config:c ~executors:4 () in
+  let fired = ref [] in
+  Elastic.step_events rt ~step ~num_partitions:8
+    ~partition_bytes:(fun _ -> 1.0)
+    ~partition_vertices:(fun _ -> 1)
+    ~attr_wire_bytes:1.0 ~scale:1.0 ~bandwidth:1.0 ~barrier_s:0.0
+    ~on_reshuffle:(fun change _ -> fired := (change :> [ `Join of int | `Leave of int | `Preempt of int ]) :: !fired)
+    ~on_preempt:(fun ~executor:_ ~retries -> fired := `Preempt retries :: !fired);
+  List.rev !fired
+
 let test_events_are_stateless () =
   let c = Elastic.config ~seed:11 "leave@2-1,join@2+1,preempt@5:r2" in
   (* Same query, any order, any number of times: identical answers. *)
-  let at2 = Elastic.events_at c ~step:2 in
-  checki "both step-2 events fire" 2 (List.length at2);
-  checkb "requery is identical" true (at2 = Elastic.events_at c ~step:2);
-  checki "quiet steps are empty" 0 (List.length (Elastic.events_at c ~step:3));
+  let at2 = events_at c ~step:2 in
+  checkb "both step-2 events fire, in spec order" true (at2 = [ `Leave 1; `Join 1 ]);
+  checkb "requery is identical" true (at2 = events_at c ~step:2);
+  checki "quiet steps are empty" 0 (List.length (events_at c ~step:3));
+  checkb "the preemption fires at its step" true (events_at c ~step:5 = [ `Preempt 2 ]);
   let v = Elastic.victim c ~step:5 ~alive:4 in
   checkb "victim in range" true (v >= 0 && v < 4);
   checki "victim draw is stateless" v (Elastic.victim c ~step:5 ~alive:4);
@@ -129,20 +142,20 @@ let test_hetero_draws () =
   Array.iter
     (fun b -> checkb "bandwidth in [0.6, 1.4]" true (b >= 0.6 && b <= 1.4))
     h.Elastic.bandwidths;
-  checkb "lookup reads the array" true (Float.equal (Elastic.speed h 3) h.Elastic.speeds.(3));
-  checkb "late joiners run at 1.0" true
-    (Float.equal (Elastic.speed h 99) 1.0 && Float.equal (Elastic.bandwidth h 99) 1.0);
-  let u = Elastic.uniform ~executors:4 in
-  checkb "uniform is neutral" true
-    (Array.for_all (Float.equal 1.0) u.Elastic.speeds
-    && Array.for_all (Float.equal 1.0) u.Elastic.bandwidths);
+  let speed h e = Elastic.speed_of (Elastic.runtime ~hetero:h ~executors:8 ()) e in
+  let bandwidth h e = Elastic.bandwidth_of (Elastic.runtime ~hetero:h ~executors:8 ()) e in
+  checkb "lookup reads the array" true (Float.equal (speed h 3) h.Elastic.speeds.(3));
+  checkb "late joiners run at 1.0" true (Float.equal (speed h 99) 1.0 && Float.equal (bandwidth h 99) 1.0);
+  let plain = Elastic.runtime ~executors:4 () in
+  checkb "no hetero is neutral" true
+    (List.for_all (fun e -> Float.equal (Elastic.speed_of plain e) 1.0 && Float.equal (Elastic.bandwidth_of plain e) 1.0) [ 0; 3; 99 ]);
   let e = Elastic.hetero_of_spec ~executors:4 "2.0/0.5,1.0" in
   checkb "explicit entries cycle" true
-    (Float.equal (Elastic.speed e 0) 2.0
-    && Float.equal (Elastic.bandwidth e 0) 0.5
-    && Float.equal (Elastic.speed e 1) 1.0
-    && Float.equal (Elastic.bandwidth e 1) 1.0
-    && Float.equal (Elastic.speed e 2) 2.0);
+    (Float.equal (speed e 0) 2.0
+    && Float.equal (bandwidth e 0) 0.5
+    && Float.equal (speed e 1) 1.0
+    && Float.equal (bandwidth e 1) 1.0
+    && Float.equal (speed e 2) 2.0);
   match Elastic.hetero_of_spec ~executors:2 "fast" with
   | exception Cutfit_bsp.Spec_error.Error _ -> ()
   | _ -> Alcotest.fail "malformed hetero spec should not parse"
@@ -209,7 +222,7 @@ let test_sanitizer_green_under_elastic () =
 (* --- workload membership --- *)
 
 let two_tenant_stream ~jobs ~seed =
-  Job.generate ~seed ~jobs ~tenants:[ ("acme", 3.0); ("beta", 1.0) ] (List.hd Job.mixes)
+  Job.generate ~seed ~jobs ~tenants:[ ("acme", 3.0); ("beta", 1.0) ] (Option.get (Job.find_mix "uniform"))
 
 let ring_run ?scale_events ?tenant_weights ?tenant_quota ?fairness ?max_retries ?breaker_k jobs
     ~seed =
@@ -225,7 +238,7 @@ let ring_run ?scale_events ?tenant_weights ?tenant_quota ?fairness ?max_retries 
 let test_workload_scale_counters () =
   let r, events =
     ring_run ~scale_events:(Elastic.config "leave@5-1,join@9+2") ~seed:7L
-      (Job.generate ~seed:7L ~jobs:24 (List.hd Job.mixes))
+      (Job.generate ~seed:7L ~jobs:24 (Option.get (Job.find_mix "uniform")))
   in
   checki "one leave applied" 1 r.Engine.leaves;
   checki "one join applied" 1 r.Engine.joins;
@@ -242,7 +255,7 @@ let test_preempt_is_budget_neutral () =
      finish — the reclaim consumes no retry budget. *)
   let r, events =
     ring_run ~scale_events:(Elastic.config "preempt@6:r1") ~max_retries:0 ~seed:7L
-      (Job.generate ~seed:7L ~jobs:16 (List.hd Job.mixes))
+      (Job.generate ~seed:7L ~jobs:16 (Option.get (Job.find_mix "uniform")))
   in
   checkb "a preemption fired" true (r.Engine.preemptions >= 1);
   checki "no job failed" 0 (Engine.failed_jobs r);
@@ -257,7 +270,7 @@ let test_preempt_is_budget_neutral () =
   check_clean "preempt report" (Workload_check.report ~events r)
 
 let test_unarmed_run_reports_zero () =
-  let r, events = ring_run ~seed:5L (Job.generate ~seed:5L ~jobs:8 (List.hd Job.mixes)) in
+  let r, events = ring_run ~seed:5L (Job.generate ~seed:5L ~jobs:8 (Option.get (Job.find_mix "uniform"))) in
   checkb "no spec recorded" true (r.Engine.scale_spec = None);
   checki "no joins" 0 r.Engine.joins;
   checki "no leaves" 0 r.Engine.leaves;

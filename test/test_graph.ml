@@ -18,8 +18,9 @@ let test_edge_list_basic () =
   Edge_list.add el ~src:1 ~dst:2;
   Edge_list.add el ~src:3 ~dst:4;
   checki "length" 2 (Edge_list.length el);
-  checki "src 0" 1 (Edge_list.src el 0);
-  checki "dst 1" 4 (Edge_list.dst el 1)
+  let srcs, dsts = Edge_list.to_arrays el in
+  checki "src 0" 1 srcs.(0);
+  checki "dst 1" 4 dsts.(1)
 
 let test_edge_list_growth () =
   let el = Edge_list.create ~capacity:1 () in
@@ -27,19 +28,14 @@ let test_edge_list_growth () =
     Edge_list.add el ~src:i ~dst:(i + 1)
   done;
   checki "grew" 1000 (Edge_list.length el);
-  checki "last src" 999 (Edge_list.src el 999)
+  checki "last src" 999 (fst (Edge_list.to_arrays el)).(999)
 
 let test_edge_list_dedup () =
-  let el = Edge_list.of_list [ (1, 2); (1, 2); (2, 1); (3, 3); (0, 1) ] in
+  let el = Test_util.edge_list [ (1, 2); (1, 2); (2, 1); (3, 3); (0, 1) ] in
   let d = Edge_list.dedup el in
   checki "dup and loop removed" 3 (Edge_list.length d);
-  let d2 = Edge_list.dedup ~drop_self_loops:false (Edge_list.of_list [ (3, 3); (3, 3) ]) in
+  let d2 = Edge_list.dedup ~drop_self_loops:false (Test_util.edge_list [ (3, 3); (3, 3) ]) in
   checki "loop kept when asked" 1 (Edge_list.length d2)
-
-let test_edge_list_bounds () =
-  let el = Edge_list.of_list [ (0, 1) ] in
-  Alcotest.check_raises "src OOB" (Invalid_argument "Edge_list.src: index out of bounds")
-    (fun () -> ignore (Edge_list.src el 1))
 
 (* --- Graph --- *)
 
@@ -54,7 +50,7 @@ let test_graph_degrees () =
 
 let test_graph_neighbors_sorted () =
   Alcotest.(check (array int)) "out 0" [| 1; 2 |] (Graph.out_neighbors diamond 0);
-  Alcotest.(check (array int)) "in 3" [| 1; 2 |] (Graph.in_neighbors diamond 3)
+  Alcotest.(check (array int)) "in 3" [| 1; 2 |] (Test_util.in_neighbors diamond 3)
 
 let test_graph_has_edge () =
   checkb "0->1" true (Graph.has_edge diamond ~src:0 ~dst:1);
@@ -71,13 +67,13 @@ let test_graph_rejects_bad_input () =
 let test_graph_symmetrize () =
   let s = Graph.symmetrize diamond in
   checki "8 directed edges" 8 (Graph.num_edges s);
-  checkb "symmetric" true (Graph.is_symmetric s);
-  checkb "original not symmetric" false (Graph.is_symmetric diamond)
+  checkb "symmetric" true (Test_util.is_symmetric s);
+  checkb "original not symmetric" false (Test_util.is_symmetric diamond)
 
 let prop_symmetrize_symmetric =
   Test_util.qtest "symmetrize yields symmetric graph" ~print:Test_util.print_small_graph
     Test_util.small_graph_gen (fun g ->
-      Graph.is_symmetric (Graph.symmetrize (Test_util.build g)))
+      Test_util.is_symmetric (Graph.symmetrize (Test_util.build g)))
 
 (* The definition [symmetrize] must match array for array: both edge
    directions, sorted and deduplicated, self-loops dropped. *)
@@ -99,7 +95,7 @@ let prop_symmetrize_matches_model =
       && List.for_all
            (fun v ->
              Graph.out_neighbors s v = Graph.out_neighbors m v
-             && Graph.in_neighbors s v = Graph.in_neighbors m v)
+             && Test_util.in_neighbors s v = Test_util.in_neighbors m v)
            (List.init n Fun.id))
 
 let prop_degree_sums =
@@ -122,8 +118,7 @@ let test_union_find () =
   ignore (Union_find.union uf 0 3);
   checki "sets" 3 (Union_find.count uf);
   checkb "same 1 2" true (Union_find.same uf 1 2);
-  checkb "not same 1 4" false (Union_find.same uf 1 4);
-  checki "size of 0's set" 4 (Union_find.size_of uf 0)
+  checkb "not same 1 4" false (Union_find.same uf 1 4)
 
 (* --- Components --- *)
 
@@ -134,32 +129,6 @@ let test_weak_components () =
   checki "label of 2" 0 labels.(2);
   checki "label of 4" 3 labels.(4);
   checki "label of 6" 5 labels.(6)
-
-let test_strong_components () =
-  (* 0->1->2->0 is a cycle; 3 hangs off it. *)
-  let g = Test_util.graph_of_edges ~n:4 [ (0, 1); (1, 2); (2, 0); (2, 3) ] in
-  let labels, count = Components.strong g in
-  checki "2 SCCs" 2 count;
-  checkb "cycle same label" true (labels.(0) = labels.(1) && labels.(1) = labels.(2));
-  checkb "3 alone" true (labels.(3) <> labels.(0))
-
-let test_strong_on_dag () =
-  let g = Test_util.graph_of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
-  checki "each vertex its own SCC" 4 (Components.strong_count g)
-
-let test_largest_weak () =
-  let g = Test_util.graph_of_edges ~n:6 [ (0, 1); (1, 2); (3, 4) ] in
-  checki "largest is 3" 3 (Components.largest_weak_size g)
-
-let test_strong_deep_chain_no_overflow () =
-  (* A 100k-vertex path would blow a recursive Tarjan. *)
-  let n = 100_000 in
-  let el = Edge_list.create ~capacity:n () in
-  for i = 0 to n - 2 do
-    Edge_list.add el ~src:i ~dst:(i + 1)
-  done;
-  let g = Graph.of_edge_list ~n el in
-  checki "n SCCs" n (Components.strong_count g)
 
 let prop_weak_labels_consistent =
   Test_util.qtest "weak labels constant along edges" ~print:Test_util.print_small_graph
@@ -173,20 +142,16 @@ let prop_weak_labels_consistent =
 (* --- BFS --- *)
 
 let test_bfs_distances () =
+  (* vertex 4 is unreachable and must not count as the farthest *)
   let g = Test_util.graph_of_edges ~n:5 [ (0, 1); (1, 2); (2, 3) ] in
-  let d = Bfs.distances g 0 in
-  Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; max_int |] d
+  Alcotest.(check (pair int int)) "farthest from 0" (3, 3) (Bfs.farthest g 0);
+  Alcotest.(check (pair int int)) "farthest from 2" (3, 1) (Bfs.farthest g 2);
+  Alcotest.(check (pair int int)) "isolated" (4, 0) (Bfs.farthest g 4)
 
 let test_bfs_undirected () =
   let g = Test_util.graph_of_edges ~n:3 [ (1, 0); (2, 1) ] in
-  let d = Bfs.distances ~undirected:true g 0 in
-  Alcotest.(check (array int)) "undirected distances" [| 0; 1; 2 |] d
-
-let test_bfs_multi_source () =
-  let g = Test_util.graph_of_edges ~n:5 [ (0, 1); (1, 2); (4, 3); (3, 2) ] in
-  let d = Bfs.multi_source g [ 0; 4 ] in
-  checki "2 closer to 0 or 4" 2 d.(2);
-  checki "source 4" 0 d.(4)
+  Alcotest.(check (pair int int)) "directed: 0 has no out edge" (0, 0) (Bfs.farthest g 0);
+  Alcotest.(check (pair int int)) "undirected" (2, 2) (Bfs.farthest ~undirected:true g 0)
 
 let test_eccentricity () =
   let g = Test_util.graph_of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
@@ -198,8 +163,7 @@ let test_eccentricity () =
 let k4 = Test_util.graph_of_edges ~n:4 [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ]
 
 let test_triangles_k4 () =
-  checki "K4 has 4 triangles" 4 (Triangles.count k4);
-  Alcotest.(check (array int)) "each vertex in 3" [| 3; 3; 3; 3 |] (Triangles.per_vertex k4)
+  checki "K4 has 4 triangles" 4 (Triangles.count k4)
 
 let test_triangles_cycle () =
   let c5 = Test_util.graph_of_edges ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0) ] in
@@ -218,7 +182,8 @@ let prop_per_vertex_sum =
   Test_util.qtest "sum per-vertex = 3 * total" ~print:Test_util.print_small_graph
     Test_util.small_graph_gen (fun sg ->
       let g = Test_util.build sg in
-      Array.fold_left ( + ) 0 (Triangles.per_vertex g) = 3 * Triangles.count g)
+      let per_vertex, _ = Test_util.brute_force_triangles (Test_util.edges_of g) in
+      Array.fold_left ( + ) 0 per_vertex = 3 * Triangles.count g)
 
 (* --- Diameter --- *)
 
@@ -244,6 +209,18 @@ let test_diameter_estimate_lower_bound () =
 
 (* --- Graph_io --- *)
 
+let with_file contents f =
+  let path = Filename.temp_file "cutfit" ".edges" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc;
+      f path)
+
+let load_ok path = match Graph_io.load path with Ok g -> g | Error e -> Alcotest.fail e
+
 let test_io_roundtrip () =
   let g = Test_util.random_graph ~seed:9L ~n:50 ~m:200 in
   let path = Filename.temp_file "cutfit" ".edges" in
@@ -251,7 +228,7 @@ let test_io_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Graph_io.save path g;
-      let g2 = Graph_io.load ~n:50 path in
+      let g2 = load_ok path in
       checki "same edge count" (Graph.num_edges g) (Graph.num_edges g2);
       let ok = ref true in
       Graph.iter_edges g (fun ~src ~dst -> if not (Graph.has_edge g2 ~src ~dst) then ok := false);
@@ -259,16 +236,60 @@ let test_io_roundtrip () =
       checki "size matches file" (Graph_io.size_bytes g) (Unix.stat path).Unix.st_size)
 
 let test_io_comments_and_tabs () =
-  let path = Filename.temp_file "cutfit" ".edges" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "# comment\n0\t1\n1 2\n\n";
-      close_out oc;
-      let g = Graph_io.load path in
-      checki "2 edges" 2 (Graph.num_edges g);
+  with_file "# comment\n0\t1\n1 2\n\n 2 \t\t 0\r\n" (fun path ->
+      let g = load_ok path in
+      checki "3 edges" 3 (Graph.num_edges g);
       checki "3 vertices" 3 (Graph.num_vertices g))
+
+(* Each hostile file is an [Error] naming the path, the line and the
+   reason; none raises. *)
+let test_io_hostile_lines () =
+  List.iter
+    (fun (contents, line, reason) ->
+      with_file contents (fun path ->
+          match Graph_io.load path with
+          | Ok _ -> Alcotest.failf "%S loaded" contents
+          | Error e ->
+              let prefix = Printf.sprintf "%s:%d: " path line in
+              checkb (Printf.sprintf "%S names path and line: %s" contents e) true
+                (String.starts_with ~prefix e);
+              checkb (Printf.sprintf "%S gives reason %S: %s" contents reason e) true
+                (String.ends_with ~suffix:reason e)))
+    [
+      ("a\tb\n", 1, "vertex id \"a\" is not an integer");
+      ("0 1\n1 x\n", 2, "vertex id \"x\" is not an integer");
+      ("-3 2\n", 1, "vertex id -3 is negative");
+      ("0 1\n0 4611686018427387900\n", 2, "needs more than Sys.max_array_length vertices");
+      ("0 1 2\n", 1, "expected two vertex ids, got 3 field(s)");
+      ("# only\n7\n", 2, "expected two vertex ids, got 1 field(s)");
+    ];
+  match Graph_io.load (Filename.concat (Filename.get_temp_dir_name ()) "cutfit-no-such-file") with
+  | Ok _ -> Alcotest.fail "a missing file loaded"
+  | Error _ -> ()
+
+(* A saved graph cut short at a random byte, or with one byte replaced,
+   loads as [Ok] or [Error]; it never raises. *)
+let prop_io_corrupt_never_raises =
+  Test_util.qtest ~count:200 "io: truncated or corrupted file is Ok or Error"
+    ~print:(fun ((n, edges), cut, byte) ->
+      Printf.sprintf "%s cut=%d byte=%d" (Test_util.print_small_graph (n, edges)) cut byte)
+    QCheck2.Gen.(triple Test_util.small_graph_gen nat (int_range (-1) 255))
+    (fun (case, cut, byte) ->
+      let g = Test_util.build case in
+      let path = Filename.temp_file "cutfit" ".edges" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Graph_io.save path g;
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          let len = String.length text in
+          let text =
+            if len = 0 then text
+            else if byte < 0 then String.sub text 0 (cut mod len)
+            else String.mapi (fun i c -> if i = cut mod len then Char.chr byte else c) text
+          in
+          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          match Graph_io.load path with Ok _ | Error _ -> true))
 
 (* --- Characterize --- *)
 
@@ -285,7 +306,7 @@ let test_characterize_small () =
 
 let test_symmetry_partial () =
   let g = Test_util.graph_of_edges ~n:3 [ (0, 1); (1, 0); (1, 2) ] in
-  let s = Characterize.symmetry_pct g in
+  let s = (Characterize.compute g).Characterize.symmetry_pct in
   checkb "2 of 3 reciprocated" true (abs_float (s -. (200.0 /. 3.0)) < 1e-9)
 
 (* Adjacency against a List.sort oracle: multi-edges and self-loops
@@ -312,34 +333,34 @@ let prop_adjacency_sorted_oracle =
       in
       List.for_all
         (fun v ->
-          Graph.out_neighbors g v = bucket fst snd v && Graph.in_neighbors g v = bucket snd fst v)
+          Graph.out_neighbors g v = bucket fst snd v && Test_util.in_neighbors g v = bucket snd fst v)
         (List.init n Fun.id))
 
 (* --- Graph_io --- *)
 
 let log10_digits v = if v = 0 then 1 else int_of_float (log10 (float_of_int v)) + 1
 
+(* The saved size of the one self-loop [v -> v]: two ids, a space and
+   a newline. *)
+let self_loop_bytes v = Graph_io.size_bytes (Test_util.graph_of_edges ~n:(v + 1) [ (v, v) ])
+
 let test_digits_at_powers_of_ten () =
-  for k = 0 to 15 do
+  for k = 0 to 6 do
     let p = int_of_float (10.0 ** float_of_int k) in
     List.iter
       (fun v ->
         if v >= 0 then begin
           let name = string_of_int v in
-          checki (name ^ " digits") (String.length name) (Graph_io.digits v);
-          (* log10 (10^15 - 1) rounds up to 15.0, so the float version
-             over-counts there; below it the two agree. *)
-          if v < 999_999_999_999_999 then
-            checki (name ^ " agrees with log10") (log10_digits v) (Graph_io.digits v)
+          checki (name ^ " width") ((2 * String.length name) + 2) (self_loop_bytes v);
+          checki (name ^ " agrees with log10") ((2 * log10_digits v) + 2) (self_loop_bytes v)
         end)
       [ p - 1; p; p + 1 ]
-  done;
-  checki "max_int digits" (String.length (string_of_int max_int)) (Graph_io.digits max_int)
+  done
 
 let prop_digits_sample =
   Test_util.qtest ~count:500 "digits = log10 digits" ~print:string_of_int
-    QCheck2.Gen.(oneof [ int_range 0 1000; int_range 0 (1 lsl 40) ])
-    (fun v -> Graph_io.digits v = log10_digits v)
+    QCheck2.Gen.(oneof [ int_range 0 1000; int_range 0 200_000 ])
+    (fun v -> self_loop_bytes v = (2 * log10_digits v) + 2)
 
 (* [size_bytes] sums one degree range per decimal width; the oracle is
    the per-edge fold it replaced. Vertex counts sit at and around
@@ -349,7 +370,7 @@ let prop_digits_sample =
 let size_bytes_fold g =
   let total = ref 0 in
   Graph.iter_edges g (fun ~src ~dst ->
-      total := !total + Graph_io.digits src + Graph_io.digits dst + 2);
+      total := !total + String.length (string_of_int src) + String.length (string_of_int dst) + 2);
   !total
 
 let width_boundary_graph_gen =
@@ -374,7 +395,6 @@ let suite =
     Alcotest.test_case "edge_list basic" `Quick test_edge_list_basic;
     Alcotest.test_case "edge_list growth" `Quick test_edge_list_growth;
     Alcotest.test_case "edge_list dedup" `Quick test_edge_list_dedup;
-    Alcotest.test_case "edge_list bounds" `Quick test_edge_list_bounds;
     Alcotest.test_case "graph degrees" `Quick test_graph_degrees;
     Alcotest.test_case "neighbors sorted" `Quick test_graph_neighbors_sorted;
     Alcotest.test_case "has_edge" `Quick test_graph_has_edge;
@@ -385,104 +405,26 @@ let suite =
     prop_degree_sums;
     Alcotest.test_case "union_find" `Quick test_union_find;
     Alcotest.test_case "weak components" `Quick test_weak_components;
-    Alcotest.test_case "strong components" `Quick test_strong_components;
-    Alcotest.test_case "strong on DAG" `Quick test_strong_on_dag;
-    Alcotest.test_case "largest weak" `Quick test_largest_weak;
-    Alcotest.test_case "deep chain SCC (no overflow)" `Quick test_strong_deep_chain_no_overflow;
     prop_weak_labels_consistent;
     Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
     Alcotest.test_case "bfs undirected" `Quick test_bfs_undirected;
-    Alcotest.test_case "bfs multi-source" `Quick test_bfs_multi_source;
     Alcotest.test_case "eccentricity" `Quick test_eccentricity;
+    Alcotest.test_case "diameter path" `Quick test_diameter_path;
+    Alcotest.test_case "diameter disconnected" `Quick test_diameter_disconnected;
+    Alcotest.test_case "diameter estimate bound" `Quick test_diameter_estimate_lower_bound;
+    Alcotest.test_case "characterize small" `Quick test_characterize_small;
+    Alcotest.test_case "partial symmetry" `Quick test_symmetry_partial;
+    prop_adjacency_sorted_oracle;
     Alcotest.test_case "triangles K4" `Quick test_triangles_k4;
     Alcotest.test_case "triangles C5" `Quick test_triangles_cycle;
     Alcotest.test_case "triangles direction-blind" `Quick test_triangles_direction_blind;
     Alcotest.test_case "clustering" `Quick test_clustering;
     prop_per_vertex_sum;
-    Alcotest.test_case "diameter path" `Quick test_diameter_path;
-    Alcotest.test_case "diameter disconnected" `Quick test_diameter_disconnected;
-    Alcotest.test_case "diameter estimate bound" `Quick test_diameter_estimate_lower_bound;
     Alcotest.test_case "io roundtrip" `Quick test_io_roundtrip;
     Alcotest.test_case "io comments and tabs" `Quick test_io_comments_and_tabs;
+    Alcotest.test_case "io hostile lines" `Quick test_io_hostile_lines;
+    prop_io_corrupt_never_raises;
     Alcotest.test_case "digits at powers of ten" `Quick test_digits_at_powers_of_ten;
     prop_digits_sample;
     prop_size_bytes_oracle;
-    Alcotest.test_case "characterize small" `Quick test_characterize_small;
-    Alcotest.test_case "partial symmetry" `Quick test_symmetry_partial;
-    prop_adjacency_sorted_oracle;
   ]
-
-(* --- binary I/O --- *)
-
-module Binary_io = Cutfit_graph.Binary_io
-
-let test_binary_roundtrip () =
-  let g = Test_util.random_graph ~seed:15L ~n:200 ~m:900 in
-  let path = Filename.temp_file "cutfit" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Binary_io.save path g;
-      let g2 = Binary_io.load path in
-      checki "vertices" (Graph.num_vertices g) (Graph.num_vertices g2);
-      checki "edges" (Graph.num_edges g) (Graph.num_edges g2);
-      let ok = ref true in
-      Graph.iter_edges g (fun ~src ~dst -> if not (Graph.has_edge g2 ~src ~dst) then ok := false);
-      Graph.iter_edges g2 (fun ~src ~dst -> if not (Graph.has_edge g ~src ~dst) then ok := false);
-      checkb "same edge set" true !ok;
-      checki "size matches file" (Binary_io.size_bytes g) (Unix.stat path).Unix.st_size)
-
-let test_binary_smaller_than_text () =
-  let g = Test_util.random_graph ~seed:16L ~n:2000 ~m:12000 in
-  checkb "binary at most half the text size" true
-    (2 * Binary_io.size_bytes g < Graph_io.size_bytes g)
-
-let test_binary_rejects_foreign () =
-  let path = Filename.temp_file "cutfit" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "0 1\n1 2\n";
-      close_out oc;
-      match Binary_io.load path with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "expected rejection")
-
-let test_binary_empty_graph () =
-  let g = Test_util.graph_of_edges ~n:3 [] in
-  let path = Filename.temp_file "cutfit" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Binary_io.save path g;
-      let g2 = Binary_io.load path in
-      checki "3 vertices" 3 (Graph.num_vertices g2);
-      checki "0 edges" 0 (Graph.num_edges g2))
-
-let prop_binary_roundtrip =
-  Test_util.qtest ~count:30 "binary roundtrip preserves edge multiset"
-    ~print:Test_util.print_small_graph Test_util.small_graph_gen (fun sg ->
-      let g = Test_util.build sg in
-      let path = Filename.temp_file "cutfit" ".bin" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Binary_io.save path g;
-          let g2 = Binary_io.load path in
-          let pairs h =
-            let acc = ref [] in
-            Graph.iter_edges h (fun ~src ~dst -> acc := (src, dst) :: !acc);
-            List.sort compare !acc
-          in
-          Graph.num_vertices g = Graph.num_vertices g2 && pairs g = pairs g2))
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "binary roundtrip" `Quick test_binary_roundtrip;
-      Alcotest.test_case "binary smaller than text" `Quick test_binary_smaller_than_text;
-      Alcotest.test_case "binary rejects foreign" `Quick test_binary_rejects_foreign;
-      Alcotest.test_case "binary empty graph" `Quick test_binary_empty_graph;
-      prop_binary_roundtrip;
-    ]

@@ -245,9 +245,7 @@ let suite =
     prop_paper_six_cover_all_edges;
   ]
 
-(* --- VTS/VTO identity and the analytic replication model --- *)
-
-module Replication_model = Cutfit_partition.Replication_model
+(* --- VTS/VTO identity --- *)
 
 let test_vts_vto_identity () =
   List.iter
@@ -275,49 +273,11 @@ let test_dc_maximizes_vts () =
   in
   checkb "DC >= RVC" true (vts Strategy.Dc >= vts Strategy.Rvc)
 
-let test_expected_replicas_formula () =
-  checkb "zero degree" true (Replication_model.expected_replicas ~degree:0 ~targets:8 = 0.0);
-  checkb "degree 1" true
-    (abs_float (Replication_model.expected_replicas ~degree:1 ~targets:8 -. 1.0) < 1e-9);
-  checkb "huge degree saturates" true
-    (abs_float (Replication_model.expected_replicas ~degree:100_000 ~targets:8 -. 8.0) < 1e-6);
-  Alcotest.check_raises "bad targets"
-    (Invalid_argument "Replication_model.expected_replicas: targets <= 0") (fun () ->
-      ignore (Replication_model.expected_replicas ~degree:3 ~targets:0))
-
-let test_prediction_close_for_random_cuts () =
-  (* For RVC the balls-in-bins model is exact in expectation; on a
-     single sample it should land within ~15%. *)
-  let a = Partitioner.assign (Partitioner.Hash Strategy.Rvc) ~num_partitions g in
-  let m = Metrics.compute g ~num_partitions a in
-  let predicted = Replication_model.predict_comm_cost Strategy.Rvc ~num_partitions g in
-  let measured = float_of_int m.Metrics.comm_cost in
-  checkb "within 15%" true (abs_float (predicted -. measured) /. measured < 0.15)
-
-let test_prediction_ranks_2d_below_rvc () =
-  let ranked = Replication_model.rank_strategies ~num_partitions g in
-  let pos s =
-    let rec go i = function
-      | [] -> -1
-      | (x, _) :: rest -> if x = s then i else go (i + 1) rest
-    in
-    go 0 ranked
-  in
-  checkb "2D cheaper than RVC (replication bound)" true (pos Strategy.Two_d < pos Strategy.Rvc)
-
-let test_replication_factor_positive () =
-  let f = Replication_model.predict_replication_factor Strategy.Crvc ~num_partitions g in
-  checkb "at least 1" true (f >= 1.0)
-
 let extended_suite =
   [
     Alcotest.test_case "VTS/VTO identity" `Quick test_vts_vto_identity;
     Alcotest.test_case "VTS bounded" `Quick test_vts_bounded_by_vertices;
     Alcotest.test_case "DC collocates masters" `Quick test_dc_maximizes_vts;
-    Alcotest.test_case "expected replicas formula" `Quick test_expected_replicas_formula;
-    Alcotest.test_case "prediction close for RVC" `Quick test_prediction_close_for_random_cuts;
-    Alcotest.test_case "prediction ranks 2D < RVC" `Quick test_prediction_ranks_2d_below_rvc;
-    Alcotest.test_case "replication factor >= 1" `Quick test_replication_factor_positive;
   ]
 
 let suite = suite @ extended_suite

@@ -22,7 +22,7 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let check_clean what vs = Alcotest.(check int) (what ^ " is clean") 0 (List.length vs)
 
-let mix = List.hd Job.mixes
+let mix = Option.get (Job.find_mix "uniform")
 let stragglers = Faults.config "straggler@2:x8"
 let speculation = Speculation.config ()
 

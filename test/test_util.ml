@@ -3,9 +3,53 @@
 module Graph = Cutfit_graph.Graph
 module Edge_list = Cutfit_graph.Edge_list
 
-let graph_of_edges ~n edges =
-  let el = Edge_list.of_list edges in
-  Graph.of_edge_list ~n el
+let edge_list edges =
+  let el = Edge_list.create () in
+  List.iter (fun (src, dst) -> Edge_list.add el ~src ~dst) edges;
+  el
+
+let graph_of_edges ~n edges = Graph.of_edge_list ~n (edge_list edges)
+
+(* The in-neighbours of [v] in storage order (ascending). *)
+let in_neighbors g v =
+  let acc = ref [] in
+  Graph.iter_in g v (fun u -> acc := u :: !acc);
+  Array.of_list (List.rev !acc)
+
+(* Every edge other than a self-loop has its reverse. *)
+let is_symmetric g =
+  let ok = ref true in
+  Graph.iter_edges g (fun ~src ~dst -> if src <> dst && not (Graph.has_edge g ~src:dst ~dst:src) then ok := false);
+  !ok
+
+(* Per-vertex triangle counts and the total by the canonical-instance
+   rule, edge by edge: an instance [s -> d] is canonical when [s <> d]
+   and either [s < d] or no [d -> s] exists; it closes one triangle with
+   each common undirected neighbour [x] above both endpoints. On a
+   simple graph this is the plain undirected triangle count. *)
+let brute_force_triangles (n, edges) =
+  let adj = Array.make_matrix n n false in
+  List.iter
+    (fun (s, d) ->
+      adj.(s).(d) <- true;
+      adj.(d).(s) <- true)
+    edges;
+  let counts = Array.make n 0 in
+  List.iter
+    (fun (s, d) ->
+      if s <> d && (s < d || not (List.mem (d, s) edges)) then
+        for x = max s d + 1 to n - 1 do
+          if adj.(s).(x) && adj.(d).(x) then begin
+            counts.(s) <- counts.(s) + 1;
+            counts.(d) <- counts.(d) + 1;
+            counts.(x) <- counts.(x) + 1
+          end
+        done)
+    edges;
+  (counts, Array.fold_left ( + ) 0 counts / 3)
+
+(* The [(n, edges)] case behind a frozen graph, for the list oracles. *)
+let edges_of g = (Graph.num_vertices g, List.init (Graph.num_edges g) (fun i -> (Graph.edge_src g i, Graph.edge_dst g i)))
 
 (* A deterministic pseudo-random directed graph for property tests. *)
 let random_graph ~seed ~n ~m =
@@ -30,9 +74,7 @@ let print_small_graph (n, edges) =
   Printf.sprintf "n=%d edges=[%s]" n
     (String.concat ";" (List.map (fun (s, d) -> Printf.sprintf "(%d,%d)" s d) edges))
 
-let build (n, edges) =
-  let el = Edge_list.of_list edges in
-  Graph.of_edge_list ~n (Edge_list.dedup el)
+let build (n, edges) = Graph.of_edge_list ~n (Edge_list.dedup (edge_list edges))
 
 (* [random_graph] without the cleaning: self-loops, parallel and
    reciprocal edges all stay. *)

@@ -45,6 +45,12 @@
    - unused-export         a .mli [val] never referenced by module name
                            anywhere in the tree; delete the export (not
                            waivable: dead surface is removed, not kept).
+                           Directories passed with [--use-only] count as
+                           callers. The @lint rule passes test/ among
+                           them while a few lib/ exports are test hooks;
+                           tools/verify.sh lints again without test/ and
+                           accepts only the hooks it lists, and once
+                           that list is empty @lint drops test/ too.
 
    Exit status: 0 when clean, 1 otherwise. [--json FILE] also writes
    the findings as a JSON artifact. [--effects] dumps the effect
@@ -1001,10 +1007,15 @@ let read_file path =
   close_in ic;
   s
 
+(* Dot entries are skipped: inside _build they are dune's object
+   directories, whose temporary files can vanish between [readdir] and
+   [is_directory] while the compiler runs beside the linter. *)
 let rec walk_dir dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then []
   else
-    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun entry -> entry.[0] <> '.')
+    |> List.sort String.compare
     |> List.concat_map (fun entry ->
            let path = Filename.concat dir entry in
            if Sys.is_directory path then walk_dir path else [ path ])

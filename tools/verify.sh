@@ -42,6 +42,67 @@ grep -q '"clean":true' _build/default/lint.json || {
   exit 1
 }
 
+echo "== lint ratchet (lib/ exports with no caller outside test/)"
+# @lint counts test/ as a caller. This pass does not, so every lib/
+# export needs a caller in lib/, bin/, bench/ or examples/, or a line in
+# this list: a test hook that a check-the-checker test needs and no
+# public path reaches, or a keeper for an open ROADMAP item. A new
+# test-only export fails here, and so does a listed name that no longer
+# needs listing. Once the list is empty, drop --use-only test from @lint.
+#   Ownership.epoch/writes_seen/reads_seen  races "ownership clean"
+#   Pgraph_check.view_of_pgraph/validate_view  check "pgraph: edge
+#     coverage" and the other corrupted-view cases
+#   Race_check.seeded_foreign_write/seeded_premature_read  races
+#     "seeded foreign write caught", "seeded premature read caught"
+#   Dyn_check.graph_identity  dynamic "dyn check catches bad graph"
+#   Clock.fixed/counter, Metric.time  ROADMAP item 2 (wall-clock spans)
+lint_hooks="Ownership.epoch Ownership.writes_seen Ownership.reads_seen
+Pgraph_check.view_of_pgraph Pgraph_check.validate_view
+Race_check.seeded_foreign_write Race_check.seeded_premature_read
+Dyn_check.graph_identity Clock.fixed Clock.counter Metric.time"
+lint_out=$(_build/default/tools/lint/lint.exe --use-only bench --use-only examples lib bin 2>&1 || true)
+lint_found=$(echo "$lint_out" | sed -n 's/.*\[unused-export\] \([A-Za-z0-9_.]*\) is exported.*/\1/p')
+lint_bad=""
+for name in $lint_found; do
+  case " $(echo $lint_hooks) " in
+  *" $name "*) ;;
+  *) lint_bad="$lint_bad $name" ;;
+  esac
+done
+for name in $lint_hooks; do
+  case " $(echo $lint_found) " in
+  *" $name "*) ;;
+  *) lint_bad="$lint_bad $name(listed-but-not-reported)" ;;
+  esac
+done
+if [ -n "$lint_bad" ] || echo "$lint_out" | grep ': \[' | grep -qv '\[unused-export\]'; then
+  echo "lint ratchet: unexpected findings:$lint_bad" >&2
+  echo "$lint_out" >&2
+  exit 1
+fi
+
+echo "== hostile edge-list files (structured error, exit 2, never an uncaught exception)"
+# each file names itself and the bad line in a one-line usage error
+hdir=$(mktemp -d)
+printf 'a\tb\n' >"$hdir/tab.edges"
+printf '0 1\n1 x\n' >"$hdir/word.edges"
+printf -- '-3 2\n' >"$hdir/negative.edges"
+printf '0 4611686018427387900\n' >"$hdir/huge.edges"
+for f in tab:1 word:2 negative:1 huge:1; do
+  file="$hdir/${f%%:*}.edges"
+  set +e
+  out=$(_build/default/bin/cutfit_cli.exe characterize "$file" 2>&1)
+  got=$?
+  set -e
+  if [ "$got" != 2 ] || echo "$out" | grep -q "internal error" ||
+    ! echo "$out" | grep -qF "$file:${f#*:}: "; then
+    echo "characterize $file: want exit 2 and '$file:${f#*:}: ...', got exit $got:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+rm -rf "$hdir"
+
 echo "== paranoid sanitizer pass"
 dune exec bin/cutfit_cli.exe -- check PR roadnet_pa
 dune exec bin/cutfit_cli.exe -- run CC roadnet_pa --paranoid >/dev/null
