@@ -38,15 +38,13 @@ module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
 module B1 = Bigarray.Array1
 
-let chunk = 4096
-
 let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
   let n = c.Csr.num_vertices in
   let parts = c.Csr.num_partitions in
   let part_off = c.Csr.part_off in
   let esrc = c.Csr.edge_src and edst = c.Csr.edge_dst in
   let sslot = c.Csr.src_slot and dslot = c.Csr.dst_slot in
-  let red_off = c.Csr.red_off and red_slot = c.Csr.red_slot in
+  let group_off = c.Csr.group_off and slot_vertex = c.Csr.slot_vertex in
   let iacc = c.Csr.iacc and has = c.Csr.has in
   let label = B1.create Bigarray.int Bigarray.c_layout n in
   for v = 0 to n - 1 do
@@ -54,7 +52,7 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
   done;
   let cur = ref (Bytes.make n '\001') in
   let nxt = ref (Bytes.make n '\000') in
-  let nchunks = (n + chunk - 1) / chunk in
+  let nchunks = c.Csr.num_chunks in
   let chunk_touched = Array.make (max nchunks 1) 0 in
   let contribute slot m =
     if Bytes.unsafe_get has slot = '\000' then begin
@@ -76,25 +74,25 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
   in
   let reduce ch =
     let next = !nxt in
-    let lo = ch * chunk and hi = min n ((ch * chunk) + chunk) in
+    let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
+    (* [next] doubles as the chunk's got-a-message flags; [min] folds
+       straight into the label. *)
+    Bytes.fill next lo (hi - lo) '\000';
     let touched = ref 0 in
-    for v = lo to hi - 1 do
-      let best = ref max_int and got = ref false in
-      for i = B1.unsafe_get red_off v to B1.unsafe_get red_off (v + 1) - 1 do
-        let slot = B1.unsafe_get red_slot i in
+    for p = 0 to parts - 1 do
+      let grp = (p * nchunks) + ch in
+      for slot = B1.unsafe_get group_off grp to B1.unsafe_get group_off (grp + 1) - 1 do
         if Bytes.unsafe_get has slot <> '\000' then begin
           Bytes.unsafe_set has slot '\000';
-          got := true;
+          let v = B1.unsafe_get slot_vertex slot in
+          if Bytes.unsafe_get next v = '\000' then begin
+            Bytes.unsafe_set next v '\001';
+            incr touched
+          end;
           let m = B1.unsafe_get iacc slot in
-          if m < !best then best := m
+          if m < B1.unsafe_get label v then B1.unsafe_set label v m
         end
-      done;
-      if !got then begin
-        if !best < B1.unsafe_get label v then B1.unsafe_set label v !best;
-        Bytes.unsafe_set next v '\001';
-        incr touched
-      end
-      else Bytes.unsafe_set next v '\000'
+      done
     done;
     chunk_touched.(ch) <- !touched
   in

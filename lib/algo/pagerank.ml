@@ -36,19 +36,16 @@ let run ?(iterations = 10) ?scale ?cost ?checkpoint_every ?faults ?speculation ?
    The same superstep recurrence as [program], on the flat Csr layout:
    scatter accumulates each partition's rank shares into the
    partition's own accumulator-slot range (a left fold in edge order,
-   exactly the boxed engine's local combiner), reduce folds every
-   vertex's slots in ascending partition order (the boxed engine's
-   cross-partition merge order) and applies the damped update. Both
-   phases write only item-owned state, so the result is bit-identical
-   to [run]'s ranks at any domain count. *)
+   exactly the boxed engine's local combiner); reduce walks a vertex
+   chunk's slot groups in ascending partition order, so every vertex
+   folds its slots in the boxed engine's cross-partition merge order,
+   and then applies the damped update. Both phases write only
+   item-owned state, so the result is bit-identical to [run]'s ranks
+   at any domain count. *)
 
 module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
 module B1 = Bigarray.Array1
-
-(* Vertices per reduce work item: big enough to amortize dispatch,
-   small enough to load-balance across domains. *)
-let chunk = 4096
 
 let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
   let n = c.Csr.num_vertices in
@@ -57,14 +54,14 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
   let esrc = c.Csr.edge_src and edst = c.Csr.edge_dst in
   let dslot = c.Csr.dst_slot in
   let out_deg = c.Csr.out_deg in
-  let red_off = c.Csr.red_off and red_slot = c.Csr.red_slot in
+  let group_off = c.Csr.group_off and slot_vertex = c.Csr.slot_vertex in
   let facc = c.Csr.facc and has = c.Csr.has in
   let rank = B1.create Bigarray.float64 Bigarray.c_layout n in
   B1.fill rank 1.0;
   (* After the boxed engine's superstep 0 every vertex is active. *)
   let cur = ref (Bytes.make n '\001') in
   let nxt = ref (Bytes.make n '\000') in
-  let nchunks = (n + chunk - 1) / chunk in
+  let nchunks = c.Csr.num_chunks in
   let chunk_touched = Array.make (max nchunks 1) 0 in
   let scatter p =
     let a = !cur in
@@ -86,27 +83,29 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
   in
   let reduce ch =
     let next = !nxt in
-    let lo = ch * chunk and hi = min n ((ch * chunk) + chunk) in
+    let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
+    (* [next] doubles as the chunk's got-a-message flags, and [rank]
+       holds a vertex's running total until the update below. *)
+    Bytes.fill next lo (hi - lo) '\000';
     let touched = ref 0 in
-    for v = lo to hi - 1 do
-      let total = ref 0.0 and got = ref false in
-      for i = B1.unsafe_get red_off v to B1.unsafe_get red_off (v + 1) - 1 do
-        let slot = B1.unsafe_get red_slot i in
+    for p = 0 to parts - 1 do
+      let grp = (p * nchunks) + ch in
+      for slot = B1.unsafe_get group_off grp to B1.unsafe_get group_off (grp + 1) - 1 do
         if Bytes.unsafe_get has slot <> '\000' then begin
           Bytes.unsafe_set has slot '\000';
-          if !got then total := !total +. B1.unsafe_get facc slot
-          else begin
-            got := true;
-            total := B1.unsafe_get facc slot
+          let v = B1.unsafe_get slot_vertex slot in
+          if Bytes.unsafe_get next v = '\000' then begin
+            Bytes.unsafe_set next v '\001';
+            incr touched;
+            B1.unsafe_set rank v (B1.unsafe_get facc slot)
           end
+          else B1.unsafe_set rank v (B1.unsafe_get rank v +. B1.unsafe_get facc slot)
         end
-      done;
-      if !got then begin
-        B1.unsafe_set rank v (0.15 +. (0.85 *. !total));
-        Bytes.unsafe_set next v '\001';
-        incr touched
-      end
-      else Bytes.unsafe_set next v '\000'
+      done
+    done;
+    for v = lo to hi - 1 do
+      if Bytes.unsafe_get next v <> '\000' then
+        B1.unsafe_set rank v (0.15 +. (0.85 *. B1.unsafe_get rank v))
     done;
     chunk_touched.(ch) <- !touched
   in

@@ -32,9 +32,6 @@ type result = { per_vertex : int array; total : int; trace : Trace.t }
 module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
 
-let csr_chunk = 4096
-let num_chunks n = (n + csr_chunk - 1) / csr_chunk
-
 let scatter_csr pool ~domains (c : Csr.t) =
   let g = c.Csr.graph in
   let n = c.Csr.num_vertices in
@@ -45,7 +42,7 @@ let scatter_csr pool ~domains (c : Csr.t) =
     let counts = worker_counts.(w) and mark = worker_marks.(w) in
     (* Unchecked reads: [off] is monotone with [off.(n) = length up]
        and every id in [up] is below [n]. *)
-    for u = ch * csr_chunk to min n ((ch * csr_chunk) + csr_chunk) - 1 do
+    for u = ch * Csr.chunk to min n ((ch * Csr.chunk) + Csr.chunk) - 1 do
       let u_lo = Array.unsafe_get off u and u_hi = Array.unsafe_get off (u + 1) in
       for i = u_lo to u_hi - 1 do
         mark.(Array.unsafe_get up i) <- u
@@ -68,14 +65,14 @@ let scatter_csr pool ~domains (c : Csr.t) =
       done
     done
   in
-  Par_exec.iter pool ~n:(num_chunks n) scatter;
+  Par_exec.iter pool ~n:c.Csr.num_chunks scatter;
   worker_counts
 
 let run_csr ?(domains = 1) (c : Csr.t) =
   let n = c.Csr.num_vertices in
   let per_vertex = Array.make n 0 in
   let reduce worker_counts ch =
-    let lo = ch * csr_chunk and hi = min n ((ch * csr_chunk) + csr_chunk) in
+    let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
     for v = lo to hi - 1 do
       let total = ref 0 in
       for w = 0 to domains - 1 do
@@ -86,7 +83,7 @@ let run_csr ?(domains = 1) (c : Csr.t) =
   in
   Par_exec.with_pool ~domains (fun pool ->
       let worker_counts = scatter_csr pool ~domains c in
-      Par_exec.iter pool ~n:(num_chunks n) (fun _ ch -> reduce worker_counts ch));
+      Par_exec.iter pool ~n:c.Csr.num_chunks (fun _ ch -> reduce worker_counts ch));
   (per_vertex, Array.fold_left ( + ) 0 per_vertex / 3)
 
 let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~cluster pg =

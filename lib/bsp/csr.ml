@@ -17,8 +17,8 @@ type t = {
   dst_slot : int_buf;
   slot_off : int_buf;
   slot_vertex : int_buf;
-  red_off : int_buf;
-  red_slot : int_buf;
+  num_chunks : int;
+  group_off : int_buf;
   out_deg : int_buf;
   facc : float_buf;
   iacc : int_buf;
@@ -27,6 +27,8 @@ type t = {
 
 let int_buf len : int_buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
 let float_buf len : float_buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
+
+let chunk = 4096
 
 let build pg =
   let g = Pgraph.graph pg in
@@ -38,63 +40,72 @@ let build pg =
   let slot_off = int_buf (num_partitions + 1) in
   part_off.{0} <- 0;
   slot_off.{0} <- 0;
+  let max_local = ref 0 in
   for p = 0 to num_partitions - 1 do
     part_off.{p + 1} <- part_off.{p} + Pgraph.num_edges_of_partition pg p;
-    slot_off.{p + 1} <- slot_off.{p} + Pgraph.local_vertices pg p
+    slot_off.{p + 1} <- slot_off.{p} + Pgraph.local_vertices pg p;
+    max_local := max !max_local (Pgraph.local_vertices pg p)
   done;
   if part_off.{num_partitions} <> m then invalid_arg "Csr.build: edge total mismatch";
   if slot_off.{num_partitions} <> s then invalid_arg "Csr.build: slot total mismatch";
   let edge_src = int_buf m and edge_dst = int_buf m in
   let src_slot = int_buf m and dst_slot = int_buf m in
   let slot_vertex = int_buf s in
-  (* One pass over the edges in partition order: assign each distinct
-     (partition, vertex) pair the next slot in the partition's range
-     (first-touch order, the same order Pgraph's own stamping pass
-     uses) and resolve both endpoint slots of every edge. *)
+  let num_chunks = (n + chunk - 1) / chunk in
+  let group_off = int_buf ((num_partitions * num_chunks) + 1) in
+  group_off.{num_partitions * num_chunks} <- s;
+  (* Per partition: one pass over its edges lists the distinct vertices
+     in first-touch order (the order Pgraph's own stamping pass uses)
+     and counts them per reduce chunk; the counts become the group
+     starts, each vertex takes the next slot of its chunk's group, and
+     a second pass resolves both endpoint slots of every edge. *)
   let mark = Array.make n (-1) in
   let vertex_slot = Array.make n 0 in
-  let red_count = Array.make n 0 in
+  let first_touch = Array.make !max_local 0 in
+  let cursor = Array.make num_chunks 0 in
   let pg_off = Pgraph.part_off pg and pg_edges = Pgraph.part_edges pg in
   let gsrc = Graph.src_array g and gdst = Graph.dst_array g in
   for p = 0 to num_partitions - 1 do
-    let scur = ref slot_off.{p} in
-    let slot_of v =
+    let local = ref 0 in
+    let touch v =
       if mark.(v) <> p then begin
         mark.(v) <- p;
-        vertex_slot.(v) <- !scur;
-        slot_vertex.{!scur} <- v;
-        red_count.(v) <- red_count.(v) + 1;
-        incr scur
-      end;
-      vertex_slot.(v)
+        first_touch.(!local) <- v;
+        incr local;
+        let ch = v / chunk in
+        cursor.(ch) <- cursor.(ch) + 1
+      end
     in
     for i = pg_off.(p) to pg_off.(p + 1) - 1 do
       let e = pg_edges.(i) in
       let src = gsrc.(e) and dst = gdst.(e) in
-      let ss = slot_of src in
-      let ds = slot_of dst in
+      touch src;
+      touch dst;
       edge_src.{i} <- src;
-      edge_dst.{i} <- dst;
-      src_slot.{i} <- ss;
-      dst_slot.{i} <- ds
+      edge_dst.{i} <- dst
     done;
-    if !scur <> slot_off.{p + 1} then invalid_arg "Csr.build: local vertex table mismatch"
-  done;
-  (* Reduction table: slots are numbered ascending by partition, so
-     scanning them in order appends each vertex's slots in ascending
-     partition order — the fixed reduction order. *)
-  let red_off = int_buf (n + 1) in
-  red_off.{0} <- 0;
-  for v = 0 to n - 1 do
-    red_off.{v + 1} <- red_off.{v} + red_count.(v)
-  done;
-  if red_off.{n} <> s then invalid_arg "Csr.build: reduction table mismatch";
-  let red_slot = int_buf s in
-  let rcur = Array.init n (fun v -> red_off.{v}) in
-  for slot = 0 to s - 1 do
-    let v = slot_vertex.{slot} in
-    red_slot.{rcur.(v)} <- slot;
-    rcur.(v) <- rcur.(v) + 1
+    if slot_off.{p} + !local <> slot_off.{p + 1} then
+      invalid_arg "Csr.build: local vertex table mismatch";
+    let start = ref slot_off.{p} in
+    for ch = 0 to num_chunks - 1 do
+      group_off.{(p * num_chunks) + ch} <- !start;
+      let size = cursor.(ch) in
+      cursor.(ch) <- !start;
+      start := !start + size
+    done;
+    for j = 0 to !local - 1 do
+      let v = first_touch.(j) in
+      let ch = v / chunk in
+      let slot = cursor.(ch) in
+      cursor.(ch) <- slot + 1;
+      vertex_slot.(v) <- slot;
+      slot_vertex.{slot} <- v
+    done;
+    Array.fill cursor 0 num_chunks 0;
+    for i = pg_off.(p) to pg_off.(p + 1) - 1 do
+      src_slot.{i} <- vertex_slot.(edge_src.{i});
+      dst_slot.{i} <- vertex_slot.(edge_dst.{i})
+    done
   done;
   let out_deg = int_buf n in
   for v = 0 to n - 1 do
@@ -117,8 +128,8 @@ let build pg =
     dst_slot;
     slot_off;
     slot_vertex;
-    red_off;
-    red_slot;
+    num_chunks;
+    group_off;
     out_deg;
     facc;
     iacc;

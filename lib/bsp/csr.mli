@@ -18,18 +18,25 @@
       line across partitions), [slot_vertex] maps a slot back to its
       vertex, and [src_slot]/[dst_slot] precompute each edge's endpoint
       slots so the hot loop never searches;
-    - [red_off]/[red_slot]: the {e reduction table} — each vertex's
-      slots in ascending partition order. Reducing a vertex by folding
-      this list left-to-right reproduces the boxed engines' fixed
-      cross-partition merge order bit-for-bit, at any domain count;
+    - [group_off]: inside its range, a partition's slots are grouped by
+      reduce chunk (vertices [\[ch * chunk, (ch + 1) * chunk)]), in
+      ascending chunk order, first-touch order within a group. Group
+      (p, ch) is [\[group_off (p * num_chunks + ch), group_off (p *
+      num_chunks + ch + 1))]. A chunk's reduce scans its groups for p =
+      0, 1, …, P-1; a vertex has one slot per partition, so it folds its
+      slots in ascending partition order — the boxed engines' fixed
+      cross-partition merge order, bit-for-bit, at any domain count;
     - [facc]/[iacc]/[has]: the preallocated message buffers (one float,
       one int and one occupancy byte per slot). Kernels must leave
       [has] all-zero on return; runs on one [t] must not overlap.
 
     The graph is unweighted (SSSP counts hops), so no edge-weight array
     is materialized; adding one is a matter of another [float_buf] in
-    partition edge order. Total footprint is O(E + S) words where S =
-    {!Pgraph.total_replicas}. *)
+    partition edge order. With S = {!Pgraph.total_replicas}, the
+    footprint is 4E + 3S + n + P * ceil(n / chunk) + O(P) words plus S
+    occupancy bytes: O(E + S) while P stays below [chunk], and n + S
+    words less than a per-vertex reduction list (offsets plus slot
+    ids) would need. *)
 
 type int_buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -47,14 +54,23 @@ type t = private {
   src_slot : int_buf;  (** [E]: accumulator slot of (owning partition, src) *)
   dst_slot : int_buf;  (** [E]: accumulator slot of (owning partition, dst) *)
   slot_off : int_buf;  (** [P+1]: partition [p]'s slots are [\[slot_off p, slot_off (p+1))] *)
-  slot_vertex : int_buf;  (** [S]: vertex of each slot, first-touch order within partition *)
-  red_off : int_buf;  (** [n+1]: vertex [v]'s slots are [\[red_off v, red_off (v+1))] *)
-  red_slot : int_buf;  (** [S]: each vertex's slots, ascending partition index *)
+  slot_vertex : int_buf;
+      (** [S]: vertex of each slot; within a partition, grouped by chunk
+          ascending, first-touch order within a group *)
+  num_chunks : int;  (** [ceil (n / chunk)]: reduce work items *)
+  group_off : int_buf;
+      (** [P * num_chunks + 1]: group (p, ch) starts at [group_off (p *
+          num_chunks + ch)]; the last entry is [S] *)
   out_deg : int_buf;  (** [n]: out-degree in the underlying graph *)
   facc : float_buf;  (** [S]: preallocated float message buffer *)
   iacc : int_buf;  (** [S]: preallocated int message buffer *)
   has : Bytes.t;  (** [S]: slot occupancy; all-zero between runs *)
 }
+
+val chunk : int
+(** Vertices per reduce work item (4096): big enough to amortize
+    dispatch, small enough to load-balance across domains. Every
+    chunked kernel phase uses it. *)
 
 val build : Pgraph.t -> t
 (** [build pg] freezes the partitioned graph; O(E + S) time and a

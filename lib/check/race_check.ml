@@ -28,9 +28,6 @@ let seed_corruption own ~corruption ~step ~worker ~item =
           Ownership.read own ~worker ~item 0
         end
 
-(* Same vertices-per-reduce-item constant as the production kernels. *)
-let chunk = 4096
-
 (* --- instrumented kernels -----------------------------------------
 
    Line-for-line mirrors of the [run_csr] kernels in [Cutfit_algo],
@@ -51,13 +48,13 @@ let pagerank_instr ?(iterations = 10) ~domains ~corruption (c : Csr.t) =
   let esrc = c.Csr.edge_src and edst = c.Csr.edge_dst in
   let dslot = c.Csr.dst_slot in
   let out_deg = c.Csr.out_deg in
-  let red_off = c.Csr.red_off and red_slot = c.Csr.red_slot in
+  let group_off = c.Csr.group_off and slot_vertex = c.Csr.slot_vertex in
   let facc = c.Csr.facc and has = c.Csr.has in
   let rank = B1.create Bigarray.float64 Bigarray.c_layout n in
   B1.fill rank 1.0;
   let cur = ref (Bytes.make n '\001') in
   let nxt = ref (Bytes.make n '\000') in
-  let nchunks = (n + chunk - 1) / chunk in
+  let nchunks = c.Csr.num_chunks in
   let chunk_touched = Array.make (max nchunks 1) 0 in
   let step = ref 1 in
   let scatter w p =
@@ -82,28 +79,28 @@ let pagerank_instr ?(iterations = 10) ~domains ~corruption (c : Csr.t) =
   in
   let reduce w ch =
     let next = !nxt in
-    let lo = ch * chunk and hi = min n ((ch * chunk) + chunk) in
+    let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
+    Bytes.fill next lo (hi - lo) '\000';
     let touched = ref 0 in
-    for v = lo to hi - 1 do
-      let total = ref 0.0 and got = ref false in
-      for i = B1.unsafe_get red_off v to B1.unsafe_get red_off (v + 1) - 1 do
-        let slot = B1.unsafe_get red_slot i in
+    for p = 0 to parts - 1 do
+      let grp = (p * nchunks) + ch in
+      for slot = B1.unsafe_get group_off grp to B1.unsafe_get group_off (grp + 1) - 1 do
         if Bytes.unsafe_get has slot <> '\000' then begin
           Ownership.read own ~worker:w ~item:ch slot;
           Bytes.unsafe_set has slot '\000';
-          if !got then total := !total +. B1.unsafe_get facc slot
-          else begin
-            got := true;
-            total := B1.unsafe_get facc slot
+          let v = B1.unsafe_get slot_vertex slot in
+          if Bytes.unsafe_get next v = '\000' then begin
+            Bytes.unsafe_set next v '\001';
+            incr touched;
+            B1.unsafe_set rank v (B1.unsafe_get facc slot)
           end
+          else B1.unsafe_set rank v (B1.unsafe_get rank v +. B1.unsafe_get facc slot)
         end
-      done;
-      if !got then begin
-        B1.unsafe_set rank v (0.15 +. (0.85 *. !total));
-        Bytes.unsafe_set next v '\001';
-        incr touched
-      end
-      else Bytes.unsafe_set next v '\000'
+      done
+    done;
+    for v = lo to hi - 1 do
+      if Bytes.unsafe_get next v <> '\000' then
+        B1.unsafe_set rank v (0.15 +. (0.85 *. B1.unsafe_get rank v))
     done;
     chunk_touched.(ch) <- !touched
   in
@@ -127,7 +124,7 @@ let cc_instr ?(iterations = 10) ~domains (c : Csr.t) =
   let part_off = c.Csr.part_off in
   let esrc = c.Csr.edge_src and edst = c.Csr.edge_dst in
   let sslot = c.Csr.src_slot and dslot = c.Csr.dst_slot in
-  let red_off = c.Csr.red_off and red_slot = c.Csr.red_slot in
+  let group_off = c.Csr.group_off and slot_vertex = c.Csr.slot_vertex in
   let iacc = c.Csr.iacc and has = c.Csr.has in
   let label = B1.create Bigarray.int Bigarray.c_layout n in
   for v = 0 to n - 1 do
@@ -135,7 +132,7 @@ let cc_instr ?(iterations = 10) ~domains (c : Csr.t) =
   done;
   let cur = ref (Bytes.make n '\001') in
   let nxt = ref (Bytes.make n '\000') in
-  let nchunks = (n + chunk - 1) / chunk in
+  let nchunks = c.Csr.num_chunks in
   let chunk_touched = Array.make (max nchunks 1) 0 in
   let contribute w p slot m =
     Ownership.write own ~worker:w ~item:p slot;
@@ -158,26 +155,24 @@ let cc_instr ?(iterations = 10) ~domains (c : Csr.t) =
   in
   let reduce w ch =
     let next = !nxt in
-    let lo = ch * chunk and hi = min n ((ch * chunk) + chunk) in
+    let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
+    Bytes.fill next lo (hi - lo) '\000';
     let touched = ref 0 in
-    for v = lo to hi - 1 do
-      let best = ref max_int and got = ref false in
-      for i = B1.unsafe_get red_off v to B1.unsafe_get red_off (v + 1) - 1 do
-        let slot = B1.unsafe_get red_slot i in
+    for p = 0 to parts - 1 do
+      let grp = (p * nchunks) + ch in
+      for slot = B1.unsafe_get group_off grp to B1.unsafe_get group_off (grp + 1) - 1 do
         if Bytes.unsafe_get has slot <> '\000' then begin
           Ownership.read own ~worker:w ~item:ch slot;
           Bytes.unsafe_set has slot '\000';
-          got := true;
+          let v = B1.unsafe_get slot_vertex slot in
+          if Bytes.unsafe_get next v = '\000' then begin
+            Bytes.unsafe_set next v '\001';
+            incr touched
+          end;
           let m = B1.unsafe_get iacc slot in
-          if m < !best then best := m
+          if m < B1.unsafe_get label v then B1.unsafe_set label v m
         end
-      done;
-      if !got then begin
-        if !best < B1.unsafe_get label v then B1.unsafe_set label v !best;
-        Bytes.unsafe_set next v '\001';
-        incr touched
-      end
-      else Bytes.unsafe_set next v '\000'
+      done
     done;
     chunk_touched.(ch) <- !touched
   in
@@ -204,7 +199,7 @@ let sssp_instr ?(max_supersteps = 2000) ~domains ~landmarks (c : Csr.t) =
   let part_off = c.Csr.part_off in
   let esrc = c.Csr.edge_src and edst = c.Csr.edge_dst in
   let sslot = c.Csr.src_slot in
-  let red_off = c.Csr.red_off and red_slot = c.Csr.red_slot in
+  let group_off = c.Csr.group_off and slot_vertex = c.Csr.slot_vertex in
   let has = c.Csr.has in
   let infinity_dist = max_int in
   let dist = B1.create Bigarray.int Bigarray.c_layout (n * k) in
@@ -213,7 +208,7 @@ let sssp_instr ?(max_supersteps = 2000) ~domains ~landmarks (c : Csr.t) =
   let macc = B1.create Bigarray.int Bigarray.c_layout (c.Csr.num_slots * k) in
   let cur = ref (Bytes.make n '\001') in
   let nxt = ref (Bytes.make n '\000') in
-  let nchunks = (n + chunk - 1) / chunk in
+  let nchunks = c.Csr.num_chunks in
   let chunk_touched = Array.make (max nchunks 1) 0 in
   let scatter w p =
     let a = !cur in
@@ -250,29 +245,27 @@ let sssp_instr ?(max_supersteps = 2000) ~domains ~landmarks (c : Csr.t) =
   in
   let reduce w ch =
     let next = !nxt in
-    let lo = ch * chunk and hi = min n ((ch * chunk) + chunk) in
+    let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
+    Bytes.fill next lo (hi - lo) '\000';
     let touched = ref 0 in
-    for v = lo to hi - 1 do
-      let got = ref false in
-      let vbase = v * k in
-      for i = B1.unsafe_get red_off v to B1.unsafe_get red_off (v + 1) - 1 do
-        let slot = B1.unsafe_get red_slot i in
+    for p = 0 to parts - 1 do
+      let grp = (p * nchunks) + ch in
+      for slot = B1.unsafe_get group_off grp to B1.unsafe_get group_off (grp + 1) - 1 do
         if Bytes.unsafe_get has slot <> '\000' then begin
           Ownership.read own ~worker:w ~item:ch slot;
           Bytes.unsafe_set has slot '\000';
-          got := true;
-          let mbase = slot * k in
+          let v = B1.unsafe_get slot_vertex slot in
+          if Bytes.unsafe_get next v = '\000' then begin
+            Bytes.unsafe_set next v '\001';
+            incr touched
+          end;
+          let mbase = slot * k and vbase = v * k in
           for j = 0 to k - 1 do
             let m = B1.unsafe_get macc (mbase + j) in
             if m < B1.unsafe_get dist (vbase + j) then B1.unsafe_set dist (vbase + j) m
           done
         end
-      done;
-      if !got then begin
-        Bytes.unsafe_set next v '\001';
-        incr touched
-      end
-      else Bytes.unsafe_set next v '\000'
+      done
     done;
     chunk_touched.(ch) <- !touched
   in
@@ -298,9 +291,9 @@ let triangle_instr ~domains (c : Csr.t) =
   let own = Csr.shadow ~vertex_space:true ~workers:domains c in
   let n = c.Csr.num_vertices in
   let per_vertex = Array.make n 0 in
-  let nchunks = (n + chunk - 1) / chunk in
+  let nchunks = c.Csr.num_chunks in
   let reduce worker_counts w ch =
-    let lo = ch * chunk and hi = min n ((ch * chunk) + chunk) in
+    let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
     for v = lo to hi - 1 do
       let total = ref 0 in
       for u = 0 to domains - 1 do

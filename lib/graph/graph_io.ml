@@ -49,7 +49,15 @@ let load path =
           let max_id = ref (-1) in
           let rec go lineno =
             match input_line ic with
-            | exception End_of_file -> Ok (Graph.of_edge_list ~n:(!max_id + 1) el)
+            | exception End_of_file -> (
+                (* A legal id can still ask for more vertex-array words
+                   than the process may allocate. *)
+                match Graph.of_edge_list ~n:(!max_id + 1) el with
+                | g -> Ok g
+                | exception Out_of_memory ->
+                    Error
+                      (Printf.sprintf "%s: vertex id %d needs %d vertices, which do not fit in memory"
+                         path !max_id (!max_id + 1)))
             | exception Sys_error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg)
             | line -> (
                 match parse_line line with

@@ -13,7 +13,9 @@ val load : string -> (Graph.t, string) result
     tab-separated ids are both accepted. [Error] names the path, the
     line and the reason for a malformed line (not two fields, an id
     that is not an integer, is negative or needs a vertex count above
-    [Sys.max_array_length]) or an unreadable file; no input raises. *)
+    [Sys.max_array_length]) or an unreadable file, and names the path
+    and the largest id when its vertex arrays cannot be allocated; no
+    input raises. *)
 
 val size_bytes : Graph.t -> int
 (** Exact byte size the edge list would occupy on disk via {!save}, in

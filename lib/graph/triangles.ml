@@ -1,64 +1,37 @@
-(* Degree-ordered triangle enumeration: orient each undirected edge from
-   its lower-ranked endpoint to the higher-ranked one (rank = (degree,
-   id)), then intersect the oriented adjacency of each edge's endpoints.
-   O(m^{3/2}) worst case, much faster on power-law graphs. *)
-
-let oriented g =
-  let und = Graph.symmetrize g in
-  let n = Graph.num_vertices und in
-  let rank u v =
-    let du = Graph.out_degree und u and dv = Graph.out_degree und v in
-    du < dv || (du = dv && u < v)
-  in
-  let counts = Array.make n 0 in
-  Graph.iter_edges und (fun ~src ~dst -> if rank src dst then counts.(src) <- counts.(src) + 1);
-  let off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v) + counts.(v)
-  done;
-  let adj = Array.make off.(n) 0 in
-  let cursor = Array.copy off in
-  (* [symmetrize]'s edges come in ascending (src, dst) order, so each
-     oriented slice fills in ascending order and needs no sort. *)
-  Graph.iter_edges und (fun ~src ~dst ->
-      if rank src dst then begin
-        adj.(cursor.(src)) <- dst;
-        cursor.(src) <- cursor.(src) + 1
-      end);
-  (und, off, adj)
-
-let fold_triangles g f =
-  let und, off, adj = oriented g in
-  let n = Graph.num_vertices und in
+(* Forward count in vertex-id order over the upper-neighbour view
+   (each vertex's distinct undirected neighbours above it): for u
+   ascending, stamp up(u) with u in a mark array, then each x in up(v),
+   for v in up(u), that carries u's stamp closes the triangle u < v < x.
+   Every distinct triangle is found exactly once, whatever the edge
+   directions, parallel copies or self-loops. *)
+let count_view n (off, up) =
+  let mark = Array.make n (-1) in
+  let total = ref 0 in
   for u = 0 to n - 1 do
     for i = off.(u) to off.(u + 1) - 1 do
-      let v = adj.(i) in
-      (* Merge-intersect adj+(u) and adj+(v); both slices are sorted. *)
-      let a = ref off.(u) and b = ref off.(v) in
-      while !a < off.(u + 1) && !b < off.(v + 1) do
-        let x = adj.(!a) and y = adj.(!b) in
-        if x = y then begin
-          f u v x;
-          incr a;
-          incr b
-        end
-        else if x < y then incr a
-        else incr b
+      mark.(up.(i)) <- u
+    done;
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = up.(i) in
+      for j = off.(v) to off.(v + 1) - 1 do
+        if mark.(up.(j)) = u then incr total
       done
     done
-  done
-
-let count g =
-  let total = ref 0 in
-  fold_triangles g (fun _ _ _ -> incr total);
+  done;
   !total
 
+let count g = count_view (Graph.num_vertices g) (Graph.upper_neighbours g)
+
 let global_clustering g =
-  let und = Graph.symmetrize g in
-  let n = Graph.num_vertices und in
+  let n = Graph.num_vertices g in
+  let ((off, up) as view) = Graph.upper_neighbours g in
+  (* A vertex's undirected degree: its neighbours above it plus the
+     vertices that list it above them. *)
+  let degree = Array.init n (fun v -> off.(v + 1) - off.(v)) in
+  Array.iter (fun v -> degree.(v) <- degree.(v) + 1) up;
   let wedges = ref 0.0 in
   for v = 0 to n - 1 do
-    let d = float_of_int (Graph.out_degree und v) in
+    let d = float_of_int degree.(v) in
     wedges := !wedges +. (d *. (d -. 1.0) /. 2.0)
   done;
-  if !wedges = 0.0 then 0.0 else 3.0 *. float_of_int (count g) /. !wedges
+  if !wedges = 0.0 then 0.0 else 3.0 *. float_of_int (count_view n view) /. !wedges

@@ -5,7 +5,9 @@
     Edge direction is ignored, as in GraphX's [TriangleCount]. *)
 
 val count : Graph.t -> int
-(** Total number of triangles in the undirected view of the graph. *)
+(** Total number of distinct triangles in the undirected view of the
+    graph: edge directions, parallel copies and self-loops do not
+    count. *)
 
 val global_clustering : Graph.t -> float
 (** Ratio of closed triplets: [3 * triangles / open-or-closed wedges];

@@ -58,33 +58,89 @@ let test_roundtrip_edges_in_partition_order () =
     checki "partition edge count" (B1.get csr.Csr.part_off (p + 1)) !e
   done
 
-let test_roundtrip_slots () =
+(* A graph over three reduce chunks whose last one is partial, with
+   isolated top ids and more partitions than most partitions have
+   edges, so some (partition, chunk) groups are empty and group
+   boundaries fall everywhere. *)
+let chunk_np = 512
+
+let chunk_pg =
+  let _, edges = Test_util.edges_of (Test_util.random_graph ~seed:425L ~n:9_900 ~m:20_000) in
+  let g = Test_util.graph_of_edges ~n:10_000 edges in
+  let a = Partitioner.assign (Partitioner.Hash Strategy.Rvc) ~num_partitions:chunk_np g in
+  Pgraph.build g ~num_partitions:chunk_np a
+
+let chunk_csr = Csr.build chunk_pg
+
+let check_slots pg (c : Csr.t) =
   (* Each edge's slots live in its own partition's slot range and map
-     back to the edge's endpoints; each vertex's reduction list is
-     strictly ascending (hence ascending by partition). *)
-  for p = 0 to csr.Csr.num_partitions - 1 do
+     back to the edge's endpoints. *)
+  for p = 0 to c.Csr.num_partitions - 1 do
     checki "local vertices" (Pgraph.local_vertices pg p)
-      (B1.get csr.Csr.slot_off (p + 1) - B1.get csr.Csr.slot_off p);
-    for e = B1.get csr.Csr.part_off p to B1.get csr.Csr.part_off (p + 1) - 1 do
+      (B1.get c.Csr.slot_off (p + 1) - B1.get c.Csr.slot_off p);
+    for e = B1.get c.Csr.part_off p to B1.get c.Csr.part_off (p + 1) - 1 do
       let check_slot name slot v =
         checkb (name ^ " slot in partition range") true
-          (slot >= B1.get csr.Csr.slot_off p && slot < B1.get csr.Csr.slot_off (p + 1));
-        checki (name ^ " slot vertex") v (B1.get csr.Csr.slot_vertex slot)
+          (slot >= B1.get c.Csr.slot_off p && slot < B1.get c.Csr.slot_off (p + 1));
+        checki (name ^ " slot vertex") v (B1.get c.Csr.slot_vertex slot)
       in
-      check_slot "src" (B1.get csr.Csr.src_slot e) (B1.get csr.Csr.edge_src e);
-      check_slot "dst" (B1.get csr.Csr.dst_slot e) (B1.get csr.Csr.edge_dst e)
-    done
-  done;
-  checki "reduction table covers every slot" csr.Csr.num_slots
-    (B1.get csr.Csr.red_off csr.Csr.num_vertices);
-  for v = 0 to csr.Csr.num_vertices - 1 do
-    for i = B1.get csr.Csr.red_off v to B1.get csr.Csr.red_off (v + 1) - 1 do
-      checki "slot belongs to vertex" v (B1.get csr.Csr.slot_vertex (B1.get csr.Csr.red_slot i));
-      if i > B1.get csr.Csr.red_off v then
-        checkb "ascending partition order" true
-          (B1.get csr.Csr.red_slot i > B1.get csr.Csr.red_slot (i - 1))
+      check_slot "src" (B1.get c.Csr.src_slot e) (B1.get c.Csr.edge_src e);
+      check_slot "dst" (B1.get c.Csr.dst_slot e) (B1.get c.Csr.edge_dst e)
     done
   done
+
+let check_groups (c : Csr.t) =
+  (* Group (p, ch) lists, in slot order, exactly partition p's distinct
+     endpoints in chunk ch, in the order p's edges first touch them;
+     the groups tile the slot space and each partition's groups tile
+     its slot range. *)
+  let nc = c.Csr.num_chunks in
+  checki "chunks" ((c.Csr.num_vertices + Csr.chunk - 1) / Csr.chunk) nc;
+  checki "group table size" ((c.Csr.num_partitions * nc) + 1) (B1.dim c.Csr.group_off);
+  checki "last group end" c.Csr.num_slots (B1.get c.Csr.group_off (c.Csr.num_partitions * nc));
+  let covered = Array.make c.Csr.num_slots 0 in
+  let seen = Array.make c.Csr.num_vertices (-1) in
+  for p = 0 to c.Csr.num_partitions - 1 do
+    checki "partition groups start at slot_off" (B1.get c.Csr.slot_off p)
+      (B1.get c.Csr.group_off (p * nc));
+    let first_touch = ref [] in
+    for e = B1.get c.Csr.part_off p to B1.get c.Csr.part_off (p + 1) - 1 do
+      List.iter
+        (fun v ->
+          if seen.(v) <> p then begin
+            seen.(v) <- p;
+            first_touch := v :: !first_touch
+          end)
+        [ B1.get c.Csr.edge_src e; B1.get c.Csr.edge_dst e ]
+    done;
+    let first_touch = List.rev !first_touch in
+    for ch = 0 to nc - 1 do
+      let lo = B1.get c.Csr.group_off ((p * nc) + ch) in
+      let hi = B1.get c.Csr.group_off ((p * nc) + ch + 1) in
+      checkb "group bounds ordered" true (lo <= hi);
+      let group = List.init (hi - lo) (fun i -> B1.get c.Csr.slot_vertex (lo + i)) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "group (%d, %d)" p ch)
+        (List.filter (fun v -> v / Csr.chunk = ch) first_touch)
+        group;
+      for slot = lo to hi - 1 do
+        covered.(slot) <- covered.(slot) + 1
+      done
+    done
+  done;
+  checkb "every slot in exactly one group" true (Array.for_all (fun k -> k = 1) covered)
+
+let test_roundtrip_slots () =
+  check_slots pg csr;
+  check_groups csr;
+  checki "three chunks, the last partial" 3 chunk_csr.Csr.num_chunks;
+  checkb "isolated top ids" true (Graph.out_degree (Pgraph.graph chunk_pg) 9_999 = 0);
+  checkb "a partition with fewer edges than partitions" true
+    (List.exists
+       (fun p -> Pgraph.num_edges_of_partition chunk_pg p < chunk_np)
+       (List.init chunk_np Fun.id));
+  check_slots chunk_pg chunk_csr;
+  check_groups chunk_csr
 
 let test_out_degrees () =
   for v = 0 to csr.Csr.num_vertices - 1 do
@@ -166,6 +222,19 @@ let test_engines_triangles_chunks () =
   no_violations "triangles over vertex chunks"
     (Check.Engine_check.triangle_count ~domains_counts ~cluster mpg)
 
+let test_engines_over_chunks () =
+  (* Three chunks, empty groups and isolated top ids: a reduce that
+     misses a group boundary or folds partitions out of order changes
+     ranks, labels or distances. *)
+  let cluster = Test_util.tiny_cluster ~num_partitions:chunk_np () in
+  let landmarks = Sssp.pick_landmarks ~seed:12L ~count:3 (Pgraph.graph chunk_pg) in
+  no_violations "pagerank over vertex chunks"
+    (Check.Engine_check.pagerank ~domains_counts ~cluster chunk_pg);
+  no_violations "cc over vertex chunks"
+    (Check.Engine_check.connected_components ~domains_counts ~cluster chunk_pg);
+  no_violations "sssp over vertex chunks"
+    (Check.Engine_check.shortest_paths ~domains_counts ~landmarks ~cluster chunk_pg)
+
 let test_engines_sssp () =
   let landmarks = Sssp.pick_landmarks ~seed:11L ~count:3 g in
   no_violations "sssp" (Check.Engine_check.shortest_paths ~domains_counts ~landmarks ~cluster pg)
@@ -243,7 +312,7 @@ let suite =
   [
     Alcotest.test_case "csr round-trip: sizes" `Quick test_roundtrip_sizes;
     Alcotest.test_case "csr round-trip: edge order" `Quick test_roundtrip_edges_in_partition_order;
-    Alcotest.test_case "csr round-trip: slots + reduction table" `Quick test_roundtrip_slots;
+    Alcotest.test_case "csr round-trip: slots + chunk groups" `Quick test_roundtrip_slots;
     Alcotest.test_case "csr round-trip: out degrees" `Quick test_out_degrees;
     Alcotest.test_case "engines: pagerank boxed=csr at 1/2/4 domains" `Quick test_engines_pagerank;
     Alcotest.test_case "engines: cc boxed=csr at 1/2/4 domains" `Quick test_engines_cc;
@@ -255,6 +324,8 @@ let suite =
     Alcotest.test_case "engines: triangles boxed=csr over vertex chunks" `Quick
       test_engines_triangles_chunks;
     Alcotest.test_case "engines: sssp boxed=csr at 1/2/4 domains" `Quick test_engines_sssp;
+    Alcotest.test_case "engines: pagerank/cc/sssp boxed=csr over vertex chunks" `Quick
+      test_engines_over_chunks;
     Alcotest.test_case "pagerank bits identical across domains" `Quick
       test_pagerank_bits_across_domains;
     Alcotest.test_case "run twice reuses buffers cleanly" `Quick test_run_twice_reuses_buffers;

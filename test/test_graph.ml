@@ -185,6 +185,39 @@ let prop_per_vertex_sum =
       let per_vertex, _ = Test_util.brute_force_triangles (Test_util.edges_of g) in
       Array.fold_left ( + ) 0 per_vertex = 3 * Triangles.count g)
 
+(* Distinct undirected triangles and the global clustering
+   coefficient by brute force over an adjacency matrix: direction,
+   parallel copies and self-loops do not count. *)
+let distinct_triangles (n, edges) =
+  let adj = Array.make_matrix n n false in
+  List.iter
+    (fun (s, d) ->
+      if s <> d then begin
+        adj.(s).(d) <- true;
+        adj.(d).(s) <- true
+      end)
+    edges;
+  let total = ref 0 in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      for x = v + 1 to n - 1 do
+        if adj.(u).(v) && adj.(v).(x) && adj.(u).(x) then incr total
+      done
+    done
+  done;
+  let wedges = ref 0.0 in
+  for v = 0 to n - 1 do
+    let d = float_of_int (Array.fold_left (fun k b -> if b then k + 1 else k) 0 adj.(v)) in
+    wedges := !wedges +. (d *. (d -. 1.0) /. 2.0)
+  done;
+  (!total, if !wedges = 0.0 then 0.0 else 3.0 *. float_of_int !total /. !wedges)
+
+let prop_distinct_on_multigraphs =
+  Test_util.qtest ~count:300 "triangles = distinct brute force on multigraphs"
+    ~print:Test_util.print_small_graph Test_util.small_multigraph_gen (fun ((n, edges) as case) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      (Triangles.count g, Triangles.global_clustering g) = distinct_triangles case)
+
 (* --- Diameter --- *)
 
 let test_diameter_path () =
@@ -427,4 +460,5 @@ let suite =
     Alcotest.test_case "digits at powers of ten" `Quick test_digits_at_powers_of_ten;
     prop_digits_sample;
     prop_size_bytes_oracle;
+    prop_distinct_on_multigraphs;
   ]

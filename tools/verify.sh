@@ -88,15 +88,20 @@ printf 'a\tb\n' >"$hdir/tab.edges"
 printf '0 1\n1 x\n' >"$hdir/word.edges"
 printf -- '-3 2\n' >"$hdir/negative.edges"
 printf '0 4611686018427387900\n' >"$hdir/huge.edges"
-for f in tab:1 word:2 negative:1 huge:1; do
+# a legal id whose vertex arrays do not fit a 2 GB address space
+printf '0 1000000000000\n' >"$hdir/oom.edges"
+for f in tab:1: word:2: negative:1: huge:1: "oom: vertex id 1000000000000 needs 1000000000001 vertices"; do
   file="$hdir/${f%%:*}.edges"
   set +e
-  out=$(_build/default/bin/cutfit_cli.exe characterize "$file" 2>&1)
+  out=$(
+    ulimit -v 2000000
+    _build/default/bin/cutfit_cli.exe characterize "$file" 2>&1
+  )
   got=$?
   set -e
   if [ "$got" != 2 ] || echo "$out" | grep -q "internal error" ||
-    ! echo "$out" | grep -qF "$file:${f#*:}: "; then
-    echo "characterize $file: want exit 2 and '$file:${f#*:}: ...', got exit $got:" >&2
+    ! echo "$out" | grep -qF "$file:${f#*:}"; then
+    echo "characterize $file: want exit 2 and '$file:${f#*:}...', got exit $got:" >&2
     echo "$out" >&2
     exit 1
   fi
@@ -117,7 +122,9 @@ echo "== multicore smoke (csr engine, 4 domains)"
 # the compact kernels on OCaml domains; check adds the engines suite,
 # which proves boxed-vs-csr bit-identity at domain counts 1, 2 and 4
 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --engine csr --domains 4 >/dev/null
+dune exec bin/cutfit_cli.exe -- check PR roadnet_pa --engine csr --domains 4 >/dev/null
 dune exec bin/cutfit_cli.exe -- check CC roadnet_pa --engine csr --domains 4 >/dev/null
+dune exec bin/cutfit_cli.exe -- check SSSP roadnet_pa --engine csr --domains 4 >/dev/null
 dune exec bin/cutfit_cli.exe -- check TR roadnet_pa --engine csr --domains 4 >/dev/null
 # the forward triangle kernel must print the counts the partition-order
 # kernel printed, at one domain and at four
