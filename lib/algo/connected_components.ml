@@ -2,27 +2,30 @@ module Pregel = Cutfit_bsp.Pregel
 
 type result = { labels : int array; trace : Cutfit_bsp.Trace.t }
 
-let program =
-  {
-    Pregel.init = (fun v -> v);
-    initial_msg = max_int;
-    vprog = (fun _ label m -> min label m);
-    send =
-      (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
-        if src_attr < dst_attr then emit Pregel.To_dst src_attr
-        else if dst_attr < src_attr then emit Pregel.To_src dst_attr);
-    merge = min;
-    state_bytes = 8;
-    msg_bytes = 8;
-  }
+(* Labels start at the vertex id, which superstep 0's [min] with the
+   initial message ([max_int]) leaves in place. Messages, partials and
+   accumulators are ints in flat arrays, folded with int comparisons. *)
+let program n =
+  let label = Array.init n Fun.id and part = Array.make n 0 and acc = Array.make n 0 in
+  let send ~src ~dst ~emit =
+    let ls = label.(src) and ld = label.(dst) in
+    if ls < ld then begin
+      if emit Pregel.To_dst || ls < part.(dst) then part.(dst) <- ls
+    end
+    else if ld < ls then if emit Pregel.To_src || ld < part.(src) then part.(src) <- ld
+  in
+  let flush v ~first = if first || part.(v) < acc.(v) then acc.(v) <- part.(v) in
+  let apply v = if acc.(v) < label.(v) then label.(v) <- acc.(v) in
+  ({ Pregel.send; flush; apply; state_bytes = 8; msg_bytes = 8 }, label)
 
 let run ?(iterations = 10) ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
     ~cluster pg =
-  let r =
+  let program, labels = program (Cutfit_graph.Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg)) in
+  let trace =
     Pregel.run ~max_supersteps:iterations ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero
       ?telemetry ~cluster pg program
   in
-  { labels = r.Pregel.attrs; trace = r.Pregel.trace }
+  { labels; trace }
 
 let reference g = fst (Cutfit_graph.Components.weak g)
 

@@ -3,33 +3,33 @@ module Pregel = Cutfit_bsp.Pregel
 
 type result = { ranks : float array; trace : Cutfit_bsp.Trace.t }
 
-(* The initial message is a sentinel: superstep 0 must leave the initial
-   rank of 1.0 in place rather than apply the update rule. *)
-let sentinel = -1.0
-
+(* The program's state after superstep 0: every rank at 1.0, since
+   GraphX's initial message there is a sentinel that leaves the initial
+   rank in place. [part] holds a vertex's sum of shares within the
+   partition being scanned and [acc] its sum over partitions at the
+   master; both are flat float arrays, so no message is boxed. *)
 let program g =
-  let out_deg = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.out_degree g v)) in
-  {
-    Pregel.init = (fun _ -> 1.0);
-    initial_msg = sentinel;
-    vprog = (fun _ rank m -> if m = sentinel then rank else 0.15 +. (0.85 *. m));
-    send =
-      (fun ~src ~dst:_ ~src_attr ~dst_attr:_ ~emit ->
-        let d = out_deg.(src) in
-        if d > 0.0 then emit Pregel.To_dst (src_attr /. d));
-    merge = ( +. );
-    state_bytes = 8;
-    msg_bytes = 8;
-  }
+  let n = Graph.num_vertices g in
+  let out_deg = Array.init n (fun v -> float_of_int (Graph.out_degree g v)) in
+  let rank = Array.make n 1.0 and part = Array.make n 0.0 and acc = Array.make n 0.0 in
+  let send ~src ~dst ~emit =
+    let d = out_deg.(src) in
+    if d > 0.0 then
+      if emit Pregel.To_dst then part.(dst) <- rank.(src) /. d
+      else part.(dst) <- part.(dst) +. (rank.(src) /. d)
+  in
+  let flush v ~first = if first then acc.(v) <- part.(v) else acc.(v) <- acc.(v) +. part.(v) in
+  let apply v = rank.(v) <- 0.15 +. (0.85 *. acc.(v)) in
+  ({ Pregel.send; flush; apply; state_bytes = 8; msg_bytes = 8 }, rank)
 
 let run ?(iterations = 10) ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
     ~cluster pg =
-  let g = Cutfit_bsp.Pgraph.graph pg in
-  let r =
+  let program, ranks = program (Cutfit_bsp.Pgraph.graph pg) in
+  let trace =
     Pregel.run ~max_supersteps:iterations ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero
-      ?telemetry ~cluster pg (program g)
+      ?telemetry ~cluster pg program
   in
-  { ranks = r.Pregel.attrs; trace = r.Pregel.trace }
+  { ranks; trace }
 
 (* --- compact CSR kernel -------------------------------------------
 

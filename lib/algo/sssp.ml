@@ -5,61 +5,57 @@ type result = { distances : int array array; trace : Cutfit_bsp.Trace.t }
 
 let infinity_dist = max_int
 
-(* Distance vectors are tiny (one slot per landmark); messages carry a
-   full vector, as GraphX ships the whole landmark map. These run once
-   per message, so they are plain loops over ints: no closure and no
-   polymorphic comparison. *)
-let pointwise_min a b =
-  let r = Array.copy a in
-  for i = 0 to Array.length r - 1 do
-    let y = b.(i) in
-    if y < r.(i) then r.(i) <- y
-  done;
-  r
-
-let increment a =
-  let r = Array.copy a in
-  for i = 0 to Array.length r - 1 do
-    if r.(i) <> infinity_dist then r.(i) <- r.(i) + 1
-  done;
-  r
-
-(* Whether [increment dist] would improve on [current] in some slot,
-   decided in place: the candidate vector is built only when it is
-   sent. *)
-let improves_after_hop ~dist ~current =
-  let k = Array.length dist in
-  let i = ref 0 and found = ref false in
-  while (not !found) && !i < k do
-    let d = dist.(!i) in
-    if d <> infinity_dist && d + 1 < current.(!i) then found := true;
-    incr i
-  done;
-  !found
-
-let program ~landmarks =
+(* Vertex [v]'s distance to landmark [i] lives at [v * k + i] of a
+   flat n*k int array, and so do its partial and its accumulator, so a
+   message builds no vector: GraphX ships the whole landmark map, and
+   the charges price that ([msg_bytes]), but the combine is a pointwise
+   [min] straight into the target's row. Slot i starts at 0 on landmark
+   i, so a landmark listed twice starts both of its slots there; every
+   other slot starts unreachable, which superstep 0's [min] with the
+   all-unreachable initial message leaves in place. *)
+let program ~n ~landmarks =
   let k = Array.length landmarks in
   let bytes = 96 + (64 * k) in
-  {
-    (* Slot i starts at 0 on landmark i, so a landmark listed twice
-       starts both of its slots there. *)
-    Pregel.init =
-      (fun v ->
-        let d = Array.make k infinity_dist in
-        for i = 0 to k - 1 do
-          if landmarks.(i) = v then d.(i) <- 0
-        done;
-        d);
-    initial_msg = Array.make k infinity_dist;
-    vprog = (fun _ current m -> pointwise_min current m);
-    send =
-      (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
-        if improves_after_hop ~dist:dst_attr ~current:src_attr then
-          emit Pregel.To_src (increment dst_attr));
-    merge = pointwise_min;
-    state_bytes = bytes;
-    msg_bytes = bytes;
-  }
+  let dist = Array.make (n * k) infinity_dist in
+  Array.iteri (fun i l -> dist.((l * k) + i) <- 0) landmarks;
+  let part = Array.make (n * k) 0 and acc = Array.make (n * k) 0 in
+  (* The message from [dst] to [src] is [dst]'s row plus one hop; it is
+     sent only when it improves on [src]'s row in some slot. *)
+  let send ~src ~dst ~emit =
+    let sb = src * k and db = dst * k in
+    let i = ref 0 and improves = ref false in
+    while (not !improves) && !i < k do
+      let d = dist.(db + !i) in
+      if d <> infinity_dist && d + 1 < dist.(sb + !i) then improves := true;
+      incr i
+    done;
+    if !improves then
+      if emit Pregel.To_src then
+        for j = 0 to k - 1 do
+          let d = dist.(db + j) in
+          part.(sb + j) <- (if d = infinity_dist then d else d + 1)
+        done
+      else
+        for j = 0 to k - 1 do
+          let d = dist.(db + j) in
+          let hop = if d = infinity_dist then d else d + 1 in
+          if hop < part.(sb + j) then part.(sb + j) <- hop
+        done
+  in
+  let flush v ~first =
+    let b = v * k in
+    if first then Array.blit part b acc b k
+    else
+      for j = b to b + k - 1 do
+        if part.(j) < acc.(j) then acc.(j) <- part.(j)
+      done
+  in
+  let apply v =
+    for j = v * k to (v * k) + k - 1 do
+      if acc.(j) < dist.(j) then dist.(j) <- acc.(j)
+    done
+  in
+  ({ Pregel.send; flush; apply; state_bytes = bytes; msg_bytes = bytes }, dist)
 
 let run ?(max_supersteps = 2000) ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
     ~cluster ~landmarks pg =
@@ -68,11 +64,13 @@ let run ?(max_supersteps = 2000) ?scale ?cost ?checkpoint_every ?faults ?specula
   Array.iter
     (fun v -> if v < 0 || v >= n then invalid_arg "Sssp.run: landmark out of range")
     landmarks;
-  let r =
+  let program, dist = program ~n ~landmarks in
+  let trace =
     Pregel.run ~max_supersteps ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
-      ~cluster pg (program ~landmarks)
+      ~cluster pg program
   in
-  { distances = r.Pregel.attrs; trace = r.Pregel.trace }
+  let k = Array.length landmarks in
+  { distances = Array.init n (fun v -> Array.sub dist (v * k) k); trace }
 
 (* --- compact CSR kernel -------------------------------------------
 

@@ -2,17 +2,13 @@ module Graph = Cutfit_graph.Graph
 
 type direction = To_src | To_dst
 
-type ('v, 'm) program = {
-  init : int -> 'v;
-  initial_msg : 'm;
-  vprog : int -> 'v -> 'm -> 'v;
-  send : src:int -> dst:int -> src_attr:'v -> dst_attr:'v -> emit:(direction -> 'm -> unit) -> unit;
-  merge : 'm -> 'm -> 'm;
+type program = {
+  send : src:int -> dst:int -> emit:(direction -> bool) -> unit;
+  flush : int -> first:bool -> unit;
+  apply : int -> unit;
   state_bytes : int;
   msg_bytes : int;
 }
-
-type 'v result = { attrs : 'v array; trace : Trace.t }
 
 (* Growable int vector for the per-superstep touched-vertex set. *)
 module Ivec = struct
@@ -139,23 +135,22 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   let merge_s = cost.Cost_model.msg_merge_s and serialize_s = cost.Cost_model.msg_serialize_s in
   let scan_s = cost.Cost_model.edge_scan_s and skip_s = cost.Cost_model.edge_skip_s in
 
-  let attrs = Array.init n program.init in
   let active = Bytes.make n '\000' in
-  (* Master-side accumulator: [msg.(v)] is meaningful only while
-     [has] marks [v]; [touched] lists the marked vertices in first-touch
-     order. *)
-  let msg = Array.make n program.initial_msg in
+  (* The program holds the values, partials and accumulators; the
+     engine tracks only who holds one. [has] marks the vertices whose
+     master accumulator is live this step, and [touched] lists them in
+     first-touch order. *)
   let has = Bytes.make n '\000' in
   let touched = Ivec.create () in
-  (* Partition-local combiner scratch: messages emitted while one
-     partition's edges are scanned merge here first (in edge order),
-     then flush into the master-side accumulator [msg] in ascending
-     partition order. This fixes the cross-partition reduction order
-     per partition index — the order the parallel {!Csr} kernels
-     reproduce, which is what makes boxed and CSR results bit-identical
-     for non-associative float merges. A vertex's first message in a
+  (* [phas] marks the vertices with a partial in the partition being
+     scanned, and [ptouched] lists them in first-touch (edge) order.
+     Messages combine into the partial in edge order, then partials
+     flush into the master accumulators in ascending partition order.
+     This fixes the cross-partition reduction order per partition
+     index — the order the parallel {!Csr} kernels reproduce, which is
+     what makes boxed and CSR results bit-identical for
+     non-associative float merges. A vertex's first message in a
      partition is also its one shuffle aggregate for that partition. *)
-  let plocal = Array.make n program.initial_msg in
   let phas = Bytes.make n '\000' in
   let ptouched = Ivec.create () in
 
@@ -205,12 +200,12 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   Pricer.build pr;
 
   (* Superstep 0: vprog everywhere with the initial message, then a full
-     broadcast materializes the replicated vertex views. *)
+     broadcast materializes the replicated vertex views. The program
+     starts in its post-superstep-0 state, so only the charges run. *)
   let outcome =
     let c = Pricer.begin_step pr ~step:0 in
     refresh_placement ();
     for v = 0 to n - 1 do
-      attrs.(v) <- program.vprog v attrs.(v) program.initial_msg;
       Bytes.unsafe_set active v '\001';
       broadcast c v
     done;
@@ -251,12 +246,44 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   in
 
   let step = ref 1 in
-  let cur_src = ref 0 and cur_dst = ref 0 in
   let messages = ref 0 and shuffle_groups = ref 0 and remote_shuffles = ref 0 in
+  (* The scan's cursor, which [emit] reads: the step's charge arrays,
+     the partition being scanned and its executor, and the endpoints of
+     the edge being sent over. One [emit] serves the whole run. *)
+  let cur_work = ref [||] and cur_out = ref [||] and cur_in = ref [||] in
+  let cur_p = ref 0 and cur_pexec = ref 0 and cur_src = ref 0 and cur_dst = ref 0 in
+  let emit dir =
+    let v = match dir with To_src -> !cur_src | To_dst -> !cur_dst in
+    let work = !cur_work and p = !cur_p in
+    incr messages;
+    work.(p) <- work.(p) +. merge_s;
+    if Bytes.unsafe_get phas v <> '\000' then false
+    else begin
+      Bytes.unsafe_set phas v '\001';
+      Ivec.push ptouched v;
+      (* The first message to [v] here opens the one shuffle aggregate
+         of the (vertex, partition) pair. *)
+      incr shuffle_groups;
+      let mp = master.(v) in
+      let mexec = pex.(mp) and pexec = !cur_pexec in
+      work.(p) <- work.(p) +. serialize_s;
+      if mexec <> pexec then begin
+        let bytes_out = !cur_out and bytes_in = !cur_in in
+        incr remote_shuffles;
+        bytes_out.(pexec) <- bytes_out.(pexec) +. msg_wire_bytes;
+        bytes_in.(mexec) <- bytes_in.(mexec) +. msg_wire_bytes;
+        work.(mp) <- work.(mp) +. serialize_s
+      end;
+      true
+    end
+  in
   while Option.is_none !outcome do
     let c = Pricer.begin_step pr ~step:!step in
     refresh_placement ();
-    let work = c.Pricer.work and bytes_out = c.Pricer.bytes_out and bytes_in = c.Pricer.bytes_in in
+    let work = c.Pricer.work in
+    cur_work := work;
+    cur_out := c.Pricer.bytes_out;
+    cur_in := c.Pricer.bytes_in;
     let active_edges = ref 0 in
     messages := 0;
     shuffle_groups := 0;
@@ -265,30 +292,8 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
     Ivec.clear touched;
     (* Message generation, partition by partition. *)
     for p = 0 to num_partitions - 1 do
-      let pexec = pex.(p) in
-      let emit dir m =
-        let v = match dir with To_src -> !cur_src | To_dst -> !cur_dst in
-        incr messages;
-        work.(p) <- work.(p) +. merge_s;
-        if Bytes.unsafe_get phas v <> '\000' then plocal.(v) <- program.merge plocal.(v) m
-        else begin
-          Bytes.unsafe_set phas v '\001';
-          plocal.(v) <- m;
-          Ivec.push ptouched v;
-          (* The first message to [v] here opens the one shuffle
-             aggregate of the (vertex, partition) pair. *)
-          incr shuffle_groups;
-          let mp = master.(v) in
-          let mexec = pex.(mp) in
-          work.(p) <- work.(p) +. serialize_s;
-          if mexec <> pexec then begin
-            incr remote_shuffles;
-            bytes_out.(pexec) <- bytes_out.(pexec) +. msg_wire_bytes;
-            bytes_in.(mexec) <- bytes_in.(mexec) +. msg_wire_bytes;
-            work.(mp) <- work.(mp) +. serialize_s
-          end
-        end
-      in
+      cur_p := p;
+      cur_pexec := pex.(p);
       (* The cost constants are not dyadic, so every charge stays its
          own float addition, in edge order. Skip charges chain through
          the local [wp], which is written back before [send] (its
@@ -303,7 +308,7 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
             work.(p) <- !wp +. scan_s;
             cur_src := src;
             cur_dst := dst;
-            program.send ~src ~dst ~src_attr:attrs.(src) ~dst_attr:attrs.(dst) ~emit;
+            program.send ~src ~dst ~emit;
             wp := work.(p)
           end
           else wp := !wp +. skip_s
@@ -347,29 +352,27 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
                 work.(p) <- work.(p) +. scan_s;
                 cur_src := src;
                 cur_dst := dst;
-                program.send ~src ~dst ~src_attr:attrs.(src) ~dst_attr:attrs.(dst) ~emit
+                program.send ~src ~dst ~emit
               done
             end
           done;
         skip_to hi
       end;
       (* Flush this partition's combined partials into the master-side
-         accumulator. Partitions are visited in ascending order, so each
+         accumulators. Partitions are visited in ascending order, so each
          vertex's cross-partition merge is a left fold over ascending
          partition indices; within a flush, vertices appear in
          first-touch (edge) order, which keeps the global [touched]
          order identical to direct per-message merging. *)
       for j = 0 to ptouched.Ivec.len - 1 do
         let v = ptouched.Ivec.data.(j) in
-        let m = plocal.(v) in
-        plocal.(v) <- program.initial_msg;
         Bytes.unsafe_set phas v '\000';
-        if Bytes.unsafe_get has v <> '\000' then msg.(v) <- program.merge msg.(v) m
-        else begin
+        let first = Bytes.unsafe_get has v = '\000' in
+        if first then begin
           Bytes.unsafe_set has v '\001';
-          msg.(v) <- m;
           Ivec.push touched v
-        end
+        end;
+        program.flush v ~first
       done;
       Ivec.clear ptouched
     done;
@@ -380,8 +383,7 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
     frontier_degree := 0;
     for j = 0 to touched.Ivec.len - 1 do
       let v = touched.Ivec.data.(j) in
-      attrs.(v) <- program.vprog v attrs.(v) msg.(v);
-      msg.(v) <- program.initial_msg;
+      program.apply v;
       Bytes.unsafe_set has v '\000';
       Bytes.unsafe_set active v '\001';
       frontier_degree := !frontier_degree + Graph.out_degree g v + Graph.in_degree g v;
@@ -413,7 +415,4 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?che
   done;
   (* Only this engine models executor memory: GAS and triangle counting
      report a zero peak. *)
-  let trace =
-    Pricer.finish pr ~outcome:(Option.get !outcome) ~peak_executor_bytes:exec_peak
-  in
-  { attrs; trace }
+  Pricer.finish pr ~outcome:(Option.get !outcome) ~peak_executor_bytes:exec_peak

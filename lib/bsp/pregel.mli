@@ -27,27 +27,51 @@
 
 type direction = To_src | To_dst
 
-type ('v, 'm) program = {
-  init : int -> 'v;  (** initial attribute per vertex *)
-  initial_msg : 'm;  (** delivered to every vertex at superstep 0 *)
-  vprog : int -> 'v -> 'm -> 'v;  (** vertex program *)
-  send : src:int -> dst:int -> src_attr:'v -> dst_attr:'v -> emit:(direction -> 'm -> unit) -> unit;
-      (** message generation over one active triplet: the edge's
-          endpoint ids and their current attributes. [emit To_src m] and
-          [emit To_dst m] send [m] toward the source or the destination;
-          call [emit] any number of times, and only during this [send].
-          The engine calls [send] once per edge with an endpoint whose
-          vertex program ran in the previous superstep, partition by
-          partition in edge order. *)
-  merge : 'm -> 'm -> 'm;
-      (** message combiner, applied in the fixed order above: a left
-          fold in edge order within each partition, then across
-          partitions in ascending index order *)
+(** A vertex program over vertex ids. The program owns its vertex
+    state: the values, one partial per vertex for the partition being
+    scanned, and one master accumulator per vertex, typically in flat
+    typed arrays. The engine owns the control flow and every charge, and
+    tells the program when to store and when to merge.
+
+    A program starts in its state after superstep 0, that is after
+    GraphX applies the vertex program to every vertex with the initial
+    message. The engine still charges superstep 0 (one vprog and one
+    full broadcast), but calls no program function there.
+
+    Within each later superstep the calls come in this order:
+    - [send] for every active edge, partition by partition in edge
+      order;
+    - after each partition's scan, [flush] for every vertex that got a
+      message in it, in first-touch order;
+    - after all partitions, [apply] for every vertex that got a message
+      anywhere, in first-touch order. *)
+type program = {
+  send : src:int -> dst:int -> emit:(direction -> bool) -> unit;
+      (** Message generation over one active triplet. The engine calls
+          [send] once per edge with an endpoint whose vertex program
+          ran in the previous superstep. The program reads the
+          endpoints' values from its own state. [emit To_src] and
+          [emit To_dst] send one message toward the source or the
+          destination and make the engine's charges for it; call [emit]
+          any number of times, and only during this [send]. [emit d]
+          returns [true] when this is the target's first message in the
+          current partition: the program then stores the message as the
+          target's partial. It returns [false] otherwise, and the program
+          merges the message into the partial (a left fold in edge
+          order). *)
+  flush : int -> first:bool -> unit;
+      (** [flush v ~first] moves [v]'s partial into its master
+          accumulator: a store when [first] is set (this is the first
+          partition this superstep that messaged [v]), a merge
+          otherwise. Flushes run in ascending partition order, so each
+          accumulator is a left fold over ascending partition indices. *)
+  apply : int -> unit;
+      (** [apply v] runs the vertex program at [v]'s master with its
+          accumulator; the engine then ships [v]'s value to its
+          replicas. Values read by [send] must change only here. *)
   state_bytes : int;  (** serialized payload of one vertex attribute *)
   msg_bytes : int;  (** serialized payload of one message *)
 }
-
-type 'v result = { attrs : 'v array; trace : Trace.t }
 
 val run :
   ?max_supersteps:int ->
@@ -61,16 +85,17 @@ val run :
   ?telemetry:Cutfit_obs.Telemetry.t ->
   cluster:Cluster.t ->
   Pgraph.t ->
-  ('v, 'm) program ->
-  'v result
+  program ->
+  Trace.t
 (** [run ~cluster pg program] executes to quiescence (or
-    [max_supersteps], default 500). [scale] linearly rescales work,
+    [max_supersteps], default 500) and returns the trace; the values
+    are in the program's own state. [scale] linearly rescales work,
     bytes and memory quantities to the original dataset's size when the
     partitioned graph is a scaled-down analogue (default 1.0).
     [checkpoint_every] writes the materialized graph to storage every k
     supersteps, paying the write time but truncating the driver lineage
     — the standard Spark mitigation for the long-run out-of-memory
-    failures the paper hit. On out-of-memory the returned attributes
+    failures the paper hit. On out-of-memory the program's values
     reflect the last completed superstep and [trace.outcome] is
     [Out_of_memory].
 
@@ -81,7 +106,7 @@ val run :
     [checkpoint_every] checkpoint, or lineage rebuild of the lost
     partitions, per the config's mode), and crashes beyond the failure
     budget end the run with [trace.outcome = Aborted]. Faults never
-    touch the computed attributes: a faulty run's [attrs] are
+    touch the computed values: a faulty run's program state is
     bit-identical to the fault-free run's.
 
     [speculation] enables {!Speculation} straggler mitigation at every

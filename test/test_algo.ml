@@ -190,6 +190,123 @@ let prop_sssp_matches_bfs =
         r.Sssp.distances = Sssp.reference g ~landmarks:[| 0; Graph.num_vertices g - 1 |]
       end)
 
+(* --- flat programs against boxed oracles ---
+
+   The library's PR, CC and SSSP programs keep their values in flat
+   typed arrays. The oracles below are the same recurrences in the
+   engine's former boxed shape (values and messages of any type, one
+   [merge]), run through [Test_util.boxed]. Both run on the same engine,
+   so every charge and every value must agree to the bit. *)
+
+module Pregel = Cutfit_bsp.Pregel
+module Determinism = Cutfit_check.Determinism
+
+let pagerank_oracle g =
+  let out_deg = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.out_degree g v)) in
+  (* The initial message is a sentinel: superstep 0 leaves the initial
+     rank in place. *)
+  let sentinel = -1.0 in
+  {
+    Test_util.init = (fun _ -> 1.0);
+    initial_msg = sentinel;
+    vprog = (fun _ rank m -> if Float.equal m sentinel then rank else 0.15 +. (0.85 *. m));
+    send =
+      (fun ~src ~dst:_ ~src_attr ~dst_attr:_ ~emit ->
+        let d = out_deg.(src) in
+        if d > 0.0 then emit Pregel.To_dst (src_attr /. d));
+    merge = ( +. );
+    state_bytes = 8;
+    msg_bytes = 8;
+  }
+
+let cc_oracle =
+  {
+    Test_util.init = (fun v -> v);
+    initial_msg = max_int;
+    vprog = (fun _ label m -> min label m);
+    send =
+      (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
+        if src_attr < dst_attr then emit Pregel.To_dst src_attr
+        else if dst_attr < src_attr then emit Pregel.To_src dst_attr);
+    merge = min;
+    state_bytes = 8;
+    msg_bytes = 8;
+  }
+
+(* One distance vector per vertex; every message is a fresh vector. *)
+let sssp_oracle ~landmarks =
+  let k = Array.length landmarks in
+  let bytes = 96 + (64 * k) in
+  let pointwise_min a b = Array.init k (fun i -> min a.(i) b.(i)) in
+  let increment a = Array.map (fun d -> if d = max_int then d else d + 1) a in
+  let improves_after_hop ~dist ~current =
+    let found = ref false in
+    Array.iteri (fun i d -> if d <> max_int && d + 1 < current.(i) then found := true) dist;
+    !found
+  in
+  {
+    Test_util.init =
+      (fun v -> Array.init k (fun i -> if landmarks.(i) = v then 0 else max_int));
+    initial_msg = Array.make k max_int;
+    vprog = (fun _ current m -> pointwise_min current m);
+    send =
+      (fun ~src:_ ~dst:_ ~src_attr ~dst_attr ~emit ->
+        if improves_after_hop ~dist:dst_attr ~current:src_attr then
+          emit Pregel.To_src (increment dst_attr));
+    merge = pointwise_min;
+    state_bytes = bytes;
+    msg_bytes = bytes;
+  }
+
+(* A multigraph with self-loops and parallel edges, [isolated] vertices
+   above every edge's ids, a partition count, a strategy and two
+   landmark draws. *)
+let oracle_case_gen =
+  let open QCheck2.Gen in
+  Test_util.small_multigraph_gen >>= fun (n, edges) ->
+  int_range 0 3 >>= fun isolated ->
+  oneofl [ 1; 3; 16 ] >>= fun parts ->
+  oneofl Cutfit_partition.Strategy.[ Rvc; One_d; Two_d; Crvc ] >>= fun strategy ->
+  let n = n + isolated in
+  pair (int_range 0 (n - 1)) (int_range 0 (n - 1)) >|= fun (l0, l1) ->
+  (n, edges, parts, strategy, l0, l1)
+
+let print_oracle_case (n, edges, parts, strategy, l0, l1) =
+  Printf.sprintf "%s P=%d %s landmarks=%d,%d"
+    (Test_util.print_small_graph (n, edges))
+    parts (Cutfit_partition.Strategy.to_string strategy) l0 l1
+
+let bits_equal a b = Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let prop_flat_programs_match_oracles =
+  Test_util.qtest ~count:80 "flat PR/CC/SSSP = boxed oracles, bit for bit" ~print:print_oracle_case
+    oracle_case_gen (fun (n, edges, parts, strategy, l0, l1) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      let cluster = Test_util.tiny_cluster ~num_partitions:parts () in
+      let a = Partitioner.assign (Partitioner.Hash strategy) ~num_partitions:parts g in
+      let pg = Pgraph.build g ~num_partitions:parts a in
+      let same what trace (o : _ Test_util.boxed_result) values_equal =
+        let digest = String.equal (Determinism.trace_digest trace) (Determinism.trace_digest o.Test_util.trace) in
+        if not digest then QCheck2.Test.fail_reportf "%s: trace digests differ" what;
+        if not values_equal then QCheck2.Test.fail_reportf "%s: values differ" what;
+        true
+      in
+      let pr = Pagerank.run ~iterations:5 ~cluster pg in
+      let pr_o = Test_util.run_boxed ~max_supersteps:5 ~cluster pg (pagerank_oracle g) in
+      let cc = Cc.run ~cluster pg in
+      let cc_o = Test_util.run_boxed ~max_supersteps:10 ~cluster pg cc_oracle in
+      let sssp landmarks =
+        let r = Sssp.run ~cluster ~landmarks pg in
+        let o = Test_util.run_boxed ~max_supersteps:2000 ~cluster pg (sssp_oracle ~landmarks) in
+        same
+          (Printf.sprintf "SSSP k=%d" (Array.length landmarks))
+          r.Sssp.trace o (r.Sssp.distances = o.Test_util.attrs)
+      in
+      same "PR" pr.Pagerank.trace pr_o (bits_equal pr.Pagerank.ranks pr_o.Test_util.attrs)
+      && same "CC" cc.Cc.trace cc_o (cc.Cc.labels = cc_o.Test_util.attrs)
+      && sssp [| l0 |]
+      && sssp [| l0; l1; l0 |])
+
 let suite =
   [
     Alcotest.test_case "PR matches reference" `Quick test_pagerank_matches_reference;
@@ -213,4 +330,5 @@ let suite =
     Alcotest.test_case "SSSP repeated landmarks" `Quick test_sssp_repeated_landmarks;
     Alcotest.test_case "SSSP long path OOM" `Quick test_sssp_long_path_ooms_small_driver;
     prop_sssp_matches_bfs;
+    prop_flat_programs_match_oracles;
   ]

@@ -119,7 +119,7 @@ let test_pgraph_rejects_bad_assignment () =
 (* Minimal label-propagation program used to exercise the engine. *)
 let min_label_program =
   {
-    Pregel.init = (fun v -> v);
+    Test_util.init = (fun v -> v);
     initial_msg = max_int;
     vprog = (fun _ l m -> min l m);
     send =
@@ -132,18 +132,18 @@ let min_label_program =
   }
 
 let test_pregel_converges_to_components () =
-  let r = Pregel.run ~cluster pg min_label_program in
+  let r = Test_util.run_boxed ~cluster pg min_label_program in
   let expected, _ = Cutfit_graph.Components.weak g in
-  Alcotest.(check (array int)) "labels" expected r.Pregel.attrs;
-  checkb "completed" true (r.Pregel.trace.Trace.outcome = Trace.Completed)
+  Alcotest.(check (array int)) "labels" expected r.Test_util.attrs;
+  checkb "completed" true (r.Test_util.trace.Trace.outcome = Trace.Completed)
 
 let test_pregel_max_supersteps () =
-  let r = Pregel.run ~max_supersteps:1 ~cluster pg min_label_program in
-  checkb "capped" true (r.Pregel.trace.Trace.outcome = Trace.Max_supersteps)
+  let r = Test_util.run_boxed ~max_supersteps:1 ~cluster pg min_label_program in
+  checkb "capped" true (r.Test_util.trace.Trace.outcome = Trace.Max_supersteps)
 
 let test_pregel_trace_sanity () =
-  let r = Pregel.run ~cluster pg min_label_program in
-  let t = r.Pregel.trace in
+  let r = Test_util.run_boxed ~cluster pg min_label_program in
+  let t = r.Test_util.trace in
   checkb "positive total" true (t.Trace.total_s > 0.0);
   checkb "load positive" true (t.Trace.load_s > 0.0);
   List.iter
@@ -160,30 +160,30 @@ let test_pregel_trace_sanity () =
     (String.length (Format.asprintf "%a" Trace.pp_summary t) > 0)
 
 let test_pregel_scale_scales_time () =
-  let t1 = (Pregel.run ~cluster pg min_label_program).Pregel.trace in
-  let t2 = (Pregel.run ~scale:10.0 ~cluster pg min_label_program).Pregel.trace in
+  let t1 = (Test_util.run_boxed ~cluster pg min_label_program).Test_util.trace in
+  let t2 = (Test_util.run_boxed ~scale:10.0 ~cluster pg min_label_program).Test_util.trace in
   checkb "bigger scale, bigger time" true (t2.Trace.total_s > t1.Trace.total_s)
 
 let test_pregel_driver_oom () =
   let oom_cluster = { cluster with Cluster.driver_memory_bytes = 1.0 } in
-  let r = Pregel.run ~cluster:oom_cluster pg min_label_program in
-  checkb "OOM" true (r.Pregel.trace.Trace.outcome = Trace.Out_of_memory);
-  checkb "not completed" false (Trace.completed r.Pregel.trace)
+  let r = Test_util.run_boxed ~cluster:oom_cluster pg min_label_program in
+  checkb "OOM" true (r.Test_util.trace.Trace.outcome = Trace.Out_of_memory);
+  checkb "not completed" false (Trace.completed r.Test_util.trace)
 
 let test_pregel_executor_oom () =
   let oom_cluster = { cluster with Cluster.executor_memory_bytes = 1.0 } in
-  let r = Pregel.run ~cluster:oom_cluster pg min_label_program in
-  checkb "OOM" true (r.Pregel.trace.Trace.outcome = Trace.Out_of_memory)
+  let r = Test_util.run_boxed ~cluster:oom_cluster pg min_label_program in
+  checkb "OOM" true (r.Test_util.trace.Trace.outcome = Trace.Out_of_memory)
 
 let test_pregel_partition_count_mismatch () =
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Pregel.run: cluster and partitioned graph disagree on partition count")
     (fun () ->
-      ignore (Pregel.run ~cluster:(Test_util.tiny_cluster ~num_partitions:4 ()) pg min_label_program))
+      ignore (Test_util.run_boxed ~cluster:(Test_util.tiny_cluster ~num_partitions:4 ()) pg min_label_program))
 
 let test_pregel_message_counts_positive () =
-  let r = Pregel.run ~cluster pg min_label_program in
-  checkb "messages flowed" true (Trace.total_messages r.Pregel.trace > 0)
+  let r = Test_util.run_boxed ~cluster pg min_label_program in
+  checkb "messages flowed" true (Trace.total_messages r.Test_util.trace > 0)
 
 (* Concatenation is not commutative, so a vertex's delivered message
    spells out the order in which the engine merged its messages: a left
@@ -196,7 +196,7 @@ let test_pregel_merge_order () =
   let to_src src dst = (src + dst) mod 3 = 0 in
   let program =
     {
-      Pregel.init = (fun _ -> []);
+      Test_util.init = (fun _ -> []);
       initial_msg = [];
       vprog = (fun _ delivered m -> m :: delivered);
       send =
@@ -209,8 +209,8 @@ let test_pregel_merge_order () =
     }
   in
   let supersteps = 3 in
-  let r = Pregel.run ~max_supersteps:supersteps ~cluster pg program in
-  checkb "capped" true (r.Pregel.trace.Trace.outcome = Trace.Max_supersteps);
+  let r = Test_util.run_boxed ~max_supersteps:supersteps ~cluster pg program in
+  checkb "capped" true (r.Test_util.trace.Trace.outcome = Trace.Max_supersteps);
   let expected = Array.make n [ [] ] in
   let active = Array.make n true in
   let most_feeders = ref 0 and total = ref 0 in
@@ -245,15 +245,39 @@ let test_pregel_merge_order () =
   checkb "reference delivers messages" true (!total > 0);
   checkb "a vertex is fed by three partitions" true (!most_feeders >= 3);
   Array.iteri
-    (fun v want -> Alcotest.(check (list (list int))) (Printf.sprintf "vertex %d" v) want r.Pregel.attrs.(v))
+    (fun v want -> Alcotest.(check (list (list int))) (Printf.sprintf "vertex %d" v) want r.Test_util.attrs.(v))
     expected
 
 let test_network_faster_cluster_not_slower () =
   (* Same partitioning on a 40x network must not be slower. *)
   let fast = { cluster with Cluster.network_gbps = 40.0 } in
-  let t_slow = (Pregel.run ~scale:1000.0 ~cluster pg min_label_program).Pregel.trace in
-  let t_fast = (Pregel.run ~scale:1000.0 ~cluster:fast pg min_label_program).Pregel.trace in
+  let t_slow = (Test_util.run_boxed ~scale:1000.0 ~cluster pg min_label_program).Test_util.trace in
+  let t_fast = (Test_util.run_boxed ~scale:1000.0 ~cluster:fast pg min_label_program).Test_util.trace in
   checkb "not slower" true (t_fast.Trace.total_s <= t_slow.Trace.total_s +. 1e-9)
+
+(* The programs own their state in flat arrays, so a run allocates per
+   superstep (the pricer's records, the trace) and per vertex at the
+   end, not per message: under one minor word per active-edge visit. A
+   boxed float per share, or a fresh vector per SSSP message, costs
+   several. *)
+let test_pregel_allocates_per_step () =
+  let g = Cutfit_gen.Datasets.generate (Cutfit_gen.Datasets.find "youtube") in
+  let cluster = Cluster.config_i in
+  let np = cluster.Cluster.num_partitions in
+  let pg = Pgraph.build g ~num_partitions:np (Partitioner.assign (Partitioner.Hash Strategy.Rvc) ~num_partitions:np g) in
+  let words_per_visit name run =
+    let before = Gc.minor_words () in
+    let trace = run () in
+    let words = Gc.minor_words () -. before in
+    let visits = List.fold_left (fun acc s -> acc + s.Event.active_edges) 0 trace.Trace.supersteps in
+    checkb (name ^ " visits edges") true (visits > 0);
+    let per = words /. float_of_int visits in
+    checkb (Printf.sprintf "%s: %.3f minor words per active-edge visit < 1" name per) true (per < 1.0)
+  in
+  words_per_visit "PR" (fun () -> (Cutfit_algo.Pagerank.run ~iterations:10 ~cluster pg).Cutfit_algo.Pagerank.trace);
+  words_per_visit "CC" (fun () -> (Cutfit_algo.Connected_components.run ~cluster pg).Cutfit_algo.Connected_components.trace);
+  let landmarks = Cutfit_algo.Sssp.pick_landmarks ~seed:1L ~count:3 g in
+  words_per_visit "SSSP k=3" (fun () -> (Cutfit_algo.Sssp.run ~cluster ~landmarks pg).Cutfit_algo.Sssp.trace)
 
 let prop_pregel_cc_matches_reference =
   Test_util.qtest ~count:30 "pregel min-label = union-find on random graphs"
@@ -264,8 +288,8 @@ let prop_pregel_cc_matches_reference =
         let cluster = Test_util.tiny_cluster ~num_partitions:4 () in
         let a = Partitioner.assign (Partitioner.Hash Strategy.Crvc) ~num_partitions:4 g in
         let pg = Pgraph.build g ~num_partitions:4 a in
-        let r = Pregel.run ~cluster pg min_label_program in
-        r.Pregel.attrs = fst (Cutfit_graph.Components.weak g)
+        let r = Test_util.run_boxed ~cluster pg min_label_program in
+        r.Test_util.attrs = fst (Cutfit_graph.Components.weak g)
       end)
 
 let suite =
@@ -306,24 +330,24 @@ let test_checkpoint_prevents_driver_oom () =
   let pg = Pgraph.build path ~num_partitions:np a in
   let meta = Cost_model.default.Cost_model.driver_meta_per_task_bytes in
   let small = { cluster with Cluster.driver_memory_bytes = 12.0 *. 8.0 *. meta } in
-  let without = Pregel.run ~cluster:small pg min_label_program in
+  let without = Test_util.run_boxed ~cluster:small pg min_label_program in
   checkb "OOMs without checkpointing" true
-    (without.Pregel.trace.Trace.outcome = Trace.Out_of_memory);
-  let with_ckpt = Pregel.run ~checkpoint_every:5 ~cluster:small pg min_label_program in
+    (without.Test_util.trace.Trace.outcome = Trace.Out_of_memory);
+  let with_ckpt = Test_util.run_boxed ~checkpoint_every:5 ~cluster:small pg min_label_program in
   checkb "completes with checkpointing" true
-    (with_ckpt.Pregel.trace.Trace.outcome = Trace.Completed);
-  checkb "checkpoints taken" true (with_ckpt.Pregel.trace.Trace.checkpoints > 0);
-  checkb "checkpoints cost time" true (with_ckpt.Pregel.trace.Trace.checkpoint_s > 0.0);
+    (with_ckpt.Test_util.trace.Trace.outcome = Trace.Completed);
+  checkb "checkpoints taken" true (with_ckpt.Test_util.trace.Trace.checkpoints > 0);
+  checkb "checkpoints cost time" true (with_ckpt.Test_util.trace.Trace.checkpoint_s > 0.0);
   Alcotest.(check (array int)) "still correct"
     (fst (Cutfit_graph.Components.weak path))
-    with_ckpt.Pregel.attrs
+    with_ckpt.Test_util.attrs
 
 let test_checkpoint_costs_time () =
-  let plain = Pregel.run ~cluster pg min_label_program in
-  let ckpt = Pregel.run ~checkpoint_every:1 ~cluster pg min_label_program in
-  checkb "same answer" true (plain.Pregel.attrs = ckpt.Pregel.attrs);
+  let plain = Test_util.run_boxed ~cluster pg min_label_program in
+  let ckpt = Test_util.run_boxed ~checkpoint_every:1 ~cluster pg min_label_program in
+  checkb "same answer" true (plain.Test_util.attrs = ckpt.Test_util.attrs);
   checkb "checkpointing is not free" true
-    (ckpt.Pregel.trace.Trace.total_s > plain.Pregel.trace.Trace.total_s)
+    (ckpt.Test_util.trace.Trace.total_s > plain.Test_util.trace.Trace.total_s)
 
 let suite =
   suite
@@ -677,3 +701,10 @@ let suite =
   @ List.map
       (fun c -> Alcotest.test_case ("frontier: " ^ c.fc_name) `Quick (test_frontier_case c))
       frontier_cases
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "boxed engine allocates per step, not per message" `Quick
+        test_pregel_allocates_per_step;
+    ]

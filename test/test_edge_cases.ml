@@ -133,7 +133,7 @@ let test_pregel_both_directions_emit () =
   let pg = Pgraph.build g ~num_partitions:8 a in
   let program =
     {
-      Cutfit_bsp.Pregel.init = (fun _ -> 0);
+      Test_util.init = (fun _ -> 0);
       initial_msg = 0;
       vprog = (fun _ acc m -> acc + m);
       send =
@@ -148,9 +148,9 @@ let test_pregel_both_directions_emit () =
       msg_bytes = 8;
     }
   in
-  let r = Cutfit_bsp.Pregel.run ~max_supersteps:1 ~cluster pg program in
+  let r = Test_util.run_boxed ~max_supersteps:1 ~cluster pg program in
   (* After one round each vertex holds its undirected degree. *)
-  Alcotest.(check (array int)) "degrees" [| 2; 2; 2; 1; 1 |] r.Cutfit_bsp.Pregel.attrs
+  Alcotest.(check (array int)) "degrees" [| 2; 2; 2; 1; 1 |] r.Test_util.attrs
 
 let test_report_pct () =
   Alcotest.(check string) "pct" "95.3%" (Cutfit_experiments.Report.pct 95.3)

@@ -215,7 +215,7 @@ let test_console_sink_renders () =
    traffic on every superstep. *)
 let min_label_program =
   {
-    Pregel.init = (fun v -> v);
+    Test_util.init = (fun v -> v);
     initial_msg = max_int;
     vprog = (fun _ l m -> min l m);
     send =
@@ -236,7 +236,7 @@ let observed_run () =
   let path = Filename.temp_file "cutfit_obs" ".jsonl" in
   let ring, contents = Sink.ring () in
   let t = Telemetry.create ~sinks:[ ring; Sink.jsonl path ] () in
-  let r = Pregel.run ~telemetry:t ~cluster pg min_label_program in
+  let r = Test_util.run_boxed ~telemetry:t ~cluster pg min_label_program in
   (match Gas.run ~telemetry:t ~cluster pg
            {
              Gas.init = (fun v -> v);
@@ -256,7 +256,7 @@ let observed_run () =
    with
   | _ -> ());
   Telemetry.close t;
-  (r.Pregel.trace, contents (), t, path)
+  (r.Test_util.trace, contents (), t, path)
 
 let supersteps_of events =
   List.filter_map (function Event.Superstep (s, p) -> Some (s, p) | _ -> None) events
@@ -405,9 +405,9 @@ let test_zero_superstep_run () =
   let pg = Pgraph.build g ~num_partitions:np a in
   let ring, contents = Sink.ring () in
   let t = Telemetry.create ~sinks:[ ring ] () in
-  let r = Pregel.run ~telemetry:t ~cluster pg min_label_program in
+  let r = Test_util.run_boxed ~telemetry:t ~cluster pg min_label_program in
   Telemetry.close t;
-  let trace = r.Pregel.trace in
+  let trace = r.Test_util.trace in
   let ss = List.map fst (supersteps_of (contents ())) in
   checki "events match trace length" (List.length trace.Trace.supersteps) (List.length ss);
   checki "no messages" 0 (Trace.total_messages trace);

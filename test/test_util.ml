@@ -95,6 +95,49 @@ let small_multigraph_gen =
   int_range 0 60 >>= fun m -> list_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
   >|= fun edges -> (n, edges)
 
+(* --- boxed programs ---
+
+   The engine's programs own their vertex state in flat typed arrays.
+   Tests often want the older, polymorphic shape instead: values and
+   messages of any type, a vertex program and a message combiner. The
+   adapter below keeps such a program's values and messages in boxed
+   arrays and drives them from the engine's store/merge protocol. *)
+
+module Pregel = Cutfit_bsp.Pregel
+
+type ('v, 'm) boxed_program = {
+  init : int -> 'v;  (** initial value per vertex *)
+  initial_msg : 'm;  (** delivered to every vertex at superstep 0 *)
+  vprog : int -> 'v -> 'm -> 'v;
+  send : src:int -> dst:int -> src_attr:'v -> dst_attr:'v -> emit:(Pregel.direction -> 'm -> unit) -> unit;
+  merge : 'm -> 'm -> 'm;
+  state_bytes : int;
+  msg_bytes : int;
+}
+
+(* The engine program for [b] on [n] vertices, and an accessor for its
+   values. Superstep 0 (vprog with the initial message everywhere)
+   runs here, when the program is built. *)
+let boxed ~n b =
+  let attrs = Array.init n (fun v -> b.vprog v (b.init v) b.initial_msg) in
+  let part = Array.make n b.initial_msg and acc = Array.make n b.initial_msg in
+  let send ~src ~dst ~emit =
+    b.send ~src ~dst ~src_attr:attrs.(src) ~dst_attr:attrs.(dst) ~emit:(fun dir m ->
+        let v = match dir with Pregel.To_src -> src | Pregel.To_dst -> dst in
+        if emit dir then part.(v) <- m else part.(v) <- b.merge part.(v) m)
+  in
+  let flush v ~first = if first then acc.(v) <- part.(v) else acc.(v) <- b.merge acc.(v) part.(v) in
+  let apply v = attrs.(v) <- b.vprog v attrs.(v) acc.(v) in
+  ( { Pregel.send; flush; apply; state_bytes = b.state_bytes; msg_bytes = b.msg_bytes },
+    fun () -> attrs )
+
+type 'v boxed_result = { attrs : 'v array; trace : Cutfit_bsp.Trace.t }
+
+let run_boxed ?max_supersteps ?scale ?checkpoint_every ?telemetry ~cluster pg b =
+  let program, values = boxed ~n:(Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg)) b in
+  let trace = Pregel.run ?max_supersteps ?scale ?checkpoint_every ?telemetry ~cluster pg program in
+  { attrs = values (); trace }
+
 (* Tiny cluster configuration so engine tests run on graphs of tens of
    vertices with a handful of partitions. *)
 let tiny_cluster ?(num_partitions = 8) () =
