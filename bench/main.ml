@@ -911,9 +911,13 @@ let micro ppf =
     Test.make ~name:"pgraph-build" (Staged.stage (fun () ->
         ignore (Cutfit.Pgraph.build g ~num_partitions:128 a)))
   in
+  let advisor_test =
+    Test.make ~name:"advisor-measure" (Staged.stage (fun () ->
+        ignore (Cutfit.Advisor.measure Cutfit.Advisor.Pagerank ~num_partitions:128 g)))
+  in
   let grouped =
     Test.make_grouped ~name:"youtube-analogue (37k edges)"
-      (List.map assign_test Cutfit.Strategy.all @ [ metrics_test; pgraph_test ])
+      (List.map assign_test Cutfit.Strategy.all @ [ metrics_test; pgraph_test; advisor_test ])
   in
   let benchmark test =
     let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -378,7 +378,8 @@ let advise_cmd =
   in
   let action algo graph num_partitions =
     let g = load_graph graph in
-    let strategy = Cutfit.Advisor.advise algo ~scale:1.0 ~num_partitions g in
+    let ranked = Cutfit.Advisor.measure algo ~num_partitions g in
+    let strategy = Cutfit.Advisor.advise ~ranked algo ~scale:1.0 ~num_partitions g in
     Fmt.pr "advised partitioner for %s at %d partitions: %s (optimizes %s)@."
       (Cutfit.Advisor.algorithm_name algo)
       num_partitions
@@ -390,7 +391,7 @@ let advise_cmd =
           (Cutfit.Strategy.to_string r.Cutfit.Advisor.strategy)
           (Cutfit.Advisor.predictive_metric algo)
           (Cutfit_experiments.Report.fsig r.Cutfit.Advisor.score))
-      (Cutfit.Advisor.measure algo ~num_partitions g);
+      ranked;
     exit_ok
   in
   Cmd.v (Cmd.info "advise" ~doc:"Recommend a partitioner for an algorithm on a graph.")

@@ -64,17 +64,16 @@ let retry_backoff t ~retries =
    jitter (GC pauses, JIT warmup): uniform in [1, 1 + gc_jitter]. Task
    heterogeneity is what makes finer-grained scheduling pack better —
    the granularity effect the paper reports for CC and TR. *)
-let jitter t ~partition ~step =
-  let h =
-    Cutfit_prng.Splitmix64.mix64
-      (Int64.add (Int64.mul (Int64.of_int (partition + 1)) 0x9E3779B97F4A7C15L)
-         (Int64.of_int (step + 7)))
-  in
-  let u = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0 in
-  1.0 +. (t.gc_jitter *. u)
-
 let jittered t ~step work =
-  Array.mapi (fun partition w -> w *. jitter t ~partition ~step) work
+  let out = Array.make (Array.length work) 0.0 in
+  for partition = 0 to Array.length work - 1 do
+    let u =
+      float_of_int (Cutfit_prng.Splitmix64.nth_bits53 ~seed:(step + 7) (partition + 1))
+      /. 9007199254740992.0
+    in
+    out.(partition) <- work.(partition) *. (1.0 +. (t.gc_jitter *. u))
+  done;
+  out
 
 let makespan ~work ~cores =
   if cores <= 0 then invalid_arg "Cost_model.makespan: cores <= 0";

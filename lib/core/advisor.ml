@@ -1,6 +1,5 @@
 module Graph = Cutfit_graph.Graph
 module Strategy = Cutfit_partition.Strategy
-module Partitioner = Cutfit_partition.Partitioner
 module Metrics = Cutfit_partition.Metrics
 
 type algorithm = Pagerank | Connected_components | Triangle_count | Shortest_paths
@@ -42,21 +41,20 @@ let heuristic algo ~size ~num_partitions =
 
 type ranked = { strategy : Strategy.t; metrics : Metrics.t; score : float }
 
-let measure ?(candidates = Strategy.all) algo ~num_partitions g =
+let rank algo measured =
   let metric = predictive_metric algo in
   let ranked =
     List.map
-      (fun strategy ->
-        let assignment = Partitioner.assign (Partitioner.Hash strategy) ~num_partitions g in
-        let metrics = Metrics.compute g ~num_partitions assignment in
-        { strategy; metrics; score = Metrics.metric_value metrics metric })
-      candidates
+      (fun (strategy, metrics) -> { strategy; metrics; score = Metrics.metric_value metrics metric })
+      measured
   in
   List.sort
     (fun a b ->
       let c = compare a.score b.score in
       if c <> 0 then c else compare a.metrics.Metrics.balance b.metrics.Metrics.balance)
     ranked
+
+let measure algo ~num_partitions g = rank algo (Metrics.of_hash g ~num_partitions)
 
 (* --- predicted simulated cost (coarse, for scheduling/amortization) ---
 
@@ -133,9 +131,12 @@ let predicted_exec_s ?(cost = Cost_model.default) ?(cluster = Cluster.config_i) 
            per_step_network)
      +. overhead)
 
-let advise ?(measure_threshold_edges = 5_000_000) algo ~scale ~num_partitions g =
+let advise ?(measure_threshold_edges = 5_000_000) ?ranked algo ~scale ~num_partitions g =
   if Graph.num_edges g <= measure_threshold_edges then
-    match measure algo ~num_partitions g with
+    let ranked =
+      match ranked with Some r -> r | None -> measure algo ~num_partitions g
+    in
+    match ranked with
     | best :: _ -> best.strategy
     | [] -> heuristic algo ~size:Small ~num_partitions
   else begin

@@ -14,8 +14,8 @@
       algorithm's predictive metric beats any fixed rule.
 
     Both modes are provided: [heuristic] (free, rule-based) and
-    [measure] (computes the metrics of every candidate — linear in the
-    number of edges per candidate). *)
+    [measure] (computes the metrics of every candidate in one O(n + m)
+    sweep of the adjacency per candidate). *)
 
 type algorithm = Pagerank | Connected_components | Triangle_count | Shortest_paths
 
@@ -42,15 +42,18 @@ type ranked = {
   score : float;  (** the predictive metric's value; lower is better *)
 }
 
-val measure :
-  ?candidates:Cutfit_partition.Strategy.t list ->
-  algorithm ->
-  num_partitions:int ->
-  Cutfit_graph.Graph.t ->
-  ranked list
-(** Partition with every candidate (default: the paper's six), compute
-    its metrics, and rank ascending by the algorithm's predictive
-    metric (ties broken by balance). *)
+val rank :
+  algorithm -> (Cutfit_partition.Strategy.t * Cutfit_partition.Metrics.t) list -> ranked list
+(** Rank measured candidates ascending by the algorithm's predictive
+    metric, ties broken by balance (a stable sort, so equal candidates
+    keep their measured order). The measurement does not depend on the
+    algorithm, so one {!Cutfit_partition.Metrics.of_hash} serves every
+    algorithm's ranking. *)
+
+val measure : algorithm -> num_partitions:int -> Cutfit_graph.Graph.t -> ranked list
+(** [rank] of the paper's six, measured by
+    {!Cutfit_partition.Metrics.of_hash}.
+    @raise Invalid_argument if [num_partitions <= 0]. *)
 
 (** {2 Predicted cost}
 
@@ -92,6 +95,7 @@ val predicted_exec_s :
 
 val advise :
   ?measure_threshold_edges:int ->
+  ?ranked:ranked list ->
   algorithm ->
   scale:float ->
   num_partitions:int ->
@@ -99,4 +103,6 @@ val advise :
   Cutfit_partition.Strategy.t
 (** Measured selection when the graph is small enough to afford it
     (default threshold 5M edges), the heuristic otherwise. [scale] is
-    the work-rescaling factor (1.0 for a graph used at face value). *)
+    the work-rescaling factor (1.0 for a graph used at face value).
+    [ranked], when given, is this graph's {!measure} for [algorithm]
+    and [num_partitions], used instead of measuring again. *)

@@ -73,6 +73,8 @@ let edge_src t i = t.src.(i)
 let edge_dst t i = t.dst.(i)
 let src_array t = t.src
 let dst_array t = t.dst
+let out_csr t = (t.out_off, t.out_adj)
+let in_csr t = (t.in_off, t.in_adj)
 let out_degree t v = t.out_off.(v + 1) - t.out_off.(v)
 let in_degree t v = t.in_off.(v + 1) - t.in_off.(v)
 let degree_sum t ~lo ~hi = t.out_off.(hi) - t.out_off.(lo) + t.in_off.(hi) - t.in_off.(lo)

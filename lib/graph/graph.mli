@@ -33,6 +33,14 @@ val src_array : t -> int array
 val dst_array : t -> int array
 (** The underlying destination array; do not mutate. *)
 
+val out_csr : t -> int array * int array
+(** [(off, adj)]: the underlying forward adjacency, [v]'s out-neighbours
+    being [adj.(off.(v))] .. [adj.(off.(v + 1) - 1)], ascending; do not
+    mutate. *)
+
+val in_csr : t -> int array * int array
+(** The same for the reverse adjacency (in-neighbours); do not mutate. *)
+
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 

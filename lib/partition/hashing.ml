@@ -18,10 +18,4 @@ let hash1 v ~num_partitions =
    mix of both components). *)
 let hash2 u v ~num_partitions =
   if num_partitions <= 0 then invalid_arg "Hashing.hash2: num_partitions <= 0";
-  let h =
-    Cutfit_prng.Splitmix64.mix64
-      (Int64.logxor
-         (Int64.mul (Int64.of_int u) mixing_prime)
-         (Int64.add (Int64.of_int v) 0x9E3779B97F4A7C15L))
-  in
-  Int64.to_int (Int64.shift_right_logical h 2) mod num_partitions
+  Cutfit_prng.Splitmix64.mix_pair mixing_prime u v mod num_partitions

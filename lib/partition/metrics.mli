@@ -63,6 +63,15 @@ val compute : Cutfit_graph.Graph.t -> num_partitions:int -> int array -> t
     by {!Partitioner.assign}: [of_presence] of {!presence}.
     @raise Invalid_argument on a malformed assignment. *)
 
+val of_hash : Cutfit_graph.Graph.t -> num_partitions:int -> (Strategy.t * t) list
+(** The metrics of every hash strategy, in {!Strategy.all} order, each
+    equal to [compute g ~num_partitions (Partitioner.assign (Hash s) ~num_partitions g)]
+    but read straight from [g]'s adjacency: no assignment array and no
+    sort, only O(n + P) scratch per strategy. Each vertex is placed
+    once through {!Strategy.tables}; RVC and CRVC share one sweep and
+    the pair hash of every edge with [src <= dst].
+    @raise Invalid_argument if [num_partitions <= 0]. *)
+
 val replica_count : Cutfit_graph.Graph.t -> num_partitions:int -> int array -> int array
 (** Per-vertex number of partitions the vertex is present in (0 for
     isolated vertices), counted independently of {!presence} with a

@@ -35,3 +35,25 @@ val edge_partition : t -> num_partitions:int -> src:int -> dst:int -> int
     resolves the strategy once, for loops over many edges.
     @raise Invalid_argument if [num_partitions <= 0] or an endpoint id
     is negative. *)
+
+type tables = {
+  modulo : int array;  (** [v mod num_partitions]: SC, DC and the identity-hash master *)
+  hashed : int array;  (** [Hashing.hash1 v]: 1D *)
+  grid_base : int array;  (** first partition of [v]'s 2D grid column, as a source *)
+  grid_row : int array;  (** [v]'s 2D grid row, as a destination, in a full column *)
+  grid_row_last : int array;  (** the same in the last column (the non-square fallback) *)
+  grid_last_base : int;  (** [grid_base] of the last column *)
+}
+(** Per-vertex placement tables: every hash-family strategy but RVC and
+    CRVC places an edge from one table entry per endpoint. [src -> dst]
+    lands in [modulo.(src)] under SC, [hashed.(src)] under 1D,
+    [modulo.(dst)] under DC, and under 2D in
+    [grid_base.(src) + (if grid_base.(src) < grid_last_base then grid_row.(dst)
+    else grid_row_last.(dst))]. RVC places it in [Hashing.hash2 src dst]
+    and CRVC in the [hash2] of the ordered pair [(min, max)]. *)
+
+val tables : num_partitions:int -> int -> tables
+(** [tables ~num_partitions n] fills the tables for vertices [0 .. n - 1],
+    hashing each vertex once, with the same functions as
+    {!edge_partition}. O(n).
+    @raise Invalid_argument if [num_partitions <= 0]. *)

@@ -4,10 +4,25 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let mix64 x =
+(* [@inline] lets the int-level entries below run the finalizer on
+   unboxed Int64 locals; a call across a module boundary boxes its
+   Int64 argument and result. *)
+let[@inline] mix64 x =
   let x = Int64.(mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L) in
   let x = Int64.(mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL) in
   Int64.(logxor x (shift_right_logical x 31))
+
+let mix_pair k u v =
+  Int64.to_int
+    (Int64.shift_right_logical
+       (mix64 (Int64.logxor (Int64.mul (Int64.of_int u) k) (Int64.add (Int64.of_int v) golden_gamma)))
+       2)
+
+let nth_bits53 ~seed i =
+  Int64.to_int
+    (Int64.shift_right_logical
+       (mix64 (Int64.add (Int64.mul (Int64.of_int i) golden_gamma) (Int64.of_int seed)))
+       11)
 
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;

@@ -19,6 +19,21 @@ val mix64 : int64 -> int64
 (** [mix64 x] is the stateless SplitMix64 finalizer: a bijective avalanche
     mix of [x].  Suitable as a hash function for 64-bit keys. *)
 
+(** {2 Int-level mixes}
+
+    Each computes its whole key and the {!mix64} finalizer inside this
+    module, so only ints cross the call and no [Int64] is boxed. *)
+
+val mix_pair : int64 -> int -> int -> int
+(** [mix_pair k u v] is the top 62 bits of
+    [mix64 ((u * k) lxor (v + 0x9E3779B97F4A7C15))], a non-negative
+    int: an ordered pair hash keyed by the multiplier [k]. *)
+
+val nth_bits53 : seed:int -> int -> int
+(** [nth_bits53 ~seed i] is the top 53 bits of [mix64 (seed + i * gamma)],
+    the [i]-th output ([i >= 1]) of [create (Int64.of_int seed)], as a
+    non-negative int; [float_of_int r /. 2^53] is uniform in \[0, 1). *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

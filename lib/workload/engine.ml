@@ -373,15 +373,16 @@ module Timeline = struct
       fire
 end
 
-(* --- memoized graphs and advisor rankings --- *)
+(* --- memoized graphs and advisor measurements --- *)
 
 (* Per-dataset graph (and its paper scale) and per (dataset,
-   granularity, metric) advisor rankings — jobs sharing a dataset share
-   the measurement, as a resident advisor service would. *)
+   granularity) candidate metrics — jobs sharing a dataset and
+   granularity share the measurement whatever their algorithm, as a
+   resident advisor service would. *)
 module Memo = struct
   type t = {
     graphs : (string, Graph.t * float * Datasets.spec) Hashtbl.t;
-    rankings : (string, Advisor.ranked list) Hashtbl.t;
+    measured : (string, (Strategy.t * Metrics.t) list) Hashtbl.t;
   }
 
   let graph_of t dataset =
@@ -396,15 +397,17 @@ module Memo = struct
         entry
 
   let ranked_for t (job : Job.t) =
-    let metric = Advisor.predictive_metric job.Job.algorithm in
-    let key = Printf.sprintf "%s#%d#%s" job.Job.dataset job.Job.num_partitions metric in
-    match Hashtbl.find_opt t.rankings key with
-    | Some r -> r
-    | None ->
-        let g, _, _ = graph_of t job.Job.dataset in
-        let r = Advisor.measure job.Job.algorithm ~num_partitions:job.Job.num_partitions g in
-        Hashtbl.replace t.rankings key r;
-        r
+    let key = Printf.sprintf "%s#%d" job.Job.dataset job.Job.num_partitions in
+    let measured =
+      match Hashtbl.find_opt t.measured key with
+      | Some m -> m
+      | None ->
+          let g, _, _ = graph_of t job.Job.dataset in
+          let m = Metrics.of_hash g ~num_partitions:job.Job.num_partitions in
+          Hashtbl.replace t.measured key m;
+          m
+    in
+    Advisor.rank job.Job.algorithm measured
 
   (* A mutation batch advanced [dataset]'s graph: the advisor re-measures
      on the next job that needs a ranking for it. *)
@@ -415,9 +418,9 @@ module Memo = struct
       (* lint: order-independent *)
       Hashtbl.fold
         (fun key _ acc -> if String.starts_with ~prefix key then key :: acc else acc)
-        t.rankings []
+        t.measured []
     in
-    List.iter (Hashtbl.remove t.rankings) stale
+    List.iter (Hashtbl.remove t.measured) stale
 end
 
 (* --- the narrated partitioning cache --- *)
@@ -744,7 +747,7 @@ end
 
 (* Streaming ingestion: every [every]-th job launch first lands a
    mutation batch on its own dataset. The memoized graph advances, the
-   advisor's rankings for that dataset are forgotten, and the cache
+   advisor's measurements for that dataset are forgotten, and the cache
    loses exactly that dataset's keys. On the refresh path the
    incremental repair runs synchronously with the batch — the refreshed
    partitionings are valid the instant it completes, and the triggering
@@ -1429,7 +1432,7 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
     {
       cluster; seed; iterations; checkpoint_every; faults; speculation; selection; backpressure;
       deadline; tenant_deadlines; max_retries; emit; timeline;
-      memo = { Memo.graphs = Hashtbl.create 16; rankings = Hashtbl.create 16 };
+      memo = { Memo.graphs = Hashtbl.create 16; measured = Hashtbl.create 16 };
       cache = Narrated.create ~eviction ~budget_bytes ~emit ~live_at:(Timeline.live_at timeline);
       retry = Retry.create ?breaker_k ~cooldown_s:breaker_cooldown_s ~emit ();
       admission =

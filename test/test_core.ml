@@ -150,3 +150,39 @@ let suite =
     Alcotest.test_case "pipeline metrics" `Quick test_pipeline_metrics;
     Alcotest.test_case "compare partitioners" `Quick test_compare_partitioners;
   ]
+
+(* --- the one-sweep measurement against the two-step definition --- *)
+
+(* The advisor's ranking as first defined: assign each candidate, then
+   compute its metrics from the assignment, then rank. *)
+let two_step_measure algo ~num_partitions g =
+  let metric = Advisor.predictive_metric algo in
+  List.map
+    (fun strategy ->
+      let a = Partitioner.assign (Partitioner.Hash strategy) ~num_partitions g in
+      let metrics = Metrics.compute g ~num_partitions a in
+      { Advisor.strategy; metrics; score = Metrics.metric_value metrics metric })
+    Strategy.all
+  |> List.sort (fun (a : Advisor.ranked) b ->
+         let c = compare a.score b.score in
+         if c <> 0 then c else compare a.metrics.Metrics.balance b.metrics.Metrics.balance)
+
+let test_measure_matches_two_step () =
+  List.iter
+    (fun name ->
+      let g = Cutfit.Datasets.generate (Cutfit.Datasets.find name) in
+      List.iter
+        (fun num_partitions ->
+          List.iter
+            (fun algo ->
+              checkb
+                (Printf.sprintf "%s P=%d %s" name num_partitions (Advisor.algorithm_name algo))
+                true
+                (Advisor.measure algo ~num_partitions g = two_step_measure algo ~num_partitions g))
+            [ Advisor.Pagerank; Advisor.Triangle_count ])
+        [ 64; 128; 256 ])
+    [ "youtube"; "roadnet_pa"; "roadnet_ca" ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "measure = two-step ranking on analogues" `Quick test_measure_matches_two_step ]

@@ -411,3 +411,59 @@ let prop_assign_matches_edge_partition =
         (List.concat_map (fun s -> List.map (fun p -> (s, p)) [ 16; 256; 7; 12 ]) Strategy.all))
 
 let suite = suite @ [ prop_pgraph_matches_assignment; prop_assign_matches_edge_partition ]
+
+(* --- the six hash strategies measured straight from the adjacency --- *)
+
+(* Multigraphs with self-loops and parallel edges whose endpoints are
+   drawn below [used], so ids at and past [used] stay isolated; P
+   ranges over grid squares, non-squares and counts above n. *)
+let hash_case_gen =
+  let open QCheck2.Gen in
+  int_range 1 40 >>= fun n ->
+  int_range 1 n >>= fun used ->
+  int_range 0 150 >>= fun m ->
+  list_repeat m (pair (int_range 0 (used - 1)) (int_range 0 (used - 1))) >>= fun edges ->
+  oneofl [ 1; 2; 3; 7; 16; 100; 128; 256 ] >|= fun np -> (n, edges, np)
+
+let prop_of_hash_matches_assign =
+  Test_util.qtest ~count:300 "of_hash = compute . assign, all six"
+    ~print:(fun (n, edges, np) -> Printf.sprintf "%s P=%d" (Test_util.print_small_graph (n, edges)) np)
+    hash_case_gen (fun (n, edges, num_partitions) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      let measured = Metrics.of_hash g ~num_partitions in
+      List.map fst measured = Strategy.all
+      && List.for_all
+           (fun (s, m) ->
+             m = Metrics.compute g ~num_partitions
+                   (Partitioner.assign (Partitioner.Hash s) ~num_partitions g))
+           measured)
+
+let test_of_hash_rejects_bad_partitions () =
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (fun num_partitions ->
+      checkb "of_hash" true (raises (fun () -> Metrics.of_hash g ~num_partitions));
+      List.iter
+        (fun s ->
+          checkb "assign" true
+            (raises (fun () -> Partitioner.assign (Partitioner.Hash s) ~num_partitions g)))
+        Strategy.all)
+    [ 0; -1 ]
+
+let test_hash2_allocation_free () =
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    acc := !acc + Hashing.hash2 i (i * 7919) ~num_partitions:128
+  done;
+  let after = Gc.minor_words () in
+  checkb "hash2 in range" true (!acc >= 0 && !acc < 128 * 10_000);
+  Alcotest.(check (float 0.0)) "minor words over 10,000 hash2 calls" 0.0 (after -. before)
+
+let suite =
+  suite
+  @ [
+      prop_of_hash_matches_assign;
+      Alcotest.test_case "of_hash rejects P <= 0" `Quick test_of_hash_rejects_bad_partitions;
+      Alcotest.test_case "hash2 allocates nothing" `Quick test_hash2_allocation_free;
+    ]
