@@ -984,9 +984,9 @@ let check_cmd =
   in
   let races_arg =
     let doc =
-      "Add the $(b,races) suite: run the instrumented mirrors of the compact kernels under the \
-       shadow write-ownership recorder at domain counts 1, 2, 4 and $(b,--domains), and \
-       self-test the detector against two seeded race corruptions."
+      "Add the $(b,races) suite: run the compact kernels with the shadow write-ownership \
+       recorder at domain counts 1, 2, 4 and $(b,--domains), and self-test the detector \
+       against two seeded race corruptions."
     in
     Arg.(value & flag & info [ "races" ] ~doc)
   in
@@ -1057,8 +1057,8 @@ let check_cmd =
           proves the value-equivalence invariant against a clean baseline. With \
           $(b,--engine csr), an $(b,engines) suite proves the compact kernels reproduce the \
           boxed engine's values bit-for-bit at domain counts 1, 2, 4 and $(b,--domains). With \
-          $(b,--races), a $(b,races) suite shadow-records every accumulator write of an \
-          instrumented kernel run and verifies the item-owned-writes discipline. With \
+          $(b,--races), a $(b,races) suite shadow-records every accumulator write of a \
+          compact kernel run and verifies the item-owned-writes discipline. With \
           $(b,--dynamic), a $(b,dynamic) suite replays a mutation schedule and proves the \
           dynamic-graph laws. With $(b,--elastic) or $(b,--hetero), an $(b,elastic) suite \
           replays the run on a static homogeneous cluster and proves scale events perturbed \

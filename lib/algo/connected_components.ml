@@ -35,13 +35,15 @@ let reference g = fst (Cutfit_graph.Components.weak g)
    ints — order-exact — so the partition-indexed reduction order here
    is about structure (slot ranges, active tracking), not float
    semantics; the labels match the boxed engine's bit-for-bit at any
-   domain count by construction. *)
+   domain count by construction. A [shadow] is recorded as in
+   [Pagerank.run_csr]. *)
 
 module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
+module Ownership = Cutfit_bsp.Ownership
 module B1 = Bigarray.Array1
 
-let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
+let run_csr ?(iterations = 10) ?(domains = 1) ?rounds ?shadow (c : Csr.t) =
   let n = c.Csr.num_vertices in
   let parts = c.Csr.num_partitions in
   let part_off = c.Csr.part_off in
@@ -57,26 +59,34 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
   let nxt = ref (Bytes.make n '\000') in
   let nchunks = c.Csr.num_chunks in
   let chunk_touched = Array.make (max nchunks 1) 0 in
-  let contribute slot m =
-    if Bytes.unsafe_get has slot = '\000' then begin
-      Bytes.unsafe_set has slot '\001';
-      B1.unsafe_set iacc slot m
-    end
-    else if m < B1.unsafe_get iacc slot then B1.unsafe_set iacc slot m
-  in
-  let scatter p =
-    let a = !cur in
+  let shadowed = Option.is_some shadow in
+  let wlogs = Csr.logs ?shadow ~domains Csr.Part_edges c in
+  let rlogs = Csr.logs ?shadow ~domains Csr.Chunk_slots c in
+  let scatter w p =
+    let a = !cur and log = wlogs.(w) and logged = ref 0 in
     for e = B1.unsafe_get part_off p to B1.unsafe_get part_off (p + 1) - 1 do
       let s = B1.unsafe_get esrc e and d = B1.unsafe_get edst e in
       if Bytes.unsafe_get a s <> '\000' || Bytes.unsafe_get a d <> '\000' then begin
         let ls = B1.unsafe_get label s and ld = B1.unsafe_get label d in
-        if ls < ld then contribute (B1.unsafe_get dslot e) ls
-        else if ld < ls then contribute (B1.unsafe_get sslot e) ld
+        if ls <> ld then begin
+          let slot = if ls < ld then B1.unsafe_get dslot e else B1.unsafe_get sslot e in
+          let m = if ls < ld then ls else ld in
+          if shadowed then begin
+            log.(!logged) <- slot;
+            incr logged
+          end;
+          if Bytes.unsafe_get has slot = '\000' then begin
+            Bytes.unsafe_set has slot '\001';
+            B1.unsafe_set iacc slot m
+          end
+          else if m < B1.unsafe_get iacc slot then B1.unsafe_set iacc slot m
+        end
       end
-    done
+    done;
+    match shadow with Some own -> Ownership.writes own ~worker:w ~item:p log !logged | None -> ()
   in
-  let reduce ch =
-    let next = !nxt in
+  let reduce w ch =
+    let next = !nxt and log = rlogs.(w) and logged = ref 0 in
     let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
     (* [next] doubles as the chunk's got-a-message flags; [min] folds
        straight into the label. *)
@@ -86,6 +96,10 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
       let grp = (p * nchunks) + ch in
       for slot = B1.unsafe_get group_off grp to B1.unsafe_get group_off (grp + 1) - 1 do
         if Bytes.unsafe_get has slot <> '\000' then begin
+          if shadowed then begin
+            log.(!logged) <- slot;
+            incr logged
+          end;
           Bytes.unsafe_set has slot '\000';
           let v = B1.unsafe_get slot_vertex slot in
           if Bytes.unsafe_get next v = '\000' then begin
@@ -97,14 +111,15 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
         end
       done
     done;
-    chunk_touched.(ch) <- !touched
+    chunk_touched.(ch) <- !touched;
+    match shadow with Some own -> Ownership.reads own ~worker:w ~item:ch log !logged | None -> ()
   in
   let step = ref 1 in
   Par_exec.with_pool ~domains (fun pool ->
       let continue_ = ref true in
       while !continue_ do
-        Par_exec.iter pool ~n:parts (fun _ p -> scatter p);
-        Par_exec.iter pool ~n:nchunks (fun _ ch -> reduce ch);
+        Par_exec.iter ?shadow pool ~n:parts scatter;
+        Par_exec.iter ?shadow pool ~n:nchunks reduce;
         let touched = Array.fold_left ( + ) 0 chunk_touched in
         let swap = !cur in
         cur := !nxt;

@@ -29,11 +29,17 @@ val run :
     reach the exact fixpoint. *)
 
 val run_csr :
-  ?iterations:int -> ?domains:int -> ?rounds:int ref -> Cutfit_bsp.Csr.t -> int array
+  ?iterations:int ->
+  ?domains:int ->
+  ?rounds:int ref ->
+  ?shadow:Cutfit_bsp.Ownership.t ->
+  Cutfit_bsp.Csr.t ->
+  int array
 (** Real execution on the compact {!Cutfit_bsp.Csr} layout; labels are
     bit-identical to {!run}'s at any [domains]. Defaults: 10
     iterations, 1 domain. [rounds] receives the number of executed
-    scatter/reduce rounds. *)
+    scatter/reduce rounds. [shadow] records slot writes and consumes
+    for the race sanitizer, as in {!Pagerank.run_csr}. *)
 
 val reference : Cutfit_graph.Graph.t -> int array
 (** Exact component labels (same lowest-id convention) via union-find;

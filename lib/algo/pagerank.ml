@@ -41,13 +41,16 @@ let run ?(iterations = 10) ?scale ?cost ?checkpoint_every ?faults ?speculation ?
    folds its slots in the boxed engine's cross-partition merge order,
    and then applies the damped update. Both phases write only
    item-owned state, so the result is bit-identical to [run]'s ranks
-   at any domain count. *)
+   at any domain count. With a [shadow], an item logs the slots it
+   writes or consumes with a flag test and a store, not a call, and
+   hands them over after the item (docs/PERFORMANCE.md, "Shadow hook"). *)
 
 module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
+module Ownership = Cutfit_bsp.Ownership
 module B1 = Bigarray.Array1
 
-let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
+let run_csr ?(iterations = 10) ?(domains = 1) ?rounds ?shadow (c : Csr.t) =
   let n = c.Csr.num_vertices in
   let parts = c.Csr.num_partitions in
   let part_off = c.Csr.part_off in
@@ -63,8 +66,11 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
   let nxt = ref (Bytes.make n '\000') in
   let nchunks = c.Csr.num_chunks in
   let chunk_touched = Array.make (max nchunks 1) 0 in
-  let scatter p =
-    let a = !cur in
+  let shadowed = Option.is_some shadow in
+  let wlogs = Csr.logs ?shadow ~domains Csr.Part_edges c in
+  let rlogs = Csr.logs ?shadow ~domains Csr.Chunk_slots c in
+  let scatter w p =
+    let a = !cur and log = wlogs.(w) and logged = ref 0 in
     for e = B1.unsafe_get part_off p to B1.unsafe_get part_off (p + 1) - 1 do
       let s = B1.unsafe_get esrc e and d = B1.unsafe_get edst e in
       if Bytes.unsafe_get a s <> '\000' || Bytes.unsafe_get a d <> '\000' then begin
@@ -72,6 +78,10 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
         if deg > 0 then begin
           let m = B1.unsafe_get rank s /. float_of_int deg in
           let slot = B1.unsafe_get dslot e in
+          if shadowed then begin
+            log.(!logged) <- slot;
+            incr logged
+          end;
           if Bytes.unsafe_get has slot = '\000' then begin
             Bytes.unsafe_set has slot '\001';
             B1.unsafe_set facc slot m
@@ -79,10 +89,11 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
           else B1.unsafe_set facc slot (B1.unsafe_get facc slot +. m)
         end
       end
-    done
+    done;
+    match shadow with Some own -> Ownership.writes own ~worker:w ~item:p log !logged | None -> ()
   in
-  let reduce ch =
-    let next = !nxt in
+  let reduce w ch =
+    let next = !nxt and log = rlogs.(w) and logged = ref 0 in
     let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
     (* [next] doubles as the chunk's got-a-message flags, and [rank]
        holds a vertex's running total until the update below. *)
@@ -92,6 +103,10 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
       let grp = (p * nchunks) + ch in
       for slot = B1.unsafe_get group_off grp to B1.unsafe_get group_off (grp + 1) - 1 do
         if Bytes.unsafe_get has slot <> '\000' then begin
+          if shadowed then begin
+            log.(!logged) <- slot;
+            incr logged
+          end;
           Bytes.unsafe_set has slot '\000';
           let v = B1.unsafe_get slot_vertex slot in
           if Bytes.unsafe_get next v = '\000' then begin
@@ -107,14 +122,15 @@ let run_csr ?(iterations = 10) ?(domains = 1) ?rounds (c : Csr.t) =
       if Bytes.unsafe_get next v <> '\000' then
         B1.unsafe_set rank v (0.15 +. (0.85 *. B1.unsafe_get rank v))
     done;
-    chunk_touched.(ch) <- !touched
+    chunk_touched.(ch) <- !touched;
+    match shadow with Some own -> Ownership.reads own ~worker:w ~item:ch log !logged | None -> ()
   in
   let step = ref 1 in
   Par_exec.with_pool ~domains (fun pool ->
       let continue_ = ref true in
       while !continue_ do
-        Par_exec.iter pool ~n:parts (fun _ p -> scatter p);
-        Par_exec.iter pool ~n:nchunks (fun _ ch -> reduce ch);
+        Par_exec.iter ?shadow pool ~n:parts scatter;
+        Par_exec.iter ?shadow pool ~n:nchunks reduce;
         let touched = Array.fold_left ( + ) 0 chunk_touched in
         let swap = !cur in
         cur := !nxt;

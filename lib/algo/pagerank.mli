@@ -44,7 +44,12 @@ val run_gas :
     al. in the paper's related work). *)
 
 val run_csr :
-  ?iterations:int -> ?domains:int -> ?rounds:int ref -> Cutfit_bsp.Csr.t -> float array
+  ?iterations:int ->
+  ?domains:int ->
+  ?rounds:int ref ->
+  ?shadow:Cutfit_bsp.Ownership.t ->
+  Cutfit_bsp.Csr.t ->
+  float array
 (** The same recurrence executed for real on the compact
     {!Cutfit_bsp.Csr} layout via {!Cutfit_bsp.Par_exec} — no simulated
     trace, wall-clock fast. Defaults: 10 iterations, 1 domain. Ranks
@@ -52,7 +57,9 @@ val run_csr :
     partition-indexed reduction order; see docs/PERFORMANCE.md), which
     {!Cutfit_check.Engine_check} enforces. [rounds], when given, is set
     to the number of scatter/reduce rounds executed, so callers can
-    report edges-scanned-per-second. *)
+    report edges-scanned-per-second. [shadow] (a
+    {!Cutfit_bsp.Csr.shadow}) records every slot write and consume for
+    {!Cutfit_check.Race_check}; the ranks do not change. *)
 
 val reference : iterations:int -> Cutfit_graph.Graph.t -> float array
 (** Sequential implementation of the same recurrence, for validating the

@@ -35,13 +35,15 @@ val run_csr :
   ?max_supersteps:int ->
   ?domains:int ->
   ?rounds:int ref ->
+  ?shadow:Cutfit_bsp.Ownership.t ->
   landmarks:int array ->
   Cutfit_bsp.Csr.t ->
   int array array
 (** Real execution on the compact {!Cutfit_bsp.Csr} layout; distances
     are bit-identical to {!run}'s at any [domains]. Defaults: 2000
     supersteps, 1 domain. [rounds] receives the number of executed
-    scatter/reduce rounds.
+    scatter/reduce rounds. [shadow] records slot writes and consumes
+    for the race sanitizer, as in {!Pagerank.run_csr}.
     @raise Invalid_argument on an empty or out-of-range landmark set. *)
 
 val pick_landmarks : seed:int64 -> count:int -> Cutfit_graph.Graph.t -> int array

@@ -31,8 +31,9 @@ type result = { per_vertex : int array; total : int; trace : Trace.t }
 
 module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
+module Ownership = Cutfit_bsp.Ownership
 
-let scatter_csr pool ~domains (c : Csr.t) =
+let run_csr ?(domains = 1) ?shadow (c : Csr.t) =
   let g = c.Csr.graph in
   let n = c.Csr.num_vertices in
   let off, up = Graph.upper_neighbours g in
@@ -65,25 +66,31 @@ let scatter_csr pool ~domains (c : Csr.t) =
       done
     done
   in
-  Par_exec.iter pool ~n:c.Csr.num_chunks scatter;
-  worker_counts
-
-let run_csr ?(domains = 1) (c : Csr.t) =
-  let n = c.Csr.num_vertices in
+  (* The reduce writes [per_vertex] by chunk; with a [shadow] (a
+     vertex-space recorder) it logs those writes as the PageRank kernel
+     logs slots. The scatter writes only worker-owned arrays, so it is
+     not recorded. *)
   let per_vertex = Array.make n 0 in
-  let reduce worker_counts ch =
-    let lo = ch * Csr.chunk and hi = min n ((ch * Csr.chunk) + Csr.chunk) in
-    for v = lo to hi - 1 do
+  let shadowed = Option.is_some shadow in
+  let logs = Array.init domains (fun _ -> if shadowed then Array.make Csr.chunk 0 else [||]) in
+  let reduce w ch =
+    let log = logs.(w) and logged = ref 0 in
+    for v = ch * Csr.chunk to min n ((ch * Csr.chunk) + Csr.chunk) - 1 do
       let total = ref 0 in
-      for w = 0 to domains - 1 do
-        total := !total + worker_counts.(w).(v)
+      for u = 0 to domains - 1 do
+        total := !total + worker_counts.(u).(v)
       done;
+      if shadowed then begin
+        log.(!logged) <- v;
+        incr logged
+      end;
       per_vertex.(v) <- !total
-    done
+    done;
+    match shadow with Some own -> Ownership.writes own ~worker:w ~item:ch log !logged | None -> ()
   in
   Par_exec.with_pool ~domains (fun pool ->
-      let worker_counts = scatter_csr pool ~domains c in
-      Par_exec.iter pool ~n:c.Csr.num_chunks (fun _ ch -> reduce worker_counts ch));
+      Par_exec.iter pool ~n:c.Csr.num_chunks scatter;
+      Par_exec.iter ?shadow pool ~n:c.Csr.num_chunks reduce);
   (per_vertex, Array.fold_left ( + ) 0 per_vertex / 3)
 
 let run ?(scale = 1.0) ?(cost = Cost_model.default) ?undirected ?telemetry ~cluster pg =

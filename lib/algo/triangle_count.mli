@@ -34,7 +34,7 @@ val run :
     the graph across runs; it must equal [Graph.symmetrize] of the
     partitioned graph's underlying graph. *)
 
-val run_csr : ?domains:int -> Cutfit_bsp.Csr.t -> int array * int
+val run_csr : ?domains:int -> ?shadow:Cutfit_bsp.Ownership.t -> Cutfit_bsp.Csr.t -> int array * int
 (** [run_csr c] is [(per_vertex, total)] computed for real from the
     graph under the compact {!Cutfit_bsp.Csr} layout, without the
     simulated dataflow trace; identical to {!run}'s counts at any
@@ -50,12 +50,10 @@ val run_csr : ?domains:int -> Cutfit_bsp.Csr.t -> int array * int
     [v -> u] edges), which is how often {!run} finds it. The partition
     layout is not read. The substrate {!Cutfit_graph.Triangles} counts
     distinct triangles, so it agrees with [total] only on graphs
-    without parallel edges. *)
+    without parallel edges.
 
-val scatter_csr : Cutfit_bsp.Par_exec.t -> domains:int -> Cutfit_bsp.Csr.t -> int array array
-(** The scatter phase of {!run_csr} on a pool of [domains] workers:
-    one per-vertex count array per worker, each triangle added to the
-    array of the worker that found it. Summed per vertex they are
-    {!run_csr}'s [per_vertex]. Exported for
-    [Cutfit_check.Race_check.triangle_count], which runs its own
-    instrumented reduce over this production scatter. *)
+    Each worker counts into its own array; a reduce over vertex chunks
+    sums them into [per_vertex]. [shadow] (a vertex-space
+    {!Cutfit_bsp.Csr.shadow}) records the reduce's per-vertex writes
+    for the race sanitizer. *)
+

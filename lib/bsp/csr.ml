@@ -136,9 +136,35 @@ let build pg =
     has = Bytes.make s '\000';
   }
 
-(* Instrumentation hook: a shadow recorder sized to this layout's slot
-   space (or to the vertex space, for kernels like triangle counting
-   whose reduction writes live in vertex coordinates). *)
 let shadow ?(vertex_space = false) ~workers c =
   let slots = if vertex_space then c.num_vertices else c.num_slots in
   Ownership.create ~slots ~workers
+
+type span = Part_edges | Chunk_slots
+
+(* A buffer holds one work item's records, so it is as long as the
+   phase's largest item. *)
+let logs ?shadow ~domains span c =
+  match shadow with
+  | None -> Array.make domains [||]
+  | Some _ ->
+      let largest items width =
+        let m = ref 0 in
+        for i = 0 to items - 1 do
+          m := max !m (width i)
+        done;
+        !m
+      in
+      let size =
+        match span with
+        | Part_edges -> largest c.num_partitions (fun p -> c.part_off.{p + 1} - c.part_off.{p})
+        | Chunk_slots ->
+            largest c.num_chunks (fun ch ->
+                let slots = ref 0 in
+                for p = 0 to c.num_partitions - 1 do
+                  let grp = (p * c.num_chunks) + ch in
+                  slots := !slots + c.group_off.{grp + 1} - c.group_off.{grp}
+                done;
+                !slots)
+      in
+      Array.init domains (fun _ -> Array.make size 0)

@@ -82,5 +82,15 @@ val shadow : ?vertex_space:bool -> workers:int -> t -> Ownership.t
 (** [shadow ~workers c] creates an {!Ownership} recorder over [c]'s
     accumulator-slot space (or over the vertex space when
     [~vertex_space:true], for kernels whose reduction writes are
-    per-vertex) — the instrumented CSR mode used by the race
+    per-vertex), for a kernel run with [~shadow] by the race
     sanitizer. *)
+
+(** A phase's work item: a partition's edges (scatter) or a vertex
+    chunk's slots over all partitions (reduce). *)
+type span = Part_edges | Chunk_slots
+
+val logs : ?shadow:Ownership.t -> domains:int -> span -> t -> int array array
+(** One recording buffer per worker, as long as the phase's largest
+    item: a shadowed kernel logs an item's slots with a plain store and
+    passes them to {!Ownership.writes}/{!Ownership.reads} after the
+    item. Without [shadow] every buffer is empty. *)

@@ -97,19 +97,11 @@ let total_joins c =
 
 let describe c = Printf.sprintf "scale-events [%s] seed=%d" (to_spec c.items) c.seed
 
-(* Stateless per-(salt, item) draw, the same keying discipline as
-   Faults: the realized schedule depends only on (seed, spec), never on
-   the order the engine asks questions in. *)
-let draw ~seed ~salt ~k =
-  Splitmix64.mix64
-    (Int64.logxor
-       (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-       (Int64.add (Int64.mul (Int64.of_int salt) 0xBF58476D1CE4E5B9L) (Int64.of_int k)))
-
-let unit_float h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
-let draw_mod h m = Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int m))
-
-let victim c ~step ~alive = draw_mod (draw ~seed:c.seed ~salt:(7000 + step) ~k:0) alive
+(* Victims and host speeds are keyed draws ([Splitmix64.draw]): the
+   realized schedule depends only on (seed, spec), never on the order
+   the engine asks questions in. *)
+let victim c ~step ~alive =
+  Splitmix64.draw_mod (Splitmix64.draw ~seed:c.seed ~salt:(7000 + step) ~k:0) alive
 
 (* --- Heterogeneous hosts ------------------------------------------- *)
 
@@ -124,7 +116,7 @@ let hetero_floor = 0.6
 let draw_hetero ~seed ~executors =
   if executors <= 0 then invalid_arg "Elastic.draw_hetero: executors <= 0";
   let multiplier salt e =
-    hetero_floor +. (hetero_spread *. unit_float (draw ~seed ~salt ~k:e))
+    hetero_floor +. (hetero_spread *. Splitmix64.unit_float (Splitmix64.draw ~seed ~salt ~k:e))
   in
   {
     speeds = Array.init executors (multiplier 8001);

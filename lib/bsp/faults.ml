@@ -161,17 +161,10 @@ let describe c =
   Printf.sprintf "faults %S seed=%d max-failures=%d recovery=%s" c.raw c.seed c.max_failures
     (mode_name c.mode)
 
-(* Stateless per-(salt, step) draw: plan order never matters, so the
-   realized schedule depends only on (seed, spec), not on how the engine
-   interleaves calls. *)
-let draw ~seed ~salt ~k =
-  Splitmix64.mix64
-    (Int64.logxor
-       (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-       (Int64.add (Int64.mul (Int64.of_int salt) 0xBF58476D1CE4E5B9L) (Int64.of_int k)))
-
-let unit_float h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
-let draw_mod h m = Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int m))
+(* Every random choice below is a keyed draw ([Splitmix64.draw]) per
+   (salt, step): plan order never matters, so the realized schedule
+   depends only on (seed, spec), not on how the engine interleaves
+   calls. *)
 
 type resolved =
   | R_crash of { step : int; executor : int }
@@ -191,7 +184,7 @@ let session ~executors c =
   if executors <= 0 then invalid_arg "Faults.session: executors <= 0";
   let resolve idx = function
     | Some e -> ((e mod executors) + executors) mod executors
-    | None -> draw_mod (draw ~seed:c.seed ~salt:idx ~k:0) executors
+    | None -> Splitmix64.draw_mod (Splitmix64.draw ~seed:c.seed ~salt:idx ~k:0) executors
   in
   let resolved =
     List.mapi
@@ -266,10 +259,10 @@ let plan s ~step =
                 (Printf.sprintf "shuffle lost, %d retransmission(s)" l.retries)
             end
         | R_rand { rate } ->
-            let h = draw ~seed:s.sconfig.seed ~salt:(1000 + idx) ~k:step in
-            if unit_float h < rate then begin
-              let h2 = draw ~seed:s.sconfig.seed ~salt:(2000 + idx) ~k:step in
-              let e = draw_mod h2 s.executors in
+            let h = Splitmix64.draw ~seed:s.sconfig.seed ~salt:(1000 + idx) ~k:step in
+            if Splitmix64.unit_float h < rate then begin
+              let h2 = Splitmix64.draw ~seed:s.sconfig.seed ~salt:(2000 + idx) ~k:step in
+              let e = Splitmix64.draw_mod h2 s.executors in
               match Int64.to_int (Int64.rem (Int64.shift_right_logical h 33) 4L) with
               | 0 ->
                   if !crash = None then begin

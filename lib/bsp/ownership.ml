@@ -1,13 +1,15 @@
-(* Shadow write-ownership recorder for the instrumented CSR mode.
+(* Shadow write-ownership recorder for the shadowed CSR kernels.
 
    Recording must not itself race: every [write]/[read] appends to the
    calling worker's private log (worker-owned state, the same discipline
    the kernels follow), and all checking happens on the driver domain at
    [barrier], after Par_exec's epoch barrier has already ordered the
-   workers' writes before our reads. Merging sorts the records by
-   (item, per-item sequence); an item runs as one contiguous call on one
-   worker, so that order — and therefore the conflict list — is
-   independent of which domain ran what when. *)
+   workers' writes before our reads. Merging sorts the logs,
+   concatenated in worker order, stably by item; an item runs as one
+   contiguous call on one worker, so that order — and therefore the
+   conflict list — is independent of which domain ran what when.
+   Records written before a phase (on worker 0) come first for their
+   item. *)
 
 type conflict = {
   epoch : int;
@@ -70,36 +72,33 @@ let append log kind item slot =
 let write t ~worker ~item slot = append t.logs.(worker) 0 item slot
 let read t ~worker ~item slot = append t.logs.(worker) 1 item slot
 
-(* Merge the epoch's records in (item, per-item sequence) order and
-   replay them against the per-slot shadow stamps. *)
+let record kind t ~worker ~item buf len =
+  let log = t.logs.(worker) in
+  for i = 0 to len - 1 do
+    append log kind item buf.(i)
+  done
+
+let writes t = record 0 t
+let reads t = record 1 t
+
+(* Merge the epoch's records in item order and replay them against the
+   per-slot shadow stamps. *)
 let barrier t =
-  let total = ref 0 in
-  Array.iter (fun log -> total := !total + (log.len / 3)) t.logs;
-  let records = Array.make !total (0, 0, 0, 0) in
-  let cursor = ref 0 in
-  Array.iter
-    (fun log ->
-      let seq = Hashtbl.create 16 in
-      let i = ref 0 in
-      while !i < log.len do
-        let kind = log.buf.(!i) and item = log.buf.(!i + 1) and slot = log.buf.(!i + 2) in
-        let s = match Hashtbl.find_opt seq item with Some s -> s | None -> 0 in
-        Hashtbl.replace seq item (s + 1);
-        records.(!cursor) <- (item, s, kind, slot);
-        incr cursor;
-        i := !i + 3
-      done;
-      log.len <- 0)
-    t.logs;
-  Array.sort
-    (fun (i1, s1, _, _) (i2, s2, _, _) ->
-      match Int.compare i1 i2 with 0 -> Int.compare s1 s2 | c -> c)
-    records;
+  let take log =
+    let records =
+      Array.init (log.len / 3) (fun j ->
+          (log.buf.((3 * j) + 1), log.buf.(3 * j), log.buf.((3 * j) + 2)))
+    in
+    log.len <- 0;
+    records
+  in
+  let records = Array.concat (List.map take (Array.to_list t.logs)) in
+  Array.stable_sort (fun (i1, _, _) (i2, _, _) -> Int.compare i1 i2) records;
   let conflict rule slot first_item second_item =
     t.conflicts <- { epoch = t.epoch; slot; rule; first_item; second_item } :: t.conflicts
   in
   Array.iter
-    (fun (item, _, kind, slot) ->
+    (fun (item, kind, slot) ->
       if slot >= 0 && slot < t.slots then begin
         if kind = 0 then begin
           t.writes_seen <- t.writes_seen + 1;

@@ -4,8 +4,8 @@
     parallel phase (an "epoch"), every accumulator slot is written by at
     most one item, and reduction reads of a slot only happen in a later
     epoch than the write. This module records [(epoch, slot, item)]
-    shadow events from instrumented kernels and checks the discipline at
-    each barrier. Recording appends to per-worker logs (worker-owned, so
+    shadow events from the kernels run with a [~shadow] and checks the
+    discipline at each barrier. Recording appends to per-worker logs (worker-owned, so
     the recorder itself cannot race); checking runs on the driver domain
     and is deterministic for any domain count because records are merged
     in (item, per-item sequence) order. *)
@@ -35,6 +35,14 @@ val write : t -> worker:int -> item:int -> int -> unit
 
 val read : t -> worker:int -> item:int -> int -> unit
 (** [read t ~worker ~item slot] records a reduction-side consume. *)
+
+val writes : t -> worker:int -> item:int -> int array -> int -> unit
+(** [writes t ~worker ~item buf len] is [write t ~worker ~item buf.(i)]
+    for [i] in [\[0, len)], in order: a kernel logs one item's slots
+    into a per-worker buffer and hands them over after the item. *)
+
+val reads : t -> worker:int -> item:int -> int array -> int -> unit
+(** [reads t ~worker ~item buf len] is the same for {!read}. *)
 
 val barrier : t -> unit
 (** Check the epoch's records against the single-writer / read-after-

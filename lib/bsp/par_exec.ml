@@ -90,7 +90,9 @@ let run t f =
     | None, None -> ()
   end
 
-let iter t ~n f =
+(* With a shadow, the Ownership barrier runs on the driver domain after
+   the phase has joined, so it reads the worker logs race-free. *)
+let iter ?shadow t ~n f =
   if t.domains = 1 then
     for i = 0 to n - 1 do
       f 0 i
@@ -103,15 +105,8 @@ let iter t ~n f =
           let i = Atomic.fetch_and_add cursor 1 in
           if i >= n then continue_ := false else f w i
         done)
-  end
-
-(* Instrumentation hook for the dynamic race sanitizer: a phase whose
-   shadow records are checked at the phase barrier. The Ownership
-   barrier runs on the driver domain after [iter] has joined, so it
-   reads the worker logs race-free. *)
-let iter_shadowed t ~shadow ~n f =
-  iter t ~n f;
-  Ownership.barrier shadow
+  end;
+  Option.iter Ownership.barrier shadow
 
 let shutdown t =
   if t.domains > 1 && not t.stop then begin

@@ -20,21 +20,19 @@ type t
 (** A worker pool: the calling domain plus [domains - 1] spawned
     domains. Not thread-safe; drive it from the creating domain only. *)
 
-val iter : t -> n:int -> (int -> int -> unit) -> unit
+val iter : ?shadow:Ownership.t -> t -> n:int -> (int -> int -> unit) -> unit
 (** [iter t ~n f] calls [f w i] exactly once for every [i] in
     [\[0, n)], where [w] is the worker that claimed item [i]. Items are
     claimed dynamically (atomic cursor) for load balance; [f] must
     confine its writes to state owned by item [i] (or by worker [w]) so
     the outcome is schedule-independent. It returns only when every
     worker has finished — a barrier — and an exception in any worker is
-    re-raised here after the barrier. *)
+    re-raised here after the barrier.
 
-val iter_shadowed : t -> shadow:Ownership.t -> n:int -> (int -> int -> unit) -> unit
-(** [iter_shadowed t ~shadow ~n f] is {!iter} followed by
-    [Ownership.barrier shadow]: the instrumented-kernel phase primitive.
-    [f] records its accumulator writes and reduction reads into [shadow]
-    (via {!Ownership.write}/{!Ownership.read}); the barrier then checks
-    the epoch's records against the item-owned-writes discipline. *)
+    With [~shadow], [f] records its accumulator writes and reduction
+    reads into [shadow] (see {!Ownership}), and [Ownership.barrier
+    shadow] runs after the phase, checking the epoch's records against
+    the item-owned-writes discipline. *)
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] spawns [domains - 1] worker domains (none

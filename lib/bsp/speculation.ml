@@ -14,15 +14,9 @@ let median busy = (Cutfit_stats.Summary.percentiles busy).Cutfit_stats.Summary.p
    step) — never wall-clock or [Random] — so replays and the run-twice
    digest harness see the same clone placement. *)
 let tie_break ~seed ~step n =
-  let h =
-    Splitmix64.mix64
-      (Int64.logxor
-         (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-         (Int64.add
-            (Int64.mul 0xBF58476D1CE4E5B9L (Int64.of_int (step + 1)))
-            0x94D049BB133111EBL))
-  in
-  Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int n))
+  Splitmix64.draw_mod
+    (Splitmix64.draw ~seed ~salt:(step + 2) ~k:Splitmix64.finalizer_key)
+    n
 
 let pick_host ~seed ~step ~straggler busy =
   let best = ref infinity in

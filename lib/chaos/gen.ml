@@ -5,21 +5,13 @@ module Elastic = Cutfit_bsp.Elastic
 module Mutation = Cutfit_dynamic.Mutation
 module Engine = Cutfit_workload.Engine
 
-(* Stateless per-(campaign seed, scenario index, slot) draw, the same
-   keying discipline as Faults/Elastic/Mutation: scenario [index] of a
-   campaign is a pure function of (seed, index), never of how many
-   scenarios were generated before it — which is what makes campaigns
-   bit-reproducible and resumable from any index. *)
-let draw ~seed ~salt ~k =
-  Splitmix64.mix64
-    (Int64.logxor
-       (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-       (Int64.add (Int64.mul (Int64.of_int salt) 0xBF58476D1CE4E5B9L) (Int64.of_int k)))
-
-let unit_float h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
-let draw_mod h m = Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int m))
-
-(* Slots must stay below this stride or two scenarios' draws collide. *)
+(* Every scenario choice is a keyed draw ([Splitmix64.draw]) per
+   (campaign seed, scenario index, slot), the same keying discipline as
+   Faults/Elastic/Mutation: scenario [index] of a campaign is a pure
+   function of (seed, index), never of how many scenarios were
+   generated before it — which is what makes campaigns bit-reproducible
+   and resumable from any index. Slots must stay below this stride or
+   two scenarios' draws collide. *)
 let stride = 64
 
 let datasets = [| "roadnet_pa"; "youtube"; "roadnet_tx" |]
@@ -29,11 +21,11 @@ let mixes = [| "uniform"; "reuse-heavy"; "churn" |]
 
 let scenario ~seed ~index =
   if index < 0 then invalid_arg "Gen.scenario: index < 0";
-  let d slot k = draw ~seed ~salt:((index * stride) + slot) ~k in
-  let chance slot p = unit_float (d slot 0) < p in
-  let pick slot arr = arr.(draw_mod (d slot 1) (Array.length arr)) in
-  let int_in slot lo hi = lo + draw_mod (d slot 2) (hi - lo + 1) in
-  let sc_seed = 1 + draw_mod (d 0 3) 1_000_000 in
+  let d slot k = Splitmix64.draw ~seed ~salt:((index * stride) + slot) ~k in
+  let chance slot p = Splitmix64.unit_float (d slot 0) < p in
+  let pick slot arr = arr.(Splitmix64.draw_mod (d slot 1) (Array.length arr)) in
+  let int_in slot lo hi = lo + Splitmix64.draw_mod (d slot 2) (hi - lo + 1) in
+  let sc_seed = 1 + Splitmix64.draw_mod (d 0 3) 1_000_000 in
   let faults =
     if not (chance 1 0.6) then None
     else begin

@@ -3,18 +3,18 @@
     The compact kernels' determinism rests on a discipline no type
     checks: within a parallel phase, every accumulator slot is written
     by exactly one work item, and reduction reads of a slot happen only
-    after the barrier of the epoch that wrote it. This suite runs
-    {e instrumented} mirrors of the four [run_csr] kernels that record
-    an [(epoch, slot, item)] shadow event for every accumulator /
-    message-buffer write and every reduction consume (see
-    {!Cutfit_bsp.Ownership}), checks the records at each
-    {!Cutfit_bsp.Par_exec.iter_shadowed} barrier, and reports structured
-    violations naming the slot, epoch and conflicting items.
+    after the barrier of the epoch that wrote it. This suite runs the
+    production [run_csr] kernels of all four algorithms with a [~shadow]
+    recorder ({!Cutfit_bsp.Ownership}), in which each accumulator /
+    message-buffer write and each reduction consume becomes an
+    [(epoch, slot, item)] shadow event. The recorder is checked at each
+    {!Cutfit_bsp.Par_exec.iter} phase barrier, and a breach becomes a
+    structured violation naming the slot, epoch and conflicting items.
 
     Rules: [slot-conflict], [premature-read], [consume-conflict] and
     [slot-out-of-range] from the recorder, plus [instr-vs-csr] — the
-    instrumented mirror must digest-match the production kernel, which
-    is what proves the mirror checks the code we actually ship — and
+    shadowed run must digest-match the same kernel run without a
+    shadow, so recording never perturbs what it checks — and
     [corruption-undetected] from {!self_check}.
 
     Violations carry suite ["races"]. [domains_counts] defaults to
@@ -46,14 +46,15 @@ val triangle_count : ?domains_counts:int list -> Cutfit_bsp.Pgraph.t -> Violatio
     construction), so its recorder lives in vertex space. *)
 
 val seeded_foreign_write : ?domains:int -> Cutfit_bsp.Pgraph.t -> Violation.t list
-(** Run the instrumented PageRank kernel with a shadow-only corruption
-    in which two items claim the same slot in one scatter epoch.
+(** Run the PageRank kernel on a shadow pre-seeded with a corruption in
+    which items 0 and 1 claim slot 0 in the first scatter epoch.
     Returns the resulting violations — expected non-empty, with rule
     [slot-conflict] naming both items. Needs [>= 2] partitions. *)
 
 val seeded_premature_read : ?domains:int -> Cutfit_bsp.Pgraph.t -> Violation.t list
-(** Same, with an item consuming its own slot before the scatter
-    epoch's barrier — expected to surface rule [premature-read]. *)
+(** Same, with item 0 consuming its own slot 0 before the first
+    scatter epoch's barrier — expected to surface rule
+    [premature-read]. *)
 
 val self_check : ?domains:int -> Cutfit_bsp.Pgraph.t -> Violation.t list
 (** Detector self-test: runs both seeded corruptions and reports a

@@ -173,10 +173,9 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
           | Advisor.Shortest_paths ->
               Check.Engine_check.shortest_paths ~domains_counts ~landmarks ~cluster pg)
   in
-  (* The races suite runs the instrumented mirrors of the compact
-     kernels under the shadow write-ownership recorder at every
-     requested domain count, then self-tests the detector against two
-     seeded corruptions. *)
+  (* The races suite runs the compact kernels with the shadow
+     write-ownership recorder at every requested domain count, then
+     self-tests the detector against two seeded corruptions. *)
   let races_v =
     match race_domains with
     | None -> None

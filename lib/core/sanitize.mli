@@ -19,10 +19,9 @@
     the compact {!Cutfit_bsp.Csr} kernel reproduces the boxed engine's
     vertex values bit-for-bit at each listed domain count, twice per
     count ({!Cutfit_check.Engine_check}). With [race_domains] a [races]
-    suite runs the instrumented mirror of the algorithm's compact
-    kernel under the shadow write-ownership recorder at each listed
-    domain count and self-tests the detector against two seeded
-    corruptions ({!Cutfit_check.Race_check}). With [dynamic] a
+    suite runs the algorithm's compact kernel with the shadow
+    write-ownership recorder at each listed domain count and
+    self-tests the detector against two seeded corruptions ({!Cutfit_check.Race_check}). With [dynamic] a
     [dynamic] suite replays the mutation schedule from a fresh
     streaming cut of the same graph and proves the four dynamic-graph
     laws ({!Cutfit_dynamic.Dyn_check}). With [elastic] (a scale-event

@@ -102,18 +102,10 @@ type delta = {
 
 let is_empty d = Array.length d.inserts = 0 && Array.length d.deletes = 0
 
-(* Stateless keyed draw, the same splitmix idiom as Faults: every edge
-   of every batch is a pure function of (seed, batch, i), so a batch can
-   be regenerated independently of any PRNG call history. Inserts use
-   salt 2*batch, deletes 2*batch+1. *)
-let draw ~seed ~salt ~k =
-  Splitmix64.mix64
-    (Int64.logxor
-       (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-       (Int64.add (Int64.mul (Int64.of_int salt) 0xBF58476D1CE4E5B9L) (Int64.of_int k)))
-
-let draw_mod h m = Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int m))
-
+(* Every edge of every batch is a keyed draw ([Splitmix64.draw]), a
+   pure function of (seed, batch, i), so a batch can be regenerated
+   independently of any PRNG call history. Inserts use salt 2*batch,
+   deletes 2*batch+1. *)
 let plan cfg ~batch g =
   if batch < 1 then invalid_arg "Mutation.plan: batch < 1";
   let n = Graph.num_vertices g in
@@ -123,8 +115,8 @@ let plan cfg ~batch g =
     if n < 2 then [||] (* too small to host a non-loop edge *)
     else
       Array.init ins_count (fun i ->
-          let src = draw_mod (draw ~seed:cfg.seed ~salt:(2 * batch) ~k:(2 * i)) n in
-          let dst = draw_mod (draw ~seed:cfg.seed ~salt:(2 * batch) ~k:(2 * i + 1)) n in
+          let draw k = Splitmix64.draw_mod (Splitmix64.draw ~seed:cfg.seed ~salt:(2 * batch) ~k) n in
+          let src = draw (2 * i) and dst = draw ((2 * i) + 1) in
           let dst = if dst = src then (dst + 1) mod n else dst in
           (src, dst))
   in
@@ -136,7 +128,8 @@ let plan cfg ~batch g =
          are ever marked, so the probe always finds a free slot. *)
       let picked = Array.make m false in
       for i = 0 to del_count - 1 do
-        let e = ref (draw_mod (draw ~seed:cfg.seed ~salt:((2 * batch) + 1) ~k:i) m) in
+        let h = Splitmix64.draw ~seed:cfg.seed ~salt:((2 * batch) + 1) ~k:i in
+        let e = ref (Splitmix64.draw_mod h m) in
         while picked.(!e) do
           e := (!e + 1) mod m
         done;

@@ -1,4 +1,5 @@
 module Graph = Cutfit_graph.Graph
+module Splitmix64 = Cutfit_prng.Splitmix64
 
 type t =
   | Hash of Strategy.t
@@ -50,13 +51,8 @@ let capability ~speeds ~executors =
     speeds;
   let speed e = if e < Array.length speeds then speeds.(e) else 1.0 in
   let unit_hash u v =
-    let h =
-      Cutfit_prng.Splitmix64.mix64
-        (Int64.logxor
-           (Int64.mul (Int64.of_int u) 0x9E3779B97F4A7C15L)
-           (Int64.add (Int64.mul (Int64.of_int v) 0xBF58476D1CE4E5B9L) 0x94D049BB133111EBL))
-    in
-    Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
+    Splitmix64.unit_float
+      (Splitmix64.draw ~seed:u ~salt:(v + 1) ~k:Splitmix64.finalizer_key)
   in
   let assign ~num_partitions g =
     let cum = Array.make (num_partitions + 1) 0.0 in

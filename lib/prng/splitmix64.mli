@@ -34,6 +34,25 @@ val nth_bits53 : seed:int -> int -> int
     the [i]-th output ([i >= 1]) of [create (Int64.of_int seed)], as a
     non-negative int; [float_of_int r /. 2^53] is uniform in \[0, 1). *)
 
+val draw : seed:int -> salt:int -> k:int -> int64
+(** [draw ~seed ~salt ~k] is [mix64 ((seed * 0x9E3779B97F4A7C15) lxor
+    (salt * 0xBF58476D1CE4E5B9 + k))], a stateless draw: the fault,
+    scale-event, mutation and chaos schedules never depend on the order
+    they are queried in. *)
+
+val finalizer_key : int
+(** [0x94D049BB133111EB - 0xBF58476D1CE4E5B9] (mod 2{^64}) as an int:
+    [draw ~seed ~salt:(s + 1) ~k:finalizer_key] keys [s *
+    0xBF58476D1CE4E5B9 + 0x94D049BB133111EB], an offset by {!mix64}'s
+    second multiplier, which itself lies outside the int range. *)
+
+val unit_float : int64 -> float
+(** [unit_float h] is the top 53 bits of [h] scaled to \[0, 1). *)
+
+val draw_mod : int64 -> int -> int
+(** [draw_mod h m] is the top 63 bits of [h] modulo [m], in
+    [\[0, m)] for [m > 0]. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -1,11 +1,13 @@
 (* The dynamic race sanitizer: the Ownership recorder's conflict rules,
-   the instrumented kernels' cleanliness at several domain counts, and
-   the detector's ability to catch seeded corruptions. *)
+   the shadowed kernels' cleanliness at several domain counts, the
+   shadow hook of each production kernel, and the detector's ability to
+   catch seeded corruptions. *)
 
 module Strategy = Cutfit_partition.Strategy
 module Partitioner = Cutfit_partition.Partitioner
 module Cluster = Cutfit_bsp.Cluster
 module Pgraph = Cutfit_bsp.Pgraph
+module Csr = Cutfit_bsp.Csr
 module Ownership = Cutfit_bsp.Ownership
 module Check = Cutfit_check
 module Race_check = Cutfit_check.Race_check
@@ -109,7 +111,7 @@ let test_ownership_worker_independent () =
   checkb "same verdicts at 1 and 4 workers" true (one = four);
   checkb "conflict found" true (one <> [])
 
-(* --- instrumented kernels are clean -------------------------------- *)
+(* --- shadowed kernels are clean ------------------------------------ *)
 
 let domains_counts = [ 1; 2; 4 ]
 
@@ -158,6 +160,50 @@ let test_seeded_deterministic () =
 
 let test_self_check () = checkb "detector detects" true (Race_check.self_check pg = [])
 
+(* --- the shadow hook of the production kernels ------------------------
+
+   Each [run_csr ~shadow] must record, stay clean and return the
+   unshadowed values bit for bit. The skewed cut puts every edge in
+   partition 0 and every slot in the one chunk, so one scatter item and
+   one reduce item fill a whole recording buffer: a buffer sized below
+   the largest item raises instead of storing out of bounds. *)
+
+let skewed = Pgraph.build g ~num_partitions:np (Array.make (Cutfit_graph.Graph.num_edges g) 0)
+
+let three_chunks = lazy (pg_of (Test_util.random_graph ~seed:78L ~n:9000 ~m:24000))
+
+let check_shadow_hook ?vertex_space ~reads ~kernel (cut, pg) run =
+  let c = Csr.build pg in
+  let plain = run c ~domains:1 ~shadow:None in
+  List.iter
+    (fun domains ->
+      let own = Csr.shadow ?vertex_space ~workers:domains c in
+      let shadowed = run c ~domains ~shadow:(Some own) in
+      let ctx what = Printf.sprintf "%s, %s cut, domains=%d: %s" kernel cut domains what in
+      checks (ctx "values") plain shadowed;
+      checkb (ctx "writes recorded") true (Ownership.writes_seen own > 0);
+      checkb (ctx "reads recorded") reads (Ownership.reads_seen own > 0);
+      checki (ctx "conflicts") 0 (List.length (Ownership.violations own)))
+    domains_counts
+
+let test_shadow_hook () =
+  List.iter
+    (fun cut ->
+      check_shadow_hook ~reads:true ~kernel:"pagerank" cut (fun c ~domains ~shadow ->
+          Check.Fault_check.float_attrs_digest (Cutfit_algo.Pagerank.run_csr ~domains ?shadow c));
+      check_shadow_hook ~reads:true ~kernel:"cc" cut (fun c ~domains ~shadow ->
+          Check.Fault_check.int_attrs_digest
+            (Cutfit_algo.Connected_components.run_csr ~domains ?shadow c));
+      check_shadow_hook ~reads:true ~kernel:"sssp" cut (fun c ~domains ~shadow ->
+          let distances = Cutfit_algo.Sssp.run_csr ~domains ?shadow ~landmarks:[| 0; 7 |] c in
+          Check.Fault_check.int_attrs_digest (Array.concat (Array.to_list distances)));
+      (* Triangle counting records only the reduce's per-vertex writes. *)
+      check_shadow_hook ~vertex_space:true ~reads:false ~kernel:"triangles" cut
+        (fun c ~domains ~shadow ->
+          let per_vertex, total = Cutfit_algo.Triangle_count.run_csr ~domains ?shadow c in
+          Check.Fault_check.int_attrs_digest (Array.append per_vertex [| total |])))
+    [ ("rvc", pg); ("skewed", skewed); ("3-chunk rvc", Lazy.force three_chunks) ]
+
 (* --- sanitizer wiring ----------------------------------------------- *)
 
 let test_sanitize_races_suite () =
@@ -182,4 +228,5 @@ let suite =
     Alcotest.test_case "seeded reports deterministic" `Quick test_seeded_deterministic;
     Alcotest.test_case "detector self-check" `Quick test_self_check;
     Alcotest.test_case "sanitizer races suite" `Slow test_sanitize_races_suite;
+    Alcotest.test_case "shadow hook on the four kernels" `Slow test_shadow_hook;
   ]

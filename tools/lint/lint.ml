@@ -23,11 +23,11 @@
    shared-mutation by propagating effects through the call graph; see
    docs/ANALYSIS.md):
 
-   - par-shared-mutation   a closure passed to [Par_exec.run]/[iter]/
-                           [iter_shadowed] (or code reachable from one)
-                           writes a captured ref, a mutable field, a
-                           Hashtbl or other shared container, or calls
-                           a function classified shared-mutating;
+   - par-shared-mutation   a closure passed to [Par_exec.run]/[iter]
+                           (or code reachable from one) writes a
+                           captured ref, a mutable field, a Hashtbl or
+                           other shared container, or calls a function
+                           classified shared-mutating;
    - item-owned            an [Array]/[Bigarray]/[Bytes] element write
                            inside such a closure whose index is not
                            derived from the item parameter and whose
@@ -194,9 +194,9 @@ let bulk_mutators =
 
 (* Shadow-recorder entry points sanctioned inside parallel closures:
    Ownership's records go to worker-owned logs by design — that is the
-   whole point of the recorder — so instrumented kernels may call them
-   without tripping par-shared-mutation. *)
-let sanctioned_in_par = [ ("Ownership", "write"); ("Ownership", "read") ]
+   whole point of the recorder — so shadowed kernels may hand an item's
+   log over without tripping par-shared-mutation. *)
+let sanctioned_in_par = [ ("Ownership", "writes"); ("Ownership", "reads") ]
 
 (* --- small helpers --- *)
 
@@ -648,8 +648,8 @@ let match_args params args =
 
 (* --- the par-closure analysis ----------------------------------------
 
-   For every application of Par_exec.run/iter/iter_shadowed, resolve the
-   work closure (inline [fun] or a named function from the definition
+   For every application of Par_exec.run/iter, resolve the work
+   closure (inline [fun] or a named function from the definition
    tables), mark its worker/item parameters, and walk the reachable code
    tracking which names are derived from them: let-bound names whose
    right-hand side mentions a derived name are derived (so
@@ -846,9 +846,10 @@ let rec par_walk ctx ~emit ~file ~depth ~visited env e =
       let it = { default with Ast_iterator.expr = (fun _ child -> recurse env child) } in
       default.Ast_iterator.expr it e
 
-(* Entry: an application of Par_exec.{run,iter,iter_shadowed}. The work
-   closure is the last unlabelled argument (after the pool); iter-style
-   closures receive (worker, item), run-style just (worker). *)
+(* Entry: an application of Par_exec.{run,iter}. The work closure is
+   the last unlabelled argument (after the pool; a [?shadow] is
+   labelled); iter-style closures receive (worker, item), run-style
+   just (worker). *)
 let analyze_par_call ctx ~emit ~file ~line ~has_item args =
   let nolabel =
     List.filter_map (fun (l, a) -> if l = Asttypes.Nolabel then Some a else None) args
@@ -988,7 +989,7 @@ let lint_structure ctx ~emit ~file ~lib_scope structure =
             | _ -> ())
         | _ -> ());
         match last_two parts with
-        | Some ("Par_exec", (("run" | "iter" | "iter_shadowed") as which))
+        | Some ("Par_exec", (("run" | "iter") as which))
           when not (par_runtime_file file) ->
             analyze_par_call ctx ~emit ~file ~line ~has_item:(which <> "run") args
         | _ -> ())

@@ -49,7 +49,8 @@ echo "== lint ratchet (lib/ exports with no caller outside test/)"
 # public path reaches, or a keeper for an open ROADMAP item. A new
 # test-only export fails here, and so does a listed name that no longer
 # needs listing. Once the list is empty, drop --use-only test from @lint.
-#   Ownership.epoch/writes_seen/reads_seen  races "ownership clean"
+#   Ownership.epoch/writes_seen/reads_seen  races "ownership clean",
+#     "shadow hook on the four kernels"
 #   Pgraph_check.view_of_pgraph/validate_view  check "pgraph: edge
 #     coverage" and the other corrupted-view cases
 #   Race_check.seeded_foreign_write/seeded_premature_read  races
@@ -113,8 +114,9 @@ dune exec bin/cutfit_cli.exe -- check PR roadnet_pa
 dune exec bin/cutfit_cli.exe -- run CC roadnet_pa --paranoid >/dev/null
 
 echo "== race sanitizer smoke (shadow ownership recorder, 4 domains)"
-# the races suite: instrumented kernel mirrors under the write-ownership
-# recorder at domain counts 1, 2, 4, plus the seeded-corruption self-check
+# the races suite: the production CSR kernels run with a shadow
+# write-ownership recorder at domain counts 1, 2, 4, plus the
+# seeded-corruption self-check
 dune exec bin/cutfit_cli.exe -- check PR roadnet_pa --races --domains 4
 dune exec bin/cutfit_cli.exe -- check TR roadnet_pa --races >/dev/null
 
