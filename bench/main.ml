@@ -295,10 +295,10 @@ let workload ppf =
           W.Cache.eviction_name r.W.Engine.eviction;
           Printf.sprintf "%.0f%%" (100.0 *. W.Engine.hit_rate r);
           string_of_int r.W.Engine.cache.W.Cache.evictions;
-          Printf.sprintf "%.1f" r.W.Engine.makespan_s;
+          Printf.sprintf "%.1f" (W.Engine.makespan_s r);
           Printf.sprintf "%.2f" (W.Engine.mean_queue_s r);
-          Printf.sprintf "%.1f" r.W.Engine.total_partition_s;
-          Printf.sprintf "%.1f" r.W.Engine.total_exec_s;
+          Printf.sprintf "%.1f" (W.Engine.total_partition_s r);
+          Printf.sprintf "%.1f" (W.Engine.total_exec_s r);
         ])
       reports
   in
@@ -320,15 +320,15 @@ let workload ppf =
       in
       List.iter
         (fun (budget_gb, (r : W.Engine.report)) ->
-          let saved = baseline.W.Engine.makespan_s -. r.W.Engine.makespan_s in
+          let saved = W.Engine.makespan_s baseline -. W.Engine.makespan_s r in
           Format.fprintf ppf
             "%s + cache-aware @@ %.0f GB vs fifo + no cache: makespan %.1fs vs %.1fs (%+.1fs, \
              %.0f%% of the baseline's partitioning time amortized away)@."
             (W.Engine.policy_name r.W.Engine.policy)
-            budget_gb r.W.Engine.makespan_s baseline.W.Engine.makespan_s (-.saved)
+            budget_gb (W.Engine.makespan_s r) (W.Engine.makespan_s baseline) (-.saved)
             (100.0
-            *. (baseline.W.Engine.total_partition_s -. r.W.Engine.total_partition_s)
-            /. Float.max baseline.W.Engine.total_partition_s 1e-9))
+            *. (W.Engine.total_partition_s baseline -. W.Engine.total_partition_s r)
+            /. Float.max (W.Engine.total_partition_s baseline) 1e-9))
         cached
   | [] -> ());
   let config_json (budget_gb, (r : W.Engine.report)) =
@@ -343,10 +343,10 @@ let workload ppf =
         ("hits", Json.Int r.W.Engine.cache.W.Cache.hits);
         ("misses", Json.Int r.W.Engine.cache.W.Cache.misses);
         ("evictions", Json.Int r.W.Engine.cache.W.Cache.evictions);
-        ("makespan_s", Json.Float r.W.Engine.makespan_s);
+        ("makespan_s", Json.Float (W.Engine.makespan_s r));
         ("mean_queue_s", Json.Float (W.Engine.mean_queue_s r));
-        ("total_partition_s", Json.Float r.W.Engine.total_partition_s);
-        ("total_exec_s", Json.Float r.W.Engine.total_exec_s);
+        ("total_partition_s", Json.Float (W.Engine.total_partition_s r));
+        ("total_exec_s", Json.Float (W.Engine.total_exec_s r));
       ]
   in
   let path = "BENCH_workload.json" in
@@ -397,9 +397,9 @@ let dynamic ppf =
               Json.Obj
                 [
                   ("mode", Json.String (W.Engine.mutation_mode_name r.W.Engine.mutation_mode));
-                  ("makespan_s", Json.Float r.W.Engine.makespan_s);
+                  ("makespan_s", Json.Float (W.Engine.makespan_s r));
                   ("hit_rate", Json.Float (W.Engine.hit_rate r));
-                  ("total_partition_s", Json.Float r.W.Engine.total_partition_s);
+                  ("total_partition_s", Json.Float (W.Engine.total_partition_s r));
                   ("batches", Json.Int (List.length r.W.Engine.mutations));
                   ( "refresh_batches",
                     Json.Int
@@ -423,13 +423,13 @@ let dynamic ppf =
               string_of_int mutate_every;
               Printf.sprintf "+%d/-%d" rate (max 1 (rate / 4));
               string_of_int (List.length refresh.W.Engine.mutations);
-              Printf.sprintf "%.1f" refresh.W.Engine.makespan_s;
-              Printf.sprintf "%.1f" rebuild.W.Engine.makespan_s;
-              Printf.sprintf "%.1f" priced.W.Engine.makespan_s;
+              Printf.sprintf "%.1f" (W.Engine.makespan_s refresh);
+              Printf.sprintf "%.1f" (W.Engine.makespan_s rebuild);
+              Printf.sprintf "%.1f" (W.Engine.makespan_s priced);
               Printf.sprintf "%.0f%%" (100.0 *. W.Engine.hit_rate refresh);
               Printf.sprintf "%.0f%%" (100.0 *. W.Engine.hit_rate rebuild);
-              (if refresh.W.Engine.makespan_s < rebuild.W.Engine.makespan_s then "refresh"
-               else if rebuild.W.Engine.makespan_s < refresh.W.Engine.makespan_s then "rebuild"
+              (if W.Engine.makespan_s refresh < W.Engine.makespan_s rebuild then "refresh"
+               else if W.Engine.makespan_s rebuild < W.Engine.makespan_s refresh then "rebuild"
                else "tie");
             ])
           grid_rate)
@@ -619,7 +619,7 @@ let resilience ppf =
           Printf.sprintf "%.1f" p.Cutfit_stats.Summary.p50;
           Printf.sprintf "%.1f" p.Cutfit_stats.Summary.p95;
           Printf.sprintf "%.1f" p.Cutfit_stats.Summary.p99;
-          Printf.sprintf "%.1f" r.W.Engine.makespan_s;
+          Printf.sprintf "%.1f" (W.Engine.makespan_s r);
         ])
       cells
   in
@@ -664,7 +664,7 @@ let resilience ppf =
         ("latency_p50_s", Json.Float p.Cutfit_stats.Summary.p50);
         ("latency_p95_s", Json.Float p.Cutfit_stats.Summary.p95);
         ("latency_p99_s", Json.Float p.Cutfit_stats.Summary.p99);
-        ("makespan_s", Json.Float r.W.Engine.makespan_s);
+        ("makespan_s", Json.Float (W.Engine.makespan_s r));
         ("retries", Json.Int r.W.Engine.retries);
       ]
   in
@@ -755,7 +755,7 @@ let elastic ppf =
           p (fun x -> x.Cutfit_stats.Summary.p95) v;
           p (fun x -> x.Cutfit_stats.Summary.p99) v;
           p (fun x -> x.Cutfit_stats.Summary.p99) s;
-          fsig r.W.Engine.makespan_s;
+          fsig (W.Engine.makespan_s r);
         ])
       cells
   in
@@ -801,10 +801,10 @@ let elastic ppf =
         ("scale_spec", match r.W.Engine.scale_spec with None -> Json.Null | Some s -> Json.String s);
         ("joins", Json.Int r.W.Engine.joins);
         ("leaves", Json.Int r.W.Engine.leaves);
-        ("preemptions", Json.Int r.W.Engine.preemptions);
+        ("preemptions", Json.Int (W.Engine.preemptions r));
         ("victim_latency", ptile_json (tenant_ptiles r "victim"));
         ("storm_latency", ptile_json (tenant_ptiles r "storm"));
-        ("makespan_s", Json.Float r.W.Engine.makespan_s);
+        ("makespan_s", Json.Float (W.Engine.makespan_s r));
         ("fairness_violations", Json.Int r.W.Engine.fairness_violations);
         ("stale_placement_hits", Json.Int r.W.Engine.stale_placement_hits);
       ]

@@ -641,8 +641,10 @@ let workload_cmd =
       & info [ "check" ]
           ~doc:
             "Run the workload sanitizer: cache accounting conservation, per-job cost \
-             decomposition, event-vs-record reconciliation, and the run-twice determinism \
-             digest. Exits non-zero on any violation.")
+             decomposition, reconciliation of the whole event stream with the report (every \
+             job event names a known job; counts match the attempts, retries, sheds, scale \
+             changes and cache operations), and the run-twice determinism digest. Exits \
+             non-zero on any violation.")
   in
   let max_retries_arg =
     Arg.(
@@ -920,10 +922,10 @@ let workload_cmd =
             string_of_int r.W.Engine.job.W.Job.id;
             Cutfit.Advisor.algorithm_name r.W.Engine.job.W.Job.algorithm;
             Printf.sprintf "%s/%d" r.W.Engine.job.W.Job.dataset r.W.Engine.job.W.Job.num_partitions;
-            r.W.Engine.strategy;
-            (if r.W.Engine.cache_hit then "hit" else "miss");
+            r.W.Engine.start.Cutfit.Event.strategy;
+            (if r.W.Engine.start.Cutfit.Event.cache_hit then "hit" else "miss");
             string_of_int r.W.Engine.attempts;
-            Cutfit_experiments.Report.fsig r.W.Engine.queue_s;
+            Cutfit_experiments.Report.fsig r.W.Engine.start.Cutfit.Event.queue_s;
             Cutfit_experiments.Report.fsig r.W.Engine.partition_s;
             Cutfit_experiments.Report.fsig r.W.Engine.exec_s;
             Cutfit_experiments.Report.fsig r.W.Engine.finish_s;

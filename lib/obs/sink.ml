@@ -19,6 +19,10 @@ let ring ?(capacity = 4096) () =
   in
   ({ emit; close = (fun () -> ()) }, contents)
 
+let collect () =
+  let events = ref [] in
+  ({ emit = (fun e -> events := e :: !events); close = (fun () -> ()) }, fun () -> List.rev !events)
+
 let jsonl_channel oc =
   let emit e =
     output_string oc (Event.to_line e);

@@ -15,6 +15,10 @@ val ring : ?capacity:int -> unit -> t * (unit -> Event.t list)
     4096). The second component reads the retained events in emission
     order; reading does not consume them. *)
 
+val collect : unit -> t * (unit -> Event.t list)
+(** Keeps every event, for a stream of any length. The second component
+    reads them in emission order; reading does not consume them. *)
+
 val jsonl : string -> t
 (** Append one JSON object per event to the given file path (truncating
     any existing file). The channel is buffered; [close] flushes. *)

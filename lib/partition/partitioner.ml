@@ -50,30 +50,30 @@ let capability ~speeds ~executors =
     (fun s -> if s <= 0.0 then invalid_arg "Partitioner.capability: speed <= 0")
     speeds;
   let speed e = if e < Array.length speeds then speeds.(e) else 1.0 in
-  let unit_hash u v =
-    Splitmix64.unit_float
-      (Splitmix64.draw ~seed:u ~salt:(v + 1) ~k:Splitmix64.finalizer_key)
-  in
   let assign ~num_partitions g =
     let cum = Array.make (num_partitions + 1) 0.0 in
     for p = 0 to num_partitions - 1 do
       cum.(p + 1) <- cum.(p) +. speed (p mod executors)
     done;
     let total = cum.(num_partitions) in
-    let locate u =
-      let target = u *. total in
+    let m = Graph.num_edges g in
+    let out = Array.make m 0 in
+    (* The pair hash and the range search stay inline, on an int and
+       unboxed float locals: a float crossing a call would be boxed
+       once per edge. *)
+    for i = 0 to m - 1 do
+      let bits =
+        Splitmix64.draw_bits53 ~seed:(Graph.edge_src g i) ~salt:(Graph.edge_dst g i + 1)
+          ~k:Splitmix64.finalizer_key
+      in
+      let target = float_of_int bits /. 9007199254740992.0 *. total in
       let lo = ref 0 and hi = ref num_partitions in
       (* invariant: cum.(lo) <= target < cum.(hi) except at the edges *)
       while !hi - !lo > 1 do
         let mid = (!lo + !hi) / 2 in
         if cum.(mid) <= target then lo := mid else hi := mid
       done;
-      !lo
-    in
-    let m = Graph.num_edges g in
-    let out = Array.make m 0 in
-    for i = 0 to m - 1 do
-      out.(i) <- locate (unit_hash (Graph.edge_src g i) (Graph.edge_dst g i))
+      out.(i) <- !lo
     done;
     out
   in

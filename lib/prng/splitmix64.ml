@@ -24,12 +24,13 @@ let nth_bits53 ~seed i =
        (mix64 (Int64.add (Int64.mul (Int64.of_int i) golden_gamma) (Int64.of_int seed)))
        11)
 
-let draw ~seed ~salt ~k =
+let[@inline] draw ~seed ~salt ~k =
   mix64
     (Int64.logxor
        (Int64.mul (Int64.of_int seed) golden_gamma)
        (Int64.add (Int64.mul (Int64.of_int salt) 0xBF58476D1CE4E5B9L) (Int64.of_int k)))
 
+let draw_bits53 ~seed ~salt ~k = Int64.to_int (Int64.shift_right_logical (draw ~seed ~salt ~k) 11)
 let finalizer_key = -0x2A87FDB209B3D3CE
 let unit_float h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
 let draw_mod h m = Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int m))

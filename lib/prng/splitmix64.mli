@@ -40,6 +40,11 @@ val draw : seed:int -> salt:int -> k:int -> int64
     scale-event, mutation and chaos schedules never depend on the order
     they are queried in. *)
 
+val draw_bits53 : seed:int -> salt:int -> k:int -> int
+(** The top 53 bits of {!draw} as a non-negative int, with no [Int64]
+    crossing the call: [float_of_int r /. 2^53] is bit-identical to
+    [unit_float (draw ~seed ~salt ~k)]. *)
+
 val finalizer_key : int
 (** [0x94D049BB133111EB - 0xBF58476D1CE4E5B9] (mod 2{^64}) as an int:
     [draw ~seed ~salt:(s + 1) ~k:finalizer_key] keys [s *

@@ -61,14 +61,8 @@ let deadline_name = function
   | Absolute s -> Printf.sprintf "absolute:%g" s
   | Factor f -> Printf.sprintf "factor:%g" f
 
-type breaker_trip = {
-  trip_tenant : string;
-  trip_dataset : string;
-  trip_strategy : string;
-  trip_at_s : float;
-  opened : bool;
-  trip_failures : int;
-}
+type breaker_transition = Opened of Event.breaker_open | Closed of Event.breaker_close
+type breaker_trip = { tenant : string; dataset : string; transition : breaker_transition }
 
 (* Per-tenant breaker namespaces: one tenant's failures trip only its
    own breakers. Single-tenant streams keep the bare dataset scope, so
@@ -78,8 +72,7 @@ let breaker_scope ~tenant ~dataset =
 
 type job_record = {
   job : Job.t;
-  strategy : string;
-  cache_hit : bool;
+  start : Event.job_start;
   outcome : string;
   attempts : int;
   preemptions : int;
@@ -87,15 +80,11 @@ type job_record = {
   recovery_s : float;
   speculations : int;
   deadline_s : float option;
-  failed : bool;
-  start_s : float;
-  queue_s : float;
+  failure : string option;
   partition_s : float;
   exec_s : float;
   finish_s : float;
 }
-
-type job_failure = { job_id : int; failed_attempts : int; reason : string }
 
 (* How a mutation batch resolves the refresh-vs-rebuild question:
    [Priced] asks the cost model, the forced modes pin the answer — the
@@ -154,23 +143,18 @@ type report = {
   tenant_deadlines : (string * deadline) list;
   fairness : bool;
   records : job_record list;
-  failures : job_failure list;
   breaker_trips : breaker_trip list;
   mutations : mutation_record list;
   retries : int;
   joins : int;
   leaves : int;
-  preemptions : int;
   stale_placement_hits : int;
   fairness_violations : int;
   cache : Cache.stats;
-  makespan_s : float;
-  total_queue_s : float;
-  total_partition_s : float;
-  total_exec_s : float;
 }
 
-let failed_jobs r = List.length r.failures
+let failed x = Option.is_some x.failure
+let failed_jobs r = List.length (List.filter failed r.records)
 
 let count_outcome name r =
   List.length (List.filter (fun x -> String.equal x.outcome name) r.records)
@@ -178,9 +162,16 @@ let count_outcome name r =
 let shed_jobs = count_outcome "shed"
 let deadline_jobs = count_outcome "deadline"
 let total_speculations r = List.fold_left (fun acc x -> acc + x.speculations) 0 r.records
+let preemptions r = List.fold_left (fun acc x -> acc + x.preemptions) 0 r.records
+let sum_s f r = List.fold_left (fun acc x -> acc +. f x) 0.0 r.records
+let makespan_s r = List.fold_left (fun acc x -> Float.max acc x.finish_s) 0.0 r.records
+let total_queue_s = sum_s (fun x -> x.start.Event.queue_s)
+let total_partition_s = sum_s (fun x -> x.partition_s)
+let total_exec_s = sum_s (fun x -> x.exec_s)
 
 let trip_count ~opened r =
-  List.length (List.filter (fun t -> Bool.equal t.opened opened) r.breaker_trips)
+  let is_open t = match t.transition with Opened _ -> true | Closed _ -> false in
+  List.length (List.filter (fun t -> Bool.equal (is_open t) opened) r.breaker_trips)
 
 (* Job latency = finish - arrival, over the jobs that actually produced
    a result: sheds, deadline cancels and other permanent failures are
@@ -189,7 +180,7 @@ let trip_count ~opened r =
 let latency_percentiles r =
   match
     List.filter_map
-      (fun x -> if x.failed then None else Some (x.finish_s -. x.job.Job.arrival_s))
+      (fun x -> if failed x then None else Some (x.finish_s -. x.job.Job.arrival_s))
       r.records
   with
   | [] -> None
@@ -261,15 +252,19 @@ let validate ~slots ~budget_bytes ~selection ~checkpoint_every ~max_retries ~que
   Option.iter (at_least 1 "tenant_quota") tenant_quota;
   List.iter (fun (_, d) -> positive "tenant_deadlines" d) tenant_deadlines
 
-(* The one job_record builder: queue and finish instants derive from the
-   start instant and the charged partition and execution seconds. *)
-let job_record ?(strategy = "-") ?(cache_hit = false) ?(recoveries = 0) ?(recovery_s = 0.0)
-    ?(speculations = 0) ?(partition_s = 0.0) ?(exec_s = 0.0) ~outcome ~attempts ~preemptions
-    ~deadline_s ~start_s (job : Job.t) =
+(* An attempt's admission: the [Job_start] payload an attempt emits and
+   its record keeps. The queue time derives from the start instant; a
+   job that never ran keeps the strategy ["-"]. *)
+let job_start ?(strategy = "-") ?(cache_hit = false) ~start_s (job : Job.t) =
+  { Event.job_id = job.Job.id; strategy; cache_hit; start_s; queue_s = start_s -. job.Job.arrival_s }
+
+(* The one job_record builder: the finish instant derives from the start
+   instant and the charged partition and execution seconds. *)
+let job_record ?(recoveries = 0) ?(recovery_s = 0.0) ?(speculations = 0) ?(partition_s = 0.0)
+    ?(exec_s = 0.0) ~outcome ~attempts ~preemptions ~deadline_s ~start (job : Job.t) =
   {
     job;
-    strategy;
-    cache_hit;
+    start;
     outcome;
     attempts;
     preemptions;
@@ -277,12 +272,10 @@ let job_record ?(strategy = "-") ?(cache_hit = false) ?(recoveries = 0) ?(recove
     recovery_s;
     speculations;
     deadline_s;
-    failed = false;
-    start_s;
-    queue_s = start_s -. job.Job.arrival_s;
+    failure = None;
     partition_s;
     exec_s;
-    finish_s = start_s +. partition_s +. exec_s;
+    finish_s = start.Event.start_s +. partition_s +. exec_s;
   }
 
 (* --- the slot/membership timeline --- *)
@@ -305,8 +298,6 @@ module Timeline = struct
     changes : change list;  (** membership changes, in step order *)
     preempts : (int * int * int) list;  (** (step, victim slot, backoff retries) *)
     mutable unfired : change list;
-    mutable joins : int;
-    mutable leaves : int;
   }
 
   let create ~slots scale_events =
@@ -331,7 +322,7 @@ module Timeline = struct
       (List.rev changes, List.rev preempts)
     in
     let changes, preempts = Option.fold ~none:([], []) ~some:realize scale_events in
-    { slots; max_slots; changes; preempts; unfired = changes; joins = 0; leaves = 0 }
+    { slots; max_slots; changes; preempts; unfired = changes }
 
   let live_at t time =
     List.fold_left
@@ -361,16 +352,18 @@ module Timeline = struct
     t.unfired <- keep;
     List.iter
       (fun { step; before; after } ->
-        if after > before then begin
-          t.joins <- t.joins + 1;
+        if after > before then
           emit (Event.Executor_join { Event.step; count = after - before; executors = after })
-        end
         else begin
-          t.leaves <- t.leaves + 1;
           emit (Event.Executor_leave { Event.step; count = before - after; executors = after });
           on_leave ~step ~after
         end)
       fire
+
+  (* Membership growth and shrink changes: all of them have fired by the
+     end of a run. *)
+  let joins t = List.length (List.filter (fun c -> c.after > c.before) t.changes)
+  let leaves t = List.length t.changes - joins t
 end
 
 (* --- memoized graphs and advisor measurements --- *)
@@ -537,26 +530,22 @@ module Retry = struct
     preempts : (int, int) Hashtbl.t;
     breakers : (string, breaker) Hashtbl.t;
     mutable trips : breaker_trip list;
-    mutable retries : int;
-    mutable preemptions : int;
   }
 
   let create ?breaker_k ~cooldown_s ~emit () =
     let attempts = Hashtbl.create 16 and preempts = Hashtbl.create 16 in
-    let breakers = Hashtbl.create 16 in
-    let trips = [] and retries = 0 and preemptions = 0 in
-    { breaker_k; cooldown_s; emit; attempts; preempts; breakers; trips; retries; preemptions }
+    { breaker_k; cooldown_s; emit; attempts; preempts; breakers = Hashtbl.create 16; trips = [] }
 
   let attempt_of t (j : Job.t) = Option.value ~default:1 (Hashtbl.find_opt t.attempts j.Job.id)
   let preempts_of t (j : Job.t) = Option.value ~default:0 (Hashtbl.find_opt t.preempts j.Job.id)
 
-  let note_preempt t (j : Job.t) =
-    t.preemptions <- t.preemptions + 1;
-    Hashtbl.replace t.preempts j.Job.id (preempts_of t j + 1)
+  let note_preempt t (j : Job.t) = Hashtbl.replace t.preempts j.Job.id (preempts_of t j + 1)
+  let bump t (j : Job.t) ~attempt = Hashtbl.replace t.attempts j.Job.id (attempt + 1)
 
-  let bump t (j : Job.t) ~attempt =
-    t.retries <- t.retries + 1;
-    Hashtbl.replace t.attempts j.Job.id (attempt + 1)
+  (* Requeues performed: a job's entry is one past its last attempt. *)
+  let retries t =
+    (* lint: order-independent *)
+    Hashtbl.fold (fun _ next acc -> acc + next - 1) t.attempts 0
 
   let key ~tenant ~dataset strategy = breaker_scope ~tenant ~dataset ^ "/" ^ strategy
 
@@ -568,28 +557,21 @@ module Retry = struct
         | Some { open_since = Some since; _ } -> at_s < since +. t.cooldown_s
         | _ -> false)
 
-  (* Record a breaker transition and narrate it. *)
-  let trip t ~at_s ~tenant ~dataset ~strategy ~opened ~failures =
-    t.trips <-
-      {
-        trip_tenant = tenant;
-        trip_dataset = dataset;
-        trip_strategy = strategy;
-        trip_at_s = at_s;
-        opened;
-        trip_failures = failures;
-      }
-      :: t.trips;
-    let dataset = breaker_scope ~tenant ~dataset in
+  (* Record a breaker transition and narrate it: the event carries the
+     tenant scope, the stored trip the tenant and bare dataset beside it. *)
+  let trip t ~tenant ~dataset transition =
+    t.trips <- { tenant; dataset; transition } :: t.trips;
     t.emit
-      (if opened then Event.Breaker_open { Event.dataset; strategy; at_s; failures }
-       else Event.Breaker_close { Event.dataset; strategy; at_s })
+      (match transition with
+      | Opened b -> Event.Breaker_open b
+      | Closed b -> Event.Breaker_close b)
 
   (* Feed one attempt's verdict to its breaker. *)
   let note t ~at_s ~tenant ~dataset ~strategy ok =
     match t.breaker_k with
     | None -> ()
     | Some k ->
+        let scope = breaker_scope ~tenant ~dataset in
         let b =
           match Hashtbl.find_opt t.breakers (key ~tenant ~dataset strategy) with
           | Some b -> b
@@ -602,7 +584,7 @@ module Retry = struct
           b.fails <- 0;
           if b.open_since <> None then begin
             b.open_since <- None;
-            trip t ~at_s ~tenant ~dataset ~strategy ~opened:false ~failures:0
+            trip t ~tenant ~dataset (Closed { Event.dataset = scope; strategy; at_s })
           end
         end
         else begin
@@ -611,7 +593,8 @@ module Retry = struct
              probe re-arms the open state (a fresh cooldown). *)
           if b.fails >= k || b.open_since <> None then begin
             b.open_since <- Some at_s;
-            trip t ~at_s ~tenant ~dataset ~strategy ~opened:true ~failures:b.fails
+            trip t ~tenant ~dataset
+              (Opened { Event.dataset = scope; strategy; at_s; failures = b.fails })
           end
         end
 end
@@ -920,7 +903,6 @@ type state = {
      arrival. *)
   mutable future : (float * Job.t) list;
   mutable records : job_record list;
-  mutable failures : job_failure list;
 }
 
 let cluster_for st (job : Job.t) =
@@ -1098,8 +1080,9 @@ let emit_end st r =
    execution. The attempt is then cut short at the earliest of a spot
    reclamation of its slot and its SLO deadline, if either lands inside
    it. *)
-let conclude st ~(job : Job.t) ~attempt ~start_s ~hit ~dl ~ckey ~scale ~slot_preempts
+let conclude st ~(job : Job.t) ~attempt ~(start : Event.job_start) ~dl ~ckey ~scale ~slot_preempts
     (prepared : Pipeline.prepared) trace =
+  let start_s = start.Event.start_s and hit = start.Event.cache_hit in
   (* The BSP engines run without a telemetry handle here (the workload
      stream narrates at job granularity), so itemize this attempt's
      speculative clones from the trace it returned. *)
@@ -1157,10 +1140,9 @@ let conclude st ~(job : Job.t) ~attempt ~start_s ~hit ~dl ~ckey ~scale ~slot_pre
     | None -> Option.map (fun d -> ("deadline", d)) overdue
   in
   let record ~outcome ~partition_s ~exec_s =
-    job_record ~strategy:ckey.Cache.strategy ~cache_hit:hit ~recoveries:(Trace.num_recoveries trace)
-      ~recovery_s:trace.Trace.recovery_s ~speculations:(Trace.num_speculations trace)
-      ~partition_s ~exec_s ~outcome ~attempts:attempt
-      ~preemptions:(Retry.preempts_of st.retry job) ~deadline_s:dl ~start_s job
+    job_record ~recoveries:(Trace.num_recoveries trace) ~recovery_s:trace.Trace.recovery_s
+      ~speculations:(Trace.num_speculations trace) ~partition_s ~exec_s ~outcome ~attempts:attempt
+      ~preemptions:(Retry.preempts_of st.retry job) ~deadline_s:dl ~start job
   in
   let record =
     match cut with
@@ -1220,41 +1202,30 @@ let execute st ~start_s ~attempt ~slot_preempts ~depth (job : Job.t) =
         Pipeline.prepare ~cluster ~partitioner ~scale ?checkpoint_every ?faults ?speculation
           ~algorithm:job.Job.algorithm g
   in
-  let hit = Option.is_some cached in
-  st.emit
-    (Event.Job_start
-       {
-         Event.job_id = job.Job.id;
-         strategy = ckey.Cache.strategy;
-         cache_hit = hit;
-         start_s;
-         queue_s = start_s -. job.Job.arrival_s;
-       });
+  let start =
+    job_start ~strategy:ckey.Cache.strategy ~cache_hit:(Option.is_some cached) ~start_s job
+  in
+  st.emit (Event.Job_start start);
   match run_algorithm st job prepared with
   | exception (Invalid_argument reason | Failure reason) ->
       let record =
-        job_record ~strategy:ckey.Cache.strategy ~cache_hit:hit ~outcome:"error" ~attempts:attempt
-          ~preemptions:(Retry.preempts_of st.retry job) ~deadline_s:dl ~start_s job
+        job_record ~outcome:"error" ~attempts:attempt
+          ~preemptions:(Retry.preempts_of st.retry job) ~deadline_s:dl ~start job
       in
       emit_end st record;
       (record, `Error reason)
-  | trace ->
-      conclude st ~job ~attempt ~start_s ~hit ~dl ~ckey ~scale ~slot_preempts prepared
-        trace
+  | trace -> conclude st ~job ~attempt ~start ~dl ~ckey ~scale ~slot_preempts prepared trace
 
 (* --- records, sheds, culls and the requeue --- *)
 
-let fail st record reason =
-  st.records <- { record with failed = true } :: st.records;
-  st.failures <-
-    { job_id = record.job.Job.id; failed_attempts = record.attempts; reason } :: st.failures
+let fail st record reason = st.records <- { record with failure = Some reason } :: st.records
 
 (* A job that did not run: a zero-cost record pinned at [at_s]. Sheds
    and deadline culls never consume a retry attempt and never touch the
    cache. *)
 let unrun_record st ~outcome ~at_s ~deadline_s (j : Job.t) =
   job_record ~outcome ~attempts:(max 0 (Retry.attempt_of st.retry j - 1))
-    ~preemptions:(Retry.preempts_of st.retry j) ~deadline_s ~start_s:at_s j
+    ~preemptions:(Retry.preempts_of st.retry j) ~deadline_s ~start:(job_start ~start_s:at_s j) j
 
 (* A job the admission queue refused. *)
 let shed st ~at_s ((j : Job.t), why, depth) =
@@ -1325,7 +1296,7 @@ let settle st ~slot (job : Job.t) ~attempt (record, status) =
   Admission.note_busy st.admission job.Job.tenant (record.partition_s +. record.exec_s);
   let verdict ok =
     Retry.note st.retry ~at_s:record.finish_s ~tenant:job.Job.tenant ~dataset:job.Job.dataset
-      ~strategy:record.strategy ok
+      ~strategy:record.start.Event.strategy ok
   in
   match status with
   | `Ok ->
@@ -1445,7 +1416,6 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
       slot_free = Array.make timeline.Timeline.max_slots 0.0;
       future = [];
       records = [];
-      failures = [];
     }
   in
   let sorted =
@@ -1473,7 +1443,7 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
         | Some reason ->
             fail st
               (job_record ~outcome:"invalid" ~attempts:0 ~preemptions:0 ~deadline_s:None
-                 ~start_s:j.Job.arrival_s j)
+                 ~start:(job_start ~start_s:j.Job.arrival_s j) j)
               reason;
             None)
       sorted;
@@ -1483,9 +1453,6 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
   (* Flush scale events past the last launch so the event stream and the
      report agree on the whole spec. *)
   advance_membership st ~upto:infinity;
-  let records = List.sort (fun a b -> compare a.job.Job.id b.job.Job.id) st.records in
-  let failures = List.sort (fun (a : job_failure) b -> compare a.job_id b.job_id) st.failures in
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 records in
   {
     policy;
     selection;
@@ -1511,30 +1478,23 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
     tenant_quota;
     tenant_deadlines;
     fairness;
-    records;
-    failures;
+    records = List.sort (fun a b -> compare a.job.Job.id b.job.Job.id) st.records;
     breaker_trips = List.rev st.retry.Retry.trips;
     mutations = List.rev st.ingest.Ingest.log;
-    retries = st.retry.Retry.retries;
-    joins = timeline.Timeline.joins;
-    leaves = timeline.Timeline.leaves;
-    preemptions = st.retry.Retry.preemptions;
+    retries = Retry.retries st.retry;
+    joins = Timeline.joins timeline;
+    leaves = Timeline.leaves timeline;
     stale_placement_hits = st.cache.Narrated.stale_hits;
     fairness_violations = st.admission.Admission.violations;
     cache = Cache.stats st.cache.Narrated.cache;
-    makespan_s = List.fold_left (fun acc r -> Float.max acc r.finish_s) 0.0 records;
-    total_queue_s = sum (fun r -> r.queue_s);
-    total_partition_s = sum (fun r -> r.partition_s);
-    total_exec_s = sum (fun r -> r.exec_s);
   }
-
 
 let hit_rate (r : report) =
   if r.cache.Cache.lookups = 0 then 0.0
   else float_of_int r.cache.Cache.hits /. float_of_int r.cache.Cache.lookups
 
 let mean_queue_s (r : report) =
-  match r.records with [] -> 0.0 | l -> r.total_queue_s /. float_of_int (List.length l)
+  match r.records with [] -> 0.0 | l -> total_queue_s r /. float_of_int (List.length l)
 
 (* --- canonical serialization --- *)
 
@@ -1547,8 +1507,8 @@ let record_json r =
       ("num_partitions", Json.Int r.job.Job.num_partitions);
       ("arrival_s", Json.Float r.job.Job.arrival_s);
       ("tenant", Json.String r.job.Job.tenant);
-      ("strategy", Json.String r.strategy);
-      ("cache_hit", Json.Bool r.cache_hit);
+      ("strategy", Json.String r.start.Event.strategy);
+      ("cache_hit", Json.Bool r.start.Event.cache_hit);
       ("outcome", Json.String r.outcome);
       ("attempts", Json.Int r.attempts);
       ("preemptions", Json.Int r.preemptions);
@@ -1556,9 +1516,9 @@ let record_json r =
       ("recovery_s", Json.Float r.recovery_s);
       ("speculations", Json.Int r.speculations);
       ("deadline_s", match r.deadline_s with Some d -> Json.Float d | None -> Json.Null);
-      ("failed", Json.Bool r.failed);
-      ("start_s", Json.Float r.start_s);
-      ("queue_s", Json.Float r.queue_s);
+      ("failed", Json.Bool (failed r));
+      ("start_s", Json.Float r.start.Event.start_s);
+      ("queue_s", Json.Float r.start.Event.queue_s);
       ("partition_s", Json.Float r.partition_s);
       ("exec_s", Json.Float r.exec_s);
       ("finish_s", Json.Float r.finish_s);
@@ -1625,7 +1585,7 @@ let params_json r =
       ("fairness", Json.Bool r.fairness);
       ("joins", Json.Int r.joins);
       ("leaves", Json.Int r.leaves);
-      ("preemptions", Json.Int r.preemptions);
+      ("preemptions", Json.Int (preemptions r));
       ("stale_placement_hits", Json.Int r.stale_placement_hits);
       ("fairness_violations", Json.Int r.fairness_violations);
       ("retries", Json.Int r.retries);
@@ -1636,10 +1596,10 @@ let params_json r =
       ("breaker_opens", Json.Int (trip_count ~opened:true r));
       ("breaker_closes", Json.Int (trip_count ~opened:false r));
       ("jobs", Json.Int (List.length r.records));
-      ("makespan_s", Json.Float r.makespan_s);
-      ("total_queue_s", Json.Float r.total_queue_s);
-      ("total_partition_s", Json.Float r.total_partition_s);
-      ("total_exec_s", Json.Float r.total_exec_s);
+      ("makespan_s", Json.Float (makespan_s r));
+      ("total_queue_s", Json.Float (total_queue_s r));
+      ("total_partition_s", Json.Float (total_partition_s r));
+      ("total_exec_s", Json.Float (total_exec_s r));
       ( "latency",
         match latency_percentiles r with
         | None -> Json.Null
@@ -1668,35 +1628,44 @@ let mutation_json (m : mutation_record) =
       ("refreshed_entries", Json.Int m.mut_refreshed_entries);
     ]
 
-let failure_json (f : job_failure) =
-  Json.Obj
-    [
-      ("job_id", Json.Int f.job_id);
-      ("failed_attempts", Json.Int f.failed_attempts);
-      ("reason", Json.String f.reason);
-    ]
+(* One line per failed record, in job-id order. *)
+let failure_json x =
+  Option.map
+    (fun reason ->
+      Json.Obj
+        [
+          ("job_id", Json.Int x.job.Job.id);
+          ("failed_attempts", Json.Int x.attempts);
+          ("reason", Json.String reason);
+        ])
+    x.failure
 
 let breaker_trip_json (t : breaker_trip) =
+  let breaker, strategy, at_s, failures =
+    match t.transition with
+    | Opened b -> ("open", b.Event.strategy, b.Event.at_s, b.Event.failures)
+    | Closed b -> ("close", b.Event.strategy, b.Event.at_s, 0)
+  in
   Json.Obj
     [
-      ("breaker", Json.String (if t.opened then "open" else "close"));
-      ("tenant", Json.String t.trip_tenant);
-      ("dataset", Json.String t.trip_dataset);
-      ("strategy", Json.String t.trip_strategy);
-      ("at_s", Json.Float t.trip_at_s);
-      ("failures", Json.Int t.trip_failures);
+      ("breaker", Json.String breaker);
+      ("tenant", Json.String t.tenant);
+      ("dataset", Json.String t.dataset);
+      ("strategy", Json.String strategy);
+      ("at_s", Json.Float at_s);
+      ("failures", Json.Int failures);
     ]
 
 let report_lines (r : report) =
   (Json.to_string (params_json r) :: List.map (fun x -> Json.to_string (record_json x)) r.records)
-  @ List.map (fun f -> Json.to_string (failure_json f)) r.failures
+  @ List.filter_map (fun x -> Option.map Json.to_string (failure_json x)) r.records
   @ List.map (fun t -> Json.to_string (breaker_trip_json t)) r.breaker_trips
   @ List.map (fun m -> Json.to_string (mutation_json m)) r.mutations
   @ [ Json.to_string (cache_json r.cache) ]
 
 let pp_summary ppf (r : report) =
   let n = List.length r.records in
-  let hits = List.length (List.filter (fun x -> x.cache_hit) r.records) in
+  let hits = List.length (List.filter (fun x -> x.start.Event.cache_hit) r.records) in
   let oom = count_outcome "out-of-memory" r in
   Format.fprintf ppf "@[<v>workload: %d jobs, policy %s, selection %s, %d slot(s)@," n
     (policy_name r.policy) (selection_name r.selection) r.slots;
@@ -1704,7 +1673,7 @@ let pp_summary ppf (r : report) =
     (Cache.eviction_name r.eviction) (r.budget_bytes /. 1.0e9) hits r.cache.Cache.lookups
     r.cache.Cache.evictions r.cache.Cache.rejections;
   Format.fprintf ppf "makespan %.2f s | queue mean %.2f s | partition %.2f s | exec %.2f s"
-    r.makespan_s (mean_queue_s r) r.total_partition_s r.total_exec_s;
+    (makespan_s r) (mean_queue_s r) (total_partition_s r) (total_exec_s r);
   (match latency_percentiles r with
   | None -> ()
   | Some p -> Format.fprintf ppf "@,latency %a" Summary.pp_ptiles p);
@@ -1735,7 +1704,7 @@ let pp_summary ppf (r : report) =
   | None -> ()
   | Some spec ->
       Format.fprintf ppf "@,elastic %S: %d join(s), %d leave(s), %d preemption(s)" spec r.joins
-        r.leaves r.preemptions);
+        r.leaves (preemptions r));
   if r.fairness || r.tenant_weights <> [] || r.tenant_quota <> None then begin
     let tenants =
       List.sort_uniq String.compare

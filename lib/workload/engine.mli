@@ -29,8 +29,8 @@
     retry gets a {e fresh} fault realization, so transient schedules
     ([rand@R]) usually succeed on retry while pinned deterministic
     crashes exhaust the budget and fail the job {e structurally}: a
-    [failed] record plus a {!job_failure}, never an exception out of
-    the scheduler loop. Malformed jobs (unknown dataset, nonsensical
+    record carrying its [failure] reason, never an exception out of the
+    scheduler loop. Malformed jobs (unknown dataset, nonsensical
     granularity) fail the same way at admission, with zero attempts. *)
 
 type policy =
@@ -81,24 +81,33 @@ val breaker_scope : tenant:string -> dataset:string -> string
     byte-identical. [Breaker_open] / [Breaker_close] events carry this
     scope in their [dataset] field. *)
 
+type breaker_transition =
+  | Opened of Cutfit_obs.Event.breaker_open
+      (** opened (or re-armed) at [at_s], the attempt-finish instant,
+          after [failures] consecutive failures *)
+  | Closed of Cutfit_obs.Event.breaker_close
+
 type breaker_trip = {
-  trip_tenant : string;  (** owning tenant ({!Job.default_tenant} when untagged) *)
-  trip_dataset : string;
-  trip_strategy : string;
-  trip_at_s : float;  (** the attempt-finish instant that transitioned it *)
-  opened : bool;  (** [true] = opened (or re-armed), [false] = closed *)
-  trip_failures : int;  (** consecutive failures at an open; 0 at a close *)
+  tenant : string;  (** owning tenant ({!Job.default_tenant} when untagged) *)
+  dataset : string;  (** the bare dataset; the event's [dataset] is the {!breaker_scope} *)
+  transition : breaker_transition;  (** the very payload the engine emitted *)
 }
 (** One circuit-breaker state transition — the audit trail
     {!Workload_check} checks for state-machine legality (first trip
     opens; a close only follows an open). The list is in the engine's
     decision order; with concurrent slots an attempt processed later
-    can finish earlier, so [trip_at_s] is not globally sorted. *)
+    can finish earlier, so the [at_s] instants are not globally
+    sorted. *)
 
 type job_record = {
   job : Job.t;
-  strategy : string;  (** ["-"] when the job never ran (invalid) *)
-  cache_hit : bool;
+  start : Cutfit_obs.Event.job_start;
+      (** the final attempt's admission — the [Job_start] payload that
+          attempt emitted (strategy, cache hit, [start_s] and [queue_s =
+          start_s -. arrival_s], which for a retried job spans the failed
+          attempts and their backoff). A job that never ran (invalid,
+          shed or culled in the queue) emits none: its strategy is ["-"]
+          and its [start_s] the instant it was turned away. *)
   outcome : string;
       (** {!Cutfit_bsp.Trace.outcome_name} of the final attempt's run;
           ["invalid"] / ["error"] for structural failures; ["shed"] when
@@ -115,24 +124,16 @@ type job_record = {
   deadline_s : float option;
       (** the job's absolute SLO deadline, when deadlines are enabled
           and the engine computed it before the job ended *)
-  failed : bool;  (** the job ended without a completed run *)
-  start_s : float;  (** final attempt's admission instant *)
-  queue_s : float;
-      (** [start_s -. arrival_s] — for a retried job this spans the
-          failed attempts and their backoff *)
+  failure : string option;
+      (** the human-readable cause, when the job ended without a
+          completed run *)
   partition_s : float;  (** load + build actually paid; 0 on a cache hit *)
   exec_s : float;  (** supersteps + checkpoints + recovery, from the trace *)
-  finish_s : float;  (** [start_s +. partition_s +. exec_s] *)
+  finish_s : float;  (** [start.start_s +. partition_s +. exec_s] *)
 }
-
-type job_failure = {
-  job_id : int;
-  failed_attempts : int;  (** attempts consumed before giving up *)
-  reason : string;  (** human-readable cause *)
-}
-(** Structured permanent failure — the Result shape of a job that never
-    produced a completed run. Every failure pairs with a [failed]
-    record; no exception ever escapes {!run} for a per-job problem. *)
+(** One job's outcome. A job that never produced a completed run carries
+    its [failure]: no exception ever escapes {!run} for a per-job
+    problem. *)
 
 type mutation_mode =
   | Priced
@@ -190,27 +191,33 @@ type report = {
   tenant_deadlines : (string * deadline) list;  (** tenant SLO overrides *)
   fairness : bool;  (** weighted fair sharing was active *)
   records : job_record list;  (** ascending job id, one per job *)
-  failures : job_failure list;  (** ascending job id *)
   breaker_trips : breaker_trip list;  (** in decision order *)
   mutations : mutation_record list;  (** in application order *)
-  retries : int;  (** requeues performed = [Job_retry] events emitted *)
-  joins : int;  (** membership growth events applied = [Executor_join] events *)
-  leaves : int;  (** membership shrink events applied = [Executor_leave] events *)
-  preemptions : int;  (** attempts cut short by slot reclamations *)
+  retries : int;  (** requeues performed, read off the per-job attempt counts *)
+  joins : int;  (** membership growth changes of the scale spec (all applied by the end) *)
+  leaves : int;  (** membership shrink changes of the scale spec (all applied by the end) *)
   stale_placement_hits : int;
       (** cache hits served from an entry placed on departed executors —
           the stale-placement law demands this stays 0 *)
   fairness_violations : int;
       (** independently recounted fair-share breaches — must stay 0 *)
   cache : Cache.stats;
-  makespan_s : float;  (** last finish instant *)
-  total_queue_s : float;
-  total_partition_s : float;
-  total_exec_s : float;
 }
 
+(** {2 Folds over the records} *)
+
 val failed_jobs : report -> int
-(** [List.length r.failures]. *)
+(** Records carrying a [failure]. *)
+
+val preemptions : report -> int
+(** Attempts cut short by slot reclamations: the records' [preemptions]
+    summed. *)
+
+val makespan_s : report -> float
+(** Last finish instant over the records (0 with none). *)
+
+val total_partition_s : report -> float
+val total_exec_s : report -> float
 
 val shed_jobs : report -> int
 (** Records with outcome ["shed"]. *)
@@ -364,10 +371,11 @@ val mean_queue_s : report -> float
 val report_lines : report -> string list
 (** Canonical JSONL: one parameter/summary line (now carrying the
     overload and mutation knobs and the latency percentiles), one line
-    per job record, one line per permanent failure, one line per
-    breaker trip, one line per mutation batch, one cache-stats line —
-    floats bit-exact, so the lines are a digest-stable serialization of
-    the whole simulation ({!Workload_check.digest}). *)
+    per job record, one failure line per failed record (job-id order),
+    one line per breaker trip, one line per mutation batch, one
+    cache-stats line — floats bit-exact, so the lines are a
+    digest-stable serialization of the whole simulation
+    ({!Workload_check.digest}). *)
 
 val pp_summary : Format.formatter -> report -> unit
 (** Human-oriented multi-line summary (policy, makespan, queue, cache

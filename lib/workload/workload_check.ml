@@ -58,20 +58,22 @@ let record_checks (records : Engine.job_record list) =
   List.iter
     (fun (r : Engine.job_record) ->
       let id = r.Engine.job.Job.id in
+      let start = r.Engine.start in
+      let start_s = start.Event.start_s and failed = Option.is_some r.Engine.failure in
       if id <= !last_id then add "record-order" "job %d out of order after job %d" id !last_id;
       last_id := id;
-      if r.Engine.start_s < r.Engine.job.Job.arrival_s then
-        add "job-time-travel" "job %d started (%.6f) before it arrived (%.6f)" id r.Engine.start_s
+      if start_s < r.Engine.job.Job.arrival_s then
+        add "job-time-travel" "job %d started (%.6f) before it arrived (%.6f)" id start_s
           r.Engine.job.Job.arrival_s;
-      if r.Engine.queue_s <> r.Engine.start_s -. r.Engine.job.Job.arrival_s then
+      if start.Event.queue_s <> start_s -. r.Engine.job.Job.arrival_s then
         add "job-queue-decomposition" "job %d queue_s (%.6f) <> start - arrival (%.6f)" id
-          r.Engine.queue_s
-          (r.Engine.start_s -. r.Engine.job.Job.arrival_s);
-      if r.Engine.finish_s <> r.Engine.start_s +. r.Engine.partition_s +. r.Engine.exec_s then
+          start.Event.queue_s
+          (start_s -. r.Engine.job.Job.arrival_s);
+      if r.Engine.finish_s <> start_s +. r.Engine.partition_s +. r.Engine.exec_s then
         add "job-cost-decomposition"
           "job %d finish_s (%.6f) <> start + partition + exec (%.6f)" id r.Engine.finish_s
-          (r.Engine.start_s +. r.Engine.partition_s +. r.Engine.exec_s);
-      if r.Engine.cache_hit && r.Engine.partition_s <> 0.0 then
+          (start_s +. r.Engine.partition_s +. r.Engine.exec_s);
+      if start.Event.cache_hit && r.Engine.partition_s <> 0.0 then
         add "job-hit-paid-build" "job %d hit the cache yet paid %.6f s of partitioning" id
           r.Engine.partition_s;
       if r.Engine.partition_s < 0.0 || r.Engine.exec_s < 0.0 then
@@ -96,26 +98,26 @@ let record_checks (records : Engine.job_record list) =
            admission control, or culled from the queue at its
            deadline). *)
         if
-          (not r.Engine.failed)
-          || r.Engine.cache_hit
+          (not failed)
+          || start.Event.cache_hit
           || r.Engine.partition_s <> 0.0
           || r.Engine.exec_s <> 0.0
           || r.Engine.recoveries <> 0
           || r.Engine.speculations <> 0
         then add "job-invalid-shape" "zero-attempt job %d carries run artifacts" id
       end;
-      if r.Engine.failed && not (List.mem r.Engine.outcome failing_outcomes) then
+      if failed && not (List.mem r.Engine.outcome failing_outcomes) then
         add "job-failed-outcome" "job %d is marked failed yet its outcome is %S" id
           r.Engine.outcome;
-      if (not r.Engine.failed) && not (List.mem r.Engine.outcome ok_outcomes) then
+      if (not failed) && not (List.mem r.Engine.outcome ok_outcomes) then
         add "job-ok-outcome" "job %d is not failed yet its outcome is %S" id r.Engine.outcome;
       if String.equal r.Engine.outcome "shed" then begin
         (* A shed job was refused at its admission instant: it carries
            its arrival bookkeeping but no run costs at all. *)
-        if r.Engine.finish_s <> r.Engine.start_s then
+        if r.Engine.finish_s <> start_s then
           add "job-shed-shape" "shed job %d accrued run time (start %.6f, finish %.6f)" id
-            r.Engine.start_s r.Engine.finish_s;
-        if r.Engine.cache_hit then add "job-shed-shape" "shed job %d claims a cache hit" id
+            start_s r.Engine.finish_s;
+        if start.Event.cache_hit then add "job-shed-shape" "shed job %d claims a cache hit" id
       end;
       (match (r.Engine.outcome, r.Engine.deadline_s) with
       | "deadline", None ->
@@ -128,8 +130,7 @@ let record_checks (records : Engine.job_record list) =
             add "job-deadline-shape" "job %d finished (%.6f) past its deadline (%.6f)" id
               r.Engine.finish_s d
       | _, Some d ->
-          if (not r.Engine.failed) && r.Engine.finish_s > d && not (close r.Engine.finish_s d)
-          then
+          if (not failed) && r.Engine.finish_s > d && not (close r.Engine.finish_s d) then
             add "job-deadline-respected"
               "job %d completed (%.6f) past its SLO deadline (%.6f) without being cancelled" id
               r.Engine.finish_s d
@@ -138,14 +139,13 @@ let record_checks (records : Engine.job_record list) =
   List.rev !v
 
 (* Breaker trips are a per-(tenant, dataset, strategy) state machine:
-   the first trip opens, a close only ever follows an open, opens carry
-   the failure streak that tripped them and closes a cleared streak.
-   Running the machine on the tenant-scoped key is itself the breaker
-   isolation law: a close in one tenant's namespace never pairs with an
-   open in another's. The list is in the engine's decision order — with
-   concurrent slots an attempt processed later can finish earlier, so
-   the stamped instants are not globally sorted and carry no ordering
-   law. *)
+   the first trip opens, a close only ever follows an open, and an open
+   carries the failure streak that tripped it. Running the machine on
+   the tenant-scoped key is itself the breaker isolation law: a close in
+   one tenant's namespace never pairs with an open in another's. The
+   list is in the engine's decision order — with concurrent slots an
+   attempt processed later can finish earlier, so the stamped instants
+   are not globally sorted and carry no ordering law. *)
 let breaker_checks (r : Engine.report) =
   let v = ref [] in
   let add rule fmt = Format.kasprintf (fun detail -> v := Violation.v ~suite ~rule "%s" detail :: !v) fmt in
@@ -157,26 +157,21 @@ let breaker_checks (r : Engine.report) =
       let states : (string, bool) Hashtbl.t = Hashtbl.create 8 in
       List.iter
         (fun (t : Engine.breaker_trip) ->
-          let key =
-            Engine.breaker_scope ~tenant:t.Engine.trip_tenant ~dataset:t.Engine.trip_dataset
-            ^ "/" ^ t.Engine.trip_strategy
+          let key strategy =
+            Engine.breaker_scope ~tenant:t.Engine.tenant ~dataset:t.Engine.dataset ^ "/" ^ strategy
           in
-          let was_open =
-            match Hashtbl.find_opt states key with Some b -> b | None -> false
-          in
-          if t.Engine.opened then begin
-            if t.Engine.trip_failures < k then
-              add "breaker-premature" "breaker %s opened after only %d failures (threshold %d)"
-                key t.Engine.trip_failures k
-          end
-          else begin
-            if not was_open then
-              add "breaker-close-without-open" "breaker %s closed while already closed" key;
-            if t.Engine.trip_failures <> 0 then
-              add "breaker-dirty-close" "breaker %s closed with %d residual failures" key
-                t.Engine.trip_failures
-          end;
-          Hashtbl.replace states key t.Engine.opened)
+          match t.Engine.transition with
+          | Engine.Opened b ->
+              let key = key b.Event.strategy in
+              if b.Event.failures < k then
+                add "breaker-premature" "breaker %s opened after only %d failures (threshold %d)"
+                  key b.Event.failures k;
+              Hashtbl.replace states key true
+          | Engine.Closed b ->
+              let key = key b.Event.strategy in
+              if not (Option.value ~default:false (Hashtbl.find_opt states key)) then
+                add "breaker-close-without-open" "breaker %s closed while already closed" key;
+              Hashtbl.replace states key false)
         trips);
   List.rev !v
 
@@ -215,31 +210,18 @@ let mutation_checks (r : Engine.report) =
   List.rev !v
 
 (* Elasticity and tenancy laws. Preemption is involuntary, so it never
-   consumes the retry budget; membership counters reconcile with the
-   records; and the engine's two independently recounted invariants —
-   no hit served from a stale placement, no fair-share breach — must
-   both sit at zero. *)
+   consumes the retry budget; no scale activity without a scale spec;
+   and the engine's two independently recounted invariants — no hit
+   served from a stale placement, no fair-share breach — must both sit
+   at zero. *)
 let elastic_checks (r : Engine.report) =
   let v = ref [] in
   let add rule fmt = Format.kasprintf (fun detail -> v := Violation.v ~suite ~rule "%s" detail :: !v) fmt in
-  if r.Engine.joins < 0 || r.Engine.leaves < 0 || r.Engine.preemptions < 0 then
-    add "elastic-negative" "negative scale counters (joins %d, leaves %d, preemptions %d)"
-      r.Engine.joins r.Engine.leaves r.Engine.preemptions;
-  if
-    r.Engine.scale_spec = None
-    && (r.Engine.joins <> 0 || r.Engine.leaves <> 0 || r.Engine.preemptions <> 0)
+  let preemptions = Engine.preemptions r in
+  if r.Engine.scale_spec = None && (r.Engine.joins <> 0 || r.Engine.leaves <> 0 || preemptions <> 0)
   then
     add "elastic-unarmed" "%d join(s), %d leave(s), %d preemption(s) with no scale spec"
-      r.Engine.joins r.Engine.leaves r.Engine.preemptions;
-  let recorded_preempts =
-    List.fold_left
-      (fun acc (x : Engine.job_record) -> acc + x.Engine.preemptions)
-      0 r.Engine.records
-  in
-  if recorded_preempts <> r.Engine.preemptions then
-    add "elastic-preempt-conservation"
-      "records carry %d preemptions but the engine applied %d" recorded_preempts
-      r.Engine.preemptions;
+      r.Engine.joins r.Engine.leaves preemptions;
   (* The zero-retry-consumed rule: only voluntary failures draw on the
      budget, so a record may exceed [max_retries + 1] attempts by
      exactly its preemption count — never further. *)
@@ -263,27 +245,13 @@ let aggregate_checks (r : Engine.report) =
   let v = ref [] in
   let add rule fmt = Format.kasprintf (fun detail -> v := Violation.v ~suite ~rule "%s" detail :: !v) fmt in
   let fold f init = List.fold_left f init r.Engine.records in
-  let makespan = fold (fun acc x -> Float.max acc x.Engine.finish_s) 0.0 in
-  if r.Engine.makespan_s <> makespan then
-    add "aggregate-makespan" "makespan_s (%.6f) <> max finish over records (%.6f)"
-      r.Engine.makespan_s makespan;
-  let q = fold (fun acc x -> acc +. x.Engine.queue_s) 0.0 in
-  if r.Engine.total_queue_s <> q then
-    add "aggregate-queue" "total_queue_s (%.6f) <> sum over records (%.6f)" r.Engine.total_queue_s q;
-  let p = fold (fun acc x -> acc +. x.Engine.partition_s) 0.0 in
-  if r.Engine.total_partition_s <> p then
-    add "aggregate-partition" "total_partition_s (%.6f) <> sum over records (%.6f)"
-      r.Engine.total_partition_s p;
-  let e = fold (fun acc x -> acc +. x.Engine.exec_s) 0.0 in
-  if r.Engine.total_exec_s <> e then
-    add "aggregate-exec" "total_exec_s (%.6f) <> sum over records (%.6f)" r.Engine.total_exec_s e;
   let attempts = fold (fun acc x -> acc + x.Engine.attempts) 0 in
   if r.Engine.cache.Cache.lookups <> attempts then
     add "aggregate-lookups" "cache lookups (%d) <> attempts launched (%d): one lookup per attempt"
       r.Engine.cache.Cache.lookups attempts;
   (* Only the final attempt's hit flag survives in the record, so the
      stats may count more hits than the records show — never fewer. *)
-  let hits = List.length (List.filter (fun x -> x.Engine.cache_hit) r.Engine.records) in
+  let hits = fold (fun acc x -> if x.Engine.start.Event.cache_hit then acc + 1 else acc) 0 in
   if r.Engine.cache.Cache.hits < hits then
     add "aggregate-hits" "cache hits (%d) < hit records (%d)" r.Engine.cache.Cache.hits hits;
   let retries = fold (fun acc x -> acc + max 0 (x.Engine.attempts - 1)) 0 in
@@ -308,27 +276,96 @@ let aggregate_checks (r : Engine.report) =
   let n = List.length r.Engine.records in
   if bucketed <> n then
     add "aggregate-outcome-conservation" "%d records bucket into %d known outcomes" n bucketed;
-  let failed = List.length (List.filter (fun x -> x.Engine.failed) r.Engine.records) in
-  if List.length r.Engine.failures <> failed then
-    add "aggregate-failures" "%d failure records for %d failed job records"
-      (List.length r.Engine.failures) failed;
-  List.iter
-    (fun (f : Engine.job_failure) ->
-      match
-        List.find_opt
-          (fun (x : Engine.job_record) -> x.Engine.job.Job.id = f.Engine.job_id)
-          r.Engine.records
-      with
-      | Some x when x.Engine.failed -> ()
-      | Some _ -> add "failure-orphan" "failure for job %d whose record is not failed" f.Engine.job_id
-      | None -> add "failure-orphan" "failure for unknown job %d" f.Engine.job_id)
-    r.Engine.failures;
   List.rev !v
 
-(* Event counts reconcile with the report's counters and lists. *)
-let event_count_checks (r : Engine.report) events =
+(* The job an event narrates, when it narrates one. *)
+let job_of = function
+  | Event.Job_submit { Event.job_id; _ } -> Some ("Job_submit", job_id)
+  | Event.Job_start { Event.job_id; _ } -> Some ("Job_start", job_id)
+  | Event.Job_end { Event.job_id; _ } -> Some ("Job_end", job_id)
+  | Event.Job_retry { Event.job_id; _ } -> Some ("Job_retry", job_id)
+  | Event.Job_shed { Event.job_id; _ } -> Some ("Job_shed", job_id)
+  | Event.Tenant_throttle { Event.job_id; _ } -> Some ("Tenant_throttle", job_id)
+  | Event.Deadline_exceeded { Event.job_id; _ } -> Some ("Deadline_exceeded", job_id)
+  | Event.Run_start _ | Event.Superstep _ | Event.Run_end _ | Event.Fault_injected _
+  | Event.Checkpoint _ | Event.Recovery _ | Event.Speculative_launch _ | Event.Speculative_win _
+  | Event.Breaker_open _ | Event.Breaker_close _ | Event.Cache_op _ | Event.Mutation_batch _
+  | Event.Repartition _ | Event.Executor_join _ | Event.Executor_leave _ | Event.Reshuffle _ ->
+      None
+
+(* The event stream against the report, in linear time. Every job event
+   must name a known job (records are looked up by id); an orphan is
+   reported once, as [event-orphan], and left out of the counts. The
+   rest agree with their records, and the per-kind counts reconcile
+   with the attempts, the report's folds and the cache's own counters.
+   A [Job_start] payload is its record's [start] and a breaker event
+   payload its trip's record, so neither is compared field by field. *)
+let event_checks (r : Engine.report) events =
   let v = ref [] in
   let add rule fmt = Format.kasprintf (fun detail -> v := Violation.v ~suite ~rule "%s" detail :: !v) fmt in
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun (x : Engine.job_record) -> Hashtbl.replace by_id x.Engine.job.Job.id x)
+    r.Engine.records;
+  let events =
+    List.filter
+      (fun ev ->
+        match job_of ev with
+        | Some (kind, id) when not (Hashtbl.mem by_id id) ->
+            add "event-orphan" "%s for unknown job %d" kind id;
+            false
+        | Some _ | None -> true)
+      events
+  in
+  let record id : Engine.job_record = Hashtbl.find by_id id in
+  List.iter
+    (function
+      | Event.Job_end je ->
+          (* Earlier (failed) attempts stream their own Job_end; only the
+             final attempt — the one sharing the record's finish — must
+             match it. *)
+          let x = record je.Event.job_id in
+          if
+            je.Event.finish_s = x.Engine.finish_s
+            && ((not (String.equal je.Event.outcome x.Engine.outcome))
+               || je.Event.partition_s <> x.Engine.partition_s
+               || je.Event.exec_s <> x.Engine.exec_s)
+          then add "event-end-mismatch" "Job_end %d disagrees with its record" je.Event.job_id
+      | Event.Job_submit js ->
+          if js.Event.arrival_s <> (record js.Event.job_id).Engine.job.Job.arrival_s then
+            add "event-submit-mismatch" "Job_submit %d disagrees with its record" js.Event.job_id
+      | Event.Job_shed s ->
+          let x = record s.Event.job_id in
+          if not (String.equal x.Engine.outcome "shed") then
+            add "event-shed-mismatch" "Job_shed %d but its record's outcome is %S" s.Event.job_id
+              x.Engine.outcome
+          else if
+            (not
+               (String.equal s.Event.policy (Engine.shed_policy_name r.Engine.shed_policy)
+               || String.equal s.Event.policy "quota"))
+            || s.Event.at_s <> x.Engine.start.Event.start_s
+          then add "event-shed-mismatch" "Job_shed %d disagrees with its record" s.Event.job_id
+      | Event.Tenant_throttle tt ->
+          let x = record tt.Event.job_id in
+          if not (String.equal x.Engine.outcome "shed") then
+            add "event-throttle" "Tenant_throttle %d but its record's outcome is %S"
+              tt.Event.job_id x.Engine.outcome
+          else if not (String.equal tt.Event.tenant x.Engine.job.Job.tenant) then
+            add "event-throttle" "Tenant_throttle %d names tenant %s, record says %s"
+              tt.Event.job_id tt.Event.tenant x.Engine.job.Job.tenant
+      | Event.Deadline_exceeded d ->
+          let x = record d.Event.job_id in
+          if not (String.equal x.Engine.outcome "deadline") then
+            add "event-deadline-mismatch" "Deadline_exceeded %d but its record's outcome is %S"
+              d.Event.job_id x.Engine.outcome
+          else if
+            (match x.Engine.deadline_s with Some rd -> rd <> d.Event.deadline_s | None -> true)
+            || d.Event.overshoot_s < 0.0
+          then
+            add "event-deadline-mismatch" "Deadline_exceeded %d disagrees with its record"
+              d.Event.job_id
+      | _ -> ())
+    events;
   let count f = List.length (List.filter f events) in
   let n = List.length r.Engine.records in
   let attempts =
@@ -351,49 +388,12 @@ let event_count_checks (r : Engine.report) events =
   if cancels <> Engine.deadline_jobs r then
     add "event-deadlines" "%d Deadline_exceeded events for %d deadline-cancelled records" cancels
       (Engine.deadline_jobs r);
-  (* Breaker events are the trip list, narrated: same transitions, same
-     order, same fields. *)
-  let breaker_events kind adjective ~opened narrated =
-    let trips =
-      List.filter (fun (t : Engine.breaker_trip) -> Bool.equal t.Engine.opened opened) r.Engine.breaker_trips
-    in
-    if List.length narrated <> List.length trips then
-      add "event-breaker" "%d Breaker_%s events for %d %s trips" (List.length narrated) kind
-        (List.length trips) adjective
-    else
-      List.iter2
-        (fun (dataset, strategy, at_s, failures) (t : Engine.breaker_trip) ->
-          if
-            (not
-               (String.equal dataset
-                  (Engine.breaker_scope ~tenant:t.Engine.trip_tenant ~dataset:t.Engine.trip_dataset)))
-            || (not (String.equal strategy t.Engine.trip_strategy))
-            || at_s <> t.Engine.trip_at_s
-            || match failures with Some f -> f <> t.Engine.trip_failures | None -> false
-          then add "event-breaker" "Breaker_%s for %s/%s disagrees with its trip" kind dataset strategy)
-        narrated trips
-  in
-  breaker_events "open" "opening" ~opened:true
-    (List.filter_map
-       (function
-         | Event.Breaker_open b ->
-             Some (b.Event.dataset, b.Event.strategy, b.Event.at_s, Some b.Event.failures)
-         | _ -> None)
-       events);
-  breaker_events "close" "closing" ~opened:false
-    (List.filter_map
-       (function
-         | Event.Breaker_close b -> Some (b.Event.dataset, b.Event.strategy, b.Event.at_s, None)
-         | _ -> None)
-       events);
   (* Superseded (retried) attempts launched speculations of their own,
      so the stream may carry more launches than the surviving records —
      never fewer, and none at all without a speculation config. *)
   let launches = count (function Event.Speculative_launch _ -> true | _ -> false) in
   let wins = count (function Event.Speculative_win _ -> true | _ -> false) in
-  let record_specs =
-    List.fold_left (fun acc (x : Engine.job_record) -> acc + x.Engine.speculations) 0 r.Engine.records
-  in
+  let record_specs = Engine.total_speculations r in
   (match r.Engine.speculation with
   | None ->
       if launches <> 0 || wins <> 0 then
@@ -408,8 +408,9 @@ let event_count_checks (r : Engine.report) events =
           launches record_specs;
       if wins > launches then
         add "event-speculation" "%d Speculative_win events for %d launches" wins launches);
-  (* Scale events reconcile with the applied membership changes, and
-     every quota throttle pairs 1:1 with a ["quota"]-policy shed. *)
+  (* Scale events reconcile with the spec's membership changes and the
+     records' preemptions, and every quota throttle pairs 1:1 with a
+     ["quota"]-policy shed. *)
   let join_events = count (function Event.Executor_join _ -> true | _ -> false) in
   if join_events <> r.Engine.joins then
     add "event-scale" "%d Executor_join events for %d applied joins" join_events r.Engine.joins;
@@ -422,9 +423,9 @@ let event_count_checks (r : Engine.report) events =
       | Event.Fault_injected f -> String.equal f.Event.kind "preempt"
       | _ -> false)
   in
-  if preempt_events <> r.Engine.preemptions then
-    add "event-scale" "%d preempt Fault_injected events for %d applied preemptions"
-      preempt_events r.Engine.preemptions;
+  if preempt_events <> Engine.preemptions r then
+    add "event-scale" "%d preempt Fault_injected events for %d recorded preemptions"
+      preempt_events (Engine.preemptions r);
   let throttles =
     List.filter_map (function Event.Tenant_throttle t -> Some t | _ -> None) events
   in
@@ -459,95 +460,6 @@ let event_count_checks (r : Engine.report) events =
   pair "reject" (ops "reject") stats.Cache.rejections;
   List.rev !v
 
-(* Every job event reconciles field-for-field with its job's record. *)
-let event_record_checks (r : Engine.report) events =
-  let v = ref [] in
-  let add rule fmt = Format.kasprintf (fun detail -> v := Violation.v ~suite ~rule "%s" detail :: !v) fmt in
-  let find_record id =
-    List.find_opt (fun (x : Engine.job_record) -> x.Engine.job.Job.id = id) r.Engine.records
-  in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Event.Job_start js -> (
-          (* Earlier (failed) attempts stream their own Job_start; only
-             the final attempt — the one sharing the record's admission
-             instant — must match it field-for-field. *)
-          match find_record js.Event.job_id with
-          | None -> add "event-orphan" "Job_start for unknown job %d" js.Event.job_id
-          | Some x when js.Event.start_s <> x.Engine.start_s -> ()
-          | Some x ->
-              if
-                (not (String.equal js.Event.strategy x.Engine.strategy))
-                || js.Event.cache_hit <> x.Engine.cache_hit
-                || js.Event.queue_s <> x.Engine.queue_s
-              then
-                add "event-start-mismatch" "Job_start %d disagrees with its record"
-                  js.Event.job_id)
-      | Event.Job_end je -> (
-          match find_record je.Event.job_id with
-          | None -> add "event-orphan" "Job_end for unknown job %d" je.Event.job_id
-          | Some x when je.Event.finish_s <> x.Engine.finish_s -> ()
-          | Some x ->
-              if
-                (not (String.equal je.Event.outcome x.Engine.outcome))
-                || je.Event.partition_s <> x.Engine.partition_s
-                || je.Event.exec_s <> x.Engine.exec_s
-              then add "event-end-mismatch" "Job_end %d disagrees with its record" je.Event.job_id)
-      | Event.Job_submit js -> (
-          match find_record js.Event.job_id with
-          | None -> add "event-orphan" "Job_submit for unknown job %d" js.Event.job_id
-          | Some x ->
-              if js.Event.arrival_s <> x.Engine.job.Job.arrival_s then
-                add "event-submit-mismatch" "Job_submit %d disagrees with its record"
-                  js.Event.job_id)
-      | Event.Job_shed s -> (
-          match find_record s.Event.job_id with
-          | None -> add "event-orphan" "Job_shed for unknown job %d" s.Event.job_id
-          | Some x ->
-              if not (String.equal x.Engine.outcome "shed") then
-                add "event-shed-mismatch" "Job_shed %d but its record's outcome is %S"
-                  s.Event.job_id x.Engine.outcome
-              else if
-                (not
-                   (String.equal s.Event.policy (Engine.shed_policy_name r.Engine.shed_policy)
-                   || String.equal s.Event.policy "quota"))
-                || s.Event.at_s <> x.Engine.start_s
-              then add "event-shed-mismatch" "Job_shed %d disagrees with its record" s.Event.job_id)
-      | Event.Tenant_throttle tt -> (
-          match find_record tt.Event.job_id with
-          | None -> add "event-orphan" "Tenant_throttle for unknown job %d" tt.Event.job_id
-          | Some x ->
-              if not (String.equal x.Engine.outcome "shed") then
-                add "event-throttle" "Tenant_throttle %d but its record's outcome is %S"
-                  tt.Event.job_id x.Engine.outcome
-              else if not (String.equal tt.Event.tenant x.Engine.job.Job.tenant) then
-                add "event-throttle" "Tenant_throttle %d names tenant %s, record says %s"
-                  tt.Event.job_id tt.Event.tenant x.Engine.job.Job.tenant)
-      | Event.Deadline_exceeded d -> (
-          match find_record d.Event.job_id with
-          | None -> add "event-orphan" "Deadline_exceeded for unknown job %d" d.Event.job_id
-          | Some x ->
-              if not (String.equal x.Engine.outcome "deadline") then
-                add "event-deadline-mismatch"
-                  "Deadline_exceeded %d but its record's outcome is %S" d.Event.job_id
-                  x.Engine.outcome
-              else if
-                (match x.Engine.deadline_s with
-                | Some rd -> rd <> d.Event.deadline_s
-                | None -> true)
-                || d.Event.overshoot_s < 0.0
-              then
-                add "event-deadline-mismatch" "Deadline_exceeded %d disagrees with its record"
-                  d.Event.job_id)
-      | Event.Cache_op _ | Event.Run_start _ | Event.Superstep _ | Event.Run_end _
-      | Event.Fault_injected _ | Event.Checkpoint _ | Event.Recovery _ | Event.Job_retry _
-      | Event.Speculative_launch _ | Event.Speculative_win _ | Event.Breaker_open _
-      | Event.Breaker_close _ | Event.Mutation_batch _ | Event.Repartition _
-      | Event.Executor_join _ | Event.Executor_leave _ | Event.Reshuffle _ -> ())
-    events;
-  List.rev !v
-
 let report ?events (r : Engine.report) =
   cache_accounting r.Engine.cache
   @ record_checks r.Engine.records
@@ -555,16 +467,16 @@ let report ?events (r : Engine.report) =
   @ breaker_checks r
   @ mutation_checks r
   @ elastic_checks r
-  @ match events with None -> [] | Some evs -> event_count_checks r evs @ event_record_checks r evs
+  @ match events with None -> [] | Some evs -> event_checks r evs
 
 let digest r = Determinism.lines_digest (Engine.report_lines r)
 
 let run_twice ~label f = Determinism.run_twice ~label (fun () -> digest (f ()))
 
 let check_run ~label ?(sinks = []) (run : ?telemetry:Telemetry.t -> unit -> Engine.report) =
-  let ring, read_ring = Sink.ring ~capacity:65536 () in
-  let telemetry = Telemetry.create ~sinks:(sinks @ [ ring ]) () in
+  let all, read_all = Sink.collect () in
+  let telemetry = Telemetry.create ~sinks:(sinks @ [ all ]) () in
   let r = run ~telemetry () in
   Telemetry.close telemetry;
-  let direct = report ~events:(read_ring ()) r in
+  let direct = report ~events:(read_all ()) r in
   (r, direct @ Determinism.replay ~label ~first:(digest r) (fun () -> digest (run ())))

@@ -242,7 +242,7 @@ let test_workload_scale_counters () =
   in
   checki "one leave applied" 1 r.Engine.leaves;
   checki "one join applied" 1 r.Engine.joins;
-  checki "no preemptions" 0 r.Engine.preemptions;
+  checki "no preemptions" 0 (Engine.preemptions r);
   checkb "spec recorded" true (r.Engine.scale_spec = Some "leave@5-1,join@9+2");
   (* Satellite law: a leave invalidates every cached partitioning that
      referenced the departed executor, so no stale-placement hit is ever
@@ -257,7 +257,7 @@ let test_preempt_is_budget_neutral () =
     ring_run ~scale_events:(Elastic.config "preempt@6:r1") ~max_retries:0 ~seed:7L
       (Job.generate ~seed:7L ~jobs:16 (Option.get (Job.find_mix "uniform")))
   in
-  checkb "a preemption fired" true (r.Engine.preemptions >= 1);
+  checkb "a preemption fired" true (Engine.preemptions r >= 1);
   checki "no job failed" 0 (Engine.failed_jobs r);
   let preempted =
     List.filter (fun (j : Engine.job_record) -> j.Engine.preemptions > 0) r.Engine.records
@@ -274,7 +274,7 @@ let test_unarmed_run_reports_zero () =
   checkb "no spec recorded" true (r.Engine.scale_spec = None);
   checki "no joins" 0 r.Engine.joins;
   checki "no leaves" 0 r.Engine.leaves;
-  checki "no preemptions" 0 r.Engine.preemptions;
+  checki "no preemptions" 0 (Engine.preemptions r);
   check_clean "static report" (Workload_check.report ~events r)
 
 (* --- multi-tenancy --- *)
@@ -351,8 +351,8 @@ let test_breaker_scopes_isolate_tenants () =
   List.iter
     (fun (t : Engine.breaker_trip) ->
       checkb "trip belongs to a real tenant" true
-        (t.Engine.trip_tenant = "acme" || t.Engine.trip_tenant = "beta");
-      checks "trip keeps the bare dataset" "pocek" t.Engine.trip_dataset)
+        (t.Engine.tenant = "acme" || t.Engine.tenant = "beta");
+      checks "trip keeps the bare dataset" "pocek" t.Engine.dataset)
     r.Engine.breaker_trips;
   check_clean "breaker-namespace report" (Workload_check.report ~events:(contents ()) r)
 

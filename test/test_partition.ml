@@ -467,3 +467,24 @@ let suite =
       Alcotest.test_case "of_hash rejects P <= 0" `Quick test_of_hash_rejects_bad_partitions;
       Alcotest.test_case "hash2 allocates nothing" `Quick test_hash2_allocation_free;
     ]
+
+(* Capability placement hashes every edge and searches the speed-weighted
+   ranges without boxing, and its assignment is pinned: the MD5 of the
+   marshalled youtube assignment at two executors of speeds 1 and 2,
+   P = 128. *)
+let test_capability_allocation_free () =
+  let g = Cutfit_gen.Datasets.generate (Cutfit_gen.Datasets.find "youtube") in
+  let p = Partitioner.capability ~speeds:[| 1.0; 2.0 |] ~executors:2 in
+  let before = Gc.minor_words () in
+  let a = Partitioner.assign p ~num_partitions:128 g in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check string) "assignment bits" "d0110ac804d9c06d80f4756d654b057b"
+    (Digest.to_hex (Digest.string (Marshal.to_string a [])));
+  checkb
+    (Printf.sprintf "%.3f minor words per edge < 0.5" (words /. float_of_int (Array.length a)))
+    true
+    (words < 0.5 *. float_of_int (Array.length a))
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "capability placement allocation-free" `Quick test_capability_allocation_free ]

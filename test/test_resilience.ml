@@ -120,9 +120,9 @@ let test_shed_consumes_no_retry () =
     (fun (x : Engine.job_record) ->
       if String.equal x.Engine.outcome "shed" then begin
         checki "shed job launched nothing" 0 x.Engine.attempts;
-        checkb "shed job is failed" true x.Engine.failed;
+        checkb "shed job is failed" true (Option.is_some x.Engine.failure);
         checkb "shed job accrued no run time" true
-          (Float.equal x.Engine.finish_s x.Engine.start_s)
+          (Float.equal x.Engine.finish_s x.Engine.start.Event.start_s)
       end)
     r.Engine.records;
   check_clean "shedding report" (Workload_check.report r);
@@ -151,7 +151,7 @@ let test_deadline_cancels_cleanly () =
   List.iter
     (fun (x : Engine.job_record) ->
       if String.equal x.Engine.outcome "deadline" then begin
-        checkb "cancelled job is failed" true x.Engine.failed;
+        checkb "cancelled job is failed" true (Option.is_some x.Engine.failure);
         match x.Engine.deadline_s with
         | None -> Alcotest.fail "cancelled job must carry its deadline"
         | Some d ->
@@ -190,16 +190,27 @@ let test_breaker_reopens_and_closes () =
     if seed > 60 then Alcotest.fail "no fault seed tripped open + close within 60 draws"
     else begin
       let r = breaker_report seed in
-      let opens = List.filter (fun (t : Engine.breaker_trip) -> t.Engine.opened) r.Engine.breaker_trips in
+      let opens =
+        List.filter_map
+          (fun (t : Engine.breaker_trip) ->
+            match t.Engine.transition with Engine.Opened b -> Some (t, b) | Engine.Closed _ -> None)
+          r.Engine.breaker_trips
+      in
       let closes =
-        List.filter (fun (t : Engine.breaker_trip) -> not t.Engine.opened) r.Engine.breaker_trips
+        List.filter_map
+          (fun (t : Engine.breaker_trip) ->
+            match t.Engine.transition with Engine.Closed b -> Some (t, b) | Engine.Opened _ -> None)
+          r.Engine.breaker_trips
       in
       if opens <> [] && closes <> [] then (seed, r, opens, closes) else search (seed + 1)
     end
   in
   let seed, r, opens, closes = search 1 in
-  let o = List.hd opens in
-  let c = List.hd closes in
+  let o_trip, o = List.hd opens in
+  let c_trip, c = List.hd closes in
+  let opened (t : Engine.breaker_trip) =
+    match t.Engine.transition with Engine.Opened _ -> true | Engine.Closed _ -> false
+  in
   let index p =
     let rec go i = function
       | [] -> -1
@@ -208,13 +219,11 @@ let test_breaker_reopens_and_closes () =
     go 0 r.Engine.breaker_trips
   in
   checkb "open precedes close in decision order" true
-    (index (fun (t : Engine.breaker_trip) -> t.Engine.opened)
-    < index (fun (t : Engine.breaker_trip) -> not t.Engine.opened));
-  checkb "open carries the tripping streak" true (o.Engine.trip_failures >= 2);
-  checki "close carries a cleared streak" 0 c.Engine.trip_failures;
+    (index opened < index (fun t -> not (opened t)));
+  checkb "open carries the tripping streak" true (o.Event.failures >= 2);
   checkb "same key opens and closes" true
-    (String.equal o.Engine.trip_dataset c.Engine.trip_dataset
-    && String.equal o.Engine.trip_strategy c.Engine.trip_strategy);
+    (String.equal o_trip.Engine.dataset c_trip.Engine.dataset
+    && String.equal o.Event.strategy c.Event.strategy);
   check_clean "breaker report" (Workload_check.report r);
   (* Replaying the found seed is bit-identical — the search is stable. *)
   check_clean "breaker digest"

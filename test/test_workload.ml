@@ -257,11 +257,11 @@ let test_engine_cache_effect () =
   checkb "disabled cache never hits" true (Engine.hit_rate uncached = 0.0);
   checki "disabled cache rejects every build" uncached.Engine.cache.Cache.misses
     uncached.Engine.cache.Cache.rejections;
-  let paid r = r.Engine.total_partition_s in
+  let paid = Engine.total_partition_s in
   checkb "cache saves partitioning time" true (paid cached < paid uncached);
   List.iter
     (fun (r : Engine.job_record) ->
-      if r.Engine.cache_hit then
+      if r.Engine.start.Cutfit.Event.cache_hit then
         Alcotest.(check (float 0.0)) "hits pay no partitioning" 0.0 r.Engine.partition_s)
     cached.Engine.records
 
@@ -275,7 +275,8 @@ let test_engine_policies_same_jobs () =
   checkb "fifo starts in arrival order" true
     (let starts =
        List.sort
-         (fun (a : Engine.job_record) b -> compare a.Engine.start_s b.Engine.start_s)
+         (fun (a : Engine.job_record) b ->
+           compare a.Engine.start.Cutfit.Event.start_s b.Engine.start.Cutfit.Event.start_s)
          fifo.Engine.records
      in
      let arrivals = List.map (fun (r : Engine.job_record) -> r.Engine.job.Job.arrival_s) starts in
@@ -403,4 +404,176 @@ let suite =
   @ [
       Alcotest.test_case "cache partial invalidation" `Quick test_cache_invalidate_partial;
       Alcotest.test_case "cache peek uncounted" `Quick test_cache_peek_entries_uncounted;
+    ]
+
+(* --- the event stream against the report --- *)
+
+module Event = Cutfit_obs.Event
+
+let observed run =
+  let sink, read = Cutfit_obs.Sink.collect () in
+  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
+  let r = run telemetry in
+  Cutfit_obs.Telemetry.close telemetry;
+  (r, read ())
+
+let rules vs = List.sort_uniq compare (List.map (fun v -> v.Cutfit_check.Violation.rule) vs)
+
+(* A two-tenant stream under a queue bound and a tenant quota, with an
+   executor join and a preemption: it sheds, throttles, retries and
+   hits the cache. *)
+let defect_run () =
+  let jobs =
+    Job.generate ~seed:1L ~jobs:14
+      ~tenants:[ ("acme", 3.0); ("beta", 1.0) ]
+      (Option.get (Job.find_mix "reuse-heavy"))
+  in
+  observed (fun telemetry ->
+      Engine.run ~telemetry ~queue_bound:3 ~tenant_quota:2
+        ~scale_events:(Cutfit_bsp.Elastic.config "join@4+1,preempt@6:r1")
+        ~seed:1L jobs)
+
+(* Drop the first event [p] selects. *)
+let drop_first p events =
+  let rec go = function [] -> [] | e :: rest -> if p e then rest else e :: go rest in
+  go events
+
+let test_event_defects_fire_their_rule () =
+  let r, events = defect_run () in
+  Alcotest.(check (list string)) "intact event stream" [] (rules (Workload_check.report ~events r));
+  let win =
+    Event.Speculative_win
+      {
+        Event.step = 0;
+        executor = 0;
+        host = 1;
+        cloned_partitions = 1;
+        original_busy_s = 2.0;
+        clone_busy_s = 1.0;
+        wire_bytes = 0.0;
+        compute_s = 1.0;
+        won = true;
+        saved_s = 1.0;
+      }
+  in
+  let unknown_end =
+    Event.Job_end
+      {
+        Event.job_id = 1_000_000;
+        outcome = "completed";
+        partition_s = 0.0;
+        exec_s = 1.0;
+        finish_s = 1.0;
+      }
+  in
+  List.iter
+    (fun (what, rule, defect) ->
+      Alcotest.(check (list string)) what [ rule ]
+        (rules (Workload_check.report ~events:(defect events) r)))
+    [
+      ( "dropped Job_submit",
+        "event-submits",
+        drop_first (function Event.Job_submit _ -> true | _ -> false) );
+      ( "dropped Job_start",
+        "event-starts",
+        drop_first (function Event.Job_start _ -> true | _ -> false) );
+      ( "dropped queue Job_shed",
+        "event-sheds",
+        drop_first (function Event.Job_shed s -> s.Event.policy <> "quota" | _ -> false) );
+      ( "dropped Job_retry",
+        "event-retries",
+        drop_first (function Event.Job_retry _ -> true | _ -> false) );
+      ( "dropped Executor_join",
+        "event-scale",
+        drop_first (function Event.Executor_join _ -> true | _ -> false) );
+      ( "dropped hit Cache_op",
+        "event-cache-ops",
+        drop_first (function Event.Cache_op c -> c.Event.op = "hit" | _ -> false) );
+      ( "dropped Tenant_throttle",
+        "event-throttle",
+        drop_first (function Event.Tenant_throttle _ -> true | _ -> false) );
+      ("Speculative_win with no launch", "event-speculation", fun evs -> evs @ [ win ]);
+      ("Job_end for an unknown job", "event-orphan", fun evs -> evs @ [ unknown_end ]);
+    ]
+
+(* Retries, breaker opens and closes, a preemption, a join and a leave,
+   over two tenants. *)
+let sharing_run () =
+  let jobs =
+    Job.generate ~seed:1L ~jobs:10
+      ~tenants:[ ("acme", 1.0); ("beta", 1.0) ]
+      (Option.get (Job.find_mix "reuse-heavy"))
+  in
+  observed (fun telemetry ->
+      Engine.run ~telemetry ~max_retries:6 ~breaker_k:2 ~breaker_cooldown_s:1.0
+        ~selection:Engine.Heuristic
+        ~faults:(Cutfit_bsp.Faults.config ~seed:1 ~max_failures:0 "rand@0.5")
+        ~scale_events:(Cutfit_bsp.Elastic.config "leave@5-1,join@9+2,preempt@12:r1")
+        ~seed:1L jobs)
+
+let test_events_share_records () =
+  let r, events = sharing_run () in
+  checkb "retries" true (r.Engine.retries > 0);
+  checkb "a preemption" true (Engine.preemptions r > 0);
+  checkb "a join and a leave" true (r.Engine.joins > 0 && r.Engine.leaves > 0);
+  checki "no deadline culls" 0 (Engine.deadline_jobs r);
+  let same what pairs =
+    checkb (what ^ ": some recorded") true (pairs <> []);
+    List.iter
+      (fun (stored, emitted) -> checkb (what ^ ": same value") true (stored == emitted))
+      pairs
+  in
+  (* Every record that ran keeps its final attempt's Job_start payload. *)
+  let last_start = Hashtbl.create 16 in
+  List.iter
+    (function Event.Job_start s -> Hashtbl.replace last_start s.Event.job_id s | _ -> ())
+    events;
+  same "job_start"
+    (List.filter_map
+       (fun (x : Engine.job_record) ->
+         if x.Engine.attempts = 0 then None
+         else Some (x.Engine.start, Hashtbl.find last_start x.Engine.job.Job.id))
+       r.Engine.records);
+  let pair what stored emitted =
+    checki (what ^ ": one event per trip") (List.length stored) (List.length emitted);
+    same what (List.combine stored emitted)
+  in
+  let trips f =
+    List.filter_map (fun (t : Engine.breaker_trip) -> f t.Engine.transition) r.Engine.breaker_trips
+  in
+  pair "breaker_open"
+    (trips (function Engine.Opened b -> Some b | Engine.Closed _ -> None))
+    (List.filter_map (function Event.Breaker_open b -> Some b | _ -> None) events);
+  pair "breaker_close"
+    (trips (function Engine.Closed b -> Some b | Engine.Opened _ -> None))
+    (List.filter_map (function Event.Breaker_close b -> Some b | _ -> None) events);
+  Alcotest.(check (list string)) "sanitizer clean" [] (rules (Workload_check.report ~events r))
+
+(* Far more events than a ring sink keeps: 70,000 jobs on an unknown
+   dataset, each failing at admission after one Job_submit. *)
+let test_check_run_sees_every_event () =
+  let jobs =
+    List.init 70_000 (fun i ->
+        {
+          Job.id = i;
+          arrival_s = float_of_int i;
+          algorithm = Advisor.Pagerank;
+          dataset = "no-such-graph";
+          num_partitions = 4;
+          tenant = Job.default_tenant;
+        })
+  in
+  let r, vs =
+    Workload_check.check_run ~label:"long stream" (fun ?telemetry () ->
+        Engine.run ?telemetry ~seed:1L jobs)
+  in
+  checki "every job failed at admission" 70_000 (Engine.failed_jobs r);
+  Alcotest.(check (list string)) "clean" [] (rules vs)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "event defects fire their rule" `Quick test_event_defects_fire_their_rule;
+      Alcotest.test_case "events share records" `Quick test_events_share_records;
+      Alcotest.test_case "check_run sees every event" `Quick test_check_run_sees_every_event;
     ]

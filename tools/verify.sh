@@ -163,7 +163,9 @@ echo "== overload smoke (speculation + admission control)"
 dune exec bin/cutfit_cli.exe -- workload --jobs 16 --policy sjf \
   --faults 'straggler@2:x8' --speculate --check >/dev/null
 # a tiny queue bound must shed jobs (permanent failures -> exit 1)
-# while the sanitizer stays green on the same run
+# while the sanitizer stays green on the same run; the digest is
+# pinned, so a moved shed, deadline, breaker or failure line fails here
+shed_digest=cd2ffd191dcabcb3f8189b39969d2dc1
 set +e
 out=$(dune exec bin/cutfit_cli.exe -- workload --jobs 16 --queue-bound 2 \
   --deadline-factor 6 --breaker-k 2 --backpressure 3 --check 2>/dev/null)
@@ -173,8 +175,8 @@ if [ "$got" != 1 ]; then
   echo "expected exit 1 from the shedding workload, got $got" >&2
   exit 1
 fi
-echo "$out" | grep -q "workload check: ok" || {
-  echo "shedding workload failed its sanitizer:" >&2
+echo "$out" | grep -q "workload check: ok (digest $shed_digest)" || {
+  echo "shedding workload failed its sanitizer or its digest moved (want $shed_digest):" >&2
   echo "$out" >&2
   exit 1
 }
@@ -206,11 +208,18 @@ dune exec bin/cutfit_cli.exe -- check PR youtube --dynamic >/dev/null
 
 echo "== elastic smoke (scale events + two tenants, checked)"
 # membership churn plus a preemption over a weighted two-tenant stream;
-# --check rides the fairness, quota and preempt-conservation laws and
-# the elastic sanitizer suite proves values stay bit-identical
-dune exec bin/cutfit_cli.exe -- workload --jobs 20 --slots 2 \
+# --check rides the fairness, quota and scale-event laws, and the digest
+# is pinned, so a moved retries, joins, leaves or preemptions line fails
+# here; the elastic sanitizer suite proves values stay bit-identical
+elastic_digest=f6147b952f53497b1575b6883a664333
+out=$(dune exec bin/cutfit_cli.exe -- workload --jobs 20 --slots 2 \
   --tenants 'acme:3,beta:1' --tenant-weights 'acme:3,beta:1' --fairness \
-  --scale-events 'leave@5-1,join@9+2,preempt@12:r1' --check >/dev/null
+  --scale-events 'leave@5-1,join@9+2,preempt@12:r1' --check)
+echo "$out" | grep -q "workload check: ok (digest $elastic_digest)" || {
+  echo "elastic workload digest moved (want $elastic_digest):" >&2
+  echo "$out" | tail -3 >&2
+  exit 1
+}
 # the eighth sanitizer suite: elastic run vs static baseline
 dune exec bin/cutfit_cli.exe -- check PR roadnet_pa \
   --elastic 'leave@2-1,join@4+2' --hetero draw >/dev/null
