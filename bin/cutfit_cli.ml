@@ -170,10 +170,10 @@ let with_violation_report f =
 let faults_spec_arg =
   let doc =
     "Inject a deterministic fault schedule into every Pregel/GAS run. $(docv) is a \
-     comma-separated list of: $(b,crash\\@K)[:eE] (executor loss at superstep K), \
-     $(b,straggler\\@K-L)[:eE][:xF] (xF slowdown over K..L), $(b,net\\@K-L)[:xF] (bandwidth \
-     degraded to xF), $(b,loss\\@K)[:eE][:rN] (transient shuffle loss, N retransmissions), \
-     $(b,rand\\@R) (each superstep fires one random fault with probability R). Faults perturb \
+     comma-separated list of: $(b,crash@K)[:eE] (executor loss at superstep K), \
+     $(b,straggler@K-L)[:eE][:xF] (xF slowdown over K..L), $(b,net@K-L)[:xF] (bandwidth \
+     degraded to xF), $(b,loss@K)[:eE][:rN] (transient shuffle loss, N retransmissions), \
+     $(b,rand@R) (each superstep fires one random fault with probability R). Faults perturb \
      only the simulated time accounting — final vertex values stay bit-identical."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
@@ -189,7 +189,7 @@ let fault_seed_arg =
   Arg.(
     value & opt int 42
     & info [ "fault-seed" ] ~docv:"SEED"
-        ~doc:"Seed of the fault schedule's random draws (executor choices, rand\\@R firings).")
+        ~doc:"Seed of the fault schedule's random draws (executor choices, rand@R firings).")
 
 let fault_mode_arg =
   Arg.(
@@ -248,9 +248,9 @@ let speculation_of_flags ~speculate ~threshold ~fault_seed =
 
 let scale_events_arg =
   let doc =
-    "Apply a deterministic scale-event schedule: comma-separated $(b,join\\@T+N) (N executors \
-     join before superstep T), $(b,leave\\@T-N) (N executors drain and leave) and \
-     $(b,preempt\\@T:rN) (a spot instance is reclaimed and reacquired after N backoff \
+    "Apply a deterministic scale-event schedule: comma-separated $(b,join@T+N) (N executors \
+     join before superstep T), $(b,leave@T-N) (N executors drain and leave) and \
+     $(b,preempt@T:rN) (a spot instance is reclaimed and reacquired after N backoff \
      retries). Membership changes trigger priced re-shuffles, itemized in the trace; like \
      faults, scale events perturb only time and locality — final vertex values stay \
      bit-identical to a static cluster. Under $(b,workload) the schedule instead drives the \
@@ -714,7 +714,7 @@ let workload_cmd =
       "Interleave seeded edge mutation batches with the jobs: every $(b,--mutate-every)-th \
        launch first lands the next batch on its own dataset, partially invalidating the cache \
        and taking the priced refresh-vs-rebuild decision per $(b,--mutation-mode). $(docv) is \
-       a comma-separated list of $(b,ins\\@B)[:rN] and $(b,del\\@B)[:rN] items (B a batch \
+       a comma-separated list of $(b,ins@B)[:rN] and $(b,del@B)[:rN] items (B a batch \
        number or window $(b,B-C); N edges, default 32)."
     in
     Arg.(value & opt (some string) None & info [ "mutations" ] ~docv:"SPEC" ~doc)
@@ -995,7 +995,7 @@ let check_cmd =
   let dynamic_arg =
     let doc =
       "Add the $(b,dynamic) suite: replay $(docv) (a mutation spec; the flag alone uses \
-       $(b,ins\\@1-2:r48,del\\@1-2:r16)) from a fresh streaming cut of the same graph and \
+       $(b,ins@1-2:r48,del@1-2:r16)) from a fresh streaming cut of the same graph and \
        prove the delta-identity, cut-law, refresh-rebuild-equivalence and moved-replicas \
        laws of the dynamic-graph subsystem."
     in
@@ -1007,7 +1007,7 @@ let check_cmd =
   let elastic_check_arg =
     let doc =
       "Add the $(b,elastic) suite: run the pipeline under $(docv) (a scale-event spec; the \
-       flag alone uses $(b,leave\\@2-1,join\\@4+2)), replay it on a static cluster, and prove \
+       flag alone uses $(b,leave@2-1,join@4+2)), replay it on a static cluster, and prove \
        membership churn perturbed only time and locality — bit-identical vertex values, \
        unchanged placement-independent structure, an unbroken membership chain through the \
        reshuffle records."
@@ -1091,7 +1091,7 @@ let mutate_cmd =
   in
   let spec_arg =
     let doc =
-      "Mutation spec: comma-separated $(b,ins\\@B)[:rN] and $(b,del\\@B)[:rN] items, where B \
+      "Mutation spec: comma-separated $(b,ins@B)[:rN] and $(b,del@B)[:rN] items, where B \
        is a batch number or window $(b,B-C) and N the edge count (default 32)."
     in
     Arg.(value & opt string "ins@1-4:r64,del@1-4:r16" & info [ "mutations" ] ~docv:"SPEC" ~doc)

@@ -55,11 +55,12 @@ val run_csr :
     trace, wall-clock fast. Defaults: 10 iterations, 1 domain. Ranks
     are bit-identical to {!run}'s at any [domains] (the fixed
     partition-indexed reduction order; see docs/PERFORMANCE.md), which
-    {!Cutfit_check.Engine_check} enforces. [rounds], when given, is set
+    the [engines] suite of {!Cutfit_check.Kernel_check} enforces. [rounds], when given, is set
     to the number of scatter/reduce rounds executed, so callers can
     report edges-scanned-per-second. [shadow] (a
     {!Cutfit_bsp.Csr.shadow}) records every slot write and consume for
-    {!Cutfit_check.Race_check}; the ranks do not change. *)
+    the [races] suite of {!Cutfit_check.Kernel_check}; the ranks do not
+    change. *)
 
 val reference : iterations:int -> Cutfit_graph.Graph.t -> float array
 (** Sequential implementation of the same recurrence, for validating the

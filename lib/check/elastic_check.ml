@@ -82,5 +82,3 @@ let equivalence ?(label = "run") ?executors ?num_partitions ~baseline ~elastic ~
          Some r.Event.executors_after)
        None elastic.Trace.reshuffles);
   List.rev !acc
-
-let validate_elastic ?payload (t : Trace.t) = Trace_check.validate ?payload t

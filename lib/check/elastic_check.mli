@@ -21,8 +21,7 @@
       moves more partitions than exist.
 
     Reshuffle-cost conservation on the elastic trace itself is
-    {!Trace_check.validate}'s job; {!validate_elastic} is a convenience
-    alias so callers can run both from one module. *)
+    {!Trace_check.validate}'s job. *)
 
 val equivalence :
   ?label:string ->
@@ -39,8 +38,3 @@ val equivalence :
     or any canonical encoding both runs share. [executors] anchors the
     membership chain's starting size; [num_partitions] bounds the moved
     partitions per reshuffle. *)
-
-val validate_elastic :
-  ?payload:Trace_check.payload -> Cutfit_bsp.Trace.t -> Violation.t list
-(** Alias for {!Trace_check.validate}: the conservation suite already
-    covers reshuffle itemization on elastic traces. *)

@@ -3,6 +3,7 @@ module Partitioner = Cutfit_partition.Partitioner
 module Cluster = Cutfit_bsp.Cluster
 module Cost_model = Cutfit_bsp.Cost_model
 module Pgraph = Cutfit_bsp.Pgraph
+module Csr = Cutfit_bsp.Csr
 module Trace = Cutfit_bsp.Trace
 module Check = Cutfit_check
 module Obs = Cutfit_obs
@@ -18,53 +19,83 @@ type report = {
 
 let ok r = r.violations = []
 
-(* Wire payload per remote message, as the Pregel engine computes it:
-   payload bytes plus the framing overhead. Triangle counting builds its
+(* An algorithm as the sanitizer sees it: its entry in the kernel
+   table, the pipeline run that computes the same values on the boxed
+   engine, and the payload bytes of one remote message as the Pregel
+   engine computes them (before framing). Triangle counting builds its
    stages outside the message engines, so no payload law applies. *)
-let payload ~scale ~landmarks algorithm =
+type 'v algo = {
+  kernel : 'v Check.Kernel_check.t;
+  run : Pipeline.prepared -> 'v * Trace.t;
+  payload_bytes : int option;
+}
+
+type any_algo = Algo : 'v algo -> any_algo
+
+(* SSSP uses the same 3 deterministic landmarks as
+   [Pipeline.compare_partitioners]. *)
+let algo_of g = function
+  | Advisor.Pagerank ->
+      Algo
+        {
+          kernel = Check.Kernel_check.pagerank;
+          run = (fun p -> Pipeline.pagerank p);
+          payload_bytes = Some 8;
+        }
+  | Advisor.Connected_components ->
+      Algo
+        {
+          kernel = Check.Kernel_check.connected_components;
+          run = (fun p -> Pipeline.connected_components p);
+          payload_bytes = Some 8;
+        }
+  | Advisor.Triangle_count ->
+      Algo
+        {
+          kernel = Check.Kernel_check.triangle_count;
+          run =
+            (fun p ->
+              let per_vertex, _, t = Pipeline.triangles p in
+              (per_vertex, t));
+          payload_bytes = None;
+        }
+  | Advisor.Shortest_paths ->
+      let landmarks = Cutfit_algo.Sssp.pick_landmarks ~seed:11L ~count:3 g in
+      Algo
+        {
+          kernel = Check.Kernel_check.shortest_paths ~landmarks;
+          run = Pipeline.shortest_paths ~landmarks;
+          payload_bytes = Some (96 + (64 * Array.length landmarks));
+        }
+
+(* Wire payload per remote message: payload bytes plus the framing
+   overhead. *)
+let payload ~scale a =
   let overhead = Cost_model.default.Cost_model.msg_wire_overhead_bytes in
-  let of_bytes b =
-    Some
+  Option.map
+    (fun b ->
       {
         Check.Trace_check.msg_wire_bytes = float_of_int (b + overhead);
         attr_wire_bytes = float_of_int (b + overhead);
         scale;
-      }
-  in
-  match algorithm with
-  | Advisor.Pagerank | Advisor.Connected_components -> of_bytes 8
-  | Advisor.Shortest_paths -> of_bytes (96 + (64 * Array.length landmarks))
-  | Advisor.Triangle_count -> None
+      })
+    a.payload_bytes
 
 (* One sanitized run. Besides the trace and the captured event stream,
    every run yields a canonical digest of its final vertex values —
    what the fault suite compares bit-for-bit across baseline and faulty
    executions. *)
 let run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~cluster ~partitioner
-    ~scale ~landmarks ~algorithm g =
+    ~scale ~algorithm ~algo g =
   let sink, contents = Obs.Sink.ring ~capacity:65536 () in
   let telemetry = Obs.Telemetry.create ~sinks:[ sink ] () in
   let p =
     Pipeline.prepare ~cluster ~partitioner ~scale ?checkpoint_every ?faults ?speculation
       ?elastic ?hetero ~telemetry ~algorithm g
   in
-  let trace, attrs_digest =
-    match algorithm with
-    | Advisor.Pagerank ->
-        let ranks, t = Pipeline.pagerank p in
-        (t, Check.Fault_check.float_attrs_digest ranks)
-    | Advisor.Connected_components ->
-        let labels, t = Pipeline.connected_components p in
-        (t, Check.Fault_check.int_attrs_digest labels)
-    | Advisor.Triangle_count ->
-        let per_vertex, _, t = Pipeline.triangles p in
-        (t, Check.Fault_check.int_attrs_digest per_vertex)
-    | Advisor.Shortest_paths ->
-        let distances, t = Pipeline.shortest_paths ~landmarks p in
-        (t, Check.Fault_check.int_attrs_digest (Array.concat (Array.to_list distances)))
-  in
+  let values, trace = algo.run p in
   Obs.Telemetry.close telemetry;
-  (p, trace, attrs_digest, contents ())
+  (p, trace, algo.kernel.Check.Kernel_check.digest values, contents ())
 
 let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpoint_every ?faults
     ?speculation ?elastic ?hetero ?engine_domains ?race_domains ?dynamic ~algorithm g =
@@ -74,29 +105,17 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     | Some p -> p
     | None -> Partitioner.Hash (Advisor.advise algorithm ~scale ~num_partitions g)
   in
-  let landmarks =
-    match algorithm with
-    | Advisor.Shortest_paths -> Cutfit_algo.Sssp.pick_landmarks ~seed:11L ~count:3 g
-    | _ -> [||]
-  in
+  let (Algo a) = algo_of g algorithm in
+  let run_once = run_once ~cluster ~partitioner ~scale ~algorithm ~algo:a in
   let p, trace, attrs_digest, events =
-    run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~cluster ~partitioner
-      ~scale ~landmarks ~algorithm g
+    run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero g
   in
   let assignment = Pgraph.assignment p.Pipeline.pg in
   let pgraph_v = Check.Pgraph_check.validate p.Pipeline.pg in
   let metrics_v =
     Check.Metrics_check.validate p.Pipeline.graph ~num_partitions assignment (Pipeline.metrics p)
   in
-  (* On an elastic (or heterogeneous) run the conservation suite is run
-     through its {!Elastic_check} alias — same laws, but the suite name
-     in a violation points the reader at the membership chain. *)
-  let trace_v =
-    let payload = payload ~scale ~landmarks algorithm in
-    match (elastic, hetero) with
-    | None, None -> Check.Trace_check.validate ?payload trace
-    | _ -> Check.Elastic_check.validate_elastic ?payload trace
-  in
+  let trace_v = Check.Trace_check.validate ?payload:(payload ~scale a) trace in
   let telemetry_v = Check.Trace_check.reconcile trace events in
   let trace_digest = Check.Determinism.trace_digest trace in
   let events_digest = Check.Determinism.events_digest events in
@@ -107,10 +126,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
      executions the determinism suite compares; one replay through the
      same [run_once] configuration (ring sink included) is the second. *)
   let digest_of_run () =
-    let _, trace, _, events =
-      run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~cluster ~partitioner
-        ~scale ~landmarks ~algorithm g
-    in
+    let _, trace, _, events = run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero g in
     Check.Determinism.trace_digest trace ^ "/" ^ Check.Determinism.events_digest events
   in
   let determinism_v =
@@ -130,10 +146,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     match (faults, speculation) with
     | None, None -> None
     | _ ->
-        let _, baseline, baseline_attrs, _ =
-          run_once ?checkpoint_every ?elastic ?hetero ~cluster ~partitioner ~scale ~landmarks
-            ~algorithm g
-        in
+        let _, baseline, baseline_attrs, _ = run_once ?checkpoint_every ?elastic ?hetero g in
         Some
           (Check.Fault_check.equivalence ~label ~baseline ~faulty:trace
              ~baseline_attrs ~faulty_attrs:attrs_digest ())
@@ -147,48 +160,44 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     match (elastic, hetero) with
     | None, None -> None
     | _ ->
-        let _, baseline, baseline_attrs, _ =
-          run_once ?checkpoint_every ?faults ?speculation ~cluster ~partitioner ~scale ~landmarks
-            ~algorithm g
-        in
+        let _, baseline, baseline_attrs, _ = run_once ?checkpoint_every ?faults ?speculation g in
         Some
           (Check.Elastic_check.equivalence ~label ~executors:cluster.Cluster.executors
              ~num_partitions ~baseline ~elastic:trace ~baseline_attrs
              ~elastic_attrs:attrs_digest ())
   in
-  (* The engines suite runs the boxed oracle and the compact Csr kernel
-     over the same partitioned graph and insists on bit-identical vertex
-     values at every requested domain count. *)
+  (* The engines and races suites run the compact kernels one after
+     another on one Csr image of the sanitized run's partitioned graph. *)
+  let csr = lazy (Csr.build p.Pipeline.pg) in
+  (* The engines suite insists on the boxed engine's vertex values, bit
+     for bit, at every requested domain count. Its oracle is the
+     sanitized run itself whenever that run completed: kernel values do
+     not depend on the cluster, and faults, speculation, scale events
+     and heterogeneity leave them alone too — a sanitized run with any
+     of those has its values compared with an unperturbed baseline by
+     the faults or elastic suite, so csr = sanitized = baseline chains
+     the two checks. An out-of-memory or aborted run carries partial
+     values; only then does one boxed run on an unconstrained cluster
+     stand in. *)
   let engines_v =
-    match engine_domains with
-    | None -> None
-    | Some domains_counts ->
-        let pg = p.Pipeline.pg in
-        Some
-          (match algorithm with
-          | Advisor.Pagerank -> Check.Engine_check.pagerank ~domains_counts ~cluster pg
-          | Advisor.Connected_components ->
-              Check.Engine_check.connected_components ~domains_counts ~cluster pg
-          | Advisor.Triangle_count -> Check.Engine_check.triangle_count ~domains_counts ~cluster pg
-          | Advisor.Shortest_paths ->
-              Check.Engine_check.shortest_paths ~domains_counts ~landmarks ~cluster pg)
+    Option.map
+      (fun domains_counts ->
+        let oracle =
+          if Trace.completed trace then attrs_digest
+          else Check.Kernel_check.oracle a.kernel ~cluster p.Pipeline.pg
+        in
+        Check.Kernel_check.engines a.kernel ~oracle ~domains_counts (Lazy.force csr))
+      engine_domains
   in
-  (* The races suite runs the compact kernels with the shadow
+  (* The races suite runs the compact kernel with the shadow
      write-ownership recorder at every requested domain count, then
      self-tests the detector against two seeded corruptions. *)
   let races_v =
-    match race_domains with
-    | None -> None
-    | Some domains_counts ->
-        let pg = p.Pipeline.pg in
-        let kernel_v =
-          match algorithm with
-          | Advisor.Pagerank -> Check.Race_check.pagerank ~domains_counts pg
-          | Advisor.Connected_components -> Check.Race_check.connected_components ~domains_counts pg
-          | Advisor.Triangle_count -> Check.Race_check.triangle_count ~domains_counts pg
-          | Advisor.Shortest_paths -> Check.Race_check.shortest_paths ~domains_counts ~landmarks pg
-        in
-        Some (kernel_v @ Check.Race_check.self_check pg)
+    Option.map
+      (fun domains_counts ->
+        let c = Lazy.force csr in
+        Check.Kernel_check.races a.kernel ~domains_counts c @ Check.Kernel_check.self_check c)
+      race_domains
   in
   (* The dynamic suite replays the mutation schedule from a fresh
      streaming cut of the same graph, proving the delta-identity, the
@@ -211,29 +220,27 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
   in
   let suites =
     [
-      ("pgraph", List.length pgraph_v);
-      ("metrics", List.length metrics_v);
-      ("trace", List.length trace_v);
-      ("telemetry", List.length telemetry_v);
-      ("determinism", List.length determinism_v);
+      ("pgraph", pgraph_v);
+      ("metrics", metrics_v);
+      ("trace", trace_v);
+      ("telemetry", telemetry_v);
+      ("determinism", determinism_v);
     ]
-    @ (match faults_v with None -> [] | Some v -> [ ("faults", List.length v) ])
-    @ (match elastic_v with None -> [] | Some v -> [ ("elastic", List.length v) ])
-    @ (match engines_v with None -> [] | Some v -> [ ("engines", List.length v) ])
-    @ (match races_v with None -> [] | Some v -> [ ("races", List.length v) ])
-    @ match dynamic_v with None -> [] | Some v -> [ ("dynamic", List.length v) ]
+    @ List.filter_map
+        (fun (name, vs) -> Option.map (fun vs -> (name, vs)) vs)
+        [
+          ("faults", faults_v);
+          ("elastic", elastic_v);
+          ("engines", engines_v);
+          ("races", races_v);
+          ("dynamic", dynamic_v);
+        ]
   in
   {
     algorithm;
     partitioner;
-    suites;
-    violations =
-      pgraph_v @ metrics_v @ trace_v @ telemetry_v @ determinism_v
-      @ Option.value ~default:[] faults_v
-      @ Option.value ~default:[] elastic_v
-      @ Option.value ~default:[] engines_v
-      @ Option.value ~default:[] races_v
-      @ Option.value ~default:[] dynamic_v;
+    suites = List.map (fun (name, vs) -> (name, List.length vs)) suites;
+    violations = List.concat_map snd suites;
     trace_digest;
     events_digest;
   }

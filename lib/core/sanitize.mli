@@ -18,10 +18,13 @@
     cheaper. With [engine_domains] a further suite, [engines], proves
     the compact {!Cutfit_bsp.Csr} kernel reproduces the boxed engine's
     vertex values bit-for-bit at each listed domain count, twice per
-    count ({!Cutfit_check.Engine_check}). With [race_domains] a [races]
-    suite runs the algorithm's compact kernel with the shadow
-    write-ownership recorder at each listed domain count and
-    self-tests the detector against two seeded corruptions ({!Cutfit_check.Race_check}). With [dynamic] a
+    count; its oracle is the sanitized run's own values when that run
+    completed. With [race_domains] a [races] suite runs the algorithm's
+    compact kernel with the shadow write-ownership recorder at each
+    listed domain count and self-tests the detector against two seeded
+    corruptions. Both come from {!Cutfit_check.Kernel_check} and share
+    one {!Cutfit_bsp.Csr} image of the sanitized run's partitioned
+    graph. With [dynamic] a
     [dynamic] suite replays the mutation schedule from a fresh
     streaming cut of the same graph and proves the four dynamic-graph
     laws ({!Cutfit_dynamic.Dyn_check}). With [elastic] (a scale-event
@@ -65,6 +68,7 @@ val check_run :
     replay, whose digest must equal the observed run's) — three with
     [faults] or [speculation], which add the unperturbed baseline for
     the equivalence suite, and one more with [elastic] or [hetero] for
-    the static-replay baseline. *)
+    the static-replay baseline. The [engines] suite adds one boxed run
+    only when the sanitized run ran out of memory or aborted. *)
 
 val pp_report : Format.formatter -> report -> unit

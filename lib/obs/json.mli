@@ -4,9 +4,10 @@
     read them back, without a third-party JSON dependency, so this is a
     small self-contained codec: it supports exactly the JSON subset the
     {!Event} records use (objects, arrays, strings, bools, null, ints
-    and doubles). Floats are printed with 17 significant digits so a
-    parse of the printed form recovers the original double bit-for-bit —
-    the round-trip guarantee the reconciliation tests rely on. *)
+    and doubles). Floats are printed with 12 significant digits when
+    that re-parses exactly and with 17 otherwise, so a parse of the
+    printed form recovers the original double bit-for-bit — the
+    round-trip guarantee the reconciliation tests rely on. *)
 
 type t =
   | Null

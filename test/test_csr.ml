@@ -11,6 +11,7 @@ module Csr = Cutfit_bsp.Csr
 module Par_exec = Cutfit_bsp.Par_exec
 module Faults = Cutfit_bsp.Faults
 module Check = Cutfit_check
+module Kernel_check = Cutfit_check.Kernel_check
 module Pagerank = Cutfit_algo.Pagerank
 module Cc = Cutfit_algo.Connected_components
 module Tr = Cutfit_algo.Triangle_count
@@ -154,15 +155,25 @@ let no_violations name vs =
   | [] -> ()
   | _ -> Alcotest.failf "%s: %a" name Check.Violation.pp_list vs
 
-let test_engines_pagerank () =
-  no_violations "pagerank" (Check.Engine_check.pagerank ~domains_counts ~cluster pg)
+(* Every kernel in the table (or the one named [only]) against its
+   boxed oracle at 1, 2 and 4 domains, two runs per count, on one Csr. *)
+let engines_clean ?(cluster = cluster) ?(seed = 11L) ?only what pg =
+  let landmarks = Sssp.pick_landmarks ~seed ~count:3 (Pgraph.graph pg) in
+  let c = Csr.build pg in
+  List.iter
+    (fun (Test_util.Kernel k) ->
+      if Option.fold ~none:true ~some:(String.equal k.Kernel_check.label) only then
+        no_violations
+          (Printf.sprintf "%s %s" k.Kernel_check.label what)
+          (Kernel_check.engines k
+             ~oracle:(Kernel_check.oracle k ~cluster pg)
+             ~domains_counts c))
+    (Test_util.kernels ~landmarks)
 
-let test_engines_cc () =
-  no_violations "connected components"
-    (Check.Engine_check.connected_components ~domains_counts ~cluster pg)
-
-let test_engines_triangles () =
-  no_violations "triangles" (Check.Engine_check.triangle_count ~domains_counts ~cluster pg)
+let test_engines_pagerank () = engines_clean ~only:"pagerank" "at 1/2/4 domains" pg
+let test_engines_cc () = engines_clean ~only:"connected-components" "at 1/2/4 domains" pg
+let test_engines_triangles () = engines_clean ~only:"triangle-count" "at 1/2/4 domains" pg
+let test_engines_sssp () = engines_clean ~only:"shortest-paths" "at 1/2/4 domains" pg
 
 let test_engines_triangles_multigraph () =
   (* Parallel, reciprocal and self-loop edges: [symmetrize] deduplicates
@@ -175,8 +186,7 @@ let test_engines_triangles_multigraph () =
   let mpg = pg_of mg in
   checkb "parallel copies count a triangle again" true
     (snd (Tr.run_csr (Csr.build mpg)) > Cutfit_graph.Triangles.count mg);
-  no_violations "triangles on a multigraph"
-    (Check.Engine_check.triangle_count ~domains_counts ~cluster mpg)
+  engines_clean "on a multigraph" mpg
 
 (* Multigraphs for the triangle kernel: random edges with self-loops,
    parallel and reciprocal copies, a few isolated top ids, and vertex 0
@@ -215,29 +225,51 @@ let test_tr_csr_oracles =
         [ 1; 3; 16 ])
 
 let test_engines_triangles_chunks () =
-  (* Over 4096 vertices the kernel claims several vertex ranges, so at
-     2 and 4 domains the triangles really spread over worker arrays. *)
+  (* Over 4096 vertices the triangle kernel claims several vertex
+     ranges, so at 2 and 4 domains the triangles really spread over
+     worker arrays. *)
   let mpg = pg_of (Test_util.random_multigraph ~seed:78L ~n:10_000 ~m:60_000) in
   checkb "triangles found" true (snd (Tr.run_csr (Csr.build mpg)) > 0);
-  no_violations "triangles over vertex chunks"
-    (Check.Engine_check.triangle_count ~domains_counts ~cluster mpg)
+  engines_clean "over vertex chunks" mpg
 
 let test_engines_over_chunks () =
   (* Three chunks, empty groups and isolated top ids: a reduce that
      misses a group boundary or folds partitions out of order changes
-     ranks, labels or distances. *)
+     ranks, labels, distances or counts. *)
   let cluster = Test_util.tiny_cluster ~num_partitions:chunk_np () in
-  let landmarks = Sssp.pick_landmarks ~seed:12L ~count:3 (Pgraph.graph chunk_pg) in
-  no_violations "pagerank over vertex chunks"
-    (Check.Engine_check.pagerank ~domains_counts ~cluster chunk_pg);
-  no_violations "cc over vertex chunks"
-    (Check.Engine_check.connected_components ~domains_counts ~cluster chunk_pg);
-  no_violations "sssp over vertex chunks"
-    (Check.Engine_check.shortest_paths ~domains_counts ~landmarks ~cluster chunk_pg)
+  engines_clean ~cluster ~seed:12L "over vertex chunks" chunk_pg
 
-let test_engines_sssp () =
-  let landmarks = Sssp.pick_landmarks ~seed:11L ~count:3 g in
-  no_violations "sssp" (Check.Engine_check.shortest_paths ~domains_counts ~landmarks ~cluster pg)
+let test_engines_wrong_oracle () =
+  (* A wrong oracle fires boxed-vs-csr once per domain count, naming
+     the count, and nothing else. *)
+  let c = Csr.build pg in
+  let vs =
+    Kernel_check.engines Kernel_check.pagerank ~oracle:"not-a-digest" ~domains_counts c
+  in
+  Alcotest.(check (list string))
+    "rules" [ "boxed-vs-csr"; "boxed-vs-csr"; "boxed-vs-csr" ]
+    (List.map (fun v -> v.Check.Violation.rule) vs);
+  List.iter2
+    (fun domains v ->
+      let named = Printf.sprintf "(domains=%d)" domains in
+      checkb ("names " ^ named) true (Test_util.contains named v.Check.Violation.detail))
+    domains_counts vs
+
+let test_engines_oom_fallback () =
+  (* An executor too small for one vertex aborts the sanitized run out
+     of memory; its partial values cannot be the oracle, so the engines
+     suite falls back to a boxed run on an unconstrained cluster and
+     stays clean. *)
+  let cluster = { cluster with Cluster.executor_memory_bytes = 1.0 } in
+  let partitioner = Partitioner.Hash Strategy.Rvc in
+  checkb "sanitized run is out of memory" true
+    ((Pagerank.run ~cluster pg).Pagerank.trace.Cutfit_bsp.Trace.outcome
+    = Cutfit_bsp.Trace.Out_of_memory);
+  let report =
+    Cutfit.Sanitize.check_run ~cluster ~partitioner ~engine_domains:domains_counts
+      ~algorithm:Cutfit.Advisor.Pagerank g
+  in
+  checki "engines clean" 0 (List.assoc "engines" report.Cutfit.Sanitize.suites)
 
 let test_pagerank_bits_across_domains () =
   (* The raw float bits, not just digests: the partition-indexed
@@ -334,4 +366,8 @@ let suite =
       test_fault_schedule_equivalence;
     Alcotest.test_case "par_exec covers every item once" `Quick test_par_exec_iter_covers_items;
     Alcotest.test_case "par_exec propagates exceptions" `Quick test_par_exec_propagates_exceptions;
+    Alcotest.test_case "engines: wrong oracle names each domain count" `Quick
+      test_engines_wrong_oracle;
+    Alcotest.test_case "engines: out-of-memory run falls back to one boxed oracle" `Quick
+      test_engines_oom_fallback;
   ]

@@ -184,7 +184,7 @@ let test_elastic_preserves_values_pr () =
        ~baseline:static_trace ~elastic:elastic_trace
        ~baseline_attrs:(Fault_check.float_attrs_digest static_ranks)
        ~elastic_attrs:(Fault_check.float_attrs_digest elastic_ranks) ());
-  check_clean "elastic conservation" (Elastic_check.validate_elastic elastic_trace)
+  check_clean "elastic conservation" (Check.Trace_check.validate elastic_trace)
 
 let test_elastic_preserves_values_cc_sssp () =
   let g = graph "roadnet_pa" in

@@ -90,7 +90,7 @@ let test_json_roundtrip () =
   | Error _ -> ()
 
 (* Every finite double, including -0.0 and subnormals, reads back with
-   the same bits: the 17-significant-digit printing is what lets a
+   the same bits: printing up to 17 significant digits is what lets a
    JSONL trace be re-read exactly. *)
 let prop_json_float_bits =
   Test_util.qtest "json float bits round-trip" ~print:Int64.to_string
@@ -108,6 +108,32 @@ let prop_json_float_bits =
       match Json.to_float (roundtrip (Json.Float f)) with
       | Some f' -> Int64.equal (Int64.bits_of_float f') bits
       | None -> false)
+
+(* Printing formats %.17g only when %.12g does not re-parse exactly;
+   the bytes must equal the old rule, which formatted both every time. *)
+let prop_json_float_format =
+  Test_util.qtest ~count:2000 "json float printing = both-formats rule" ~print:Int64.to_string
+    QCheck2.Gen.(
+      oneof
+        [
+          int64;
+          oneofl [ Int64.min_int; 0L; 1L; 0x000FFFFFFFFFFFFFL; 0x800FFFFFFFFFFFFFL ];
+          (* integral values, and short decimals that %.12g prints exactly *)
+          map (fun i -> Int64.bits_of_float (float_of_int i)) int;
+          map (fun i -> Int64.bits_of_float (float_of_int i /. 1000.)) (int_range (-1_000_000) 1_000_000);
+        ])
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      let old_rule =
+        if not (Float.is_finite f) then "null"
+        else
+          let exact = Printf.sprintf "%.17g" f in
+          let shorter = Printf.sprintf "%.12g" f in
+          let s = if float_of_string shorter = f then shorter else exact in
+          if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s
+          else s ^ ".0"
+      in
+      String.equal (Json.to_string (Json.Float f)) old_rule)
 
 let test_event_to_line_pinned () =
   let ss =
@@ -437,4 +463,5 @@ let suite =
     Alcotest.test_case "run end matches trace" `Quick test_run_end_matches_trace;
     Alcotest.test_case "jsonl file reconciles" `Quick test_jsonl_file_reconciles;
     Alcotest.test_case "zero-message run" `Quick test_zero_superstep_run;
+    prop_json_float_format;
   ]

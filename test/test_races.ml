@@ -10,7 +10,7 @@ module Pgraph = Cutfit_bsp.Pgraph
 module Csr = Cutfit_bsp.Csr
 module Ownership = Cutfit_bsp.Ownership
 module Check = Cutfit_check
-module Race_check = Cutfit_check.Race_check
+module Kernel_check = Cutfit_check.Kernel_check
 module Advisor = Cutfit.Advisor
 module Sanitize = Cutfit.Sanitize
 
@@ -27,6 +27,7 @@ let pg_of g =
 
 let g = Test_util.random_graph ~seed:77L ~n:160 ~m:1100
 let pg = pg_of g
+let csr = Csr.build pg
 
 let rules vs = List.sort_uniq String.compare (List.map (fun v -> v.Check.Violation.rule) vs)
 let has_rule r vs = List.exists (fun v -> v.Check.Violation.rule = r) vs
@@ -116,18 +117,18 @@ let test_ownership_worker_independent () =
 let domains_counts = [ 1; 2; 4 ]
 
 let test_kernels_clean () =
-  checkb "pagerank clean" true (Race_check.pagerank ~domains_counts pg = []);
-  checkb "cc clean" true (Race_check.connected_components ~domains_counts pg = []);
-  checkb "triangles clean" true (Race_check.triangle_count ~domains_counts pg = []);
   let landmarks = Cutfit_algo.Sssp.pick_landmarks ~seed:11L ~count:3 g in
-  checkb "sssp clean" true (Race_check.shortest_paths ~domains_counts ~landmarks pg = [])
+  List.iter
+    (fun (Test_util.Kernel k) ->
+      checkb (k.Kernel_check.label ^ " clean") true (Kernel_check.races k ~domains_counts csr = []))
+    (Test_util.kernels ~landmarks)
 
 (* --- seeded corruptions are caught --------------------------------- *)
 
 let test_seeded_foreign_write () =
   List.iter
     (fun domains ->
-      let vs = Race_check.seeded_foreign_write ~domains pg in
+      let vs = Kernel_check.seeded_foreign_write ~domains csr in
       checkb "non-empty" true (vs <> []);
       checkb "slot-conflict surfaced" true (has_rule "slot-conflict" vs);
       (* The corruption makes items 0 and 1 claim slot 0; the report must
@@ -135,30 +136,25 @@ let test_seeded_foreign_write () =
       let detail =
         String.concat " " (List.map (fun v -> v.Check.Violation.detail) vs)
       in
-      let contains sub s =
-        let n = String.length sub and m = String.length s in
-        let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      checkb "names the slot" true (contains "slot 0" detail))
+      checkb "names the slot" true (Test_util.contains "slot 0" detail))
     [ 2; 4 ]
 
 let test_seeded_premature_read () =
-  let vs = Race_check.seeded_premature_read ~domains:2 pg in
+  let vs = Kernel_check.seeded_premature_read ~domains:2 csr in
   checkb "non-empty" true (vs <> []);
   checkb "premature-read surfaced" true (has_rule "premature-read" vs)
 
 let test_seeded_deterministic () =
   let show vs = Format.asprintf "%a" Check.Violation.pp_list vs in
-  let a = show (Race_check.seeded_foreign_write ~domains:2 pg) in
-  let b = show (Race_check.seeded_foreign_write ~domains:2 pg) in
+  let a = show (Kernel_check.seeded_foreign_write ~domains:2 csr) in
+  let b = show (Kernel_check.seeded_foreign_write ~domains:2 csr) in
   checks "same report across runs" a b;
   (* Across domain counts the label names the count but the conflicts
      themselves must be identical. *)
-  let rules_of d = rules (Race_check.seeded_foreign_write ~domains:d pg) in
+  let rules_of d = rules (Kernel_check.seeded_foreign_write ~domains:d csr) in
   checkb "same rules across domain counts" true (rules_of 2 = rules_of 4)
 
-let test_self_check () = checkb "detector detects" true (Race_check.self_check pg = [])
+let test_self_check () = checkb "detector detects" true (Kernel_check.self_check csr = [])
 
 (* --- the shadow hook of the production kernels ------------------------
 
@@ -172,36 +168,31 @@ let skewed = Pgraph.build g ~num_partitions:np (Array.make (Cutfit_graph.Graph.n
 
 let three_chunks = lazy (pg_of (Test_util.random_graph ~seed:78L ~n:9000 ~m:24000))
 
-let check_shadow_hook ?vertex_space ~reads ~kernel (cut, pg) run =
+(* Triangle counting records only the reduce's per-vertex writes, so
+   its shadow sees no reads. *)
+let check_shadow_hook (cut, pg) =
   let c = Csr.build pg in
-  let plain = run c ~domains:1 ~shadow:None in
   List.iter
-    (fun domains ->
-      let own = Csr.shadow ?vertex_space ~workers:domains c in
-      let shadowed = run c ~domains ~shadow:(Some own) in
-      let ctx what = Printf.sprintf "%s, %s cut, domains=%d: %s" kernel cut domains what in
-      checks (ctx "values") plain shadowed;
-      checkb (ctx "writes recorded") true (Ownership.writes_seen own > 0);
-      checkb (ctx "reads recorded") reads (Ownership.reads_seen own > 0);
-      checki (ctx "conflicts") 0 (List.length (Ownership.violations own)))
-    domains_counts
+    (fun (Test_util.Kernel k) ->
+      let run ?shadow domains = k.Kernel_check.digest (k.Kernel_check.csr ~domains ?shadow c) in
+      let plain = run 1 in
+      List.iter
+        (fun domains ->
+          let own = Csr.shadow ~vertex_space:k.Kernel_check.vertex_space ~workers:domains c in
+          let shadowed = run ~shadow:own domains in
+          let ctx what =
+            Printf.sprintf "%s, %s cut, domains=%d: %s" k.Kernel_check.label cut domains what
+          in
+          checks (ctx "values") plain shadowed;
+          checkb (ctx "writes recorded") true (Ownership.writes_seen own > 0);
+          checkb (ctx "reads recorded") (not k.Kernel_check.vertex_space)
+            (Ownership.reads_seen own > 0);
+          checki (ctx "conflicts") 0 (List.length (Ownership.violations own)))
+        domains_counts)
+    (Test_util.kernels ~landmarks:[| 0; 7 |])
 
 let test_shadow_hook () =
-  List.iter
-    (fun cut ->
-      check_shadow_hook ~reads:true ~kernel:"pagerank" cut (fun c ~domains ~shadow ->
-          Check.Fault_check.float_attrs_digest (Cutfit_algo.Pagerank.run_csr ~domains ?shadow c));
-      check_shadow_hook ~reads:true ~kernel:"cc" cut (fun c ~domains ~shadow ->
-          Check.Fault_check.int_attrs_digest
-            (Cutfit_algo.Connected_components.run_csr ~domains ?shadow c));
-      check_shadow_hook ~reads:true ~kernel:"sssp" cut (fun c ~domains ~shadow ->
-          let distances = Cutfit_algo.Sssp.run_csr ~domains ?shadow ~landmarks:[| 0; 7 |] c in
-          Check.Fault_check.int_attrs_digest (Array.concat (Array.to_list distances)));
-      (* Triangle counting records only the reduce's per-vertex writes. *)
-      check_shadow_hook ~vertex_space:true ~reads:false ~kernel:"triangles" cut
-        (fun c ~domains ~shadow ->
-          let per_vertex, total = Cutfit_algo.Triangle_count.run_csr ~domains ?shadow c in
-          Check.Fault_check.int_attrs_digest (Array.append per_vertex [| total |])))
+  List.iter check_shadow_hook
     [ ("rvc", pg); ("skewed", skewed); ("3-chunk rvc", Lazy.force three_chunks) ]
 
 (* --- sanitizer wiring ----------------------------------------------- *)

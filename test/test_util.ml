@@ -151,3 +151,20 @@ let tiny_cluster ?(num_partitions = 8) () =
 
 let qtest ?(count = 100) name ?print gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ?print gen prop)
+
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The kernel table as one list; each entry keeps its own value type. *)
+type kernel = Kernel : 'v Cutfit_check.Kernel_check.t -> kernel
+
+let kernels ~landmarks =
+  Cutfit_check.Kernel_check.
+    [
+      Kernel pagerank;
+      Kernel connected_components;
+      Kernel (shortest_paths ~landmarks);
+      Kernel triangle_count;
+    ]

@@ -1064,7 +1064,7 @@ let check_exports ~file ~uses ~report sg =
     (exports_of_intf ~file sg)
 
 (* Record the last two components of every (alias-expanded) value path:
-   [Check.Race_check.pagerank] marks (Race_check, pagerank) used. *)
+   [Check.Kernel_check.races] marks (Kernel_check, races) used. *)
 let record_uses ~aliases uses structure =
   let expand parts =
     match (parts, aliases) with

@@ -53,13 +53,13 @@ echo "== lint ratchet (lib/ exports with no caller outside test/)"
 #     "shadow hook on the four kernels"
 #   Pgraph_check.view_of_pgraph/validate_view  check "pgraph: edge
 #     coverage" and the other corrupted-view cases
-#   Race_check.seeded_foreign_write/seeded_premature_read  races
+#   Kernel_check.seeded_foreign_write/seeded_premature_read  races
 #     "seeded foreign write caught", "seeded premature read caught"
 #   Dyn_check.graph_identity  dynamic "dyn check catches bad graph"
 #   Clock.fixed/counter, Metric.time  ROADMAP item 2 (wall-clock spans)
 lint_hooks="Ownership.epoch Ownership.writes_seen Ownership.reads_seen
 Pgraph_check.view_of_pgraph Pgraph_check.validate_view
-Race_check.seeded_foreign_write Race_check.seeded_premature_read
+Kernel_check.seeded_foreign_write Kernel_check.seeded_premature_read
 Dyn_check.graph_identity Clock.fixed Clock.counter Metric.time"
 lint_out=$(_build/default/tools/lint/lint.exe --use-only bench --use-only examples lib bin 2>&1 || true)
 lint_found=$(echo "$lint_out" | sed -n 's/.*\[unused-export\] \([A-Za-z0-9_.]*\) is exported.*/\1/p')
@@ -81,6 +81,18 @@ if [ -n "$lint_bad" ] || echo "$lint_out" | grep ': \[' | grep -qv '\[unused-exp
   echo "$lint_out" >&2
   exit 1
 fi
+
+echo "== help text (every subcommand's --help=plain renders without a cmdliner error)"
+for sub in "" datasets generate characterize partition advise run compare workload check \
+  mutate chaos; do
+  # $sub is unquoted so the empty entry checks the top-level page
+  out=$(_build/default/bin/cutfit_cli.exe $sub --help=plain 2>&1)
+  if echo "$out" | grep -q "cmdliner error"; then
+    echo "cutfit $sub --help=plain reports cmdliner errors:" >&2
+    echo "$out" | grep "cmdliner error" >&2
+    exit 1
+  fi
+done
 
 echo "== hostile edge-list files (structured error, exit 2, never an uncaught exception)"
 # each file names itself and the bad line in a one-line usage error
