@@ -511,7 +511,7 @@ let faults ppf =
           string_of_int t.Cutfit.Trace.faults_injected;
           string_of_int (Cutfit.Trace.num_recoveries t);
           E.Report.seconds t.Cutfit.Trace.checkpoint_s;
-          E.Report.seconds t.Cutfit.Trace.recovery_s;
+          E.Report.seconds (Cutfit.Trace.recovery_s t);
           E.Report.seconds t.Cutfit.Trace.total_s;
           Printf.sprintf "%+.0f%%"
             (100.0
@@ -540,7 +540,7 @@ let faults ppf =
         ("recoveries", Json.Int (Cutfit.Trace.num_recoveries t));
         ("checkpoints", Json.Int t.Cutfit.Trace.checkpoints);
         ("checkpoint_s", Json.Float t.Cutfit.Trace.checkpoint_s);
-        ("recovery_s", Json.Float t.Cutfit.Trace.recovery_s);
+        ("recovery_s", Json.Float (Cutfit.Trace.recovery_s t));
         ("total_s", Json.Float t.Cutfit.Trace.total_s);
         ("outcome", Json.String (Cutfit.Trace.outcome_name t.Cutfit.Trace.outcome));
         ("value_digest_matches_baseline", Json.Bool (Cutfit.Trace.completed t));

@@ -900,17 +900,20 @@ let workload_cmd =
        against its own event stream, then replayed once untraced. The
        engine validates every numeric knob; a rejected one is a usage
        error. *)
-    let report, violations =
+    let report, checked =
       match
         if check then
-          W.Workload_check.check_run
-            ~label:(Printf.sprintf "workload %s seed %Ld" mix_name seed)
-            ~sinks run
+          let r, digest, vs =
+            W.Workload_check.check_run
+              ~label:(Printf.sprintf "workload %s seed %Ld" mix_name seed)
+              ~sinks run
+          in
+          (r, Some (digest, vs))
         else
           let telemetry = if sinks = [] then None else Some (Cutfit.Telemetry.create ~sinks ()) in
           let r = run ?telemetry () in
           Option.iter Cutfit.Telemetry.close telemetry;
-          (r, [])
+          (r, None)
       with
       | r -> r
       | exception Cutfit.Spec_error.Error e -> fail "%s" (Cutfit.Spec_error.message e)
@@ -944,11 +947,12 @@ let workload_cmd =
     | Some path -> Fmt.pr "wrote workload events to %s@." path
     | None -> ());
     let check_code =
-      match violations with
-      | [] ->
-          if check then Fmt.pr "workload check: ok (digest %s)@." (W.Workload_check.digest report);
+      match checked with
+      | None -> exit_ok
+      | Some (digest, []) ->
+          Fmt.pr "workload check: ok (digest %s)@." digest;
           exit_ok
-      | vs ->
+      | Some (_, vs) ->
           Fmt.epr "cutfit: workload sanitizer violations:@.%a@." Cutfit.Check.Violation.pp_list vs;
           exit_failure
     in

@@ -433,40 +433,34 @@ let build t =
   done;
   ignore (superstep t ~step:(-1) c)
 
-(* Itemized costs fold from 0.0 in production order; the golden digests
-   pin these sums bit for bit. *)
+(* The trace stores the itemized records; [total_s] is the one sum it
+   keeps, folded over them in production order. The golden digests pin
+   it bit for bit. *)
 let finish t ~outcome ~peak_executor_bytes =
   let supersteps = List.rev t.steps in
-  let recoveries = List.rev t.recoveries in
-  let speculations = List.rev t.speculations in
-  let reshuffles = List.rev t.reshuffles in
-  let recovery_s = sum (fun (r : Trace.recovery) -> r.recovery_s) recoveries in
-  let reshuffle_s = sum (fun (r : Trace.reshuffle) -> r.reshuffle_s) reshuffles in
-  let total_s =
-    List.fold_left
-      (fun acc (s : Trace.superstep) -> acc +. s.time_s)
-      (t.load_s +. t.checkpoint_s +. recovery_s +. reshuffle_s)
-      supersteps
-  in
   let trace =
     {
       Trace.supersteps;
       load_s = t.load_s;
       checkpoint_s = t.checkpoint_s;
       checkpoints = t.checkpoints;
-      recovery_s;
-      recoveries;
+      recoveries = List.rev t.recoveries;
       faults_injected = t.faults_injected;
-      speculations;
-      speculation_s = sum (fun (s : Trace.speculation) -> s.compute_s) speculations;
-      reshuffles;
-      reshuffle_s;
-      total_s;
+      speculations = List.rev t.speculations;
+      reshuffles = List.rev t.reshuffles;
+      total_s = 0.0;
       outcome;
       peak_executor_bytes;
       driver_meta_bytes = t.driver_meta;
     }
   in
+  let total_s =
+    List.fold_left
+      (fun acc (s : Trace.superstep) -> acc +. s.time_s)
+      (t.load_s +. t.checkpoint_s +. Trace.recovery_s trace +. Trace.reshuffle_s trace)
+      supersteps
+  in
+  let trace = { trace with total_s } in
   (match t.telemetry with
   | None -> ()
   | Some h ->
@@ -493,7 +487,7 @@ let finish t ~outcome ~peak_executor_bytes =
              total_s;
              load_s = t.load_s;
              checkpoint_s = t.checkpoint_s;
-             recovery_s;
+             recovery_s = Trace.recovery_s trace;
              total_messages = Trace.total_messages trace;
              total_remote = Trace.total_remote_messages trace;
              total_wire_bytes = Trace.total_wire_bytes trace;

@@ -12,13 +12,10 @@ type t = {
   load_s : float;
   checkpoint_s : float;
   checkpoints : int;
-  recovery_s : float;
   recoveries : recovery list;
   faults_injected : int;
   speculations : speculation list;
-  speculation_s : float;
   reshuffles : reshuffle list;
-  reshuffle_s : float;
   total_s : float;
   outcome : outcome;
   peak_executor_bytes : float;
@@ -34,13 +31,18 @@ let total_remote_messages t =
     (fun acc (s : superstep) -> acc + s.remote_shuffles + s.remote_broadcasts)
     0 t.supersteps
 
-let sum_steps f t = List.fold_left (fun acc (s : superstep) -> acc +. f s) 0.0 t.supersteps
+(* Every float total folds its records from 0.0 in record order. *)
+let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
+let sum_steps f t = sum f t.supersteps
 let total_wire_bytes = sum_steps (fun s -> s.wire_bytes)
 let total_network_s = sum_steps (fun s -> s.network_s)
 let total_compute_s = sum_steps (fun s -> s.compute_s)
 let total_overhead_s = sum_steps (fun s -> s.overhead_s)
 let num_recoveries t = List.length t.recoveries
 let num_speculations t = List.length t.speculations
+let recovery_s t = sum (fun (r : recovery) -> r.recovery_s) t.recoveries
+let speculation_s t = sum (fun (s : speculation) -> s.compute_s) t.speculations
+let reshuffle_s t = sum (fun (r : reshuffle) -> r.reshuffle_s) t.reshuffles
 
 let speculation_wins t =
   List.fold_left (fun acc (s : speculation) -> if s.won then acc + 1 else acc) 0 t.speculations
@@ -74,12 +76,12 @@ let pp_summary ppf t =
      else "")
     (if t.recoveries <> [] || t.faults_injected > 0 then
        Printf.sprintf ", %d fault(s) %d recover(ies) %.2fs" t.faults_injected
-         (num_recoveries t) t.recovery_s
+         (num_recoveries t) (recovery_s t)
      else "")
     (if t.speculations <> [] then
        Printf.sprintf ", %d speculation(s) (%d won) %.2fs extra compute" (num_speculations t)
-         (speculation_wins t) t.speculation_s
+         (speculation_wins t) (speculation_s t)
      else "")
     (if t.reshuffles <> [] then
-       Printf.sprintf ", %d reshuffle(s) %.2fs" (num_reshuffles t) t.reshuffle_s
+       Printf.sprintf ", %d reshuffle(s) %.2fs" (num_reshuffles t) (reshuffle_s t)
      else "")

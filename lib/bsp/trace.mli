@@ -25,19 +25,13 @@ type t = {
   load_s : float;  (** reading the dataset from the storage tier *)
   checkpoint_s : float;  (** time spent writing lineage checkpoints *)
   checkpoints : int;  (** how many checkpoints were taken *)
-  recovery_s : float;  (** sum of {!Cutfit_obs.Event.recovery.recovery_s} *)
   recoveries : recovery list;  (** chronological *)
   faults_injected : int;  (** faults the schedule fired during this run *)
   speculations : speculation list;  (** chronological *)
-  speculation_s : float;
-      (** sum of {!Cutfit_obs.Event.speculation.compute_s} — extra cluster
-          compute paid for clones. Deliberately NOT part of [total_s]:
-          clones run in parallel with the straggler, so their win (or
-          waste) is already reflected in each superstep's [time_s]. *)
   reshuffles : reshuffle list;  (** chronological membership changes *)
-  reshuffle_s : float;  (** sum of {!Cutfit_obs.Event.reshuffle.reshuffle_s} *)
   total_s : float;
-      (** load + checkpoints + recoveries + reshuffles + all supersteps *)
+      (** load + checkpoints + {!recovery_s} + {!reshuffle_s} + all
+          supersteps, folded in that order *)
   outcome : outcome;
   peak_executor_bytes : float;
       (** largest per-executor resident working set; only the Pregel
@@ -62,6 +56,21 @@ val total_network_s : t -> float
 val total_compute_s : t -> float
 
 val num_recoveries : t -> int
+
+(** The itemized sums fold their records from [0.0] in record order;
+    the trace stores the records, never a copy of the sum. *)
+
+val recovery_s : t -> float
+(** Sum of {!Cutfit_obs.Event.recovery.recovery_s}. *)
+
+val speculation_s : t -> float
+(** Sum of {!Cutfit_obs.Event.speculation.compute_s}: extra cluster
+    compute paid for clones. Deliberately NOT part of [total_s]: clones
+    run in parallel with the straggler, so their win (or waste) is
+    already reflected in each superstep's [time_s]. *)
+
+val reshuffle_s : t -> float
+(** Sum of {!Cutfit_obs.Event.reshuffle.reshuffle_s}. *)
 
 val num_speculations : t -> int
 

@@ -62,7 +62,8 @@ let execute (sc : Scenario.t) =
           ?scale_events:sc.Scenario.elastic ~tenant_weights:t.Scenario.tenants
           ?tenant_quota:t.Scenario.quota ~fairness:t.Scenario.fairness ~seed:seed64 stream
       in
-      snd (Workload_check.check_run ~label:("chaos " ^ Scenario.to_spec sc) run)
+      let _, _, vs = Workload_check.check_run ~label:("chaos " ^ Scenario.to_spec sc) run in
+      vs
     end
   in
   let injected =

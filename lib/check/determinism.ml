@@ -40,7 +40,7 @@ let trace_digest (t : Trace.t) =
       buf_float b r.Event.wire_bytes;
       buf_float b r.Event.recovery_s)
     t.Trace.recoveries;
-  buf_float b t.Trace.recovery_s;
+  buf_float b (Trace.recovery_s t);
   buf_int b t.Trace.faults_injected;
   List.iter
     (fun (s : Trace.speculation) ->
@@ -55,7 +55,7 @@ let trace_digest (t : Trace.t) =
       buf_int b (if s.Event.won then 1 else 0);
       buf_float b s.Event.saved_s)
     t.Trace.speculations;
-  buf_float b t.Trace.speculation_s;
+  buf_float b (Trace.speculation_s t);
   buf_float b t.Trace.total_s;
   Buffer.add_string b (Trace.outcome_name t.Trace.outcome);
   buf_float b t.Trace.peak_executor_bytes;

@@ -34,13 +34,9 @@ let equivalence ?(label = "run") ~baseline ~faulty ~baseline_attrs ~faulty_attrs
       (fun (r : Trace.recovery) -> String.equal r.Event.kind "preempt")
       baseline.Trace.recoveries
   in
-  let preempt_s =
-    List.fold_left (fun a (r : Trace.recovery) -> a +. r.Event.recovery_s) 0.0 preempts
-  in
   if
     baseline.Trace.faults_injected <> List.length preempts
     || injected <> []
-    || (not (feq baseline.Trace.recovery_s preempt_s))
     || baseline.Trace.speculations <> []
   then
     bad "baseline-faulted"

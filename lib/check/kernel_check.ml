@@ -71,12 +71,13 @@ let unconstrained (c : Cluster.t) =
   { c with Cluster.executor_memory_bytes = Float.infinity; driver_memory_bytes = Float.infinity }
 
 let oracle k ~cluster pg = k.digest (k.boxed ~cluster:(unconstrained cluster) pg)
+let plain k c = k.digest (k.csr ~domains:1 c)
 
-let engines k ~oracle ~domains_counts c =
+let engines k ~oracle ~plain ~domains_counts c =
   let run domains = k.digest (k.csr ~domains c) in
   List.concat_map
     (fun domains ->
-      let first = run domains in
+      let first = if domains = 1 then Lazy.force plain else run domains in
       let second = run domains in
       let vs = ref [] in
       if String.compare first oracle <> 0 then
@@ -106,14 +107,15 @@ let conflict_violations ~label ~domains own =
 
 (* Per domain count, the production kernel run with a fresh shadow must
    (1) record no ownership conflict and (2) digest-match the same kernel
-   run without one, so recording never perturbs what it checks. *)
-let races k ~domains_counts c =
-  let plain = k.digest (k.csr ~domains:1 c) in
+   run without one at one domain, so recording never perturbs what it
+   checks. *)
+let races k ~plain ~domains_counts c =
   List.concat_map
     (fun domains ->
       let own = Csr.shadow ~vertex_space:k.vertex_space ~workers:domains c in
       let digest = k.digest (k.csr ~domains ~shadow:own c) in
       let vs = conflict_violations ~label:k.label ~domains own in
+      let plain = Lazy.force plain in
       if String.equal digest plain then vs
       else
         vs

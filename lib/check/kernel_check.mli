@@ -62,21 +62,34 @@ val oracle : 'v t -> cluster:Cutfit_bsp.Cluster.t -> Cutfit_bsp.Pgraph.t -> stri
     [cluster]: the oracle when no completed run of the same values is at
     hand. *)
 
-val engines : 'v t -> oracle:string -> domains_counts:int list -> Cutfit_bsp.Csr.t -> Violation.t list
+val plain : 'v t -> Cutfit_bsp.Csr.t -> string
+(** Digest of one unshadowed compact run at one domain. Both suites take
+    it lazily as [~plain], so a check that runs both runs it once. *)
+
+val engines :
+  'v t ->
+  oracle:string ->
+  plain:string Lazy.t ->
+  domains_counts:int list ->
+  Cutfit_bsp.Csr.t ->
+  Violation.t list
 (** Suite ["engines"]: per domain count, two compact runs compared with
-    the boxed [oracle] digest and with each other.
+    the boxed [oracle] digest and with each other; at one domain the
+    first run is [plain].
 
     - rule [boxed-vs-csr]: the compact result's digest differs from the
       oracle's;
     - rule [run-twice]: two identical compact runs disagree with each
       other (a scheduling leak — some write was not item-owned). *)
 
-val races : 'v t -> domains_counts:int list -> Cutfit_bsp.Csr.t -> Violation.t list
+val races :
+  'v t -> plain:string Lazy.t -> domains_counts:int list -> Cutfit_bsp.Csr.t -> Violation.t list
 (** Suite ["races"]: per domain count, one compact run under a fresh
     shadow recorder. Rules [slot-conflict], [premature-read],
     [consume-conflict] and [slot-out-of-range] from the recorder, plus
-    [instr-vs-csr] — the shadowed run must digest-match the same kernel
-    run without a shadow, so recording never perturbs what it checks.
+    [instr-vs-csr] — the shadowed run must digest-match [plain], the
+    same kernel run without a shadow, so recording never perturbs what
+    it checks.
     Conflicts are item-based and merged deterministically, so a
     discipline breach is reported identically at every domain count —
     including 1. *)

@@ -6,12 +6,15 @@
     zero wire bytes whenever a compute superstep moved nothing between
     executors, the [time_s = max(compute, network) + overhead]
     decomposition, and the total-time roll-up (recomputed with the
-    engines' own fold, so compared exactly — with checkpoint and
-    recovery time included). Faulty traces additionally satisfy the
-    recovery-accounting laws: itemized recoveries sum bit-exactly to
-    [recovery_s], recoveries never outnumber injected faults, and each
-    recovery record carries only the counters its kind can produce
-    (replayed steps for rollback, lost partitions for lineage).
+    engines' own fold, so compared exactly — with checkpoint, recovery
+    and reshuffle time included). Faulty traces additionally satisfy
+    the recovery-accounting laws: recoveries never outnumber injected
+    faults, and each recovery record carries only the counters its kind
+    can produce (replayed steps for rollback, lost partitions for
+    lineage). Speculation and reshuffle records satisfy their own shape
+    laws. The itemized sums themselves are folds over the records
+    ({!Cutfit_bsp.Trace.recovery_s} and its siblings), so there is no
+    stored copy to compare them with.
 
     With [?payload], compute supersteps must additionally satisfy
     [wire_bytes = scale * (remote_shuffles * msg_wire_bytes +
@@ -21,14 +24,13 @@
     per executor).
 
     [reconcile] checks the telemetry contract. Superstep, recovery,
-    speculation and reshuffle events carry the trace's own records, so
-    their fields agree by construction; what it checks are the laws
-    that still constrain values: one event per trace record of each
-    kind (and one join or leave per reshuffle), executor busy/barrier
-    decompositions that rebuild [compute_s], checkpoint events that
-    match the trace's checkpoint count and write time, [Fault_injected]
-    events that count the trace's [faults_injected], and a single
-    [Run_end] record that matches the trace's own aggregates. *)
+    speculation and reshuffle events carry the trace's own records, and
+    the pricer builds each executor profile and the [Run_end] totals
+    from the values it stores on the trace, so no payload is compared
+    with its source. What it checks ties two separately produced facts
+    together: one event per trace record of each kind (one join or
+    leave per reshuffle, one [Checkpoint] per checkpoint, one
+    [Fault_injected] per injected fault), and at most one [Run_end]. *)
 
 type payload = {
   msg_wire_bytes : float;  (** bytes per remote shuffle aggregate, overhead included *)

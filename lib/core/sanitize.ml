@@ -81,13 +81,14 @@ let payload ~scale a =
       })
     a.payload_bytes
 
-(* One sanitized run. Besides the trace and the captured event stream,
-   every run yields a canonical digest of its final vertex values —
-   what the fault suite compares bit-for-bit across baseline and faulty
-   executions. *)
+(* One sanitized run. Besides the trace and its whole event stream
+   (kept however long, so the telemetry suite's counts see every
+   event), every run yields a canonical digest of its final vertex
+   values — what the fault suite compares bit-for-bit across baseline
+   and faulty executions. *)
 let run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~cluster ~partitioner
     ~scale ~algorithm ~algo g =
-  let sink, contents = Obs.Sink.ring ~capacity:65536 () in
+  let sink, contents = Obs.Sink.collect () in
   let telemetry = Obs.Telemetry.create ~sinks:[ sink ] () in
   let p =
     Pipeline.prepare ~cluster ~partitioner ~scale ?checkpoint_every ?faults ?speculation
@@ -124,7 +125,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
   in
   (* The sanitized run above is the first of the two complete
      executions the determinism suite compares; one replay through the
-     same [run_once] configuration (ring sink included) is the second. *)
+     same [run_once] configuration is the second. *)
   let digest_of_run () =
     let _, trace, _, events = run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero g in
     Check.Determinism.trace_digest trace ^ "/" ^ Check.Determinism.events_digest events
@@ -167,8 +168,10 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
              ~elastic_attrs:attrs_digest ())
   in
   (* The engines and races suites run the compact kernels one after
-     another on one Csr image of the sanitized run's partitioned graph. *)
+     another on one Csr image of the sanitized run's partitioned graph,
+     and share the digest of one unshadowed run at one domain. *)
   let csr = lazy (Csr.build p.Pipeline.pg) in
+  let plain = lazy (Check.Kernel_check.plain a.kernel (Lazy.force csr)) in
   (* The engines suite insists on the boxed engine's vertex values, bit
      for bit, at every requested domain count. Its oracle is the
      sanitized run itself whenever that run completed: kernel values do
@@ -186,7 +189,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
           if Trace.completed trace then attrs_digest
           else Check.Kernel_check.oracle a.kernel ~cluster p.Pipeline.pg
         in
-        Check.Kernel_check.engines a.kernel ~oracle ~domains_counts (Lazy.force csr))
+        Check.Kernel_check.engines a.kernel ~oracle ~plain ~domains_counts (Lazy.force csr))
       engine_domains
   in
   (* The races suite runs the compact kernel with the shadow
@@ -196,7 +199,8 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     Option.map
       (fun domains_counts ->
         let c = Lazy.force csr in
-        Check.Kernel_check.races a.kernel ~domains_counts c @ Check.Kernel_check.self_check c)
+        Check.Kernel_check.races a.kernel ~plain ~domains_counts c
+        @ Check.Kernel_check.self_check c)
       race_domains
   in
   (* The dynamic suite replays the mutation schedule from a fresh

@@ -1140,7 +1140,7 @@ let conclude st ~(job : Job.t) ~attempt ~(start : Event.job_start) ~dl ~ckey ~sc
     | None -> Option.map (fun d -> ("deadline", d)) overdue
   in
   let record ~outcome ~partition_s ~exec_s =
-    job_record ~recoveries:(Trace.num_recoveries trace) ~recovery_s:trace.Trace.recovery_s
+    job_record ~recoveries:(Trace.num_recoveries trace) ~recovery_s:(Trace.recovery_s trace)
       ~speculations:(Trace.num_speculations trace) ~partition_s ~exec_s ~outcome ~attempts:attempt
       ~preemptions:(Retry.preempts_of st.retry job) ~deadline_s:dl ~start job
   in

@@ -479,4 +479,5 @@ let check_run ~label ?(sinks = []) (run : ?telemetry:Telemetry.t -> unit -> Engi
   let r = run ~telemetry () in
   Telemetry.close telemetry;
   let direct = report ~events:(read_all ()) r in
-  (r, direct @ Determinism.replay ~label ~first:(digest r) (fun () -> digest (run ())))
+  let first = digest r in
+  (r, first, direct @ Determinism.replay ~label ~first (fun () -> digest (run ())))

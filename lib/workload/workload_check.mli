@@ -53,11 +53,12 @@ val check_run :
   label:string ->
   ?sinks:Cutfit_obs.Sink.t list ->
   (?telemetry:Cutfit_obs.Telemetry.t -> unit -> Engine.report) ->
-  Engine.report * Cutfit_check.Violation.t list
+  Engine.report * string * Cutfit_check.Violation.t list
 (** [check_run ~label ?sinks run] runs [run] once with telemetry on (the
     given [sinks], default none, plus a sink keeping every event, however
     long the stream), checks that report against the stream with {!report}, then
     runs [run] once more with telemetry off and compares the two
     {!digest}s ({!Cutfit_check.Determinism.replay}): the report must
     not depend on whether anything observes the run. Returns the
-    observed run's report and the violations, {!report}'s first. *)
+    observed run's report, its {!digest} and the violations,
+    {!report}'s first. *)

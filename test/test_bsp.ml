@@ -533,7 +533,7 @@ let test_pricer_loss_is_recovery_traffic () =
       checki "lossy executor" 1 r.Event.executor;
       checkf "two retransmissions of its egress" 1e7 r.Event.wire_bytes;
       checkf "superstep wire excludes the retransmission" 8e6 s.Event.wire_bytes;
-      checkf "recovery time is itemized" r.Event.recovery_s t.Trace.recovery_s;
+      checkf "recovery time is itemized" r.Event.recovery_s (Trace.recovery_s t);
       checkb "and charged to the run" true (t.Trace.total_s > s.Event.time_s +. t.Trace.load_s)
   | _ -> Alcotest.fail "expected one step and one shuffle-retry recovery"
 

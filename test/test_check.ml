@@ -251,51 +251,66 @@ let test_trace_checkpoint_time () =
 
 (* --- telemetry reconciliation: each defect fires its named rule --- *)
 
-(* A checkpointed run with one crash, so the stream carries a recovery. *)
+(* A checkpointed run that carries every itemized record kind, with the
+   schedule of test_obs.ml's "events share trace records": a crash, a
+   straggler whose clone races, one leave and one join. *)
 let observed_run () =
-  let ring, contents = Cutfit.Sink.ring () in
-  let t = Cutfit.Telemetry.create ~sinks:[ ring ] () in
+  let sink, contents = Cutfit.Sink.collect () in
+  let t = Cutfit.Telemetry.create ~sinks:[ sink ] () in
   let p =
     Pipeline.prepare ~cluster ~partitioner:(Partitioner.Hash Cutfit.Strategy.Two_d)
-      ~checkpoint_every:2 ~faults:(Cutfit.Faults.config "crash@2") ~telemetry:t
-      ~algorithm:Cutfit.Advisor.Pagerank g
+      ~checkpoint_every:2
+      ~faults:(Cutfit.Faults.config ~seed:42 "crash@2,straggler@3-4:x20")
+      ~speculation:(Cutfit.Speculation.config ~seed:42 ())
+      ~elastic:(Cutfit.Elastic.config ~seed:42 "leave@4-1,join@5+1")
+      ~telemetry:t ~algorithm:Cutfit.Advisor.Pagerank g
   in
   let trace = snd (Pipeline.pagerank p) in
   Cutfit.Telemetry.close t;
   (trace, contents ())
 
-(* Rewrite the executor profile of compute superstep 0. *)
-let on_step0 f =
-  List.map (function
-    | Event.Superstep (s, p) when s.Event.step = 0 -> Event.Superstep (s, f p)
-    | e -> e)
+let drop_first is events =
+  let rec go = function [] -> [] | e :: rest -> if is e then rest else e :: go rest in
+  go events
 
 let test_reconcile_defects () =
   let trace, events = observed_run () in
-  checki "the run recovered once" 1 (List.length trace.Trace.recoveries);
+  List.iter
+    (fun (what, n) -> checkb (what ^ " recorded") true (n > 0))
+    [
+      ("checkpoints", trace.Trace.checkpoints);
+      ("recoveries", Trace.num_recoveries trace);
+      ("clones", Trace.num_speculations trace);
+      ("reshuffles", Trace.num_reshuffles trace);
+    ];
   check_clean "intact event stream" (Trace_check.reconcile trace events);
   List.iter
     (fun (what, rule, defect) -> check_rule what rule (Trace_check.reconcile trace (defect events)))
     [
-      ( "total_s one ULP off",
-        "total-time",
-        List.map (function
-          | Event.Run_end r -> Event.Run_end { r with total_s = Float.succ r.Event.total_s }
-          | e -> e) );
-      ( "slowest executor off compute",
-        "busy-makespan",
-        on_step0 (fun p ->
-            { p with Event.executor_busy_s = Array.map (fun b -> b +. 1.0) p.executor_busy_s }) );
-      ( "negative barrier wait",
-        "barrier-wait",
-        on_step0 (fun p ->
-            { p with Event.barrier_wait_s = Array.map (fun _ -> -1.0) p.barrier_wait_s }) );
       ( "second run_end",
         "run-end",
         fun events -> events @ List.filter (function Event.Run_end _ -> true | _ -> false) events );
+      ( "dropped superstep",
+        "event-count",
+        drop_first (function Event.Superstep _ -> true | _ -> false) );
+      ( "dropped checkpoint",
+        "checkpoint-events",
+        drop_first (function Event.Checkpoint _ -> true | _ -> false) );
+      ( "dropped fault",
+        "fault-events",
+        drop_first (function Event.Fault_injected _ -> true | _ -> false) );
       ( "dropped recovery",
         "recovery-events",
-        List.filter (function Event.Recovery _ -> false | _ -> true) );
+        drop_first (function Event.Recovery _ -> true | _ -> false) );
+      ( "dropped clone launch",
+        "speculation-events",
+        drop_first (function Event.Speculative_launch _ -> true | _ -> false) );
+      ( "dropped reshuffle",
+        "reshuffle-events",
+        drop_first (function Event.Reshuffle _ -> true | _ -> false) );
+      ( "dropped join",
+        "scale-events",
+        drop_first (function Event.Executor_join _ -> true | _ -> false) );
     ]
 
 (* --- determinism digests --- *)

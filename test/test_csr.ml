@@ -167,6 +167,7 @@ let engines_clean ?(cluster = cluster) ?(seed = 11L) ?only what pg =
           (Printf.sprintf "%s %s" k.Kernel_check.label what)
           (Kernel_check.engines k
              ~oracle:(Kernel_check.oracle k ~cluster pg)
+             ~plain:(lazy (Kernel_check.plain k c))
              ~domains_counts c))
     (Test_util.kernels ~landmarks)
 
@@ -244,7 +245,9 @@ let test_engines_wrong_oracle () =
      the count, and nothing else. *)
   let c = Csr.build pg in
   let vs =
-    Kernel_check.engines Kernel_check.pagerank ~oracle:"not-a-digest" ~domains_counts c
+    Kernel_check.engines Kernel_check.pagerank ~oracle:"not-a-digest"
+      ~plain:(lazy (Kernel_check.plain Kernel_check.pagerank c))
+      ~domains_counts c
   in
   Alcotest.(check (list string))
     "rules" [ "boxed-vs-csr"; "boxed-vs-csr"; "boxed-vs-csr" ]

@@ -355,7 +355,20 @@ let test_events_share_trace_records () =
     (List.filter (fun (s : Trace.speculation) -> s.won) trace.Trace.speculations)
     (List.filter_map (function Event.Speculative_win s -> Some s | _ -> None) events);
   same "reshuffle" trace.Trace.reshuffles
-    (List.filter_map (function Event.Reshuffle r -> Some r | _ -> None) events)
+    (List.filter_map (function Event.Reshuffle r -> Some r | _ -> None) events);
+  (* The sums the run-end event and the checkpoint events carry are the
+     trace's own folds. *)
+  checkf "checkpoint events sum to checkpoint_s" trace.Trace.checkpoint_s
+    (List.fold_left
+       (fun acc -> function Event.Checkpoint c -> acc +. c.Event.write_s | _ -> acc)
+       0.0 events);
+  match run_ends_of events with
+  | [ e ] ->
+      checkf "run_end load_s" trace.Trace.load_s e.Event.load_s;
+      checkf "run_end checkpoint_s" trace.Trace.checkpoint_s e.Event.checkpoint_s;
+      checkf "run_end recovery_s" (Trace.recovery_s trace) e.Event.recovery_s;
+      checkb "recovery time charged" true (e.Event.recovery_s > 0.0)
+  | ends -> Alcotest.failf "expected 1 run end, got %d" (List.length ends)
 
 let test_run_end_matches_trace () =
   let trace, events, t, path = observed_run () in

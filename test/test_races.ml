@@ -120,7 +120,8 @@ let test_kernels_clean () =
   let landmarks = Cutfit_algo.Sssp.pick_landmarks ~seed:11L ~count:3 g in
   List.iter
     (fun (Test_util.Kernel k) ->
-      checkb (k.Kernel_check.label ^ " clean") true (Kernel_check.races k ~domains_counts csr = []))
+      checkb (k.Kernel_check.label ^ " clean") true
+        (Kernel_check.races k ~plain:(lazy (Kernel_check.plain k csr)) ~domains_counts csr = []))
     (Test_util.kernels ~landmarks)
 
 (* --- seeded corruptions are caught --------------------------------- *)
@@ -197,6 +198,30 @@ let test_shadow_hook () =
 
 (* --- sanitizer wiring ----------------------------------------------- *)
 
+(* On one Csr the races suite's unshadowed reference is the engines
+   suite's first run at one domain: the two suites run it once. *)
+let test_suites_share_plain_run () =
+  let k = Kernel_check.pagerank in
+  let plain_runs = ref 0 in
+  let counted =
+    {
+      k with
+      Kernel_check.csr =
+        (fun ~domains ?shadow c ->
+          if domains = 1 && Option.is_none shadow then incr plain_runs;
+          k.Kernel_check.csr ~domains ?shadow c);
+    }
+  in
+  let plain = lazy (Kernel_check.plain counted csr) in
+  let engines =
+    Kernel_check.engines counted ~oracle:(Kernel_check.oracle k ~cluster pg) ~plain
+      ~domains_counts csr
+  in
+  let races = Kernel_check.races counted ~plain ~domains_counts csr in
+  checki "engines clean" 0 (List.length engines);
+  checki "races clean" 0 (List.length races);
+  checki "unshadowed one-domain runs: the shared one and run-twice" 2 !plain_runs
+
 let test_sanitize_races_suite () =
   let report =
     Sanitize.check_run ~cluster ~race_domains:[ 1; 2 ] ~algorithm:Advisor.Pagerank g
@@ -220,4 +245,5 @@ let suite =
     Alcotest.test_case "detector self-check" `Quick test_self_check;
     Alcotest.test_case "sanitizer races suite" `Slow test_sanitize_races_suite;
     Alcotest.test_case "shadow hook on the four kernels" `Slow test_shadow_hook;
+    Alcotest.test_case "engines and races share one plain run" `Quick test_suites_share_plain_run;
   ]

@@ -226,17 +226,18 @@ let test_engine_check_run () =
     incr calls;
     run ?telemetry ()
   in
-  let report, vs = Workload_check.check_run ~label:"engine" counted in
+  let report, digest, vs = Workload_check.check_run ~label:"engine" counted in
   Alcotest.(check (list string)) "no violations" []
     (List.map (fun v -> v.Cutfit_check.Violation.rule) vs);
   checki "two engine runs" 2 !calls;
   Alcotest.(check string) "returns the traced run's report" (Workload_check.digest (run ()))
     (Workload_check.digest report);
+  Alcotest.(check string) "and its digest" (Workload_check.digest report) digest;
   let drifting ?telemetry () =
     incr calls;
     run ?telemetry ~policy:(if !calls mod 2 = 0 then Engine.Sjf else Engine.Fifo) ()
   in
-  let _, vs = Workload_check.check_run ~label:"drift" drifting in
+  let _, _, vs = Workload_check.check_run ~label:"drift" drifting in
   checkb "drifting replay diverges" true
     (List.exists (fun v -> v.Cutfit_check.Violation.rule = "divergence") vs)
 
@@ -563,7 +564,7 @@ let test_check_run_sees_every_event () =
           tenant = Job.default_tenant;
         })
   in
-  let r, vs =
+  let r, _, vs =
     Workload_check.check_run ~label:"long stream" (fun ?telemetry () ->
         Engine.run ?telemetry ~seed:1L jobs)
   in

@@ -259,6 +259,12 @@ expect_check_digests ad03cd0ff3f53076b5cf47da851fac2f c59331ae594b38c1d54e6da1f5
   SSSP roadnet_pa --elastic 'leave@2-1,join@4+2' --hetero draw
 expect_check_digests f67313892633df9dabc6e569dc91c5fa 66b36a0e1730b4ed5313ab6cb2ed8a1e \
   CC youtube --elastic 'leave@2-1,join@4+2' --hetero draw
+# every itemized record kind at once (5 checkpoints, 1 recovery, 2
+# clones, 2 reshuffles): the trace digest serializes the recovery and
+# speculation sums, so a fold in another order moves it
+expect_check_digests 08166d11f3e81f21fa3ec83c59905c28 c159a56112d063e058471566015a049d \
+  PR roadnet_pa --faults 'crash@2,straggler@3-4:x20' --checkpoint-every 2 --speculate \
+  --elastic 'leave@4-1,join@5+1'
 
 echo "== frontier-driven supersteps (sanitized runs that are mostly sparse)"
 # nearly every superstep of SSSP on roadnet_pa visits only the
