@@ -5,7 +5,8 @@
    slice: the first cases of the workload corpus, each reproducing its
    committed report and event-stream digests, and reproducing the same
    report digest again with telemetry off. golden_grid.exe and
-   workload_grid.exe check the full corpora. *)
+   workload_grid.exe check the full corpora. The spec-parser table is
+   cheap, so every row of it is checked here. *)
 
 module C = Golden_corpus
 module W = Workload_corpus
@@ -26,3 +27,9 @@ let suite =
   List.map case C.fast_slice
   @ List.map workload_case W.fast_slice
   @ List.map untraced_case W.fast_slice
+  @ [
+      Alcotest.test_case "spec-parser table" `Quick (fun () ->
+          match Spec_corpus.check () with
+          | [] -> ()
+          | problems -> Alcotest.fail (String.concat "\n" problems));
+    ]
