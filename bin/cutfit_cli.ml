@@ -205,19 +205,14 @@ let max_failures_arg =
     & info [ "max-failures" ] ~docv:"K"
         ~doc:"Executor losses tolerated per run; one more aborts the run.")
 
+(* The spec parsers raise [Spec_error.Error], which the one handler in
+   the entry point below reports as a usage error. *)
 let faults_of_flags ~spec ~fault_seed ~max_failures ~mode =
-  match spec with
-  | None -> None
-  | Some raw -> (
-      let mode =
-        match Cutfit.Faults.mode_of_name mode with
-        | m -> m
-        | exception Cutfit.Spec_error.Error e -> usage_fail "%s" (Cutfit.Spec_error.message e)
-      in
-      match Cutfit.Faults.config ~seed:fault_seed ~max_failures ~mode raw with
-      | c -> Some c
-      | exception Cutfit.Spec_error.Error e ->
-          usage_fail "bad --faults spec: %s" (Cutfit.Spec_error.message e))
+  Option.map
+    (fun raw ->
+      let mode = Cutfit.Faults.mode_of_name mode in
+      Cutfit.Faults.config ~seed:fault_seed ~max_failures ~mode raw)
+    spec
 
 (* --- speculative re-execution flags shared by run/compare/check/workload --- *)
 
@@ -269,24 +264,13 @@ let hetero_arg =
   in
   Arg.(value & opt (some string) None & info [ "hetero" ] ~docv:"SPEC" ~doc)
 
-let elastic_of_flags ~spec ~fault_seed =
-  match spec with
-  | None -> None
-  | Some raw -> (
-      match Cutfit.Elastic.config ~seed:fault_seed raw with
-      | c -> Some c
-      | exception Cutfit.Spec_error.Error e ->
-          usage_fail "bad --scale-events spec: %s" (Cutfit.Spec_error.message e))
+let elastic_of_flags ~spec ~fault_seed = Option.map (Cutfit.Elastic.config ~seed:fault_seed) spec
 
 let hetero_of_flags ~spec ~executors ~fault_seed =
   match spec with
   | None -> None
   | Some "draw" -> Some (Cutfit.Elastic.draw_hetero ~seed:fault_seed ~executors)
-  | Some raw -> (
-      match Cutfit.Elastic.hetero_of_spec ~executors raw with
-      | h -> Some h
-      | exception Cutfit.Spec_error.Error e ->
-          usage_fail "bad --hetero spec: %s" (Cutfit.Spec_error.message e))
+  | Some raw -> Some (Cutfit.Elastic.hetero_of_spec ~executors raw)
 
 (* --- dynamic-graph (mutation) flags shared by workload/check/mutate --- *)
 
@@ -296,14 +280,7 @@ let mutation_seed_arg =
     & info [ "mutation-seed" ] ~docv:"SEED"
         ~doc:"Seed of the mutation batches' endpoint and victim draws.")
 
-let mutations_of_flags ~spec ~seed =
-  match spec with
-  | None -> None
-  | Some raw -> (
-      match Cutfit.Mutation.config ~seed raw with
-      | c -> Some c
-      | exception Cutfit.Spec_error.Error e ->
-          usage_fail "bad mutation spec: %s" (Cutfit.Spec_error.message e))
+let mutations_of_flags ~spec ~seed = Option.map (Cutfit.Mutation.config ~seed) spec
 
 (* --- datasets --- *)
 
@@ -829,30 +806,10 @@ let workload_cmd =
     let scale_events = elastic_of_flags ~spec:scale_events_spec ~fault_seed in
     (* NAME[:VALUE] comma lists shared by --tenants / --tenant-weights /
        --tenant-deadline. Tenant names must be usable as breaker-scope
-       prefixes, so '/' is rejected here with exit 2 rather than letting
-       Job.generate's Invalid_argument map to exit 1. *)
+       prefixes, so the entry reader rejects '/' with exit 2 rather than
+       letting Job.generate's Invalid_argument map to exit 1. *)
     let tenant_entries ~flag spec =
-      List.filter_map
-        (fun item ->
-          let item = String.trim item in
-          if item = "" then None
-          else
-            let name, value =
-              match String.index_opt item ':' with
-              | None -> (item, None)
-              | Some i ->
-                  let v = String.sub item (i + 1) (String.length item - i - 1) in
-                  (match float_of_string_opt v with
-                  | Some v -> (String.trim (String.sub item 0 i), Some v)
-                  | None -> fail "bad --%s entry %S (expected NAME[:NUMBER])" flag item)
-            in
-            if name = "" || String.contains name '/' then
-              fail "bad --%s tenant name %S (nonempty, no '/')" flag name;
-            (match value with
-            | Some v when v <= 0.0 -> fail "bad --%s entry %S (value must be positive)" flag item
-            | _ -> ());
-            Some (name, value))
-        (String.split_on_char ',' spec)
+      List.map (fun e -> Cutfit.Spec_error.entry ~dsl:flag ~item:e e) (Cutfit.Spec_error.items spec)
     in
     let tenants =
       match tenants_spec with
@@ -901,22 +858,18 @@ let workload_cmd =
        engine validates every numeric knob; a rejected one is a usage
        error. *)
     let report, checked =
-      match
-        if check then
-          let r, digest, vs =
-            W.Workload_check.check_run
-              ~label:(Printf.sprintf "workload %s seed %Ld" mix_name seed)
-              ~sinks run
-          in
-          (r, Some (digest, vs))
-        else
-          let telemetry = if sinks = [] then None else Some (Cutfit.Telemetry.create ~sinks ()) in
-          let r = run ?telemetry () in
-          Option.iter Cutfit.Telemetry.close telemetry;
-          (r, None)
-      with
-      | r -> r
-      | exception Cutfit.Spec_error.Error e -> fail "%s" (Cutfit.Spec_error.message e)
+      if check then
+        let r, digest, vs =
+          W.Workload_check.check_run
+            ~label:(Printf.sprintf "workload %s seed %Ld" mix_name seed)
+            ~sinks run
+        in
+        (r, Some (digest, vs))
+      else
+        let telemetry = if sinks = [] then None else Some (Cutfit.Telemetry.create ~sinks ()) in
+        let r = run ?telemetry () in
+        Option.iter Cutfit.Telemetry.close telemetry;
+        (r, None)
     in
     let rows =
       List.map
@@ -1248,12 +1201,7 @@ let chaos_cmd =
     if budget <= 0.0 then usage_fail "budget-s must be positive (got %g)" budget;
     match repro with
     | Some spec -> (
-        let sc =
-          match C.Scenario.of_spec spec with
-          | sc -> sc
-          | exception Cutfit.Spec_error.Error e ->
-              usage_fail "bad chaos spec: %s" (Cutfit.Spec_error.message e)
-        in
+        let sc = C.Scenario.of_spec spec in
         Fmt.pr "repro: %s@." (C.Scenario.to_spec sc);
         let outcome = C.Runner.run ~budget_s:budget sc in
         match outcome with
@@ -1349,11 +1297,11 @@ let () =
   let doc = "Tailor graph partitioning to the computation (Cut to Fit)." in
   let info = Cmd.info "cutfit" ~version:"1.0.0" ~doc in
   (* Exit-code contract: actions return 0 (success) or 1 (violation /
-     failed job); cmdliner usage problems map to 2; an escaped
-     exception maps to 1 rather than cmdliner's 125. *)
+     failed job); cmdliner usage problems and malformed specs map to 2;
+     any other escaped exception maps to 1 rather than cmdliner's 125. *)
   exit
     (match
-       Cmd.eval_value
+       Cmd.eval_value ~catch:false
          (Cmd.group info
             [ datasets_cmd; generate_cmd; characterize_cmd; partition_cmd; advise_cmd; run_cmd;
               compare_cmd; workload_cmd; mutate_cmd; check_cmd; chaos_cmd ])
@@ -1361,4 +1309,8 @@ let () =
     | Ok (`Ok code) -> code
     | Ok (`Help | `Version) -> exit_ok
     | Error (`Parse | `Term) -> exit_usage
-    | Error `Exn -> exit_failure)
+    | Error `Exn -> exit_failure
+    | exception Cutfit.Spec_error.Error e -> usage_fail "%s" (Cutfit.Spec_error.message e)
+    | exception e ->
+        Fmt.epr "cutfit: internal error, uncaught exception:@.%s@." (Printexc.to_string e);
+        exit_failure)

@@ -9,66 +9,46 @@ type config = { items : item list; raw : string; seed : int }
 
 let dsl = "scale-events"
 let fail ~item fmt = Spec_error.fail ~dsl ~item fmt
-let fail_spec fmt = Spec_error.fail ~dsl fmt
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail ~item:what "expected an integer, got %S" s
 
 (* "T", "T+N" or "T-N": the superstep an event fires at, plus the signed
    executor delta. The sign is part of the grammar, so "join@3-1" is a
    parse error rather than a silently shrinking join. *)
-let parse_at what ~sign s =
+let parse_at ~item ~sign s =
+  let int = Spec_error.int ~dsl ~item in
   match String.index_opt s sign with
-  | None -> (parse_int what s, 1)
+  | None -> (int s, 1)
   | Some i ->
-      let step = parse_int what (String.sub s 0 i) in
-      let count = parse_int what (String.sub s (i + 1) (String.length s - i - 1)) in
-      if count < 1 then fail ~item:what "executor delta must be >= 1";
+      let step = int (String.sub s 0 i) in
+      let count = int (String.sub s (i + 1) (String.length s - i - 1)) in
+      if count < 1 then fail ~item "executor delta must be >= 1";
       (step, count)
 
 let parse_item s =
-  match String.index_opt s '@' with
-  | None -> fail ~item:s "expected KIND@ARGS"
-  | Some i -> (
-      let kind = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match kind with
-      | "join" ->
-          let step, count = parse_at s ~sign:'+' rest in
-          if step < 1 then fail ~item:s "joins fire at supersteps >= 1";
-          Join { step; count }
-      | "leave" ->
-          let step, count = parse_at s ~sign:'-' rest in
-          if step < 1 then fail ~item:s "leaves fire at supersteps >= 1";
-          Leave { step; count }
-      | "preempt" -> (
-          let head, opts =
-            match String.split_on_char ':' rest with
-            | h :: t -> (h, t)
-            | [] -> fail ~item:s "missing arguments"
-          in
-          let step = parse_int s head in
-          if step < 1 then fail ~item:s "preemptions fire at supersteps >= 1";
-          match opts with
-          | [] -> Preempt { step; retries = 1 }
-          | [ o ] when String.length o >= 2 && o.[0] = 'r' ->
-              let retries = parse_int s (String.sub o 1 (String.length o - 1)) in
-              if retries < 1 then fail ~item:s "retries must be >= 1";
-              Preempt { step; retries }
-          | _ -> fail ~item:s "only a :rN option is valid here")
-      | k -> fail ~item:s "unknown kind %S" k)
-
-let parse_spec raw =
-  let items =
-    String.split_on_char ',' raw
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-    |> List.map parse_item
+  let kind, head, opts = Spec_error.kind_args ~dsl s in
+  let options allowed = Spec_error.options ~dsl ~item:s ~allowed opts in
+  let membership ~sign what =
+    let step, count = parse_at ~item:s ~sign head in
+    if step < 1 then fail ~item:s "%s fire at supersteps >= 1" what;
+    let (_ : char -> string option) = options "" in
+    (step, count)
   in
-  if items = [] then fail_spec "no events given in %S" raw;
-  items
+  match kind with
+  | "join" ->
+      let step, count = membership ~sign:'+' "joins" in
+      Join { step; count }
+  | "leave" ->
+      let step, count = membership ~sign:'-' "leaves" in
+      Leave { step; count }
+  | "preempt" ->
+      let int = Spec_error.int ~dsl ~item:s in
+      let step = int head in
+      if step < 1 then fail ~item:s "preemptions fire at supersteps >= 1";
+      let retries = Option.fold ~none:1 ~some:int (options "r" 'r') in
+      if retries < 1 then fail ~item:s "retries must be >= 1";
+      Preempt { step; retries }
+  | k -> fail ~item:s "unknown kind %S" k
+
+let parse_spec raw = Spec_error.list ~dsl ~what:"events" parse_item raw
 
 (* Canonical inverse of {!parse_spec}: counts and retries of 1 are
    omitted, so [parse_spec (to_spec items) = items] and the printed
@@ -125,32 +105,20 @@ let draw_hetero ~seed ~executors =
 
 let hetero_of_spec ~executors raw =
   if executors <= 0 then invalid_arg "Elastic.hetero_of_spec: executors <= 0";
-  let parse_mult item s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> Spec_error.fail ~dsl:"hetero" ~item "expected a number, got %S" s
+  let dsl = "hetero" in
+  let entry item =
+    let mult = Spec_error.float ~dsl ~item in
+    let speed, bw =
+      match String.index_opt item '/' with
+      | None ->
+          let v = mult item in
+          (v, v)
+      | Some i -> (mult (String.sub item 0 i), mult (String.sub item (i + 1) (String.length item - i - 1)))
+    in
+    if speed <= 0.0 || bw <= 0.0 then Spec_error.fail ~dsl ~item "multipliers must be > 0";
+    (speed, bw)
   in
-  let entries =
-    String.split_on_char ',' raw
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-    |> List.map (fun s ->
-           let speed, bw =
-             match String.index_opt s '/' with
-             | None ->
-                 let v = parse_mult s s in
-                 (v, v)
-             | Some i ->
-                 ( parse_mult s (String.sub s 0 i),
-                   parse_mult s (String.sub s (i + 1) (String.length s - i - 1)) )
-           in
-           if speed <= 0.0 || bw <= 0.0 then
-             Spec_error.fail ~dsl:"hetero" ~item:s "multipliers must be > 0";
-           (speed, bw))
-    |> Array.of_list
-  in
-  if Array.length entries = 0 then
-    Spec_error.fail ~dsl:"hetero" "no entries given in %S" raw;
+  let entries = Array.of_list (Spec_error.list ~dsl ~what:"entries" entry raw) in
   (* Entries cycle, so "0.5/1,2/1" alternates slow and fast hosts at any
      cluster width. *)
   let n = Array.length entries in

@@ -20,130 +20,65 @@ type config = {
 let dsl = "faults"
 
 let fail ~item fmt = Spec_error.fail ~dsl ~item fmt
-let fail_spec fmt = Spec_error.fail ~dsl fmt
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail ~item:what "expected an integer, got %S" s
-
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail ~item:what "expected a number, got %S" s
-
-(* "K" or "K-L": the inclusive superstep window a fault covers. *)
-let parse_window what s =
-  match String.index_opt s '-' with
-  | None ->
-      let k = parse_int what s in
-      (k, k)
-  | Some i ->
-      let k = parse_int what (String.sub s 0 i) in
-      let l = parse_int what (String.sub s (i + 1) (String.length s - i - 1)) in
-      if l < k then fail ~item:what "window %d-%d is backwards" k l;
-      (k, l)
-
-type opts = {
-  mutable o_exec : int option;
-  mutable o_factor : float option;
-  mutable o_retries : int option;
-}
-
-let parse_opts what allowed parts =
-  let o = { o_exec = None; o_factor = None; o_retries = None } in
-  List.iter
-    (fun p ->
-      if String.length p < 2 then fail ~item:what "malformed option %S" p;
-      let v = String.sub p 1 (String.length p - 1) in
-      let c = p.[0] in
-      if not (String.contains allowed c) then
-        fail ~item:what "option %S not valid here (allowed: %s)" p allowed;
-      match c with
-      | 'e' -> o.o_exec <- Some (parse_int what v)
-      | 'x' -> o.o_factor <- Some (parse_float what v)
-      | 'r' -> o.o_retries <- Some (parse_int what v)
-      | _ -> fail ~item:what "unknown option %S" p)
-    parts;
-  o
 
 let parse_item s =
-  match String.index_opt s '@' with
-  | None -> fail ~item:s "expected KIND@ARGS"
-  | Some i -> (
-      let kind = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      let head, opts =
-        match String.split_on_char ':' rest with
-        | [] -> fail ~item:s "missing arguments"
-        | h :: t -> (h, t)
-      in
-      match kind with
-      | "crash" ->
-          let step = parse_int s head in
-          if step < 1 then fail ~item:s "crashes fire at supersteps >= 1";
-          let o = parse_opts s "e" opts in
-          Crash { step; executor = o.o_exec }
-      | "straggler" ->
-          let from_step, to_step = parse_window s head in
-          if from_step < 1 then fail ~item:s "stragglers fire at supersteps >= 1";
-          let o = parse_opts s "ex" opts in
-          let factor = Option.value o.o_factor ~default:4.0 in
-          if factor < 1.0 then fail ~item:s "straggler factor must be >= 1";
-          Straggler { from_step; to_step; executor = o.o_exec; factor }
-      | "net" ->
-          let from_step, to_step = parse_window s head in
-          if from_step < 1 then fail ~item:s "degraded windows start at superstep >= 1";
-          let o = parse_opts s "x" opts in
-          let factor = Option.value o.o_factor ~default:0.25 in
-          if factor <= 0.0 || factor > 1.0 then fail ~item:s "net factor must be in (0, 1]";
-          Net { from_step; to_step; factor }
-      | "loss" ->
-          let step = parse_int s head in
-          if step < 1 then fail ~item:s "shuffle losses fire at supersteps >= 1";
-          let o = parse_opts s "er" opts in
-          let retries = Option.value o.o_retries ~default:1 in
-          if retries < 1 then fail ~item:s "retries must be >= 1";
-          Loss { step; executor = o.o_exec; retries }
-      | "rand" ->
-          let rate = parse_float s head in
-          if rate < 0.0 || rate > 1.0 then fail ~item:s "rate must be in [0, 1]";
-          Rand { rate }
-      | k -> fail ~item:s "unknown kind %S" k)
+  let int = Spec_error.int ~dsl ~item:s and float = Spec_error.float ~dsl ~item:s in
+  let kind, head, opts = Spec_error.kind_args ~dsl s in
+  let options allowed = Spec_error.options ~repeat:true ~dsl ~item:s ~allowed opts in
+  match kind with
+  | "crash" ->
+      let step = int head in
+      if step < 1 then fail ~item:s "crashes fire at supersteps >= 1";
+      let o = options "e" in
+      Crash { step; executor = Option.map int (o 'e') }
+  | "straggler" ->
+      let from_step, to_step = Spec_error.window ~dsl ~item:s head in
+      if from_step < 1 then fail ~item:s "stragglers fire at supersteps >= 1";
+      let o = options "ex" in
+      let factor = Option.fold ~none:4.0 ~some:float (o 'x') in
+      if factor < 1.0 then fail ~item:s "straggler factor must be >= 1";
+      Straggler { from_step; to_step; executor = Option.map int (o 'e'); factor }
+  | "net" ->
+      let from_step, to_step = Spec_error.window ~dsl ~item:s head in
+      if from_step < 1 then fail ~item:s "degraded windows start at superstep >= 1";
+      let o = options "x" in
+      let factor = Option.fold ~none:0.25 ~some:float (o 'x') in
+      if factor <= 0.0 || factor > 1.0 then fail ~item:s "net factor must be in (0, 1]";
+      Net { from_step; to_step; factor }
+  | "loss" ->
+      let step = int head in
+      if step < 1 then fail ~item:s "shuffle losses fire at supersteps >= 1";
+      let o = options "er" in
+      let retries = Option.fold ~none:1 ~some:int (o 'r') in
+      if retries < 1 then fail ~item:s "retries must be >= 1";
+      Loss { step; executor = Option.map int (o 'e'); retries }
+  | "rand" ->
+      let rate = float head in
+      if rate < 0.0 || rate > 1.0 then fail ~item:s "rate must be in [0, 1]";
+      Rand { rate }
+  | k -> fail ~item:s "unknown kind %S" k
 
-let parse_spec raw =
-  let items =
-    String.split_on_char ',' raw
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-    |> List.map parse_item
-  in
-  if items = [] then fail_spec "no faults given in %S" raw;
-  items
+let parse_spec raw = Spec_error.list ~dsl ~what:"faults" parse_item raw
 
 (* Canonical printer, the shrinker's and repro harness's inverse of
    {!parse_spec}: options at their documented defaults are omitted, so
    the printed spec is the minimal string that re-parses to the same
    items ([parse_spec (to_spec items) = items]). *)
-let float_lit f =
-  let s = Printf.sprintf "%.12g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
-
-let window_lit k l = if l = k then string_of_int k else Printf.sprintf "%d-%d" k l
 let exec_lit = function None -> "" | Some e -> Printf.sprintf ":e%d" e
+let factor_lit ~default f = if Float.equal f default then "" else ":x" ^ Spec_error.float_lit f
 
 let item_to_spec = function
   | Crash { step; executor } -> Printf.sprintf "crash@%d%s" step (exec_lit executor)
   | Straggler { from_step; to_step; executor; factor } ->
-      Printf.sprintf "straggler@%s%s%s" (window_lit from_step to_step) (exec_lit executor)
-        (if Float.equal factor 4.0 then "" else ":x" ^ float_lit factor)
+      Printf.sprintf "straggler@%s%s%s" (Spec_error.window_lit from_step to_step)
+        (exec_lit executor) (factor_lit ~default:4.0 factor)
   | Net { from_step; to_step; factor } ->
-      Printf.sprintf "net@%s%s" (window_lit from_step to_step)
-        (if Float.equal factor 0.25 then "" else ":x" ^ float_lit factor)
+      Printf.sprintf "net@%s%s" (Spec_error.window_lit from_step to_step)
+        (factor_lit ~default:0.25 factor)
   | Loss { step; executor; retries } ->
       Printf.sprintf "loss@%d%s%s" step (exec_lit executor)
         (if retries = 1 then "" else Printf.sprintf ":r%d" retries)
-  | Rand { rate } -> Printf.sprintf "rand@%s" (float_lit rate)
+  | Rand { rate } -> Printf.sprintf "rand@%s" (Spec_error.float_lit rate)
 
 let to_spec items = String.concat "," (List.map item_to_spec items)
 
@@ -155,7 +90,7 @@ let mode_name = function Rollback -> "rollback" | Lineage -> "lineage"
 let mode_of_name = function
   | "rollback" -> Rollback
   | "lineage" -> Lineage
-  | s -> fail_spec "unknown recovery mode %S (rollback|lineage)" s
+  | s -> Spec_error.fail ~dsl "unknown recovery mode %S (rollback|lineage)" s
 
 let describe c =
   Printf.sprintf "faults %S seed=%d max-failures=%d recovery=%s" c.raw c.seed c.max_failures

@@ -9,3 +9,77 @@ let message e =
   match e.item with
   | Some item -> Printf.sprintf "%s spec, item %S: %s" e.dsl item e.reason
   | None -> Printf.sprintf "%s spec: %s" e.dsl e.reason
+
+(* --- the shared grammar ----------------------------------------------- *)
+
+let token ~trim s = if trim then String.trim s else s
+
+let items ?(trim = true) ?(sep = ',') raw =
+  String.split_on_char sep raw |> List.map (token ~trim) |> List.filter (fun s -> s <> "")
+
+let list ~dsl ?item ?trim ?sep ~what f raw =
+  match items ?trim ?sep raw with
+  | [] -> fail ~dsl ?item "no %s given in %S" what raw
+  | l -> List.map f l
+
+let int ?(trim = false) ~dsl ~item s =
+  match int_of_string_opt (token ~trim s) with
+  | Some n -> n
+  | None -> fail ~dsl ~item "expected an integer, got %S" s
+
+let float ~dsl ~item s =
+  match float_of_string_opt s with
+  | Some f -> f
+  | None -> fail ~dsl ~item "expected a number, got %S" s
+
+let kind_args ?(trim = false) ~dsl s =
+  match String.index_opt s '@' with
+  | None -> fail ~dsl ~item:s "expected KIND@ARGS"
+  | Some i -> (
+      let kind = token ~trim (String.sub s 0 i) in
+      match String.split_on_char ':' (String.sub s (i + 1) (String.length s - i - 1)) with
+      | head :: opts -> (kind, head, opts)
+      | [] -> assert false (* split_on_char returns at least one field *))
+
+let window ?trim ~dsl ~item s =
+  match String.index_opt s '-' with
+  | None ->
+      let k = int ?trim ~dsl ~item s in
+      (k, k)
+  | Some i ->
+      let k = int ?trim ~dsl ~item (String.sub s 0 i) in
+      let l = int ?trim ~dsl ~item (String.sub s (i + 1) (String.length s - i - 1)) in
+      if l < k then fail ~dsl ~item "window %d-%d is backwards" k l;
+      (k, l)
+
+let options ?(trim = false) ?(repeat = false) ~dsl ~item ~allowed opts =
+  let read acc o =
+    let o = token ~trim o in
+    if String.length o < 2 then fail ~dsl ~item "malformed option %S" o;
+    let c = o.[0] in
+    if not (String.contains allowed c) then
+      if allowed = "" then fail ~dsl ~item "option %S not valid here (no options are)" o
+      else fail ~dsl ~item "option %S not valid here (allowed: %s)" o allowed;
+    if (not repeat) && List.mem_assoc c acc then fail ~dsl ~item "option %C given twice" c;
+    (c, String.sub o 1 (String.length o - 1)) :: acc
+  in
+  let given = List.fold_left read [] opts in
+  fun c -> List.assoc_opt c given
+
+let entry ?(trim = true) ~dsl ~item e =
+  let name, value =
+    match String.index_opt e ':' with
+    | None -> (e, None)
+    | Some i ->
+        ( token ~trim (String.sub e 0 i),
+          Some (float ~dsl ~item (String.sub e (i + 1) (String.length e - i - 1))) )
+  in
+  if name = "" || String.contains name '/' then
+    fail ~dsl ~item "name %S must be nonempty and contain no '/'" name;
+  (match value with
+  | Some v when v <= 0.0 -> fail ~dsl ~item "value must be positive (got %s)" (Cutfit_obs.Json.shortest v)
+  | _ -> ());
+  (name, value)
+
+let float_lit = Cutfit_obs.Json.shortest
+let window_lit k l = if l = k then string_of_int k else Printf.sprintf "%d-%d" k l

@@ -82,20 +82,16 @@ let dsl = "chaos"
 let fail fmt = Spec_error.fail ~dsl fmt
 let fail_key ~key fmt = Spec_error.fail ~dsl ~item:key fmt
 
-let float_lit f =
-  let s = Printf.sprintf "%.12g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
-
 (* --- printing ------------------------------------------------------- *)
 
 let deadline_lit = function
-  | Engine.Absolute s -> "a" ^ float_lit s
-  | Engine.Factor f -> "f" ^ float_lit f
+  | Engine.Absolute s -> "a" ^ Spec_error.float_lit s
+  | Engine.Factor f -> "f" ^ Spec_error.float_lit f
 
 let tenants_lit ts =
   String.concat "+"
     (List.map
-       (fun (n, w) -> if Float.equal w 1.0 then n else Printf.sprintf "%s:%s" n (float_lit w))
+       (fun (n, w) -> if Float.equal w 1.0 then n else Printf.sprintf "%s:%s" n (Spec_error.float_lit w))
        ts)
 
 let domains_lit ds = String.concat "+" (List.map string_of_int ds)
@@ -127,7 +123,7 @@ let to_spec sc =
       | Faults.Rollback -> ()
       | m -> put "fmode" (Faults.mode_name m)));
   (match sc.checkpoint_every with None -> () | Some k -> put "ckpt" (string_of_int k));
-  (match sc.speculate with None -> () | Some t -> put "speculate" (float_lit t));
+  (match sc.speculate with None -> () | Some t -> put "speculate" (Spec_error.float_lit t));
   (match sc.elastic with
   | None -> ()
   | Some c -> put "scale" (Elastic.to_spec c.Elastic.items));
@@ -148,7 +144,7 @@ let to_spec sc =
   (match sc.overload.deadline with None -> () | Some d -> put "deadline" (deadline_lit d));
   (match sc.overload.breaker_k with None -> () | Some k -> put "breaker" (string_of_int k));
   if not (Float.equal sc.overload.breaker_cooldown_s 60.0) then
-    put "cooldown" (float_lit sc.overload.breaker_cooldown_s);
+    put "cooldown" (Spec_error.float_lit sc.overload.breaker_cooldown_s);
   (match sc.overload.backpressure with
   | None -> ()
   | Some w -> put "backpressure" (string_of_int w));
@@ -165,52 +161,31 @@ let equal a b = String.equal (to_spec a) (to_spec b)
 
 (* --- parsing -------------------------------------------------------- *)
 
-let parse_int ~key s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail_key ~key "expected an integer, got %S" s
-
-let parse_float ~key s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail_key ~key "expected a number, got %S" s
-
 let parse_positive ~key s =
-  let n = parse_int ~key s in
+  let n = Spec_error.int ~dsl ~item:key s in
   if n < 1 then fail_key ~key "must be >= 1 (got %d)" n;
   n
 
 let parse_deadline ~key s =
   if String.length s < 2 then fail_key ~key "expected aSECONDS or fFACTOR, got %S" s;
-  let v = parse_float ~key (String.sub s 1 (String.length s - 1)) in
-  if v <= 0.0 then fail_key ~key "deadline value must be positive (got %s)" (float_lit v);
+  let v = Spec_error.float ~dsl ~item:key (String.sub s 1 (String.length s - 1)) in
+  if v <= 0.0 then fail_key ~key "deadline value must be positive (got %s)" (Spec_error.float_lit v);
   match s.[0] with
   | 'a' -> Engine.Absolute v
   | 'f' -> Engine.Factor v
   | c -> fail_key ~key "unknown deadline kind %C (a = absolute, f = factor)" c
 
-let parse_tenants ~key s =
-  let entry e =
-    let name, weight =
-      match String.index_opt e ':' with
-      | None -> (e, 1.0)
-      | Some i ->
-          let w = parse_float ~key (String.sub e (i + 1) (String.length e - i - 1)) in
-          (String.sub e 0 i, w)
-    in
-    if String.length name = 0 || String.contains name '/' then
-      fail_key ~key "tenant name %S must be nonempty and contain no '/'" name;
-    if weight <= 0.0 then fail_key ~key "tenant weight must be positive (got %s)" (float_lit weight);
-    (name, weight)
-  in
-  match String.split_on_char '+' s |> List.filter (fun e -> e <> "") with
-  | [] -> fail_key ~key "no tenants given"
-  | es -> List.map entry es
+(* [NAME[:W]+NAME[:W]...] and [N+N...]: '+'-separated lists. *)
+let plus_list ~key ~what f s = Spec_error.list ~dsl ~item:key ~trim:false ~sep:'+' ~what f s
 
-let parse_domains ~key s =
-  match String.split_on_char '+' s |> List.filter (fun e -> e <> "") with
-  | [] -> fail_key ~key "no domain counts given"
-  | es -> List.map (parse_positive ~key) es
+let parse_tenants ~key s =
+  plus_list ~key ~what:"tenants"
+    (fun e ->
+      let name, weight = Spec_error.entry ~trim:false ~dsl ~item:key e in
+      (name, Option.value weight ~default:1.0))
+    s
+
+let parse_domains ~key s = plus_list ~key ~what:"domain counts" (parse_positive ~key) s
 
 (* Raw DSL sub-spec values are held as strings until every key is read:
    the scenario seed may appear after them, and the embedded configs
@@ -252,7 +227,7 @@ let of_spec raw =
       if Hashtbl.mem seen key then fail_key ~key "duplicate key";
       Hashtbl.replace seen key ();
       match key with
-      | "seed" -> sc := { !sc with seed = parse_int ~key value }
+      | "seed" -> sc := { !sc with seed = Spec_error.int ~dsl ~item:key value }
       | "algo" -> (
           match Advisor.algorithm_of_string value with
           | Some a -> sc := { !sc with algo = a }
@@ -268,7 +243,7 @@ let of_spec raw =
           | _ -> sc := { !sc with cluster = value }
           | exception Not_found -> fail_key ~key "unknown cluster configuration %S (i..iv)" value)
       | "jobs" ->
-          let n = parse_int ~key value in
+          let n = Spec_error.int ~dsl ~item:key value in
           if n < 0 then fail_key ~key "must be >= 0 (got %d)" n;
           sc := { !sc with jobs = n }
       | "mix" -> (
@@ -290,8 +265,8 @@ let of_spec raw =
           | exception Spec_error.Error e -> fail_key ~key "%s" e.Spec_error.reason)
       | "ckpt" -> sc := { !sc with checkpoint_every = Some (parse_positive ~key value) }
       | "speculate" ->
-          let t = parse_float ~key value in
-          if t < 1.0 then fail_key ~key "threshold must be >= 1 (got %s)" (float_lit t);
+          let t = Spec_error.float ~dsl ~item:key value in
+          if t < 1.0 then fail_key ~key "threshold must be >= 1 (got %s)" (Spec_error.float_lit t);
           sc := { !sc with speculate = Some t }
       | "scale" -> p.p_scale <- Some value
       | "hetero" ->
@@ -316,11 +291,11 @@ let of_spec raw =
           sc :=
             { !sc with overload = { !sc.overload with breaker_k = Some (parse_positive ~key value) } }
       | "cooldown" ->
-          let s = parse_float ~key value in
-          if s < 0.0 then fail_key ~key "must be >= 0 (got %s)" (float_lit s);
+          let s = Spec_error.float ~dsl ~item:key value in
+          if s < 0.0 then fail_key ~key "must be >= 0 (got %s)" (Spec_error.float_lit s);
           sc := { !sc with overload = { !sc.overload with breaker_cooldown_s = s } }
       | "backpressure" ->
-          let w = parse_int ~key value in
+          let w = Spec_error.int ~dsl ~item:key value in
           if w < 0 then fail_key ~key "must be >= 0 (got %d)" w;
           sc := { !sc with overload = { !sc.overload with backpressure = Some w } }
       | "tenants" ->
@@ -334,10 +309,7 @@ let of_spec raw =
       | "inject" -> sc := { !sc with inject = Some value }
       | _ -> fail_key ~key "unknown key"
     in
-    String.split_on_char ';' raw
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-    |> List.iter apply;
+    List.iter apply (Spec_error.items ~sep:';' raw);
     let sc = !sc in
     (* Build the embedded DSL configs last: they are keyed on the
        scenario seed, and their raw strings are re-canonicalized through

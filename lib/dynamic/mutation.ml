@@ -11,57 +11,23 @@ type config = { items : item list; raw : string; seed : int }
 
 let dsl = "mutations"
 let fail ~item fmt = Spec_error.fail ~dsl ~item fmt
-let fail_spec fmt = Spec_error.fail ~dsl fmt
-
-let parse_int what s =
-  match int_of_string_opt (String.trim s) with
-  | Some v -> v
-  | None -> fail ~item:what "expected an integer, got %S" s
-
-let parse_window what s =
-  match String.index_opt s '-' with
-  | None ->
-      let b = parse_int what s in
-      (b, b)
-  | Some i ->
-      let b = parse_int what (String.sub s 0 i) in
-      let c = parse_int what (String.sub s (i + 1) (String.length s - i - 1)) in
-      if c < b then fail ~item:what "backwards batch window %d-%d" b c;
-      (b, c)
 
 let parse_item part =
-  let kind_s, rest =
-    match String.index_opt part '@' with
-    | None -> fail ~item:part "missing '@' (expected e.g. ins@1:r64)"
-    | Some i -> (String.sub part 0 i, String.sub part (i + 1) (String.length part - i - 1))
-  in
+  let kind, head, opts = Spec_error.kind_args ~trim:true ~dsl part in
   let kind =
-    match String.lowercase_ascii (String.trim kind_s) with
+    match String.lowercase_ascii kind with
     | "ins" -> Ins
     | "del" -> Del
     | other -> fail ~item:part "unknown mutation kind %S (want ins or del)" other
   in
-  let window_s, edges =
-    match String.index_opt rest ':' with
-    | None -> (rest, 32)
-    | Some i ->
-        let opt = String.trim (String.sub rest (i + 1) (String.length rest - i - 1)) in
-        if String.length opt < 2 || opt.[0] <> 'r' then
-          fail ~item:part "unknown option %S (only rN is allowed)" opt;
-        ( String.sub rest 0 i,
-          parse_int part (String.sub opt 1 (String.length opt - 1)) )
-  in
-  let from_batch, to_batch = parse_window part (String.trim window_s) in
+  let o = Spec_error.options ~trim:true ~dsl ~item:part ~allowed:"r" opts in
+  let edges = Option.fold ~none:32 ~some:(Spec_error.int ~trim:true ~dsl ~item:part) (o 'r') in
+  let from_batch, to_batch = Spec_error.window ~trim:true ~dsl ~item:part head in
   if from_batch < 1 then fail ~item:part "batches are numbered from 1 (got %d)" from_batch;
   if edges < 1 then fail ~item:part "edge count must be >= 1 (got %d)" edges;
   { kind; from_batch; to_batch; edges }
 
-let parse_spec raw =
-  let parts =
-    String.split_on_char ',' raw |> List.map String.trim |> List.filter (fun s -> s <> "")
-  in
-  if parts = [] then fail_spec "no mutations given in %S" raw;
-  List.map parse_item parts
+let parse_spec raw = Spec_error.list ~dsl ~what:"mutations" parse_item raw
 
 (* Canonical inverse of {!parse_spec}: the default edge count (r32) and
    single-batch windows print in their shortest form, so
@@ -69,8 +35,7 @@ let parse_spec raw =
 let item_to_spec it =
   Printf.sprintf "%s@%s%s"
     (match it.kind with Ins -> "ins" | Del -> "del")
-    (if it.to_batch = it.from_batch then string_of_int it.from_batch
-     else Printf.sprintf "%d-%d" it.from_batch it.to_batch)
+    (Spec_error.window_lit it.from_batch it.to_batch)
     (if it.edges = 32 then "" else Printf.sprintf ":r%d" it.edges)
 
 let to_spec items = String.concat "," (List.map item_to_spec items)

@@ -24,13 +24,16 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* %.17g round-trips every double; %.12g is shorter and more readable,
+   so it wins whenever it re-parses exactly. *)
+let shortest f =
+  let shorter = Printf.sprintf "%.12g" f in
+  if float_of_string shorter = f then shorter else Printf.sprintf "%.17g" f
+
 let float_to_string f =
   if not (Float.is_finite f) then "null"
   else
-    (* %.17g round-trips every double; %.12g is shorter and more
-       readable, so it wins whenever it re-parses exactly. *)
-    let shorter = Printf.sprintf "%.12g" f in
-    let s = if float_of_string shorter = f then shorter else Printf.sprintf "%.17g" f in
+    let s = shortest f in
     (* Keep a mark of floatness so Int/Float round-trips distinguish. *)
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s else s ^ ".0"
 

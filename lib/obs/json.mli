@@ -23,6 +23,12 @@ val to_string : t -> string
     value per line is valid JSONL. Non-finite floats have no JSON
     representation and are rendered as [null]. *)
 
+val shortest : float -> string
+(** The shortest of [%.12g] and [%.17g] that parses back to the same
+    double: the digits {!to_string} prints for a finite float, before it
+    marks the number as a float. The compact specs print their numbers
+    with it too. *)
+
 val of_string : string -> (t, string) result
 (** Parse one JSON value; the error string carries a byte offset.
     Numbers without [.], [e] or [E] parse as {!Int}, all others as
