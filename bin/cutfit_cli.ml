@@ -130,24 +130,26 @@ let paranoid_arg =
   in
   Arg.(value & flag & info [ "paranoid" ] ~doc)
 
+(* The sinks the --trace-out and --verbose-supersteps flags ask for. A
+   trace file that cannot be opened fails the run (exit 1). *)
+let sinks_of_flags ~trace_out ~verbose =
+  (match trace_out with
+  | Some path -> (
+      match Cutfit.Sink.jsonl path with
+      | sink -> [ sink ]
+      | exception Sys_error msg ->
+          Fmt.epr "cutfit: cannot open trace file: %s@." msg;
+          exit exit_failure)
+  | None -> [])
+  @ if verbose then [ Cutfit.Sink.console Format.std_formatter ] else []
+
 (* Build a telemetry handle from the CLI flags, or [None] when neither
    flag asks for one (keeping the engines' zero-allocation path). The
    returned closer finishes the sinks and reports where the trace went. *)
 let telemetry_of_flags ~trace_out ~verbose =
-  match (trace_out, verbose) with
-  | None, false -> (None, fun () -> ())
-  | _ ->
-      let sinks =
-        (match trace_out with
-        | Some path -> (
-            match Cutfit.Sink.jsonl path with
-            | sink -> [ sink ]
-            | exception Sys_error msg ->
-                Fmt.epr "cutfit: cannot open trace file: %s@." msg;
-                exit 1)
-        | None -> [])
-        @ if verbose then [ Cutfit.Sink.console ~verbose:true Format.std_formatter ] else []
-      in
+  match sinks_of_flags ~trace_out ~verbose with
+  | [] -> (None, fun () -> ())
+  | sinks ->
       let t = Cutfit.Telemetry.create ~sinks () in
       ( Some t,
         fun () ->
@@ -841,10 +843,7 @@ let workload_cmd =
             (tenant_entries ~flag:"tenant-deadline" s)
     in
     if jobs < 0 then fail "jobs must be >= 0 (got %d)" jobs;
-    let sinks =
-      (match trace_out with Some path -> [ Cutfit.Sink.jsonl path ] | None -> [])
-      @ if verbose then [ Cutfit.Sink.console ~verbose:true Format.std_formatter ] else []
-    in
+    let sinks = sinks_of_flags ~trace_out ~verbose in
     let run ?telemetry () =
       W.Engine.run ~slots ~eviction ~budget_bytes:(cache_gb *. 1.0e9) ?checkpoint_every ?faults
         ?speculation ~max_retries ?queue_bound ~shed_policy ?deadline ?breaker_k

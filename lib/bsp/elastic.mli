@@ -40,6 +40,9 @@ val to_spec : item list -> string
     omitted, so [parse_spec (to_spec items) = items] and the printed
     string is the minimal spec for those items. *)
 
+val item_step : item -> int
+(** The superstep an event fires at. *)
+
 val total_joins : config -> int
 (** Upper bound on executors beyond the initial membership; engines size
     per-executor state to [initial + total_joins]. *)

@@ -24,7 +24,7 @@ let fail ~item fmt = Spec_error.fail ~dsl ~item fmt
 let parse_item s =
   let int = Spec_error.int ~dsl ~item:s and float = Spec_error.float ~dsl ~item:s in
   let kind, head, opts = Spec_error.kind_args ~dsl s in
-  let options allowed = Spec_error.options ~repeat:true ~dsl ~item:s ~allowed opts in
+  let options allowed = Spec_error.options ~dsl ~item:s ~allowed opts in
   match kind with
   | "crash" ->
       let step = int head in
@@ -55,6 +55,7 @@ let parse_item s =
   | "rand" ->
       let rate = float head in
       if rate < 0.0 || rate > 1.0 then fail ~item:s "rate must be in [0, 1]";
+      let (_ : char -> string option) = options "" in
       Rand { rate }
   | k -> fail ~item:s "unknown kind %S" k
 

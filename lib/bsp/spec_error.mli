@@ -48,13 +48,12 @@ val message : t -> string
 
     Every reader raises {!Error} with the given [dsl] and [item]. *)
 
-val items : ?trim:bool -> ?sep:char -> string -> string list
+val items : ?sep:char -> string -> string list
 (** The items of a list, possibly none. *)
 
 val list :
   dsl:string ->
   ?item:string ->
-  ?trim:bool ->
   ?sep:char ->
   what:string ->
   (string -> 'a) ->
@@ -63,33 +62,26 @@ val list :
 (** [list ~what f raw] reads each item of [raw] with [f]; a list with
     no item is the error ["no <what> given in <raw>"]. *)
 
-val kind_args : ?trim:bool -> dsl:string -> string -> string * string * string list
+val kind_args : dsl:string -> string -> string * string * string list
 (** [KIND@HEAD:OPTION...] as [(kind, head, options)]. *)
 
-val int : ?trim:bool -> dsl:string -> item:string -> string -> int
+val int : dsl:string -> item:string -> string -> int
 val float : dsl:string -> item:string -> string -> float
 
-val window : ?trim:bool -> dsl:string -> item:string -> string -> int * int
+val window : dsl:string -> item:string -> string -> int * int
 (** [K] as [(K, K)], [K-L] as [(K, L)]. *)
 
-val options :
-  ?trim:bool ->
-  ?repeat:bool ->
-  dsl:string ->
-  item:string ->
-  allowed:string ->
-  string list ->
-  char ->
-  string option
+val options : dsl:string -> item:string -> allowed:string -> string list -> char -> string option
 (** [options ~allowed opts] checks each option of [opts] and returns the
     lookup of an option letter's raw value. *)
 
-val entry : ?trim:bool -> dsl:string -> item:string -> string -> string * float option
+val entry : dsl:string -> item:string -> string -> string * float option
 
 (** {1 Printing} *)
 
 val float_lit : float -> string
-(** The shortest literal that parses back to the same double. *)
+(** The shortest literal that parses back to the same double
+    ({!Cutfit_obs.Json.shortest}), without a ['+'] in its exponent. *)
 
 val window_lit : int -> int -> string
 (** The inverse of {!window}: [K] when [K = L], else [K-L]. *)

@@ -3,7 +3,8 @@ module Splitmix64 = Cutfit_prng.Splitmix64
 type config = { threshold : float; seed : int }
 
 let config ?(threshold = 2.0) ?(seed = 1) () =
-  if threshold < 1.0 then invalid_arg "Speculation.config: threshold must be >= 1";
+  if not (Float.is_finite threshold && threshold >= 1.0) then
+    invalid_arg "Speculation.config: threshold must be finite and >= 1";
   { threshold; seed }
 
 (* Median executor busy time, nearest-rank (same convention as

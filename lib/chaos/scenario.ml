@@ -176,12 +176,12 @@ let parse_deadline ~key s =
   | c -> fail_key ~key "unknown deadline kind %C (a = absolute, f = factor)" c
 
 (* [NAME[:W]+NAME[:W]...] and [N+N...]: '+'-separated lists. *)
-let plus_list ~key ~what f s = Spec_error.list ~dsl ~item:key ~trim:false ~sep:'+' ~what f s
+let plus_list ~key ~what f s = Spec_error.list ~dsl ~item:key ~sep:'+' ~what f s
 
 let parse_tenants ~key s =
   plus_list ~key ~what:"tenants"
     (fun e ->
-      let name, weight = Spec_error.entry ~trim:false ~dsl ~item:key e in
+      let name, weight = Spec_error.entry ~dsl ~item:key e in
       (name, Option.value weight ~default:1.0))
     s
 

@@ -13,16 +13,16 @@ let dsl = "mutations"
 let fail ~item fmt = Spec_error.fail ~dsl ~item fmt
 
 let parse_item part =
-  let kind, head, opts = Spec_error.kind_args ~trim:true ~dsl part in
+  let kind, head, opts = Spec_error.kind_args ~dsl part in
   let kind =
     match String.lowercase_ascii kind with
     | "ins" -> Ins
     | "del" -> Del
     | other -> fail ~item:part "unknown mutation kind %S (want ins or del)" other
   in
-  let o = Spec_error.options ~trim:true ~dsl ~item:part ~allowed:"r" opts in
-  let edges = Option.fold ~none:32 ~some:(Spec_error.int ~trim:true ~dsl ~item:part) (o 'r') in
-  let from_batch, to_batch = Spec_error.window ~trim:true ~dsl ~item:part head in
+  let o = Spec_error.options ~dsl ~item:part ~allowed:"r" opts in
+  let edges = Option.fold ~none:32 ~some:(Spec_error.int ~dsl ~item:part) (o 'r') in
+  let from_batch, to_batch = Spec_error.window ~dsl ~item:part head in
   if from_batch < 1 then fail ~item:part "batches are numbered from 1 (got %d)" from_batch;
   if edges < 1 then fail ~item:part "edge count must be >= 1 (got %d)" edges;
   { kind; from_batch; to_batch; edges }

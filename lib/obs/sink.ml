@@ -41,10 +41,5 @@ let jsonl path =
         close_out oc);
   }
 
-let console ?(verbose = false) ppf =
-  let emit e =
-    match e with
-    | Event.Superstep _ when not verbose -> ()
-    | e -> Format.fprintf ppf "%a@." Event.pp e
-  in
-  { emit; close = (fun () -> Format.pp_print_flush ppf ()) }
+let console ppf =
+  { emit = (fun e -> Format.fprintf ppf "%a@." Event.pp e); close = (fun () -> Format.pp_print_flush ppf ()) }

@@ -23,7 +23,5 @@ val jsonl : string -> t
 (** Append one JSON object per event to the given file path (truncating
     any existing file). The channel is buffered; [close] flushes. *)
 
-val console : ?verbose:bool -> Format.formatter -> t
-(** Pretty printer. With [verbose] (default false) every superstep is
-    printed as it is emitted; otherwise only run boundaries and a
-    per-run summary line are shown. *)
+val console : Format.formatter -> t
+(** Pretty printer: every event, one line each, as it is emitted. *)

@@ -303,10 +303,11 @@ module Timeline = struct
   let create ~slots scale_events =
     let max_slots = slots + Option.fold ~none:0 ~some:Elastic.total_joins scale_events in
     let realize (c : Elastic.config) =
-      let step_of = function
-        | Elastic.Join { step; _ } | Elastic.Leave { step; _ } | Elastic.Preempt { step; _ } -> step
+      let sorted =
+        List.stable_sort
+          (fun a b -> compare (Elastic.item_step a) (Elastic.item_step b))
+          c.Elastic.items
       in
-      let sorted = List.stable_sort (fun a b -> compare (step_of a) (step_of b)) c.Elastic.items in
       let change ((changes, preempts, live) as acc) step after =
         if after = live then acc else ({ step; before = live; after } :: changes, preempts, after)
       in

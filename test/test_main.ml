@@ -18,6 +18,7 @@ let () =
       ("faults", Test_faults.suite);
       ("resilience", Test_resilience.suite);
       ("elastic", Test_elastic.suite);
+      ("spec", Test_spec.suite);
       (* chaos runs in test_chaos_main.exe: its fork-based tests need a
          process that has never spawned a domain (OCaml 5.1). *)
       ("experiments", Test_experiments.suite);

@@ -223,7 +223,7 @@ let test_close_is_idempotent_and_drops () =
 let test_console_sink_renders () =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  let t = Telemetry.create ~sinks:[ Sink.console ~verbose:true ppf ] () in
+  let t = Telemetry.create ~sinks:[ Sink.console ppf ] () in
   Telemetry.emit t (Event.Run_start { label = "PR/DBH" });
   Telemetry.close t;
   Format.pp_print_flush ppf ();

@@ -1,0 +1,167 @@
+(* The compact specs' shared grammar (Spec_error) and the five parsers
+   that read through it: faults, scale events, hetero, mutations and
+   chaos scenarios. The pinned per-input table lives in test/golden
+   (Spec_corpus); this suite holds the inputs the parsers used to
+   disagree on, and one property per parser: any string yields a value
+   or Spec_error.Error, never another exception, and an accepted spec
+   round-trips through its printer. *)
+
+module Spec_error = Cutfit_bsp.Spec_error
+module Faults = Cutfit_bsp.Faults
+module Elastic = Cutfit_bsp.Elastic
+module Speculation = Cutfit_bsp.Speculation
+module Mutation = Cutfit_dynamic.Mutation
+module Scenario = Cutfit_chaos.Scenario
+
+let checks = Alcotest.(check string)
+
+let rejects what dsl parse spec =
+  match parse spec with
+  | exception Spec_error.Error e ->
+      checks (Printf.sprintf "%s %S: dsl" what spec) dsl e.Spec_error.dsl
+  | _ -> Alcotest.failf "%s %S should not parse" what spec
+
+let faults s = Faults.to_spec (Faults.parse_spec s)
+let scale s = Elastic.to_spec (Elastic.parse_spec s)
+let mutations s = Mutation.to_spec (Mutation.parse_spec s)
+let chaos s = Scenario.to_spec (Scenario.of_spec s)
+
+(* The multipliers of a profile as a spec: SPEED/BANDWIDTH per executor. *)
+let hetero_lit (h : Elastic.hetero) =
+  String.concat ","
+    (Array.to_list
+       (Array.map2
+          (fun s b -> Spec_error.float_lit s ^ "/" ^ Spec_error.float_lit b)
+          h.Elastic.speeds h.Elastic.bandwidths))
+
+let hetero s = hetero_lit (Elastic.hetero_of_spec ~executors:4 s)
+
+(* --- inputs the parser copies used to disagree on -------------------- *)
+
+let test_non_finite_rejected () =
+  List.iter (rejects "hetero" "hetero" hetero) [ "nan"; "1/nan"; "inf/1"; "1e400" ];
+  List.iter (rejects "faults" "faults" faults)
+    [ "straggler@2:xinf"; "rand@nan"; "net@2:xnan"; "net@2:x-inf" ];
+  List.iter (rejects "chaos" "chaos" chaos)
+    [ "speculate=nan"; "jobs=0;tenants=a:nan"; "deadline=finf"; "cooldown=nan" ];
+  List.iter
+    (fun threshold ->
+      match Speculation.config ~threshold () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "speculation threshold %g should be rejected" threshold)
+    [ Float.nan; Float.infinity ]
+
+let test_repeated_option_rejected () =
+  rejects "faults" "faults" faults "crash@2:e1:e3";
+  rejects "faults" "faults" faults "loss@2:r1:e0:r2";
+  rejects "scale-events" "scale-events" scale "preempt@2:r2:r3";
+  rejects "mutations" "mutations" mutations "ins@1:r4:r5"
+
+let test_options_checked_for_every_kind () =
+  rejects "faults" "faults" faults "rand@0.1:x2";
+  rejects "scale-events" "scale-events" scale "join@3:r2";
+  rejects "mutations" "mutations" mutations "ins@1:x4"
+
+let test_inner_whitespace_accepted () =
+  checks "faults" "crash@2:e1,straggler@2-3:x2.5" (faults "crash @ 2 : e 1, straggler@2 - 3:x 2.5 ");
+  checks "scale-events" "join@3+2,preempt@4:r2" (scale "join@ 3 + 2,preempt@4: r 2");
+  checks "mutations" "ins@2-3:r8" (mutations "INS @ 2 - 3 : r 8");
+  checks "hetero" "1/2,1/2,1/2,1/2" (hetero "1 / 2 ");
+  checks "chaos" "jobs=3;tenants=a:2+b" (chaos "jobs= 3;tenants=a : 2 + b")
+
+let test_shared_messages () =
+  let reason parse spec =
+    match parse spec with
+    | exception Spec_error.Error e -> e.Spec_error.reason
+    | _ -> Alcotest.failf "%S should not parse" spec
+  in
+  checks "faults window" "window 3-1 is backwards" (reason faults "straggler@3-1");
+  checks "mutations window" "window 3-2 is backwards" (reason mutations "ins@3-2");
+  checks "faults @" "expected KIND@ARGS" (reason faults "crash");
+  checks "mutations @" "expected KIND@ARGS" (reason mutations "ins");
+  checks "scale-events option" "option \"x3\" not valid here (allowed: r)"
+    (reason scale "preempt@2:x3");
+  checks "empty list" "no faults given in \" , \"" (reason faults " , ")
+
+(* --- one property per parser ------------------------------------------ *)
+
+(* Spec-shaped strings: items of grammar fragments, most of them
+   [KIND@ARGS], joined by the list separator. Most are malformed, many
+   are valid, and some hold numbers no parser should take. *)
+let soup fragments =
+  QCheck2.Gen.(list_size (int_range 0 5) (oneofl fragments) >|= String.concat "")
+
+let spec_gen ?(sep = ",") ~kinds fragments =
+  let open QCheck2.Gen in
+  let item =
+    frequency
+      [ (4, map2 (fun k a -> k ^ a) (oneofl kinds) (soup fragments)); (1, soup (kinds @ fragments)) ]
+  in
+  list_size (int_range 0 4) item >|= String.concat sep
+
+let numbers =
+  [ "0"; "1"; "2"; "3"; "7"; "12"; "0.5"; "2.5"; "1e3"; "-1"; "nan"; "inf"; "99999999999999999999"; "0x10" ]
+
+let punctuation = [ "@"; ":"; "-"; "+"; ","; " "; "/" ]
+
+(* Total: a value or Spec_error.Error, never another exception (any
+   other exception fails the property). *)
+let total parse round_trips s =
+  match parse s with v -> round_trips v | exception Spec_error.Error _ -> true
+
+let property name gen parse round_trips =
+  Test_util.qtest ~count:2000 name ~print:(Printf.sprintf "%S") gen (total parse round_trips)
+
+let faults_prop =
+  property "faults: any string parses or is a Spec_error; round-trips"
+    (spec_gen
+       ~kinds:[ "crash@"; "straggler@"; "net@"; "loss@"; "rand@" ]
+       ([ ":e"; ":x"; ":r"; "0.25"; "4" ] @ numbers @ punctuation))
+    Faults.parse_spec
+    (fun items -> Faults.parse_spec (Faults.to_spec items) = items)
+
+let scale_prop =
+  property "scale-events: any string parses or is a Spec_error; round-trips"
+    (spec_gen ~kinds:[ "join@"; "leave@"; "preempt@" ] ([ ":r"; ":x" ] @ numbers @ punctuation))
+    Elastic.parse_spec
+    (fun items -> Elastic.parse_spec (Elastic.to_spec items) = items)
+
+let hetero_prop =
+  property "hetero: any string parses or is a Spec_error; round-trips"
+    (spec_gen ~kinds:[ "1"; "0.5"; "1.5/"; "fast" ] (numbers @ punctuation))
+    (Elastic.hetero_of_spec ~executors:4)
+    (fun h -> Elastic.hetero_of_spec ~executors:4 (hetero_lit h) = h)
+
+let mutations_prop =
+  property "mutations: any string parses or is a Spec_error; round-trips"
+    (spec_gen ~kinds:[ "ins@"; "del@"; "INS@"; "grow@" ] ([ ":r"; ":x" ] @ numbers @ punctuation))
+    Mutation.parse_spec
+    (fun items -> Mutation.parse_spec (Mutation.to_spec items) = items)
+
+let chaos_prop =
+  property "chaos: any string parses or is a Spec_error; round-trips"
+    (spec_gen ~sep:";"
+       ~kinds:
+         [ "seed="; "jobs="; "slots="; "speculate="; "cooldown="; "deadline=a"; "deadline=f";
+           "tenants=a:"; "tenants=b+a:"; "domains="; "faults=crash@"; "scale=join@"; "mut=ins@";
+           "hetero=" ]
+       (numbers @ punctuation))
+    Scenario.of_spec
+    (fun sc ->
+      let printed = Scenario.to_spec sc in
+      Scenario.equal (Scenario.of_spec printed) sc
+      && String.equal (Scenario.to_spec (Scenario.of_spec printed)) printed)
+
+let suite =
+  [
+    Alcotest.test_case "non-finite numbers are rejected" `Quick test_non_finite_rejected;
+    Alcotest.test_case "a repeated option is rejected" `Quick test_repeated_option_rejected;
+    Alcotest.test_case "every kind checks its options" `Quick test_options_checked_for_every_kind;
+    Alcotest.test_case "inner whitespace is trimmed" `Quick test_inner_whitespace_accepted;
+    Alcotest.test_case "one message per shared rule" `Quick test_shared_messages;
+    faults_prop;
+    scale_prop;
+    hetero_prop;
+    mutations_prop;
+    chaos_prop;
+  ]

@@ -400,6 +400,30 @@ expect_exit 2 dune exec bin/cutfit_cli.exe -- advise PR youtube --partitions=0
 expect_exit 2 dune exec bin/cutfit_cli.exe -- mutate youtube --partitions=0
 expect_exit 0 dune exec bin/cutfit_cli.exe -- check CC roadnet_tx --elastic --hetero '1.5,0.8/2.0'
 expect_exit 0 dune exec bin/cutfit_cli.exe -- check CC roadnet_tx --dynamic
+# the shared spec reader: non-finite numbers, a repeated option letter,
+# a backwards window and an option the kind does not take are usage
+# errors in every DSL
+expect_exit 2 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --hetero nan
+expect_exit 2 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --faults 'straggler@2:xinf'
+expect_exit 2 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --faults 'crash@2:e1:e3'
+expect_exit 2 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --faults 'straggler@3-1'
+expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --mutations 'ins@1:x4'
+expect_exit 2 dune exec bin/cutfit_cli.exe -- chaos --repro 'speculate=nan'
+# a trace file that cannot be opened fails run and workload alike:
+# exit 1 with a one-line reason, never an uncaught exception
+for sub in "run PR roadnet_pa" workload; do
+  set +e
+  # shellcheck disable=SC2086 # $sub is a subcommand and its arguments
+  out=$(_build/default/bin/cutfit_cli.exe $sub --trace-out /nonexistent/x.jsonl 2>&1)
+  got=$?
+  set -e
+  if [ "$got" != 1 ] || echo "$out" | grep -q "internal error" ||
+    ! echo "$out" | grep -q "cannot open trace file"; then
+    echo "$sub --trace-out /nonexistent/x.jsonl: want exit 1 and 'cannot open trace file', got exit $got:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
 expect_exit 1 _build/default/tools/lint/lint.exe --self-test no_such_fixture_dir
 
 if command -v odoc >/dev/null 2>&1; then
