@@ -20,10 +20,13 @@
                                  letter at most once, and only the
                                  letters the kind allows
     window   K | K-L             an inclusive range, K <= L
-    entry    NAME[:NUMBER]       a name without '/', and a positive number
+    entry    NAME[:NUMBER]       a nonempty name without '/', and a
+                                 positive number
     integer                      OCaml integer syntax
-    number                       OCaml float syntax
+    number                       OCaml float syntax, finite
     v}
+    Every token (kind, head, option, number, name) is trimmed, so
+    whitespace around any of them is ignored.
 
     A spec prints its numbers with {!float_lit}, the shortest form that
     parses back to the same double, so [parse (to_spec x) = x] holds for
@@ -76,6 +79,7 @@ val options : dsl:string -> item:string -> allowed:string -> string list -> char
     lookup of an option letter's raw value. *)
 
 val entry : dsl:string -> item:string -> string -> string * float option
+(** [NAME] as [(NAME, None)], [NAME:NUMBER] as [(NAME, Some NUMBER)]. *)
 
 (** {1 Printing} *)
 
