@@ -467,10 +467,8 @@ let faults ppf =
      fault-free baseline (the recovery-equivalence invariant); the table@.\
      prices what that tolerance costs in simulated time:@.@.";
   let run ?faults ?checkpoint_every () =
-    let p =
-      Cutfit.Pipeline.prepare ~scale ?faults ?checkpoint_every
-        ~algorithm:Cutfit.Advisor.Pagerank g
-    in
+    let what_if = { Cutfit.Pricer.static with faults; checkpoint_every } in
+    let p = Cutfit.Pipeline.prepare ~scale ~what_if ~algorithm:Cutfit.Advisor.Pagerank g in
     Cutfit.Pipeline.pagerank p
   in
   let base_ranks, base_trace = run () in

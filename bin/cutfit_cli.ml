@@ -207,15 +207,6 @@ let max_failures_arg =
     & info [ "max-failures" ] ~docv:"K"
         ~doc:"Executor losses tolerated per run; one more aborts the run.")
 
-(* The spec parsers raise [Spec_error.Error], which the one handler in
-   the entry point below reports as a usage error. *)
-let faults_of_flags ~spec ~fault_seed ~max_failures ~mode =
-  Option.map
-    (fun raw ->
-      let mode = Cutfit.Faults.mode_of_name mode in
-      Cutfit.Faults.config ~seed:fault_seed ~max_failures ~mode raw)
-    spec
-
 (* --- speculative re-execution flags shared by run/compare/check/workload --- *)
 
 let speculate_arg =
@@ -234,12 +225,29 @@ let speculate_threshold_arg =
           "Multiple of the median per-executor busy time past which the slowest executor is \
            declared a straggler (>= 1).")
 
-let speculation_of_flags ~speculate ~threshold ~fault_seed =
-  if not speculate then None
-  else
-    match Cutfit.Speculation.config ~threshold ~seed:fault_seed () with
-    | c -> Some c
-    | exception Invalid_argument msg -> usage_fail "bad --speculate-threshold: %s" msg
+(* The what-if flags run/compare/check/workload share, read into one
+   [Pricer.what_if] with its scale events and hosts left static (run
+   and check set those from their own flags), paired with the fault
+   seed that also keys those. A malformed fault spec or threshold
+   raises [Spec_error.Error], which the one handler in the entry point
+   below reports as a usage error. *)
+let what_if_term =
+  let read faults_spec checkpoint_every fault_seed fault_mode max_failures speculate threshold =
+    let faults =
+      Option.map
+        (fun raw ->
+          let mode = Cutfit.Faults.mode_of_name fault_mode in
+          Cutfit.Faults.config ~seed:fault_seed ~max_failures ~mode raw)
+        faults_spec
+    in
+    let speculation =
+      if speculate then Some (Cutfit.Speculation.config ~threshold ~seed:fault_seed ()) else None
+    in
+    ({ Cutfit.Pricer.static with checkpoint_every; faults; speculation }, fault_seed)
+  in
+  Term.(
+    const read $ faults_spec_arg $ checkpoint_every_arg $ fault_seed_arg $ fault_mode_arg
+    $ max_failures_arg $ speculate_arg $ speculate_threshold_arg)
 
 (* --- elasticity / heterogeneity flags shared by run/check/workload --- *)
 
@@ -385,24 +393,23 @@ let run_cmd =
   let strategy =
     Arg.(value & opt (some partitioner_arg) None & info [ "p"; "partitioner" ] ~docv:"P" ~doc:"Partitioner (default: advised).")
   in
-  let action algo graph config partitioner seed engine domains faults_spec checkpoint_every
-      fault_seed fault_mode max_failures speculate speculate_threshold scale_events hetero_spec
-      capability trace_out verbose paranoid =
+  let action algo graph config partitioner seed engine domains
+      ((what_if : Cutfit.Pricer.what_if), fault_seed) scale_events hetero_spec capability trace_out
+      verbose paranoid =
     let g = load_graph graph in
     if domains < 1 then usage_fail "domains must be >= 1 (got %d)" domains;
-    let faults =
-      faults_of_flags ~spec:faults_spec ~fault_seed ~max_failures ~mode:fault_mode
-    in
-    let speculation =
-      speculation_of_flags ~speculate ~threshold:speculate_threshold ~fault_seed
-    in
-    let elastic = elastic_of_flags ~spec:scale_events ~fault_seed in
     let executors = config.Cutfit.Cluster.executors in
-    let hetero = hetero_of_flags ~spec:hetero_spec ~executors ~fault_seed in
+    let w =
+      {
+        what_if with
+        elastic = elastic_of_flags ~spec:scale_events ~fault_seed;
+        hetero = hetero_of_flags ~spec:hetero_spec ~executors ~fault_seed;
+      }
+    in
     let partitioner =
       if not capability then partitioner
       else
-        match (hetero, partitioner) with
+        match (w.hetero, partitioner) with
         | None, _ -> usage_fail "--capability requires --hetero (it weights by host speed)"
         | Some _, Some _ -> usage_fail "--capability and --partitioner are mutually exclusive"
         | Some h, None ->
@@ -411,30 +418,30 @@ let run_cmd =
     let telemetry, finish_telemetry = telemetry_of_flags ~trace_out ~verbose in
     let p =
       with_violation_report (fun () ->
-          Cutfit.Pipeline.prepare ~check:paranoid ~cluster:config ?partitioner ?checkpoint_every
-            ?faults ?speculation ?elastic ?hetero ?telemetry ~algorithm:algo g)
+          Cutfit.Pipeline.prepare ~check:paranoid ~cluster:config ?partitioner ~what_if:w
+            ?telemetry ~algorithm:algo g)
     in
     Fmt.pr "partitioner: %s, %s@."
       (Cutfit.Partitioner.name p.Cutfit.Pipeline.partitioner)
       (Cutfit.Cluster.describe config);
-    (match faults with
+    (match w.faults with
     | Some f -> Fmt.pr "faults: %s@." (Cutfit.Faults.describe f)
     | None -> ());
-    (match speculation with
+    (match w.speculation with
     | Some s ->
         Fmt.pr "speculation: on (threshold x%g over the median executor busy time)@."
           s.Cutfit.Speculation.threshold
     | None -> ());
-    (match elastic with
+    (match w.elastic with
     | Some e -> Fmt.pr "scale events: %s@." (Cutfit.Elastic.describe e)
     | None -> ());
-    (match hetero with
+    (match w.hetero with
     | Some h -> Fmt.pr "hetero: %s@." (Cutfit.Elastic.describe_hetero h)
     | None -> ());
     match engine with
     | Csr_engine ->
-        (match (faults, speculation, elastic, hetero) with
-        | None, None, None, None -> ()
+        (match w with
+        | { faults = None; speculation = None; elastic = None; hetero = None; _ } -> ()
         | _ ->
             Fmt.pr
               "note: --faults/--speculate/--scale-events/--hetero perturb only the simulated \
@@ -498,7 +505,7 @@ let run_cmd =
               trace
         in
         Fmt.pr "%a@." Cutfit.Trace.pp_summary trace;
-        (match elastic with
+        (match w.elastic with
         | Some _ ->
             Fmt.pr "reshuffles: %d membership change(s), %s bytes re-shipped@."
               (Cutfit.Trace.num_reshuffles trace)
@@ -521,9 +528,7 @@ let run_cmd =
     Term.(
       const action $ algo_arg $ graph_pos1 $ config_arg $ strategy
       $ seed_arg ~default:5L ~doc:"Seed of the SSSP landmark choice (other algorithms ignore it)."
-      $ engine_arg $ domains_arg $ faults_spec_arg $ checkpoint_every_arg $ fault_seed_arg
-      $ fault_mode_arg $ max_failures_arg $ speculate_arg $ speculate_threshold_arg
-      $ scale_events_arg $ hetero_arg $ capability_arg
+      $ engine_arg $ domains_arg $ what_if_term $ scale_events_arg $ hetero_arg $ capability_arg
       $ trace_out_arg $ verbose_supersteps_arg $ paranoid_arg)
 
 (* --- compare --- *)
@@ -532,21 +537,14 @@ let compare_cmd =
   let graph_pos1 =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"GRAPH" ~doc:"Dataset or file.")
   in
-  let action algo graph config seed faults_spec checkpoint_every fault_seed fault_mode
-      max_failures speculate speculate_threshold trace_out verbose paranoid =
+  let action algo graph config seed (what_if, _) trace_out verbose paranoid =
     let g = load_graph graph in
-    let faults =
-      faults_of_flags ~spec:faults_spec ~fault_seed ~max_failures ~mode:fault_mode
-    in
-    let speculation =
-      speculation_of_flags ~speculate ~threshold:speculate_threshold ~fault_seed
-    in
     let telemetry, finish_telemetry = telemetry_of_flags ~trace_out ~verbose in
     List.iter
       (fun (name, t) -> Fmt.pr "%-10s %s@." name (Cutfit_experiments.Report.seconds t))
       (with_violation_report (fun () ->
-           Cutfit.Pipeline.compare_partitioners ~check:paranoid ~cluster:config ~seed
-             ?checkpoint_every ?faults ?speculation ?telemetry ~algorithm:algo g));
+           Cutfit.Pipeline.compare_partitioners ~check:paranoid ~cluster:config ~seed ~what_if
+             ?telemetry ~algorithm:algo g));
     finish_telemetry ();
     exit_ok
   in
@@ -554,9 +552,7 @@ let compare_cmd =
     Term.(
       const action $ algo_arg $ graph_pos1 $ config_arg
       $ seed_arg ~default:11L ~doc:"Seed of the SSSP landmark choice (other algorithms ignore it)."
-      $ faults_spec_arg $ checkpoint_every_arg $ fault_seed_arg $ fault_mode_arg
-      $ max_failures_arg $ speculate_arg $ speculate_threshold_arg $ trace_out_arg
-      $ verbose_supersteps_arg $ paranoid_arg)
+      $ what_if_term $ trace_out_arg $ verbose_supersteps_arg $ paranoid_arg)
 
 (* --- workload --- *)
 
@@ -755,11 +751,10 @@ let workload_cmd =
     Arg.(value & opt (some string) None & info [ "tenant-deadline" ] ~docv:"SPEC" ~doc)
   in
   let action mix_name jobs seed policy_name select_name threshold cache_gb eviction_name slots
-      faults_spec checkpoint_every fault_seed fault_mode max_failures max_retries speculate
-      speculate_threshold queue_bound shed_policy_name deadline_s deadline_factor breaker_k
-      breaker_cooldown backpressure mutations_spec mutation_seed mutate_every mutation_mode_name
-      scale_events_spec tenants_spec tenant_weights_spec fairness tenant_quota
-      tenant_deadline_spec trace_out verbose check =
+      ((w : Cutfit.Pricer.what_if), fault_seed) max_retries queue_bound shed_policy_name
+      deadline_s deadline_factor breaker_k breaker_cooldown backpressure mutations_spec
+      mutation_seed mutate_every mutation_mode_name scale_events_spec tenants_spec
+      tenant_weights_spec fairness tenant_quota tenant_deadline_spec trace_out verbose check =
     let fail fmt = usage_fail fmt in
     let mix =
       match W.Job.find_mix mix_name with
@@ -780,12 +775,6 @@ let workload_cmd =
       match W.Cache.eviction_of_string eviction_name with
       | Some e -> e
       | None -> fail "unknown eviction policy %S (lru, cost)" eviction_name
-    in
-    let faults =
-      faults_of_flags ~spec:faults_spec ~fault_seed ~max_failures ~mode:fault_mode
-    in
-    let speculation =
-      speculation_of_flags ~speculate ~threshold:speculate_threshold ~fault_seed
     in
     let shed_policy =
       match W.Engine.shed_policy_of_string shed_policy_name with
@@ -845,8 +834,9 @@ let workload_cmd =
     if jobs < 0 then fail "jobs must be >= 0 (got %d)" jobs;
     let sinks = sinks_of_flags ~trace_out ~verbose in
     let run ?telemetry () =
-      W.Engine.run ~slots ~eviction ~budget_bytes:(cache_gb *. 1.0e9) ?checkpoint_every ?faults
-        ?speculation ~max_retries ?queue_bound ~shed_policy ?deadline ?breaker_k
+      W.Engine.run ~slots ~eviction ~budget_bytes:(cache_gb *. 1.0e9)
+        ?checkpoint_every:w.checkpoint_every ?faults:w.faults ?speculation:w.speculation
+        ~max_retries ?queue_bound ~shed_policy ?deadline ?breaker_k
         ~breaker_cooldown_s:breaker_cooldown ?backpressure ~policy ~selection ?telemetry
         ?mutations ~mutate_every ~mutation_mode ?scale_events ~tenant_weights ?tenant_quota
         ~tenant_deadlines ~fairness ~seed
@@ -923,13 +913,11 @@ let workload_cmd =
       const action $ mix_arg $ jobs_arg
       $ seed_arg ~default:7L ~doc:"Seed of the job stream (and of each SSSP job's landmarks)."
       $ policy_arg $ select_arg $ threshold_arg $ cache_gb_arg $ eviction_arg $ slots_arg
-      $ faults_spec_arg $ checkpoint_every_arg $ fault_seed_arg $ fault_mode_arg
-      $ max_failures_arg $ max_retries_arg $ speculate_arg $ speculate_threshold_arg
-      $ queue_bound_arg $ shed_policy_arg $ deadline_s_arg $ deadline_factor_arg $ breaker_k_arg
-      $ breaker_cooldown_arg $ backpressure_arg $ mutations_arg $ mutation_seed_arg
-      $ mutate_every_arg $ mutation_mode_arg $ scale_events_arg $ tenants_arg
-      $ tenant_weights_arg $ fairness_arg $ tenant_quota_arg $ tenant_deadline_arg
-      $ trace_out_arg $ verbose_events_arg $ check_arg)
+      $ what_if_term $ max_retries_arg $ queue_bound_arg $ shed_policy_arg $ deadline_s_arg
+      $ deadline_factor_arg $ breaker_k_arg $ breaker_cooldown_arg $ backpressure_arg
+      $ mutations_arg $ mutation_seed_arg $ mutate_every_arg $ mutation_mode_arg
+      $ scale_events_arg $ tenants_arg $ tenant_weights_arg $ fairness_arg $ tenant_quota_arg
+      $ tenant_deadline_arg $ trace_out_arg $ verbose_events_arg $ check_arg)
 
 (* --- check --- *)
 
@@ -974,17 +962,10 @@ let check_cmd =
       & info [ "elastic" ] ~docv:"SPEC" ~doc)
   in
   let action algo graph config partitioner engine domains races dynamic_spec mutation_seed
-      faults_spec checkpoint_every fault_seed fault_mode max_failures speculate
-      speculate_threshold elastic_spec hetero_spec =
+      ((w : Cutfit.Pricer.what_if), fault_seed) elastic_spec hetero_spec =
     let g = load_graph graph in
     if domains < 1 then usage_fail "domains must be >= 1 (got %d)" domains;
     let dynamic = mutations_of_flags ~spec:dynamic_spec ~seed:mutation_seed in
-    let faults =
-      faults_of_flags ~spec:faults_spec ~fault_seed ~max_failures ~mode:fault_mode
-    in
-    let speculation =
-      speculation_of_flags ~speculate ~threshold:speculate_threshold ~fault_seed
-    in
     let elastic = elastic_of_flags ~spec:elastic_spec ~fault_seed in
     let hetero =
       hetero_of_flags ~spec:hetero_spec ~executors:config.Cutfit.Cluster.executors ~fault_seed
@@ -1000,8 +981,9 @@ let check_cmd =
       if races then Some (List.sort_uniq Int.compare (domains :: [ 1; 2; 4 ])) else None
     in
     let report =
-      Cutfit.Sanitize.check_run ~cluster:config ?partitioner ?checkpoint_every ?faults
-        ?speculation ?elastic ?hetero ?engine_domains ?race_domains ?dynamic ~algorithm:algo g
+      Cutfit.Sanitize.check_run ~cluster:config ?partitioner ?checkpoint_every:w.checkpoint_every
+        ?faults:w.faults ?speculation:w.speculation ?elastic ?hetero ?engine_domains
+        ?race_domains ?dynamic ~algorithm:algo g
     in
     Fmt.pr "%a@." Cutfit.Sanitize.pp_report report;
     if Cutfit.Sanitize.ok report then exit_ok else exit_failure
@@ -1023,9 +1005,8 @@ let check_cmd =
           only time and locality. Exits non-zero on any violation.")
     Term.(
       const action $ algo_arg $ graph_pos1 $ config_arg $ strategy $ engine_arg $ domains_arg
-      $ races_arg $ dynamic_arg $ mutation_seed_arg $ faults_spec_arg $ checkpoint_every_arg
-      $ fault_seed_arg $ fault_mode_arg $ max_failures_arg $ speculate_arg
-      $ speculate_threshold_arg $ elastic_check_arg $ hetero_arg)
+      $ races_arg $ dynamic_arg $ mutation_seed_arg $ what_if_term $ elastic_check_arg
+      $ hetero_arg)
 
 (* --- mutate --- *)
 

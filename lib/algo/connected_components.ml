@@ -18,12 +18,10 @@ let program n =
   let apply v = if acc.(v) < label.(v) then label.(v) <- acc.(v) in
   ({ Pregel.send; flush; apply; state_bytes = 8; msg_bytes = 8 }, label)
 
-let run ?(iterations = 10) ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
-    ~cluster pg =
+let run ?(iterations = 10) ?scale ?cost ?what_if ?telemetry ~cluster pg =
   let program, labels = program (Cutfit_graph.Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg)) in
   let trace =
-    Pregel.run ~max_supersteps:iterations ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero
-      ?telemetry ~cluster pg program
+    Pregel.run ~max_supersteps:iterations ?scale ?cost ?what_if ?telemetry ~cluster pg program
   in
   { labels; trace }
 

@@ -16,17 +16,13 @@ val run :
   ?iterations:int ->
   ?scale:float ->
   ?cost:Cutfit_bsp.Cost_model.t ->
-  ?checkpoint_every:int ->
-  ?faults:Cutfit_bsp.Faults.config ->
-  ?speculation:Cutfit_bsp.Speculation.config ->
-  ?elastic:Cutfit_bsp.Elastic.config ->
-  ?hetero:Cutfit_bsp.Elastic.hetero ->
+  ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   cluster:Cutfit_bsp.Cluster.t ->
   Cutfit_bsp.Pgraph.t ->
   result
 (** Default 10 iterations, per the paper. Pass a large [iterations] to
-    reach the exact fixpoint. *)
+    reach the exact fixpoint. [what_if]: {!Cutfit_bsp.Pricer.what_if}. *)
 
 val run_csr :
   ?iterations:int ->

@@ -22,12 +22,10 @@ let program g =
   let apply v = rank.(v) <- 0.15 +. (0.85 *. acc.(v)) in
   ({ Pregel.send; flush; apply; state_bytes = 8; msg_bytes = 8 }, rank)
 
-let run ?(iterations = 10) ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
-    ~cluster pg =
+let run ?(iterations = 10) ?scale ?cost ?what_if ?telemetry ~cluster pg =
   let program, ranks = program (Cutfit_bsp.Pgraph.graph pg) in
   let trace =
-    Pregel.run ~max_supersteps:iterations ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero
-      ?telemetry ~cluster pg program
+    Pregel.run ~max_supersteps:iterations ?scale ?cost ?what_if ?telemetry ~cluster pg program
   in
   { ranks; trace }
 
@@ -183,12 +181,10 @@ let gas_program g iterations =
   },
   iterations
 
-let run_gas ?(iterations = 10) ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
-    ~cluster pg =
+let run_gas ?(iterations = 10) ?scale ?cost ?what_if ?telemetry ~cluster pg =
   let g = Cutfit_bsp.Pgraph.graph pg in
   let program, max_iterations = gas_program g iterations in
   let r =
-    Cutfit_bsp.Gas.run ~max_iterations ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero
-      ?telemetry ~cluster pg program
+    Cutfit_bsp.Gas.run ~max_iterations ?scale ?cost ?what_if ?telemetry ~cluster pg program
   in
   { ranks = r.Cutfit_bsp.Gas.attrs; trace = r.Cutfit_bsp.Gas.trace }

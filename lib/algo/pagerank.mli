@@ -12,28 +12,19 @@ val run :
   ?iterations:int ->
   ?scale:float ->
   ?cost:Cutfit_bsp.Cost_model.t ->
-  ?checkpoint_every:int ->
-  ?faults:Cutfit_bsp.Faults.config ->
-  ?speculation:Cutfit_bsp.Speculation.config ->
-  ?elastic:Cutfit_bsp.Elastic.config ->
-  ?hetero:Cutfit_bsp.Elastic.hetero ->
+  ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   cluster:Cutfit_bsp.Cluster.t ->
   Cutfit_bsp.Pgraph.t ->
   result
-(** Default 10 iterations. [checkpoint_every] and [faults] are passed
-    through to {!Cutfit_bsp.Pregel.run}; injected faults never change
-    the ranks. *)
+(** Default 10 iterations. [what_if]: {!Cutfit_bsp.Pricer.what_if};
+    it never changes the ranks. *)
 
 val run_gas :
   ?iterations:int ->
   ?scale:float ->
   ?cost:Cutfit_bsp.Cost_model.t ->
-  ?checkpoint_every:int ->
-  ?faults:Cutfit_bsp.Faults.config ->
-  ?speculation:Cutfit_bsp.Speculation.config ->
-  ?elastic:Cutfit_bsp.Elastic.config ->
-  ?hetero:Cutfit_bsp.Elastic.hetero ->
+  ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   cluster:Cutfit_bsp.Cluster.t ->
   Cutfit_bsp.Pgraph.t ->

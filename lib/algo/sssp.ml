@@ -57,8 +57,7 @@ let program ~n ~landmarks =
   in
   ({ Pregel.send; flush; apply; state_bytes = bytes; msg_bytes = bytes }, dist)
 
-let run ?(max_supersteps = 2000) ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
-    ~cluster ~landmarks pg =
+let run ?(max_supersteps = 2000) ?scale ?cost ?what_if ?telemetry ~cluster ~landmarks pg =
   if Array.length landmarks = 0 then invalid_arg "Sssp.run: empty landmark set";
   let n = Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg) in
   Array.iter
@@ -66,8 +65,7 @@ let run ?(max_supersteps = 2000) ?scale ?cost ?checkpoint_every ?faults ?specula
     landmarks;
   let program, dist = program ~n ~landmarks in
   let trace =
-    Pregel.run ~max_supersteps ?scale ?cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
-      ~cluster pg program
+    Pregel.run ~max_supersteps ?scale ?cost ?what_if ?telemetry ~cluster pg program
   in
   let k = Array.length landmarks in
   { distances = Array.init n (fun v -> Array.sub dist (v * k) k); trace }

@@ -16,18 +16,14 @@ val run :
   ?max_supersteps:int ->
   ?scale:float ->
   ?cost:Cutfit_bsp.Cost_model.t ->
-  ?checkpoint_every:int ->
-  ?faults:Cutfit_bsp.Faults.config ->
-  ?speculation:Cutfit_bsp.Speculation.config ->
-  ?elastic:Cutfit_bsp.Elastic.config ->
-  ?hetero:Cutfit_bsp.Elastic.hetero ->
+  ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   cluster:Cutfit_bsp.Cluster.t ->
   landmarks:int array ->
   Cutfit_bsp.Pgraph.t ->
   result
-(** [checkpoint_every] enables periodic lineage checkpoints, which let
-    the road-network runs finish instead of reproducing the paper's
+(** [what_if]: {!Cutfit_bsp.Pricer.what_if}; its [checkpoint_every]
+    lets the road-network runs finish instead of reproducing the paper's
     out-of-memory failure.
     @raise Invalid_argument on an empty or out-of-range landmark set. *)
 

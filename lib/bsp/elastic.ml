@@ -5,7 +5,7 @@ type item =
   | Leave of { step : int; count : int }
   | Preempt of { step : int; retries : int }
 
-type config = { items : item list; raw : string; seed : int }
+type config = { items : item list; seed : int }
 
 let dsl = "scale-events"
 let fail ~item fmt = Spec_error.fail ~dsl ~item fmt
@@ -66,7 +66,7 @@ let item_to_spec = function
 
 let to_spec items = String.concat "," (List.map item_to_spec items)
 
-let config ?(seed = 42) raw = { items = parse_spec raw; raw; seed }
+let config ?(seed = 42) raw = { items = parse_spec raw; seed }
 
 let item_step = function Join { step; _ } | Leave { step; _ } | Preempt { step; _ } -> step
 

@@ -27,17 +27,15 @@ type item =
   | Leave of { step : int; count : int }
   | Preempt of { step : int; retries : int }
 
-type config = { items : item list; raw : string; seed : int }
+type config = { items : item list; seed : int }
 
 val config : ?seed:int -> string -> config
 (** Parse a scale-event spec ("leave@5-1,join@9+2,preempt@12:r1").
     @raise Spec_error.Error (dsl ["scale-events"]) on malformed input. *)
 
-val parse_spec : string -> item list
-
 val to_spec : item list -> string
-(** Canonical inverse of {!parse_spec}: counts and retries of 1 are
-    omitted, so [parse_spec (to_spec items) = items] and the printed
+(** Canonical inverse of {!config}'s parse: counts and retries of 1 are
+    omitted, so [(config (to_spec items)).items = items] and the printed
     string is the minimal spec for those items. *)
 
 val item_step : item -> int

@@ -11,7 +11,6 @@ type item =
 
 type config = {
   items : item list;
-  raw : string;
   seed : int;
   max_failures : int;
   mode : mode;
@@ -84,7 +83,7 @@ let item_to_spec = function
 let to_spec items = String.concat "," (List.map item_to_spec items)
 
 let config ?(seed = 42) ?(max_failures = 2) ?(mode = Rollback) raw =
-  { items = parse_spec raw; raw; seed; max_failures; mode }
+  { items = parse_spec raw; seed; max_failures; mode }
 
 let mode_name = function Rollback -> "rollback" | Lineage -> "lineage"
 
@@ -94,8 +93,8 @@ let mode_of_name = function
   | s -> Spec_error.fail ~dsl "unknown recovery mode %S (rollback|lineage)" s
 
 let describe c =
-  Printf.sprintf "faults %S seed=%d max-failures=%d recovery=%s" c.raw c.seed c.max_failures
-    (mode_name c.mode)
+  Printf.sprintf "faults %S seed=%d max-failures=%d recovery=%s" (to_spec c.items) c.seed
+    c.max_failures (mode_name c.mode)
 
 (* Every random choice below is a keyed draw ([Splitmix64.draw]) per
    (salt, step): plan order never matters, so the realized schedule

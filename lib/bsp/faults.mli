@@ -33,19 +33,15 @@ type item =
 
 type config = {
   items : item list;
-  raw : string;  (** the original spec string, kept for display *)
   seed : int;
   max_failures : int;  (** crashes beyond this budget abort the run *)
   mode : mode;
 }
 
-val parse_spec : string -> item list
-(** Raises {!Spec_error.Error} (dsl ["faults"]) on malformed input. *)
-
 val to_spec : item list -> string
-(** Canonical inverse of {!parse_spec}: options at their documented
+(** Canonical inverse of {!config}'s parse: options at their documented
     defaults are omitted, so the result is the minimal spec string with
-    [parse_spec (to_spec items) = items]. *)
+    [(config (to_spec items)).items = items]. *)
 
 val config : ?seed:int -> ?max_failures:int -> ?mode:mode -> string -> config
 (** Parse a spec string into a config. Defaults: [seed=42],

@@ -15,16 +15,16 @@ type ('v, 'g) program = {
 
 type 'v result = { attrs : 'v array; trace : Trace.t }
 
-let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every
-    ?faults ?speculation ?elastic ?hetero ?telemetry ~cluster pg program =
+let run ?(max_iterations = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?what_if ?telemetry
+    ~cluster pg program =
   let g = Pgraph.graph pg in
   let n = Graph.num_vertices g in
   let num_partitions = Pgraph.num_partitions pg in
   if cluster.Cluster.num_partitions <> num_partitions then
     invalid_arg "Gas.run: cluster and partitioned graph disagree on partition count";
   let pr =
-    Pricer.create ~scale ~cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
-      ~label:"gas" ~state_bytes:program.state_bytes ~cluster pg
+    Pricer.create ~scale ~cost ?what_if ?telemetry ~label:"gas" ~state_bytes:program.state_bytes
+      ~cluster pg
   in
   let ert = Pricer.runtime pr in
   (* The executor of every partition under the live membership, read

@@ -47,11 +47,7 @@ val run :
   ?max_iterations:int ->
   ?scale:float ->
   ?cost:Cost_model.t ->
-  ?checkpoint_every:int ->
-  ?faults:Faults.config ->
-  ?speculation:Speculation.config ->
-  ?elastic:Elastic.config ->
-  ?hetero:Elastic.hetero ->
+  ?what_if:Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   cluster:Cluster.t ->
   Pgraph.t ->
@@ -60,10 +56,5 @@ val run :
 (** Run until no vertex remains active or [max_iterations] (default
     500). All vertices start active. [telemetry] streams one
     {!Cutfit_obs.Event.Superstep} per stage and a closing [Run_end]
-    labelled ["gas"], exactly as {!Pregel.run} does. [checkpoint_every]
-    [faults] and [speculation] carry the same checkpoint /
-    fault-injection / straggler-mitigation semantics as {!Pregel.run}:
-    faults and speculation perturb only the time accounting, never the
-    converged attributes. [elastic] and [hetero] carry {!Pregel.run}'s
-    scale-event and host-capability semantics, with the same
-    time-and-locality-only perturbation guarantee. *)
+    labelled ["gas"], exactly as {!Pregel.run} does. [what_if]:
+    {!Pricer.what_if}; it never changes the converged attributes. *)

@@ -105,16 +105,16 @@ let add_skips (work : float array) p skip_s k =
   done;
   work.(p) <- !w
 
-let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every
-    ?faults ?speculation ?elastic ?hetero ?telemetry ~cluster pg program =
+let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?what_if ?telemetry
+    ~cluster pg program =
   let g = Pgraph.graph pg in
   let n = Graph.num_vertices g in
   let num_partitions = Pgraph.num_partitions pg in
   if cluster.Cluster.num_partitions <> num_partitions then
     invalid_arg "Pregel.run: cluster and partitioned graph disagree on partition count";
   let pr =
-    Pricer.create ~scale ~cost ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry
-      ~label:"pregel" ~state_bytes:program.state_bytes ~cluster pg
+    Pricer.create ~scale ~cost ?what_if ?telemetry ~label:"pregel"
+      ~state_bytes:program.state_bytes ~cluster pg
   in
   let ert = Pricer.runtime pr in
   (* The executor of every partition under the live membership. Only

@@ -77,11 +77,7 @@ val run :
   ?max_supersteps:int ->
   ?scale:float ->
   ?cost:Cost_model.t ->
-  ?checkpoint_every:int ->
-  ?faults:Faults.config ->
-  ?speculation:Speculation.config ->
-  ?elastic:Elastic.config ->
-  ?hetero:Elastic.hetero ->
+  ?what_if:Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   cluster:Cluster.t ->
   Pgraph.t ->
@@ -92,43 +88,14 @@ val run :
     are in the program's own state. [scale] linearly rescales work,
     bytes and memory quantities to the original dataset's size when the
     partitioned graph is a scaled-down analogue (default 1.0).
-    [checkpoint_every] writes the materialized graph to storage every k
-    supersteps, paying the write time but truncating the driver lineage
-    — the standard Spark mitigation for the long-run out-of-memory
-    failures the paper hit. On out-of-memory the program's values
-    reflect the last completed superstep and [trace.outcome] is
-    [Out_of_memory].
-
-    [faults] attaches a deterministic {!Faults} schedule: stragglers and
-    degraded bandwidth stretch the affected supersteps' time, transient
-    shuffle losses and executor crashes append itemized
-    {!Trace.recovery} records (rollback replay against the last
-    [checkpoint_every] checkpoint, or lineage rebuild of the lost
-    partitions, per the config's mode), and crashes beyond the failure
-    budget end the run with [trace.outcome = Aborted]. Faults never
-    touch the computed values: a faulty run's program state is
-    bit-identical to the fault-free run's.
-
-    [speculation] enables {!Speculation} straggler mitigation at every
-    compute superstep (step >= 1): when the slowest executor's busy
-    time exceeds the configured multiple of the median, its tasks are
-    cloned onto the least-loaded executor and the earlier finisher
-    wins, appending an itemized {!Trace.speculation} record (and
-    [Speculative_launch] / [Speculative_win] telemetry). Like faults,
-    speculation perturbs only the time accounting — attributes,
-    counters and superstep wire bytes are untouched.
-
-    [elastic] attaches a deterministic {!Elastic} scale-event schedule:
-    executors join and leave before the scheduled compute supersteps
-    (each membership change re-homes the moved partitions as an
-    itemized, priced {!Trace.reshuffle} — outside the supersteps' wire
-    accounting, like recovery traffic), and spot preemptions route
-    through the {!Faults} recovery machinery as involuntary crashes.
-    [hetero] gives per-executor speed and bandwidth multipliers that
-    divide busy time and scale egress bandwidth. Both perturb only time
-    and locality: the converged attributes and the logical message
-    structure stay bit-identical to the static homogeneous run, which
-    the [elastic] sanitizer suite enforces.
+    [what_if] (default {!Pricer.static}) is the checkpoint cadence,
+    fault schedule, speculation, scale events and host heterogeneity
+    the run is priced under; see {!Pricer.what_if}. On out-of-memory
+    the program's values reflect the last completed superstep and
+    [trace.outcome] is [Out_of_memory]; a crash past the failure budget
+    ends it [Aborted]. Neither changes a completed run's values: a
+    perturbed run's program state is bit-identical to the static
+    run's.
 
     When [telemetry] is given, every stage (including the [step = -1]
     build stage) emits one {!Cutfit_obs.Event.Superstep} event carrying

@@ -15,6 +15,17 @@ type counts = {
   remote_bcast : int;
 }
 
+type what_if = {
+  checkpoint_every : int option;
+  faults : Faults.config option;
+  speculation : Speculation.config option;
+  elastic : Elastic.config option;
+  hetero : Elastic.hetero option;
+}
+
+let static =
+  { checkpoint_every = None; faults = None; speculation = None; elastic = None; hetero = None }
+
 type t = {
   label : string;
   pg : Pgraph.t;
@@ -73,8 +84,9 @@ let place t =
   t.exec_parts <- parts;
   t.exec_work <- Array.map (fun k -> Array.make k 0.0) counts
 
-let create ?(scale = 1.0) ?(cost = Cost_model.default) ?checkpoint_every ?faults ?speculation
-    ?elastic ?hetero ?telemetry ~label ~state_bytes ~cluster pg =
+let create ?(scale = 1.0) ?(cost = Cost_model.default) ?(what_if = static) ?telemetry ~label
+    ~state_bytes ~cluster pg =
+  let { checkpoint_every; faults; speculation; elastic; hetero } = what_if in
   (match checkpoint_every with
   | Some k when k < 1 -> invalid_arg "Pricer.create: checkpoint_every must be >= 1"
   | _ -> ());

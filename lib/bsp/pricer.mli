@@ -38,17 +38,54 @@ type counts = {
 }
 (** What one step did — the pricer's only per-step input. *)
 
+type what_if = {
+  checkpoint_every : int option;
+      (** write the materialized graph to storage every k supersteps,
+          paying the write time but truncating the driver lineage (the
+          standard Spark mitigation for the long-run out-of-memory
+          failures the paper hit); rollback recovery replays from the
+          last checkpoint *)
+  faults : Faults.config option;
+      (** a deterministic {!Faults} schedule: stragglers and degraded
+          bandwidth stretch the affected steps, transient shuffle
+          losses and executor crashes append itemized
+          {!Trace.recovery} records (rollback or lineage rebuild, per
+          the config's mode), and crashes beyond the failure budget end
+          the run [Aborted] *)
+  speculation : Speculation.config option;
+      (** {!Speculation} straggler mitigation at every compute step:
+          when the slowest executor's busy time exceeds the configured
+          multiple of the median, its tasks are cloned onto the
+          least-loaded executor and the earlier finisher wins, each
+          clone an itemized {!Trace.speculation} record *)
+  elastic : Elastic.config option;
+      (** a deterministic {!Elastic} scale-event schedule: executors
+          join and leave before the scheduled compute steps (each
+          membership change re-homes the moved partitions as a priced
+          {!Trace.reshuffle}, outside the steps' wire accounting), and
+          spot preemptions recover like crashes *)
+  hetero : Elastic.hetero option;
+      (** per-executor speed and bandwidth multipliers that divide busy
+          time and scale egress bandwidth *)
+}
+(** The cluster perturbations one run is priced under — the one
+    what-if value every engine, algorithm and pipeline passes through
+    unchanged. Every field perturbs only the time accounting (and, for
+    [elastic] and [hetero], locality): the computed values, counters
+    and superstep wire bytes stay bit-identical to the {!static} run,
+    which the [faults] and [elastic] sanitizer suites enforce. *)
+
+val static : what_if
+(** Every field [None]: a fixed, homogeneous, fault-free cluster with no
+    checkpoints. *)
+
 type t
 (** One run being priced. *)
 
 val create :
   ?scale:float ->
   ?cost:Cost_model.t ->
-  ?checkpoint_every:int ->
-  ?faults:Faults.config ->
-  ?speculation:Speculation.config ->
-  ?elastic:Elastic.config ->
-  ?hetero:Elastic.hetero ->
+  ?what_if:what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   label:string ->
   state_bytes:int ->
@@ -57,8 +94,9 @@ val create :
   t
 (** [label] names the run in its [Run_end] event; [state_bytes] is the
     per-vertex state size that checkpoints, re-shuffles and replica
-    re-broadcasts ship. Defaults: scale 1.0, {!Cost_model.default}.
-    @raise Invalid_argument if [checkpoint_every < 1]. *)
+    re-broadcasts ship. Defaults: scale 1.0, {!Cost_model.default},
+    {!static}.
+    @raise Invalid_argument if [what_if.checkpoint_every < 1]. *)
 
 val runtime : t -> Elastic.runtime
 (** The run's elastic runtime: {!Elastic.exec_of} on it is the executor

@@ -4,7 +4,7 @@ type config = { threshold : float; seed : int }
 
 let config ?(threshold = 2.0) ?(seed = 1) () =
   if not (Float.is_finite threshold && threshold >= 1.0) then
-    invalid_arg "Speculation.config: threshold must be finite and >= 1";
+    Spec_error.fail ~dsl:"speculation" "threshold must be finite and >= 1, got %g" threshold;
   { threshold; seed }
 
 (* Median executor busy time, nearest-rank (same convention as

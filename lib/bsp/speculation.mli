@@ -21,7 +21,8 @@ val config : ?threshold:float -> ?seed:int -> unit -> config
 (** [threshold] (default 2.0) is the multiple of the median executor
     busy time past which the slowest executor is declared a straggler;
     must be >= 1. [seed] (default 1) keys the host tie-break draws.
-    @raise Invalid_argument on a threshold below 1. *)
+    @raise Spec_error.Error (dsl ["speculation"]) on a threshold below
+    1 or not finite. *)
 
 val evaluate :
   config ->

@@ -57,7 +57,7 @@ let scenario ~seed ~index =
       let items = List.init n item in
       let max_failures = int_in 3 1 3 in
       let mode = if chance 4 0.3 then Faults.Lineage else Faults.Rollback in
-      Some (Faults.config ~seed:sc_seed ~max_failures ~mode (Faults.to_spec items))
+      Some { Faults.items; seed = sc_seed; max_failures; mode }
     end
   in
   let elastic =
@@ -72,7 +72,7 @@ let scenario ~seed ~index =
         | 1 -> Elastic.Leave { step; count = int_in (s + 2) 1 2 }
         | _ -> Elastic.Preempt { step; retries = int_in (s + 2) 1 3 }
       in
-      Some (Elastic.config ~seed:sc_seed (Elastic.to_spec (List.init n item)))
+      Some { Elastic.items = List.init n item; seed = sc_seed }
     end
   in
   let mutations =
@@ -89,7 +89,7 @@ let scenario ~seed ~index =
           edges = pick (s + 2) [| 16; 32; 64 |];
         }
       in
-      Some (Mutation.config ~seed:sc_seed (Mutation.to_spec (List.init n item)))
+      Some { Mutation.items = List.init n item; seed = sc_seed }
     end
   in
   let queue_bound = if chance 42 0.35 then Some (int_in 42 2 6) else None in

@@ -3,6 +3,7 @@ module Cluster = Cutfit_bsp.Cluster
 module Faults = Cutfit_bsp.Faults
 module Elastic = Cutfit_bsp.Elastic
 module Spec_error = Cutfit_bsp.Spec_error
+module Speculation = Cutfit_bsp.Speculation
 module Mutation = Cutfit_dynamic.Mutation
 module Engine = Cutfit_workload.Engine
 module Job = Cutfit_workload.Job
@@ -264,10 +265,11 @@ let of_spec raw =
           | m -> p.p_fmode <- Some m
           | exception Spec_error.Error e -> fail_key ~key "%s" e.Spec_error.reason)
       | "ckpt" -> sc := { !sc with checkpoint_every = Some (parse_positive ~key value) }
-      | "speculate" ->
+      | "speculate" -> (
           let t = Spec_error.float ~dsl ~item:key value in
-          if t < 1.0 then fail_key ~key "threshold must be >= 1 (got %s)" (Spec_error.float_lit t);
-          sc := { !sc with speculate = Some t }
+          match Speculation.config ~threshold:t () with
+          | _ -> sc := { !sc with speculate = Some t }
+          | exception Spec_error.Error e -> fail_key ~key "%s" e.Spec_error.reason)
       | "scale" -> p.p_scale <- Some value
       | "hetero" ->
           if not (String.equal value "1") then fail_key ~key "expected hetero=1";
@@ -312,9 +314,7 @@ let of_spec raw =
     List.iter apply (Spec_error.items ~sep:';' raw);
     let sc = !sc in
     (* Build the embedded DSL configs last: they are keyed on the
-       scenario seed, and their raw strings are re-canonicalized through
-       parse + to_spec so the round-trip is exact whatever form the
-       caller typed. *)
+       scenario seed. *)
     let faults =
       match p.p_faults with
       | None ->
@@ -322,17 +322,14 @@ let of_spec raw =
           (match p.p_fmode with Some _ -> fail "fmode given without faults" | None -> ());
           None
       | Some spec ->
-          let items = Faults.parse_spec spec in
           let max_failures = Option.value p.p_maxfail ~default:2 in
           let mode = Option.value p.p_fmode ~default:Faults.Rollback in
-          Some (Faults.config ~seed:sc.seed ~max_failures ~mode (Faults.to_spec items))
+          Some (Faults.config ~seed:sc.seed ~max_failures ~mode spec)
     in
     let elastic =
       match p.p_scale with
       | None -> None
-      | Some spec ->
-          let items = Elastic.parse_spec spec in
-          Some (Elastic.config ~seed:sc.seed (Elastic.to_spec items))
+      | Some spec -> Some (Elastic.config ~seed:sc.seed spec)
     in
     let mutations =
       match p.p_mut with
@@ -340,9 +337,7 @@ let of_spec raw =
           (match p.p_mutevery with Some _ -> fail "mutevery given without mut" | None -> ());
           (match p.p_mutmode with Some _ -> fail "mutmode given without mut" | None -> ());
           None
-      | Some spec ->
-          let items = Mutation.parse_spec spec in
-          Some (Mutation.config ~seed:sc.seed (Mutation.to_spec items))
+      | Some spec -> Some (Mutation.config ~seed:sc.seed spec)
     in
     {
       sc with

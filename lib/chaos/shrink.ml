@@ -13,7 +13,7 @@ let set_faults (sc : Scenario.t) ~max_failures ~mode items : Scenario.t =
       {
         sc with
         Scenario.faults =
-          Some (Faults.config ~seed:sc.Scenario.seed ~max_failures ~mode (Faults.to_spec items));
+          Some { Faults.items; seed = sc.Scenario.seed; max_failures; mode };
       }
 
 let set_elastic (sc : Scenario.t) items : Scenario.t =
@@ -22,7 +22,7 @@ let set_elastic (sc : Scenario.t) items : Scenario.t =
   | _ ->
       {
         sc with
-        Scenario.elastic = Some (Elastic.config ~seed:sc.Scenario.seed (Elastic.to_spec items));
+        Scenario.elastic = Some { Elastic.items; seed = sc.Scenario.seed };
       }
 
 let set_mutations (sc : Scenario.t) items : Scenario.t =
@@ -39,8 +39,7 @@ let set_mutations (sc : Scenario.t) items : Scenario.t =
   | _ ->
       {
         sc with
-        Scenario.mutations =
-          Some (Mutation.config ~seed:sc.Scenario.seed (Mutation.to_spec items));
+        Scenario.mutations = Some { Mutation.items; seed = sc.Scenario.seed };
       }
 
 let remove_nth n l = List.filteri (fun i _ -> i <> n) l

@@ -9,8 +9,9 @@
       {!Diameter}, {!Characterize}, {!Graph_io} — the graph toolkit;
     - {!Strategy}, {!Streaming}, {!Partitioner}, {!Metrics} — vertex-cut
       partitioning;
-    - {!Pgraph}, {!Pregel}, {!Cluster}, {!Cost_model}, {!Trace} — the
-      simulated GraphX/Spark runtime;
+    - {!Pgraph}, {!Pregel}, {!Cluster}, {!Cost_model}, {!Pricer},
+      {!Trace} — the simulated GraphX/Spark runtime ({!Pricer.what_if} is
+      the one value for the perturbations a run is priced under);
     - {!Csr}, {!Par_exec} — the compact flat-array representation and
       the multicore superstep driver that execute the same algorithms
       for real (see docs/PERFORMANCE.md);
@@ -72,6 +73,7 @@ module Faults = Cutfit_bsp.Faults
 module Spec_error = Cutfit_bsp.Spec_error
 module Speculation = Cutfit_bsp.Speculation
 module Elastic = Cutfit_bsp.Elastic
+module Pricer = Cutfit_bsp.Pricer
 
 (* Compact real-execution layer *)
 module Csr = Cutfit_bsp.Csr

@@ -12,15 +12,11 @@ type prepared = {
   partitioner : Partitioner.t;
   scale : float;
   telemetry : Obs.Telemetry.t option;
-  checkpoint_every : int option;
-  faults : Cutfit_bsp.Faults.config option;
-  speculation : Cutfit_bsp.Speculation.config option;
-  elastic : Cutfit_bsp.Elastic.config option;
-  hetero : Cutfit_bsp.Elastic.hetero option;
+  what_if : Cutfit_bsp.Pricer.what_if;
 }
 
 let prepare ?(check = false) ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0)
-    ?checkpoint_every ?faults ?speculation ?elastic ?hetero ?telemetry ~algorithm g =
+    ?(what_if = Cutfit_bsp.Pricer.static) ?telemetry ~algorithm g =
   let num_partitions = cluster.Cluster.num_partitions in
   let partitioner =
     match partitioner with
@@ -32,44 +28,18 @@ let prepare ?(check = false) ?(cluster = Cluster.config_i) ?partitioner ?(scale 
     Cutfit_check.Violation.raise_if_any
       (Cutfit_check.Pgraph_check.assignment g ~num_partitions assignment);
   let pg = Pgraph.build g ~num_partitions assignment in
-  let p =
-    {
-      graph = g;
-      pg;
-      cluster;
-      partitioner;
-      scale;
-      telemetry;
-      checkpoint_every;
-      faults;
-      speculation;
-      elastic;
-      hetero;
-    }
-  in
+  let p = { graph = g; pg; cluster; partitioner; scale; telemetry; what_if } in
   if check then
     Cutfit_check.Violation.raise_if_any
       (Cutfit_check.Pgraph_check.validate pg
       @ Cutfit_check.Metrics_check.validate g ~num_partitions assignment (Pgraph.metrics pg));
   p
 
-let of_pgraph ?(cluster = Cluster.config_i) ?(scale = 1.0) ?checkpoint_every ?faults ?speculation
-    ?elastic ?hetero ?telemetry ~partitioner pg =
+let of_pgraph ?(cluster = Cluster.config_i) ?(scale = 1.0) ?(what_if = Cutfit_bsp.Pricer.static)
+    ?telemetry ~partitioner pg =
   if cluster.Cluster.num_partitions <> Pgraph.num_partitions pg then
     invalid_arg "Pipeline.of_pgraph: cluster and partitioned graph disagree on partition count";
-  {
-    graph = Pgraph.graph pg;
-    pg;
-    cluster;
-    partitioner;
-    scale;
-    telemetry;
-    checkpoint_every;
-    faults;
-    speculation;
-    elastic;
-    hetero;
-  }
+  { graph = Pgraph.graph pg; pg; cluster; partitioner; scale; telemetry; what_if }
 
 let metrics p = Pgraph.metrics p.pg
 
@@ -87,18 +57,16 @@ let start_run p label =
 let pagerank ?iterations p =
   start_run p "pagerank";
   let r =
-    Cutfit_algo.Pagerank.run ?iterations ~scale:p.scale ?checkpoint_every:p.checkpoint_every
-      ?faults:p.faults ?speculation:p.speculation ?elastic:p.elastic ?hetero:p.hetero
-      ?telemetry:p.telemetry ~cluster:p.cluster p.pg
+    Cutfit_algo.Pagerank.run ?iterations ~scale:p.scale ~what_if:p.what_if ?telemetry:p.telemetry
+      ~cluster:p.cluster p.pg
   in
   (r.Cutfit_algo.Pagerank.ranks, r.Cutfit_algo.Pagerank.trace)
 
 let connected_components ?iterations p =
   start_run p "connected_components";
   let r =
-    Cutfit_algo.Connected_components.run ?iterations ~scale:p.scale
-      ?checkpoint_every:p.checkpoint_every ?faults:p.faults ?speculation:p.speculation
-      ?elastic:p.elastic ?hetero:p.hetero ?telemetry:p.telemetry ~cluster:p.cluster p.pg
+    Cutfit_algo.Connected_components.run ?iterations ~scale:p.scale ~what_if:p.what_if
+      ?telemetry:p.telemetry ~cluster:p.cluster p.pg
   in
   (r.Cutfit_algo.Connected_components.labels, r.Cutfit_algo.Connected_components.trace)
 
@@ -117,21 +85,18 @@ let triangles p =
 let shortest_paths ~landmarks p =
   start_run p "shortest_paths";
   let r =
-    Cutfit_algo.Sssp.run ~scale:p.scale ?checkpoint_every:p.checkpoint_every ?faults:p.faults
-      ?speculation:p.speculation ?elastic:p.elastic ?hetero:p.hetero ?telemetry:p.telemetry
+    Cutfit_algo.Sssp.run ~scale:p.scale ~what_if:p.what_if ?telemetry:p.telemetry
       ~cluster:p.cluster ~landmarks p.pg
   in
   (r.Cutfit_algo.Sssp.distances, r.Cutfit_algo.Sssp.trace)
 
 let compare_partitioners ?(check = false) ?(partitioners = Partitioner.paper_six)
-    ?(cluster = Cluster.config_i) ?(scale = 1.0) ?(seed = 11L) ?checkpoint_every ?faults
-    ?speculation ?telemetry ~algorithm g =
+    ?(cluster = Cluster.config_i) ?(scale = 1.0) ?(seed = 11L) ?what_if ?telemetry ~algorithm g =
   let times =
     List.map
       (fun partitioner ->
         let p =
-          prepare ~check ~cluster ~partitioner ~scale ?checkpoint_every ?faults ?speculation
-            ?telemetry ~algorithm g
+          prepare ~check ~cluster ~partitioner ~scale ?what_if ?telemetry ~algorithm g
         in
         let trace =
           match algorithm with

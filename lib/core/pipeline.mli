@@ -29,18 +29,9 @@ type prepared = {
   scale : float;
   telemetry : Cutfit_obs.Telemetry.t option;
       (** threaded into every run launched from this preparation *)
-  checkpoint_every : int option;
-      (** superstep checkpoint cadence, threaded into every Pregel/GAS run *)
-  faults : Cutfit_bsp.Faults.config option;
-      (** deterministic fault schedule, threaded into every Pregel/GAS run *)
-  speculation : Cutfit_bsp.Speculation.config option;
-      (** straggler-mitigation config, threaded into every Pregel/GAS run *)
-  elastic : Cutfit_bsp.Elastic.config option;
-      (** scale-event schedule (joins/leaves/preemptions), threaded into
-          every Pregel/GAS run *)
-  hetero : Cutfit_bsp.Elastic.hetero option;
-      (** per-executor speed/bandwidth multipliers, threaded into every
-          Pregel/GAS run *)
+  what_if : Cutfit_bsp.Pricer.what_if;
+      (** the perturbations ({!Cutfit_bsp.Pricer.what_if}) every
+          Pregel/GAS run launched from this preparation is priced under *)
 }
 
 val prepare :
@@ -48,26 +39,20 @@ val prepare :
   ?cluster:Cutfit_bsp.Cluster.t ->
   ?partitioner:Cutfit_partition.Partitioner.t ->
   ?scale:float ->
-  ?checkpoint_every:int ->
-  ?faults:Cutfit_bsp.Faults.config ->
-  ?speculation:Cutfit_bsp.Speculation.config ->
-  ?elastic:Cutfit_bsp.Elastic.config ->
-  ?hetero:Cutfit_bsp.Elastic.hetero ->
+  ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   algorithm:Advisor.algorithm ->
   Cutfit_graph.Graph.t ->
   prepared
 (** Partition the graph for the given algorithm. Defaults: cluster
-    configuration (i), the advisor's strategy, scale 1.0, no telemetry.
-    Existing callers are unchanged — omitting [telemetry] keeps the
-    zero-allocation fast path in the engines.
+    configuration (i), the advisor's strategy, scale 1.0,
+    {!Cutfit_bsp.Pricer.static}, no telemetry. Omitting [telemetry]
+    keeps the zero-allocation fast path in the engines.
 
-    [checkpoint_every], [faults], [speculation], [elastic] and [hetero]
-    are forwarded to every Pregel/GAS run launched from this
-    preparation. Triangle counting builds its stages outside those
-    engines, so none of the fault schedule, speculative re-execution or
-    the elasticity layer applies to it — a TR run in a faulty or
-    elastic pipeline simply executes statically.
+    [what_if] ({!Cutfit_bsp.Pricer.what_if}) is kept in the preparation.
+    Triangle counting builds its stages outside the Pregel/GAS engines,
+    so no field of it applies there: a TR run in a perturbed pipeline
+    simply executes statically.
 
     With [~check:true] the assignment is validated before the build and
     the frozen {!Cutfit_bsp.Pgraph} plus its metrics are sanitized after
@@ -78,11 +63,7 @@ val prepare :
 val of_pgraph :
   ?cluster:Cutfit_bsp.Cluster.t ->
   ?scale:float ->
-  ?checkpoint_every:int ->
-  ?faults:Cutfit_bsp.Faults.config ->
-  ?speculation:Cutfit_bsp.Speculation.config ->
-  ?elastic:Cutfit_bsp.Elastic.config ->
-  ?hetero:Cutfit_bsp.Elastic.hetero ->
+  ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   partitioner:Cutfit_partition.Partitioner.t ->
   Cutfit_bsp.Pgraph.t ->
@@ -111,9 +92,7 @@ val compare_partitioners :
   ?cluster:Cutfit_bsp.Cluster.t ->
   ?scale:float ->
   ?seed:int64 ->
-  ?checkpoint_every:int ->
-  ?faults:Cutfit_bsp.Faults.config ->
-  ?speculation:Cutfit_bsp.Speculation.config ->
+  ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   algorithm:Advisor.algorithm ->
   Cutfit_graph.Graph.t ->
@@ -123,5 +102,5 @@ val compare_partitioners :
     11L, the historical value — pass the CLI's [--seed] to vary the
     sources deterministically). With [telemetry], the six runs stream
     into one event sequence, each bracketed by a [Run_start] naming
-    algorithm and partitioner. [check] is forwarded to each
-    {!prepare}. *)
+    algorithm and partitioner. [check] and [what_if] are forwarded to
+    each {!prepare}. *)

@@ -86,14 +86,10 @@ let payload ~scale a =
    event), every run yields a canonical digest of its final vertex
    values — what the fault suite compares bit-for-bit across baseline
    and faulty executions. *)
-let run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~cluster ~partitioner
-    ~scale ~algorithm ~algo g =
+let run_once ~cluster ~partitioner ~scale ~algorithm ~algo what_if g =
   let sink, contents = Obs.Sink.collect () in
   let telemetry = Obs.Telemetry.create ~sinks:[ sink ] () in
-  let p =
-    Pipeline.prepare ~cluster ~partitioner ~scale ?checkpoint_every ?faults ?speculation
-      ?elastic ?hetero ~telemetry ~algorithm g
-  in
+  let p = Pipeline.prepare ~cluster ~partitioner ~scale ~what_if ~telemetry ~algorithm g in
   let values, trace = algo.run p in
   Obs.Telemetry.close telemetry;
   (p, trace, algo.kernel.Check.Kernel_check.digest values, contents ())
@@ -106,11 +102,10 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     | Some p -> p
     | None -> Partitioner.Hash (Advisor.advise algorithm ~scale ~num_partitions g)
   in
+  let w = { Cutfit_bsp.Pricer.checkpoint_every; faults; speculation; elastic; hetero } in
   let (Algo a) = algo_of g algorithm in
   let run_once = run_once ~cluster ~partitioner ~scale ~algorithm ~algo:a in
-  let p, trace, attrs_digest, events =
-    run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero g
-  in
+  let p, trace, attrs_digest, events = run_once w g in
   let assignment = Pgraph.assignment p.Pipeline.pg in
   let pgraph_v = Check.Pgraph_check.validate p.Pipeline.pg in
   let metrics_v =
@@ -127,7 +122,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
      executions the determinism suite compares; one replay through the
      same [run_once] configuration is the second. *)
   let digest_of_run () =
-    let _, trace, _, events = run_once ?checkpoint_every ?faults ?speculation ?elastic ?hetero g in
+    let _, trace, _, events = run_once w g in
     Check.Determinism.trace_digest trace ^ "/" ^ Check.Determinism.events_digest events
   in
   let determinism_v =
@@ -147,21 +142,24 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     match (faults, speculation) with
     | None, None -> None
     | _ ->
-        let _, baseline, baseline_attrs, _ = run_once ?checkpoint_every ?elastic ?hetero g in
+        let _, baseline, baseline_attrs, _ =
+          run_once { w with faults = None; speculation = None } g
+        in
         Some
           (Check.Fault_check.equivalence ~label ~baseline ~faulty:trace
              ~baseline_attrs ~faulty_attrs:attrs_digest ())
   in
   (* Dual of the faults suite for membership churn: replay the pipeline
-     statically and homogeneously (same fault schedule, if any) and
-     prove scale events perturbed only time and locality — bit-identical
-     vertex values, unchanged placement-independent structure, and an
-     unbroken membership chain through the reshuffle records. *)
+     statically and homogeneously (same checkpoint cadence and fault
+     schedule) and prove scale events perturbed only time and locality —
+     bit-identical vertex values, unchanged placement-independent
+     structure, and an unbroken membership chain through the reshuffle
+     records. *)
   let elastic_v =
     match (elastic, hetero) with
     | None, None -> None
     | _ ->
-        let _, baseline, baseline_attrs, _ = run_once ?checkpoint_every ?faults ?speculation g in
+        let _, baseline, baseline_attrs, _ = run_once { w with elastic = None; hetero = None } g in
         Some
           (Check.Elastic_check.equivalence ~label ~executors:cluster.Cluster.executors
              ~num_partitions ~baseline ~elastic:trace ~baseline_attrs

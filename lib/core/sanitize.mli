@@ -10,7 +10,8 @@
     (event stream vs trace reconciliation), [determinism] (the
     sanitized run and one replay of it must digest identically). With
     a fault schedule or a speculation config a sixth suite, [faults],
-    replays the pipeline fault-free and speculation-free and proves the
+    replays the pipeline fault-free and speculation-free (same
+    checkpoint cadence, scale events and hosts) and proves the
     equivalence invariant via {!Cutfit_check.Fault_check}: the
     perturbed run's final vertex
     values are bit-identical to the baseline's, its communication
@@ -30,7 +31,8 @@
     laws ({!Cutfit_dynamic.Dyn_check}). With [elastic] (a scale-event
     schedule) or [hetero] (per-executor speed/bandwidth multipliers) an
     [elastic] suite replays the pipeline statically and homogeneously
-    and proves membership churn perturbed only time and locality —
+    (same checkpoint cadence, faults and speculation) and proves
+    membership churn perturbed only time and locality —
     bit-identical vertex values, unchanged placement-independent
     structure, an unbroken membership chain
     ({!Cutfit_check.Elastic_check}). *)
@@ -62,7 +64,10 @@ val check_run :
   Cutfit_graph.Graph.t ->
   report
 (** Defaults mirror {!Pipeline.prepare}: cluster configuration (i), the
-    advisor's partitioner, scale 1.0. SSSP uses the same 3 deterministic
+    advisor's partitioner, scale 1.0. [checkpoint_every], [faults],
+    [speculation], [elastic] and [hetero] are the fields of the one
+    {!Cutfit_bsp.Pricer.what_if} every run of the check is priced
+    under; each baseline removes only the fields its suite perturbs. SSSP uses the same 3 deterministic
     landmarks as {!Pipeline.compare_partitioners}. Runs the pipeline
     twice in total (once observed, once more as the determinism
     replay, whose digest must equal the observed run's) — three with

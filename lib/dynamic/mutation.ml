@@ -7,7 +7,7 @@ type kind = Ins | Del
 
 type item = { kind : kind; from_batch : int; to_batch : int; edges : int }
 
-type config = { items : item list; raw : string; seed : int }
+type config = { items : item list; seed : int }
 
 let dsl = "mutations"
 let fail ~item fmt = Spec_error.fail ~dsl ~item fmt
@@ -40,9 +40,9 @@ let item_to_spec it =
 
 let to_spec items = String.concat "," (List.map item_to_spec items)
 
-let config ?(seed = 42) raw = { items = parse_spec raw; raw; seed }
+let config ?(seed = 42) raw = { items = parse_spec raw; seed }
 
-let describe cfg = Printf.sprintf "%s (seed %d)" cfg.raw cfg.seed
+let describe cfg = Printf.sprintf "%s (seed %d)" (to_spec cfg.items) cfg.seed
 
 let covers batch it = it.from_batch <= batch && batch <= it.to_batch
 

@@ -23,20 +23,17 @@ type kind = Ins | Del
 
 type item = { kind : kind; from_batch : int; to_batch : int; edges : int }
 
-type config = { items : item list; raw : string; seed : int }
-
-val parse_spec : string -> item list
-(** @raise Cutfit_bsp.Spec_error.Error (dsl ["mutations"]) on malformed
-    input. *)
+type config = { items : item list; seed : int }
 
 val to_spec : item list -> string
-(** Canonical inverse of {!parse_spec}: default edge counts ([r32]) and
-    single-batch windows print in their shortest form, so
-    [parse_spec (to_spec items) = items]. *)
+(** Canonical inverse of {!config}'s parse: default edge counts ([r32])
+    and single-batch windows print in their shortest form, so
+    [(config (to_spec items)).items = items]. *)
 
 val config : ?seed:int -> string -> config
 (** [config raw] parses [raw] (default [seed] 42).
-    @raise Cutfit_bsp.Spec_error.Error on malformed input. *)
+    @raise Cutfit_bsp.Spec_error.Error (dsl ["mutations"]) on malformed
+    input. *)
 
 val describe : config -> string
 (** One-line spec summary for banners and reports. *)

@@ -8,6 +8,7 @@ module Cluster = Cutfit_bsp.Cluster
 module Cost_model = Cutfit_bsp.Cost_model
 module Elastic = Cutfit_bsp.Elastic
 module Pgraph = Cutfit_bsp.Pgraph
+module Pricer = Cutfit_bsp.Pricer
 module Trace = Cutfit_bsp.Trace
 module Faults = Cutfit_bsp.Faults
 module Speculation = Cutfit_bsp.Speculation
@@ -881,9 +882,7 @@ type state = {
   cluster : Cluster.t;
   seed : int64;
   iterations : int option;
-  checkpoint_every : int option;
-  faults : Faults.config option;
-  speculation : Speculation.config option;
+  what_if : Pricer.what_if;  (** base perturbations; each attempt redraws [faults] *)
   selection : selection;
   backpressure : int option;
   deadline : deadline option;
@@ -914,19 +913,22 @@ let cluster_for st (job : Job.t) =
    executors) differ per job and per retry — a retried job faces a
    fresh realization of the same fault environment, so a [rand@R]
    schedule can kill one attempt and spare the next. *)
-let faults_for st (job : Job.t) ~attempt =
-  Option.map
-    (fun (f : Faults.config) ->
-      let mixed =
-        Splitmix64.mix64
-          (Int64.logxor
-             (Int64.mul (Int64.of_int (job.Job.id + 1)) 0x9E3779B97F4A7C15L)
-             (Int64.add
-                (Int64.of_int f.Faults.seed)
-                (Int64.mul (Int64.of_int attempt) 0xBF58476D1CE4E5B9L)))
-      in
-      { f with Faults.seed = Int64.to_int mixed land 0x3FFFFFFF })
-    st.faults
+let what_if_for st (job : Job.t) ~attempt =
+  let faults =
+    Option.map
+      (fun (f : Faults.config) ->
+        let mixed =
+          Splitmix64.mix64
+            (Int64.logxor
+               (Int64.mul (Int64.of_int (job.Job.id + 1)) 0x9E3779B97F4A7C15L)
+               (Int64.add
+                  (Int64.of_int f.Faults.seed)
+                  (Int64.mul (Int64.of_int attempt) 0xBF58476D1CE4E5B9L)))
+        in
+        { f with Faults.seed = Int64.to_int mixed land 0x3FFFFFFF })
+      st.what_if.faults
+  in
+  { st.what_if with faults }
 
 (* Structural admission control: a malformed job must produce a failed
    record, never an exception out of the scheduler loop. *)
@@ -1192,16 +1194,12 @@ let execute st ~start_s ~attempt ~slot_preempts ~depth (job : Job.t) =
   let strategy = choose_strategy ~depth st ~at_s:start_s job in
   let ckey = cache_key job strategy in
   let cached = Narrated.find st.cache ~at_s:start_s ~scale ckey in
-  let faults = faults_for st job ~attempt in
+  let what_if = what_if_for st job ~attempt in
   let cluster = cluster_for st job and partitioner = Partitioner.Hash strategy in
-  let checkpoint_every = st.checkpoint_every and speculation = st.speculation in
   let prepared =
     match cached with
-    | Some pg ->
-        Pipeline.of_pgraph ~cluster ~scale ?checkpoint_every ?faults ?speculation ~partitioner pg
-    | None ->
-        Pipeline.prepare ~cluster ~partitioner ~scale ?checkpoint_every ?faults ?speculation
-          ~algorithm:job.Job.algorithm g
+    | Some pg -> Pipeline.of_pgraph ~cluster ~scale ~what_if ~partitioner pg
+    | None -> Pipeline.prepare ~cluster ~partitioner ~scale ~what_if ~algorithm:job.Job.algorithm g
   in
   let start =
     job_start ~strategy:ckey.Cache.strategy ~cache_hit:(Option.is_some cached) ~start_s job
@@ -1402,7 +1400,9 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
   let timeline = Timeline.create ~slots scale_events in
   let st =
     {
-      cluster; seed; iterations; checkpoint_every; faults; speculation; selection; backpressure;
+      cluster; seed; iterations;
+      what_if = { Pricer.static with checkpoint_every; faults; speculation };
+      selection; backpressure;
       deadline; tenant_deadlines; max_retries; emit; timeline;
       memo = { Memo.graphs = Hashtbl.create 16; measured = Hashtbl.create 16 };
       cache = Narrated.create ~eviction ~budget_bytes ~emit ~live_at:(Timeline.live_at timeline);
@@ -1462,7 +1462,7 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
     slots;
     seed;
     max_retries;
-    fault_spec = Option.map (fun (f : Faults.config) -> f.Faults.raw) faults;
+    fault_spec = Option.map (fun (f : Faults.config) -> Faults.to_spec f.Faults.items) faults;
     checkpoint_every;
     queue_bound;
     shed_policy;
@@ -1471,10 +1471,12 @@ let run ?(cluster = Cluster.config_i) ?(slots = 2) ?(eviction = Cache.Lru)
     breaker_cooldown_s;
     backpressure;
     speculation;
-    mutation_spec = Option.map (fun (c : Mutation.config) -> c.Mutation.raw) mutations;
+    mutation_spec =
+      Option.map (fun (c : Mutation.config) -> Mutation.to_spec c.Mutation.items) mutations;
     mutate_every;
     mutation_mode;
-    scale_spec = Option.map (fun (c : Elastic.config) -> c.Elastic.raw) scale_events;
+    scale_spec =
+      Option.map (fun (c : Elastic.config) -> Elastic.to_spec c.Elastic.items) scale_events;
     tenant_weights;
     tenant_quota;
     tenant_deadlines;

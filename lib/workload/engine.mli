@@ -18,9 +18,11 @@
 
     {2 Fault tolerance}
 
-    With [?faults], every Pregel/GAS run executes under a per-job
-    realization of the schedule ({!Cutfit_bsp.Faults}). A run whose
-    cluster dies past its crash budget ends with outcome [aborted]; the
+    [?checkpoint_every], [?faults] and [?speculation] form the one
+    {!Cutfit_bsp.Pricer.what_if} every job's run is priced under, with a
+    per-job realization of the fault schedule ({!Cutfit_bsp.Faults});
+    scale events drive the executor slots instead (see [run]). A run
+    whose cluster dies past its crash budget ends with outcome [aborted]; the
     engine then invalidates the whole partitioning cache (everything
     was resident on the lost cluster) and requeues the job with capped
     exponential backoff ([min 30.0 (2.0 *. 2.0 ** (attempt - 1))]
@@ -171,7 +173,7 @@ type report = {
   slots : int;
   seed : int64;
   max_retries : int;
-  fault_spec : string option;  (** the raw [--faults] spec, when any *)
+  fault_spec : string option;  (** the [--faults] spec, canonical ({!Cutfit_bsp.Faults.to_spec}) *)
   checkpoint_every : int option;
   queue_bound : int option;  (** admission-queue capacity, when bounded *)
   shed_policy : shed_policy;
@@ -182,10 +184,10 @@ type report = {
       (** queue-depth watermark past which selection degrades to the
           cheapest cached strategy *)
   speculation : Cutfit_bsp.Speculation.config option;
-  mutation_spec : string option;  (** the raw [--mutations] spec, when any *)
+  mutation_spec : string option;  (** the [--mutations] spec, canonical *)
   mutate_every : int;  (** job launches between mutation batches *)
   mutation_mode : mutation_mode;
-  scale_spec : string option;  (** the raw [--scale-events] spec, when any *)
+  scale_spec : string option;  (** the [--scale-events] spec, canonical *)
   tenant_weights : (string * float) list;  (** fair-share weights (default 1.0) *)
   tenant_quota : int option;  (** per-tenant admission-queue quota, when any *)
   tenant_deadlines : (string * deadline) list;  (** tenant SLO overrides *)

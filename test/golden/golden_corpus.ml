@@ -10,6 +10,7 @@
 module Bsp = Cutfit_bsp
 module Cluster = Bsp.Cluster
 module Pgraph = Bsp.Pgraph
+module Pricer = Bsp.Pricer
 module Faults = Bsp.Faults
 module Elastic = Bsp.Elastic
 module Speculation = Bsp.Speculation
@@ -116,42 +117,33 @@ let pgraph c =
       Hashtbl.replace pgraphs k pg;
       pg
 
-type knobs = {
-  checkpoint_every : int option;
-  faults : Faults.config option;
-  speculation : Speculation.config option;
-  elastic : Elastic.config option;
-  hetero : Elastic.hetero option;
-}
-
 let fault_schedule = "crash@3,straggler@1-2:x3,loss@2:r2,net@4:x0.5"
 
-let knobs c =
-  let none = { checkpoint_every = None; faults = None; speculation = None; elastic = None; hetero = None } in
+let what_if c : Pricer.what_if =
   match c.perturbation with
-  | Plain -> none
+  | Plain -> Pricer.static
   | Rollback ->
       {
-        none with
+        Pricer.static with
         checkpoint_every = Some 2;
         faults = Some (Faults.config ~seed:3 ~mode:Faults.Rollback fault_schedule);
       }
   | Lineage ->
       {
-        none with
+        Pricer.static with
         checkpoint_every = Some 2;
         faults = Some (Faults.config ~seed:3 ~mode:Faults.Lineage fault_schedule);
       }
-  | Abort -> { none with faults = Some (Faults.config ~max_failures:0 "crash@2") }
+  | Abort -> { Pricer.static with faults = Some (Faults.config ~max_failures:0 "crash@2") }
   | Scale ->
       {
-        none with
+        Pricer.static with
         elastic = Some (Elastic.config ~seed:5 "leave@2-1,join@4+2,preempt@5:r2");
         hetero = Some (Elastic.draw_hetero ~seed:7 ~executors:c.cluster.Cluster.executors);
       }
   | Speculate ->
       {
-        none with
+        Pricer.static with
         speculation = Some (Speculation.config ());
         faults = Some (Faults.config "straggler@1-3:x8");
       }
@@ -159,35 +151,31 @@ let knobs c =
 let run c =
   let pg = pgraph c in
   let cluster = c.cluster in
-  let { checkpoint_every; faults; speculation; elastic; hetero } = knobs c in
+  let what_if = what_if c in
   let sink, read = Obs.Sink.ring ~capacity:(1 lsl 16) () in
   let telemetry = Obs.Telemetry.create ~sinks:[ sink ] () in
   let trace, values =
     match c.engine with
     | Pr_pregel ->
         let r =
-          Algo.Pagerank.run ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~telemetry
-            ~cluster pg
+          Algo.Pagerank.run ~what_if ~telemetry ~cluster pg
         in
         (r.Algo.Pagerank.trace, Fault_check.float_attrs_digest r.Algo.Pagerank.ranks)
     | Pr_gas ->
         let r =
-          Algo.Pagerank.run_gas ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~telemetry
-            ~cluster pg
+          Algo.Pagerank.run_gas ~what_if ~telemetry ~cluster pg
         in
         (r.Algo.Pagerank.trace, Fault_check.float_attrs_digest r.Algo.Pagerank.ranks)
     | Cc_pregel ->
         let r =
-          Algo.Connected_components.run ?checkpoint_every ?faults ?speculation ?elastic ?hetero
-            ~telemetry ~cluster pg
+          Algo.Connected_components.run ~what_if ~telemetry ~cluster pg
         in
         ( r.Algo.Connected_components.trace,
           Fault_check.int_attrs_digest r.Algo.Connected_components.labels )
     | Sssp_pregel ->
         let landmarks = Algo.Sssp.pick_landmarks ~seed:11L ~count:3 (Pgraph.graph pg) in
         let r =
-          Algo.Sssp.run ?checkpoint_every ?faults ?speculation ?elastic ?hetero ~telemetry ~cluster
-            ~landmarks pg
+          Algo.Sssp.run ~what_if ~telemetry ~cluster ~landmarks pg
         in
         ( r.Algo.Sssp.trace,
           Fault_check.int_attrs_digest (Array.concat (Array.to_list r.Algo.Sssp.distances)) )

@@ -39,7 +39,7 @@ let dsls =
   [
     {
       name = "faults";
-      print = (fun s -> Faults.to_spec (Faults.parse_spec s));
+      print = (fun s -> Faults.to_spec ((Faults.config s).Faults.items));
       base =
         [
           "crash@3:e1, straggler@2-4:x2.5, net@1-2:x0.5, loss@2:e0:r3, rand@0.1";
@@ -80,7 +80,7 @@ let dsls =
     };
     {
       name = "scale-events";
-      print = (fun s -> Elastic.to_spec (Elastic.parse_spec s));
+      print = (fun s -> Elastic.to_spec ((Elastic.config s).Elastic.items));
       base =
         [
           "leave@5-1, join@9+2, preempt@12:r3";
@@ -137,7 +137,7 @@ let dsls =
     };
     {
       name = "mutations";
-      print = (fun s -> Mutation.to_spec (Mutation.parse_spec s));
+      print = (fun s -> Mutation.to_spec ((Mutation.config s).Mutation.items));
       base =
         [
           "ins@3:r64, del@2-5:r16";

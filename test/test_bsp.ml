@@ -7,6 +7,7 @@ module Cost_model = Cutfit_bsp.Cost_model
 module Pgraph = Cutfit_bsp.Pgraph
 module Pregel = Cutfit_bsp.Pregel
 module Trace = Cutfit_bsp.Trace
+module Pricer = Cutfit_bsp.Pricer
 module Event = Cutfit_obs.Event
 
 let checkb = Alcotest.(check bool)
@@ -115,6 +116,9 @@ let test_pgraph_rejects_bad_assignment () =
     (fun () -> ignore (Pgraph.build g ~num_partitions:np bad))
 
 (* --- Pregel --- *)
+
+(* Checkpoint every [k] supersteps, nothing else perturbed. *)
+let every k = { Pricer.static with checkpoint_every = Some k }
 
 (* Minimal label-propagation program used to exercise the engine. *)
 let min_label_program =
@@ -333,7 +337,7 @@ let test_checkpoint_prevents_driver_oom () =
   let without = Test_util.run_boxed ~cluster:small pg min_label_program in
   checkb "OOMs without checkpointing" true
     (without.Test_util.trace.Trace.outcome = Trace.Out_of_memory);
-  let with_ckpt = Test_util.run_boxed ~checkpoint_every:5 ~cluster:small pg min_label_program in
+  let with_ckpt = Test_util.run_boxed ~what_if:(every 5) ~cluster:small pg min_label_program in
   checkb "completes with checkpointing" true
     (with_ckpt.Test_util.trace.Trace.outcome = Trace.Completed);
   checkb "checkpoints taken" true (with_ckpt.Test_util.trace.Trace.checkpoints > 0);
@@ -344,7 +348,7 @@ let test_checkpoint_prevents_driver_oom () =
 
 let test_checkpoint_costs_time () =
   let plain = Test_util.run_boxed ~cluster pg min_label_program in
-  let ckpt = Test_util.run_boxed ~checkpoint_every:1 ~cluster pg min_label_program in
+  let ckpt = Test_util.run_boxed ~what_if:(every 1) ~cluster pg min_label_program in
   checkb "same answer" true (plain.Test_util.attrs = ckpt.Test_util.attrs);
   checkb "checkpointing is not free" true
     (ckpt.Test_util.trace.Trace.total_s > plain.Test_util.trace.Trace.total_s)
@@ -421,8 +425,6 @@ let suite =
 
 (* --- superstep pricer --- *)
 
-module Pricer = Cutfit_bsp.Pricer
-
 (* Jitter-free constants, so a priced step has a closed form. *)
 let flat_cost = { Cost_model.default with Cost_model.gc_jitter = 0.0 }
 let checkf what want got = Alcotest.(check (float 0.0)) what want got
@@ -472,8 +474,8 @@ let test_pricer_driver_limit () =
      (step -1) and steps 0, 1 stay under 3.5 steps' worth, step 2 trips. *)
   let meta = Cost_model.default.Cost_model.driver_meta_per_task_bytes in
   let small = { cluster with Cluster.driver_memory_bytes = 3.5 *. float_of_int np *. meta } in
-  let verdicts ?checkpoint_every () =
-    let pr = Pricer.create ?checkpoint_every ~label:"test" ~state_bytes:8 ~cluster:small pg in
+  let verdicts ?what_if () =
+    let pr = Pricer.create ?what_if ~label:"test" ~state_bytes:8 ~cluster:small pg in
     Pricer.build pr;
     let vs =
       List.map
@@ -487,7 +489,7 @@ let test_pricer_driver_limit () =
   in
   let vs, _ = verdicts () in
   Alcotest.(check (list string)) "trips on the predicted step" [ "-"; "-"; "out-of-memory"; "out-of-memory" ] vs;
-  let vs, t = verdicts ~checkpoint_every:2 () in
+  let vs, t = verdicts ~what_if:(every 2) () in
   Alcotest.(check (list string)) "a checkpoint resets the limit" [ "-"; "-"; "-"; "-" ] vs;
   checki "one checkpoint" 1 t.Trace.checkpoints;
   checkf "metadata since the checkpoint" (float_of_int np *. meta) t.Trace.driver_meta_bytes
@@ -499,14 +501,18 @@ let test_pricer_rejects_bad_checkpoint () =
     (fun k ->
       Alcotest.check_raises (Printf.sprintf "checkpoint_every %d" k)
         (Invalid_argument "Pricer.create: checkpoint_every must be >= 1") (fun () ->
-          ignore (Pricer.create ~checkpoint_every:k ~label:"test" ~state_bytes:8 ~cluster pg)))
+          ignore (Pricer.create ~what_if:(every k) ~label:"test" ~state_bytes:8 ~cluster pg)))
     [ 0; -2 ]
 
 let test_pricer_speculation_skips_setup () =
   (* Threshold 1: any skew would launch a clone if speculation were
      evaluated; the build and superstep 0 must never be considered. *)
   let speculation = Cutfit_bsp.Speculation.config ~threshold:1.0 () in
-  let pr = Pricer.create ~cost:flat_cost ~speculation ~label:"test" ~state_bytes:8 ~cluster pg in
+  let pr =
+    Pricer.create ~cost:flat_cost
+      ~what_if:{ Pricer.static with speculation = Some speculation }
+      ~label:"test" ~state_bytes:8 ~cluster pg
+  in
   Pricer.build pr;
   List.iter
     (fun step ->
@@ -521,7 +527,10 @@ let test_pricer_speculation_skips_setup () =
 
 let test_pricer_loss_is_recovery_traffic () =
   let faults = Cutfit_bsp.Faults.config "loss@1:e1:r2" in
-  let pr = Pricer.create ~faults ~label:"test" ~state_bytes:8 ~cluster pg in
+  let pr =
+    Pricer.create ~what_if:{ Pricer.static with faults = Some faults } ~label:"test" ~state_bytes:8
+      ~cluster pg
+  in
   let c = Pricer.begin_step pr ~step:1 in
   c.Pricer.bytes_out.(0) <- 3e6;
   c.Pricer.bytes_out.(1) <- 5e6;
@@ -593,13 +602,10 @@ type frontier_case = {
       (** the run's trace and values digest; fails on a reference mismatch *)
 }
 
-let sssp_case ?elastic ?faults ?checkpoint_every fc_name ~num_partitions ~pgraph ~landmarks g =
+let sssp_case ?what_if fc_name ~num_partitions ~pgraph ~landmarks g =
   let fc_run telemetry =
     let cluster = Test_util.tiny_cluster ~num_partitions () in
-    let r =
-      Sssp.run ?elastic ?faults ?checkpoint_every ~telemetry ~cluster ~landmarks
-        (pgraph ~num_partitions g)
-    in
+    let r = Sssp.run ?what_if ~telemetry ~cluster ~landmarks (pgraph ~num_partitions g) in
     Alcotest.(check (array (array int)))
       (fc_name ^ ": distances = reference")
       (Sssp.reference g ~landmarks) r.Sssp.distances;
@@ -631,9 +637,15 @@ let frontier_cases =
     sssp_case "directed path, one active vertex a step" ~num_partitions:4 ~pgraph:hash_pgraph
       ~landmarks:[| 39 |] path40;
     sssp_case "directed path under scale events and faults" ~num_partitions:4
-      ~pgraph:hash_pgraph ~landmarks:[| 39 |] ~checkpoint_every:3
-      ~elastic:(Cutfit_bsp.Elastic.config ~seed:5 "leave@4-1,join@9+2,preempt@12:r1")
-      ~faults:(Cutfit_bsp.Faults.config ~seed:3 "crash@6,straggler@2-3:x3,loss@8:r1")
+      ~pgraph:hash_pgraph ~landmarks:[| 39 |]
+      ~what_if:
+        {
+          checkpoint_every = Some 3;
+          elastic = Some (Cutfit_bsp.Elastic.config ~seed:5 "leave@4-1,join@9+2,preempt@12:r1");
+          faults = Some (Cutfit_bsp.Faults.config ~seed:3 "crash@6,straggler@2-3:x3,loss@8:r1");
+          speculation = None;
+          hetero = None;
+        }
       path40;
     sssp_case "more partitions than edges" ~num_partitions:16 ~pgraph:hash_pgraph
       ~landmarks:[| 12 |]

@@ -329,7 +329,12 @@ let test_mutation_deadline_regression () =
    faults-suite baseline dropped [checkpoint_every], comparing a
    completed 132-superstep run against a 94-superstep OOM abort.
    Checkpointing is run configuration, not a fault; the baseline now
-   keeps it. *)
+   keeps it. The third scenario is the dual for the elastic suite: its
+   static baseline removes only the scale events, so it keeps the
+   checkpoint cadence (without it this SSSP run OOM-aborts at superstep
+   94 while the elastic run completes 132 stages) and the fault
+   schedule. A dropped fault schedule would pass unseen there: faults
+   move only time, which the elastic suite does not compare. *)
 let test_checkpoint_baseline_regression () =
   List.iter
     (fun spec ->
@@ -341,6 +346,7 @@ let test_checkpoint_baseline_regression () =
     [
       "seed=83958;algo=SSSP;jobs=0;ckpt=4;speculate=3";
       "seed=887570;algo=SSSP;jobs=0;faults=net@1;ckpt=1";
+      "seed=83958;algo=SSSP;jobs=0;faults=crash@6;ckpt=4;scale=join@4";
     ]
 
 (* Regression: the seed-1 bench campaign's engines find (shrunk). SSSP

@@ -259,10 +259,14 @@ let observed_run () =
   let t = Cutfit.Telemetry.create ~sinks:[ sink ] () in
   let p =
     Pipeline.prepare ~cluster ~partitioner:(Partitioner.Hash Cutfit.Strategy.Two_d)
-      ~checkpoint_every:2
-      ~faults:(Cutfit.Faults.config ~seed:42 "crash@2,straggler@3-4:x20")
-      ~speculation:(Cutfit.Speculation.config ~seed:42 ())
-      ~elastic:(Cutfit.Elastic.config ~seed:42 "leave@4-1,join@5+1")
+      ~what_if:
+        {
+          Cutfit.Pricer.static with
+          checkpoint_every = Some 2;
+          faults = Some (Cutfit.Faults.config ~seed:42 "crash@2,straggler@3-4:x20");
+          speculation = Some (Cutfit.Speculation.config ~seed:42 ());
+          elastic = Some (Cutfit.Elastic.config ~seed:42 "leave@4-1,join@5+1");
+        }
       ~telemetry:t ~algorithm:Cutfit.Advisor.Pagerank g
   in
   let trace = snd (Pipeline.pagerank p) in

@@ -310,12 +310,13 @@ let test_fault_schedule_equivalence () =
   (* Faults perturb only the boxed engine's time accounting; the CSR
      kernel must match the faulty run's values bit-for-bit too. *)
   let faults = Faults.config ~seed:5 "straggler@2:x3,loss@3:r2,crash@4:e1" in
-  let faulty = Pagerank.run ~iterations:8 ~faults ~cluster pg in
+  let what_if = { Cutfit_bsp.Pricer.static with faults = Some faults } in
+  let faulty = Pagerank.run ~iterations:8 ~what_if ~cluster pg in
   let csr_digest = Check.Fault_check.float_attrs_digest (Pagerank.run_csr ~iterations:8 csr) in
   checks "csr = faulty boxed pagerank"
     (Check.Fault_check.float_attrs_digest faulty.Pagerank.ranks)
     csr_digest;
-  let faulty_cc = Cc.run ~iterations:10 ~faults ~cluster pg in
+  let faulty_cc = Cc.run ~iterations:10 ~what_if ~cluster pg in
   checks "csr = faulty boxed cc"
     (Check.Fault_check.int_attrs_digest faulty_cc.Cc.labels)
     (Check.Fault_check.int_attrs_digest (Cc.run_csr ~iterations:10 ~domains:2 csr))

@@ -27,7 +27,7 @@ let cfg = Mutation.config "ins@1-3:r48,del@1-3:r12"
 (* --- spec parsing --- *)
 
 let test_parse_spec () =
-  (match Mutation.parse_spec "ins@3:r64, del@2-5:r16" with
+  (match (Mutation.config "ins@3:r64, del@2-5:r16").Mutation.items with
   | [
    { Mutation.kind = Mutation.Ins; from_batch = 3; to_batch = 3; edges = 64 };
    { Mutation.kind = Mutation.Del; from_batch = 2; to_batch = 5; edges = 16 };
@@ -35,7 +35,7 @@ let test_parse_spec () =
       ()
   | _ -> Alcotest.fail "spec did not parse to the expected items");
   (* rN defaults to r32 *)
-  (match Mutation.parse_spec "ins@1" with
+  (match (Mutation.config "ins@1").Mutation.items with
   | [ { Mutation.kind = Mutation.Ins; edges = 32; _ } ] -> ()
   | _ -> Alcotest.fail "default rate did not apply");
   checki "max_batch spans all items" 5 (Mutation.max_batch (Mutation.config "ins@3:r64,del@2-5:r16"));
@@ -44,13 +44,13 @@ let test_parse_spec () =
 
 let test_parse_spec_rejects () =
   let rejects spec =
-    match Mutation.parse_spec spec with
+    match (Mutation.config spec).Mutation.items with
     | exception Cutfit_bsp.Spec_error.Error _ -> ()
     | _ -> Alcotest.fail (Printf.sprintf "spec %S should not parse" spec)
   in
   List.iter rejects [ ""; "grow@1"; "ins@0"; "ins@3-2"; "ins@1:r0"; "ins@1:x4"; "ins@" ]
 
-(* --- to_spec: the canonical inverse of parse_spec --- *)
+(* --- to_spec: the canonical inverse of the spec parser --- *)
 
 let mutation_items_gen =
   let open QCheck2.Gen in
@@ -66,11 +66,11 @@ let mutation_items_gen =
 let test_to_spec_round_trip =
   Test_util.qtest ~count:300 "mutations: parse (to_spec items) = items" ~print:Mutation.to_spec
     mutation_items_gen
-    (fun items -> Mutation.parse_spec (Mutation.to_spec items) = items)
+    (fun items -> (Mutation.config (Mutation.to_spec items)).Mutation.items = items)
 
 let test_to_spec_minimal () =
   Alcotest.(check string) "defaults omitted" "ins@3,del@2-5:r16"
-    (Mutation.to_spec (Mutation.parse_spec "ins@3-3:r32, del@2-5:r16"))
+    (Mutation.to_spec ((Mutation.config "ins@3-3:r32, del@2-5:r16").Mutation.items))
 
 (* --- planning and application --- *)
 

@@ -25,7 +25,7 @@ let graph name = Cutfit.Datasets.generate (Cutfit.Datasets.find name)
 (* --- the scale-event DSL --- *)
 
 let test_parse_spec () =
-  (match Elastic.parse_spec "leave@5-1, join@9+2, preempt@12:r3" with
+  (match (Elastic.config "leave@5-1, join@9+2, preempt@12:r3").Elastic.items with
   | [
    Elastic.Leave { step = 5; count = 1 };
    Elastic.Join { step = 9; count = 2 };
@@ -34,14 +34,14 @@ let test_parse_spec () =
       ()
   | _ -> Alcotest.fail "spec did not parse to the expected items");
   (* defaults: +1, -1, r1 *)
-  (match Elastic.parse_spec "join@3,leave@4,preempt@2" with
+  (match (Elastic.config "join@3,leave@4,preempt@2").Elastic.items with
   | [
    Elastic.Join { count = 1; _ }; Elastic.Leave { count = 1; _ }; Elastic.Preempt { retries = 1; _ };
   ] ->
       ()
   | _ -> Alcotest.fail "defaults did not apply");
   let c = Elastic.config ~seed:7 "leave@5-1,join@9+2" in
-  checks "raw spec preserved" "leave@5-1,join@9+2" c.Elastic.raw;
+  checks "items re-print canonically" "leave@5,join@9+2" (Elastic.to_spec c.Elastic.items);
   checki "seed preserved" 7 c.Elastic.seed;
   checki "total joins" 2 (Elastic.total_joins c);
   let d = Elastic.describe c in
@@ -55,7 +55,7 @@ let test_parse_spec () =
 
 let test_parse_spec_rejects () =
   let rejects spec =
-    match Elastic.parse_spec spec with
+    match (Elastic.config spec).Elastic.items with
     | exception Cutfit_bsp.Spec_error.Error _ -> ()
     | _ -> Alcotest.fail (Printf.sprintf "spec %S should not parse" spec)
   in
@@ -74,7 +74,7 @@ let test_parse_spec_rejects () =
       "" (* no events *);
     ]
 
-(* --- to_spec: the canonical inverse of parse_spec --- *)
+(* --- to_spec: the canonical inverse of the spec parser --- *)
 
 let elastic_items_gen =
   let open QCheck2.Gen in
@@ -92,13 +92,13 @@ let elastic_items_gen =
 let test_to_spec_round_trip =
   Test_util.qtest ~count:300 "scale-events: parse (to_spec items) = items"
     ~print:Elastic.to_spec elastic_items_gen
-    (fun items -> Elastic.parse_spec (Elastic.to_spec items) = items)
+    (fun items -> (Elastic.config (Elastic.to_spec items)).Elastic.items = items)
 
 let test_to_spec_minimal () =
   checks "defaults omitted" "join@3,leave@4,preempt@2"
-    (Elastic.to_spec (Elastic.parse_spec "join@3+1,leave@4-1,preempt@2:r1"));
+    (Elastic.to_spec ((Elastic.config "join@3+1,leave@4-1,preempt@2:r1").Elastic.items));
   checks "non-defaults kept" "leave@5-2,join@9+2,preempt@12:r3"
-    (Elastic.to_spec (Elastic.parse_spec "leave@5-2, join@9+2, preempt@12:r3"))
+    (Elastic.to_spec ((Elastic.config "leave@5-2, join@9+2, preempt@12:r3").Elastic.items))
 
 (* --- stateless realization --- *)
 
@@ -167,7 +167,8 @@ let elastic_cfg = Elastic.config ~seed:3 "leave@2-1,join@4+2"
 let test_elastic_preserves_values_pr () =
   let g = graph "pocek" in
   let run ?elastic ?hetero () =
-    let p = Pipeline.prepare ?elastic ?hetero ~algorithm:Advisor.Pagerank g in
+    let what_if = { Cutfit.Pricer.static with elastic; hetero } in
+    let p = Pipeline.prepare ~what_if ~algorithm:Advisor.Pagerank g in
     Pipeline.pagerank p
   in
   let static_ranks, static_trace = run () in
@@ -197,11 +198,13 @@ let test_elastic_preserves_values_cc_sssp () =
          ~elastic:elastic_trace ~baseline_attrs:static_attrs ~elastic_attrs ())
   in
   check_algo "CC" (fun elastic ->
-      let p = Pipeline.prepare ?elastic ~algorithm:Advisor.Connected_components g in
+      let what_if = { Cutfit.Pricer.static with elastic } in
+      let p = Pipeline.prepare ~what_if ~algorithm:Advisor.Connected_components g in
       let labels, t = Pipeline.connected_components p in
       (Fault_check.int_attrs_digest labels, t));
   check_algo "SSSP" (fun elastic ->
-      let p = Pipeline.prepare ?elastic ~algorithm:Advisor.Shortest_paths g in
+      let what_if = { Cutfit.Pricer.static with elastic } in
+      let p = Pipeline.prepare ~what_if ~algorithm:Advisor.Shortest_paths g in
       let d, t = Pipeline.shortest_paths ~landmarks:[| 0; 7 |] p in
       (Fault_check.int_attrs_digest (Array.concat (Array.to_list d)), t))
 
@@ -243,7 +246,7 @@ let test_workload_scale_counters () =
   checki "one leave applied" 1 r.Engine.leaves;
   checki "one join applied" 1 r.Engine.joins;
   checki "no preemptions" 0 (Engine.preemptions r);
-  checkb "spec recorded" true (r.Engine.scale_spec = Some "leave@5-1,join@9+2");
+  checkb "spec recorded canonically" true (r.Engine.scale_spec = Some "leave@5,join@9+2");
   (* Satellite law: a leave invalidates every cached partitioning that
      referenced the departed executor, so no stale-placement hit is ever
      served. *)

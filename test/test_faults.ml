@@ -5,6 +5,7 @@
    retry/failure semantics. *)
 
 module Faults = Cutfit_bsp.Faults
+module Pricer = Cutfit_bsp.Pricer
 module Trace = Cutfit_bsp.Trace
 module Cost_model = Cutfit_bsp.Cost_model
 module Pipeline = Cutfit.Pipeline
@@ -29,7 +30,8 @@ let check_rule what rule vs =
 (* --- spec parsing --- *)
 
 let test_parse_spec () =
-  (match Faults.parse_spec "crash@3:e1, straggler@2-4:x2.5, net@1-2:x0.5, loss@2:e0:r3, rand@0.1" with
+  let spec = "crash@3:e1, straggler@2-4:x2.5, net@1-2:x0.5, loss@2:e0:r3, rand@0.1" in
+  (match (Faults.config spec).Faults.items with
   | [
    Faults.Crash { step = 3; executor = Some 1 };
    Faults.Straggler { from_step = 2; to_step = 4; executor = None; factor = 2.5 };
@@ -40,7 +42,7 @@ let test_parse_spec () =
       ()
   | _ -> Alcotest.fail "spec did not parse to the expected items");
   (* defaults *)
-  (match Faults.parse_spec "straggler@1,net@1,loss@1" with
+  (match (Faults.config "straggler@1,net@1,loss@1").Faults.items with
   | [
    Faults.Straggler { factor = 4.0; executor = None; _ };
    Faults.Net { factor = 0.25; _ };
@@ -51,7 +53,7 @@ let test_parse_spec () =
 
 let test_parse_spec_rejects () =
   let rejects spec =
-    match Faults.parse_spec spec with
+    match (Faults.config spec).Faults.items with
     | exception Cutfit_bsp.Spec_error.Error _ -> ()
     | _ -> Alcotest.fail (Printf.sprintf "spec %S should not parse" spec)
   in
@@ -70,7 +72,7 @@ let test_parse_spec_rejects () =
       "crash" (* missing @ *);
     ]
 
-(* --- to_spec: the canonical inverse of parse_spec --- *)
+(* --- to_spec: the canonical inverse of the spec parser --- *)
 
 let fault_items_gen =
   let open QCheck2.Gen in
@@ -96,21 +98,21 @@ let fault_items_gen =
 let test_to_spec_round_trip =
   Test_util.qtest ~count:300 "faults: parse (to_spec items) = items" ~print:Faults.to_spec
     fault_items_gen
-    (fun items -> Faults.parse_spec (Faults.to_spec items) = items)
+    (fun items -> (Faults.config (Faults.to_spec items)).Faults.items = items)
 
 let test_to_spec_minimal () =
   checks "defaults omitted" "crash@3,straggler@2-4,net@1,loss@5"
-    (Faults.to_spec (Faults.parse_spec "crash@3,straggler@2-4:x4,net@1:x0.25,loss@5:r1"));
+    (Faults.to_spec (Faults.config "crash@3,straggler@2-4:x4,net@1:x0.25,loss@5:r1").Faults.items);
   checks "non-defaults kept"
     "crash@3:e1,straggler@2:e0:x2.5,net@1-2:x0.5,loss@2:e0:r3,rand@0.1"
     (Faults.to_spec
-       (Faults.parse_spec "crash@3:e1, straggler@2-2:e0:x2.5, net@1-2:x0.5, loss@2:e0:r3, rand@0.1"))
+       (Faults.config "crash@3:e1, straggler@2-2:e0:x2.5, net@1-2:x0.5, loss@2:e0:r3, rand@0.1")
+         .Faults.items)
 
 let test_config_describe () =
   let c = Faults.config ~seed:7 ~max_failures:1 ~mode:Faults.Lineage "crash@2:e0" in
   checki "seed" 7 c.Faults.seed;
   checki "budget" 1 c.Faults.max_failures;
-  checks "raw spec preserved" "crash@2:e0" c.Faults.raw;
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -171,27 +173,25 @@ let cluster = Test_util.tiny_cluster ()
 let g1 = Test_util.random_graph ~seed:77L ~n:200 ~m:1400
 let g2 = Test_util.random_graph ~seed:5L ~n:120 ~m:900
 
-let run_pagerank ?faults ?checkpoint_every g =
-  let p =
-    Pipeline.prepare ~cluster ?faults ?checkpoint_every ~algorithm:Advisor.Pagerank g
-  in
+let run_pagerank ?what_if g =
+  let p = Pipeline.prepare ~cluster ?what_if ~algorithm:Advisor.Pagerank g in
   let ranks, trace = Pipeline.pagerank ~iterations:8 p in
   (Fault_check.float_attrs_digest ranks, trace)
 
-let run_sssp ?faults ?checkpoint_every g =
-  let p =
-    Pipeline.prepare ~cluster ?faults ?checkpoint_every ~algorithm:Advisor.Shortest_paths g
-  in
+let run_sssp ?what_if g =
+  let p = Pipeline.prepare ~cluster ?what_if ~algorithm:Advisor.Shortest_paths g in
   let dists, trace = Pipeline.shortest_paths ~landmarks:[| 0; 3 |] p in
   (Fault_check.int_attrs_digest (Array.concat (Array.to_list dists)), trace)
 
 let equivalence_case ~label ~mode
     (run :
-      ?faults:Faults.config -> ?checkpoint_every:int -> Cutfit_graph.Graph.t -> string * Trace.t)
+      ?what_if:Pricer.what_if -> Cutfit_graph.Graph.t -> string * Trace.t)
     graph =
   let faults = Faults.config ~mode "crash@2,straggler@1-3:x3,loss@3" in
   let baseline_attrs, baseline = run graph in
-  let faulty_attrs, faulty = run ~faults ~checkpoint_every:2 graph in
+  let faulty_attrs, faulty =
+    run ~what_if:{ Pricer.static with faults = Some faults; checkpoint_every = Some 2 } graph
+  in
   checkb (label ^ ": faulty run completed") true (Trace.completed faulty);
   checkb (label ^ ": recovery actually happened") true (Trace.num_recoveries faulty > 0);
   checks (label ^ ": bit-identical values") baseline_attrs faulty_attrs;
@@ -212,7 +212,7 @@ let test_equivalence_without_checkpoints () =
   (* no checkpoint cadence: rollback falls back to a full reload + replay *)
   let faults = Faults.config ~mode:Faults.Rollback "crash@3" in
   let baseline_attrs, baseline = run_pagerank g1 in
-  let faulty_attrs, faulty = run_pagerank ~faults g1 in
+  let faulty_attrs, faulty = run_pagerank ~what_if:{ Pricer.static with faults = Some faults } g1 in
   checkb "completed without checkpoints" true (Trace.completed faulty);
   checks "bit-identical values" baseline_attrs faulty_attrs;
   check_clean "equivalence"
@@ -220,7 +220,7 @@ let test_equivalence_without_checkpoints () =
 
 let test_abort_past_budget () =
   let faults = Faults.config ~max_failures:0 "crash@2" in
-  let _attrs, faulty = run_pagerank ~faults g2 in
+  let _attrs, faulty = run_pagerank ~what_if:{ Pricer.static with faults = Some faults } g2 in
   checkb "aborted" true (faulty.Trace.outcome = Trace.Aborted);
   checkb "not completed" false (Trace.completed faulty);
   checks "outcome name" "aborted" (Trace.outcome_name faulty.Trace.outcome)
@@ -241,7 +241,9 @@ let test_equivalence_detects_divergence () =
   (* the straggler stretches supersteps, so the swapped direction below
      is strictly cheaper and must trip the time law *)
   let faults = Faults.config "crash@2,straggler@1-4:x3" in
-  let faulty_attrs, faulty = run_pagerank ~faults ~checkpoint_every:2 g2 in
+  let faulty_attrs, faulty =
+    run_pagerank ~what_if:{ Pricer.static with faults = Some faults; checkpoint_every = Some 2 } g2
+  in
   (* tampered values *)
   check_rule "tampered digest" "value-divergence"
     (Fault_check.equivalence ~baseline ~faulty ~baseline_attrs ~faulty_attrs:"deadbeef" ());

@@ -331,10 +331,15 @@ let test_events_share_trace_records () =
   let ring, contents = Sink.ring () in
   let t = Telemetry.create ~sinks:[ ring ] () in
   let p =
-    Cutfit.Pipeline.prepare ~checkpoint_every:2
-      ~faults:(Cutfit.Faults.config ~seed:42 "crash@2,straggler@3-4:x20")
-      ~speculation:(Cutfit.Speculation.config ~seed:42 ())
-      ~elastic:(Cutfit.Elastic.config ~seed:42 "leave@4-1,join@5+1")
+    Cutfit.Pipeline.prepare
+      ~what_if:
+        {
+          Cutfit.Pricer.static with
+          checkpoint_every = Some 2;
+          faults = Some (Cutfit.Faults.config ~seed:42 "crash@2,straggler@3-4:x20");
+          speculation = Some (Cutfit.Speculation.config ~seed:42 ());
+          elastic = Some (Cutfit.Elastic.config ~seed:42 "leave@4-1,join@5+1");
+        }
       ~telemetry:t ~algorithm:Cutfit.Advisor.Pagerank g
   in
   let _ranks, trace = Cutfit.Pipeline.pagerank p in

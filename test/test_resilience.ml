@@ -54,7 +54,8 @@ let test_percentiles_nearest_rank () =
 let test_speculation_preserves_values () =
   let g = Cutfit.Datasets.generate (Cutfit.Datasets.find "pocek") in
   let run ?speculation () =
-    let p = Pipeline.prepare ~faults:stragglers ?speculation ~algorithm:Advisor.Pagerank g in
+    let what_if = { Cutfit.Pricer.static with faults = Some stragglers; speculation } in
+    let p = Pipeline.prepare ~what_if ~algorithm:Advisor.Pagerank g in
     Pipeline.pagerank p
   in
   let ranks_plain, trace_plain = run () in

@@ -21,9 +21,9 @@ let rejects what dsl parse spec =
       checks (Printf.sprintf "%s %S: dsl" what spec) dsl e.Spec_error.dsl
   | _ -> Alcotest.failf "%s %S should not parse" what spec
 
-let faults s = Faults.to_spec (Faults.parse_spec s)
-let scale s = Elastic.to_spec (Elastic.parse_spec s)
-let mutations s = Mutation.to_spec (Mutation.parse_spec s)
+let faults s = Faults.to_spec ((Faults.config s).Faults.items)
+let scale s = Elastic.to_spec ((Elastic.config s).Elastic.items)
+let mutations s = Mutation.to_spec ((Mutation.config s).Mutation.items)
 let chaos s = Scenario.to_spec (Scenario.of_spec s)
 
 (* The multipliers of a profile as a spec: SPEED/BANDWIDTH per executor. *)
@@ -47,7 +47,7 @@ let test_non_finite_rejected () =
   List.iter
     (fun threshold ->
       match Speculation.config ~threshold () with
-      | exception Invalid_argument _ -> ()
+      | exception Spec_error.Error { dsl = "speculation"; _ } -> ()
       | _ -> Alcotest.failf "speculation threshold %g should be rejected" threshold)
     [ Float.nan; Float.infinity ]
 
@@ -117,14 +117,14 @@ let faults_prop =
     (spec_gen
        ~kinds:[ "crash@"; "straggler@"; "net@"; "loss@"; "rand@" ]
        ([ ":e"; ":x"; ":r"; "0.25"; "4" ] @ numbers @ punctuation))
-    Faults.parse_spec
-    (fun items -> Faults.parse_spec (Faults.to_spec items) = items)
+    (fun s -> (Faults.config s).Faults.items)
+    (fun items -> (Faults.config (Faults.to_spec items)).Faults.items = items)
 
 let scale_prop =
   property "scale-events: any string parses or is a Spec_error; round-trips"
     (spec_gen ~kinds:[ "join@"; "leave@"; "preempt@" ] ([ ":r"; ":x" ] @ numbers @ punctuation))
-    Elastic.parse_spec
-    (fun items -> Elastic.parse_spec (Elastic.to_spec items) = items)
+    (fun s -> (Elastic.config s).Elastic.items)
+    (fun items -> (Elastic.config (Elastic.to_spec items)).Elastic.items = items)
 
 let hetero_prop =
   property "hetero: any string parses or is a Spec_error; round-trips"
@@ -135,8 +135,8 @@ let hetero_prop =
 let mutations_prop =
   property "mutations: any string parses or is a Spec_error; round-trips"
     (spec_gen ~kinds:[ "ins@"; "del@"; "INS@"; "grow@" ] ([ ":r"; ":x" ] @ numbers @ punctuation))
-    Mutation.parse_spec
-    (fun items -> Mutation.parse_spec (Mutation.to_spec items) = items)
+    (fun s -> (Mutation.config s).Mutation.items)
+    (fun items -> (Mutation.config (Mutation.to_spec items)).Mutation.items = items)
 
 let chaos_prop =
   property "chaos: any string parses or is a Spec_error; round-trips"

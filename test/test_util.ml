@@ -133,9 +133,9 @@ let boxed ~n b =
 
 type 'v boxed_result = { attrs : 'v array; trace : Cutfit_bsp.Trace.t }
 
-let run_boxed ?max_supersteps ?scale ?checkpoint_every ?telemetry ~cluster pg b =
+let run_boxed ?max_supersteps ?scale ?what_if ?telemetry ~cluster pg b =
   let program, values = boxed ~n:(Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg)) b in
-  let trace = Pregel.run ?max_supersteps ?scale ?checkpoint_every ?telemetry ~cluster pg program in
+  let trace = Pregel.run ?max_supersteps ?scale ?what_if ?telemetry ~cluster pg program in
   { attrs = values (); trace }
 
 (* Tiny cluster configuration so engine tests run on graphs of tens of

@@ -222,8 +222,10 @@ echo "== elastic smoke (scale events + two tenants, checked)"
 # membership churn plus a preemption over a weighted two-tenant stream;
 # --check rides the fairness, quota and scale-event laws, and the digest
 # is pinned, so a moved retries, joins, leaves or preemptions line fails
-# here; the elastic sanitizer suite proves values stay bit-identical
-elastic_digest=f6147b952f53497b1575b6883a664333
+# here; the elastic sanitizer suite proves values stay bit-identical.
+# The report echoes the schedule canonically (leave@5,join@9+2,preempt@12),
+# and the digest covers that echo
+elastic_digest=dcac3492b140fd2a5e3e23c00237ef95
 out=$(dune exec bin/cutfit_cli.exe -- workload --jobs 20 --slots 2 \
   --tenants 'acme:3,beta:1' --tenant-weights 'acme:3,beta:1' --fairness \
   --scale-events 'leave@5-1,join@9+2,preempt@12:r1' --check)
@@ -424,6 +426,17 @@ for sub in "run PR roadnet_pa" workload; do
     exit 1
   fi
 done
+# a speculation threshold below 1 is a usage error whose message names
+# the threshold, not a library function
+set +e
+out=$(_build/default/bin/cutfit_cli.exe run PR roadnet_pa --speculate --speculate-threshold 0.5 2>&1 >/dev/null)
+got=$?
+set -e
+if [ "$got" != 2 ] || echo "$out" | grep -q "Speculation.config" || ! echo "$out" | grep -q "threshold"; then
+  echo "--speculate-threshold 0.5: want exit 2 and a message naming the threshold, got exit $got:" >&2
+  echo "$out" >&2
+  exit 1
+fi
 expect_exit 1 _build/default/tools/lint/lint.exe --self-test no_such_fixture_dir
 
 if command -v odoc >/dev/null 2>&1; then
