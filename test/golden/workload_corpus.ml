@@ -68,6 +68,16 @@ let stream ?tenants ~seed ~jobs mix =
 
 let hand key run = { key = "hand/" ^ key; run }
 
+(* A fault-free reuse-heavy stream in which every fourth job is a
+   triangle count, so PR, CC and TR jobs each repeat on cached
+   partitionings of the same two graphs (SSSP keeps its per-job
+   landmarks). *)
+let reuse_stream ~seed ~jobs =
+  List.map
+    (fun (j : Job.t) ->
+      if j.Job.id mod 4 = 3 then { j with Job.algorithm = Cutfit.Advisor.Triangle_count } else j)
+    (stream ~seed ~jobs "reuse-heavy")
+
 (* Cost-aware eviction under a budget that holds a few of the churn
    mix's partitionings but not its largest ones: the run both evicts and
    rejects (checked by [run_case]). *)
@@ -106,12 +116,17 @@ let hand_cases =
           ~mutations:(Mutation.config ~seed:9 "ins@1-3:r64,del@2:r16")
           ~mutate_every:2 ~mutation_mode:Engine.Force_refresh ~seed:9L
           (stream ~seed:9L ~jobs:10 "reuse-heavy"));
+    hand "reuse-heavy" (fun ?telemetry () ->
+        Engine.run ?telemetry
+          ~mutations:(Mutation.config ~seed:11 "ins@1:r64,del@1:r16")
+          ~mutate_every:12 ~mutation_mode:Engine.Force_refresh ~seed:11L
+          (reuse_stream ~seed:11L ~jobs:20));
   ]
 
 let cases = hand_cases @ List.init gen_count of_scenario
 
-(* Tier-1 slice: every hand case and the first chaos phases. *)
-let fast_slice = List.filteri (fun i _ -> i < 12) cases
+(* Tier-1 slice: every hand case and the first four chaos phases. *)
+let fast_slice = List.filteri (fun i _ -> i < List.length hand_cases + 4) cases
 
 let ring_capacity = 1 lsl 16
 
