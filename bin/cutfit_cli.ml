@@ -37,19 +37,32 @@ let graph_arg =
   let doc = "Dataset name (see $(b,cutfit datasets)) or path to an edge-list file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"GRAPH" ~doc)
 
-(* A strictly positive integer flag value: anything below 1 is a usage
-   error (exit 2) at parse time. [what] names the value in the error. *)
-let positive_int what =
+(* An integer flag value in [lo, hi]: anything outside is a usage error
+   (exit 2) at parse time. [what] names the value in the error. *)
+let int_in ~lo ~hi what =
   let parse s =
     match int_of_string_opt s with
-    | Some k when k >= 1 -> Ok k
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive %s, got %S" what s))
+    | Some k when lo <= k && k <= hi -> Ok k
+    | Some k when k > hi ->
+        Error (`Msg (Printf.sprintf "expected a %s of at most %d, got %S" what hi s))
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s of at least %d, got %S" what lo s))
   in
   Arg.conv (parse, Fmt.int)
 
+let positive_int what = int_in ~lo:1 ~hi:max_int what
+
+(* Count ceilings: a count that parses must not size an allocation the
+   machine cannot hold. Every per-partition table is O(P); partition and
+   advise at the ceiling stay under a 3 GB address space on youtube. *)
+let max_partitions = 1 lsl 24
+let max_jobs = 1_000_000
+
 let partitions_arg =
-  let doc = "Number of edge partitions." in
-  Arg.(value & opt (positive_int "partition count") 128 & info [ "n"; "partitions" ] ~docv:"N" ~doc)
+  let doc = Printf.sprintf "Number of edge partitions, at most %d." max_partitions in
+  Arg.(
+    value
+    & opt (int_in ~lo:1 ~hi:max_partitions "partition count") 128
+    & info [ "n"; "partitions" ] ~docv:"N" ~doc)
 
 let partitioner_arg =
   let parse s =
@@ -565,7 +578,8 @@ let workload_cmd =
     Arg.(value & opt string "uniform" & info [ "m"; "mix" ] ~docv:"MIX" ~doc)
   in
   let jobs_arg =
-    Arg.(value & opt int 40 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Number of jobs to generate.")
+    let doc = Printf.sprintf "Number of jobs to generate, at most %d." max_jobs in
+    Arg.(value & opt (int_in ~lo:0 ~hi:max_jobs "job count") 40 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let policy_arg =
     Arg.(
@@ -831,7 +845,6 @@ let workload_cmd =
               | None -> fail "bad --tenant-deadline entry %S (expected NAME:SECONDS)" n)
             (tenant_entries ~flag:"tenant-deadline" s)
     in
-    if jobs < 0 then fail "jobs must be >= 0 (got %d)" jobs;
     let sinks = sinks_of_flags ~trace_out ~verbose in
     let run ?telemetry () =
       W.Engine.run ~slots ~eviction ~budget_bytes:(cache_gb *. 1.0e9)

@@ -1,4 +1,5 @@
 module Pgraph = Cutfit_bsp.Pgraph
+module Trace = Cutfit_bsp.Trace
 
 type key = { graph : string; strategy : string; num_partitions : int }
 
@@ -38,6 +39,7 @@ type entry = {
   available_s : float;
   mutable last_use : int;  (** logical tick of the last hit (or the insert) *)
   seq : int;  (** insertion order, the deterministic tiebreak *)
+  mutable traces : (string * Trace.t) list;  (** by algorithm name, runs priced on [pg] *)
 }
 
 type t = {
@@ -157,7 +159,16 @@ let insert t ~available_s k ~pg ~bytes ~rebuild_s =
     t.tick <- t.tick + 1;
     t.next_seq <- t.next_seq + 1;
     let e =
-      { ekey = k; pg; bytes; rebuild_s; available_s; last_use = t.tick; seq = t.next_seq }
+      {
+        ekey = k;
+        pg;
+        bytes;
+        rebuild_s;
+        available_s;
+        last_use = t.tick;
+        seq = t.next_seq;
+        traces = [];
+      }
     in
     Hashtbl.replace t.table (key_id k) e;
     t.occupancy <- t.occupancy +. bytes;
@@ -182,6 +193,27 @@ let invalidate t ~pred =
 
 let peek_entries t ~pred =
   List.filter_map (fun e -> if pred e.ekey then Some (e.ekey, e.pg) else None) (entries_by_seq t)
+
+(* The entry for [k] when it holds [pg] itself: a replaced, evicted or
+   invalidated entry is a different (or no) entry, so its traces are
+   gone with it. *)
+let entry_of t k ~pg =
+  match Hashtbl.find_opt t.table (key_id k) with
+  | Some e when e.pg == pg -> Some e
+  | Some _ | None -> None
+
+let find_trace t k ~pg algorithm =
+  Option.bind (entry_of t k ~pg) (fun e ->
+      List.find_map
+        (fun (a, trace) -> if String.equal a algorithm then Some trace else None)
+        e.traces)
+
+let store_trace t k ~pg algorithm trace =
+  match entry_of t k ~pg with
+  | Some e ->
+      let others = List.filter (fun (a, _) -> not (String.equal a algorithm)) e.traces in
+      e.traces <- (algorithm, trace) :: others
+  | None -> ()
 
 let stats t =
   let live = entries_by_seq t in

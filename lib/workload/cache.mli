@@ -9,6 +9,11 @@
     per-vertex object sizes) and evicts by {!Lru} (least recently used)
     or {!Cost_aware} (cheapest to rebuild per byte goes first).
 
+    Each entry also keeps the traces of the runs priced on its
+    partitioning ({!store_trace}, {!find_trace}), so a later run of the
+    same algorithm can take the trace instead of running again; they go
+    with the entry.
+
     Every mutation is counted in {!stats}; the accounting obeys the
     conservation laws checked by {!Workload_check.report}.
 
@@ -92,5 +97,21 @@ val peek_entries : t -> pred:(key -> bool) -> (key * Cutfit_bsp.Pgraph.t) list
 (** Uncounted peek at the entries (live or pending) matching [pred], in
     insertion order — what a mutation batch inspects to price
     refreshing each resident partitioning before invalidating. *)
+
+val find_trace :
+  t -> key -> pg:Cutfit_bsp.Pgraph.t -> string -> Cutfit_bsp.Trace.t option
+(** Uncounted: the trace stored by {!store_trace} under an algorithm
+    name on the entry for [key], provided that entry holds [pg] itself
+    (physical equality). Traces live and die with their entry: eviction,
+    invalidation and re-insert of the key all drop them. *)
+
+val store_trace : t -> key -> pg:Cutfit_bsp.Pgraph.t -> string -> Cutfit_bsp.Trace.t -> unit
+(** Keep a run's trace on the entry for [key] under an algorithm name,
+    replacing any trace stored under that name, when the entry holds
+    [pg] itself; otherwise (no entry, or one holding another
+    partitioning) do nothing. The caller vouches that the run is a pure
+    function of [pg], the algorithm and settings fixed for the cache's
+    lifetime, so a later run could take the stored trace in its place.
+    Uncounted. *)
 
 val stats : t -> stats

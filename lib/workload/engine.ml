@@ -1195,6 +1195,25 @@ let execute st ~start_s ~attempt ~slot_preempts ~depth (job : Job.t) =
   let ckey = cache_key job strategy in
   let cached = Narrated.find st.cache ~at_s:start_s ~scale ckey in
   let what_if = what_if_for st job ~attempt in
+  (* Trace reuse. A run is a pure function of its partitioning, its
+     algorithm and settings fixed for the whole engine run (iterations,
+     the cluster at the entry's partition count, the base what-if, and
+     the dataset's scale, which moves only with a mutation batch, and a
+     batch drops or replaces every entry of its dataset); no telemetry
+     is passed in. So a trace stored on a cache entry stands for every
+     later run of its algorithm there, except SSSP, whose landmarks are
+     drawn per job, and an attempt with a fault schedule, which is
+     reseeded per job and attempt. *)
+  let reuse =
+    match (job.Job.algorithm, what_if.Pricer.faults) with
+    | Advisor.Shortest_paths, _ | _, Some _ -> None
+    | algorithm, None -> Some (Advisor.algorithm_name algorithm)
+  in
+  let stored =
+    match (cached, reuse) with
+    | Some pg, Some algorithm -> Cache.find_trace st.cache.Narrated.cache ckey ~pg algorithm
+    | _ -> None
+  in
   let cluster = cluster_for st job and partitioner = Partitioner.Hash strategy in
   let prepared =
     match cached with
@@ -1205,7 +1224,8 @@ let execute st ~start_s ~attempt ~slot_preempts ~depth (job : Job.t) =
     job_start ~strategy:ckey.Cache.strategy ~cache_hit:(Option.is_some cached) ~start_s job
   in
   st.emit (Event.Job_start start);
-  match run_algorithm st job prepared with
+  let run () = match stored with Some trace -> trace | None -> run_algorithm st job prepared in
+  match run () with
   | exception (Invalid_argument reason | Failure reason) ->
       let record =
         job_record ~outcome:"error" ~attempts:attempt
@@ -1213,7 +1233,15 @@ let execute st ~start_s ~attempt ~slot_preempts ~depth (job : Job.t) =
       in
       emit_end st record;
       (record, `Error reason)
-  | trace -> conclude st ~job ~attempt ~start ~dl ~ckey ~scale ~slot_preempts prepared trace
+  | trace ->
+      let settled = conclude st ~job ~attempt ~start ~dl ~ckey ~scale ~slot_preempts prepared trace in
+      (* Kept only if the entry now holds this very partitioning: a miss
+         whose build was never inserted leaves nothing behind. *)
+      (match (stored, reuse) with
+      | None, Some algorithm ->
+          Cache.store_trace st.cache.Narrated.cache ckey ~pg:prepared.Pipeline.pg algorithm trace
+      | _ -> ());
+      settled
 
 (* --- records, sheds, culls and the requeue --- *)
 

@@ -407,6 +407,80 @@ let suite =
       Alcotest.test_case "cache peek uncounted" `Quick test_cache_peek_entries_uncounted;
     ]
 
+(* --- traces kept on cache entries --- *)
+
+let payload_trace =
+  let cluster = { Cutfit_bsp.Cluster.config_i with Cutfit_bsp.Cluster.num_partitions = 4 } in
+  snd
+    (Cutfit.Pipeline.pagerank ~iterations:2
+       (Cutfit.Pipeline.of_pgraph ~cluster ~partitioner:(Partitioner.Hash Strategy.Rvc) payload))
+
+let stored c k ~pg = Option.is_some (Cache.find_trace c k ~pg "PR")
+
+let test_cache_traces_follow_entry () =
+  let k = key "g" "RVC" in
+  let c = Cache.create ~budget_bytes:100.0 () in
+  Cache.store_trace c k ~pg:payload "PR" payload_trace;
+  checkb "no entry, nothing stored" false (stored c k ~pg:payload);
+  ignore (insert c k ~bytes:40.0);
+  Cache.store_trace c k ~pg:payload "PR" payload_trace;
+  checkb "stored on the entry" true
+    (match Cache.find_trace c k ~pg:payload "PR" with
+    | Some t -> t == payload_trace
+    | None -> false);
+  checkb "keyed by algorithm" false (Option.is_some (Cache.find_trace c k ~pg:payload "CC"));
+  let s = Cache.stats c in
+  checki "uncounted" 0 s.Cache.lookups;
+  ignore (insert c k ~bytes:40.0);
+  checkb "re-insert of the same key drops them" false (stored c k ~pg:payload);
+  Cache.store_trace c k ~pg:payload "PR" payload_trace;
+  ignore (Cache.invalidate c ~pred:(fun _ -> true));
+  ignore (insert c k ~bytes:40.0);
+  checkb "invalidation drops them" false (stored c k ~pg:payload);
+  Cache.store_trace c k ~pg:payload "PR" payload_trace;
+  ignore (insert c (key "h" "RVC") ~bytes:80.0);
+  checkb "evicted" true (Cache.find c ~at_s:0.0 k = None);
+  ignore (insert c k ~bytes:10.0);
+  checkb "eviction drops them" false (stored c k ~pg:payload)
+
+let test_cache_traces_other_pgraph () =
+  let k = key "g" "RVC" in
+  let c = Cache.create ~budget_bytes:100.0 () in
+  ignore (insert c k ~bytes:40.0);
+  Cache.store_trace c k ~pg:payload "PR" payload_trace;
+  let twin =
+    let g = Pgraph.graph payload in
+    Pgraph.build g ~num_partitions:4 (Pgraph.assignment payload)
+  in
+  checkb "an equal but distinct partitioning finds nothing" false (stored c k ~pg:twin);
+  Cache.store_trace c k ~pg:twin "CC" payload_trace;
+  checkb "nor stores anything" false (Option.is_some (Cache.find_trace c k ~pg:payload "CC"));
+  checkb "the entry's own trace stays" true (stored c k ~pg:payload)
+
+(* Attempts under a fault schedule never reuse a trace (each is
+   reseeded per job and attempt), so a faulted stream with cache hits
+   keeps the report and event digests it had before traces were kept. *)
+let test_faulted_stream_unchanged () =
+  let jobs = Job.generate ~seed:13L ~jobs:12 (Option.get (Job.find_mix "reuse-heavy")) in
+  let faults = Cutfit_bsp.Faults.config ~seed:13 "straggler@2:x4,rand@0.1" in
+  let sink, read = Cutfit_obs.Sink.collect () in
+  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
+  let r = Engine.run ~telemetry ~faults ~checkpoint_every:2 ~seed:13L jobs in
+  Cutfit_obs.Telemetry.close telemetry;
+  checki "hits" 10 r.Engine.cache.Cache.hits;
+  Alcotest.(check string) "report digest" "da54a5cac8ca19224d1c429c85770cf4"
+    (Workload_check.digest r);
+  Alcotest.(check string) "event digest" "d8e63860291dd5267dbf74927dab7766"
+    (Cutfit_check.Determinism.events_digest (read ()))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "cache traces follow their entry" `Quick test_cache_traces_follow_entry;
+      Alcotest.test_case "cache traces need the same pgraph" `Quick test_cache_traces_other_pgraph;
+      Alcotest.test_case "faulted stream digests unchanged" `Quick test_faulted_stream_unchanged;
+    ]
+
 (* --- the event stream against the report --- *)
 
 module Event = Cutfit_obs.Event

@@ -214,6 +214,16 @@ echo "$out" | grep -q "workload check: ok (digest $mutate_digest)" || {
   echo "$out" | tail -3 >&2
   exit 1
 }
+# a long reuse-heavy stream: most jobs hit a cached partitioning whose
+# trace for their algorithm is already priced, so they take it in place
+# of a run; the digest is the one every job running afresh printed
+reuse_digest=429b68bcf3971497124f36f100c41289
+out=$(dune exec bin/cutfit_cli.exe -- workload --mix reuse-heavy --jobs 200 --seed 42 --check)
+echo "$out" | grep -q "workload check: ok (digest $reuse_digest)" || {
+  echo "reuse-heavy workload digest moved (want $reuse_digest):" >&2
+  echo "$out" | tail -3 >&2
+  exit 1
+}
 # the seventh sanitizer suite: delta-identity, refreshed-cut laws and
 # refresh-rebuild value equivalence
 dune exec bin/cutfit_cli.exe -- check PR youtube --dynamic >/dev/null
@@ -353,6 +363,26 @@ echo "== large-P smoke (a million partitions under a 3 GB address-space limit)"
   ulimit -v 3000000
   _build/default/bin/cutfit_cli.exe partition youtube -n 1000000 -p RVC >/dev/null
 )
+
+echo "== count ceilings (a usage error naming the flag under a 3 GB address-space limit)"
+# a count that parses but would size a terabyte allocation is refused
+# at the parser: exit 2, never an allocation failure or Out of memory
+for args in "workload --jobs 4000000000000:'--jobs'" \
+  "partition youtube -n 4000000000000:'-n'"; do
+  set +e
+  # shellcheck disable=SC2086 # ${args%%:*} is a subcommand and its flags
+  out=$(
+    ulimit -v 3000000
+    _build/default/bin/cutfit_cli.exe ${args%%:*} 2>&1
+  )
+  got=$?
+  set -e
+  if [ "$got" != 2 ] || ! echo "$out" | grep -qF "option ${args#*:}: expected a"; then
+    echo "${args%%:*}: want exit 2 and a usage error naming ${args#*:}, got exit $got:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
 
 echo "== exit-code contract (0 success / 1 failure / 2 usage)"
 expect_exit() {
