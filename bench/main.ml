@@ -66,7 +66,7 @@ let ablation_streaming ppf =
             [
               Cutfit.Partitioner.name p;
               Printf.sprintf "%.2f" m.Cutfit.Metrics.balance;
-              E.Report.commas m.Cutfit.Metrics.comm_cost;
+              Cutfit.Summary.commas m.Cutfit.Metrics.comm_cost;
               E.Report.seconds r.Cutfit.Pagerank.trace.Cutfit.Trace.total_s;
             ])
           (Cutfit.Partitioner.paper_six @ Cutfit.Partitioner.streaming_baselines)
@@ -197,15 +197,14 @@ let sweep ppf =
              Cutfit.Partitioner.assign (Cutfit.Partitioner.Hash strategy) ~num_partitions g
            in
            let pg = Cutfit.Pgraph.build g ~num_partitions a in
-           let trace =
-             match algo with
-             | Cutfit.Advisor.Pagerank ->
-                 (Cutfit.Pagerank.run ~scale ~cluster pg).Cutfit.Pagerank.trace
-             | Cutfit.Advisor.Connected_components | Cutfit.Advisor.Triangle_count
-             | Cutfit.Advisor.Shortest_paths ->
-                 (Cutfit.Connected_components.run ~scale ~cluster pg)
-                   .Cutfit.Connected_components.trace
+           let p =
+             Cutfit.Pipeline.of_pgraph ~cluster ~scale
+               ~partitioner:(Cutfit.Partitioner.Hash strategy) pg
            in
+           let (Cutfit.Pipeline.Algo entry) =
+             Cutfit.Pipeline.algo ~landmarks:(lazy (Cutfit.Pipeline.default_landmarks g)) algo
+           in
+           let _, trace = entry.Cutfit.Pipeline.run p in
            Printf.sprintf "%s (%s)" (E.Report.seconds trace.Cutfit.Trace.total_s)
              (Cutfit.Strategy.to_string strategy))
          counts
@@ -856,14 +855,14 @@ let telemetry ppf =
       ];
       [
         "messages";
-        E.Report.commas (sum (fun s -> s.Cutfit.Event.messages));
-        E.Report.commas (Cutfit.Trace.total_messages trace);
+        Cutfit.Summary.commas (sum (fun s -> s.Cutfit.Event.messages));
+        Cutfit.Summary.commas (Cutfit.Trace.total_messages trace);
       ];
       [
         "remote msgs";
-        E.Report.commas
+        Cutfit.Summary.commas
           (sum (fun s -> s.Cutfit.Event.remote_shuffles + s.Cutfit.Event.remote_broadcasts));
-        E.Report.commas (Cutfit.Trace.total_remote_messages trace);
+        Cutfit.Summary.commas (Cutfit.Trace.total_remote_messages trace);
       ];
       [
         "wire bytes";
@@ -973,8 +972,8 @@ let speed ppf =
     let rate = float_of_int scans /. Float.max wall 1e-9 in
     rows :=
       [
-        algo; E.Report.commas m; E.Report.commas n; string_of_int rounds;
-        Printf.sprintf "%.3f" wall; E.Report.commas (int_of_float rate);
+        algo; Cutfit.Summary.commas m; Cutfit.Summary.commas n; string_of_int rounds;
+        Printf.sprintf "%.3f" wall; Cutfit.Summary.commas (int_of_float rate);
       ]
       :: !rows;
     cells :=
@@ -1043,7 +1042,7 @@ let speed ppf =
               ("speedup", Json.Float speedup);
             ];
         Format.fprintf ppf "boxed vs csr on %s-edge PageRank: %.2fs vs %.3fs — %.1fx@.@."
-          (E.Report.commas m) boxed_wall pr_wall speedup
+          (Cutfit.Summary.commas m) boxed_wall pr_wall speedup
       end;
       let cc_rounds, cc_wall =
         time (fun () ->

@@ -57,6 +57,10 @@ let positive_int what = int_in ~lo:1 ~hi:max_int what
 let max_partitions = 1 lsl 24
 let max_jobs = 1_000_000
 
+(* The OCaml 5.1 runtime's fixed [Max_domains] (caml/domain.h): no more
+   domains can run at once on any host. *)
+let max_domains = 128
+
 let partitions_arg =
   let doc = Printf.sprintf "Number of edge partitions, at most %d." max_partitions in
   Arg.(
@@ -115,10 +119,15 @@ let engine_arg =
 
 let domains_arg =
   let doc =
-    "Worker domains for $(b,--engine csr) (ignored by the boxed engine). Results are \
-     bit-identical at any value; see docs/PERFORMANCE.md."
+    Printf.sprintf
+      "Worker domains for $(b,--engine csr) (ignored by the boxed engine), at most %d. \
+       Results are bit-identical at any value; see docs/PERFORMANCE.md."
+      max_domains
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (int_in ~lo:1 ~hi:max_domains "domain count") 1
+    & info [ "domains" ] ~docv:"N" ~doc)
 
 (* --- telemetry plumbing shared by run/compare --- *)
 
@@ -313,8 +322,8 @@ let datasets_cmd =
       (fun spec ->
         Fmt.pr "%-16s %-16s original: %s vertices, %s edges@." spec.Cutfit.Datasets.name
           spec.Cutfit.Datasets.display
-          (Cutfit_experiments.Report.commas spec.Cutfit.Datasets.paper_vertices)
-          (Cutfit_experiments.Report.commas spec.Cutfit.Datasets.paper_edges))
+          (Cutfit.Summary.commas spec.Cutfit.Datasets.paper_vertices)
+          (Cutfit.Summary.commas spec.Cutfit.Datasets.paper_edges))
       Cutfit.Datasets.all;
     exit_ok
   in
@@ -331,7 +340,7 @@ let generate_cmd =
     let g = load_graph graph in
     Cutfit.Graph_io.save output g;
     Fmt.pr "wrote %s edges to %s@."
-      (Cutfit_experiments.Report.commas (Cutfit.Graph.num_edges g))
+      (Cutfit.Summary.commas (Cutfit.Graph.num_edges g))
       output;
     exit_ok
   in
@@ -410,7 +419,6 @@ let run_cmd =
       ((what_if : Cutfit.Pricer.what_if), fault_seed) scale_events hetero_spec capability trace_out
       verbose paranoid =
     let g = load_graph graph in
-    if domains < 1 then usage_fail "domains must be >= 1 (got %d)" domains;
     let executors = config.Cutfit.Cluster.executors in
     let w =
       {
@@ -451,6 +459,10 @@ let run_cmd =
     (match w.hetero with
     | Some h -> Fmt.pr "hetero: %s@." (Cutfit.Elastic.describe_hetero h)
     | None -> ());
+    (* The SSSP landmarks are five vertices drawn from --seed. *)
+    let (Cutfit.Pipeline.Algo a) =
+      Cutfit.Pipeline.algo ~landmarks:(lazy (Cutfit.Sssp.pick_landmarks ~seed ~count:5 g)) algo
+    in
     match engine with
     | Csr_engine ->
         (match w with
@@ -464,65 +476,24 @@ let run_cmd =
         let edges = Cutfit.Graph.num_edges p.Cutfit.Pipeline.graph in
         let rounds = ref 1 in
         let t0 = Cutfit.Clock.wall () in
-        (match algo with
-        | Cutfit.Advisor.Pagerank ->
-            let ranks = Cutfit.Pagerank.run_csr ~domains ~rounds c in
-            let top = ref 0 in
-            Array.iteri (fun v r -> if r > ranks.(!top) then top := v) ranks;
-            Fmt.pr "top vertex: %d (rank %.3f)@." !top ranks.(!top)
-        | Cutfit.Advisor.Connected_components ->
-            let labels = Cutfit.Connected_components.run_csr ~domains ~rounds c in
-            let distinct = List.length (List.sort_uniq compare (Array.to_list labels)) in
-            Fmt.pr "components (labels after 10 iterations): %d@." distinct
-        | Cutfit.Advisor.Triangle_count ->
-            let _, total = Cutfit.Triangle_count.run_csr ~domains c in
-            Fmt.pr "triangles: %s@." (Cutfit_experiments.Report.commas total)
-        | Cutfit.Advisor.Shortest_paths ->
-            let landmarks = Cutfit.Sssp.pick_landmarks ~seed ~count:5 g in
-            let d = Cutfit.Sssp.run_csr ~domains ~rounds ~landmarks c in
-            let reached = ref 0 in
-            Array.iter (fun row -> if row.(0) < max_int then incr reached) d;
-            Fmt.pr "vertices reaching landmark 0: %d@." !reached);
+        Fmt.pr "%s@." (a.summary (a.kernel.Cutfit.Check.Kernel_check.csr ~domains ~rounds c));
         let elapsed = Cutfit.Clock.wall () -. t0 in
         let scans = edges * !rounds in
         Fmt.pr "csr engine: %d domain(s), %d superstep(s), %.4f s measured, %s edge scans/s@."
           domains !rounds elapsed
-          (Cutfit_experiments.Report.commas
+          (Cutfit.Summary.commas
              (int_of_float (float_of_int scans /. Float.max elapsed 1e-9)));
         finish_telemetry ();
         exit_ok
     | Boxed ->
-        let trace =
-          match algo with
-          | Cutfit.Advisor.Pagerank ->
-              let ranks, trace = Cutfit.Pipeline.pagerank p in
-              let top = ref 0 in
-              Array.iteri (fun v r -> if r > ranks.(!top) then top := v) ranks;
-              Fmt.pr "top vertex: %d (rank %.3f)@." !top ranks.(!top);
-              trace
-          | Cutfit.Advisor.Connected_components ->
-              let labels, trace = Cutfit.Pipeline.connected_components p in
-              let distinct = List.length (List.sort_uniq compare (Array.to_list labels)) in
-              Fmt.pr "components (labels after 10 iterations): %d@." distinct;
-              trace
-          | Cutfit.Advisor.Triangle_count ->
-              let _, total, trace = Cutfit.Pipeline.triangles p in
-              Fmt.pr "triangles: %s@." (Cutfit_experiments.Report.commas total);
-              trace
-          | Cutfit.Advisor.Shortest_paths ->
-              let landmarks = Cutfit.Sssp.pick_landmarks ~seed ~count:5 g in
-              let d, trace = Cutfit.Pipeline.shortest_paths ~landmarks p in
-              let reached = ref 0 in
-              Array.iter (fun row -> if row.(0) < max_int then incr reached) d;
-              Fmt.pr "vertices reaching landmark 0: %d@." !reached;
-              trace
-        in
+        let values, trace = a.run p in
+        Fmt.pr "%s@." (a.summary values);
         Fmt.pr "%a@." Cutfit.Trace.pp_summary trace;
         (match w.elastic with
         | Some _ ->
             Fmt.pr "reshuffles: %d membership change(s), %s bytes re-shipped@."
               (Cutfit.Trace.num_reshuffles trace)
-              (Cutfit_experiments.Report.commas
+              (Cutfit.Summary.commas
                  (int_of_float (Cutfit.Trace.total_reshuffle_wire_bytes trace)))
         | None -> ());
         finish_telemetry ();
@@ -617,7 +588,8 @@ let workload_cmd =
           ~doc:"Cache eviction policy: lru, or cost (cheapest to rebuild per byte goes first).")
   in
   let slots_arg =
-    Arg.(value & opt int 2 & info [ "slots" ] ~docv:"K" ~doc:"Concurrent executor slots.")
+    let doc = Printf.sprintf "Concurrent executor slots, at most %d." max_jobs in
+    Arg.(value & opt (int_in ~lo:1 ~hi:max_jobs "slot count") 2 & info [ "slots" ] ~docv:"K" ~doc)
   in
   let verbose_events_arg =
     Arg.(
@@ -977,7 +949,6 @@ let check_cmd =
   let action algo graph config partitioner engine domains races dynamic_spec mutation_seed
       ((w : Cutfit.Pricer.what_if), fault_seed) elastic_spec hetero_spec =
     let g = load_graph graph in
-    if domains < 1 then usage_fail "domains must be >= 1 (got %d)" domains;
     let dynamic = mutations_of_flags ~spec:dynamic_spec ~seed:mutation_seed in
     let elastic = elastic_of_flags ~spec:elastic_spec ~fault_seed in
     let hetero =

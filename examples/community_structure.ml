@@ -35,9 +35,9 @@ let () =
 
   (* Triangles and clustering: how tightly knit is the community? *)
   let pt = Cutfit.Pipeline.prepare ~algorithm:Cutfit.Advisor.Triangle_count g in
-  let per_vertex, total, ttrace = Cutfit.Pipeline.triangles pt in
+  let per_vertex, ttrace = Cutfit.Pipeline.triangles pt in
   Fmt.pr "triangles: %s (clustering coefficient %.4f), %a@."
-    (Cutfit_experiments.Report.commas total)
+    (Cutfit.Summary.commas (Array.fold_left ( + ) 0 per_vertex / 3))
     (Cutfit.Triangles.global_clustering g)
     Cutfit.Trace.pp_summary ttrace;
   let busiest = ref 0 in

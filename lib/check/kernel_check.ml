@@ -1,5 +1,4 @@
 module Csr = Cutfit_bsp.Csr
-module Cluster = Cutfit_bsp.Cluster
 module Ownership = Cutfit_bsp.Ownership
 module Pagerank = Cutfit_algo.Pagerank
 module Cc = Cutfit_algo.Connected_components
@@ -10,8 +9,7 @@ type 'v t = {
   label : string;
   vertex_space : bool;
   digest : 'v -> string;
-  csr : domains:int -> ?shadow:Ownership.t -> Csr.t -> 'v;
-  boxed : cluster:Cluster.t -> Cutfit_bsp.Pgraph.t -> 'v;
+  csr : domains:int -> ?rounds:int ref -> ?shadow:Ownership.t -> Csr.t -> 'v;
 }
 
 (* --- the kernel table ---------------------------------------------- *)
@@ -21,8 +19,7 @@ let pagerank =
     label = "pagerank";
     vertex_space = false;
     digest = Fault_check.float_attrs_digest;
-    csr = (fun ~domains ?shadow c -> Pagerank.run_csr ~domains ?shadow c);
-    boxed = (fun ~cluster pg -> (Pagerank.run ~cluster pg).Pagerank.ranks);
+    csr = (fun ~domains ?rounds ?shadow c -> Pagerank.run_csr ~domains ?rounds ?shadow c);
   }
 
 let connected_components =
@@ -30,8 +27,7 @@ let connected_components =
     label = "connected-components";
     vertex_space = false;
     digest = Fault_check.int_attrs_digest;
-    csr = (fun ~domains ?shadow c -> Cc.run_csr ~domains ?shadow c);
-    boxed = (fun ~cluster pg -> (Cc.run ~cluster pg).Cc.labels);
+    csr = (fun ~domains ?rounds ?shadow c -> Cc.run_csr ~domains ?rounds ?shadow c);
   }
 
 let shortest_paths ~landmarks =
@@ -39,38 +35,25 @@ let shortest_paths ~landmarks =
     label = "shortest-paths";
     vertex_space = false;
     digest = (fun distances -> Fault_check.int_attrs_digest (Array.concat (Array.to_list distances)));
-    csr = (fun ~domains ?shadow c -> Sssp.run_csr ~domains ?shadow ~landmarks c);
-    boxed = (fun ~cluster pg -> (Sssp.run ~cluster ~landmarks pg).Sssp.distances);
+    csr = (fun ~domains ?rounds ?shadow c -> Sssp.run_csr ~domains ?rounds ?shadow ~landmarks c);
   }
 
 (* Both engines compute the total as the per-vertex sum over three, so
    the per-vertex counts are the whole value. Triangle counting's
    tracked writes are the reduce's per-vertex ones, hence a
-   vertex-space recorder. *)
+   vertex-space recorder; its one pass leaves [rounds] alone. *)
 let triangle_count =
   {
     label = "triangle-count";
     vertex_space = true;
     digest = Fault_check.int_attrs_digest;
-    csr = (fun ~domains ?shadow c -> fst (Tr.run_csr ~domains ?shadow c));
-    boxed = (fun ~cluster pg -> (Tr.run ~cluster pg).Tr.per_vertex);
+    csr = (fun ~domains ?rounds:_ ?shadow c -> fst (Tr.run_csr ~domains ?shadow c));
   }
 
 (* --- engines: boxed oracle vs compact kernel ----------------------- *)
 
 let engines_suite = "engines"
 
-(* The boxed oracle must run to completion to prove anything: the
-   simulation deliberately reproduces the paper's out-of-memory aborts
-   (SSSP on road networks under cluster (i)), and an aborted run
-   carries partial vertex values that no correct kernel should match.
-   Kernel values are cluster-independent, so the oracle runs on a
-   memory-unconstrained copy of the caller's cluster — the sized
-   cluster still governs every trace-facing suite. *)
-let unconstrained (c : Cluster.t) =
-  { c with Cluster.executor_memory_bytes = Float.infinity; driver_memory_bytes = Float.infinity }
-
-let oracle k ~cluster pg = k.digest (k.boxed ~cluster:(unconstrained cluster) pg)
 let plain k c = k.digest (k.csr ~domains:1 c)
 
 let engines k ~oracle ~plain ~domains_counts c =

@@ -33,10 +33,8 @@ type 'v t = {
   digest : 'v -> string;
       (** canonical digest of the final vertex values, bit-exact (via
           {!Fault_check.float_attrs_digest} / [int_attrs_digest]) *)
-  csr : domains:int -> ?shadow:Cutfit_bsp.Ownership.t -> Cutfit_bsp.Csr.t -> 'v;
-      (** the compact kernel with its default iteration cap *)
-  boxed : cluster:Cutfit_bsp.Cluster.t -> Cutfit_bsp.Pgraph.t -> 'v;
-      (** the boxed engine with the same cap *)
+  csr : domains:int -> ?rounds:int ref -> ?shadow:Cutfit_bsp.Ownership.t -> Cutfit_bsp.Csr.t -> 'v;
+      (** the compact kernel with its default iteration cap; [rounds] as in [run_csr] *)
 }
 (** One algorithm's entry in the kernel table. *)
 
@@ -57,11 +55,6 @@ val triangle_count : int array t
     construction, so the recorder lives in vertex space and tracks the
     reduce's per-vertex writes. *)
 
-val oracle : 'v t -> cluster:Cutfit_bsp.Cluster.t -> Cutfit_bsp.Pgraph.t -> string
-(** Digest of one boxed run on a memory-unconstrained copy of
-    [cluster]: the oracle when no completed run of the same values is at
-    hand. *)
-
 val plain : 'v t -> Cutfit_bsp.Csr.t -> string
 (** Digest of one unshadowed compact run at one domain. Both suites take
     it lazily as [~plain], so a check that runs both runs it once. *)
@@ -74,8 +67,8 @@ val engines :
   Cutfit_bsp.Csr.t ->
   Violation.t list
 (** Suite ["engines"]: per domain count, two compact runs compared with
-    the boxed [oracle] digest and with each other; at one domain the
-    first run is [plain].
+    the boxed engine's [oracle] digest of the same values and with each
+    other; at one domain the first run is [plain].
 
     - rule [boxed-vs-csr]: the compact result's digest differs from the
       oracle's;

@@ -27,6 +27,7 @@ type prepared = {
   cluster : Cutfit_bsp.Cluster.t;
   partitioner : Cutfit_partition.Partitioner.t;
   scale : float;
+  cost : Cutfit_bsp.Cost_model.t;  (** {!prepare} uses the default *)
   telemetry : Cutfit_obs.Telemetry.t option;
       (** threaded into every run launched from this preparation *)
   what_if : Cutfit_bsp.Pricer.what_if;
@@ -63,6 +64,7 @@ val prepare :
 val of_pgraph :
   ?cluster:Cutfit_bsp.Cluster.t ->
   ?scale:float ->
+  ?cost:Cutfit_bsp.Cost_model.t ->
   ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   partitioner:Cutfit_partition.Partitioner.t ->
@@ -81,26 +83,59 @@ val metrics : prepared -> Cutfit_partition.Metrics.t
 val pagerank : ?iterations:int -> prepared -> float array * Cutfit_bsp.Trace.t
 val connected_components : ?iterations:int -> prepared -> int array * Cutfit_bsp.Trace.t
 
-val triangles : prepared -> int array * int * Cutfit_bsp.Trace.t
-(** Per-vertex counts, total, trace. *)
+val triangles : ?undirected:Cutfit_graph.Graph.t -> prepared -> int array * Cutfit_bsp.Trace.t
+(** Per-vertex counts (the total is their sum over three) and trace;
+    [undirected] as in {!Cutfit_algo.Triangle_count.run}. *)
 
 val shortest_paths : landmarks:int array -> prepared -> int array array * Cutfit_bsp.Trace.t
 
+(** {2 The algorithm table}
+
+    The one place that picks an algorithm's code: the CLI, the
+    evaluation matrix, the workload engine, {!compare_partitioners}
+    and {!Sanitize} run an algorithm through its entry. *)
+
+type 'v algo = {
+  run : prepared -> 'v * Cutfit_bsp.Trace.t;  (** {!pagerank}, {!triangles}, ... *)
+  kernel : 'v Cutfit_check.Kernel_check.t;  (** label, [run_csr] kernel, value digest *)
+  payload_bytes : int option;
+      (** of one remote Pregel message, before framing; [None] for
+          triangle counting, which runs outside the message engines *)
+  summary : 'v -> string;  (** the line the CLI prints for either engine's values *)
+}
+
+type any_algo = Algo : 'v algo -> any_algo
+
+val default_landmarks : ?seed:int64 -> Cutfit_graph.Graph.t -> int array
+(** The SSSP sources of {!compare_partitioners} and {!Sanitize}: 3
+    vertices drawn from [seed] (default 11L). *)
+
+val algo :
+  ?iterations:int ->
+  ?undirected:Cutfit_graph.Graph.t ->
+  landmarks:int array Lazy.t ->
+  Advisor.algorithm ->
+  any_algo
+(** [iterations] caps the boxed PR and CC runs (default 10, the
+    kernels' cap); [undirected] goes to {!triangles}; [landmarks] are
+    forced only for SSSP. *)
+
+val oracle : 'v algo -> prepared -> string
+(** Digest of one static boxed run of [p] on a memory-unconstrained copy
+    of its cluster: the [engines] oracle when no completed run is at hand. *)
+
 val compare_partitioners :
   ?check:bool ->
-  ?partitioners:Cutfit_partition.Partitioner.t list ->
   ?cluster:Cutfit_bsp.Cluster.t ->
-  ?scale:float ->
   ?seed:int64 ->
   ?what_if:Cutfit_bsp.Pricer.what_if ->
   ?telemetry:Cutfit_obs.Telemetry.t ->
   algorithm:Advisor.algorithm ->
   Cutfit_graph.Graph.t ->
   (string * float) list
-(** Simulated job time per partitioner for one algorithm, ascending
-    (NaN last, for OOM). SSSP picks 3 landmarks from [seed] (default
-    11L, the historical value — pass the CLI's [--seed] to vary the
-    sources deterministically). With [telemetry], the six runs stream
-    into one event sequence, each bracketed by a [Run_start] naming
-    algorithm and partitioner. [check] and [what_if] are forwarded to
-    each {!prepare}. *)
+(** Simulated job time per paper partitioner for one algorithm at scale
+    1.0, ascending (NaN last, for OOM). SSSP runs from
+    {!default_landmarks} at [seed] (the CLI passes its [--seed]). With
+    [telemetry], the six runs stream into one event sequence, each
+    bracketed by a [Run_start] naming algorithm and partitioner.
+    [check] and [what_if] are forwarded to each {!prepare}. *)

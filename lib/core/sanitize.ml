@@ -1,4 +1,3 @@
-module Graph = Cutfit_graph.Graph
 module Partitioner = Cutfit_partition.Partitioner
 module Cluster = Cutfit_bsp.Cluster
 module Cost_model = Cutfit_bsp.Cost_model
@@ -19,80 +18,28 @@ type report = {
 
 let ok r = r.violations = []
 
-(* An algorithm as the sanitizer sees it: its entry in the kernel
-   table, the pipeline run that computes the same values on the boxed
-   engine, and the payload bytes of one remote message as the Pregel
-   engine computes them (before framing). Triangle counting builds its
-   stages outside the message engines, so no payload law applies. *)
-type 'v algo = {
-  kernel : 'v Check.Kernel_check.t;
-  run : Pipeline.prepared -> 'v * Trace.t;
-  payload_bytes : int option;
-}
-
-type any_algo = Algo : 'v algo -> any_algo
-
-(* SSSP uses the same 3 deterministic landmarks as
-   [Pipeline.compare_partitioners]. *)
-let algo_of g = function
-  | Advisor.Pagerank ->
-      Algo
-        {
-          kernel = Check.Kernel_check.pagerank;
-          run = (fun p -> Pipeline.pagerank p);
-          payload_bytes = Some 8;
-        }
-  | Advisor.Connected_components ->
-      Algo
-        {
-          kernel = Check.Kernel_check.connected_components;
-          run = (fun p -> Pipeline.connected_components p);
-          payload_bytes = Some 8;
-        }
-  | Advisor.Triangle_count ->
-      Algo
-        {
-          kernel = Check.Kernel_check.triangle_count;
-          run =
-            (fun p ->
-              let per_vertex, _, t = Pipeline.triangles p in
-              (per_vertex, t));
-          payload_bytes = None;
-        }
-  | Advisor.Shortest_paths ->
-      let landmarks = Cutfit_algo.Sssp.pick_landmarks ~seed:11L ~count:3 g in
-      Algo
-        {
-          kernel = Check.Kernel_check.shortest_paths ~landmarks;
-          run = Pipeline.shortest_paths ~landmarks;
-          payload_bytes = Some (96 + (64 * Array.length landmarks));
-        }
-
 (* Wire payload per remote message: payload bytes plus the framing
    overhead. *)
-let payload ~scale a =
+let payload ~scale (a : _ Pipeline.algo) =
   let overhead = Cost_model.default.Cost_model.msg_wire_overhead_bytes in
   Option.map
     (fun b ->
-      {
-        Check.Trace_check.msg_wire_bytes = float_of_int (b + overhead);
-        attr_wire_bytes = float_of_int (b + overhead);
-        scale;
-      })
-    a.payload_bytes
+      let bytes = float_of_int (b + overhead) in
+      { Check.Trace_check.msg_wire_bytes = bytes; attr_wire_bytes = bytes; scale })
+    a.Pipeline.payload_bytes
 
 (* One sanitized run. Besides the trace and its whole event stream
    (kept however long, so the telemetry suite's counts see every
    event), every run yields a canonical digest of its final vertex
    values — what the fault suite compares bit-for-bit across baseline
    and faulty executions. *)
-let run_once ~cluster ~partitioner ~scale ~algorithm ~algo what_if g =
+let run_once ~cluster ~partitioner ~scale ~algorithm ~(algo : _ Pipeline.algo) what_if g =
   let sink, contents = Obs.Sink.collect () in
   let telemetry = Obs.Telemetry.create ~sinks:[ sink ] () in
   let p = Pipeline.prepare ~cluster ~partitioner ~scale ~what_if ~telemetry ~algorithm g in
-  let values, trace = algo.run p in
+  let values, trace = algo.Pipeline.run p in
   Obs.Telemetry.close telemetry;
-  (p, trace, algo.kernel.Check.Kernel_check.digest values, contents ())
+  (p, trace, algo.Pipeline.kernel.Check.Kernel_check.digest values, contents ())
 
 let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpoint_every ?faults
     ?speculation ?elastic ?hetero ?engine_domains ?race_domains ?dynamic ~algorithm g =
@@ -103,7 +50,9 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     | None -> Partitioner.Hash (Advisor.advise algorithm ~scale ~num_partitions g)
   in
   let w = { Cutfit_bsp.Pricer.checkpoint_every; faults; speculation; elastic; hetero } in
-  let (Algo a) = algo_of g algorithm in
+  let (Pipeline.Algo a) =
+    Pipeline.algo ~landmarks:(lazy (Pipeline.default_landmarks g)) algorithm
+  in
   let run_once = run_once ~cluster ~partitioner ~scale ~algorithm ~algo:a in
   let p, trace, attrs_digest, events = run_once w g in
   let assignment = Pgraph.assignment p.Pipeline.pg in
@@ -169,7 +118,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
      another on one Csr image of the sanitized run's partitioned graph,
      and share the digest of one unshadowed run at one domain. *)
   let csr = lazy (Csr.build p.Pipeline.pg) in
-  let plain = lazy (Check.Kernel_check.plain a.kernel (Lazy.force csr)) in
+  let plain = lazy (Check.Kernel_check.plain a.Pipeline.kernel (Lazy.force csr)) in
   (* The engines suite insists on the boxed engine's vertex values, bit
      for bit, at every requested domain count. Its oracle is the
      sanitized run itself whenever that run completed: kernel values do
@@ -185,9 +134,10 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
       (fun domains_counts ->
         let oracle =
           if Trace.completed trace then attrs_digest
-          else Check.Kernel_check.oracle a.kernel ~cluster p.Pipeline.pg
+          else Pipeline.oracle a p
         in
-        Check.Kernel_check.engines a.kernel ~oracle ~plain ~domains_counts (Lazy.force csr))
+        let c = Lazy.force csr in
+        Check.Kernel_check.engines a.Pipeline.kernel ~oracle ~plain ~domains_counts c)
       engine_domains
   in
   (* The races suite runs the compact kernel with the shadow
@@ -197,7 +147,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     Option.map
       (fun domains_counts ->
         let c = Lazy.force csr in
-        Check.Kernel_check.races a.kernel ~plain ~domains_counts c
+        Check.Kernel_check.races a.Pipeline.kernel ~plain ~domains_counts c
         @ Check.Kernel_check.self_check c)
       race_domains
   in

@@ -67,8 +67,8 @@ val check_run :
     advisor's partitioner, scale 1.0. [checkpoint_every], [faults],
     [speculation], [elastic] and [hetero] are the fields of the one
     {!Cutfit_bsp.Pricer.what_if} every run of the check is priced
-    under; each baseline removes only the fields its suite perturbs. SSSP uses the same 3 deterministic
-    landmarks as {!Pipeline.compare_partitioners}. Runs the pipeline
+    under; each baseline removes only the fields its suite perturbs.
+    SSSP runs from {!Pipeline.default_landmarks}. Runs the pipeline
     twice in total (once observed, once more as the determinism
     replay, whose digest must equal the observed run's) — three with
     [faults] or [speculation], which add the unperturbed baseline for

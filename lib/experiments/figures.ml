@@ -120,7 +120,8 @@ let figure_algo ms algo ~metric ppf =
               [
                 m.Run.dataset.Datasets.display;
                 m.Run.partitioner;
-                Report.commas (int_of_float (Metrics.metric_value m.Run.metrics metric));
+                Cutfit_stats.Summary.commas
+                  (int_of_float (Metrics.metric_value m.Run.metrics metric));
                 Report.seconds m.Run.time_s;
               ])
             cells

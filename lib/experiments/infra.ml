@@ -12,7 +12,7 @@ type result = {
   gain_iv_pct : float;
 }
 
-let run ?cost ?(dataset = "follow_dec") () =
+let run ?(dataset = "follow_dec") () =
   let spec = Datasets.find dataset in
   let g = Datasets.generate spec in
   let scale = Run.scale_of spec g in
@@ -22,8 +22,8 @@ let run ?cost ?(dataset = "follow_dec") () =
       let assignment = Partitioner.assign partitioner ~num_partitions g in
       let pg = Pgraph.build g ~num_partitions assignment in
       let time cluster =
-        (Cutfit_algo.Pagerank.run ?cost ~scale ~cluster pg).Cutfit_algo.Pagerank.trace
-          .Cutfit_bsp.Trace.total_s
+        let _, trace = Cutfit.Pipeline.(pagerank (of_pgraph ~cluster ~scale ~partitioner pg)) in
+        trace.Cutfit_bsp.Trace.total_s
       in
       let t2 = time Cluster.config_ii in
       let t3 = time Cluster.config_iii in

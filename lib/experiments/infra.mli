@@ -15,7 +15,7 @@ type result = {
   gain_iv_pct : float;
 }
 
-val run : ?cost:Cutfit_bsp.Cost_model.t -> ?dataset:string -> unit -> result list
+val run : ?dataset:string -> unit -> result list
 (** One row per paper partitioner. Default dataset: "follow_dec". *)
 
 val report : Format.formatter -> result list -> unit

@@ -15,24 +15,12 @@ let table ~header ~rows =
   let rule = String.concat "--" (Array.to_list (Array.map (fun w -> String.make w '-') width)) in
   String.concat "\n" (render header :: rule :: List.map render rows)
 
-let commas n =
-  let s = string_of_int (abs n) in
-  let len = String.length s in
-  let buf = Buffer.create (len + (len / 3)) in
-  if n < 0 then Buffer.add_char buf '-';
-  String.iteri
-    (fun i c ->
-      if i > 0 && (len - i) mod 3 = 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let fsig x =
   if Float.is_nan x then "nan"
   else if x = 0.0 then "0"
   else begin
     let a = abs_float x in
-    if a >= 1000.0 then commas (int_of_float (Float.round x))
+    if a >= 1000.0 then Cutfit_stats.Summary.commas (int_of_float (Float.round x))
     else if a >= 100.0 then Printf.sprintf "%.0f" x
     else if a >= 10.0 then Printf.sprintf "%.1f" x
     else Printf.sprintf "%.2f" x

@@ -4,9 +4,6 @@ val table : header:string list -> rows:string list list -> string
 (** Monospace table with column-width alignment and a rule under the
     header. *)
 
-val commas : int -> string
-(** ["12,345,678"] — the formatting of Tables 2 and 3. *)
-
 val fsig : float -> string
 (** Compact significant-digit float ("1.23", "45.6", "1234"). *)
 

@@ -64,21 +64,6 @@ let sssp_sources_of spec ~count g =
   in
   Cutfit_algo.Sssp.pick_landmarks ~seed ~count g
 
-let of_trace ~spec ~pname ~cluster ~algo ~metrics (trace : Trace.t) =
-  let completed = Trace.completed trace in
-  {
-    dataset = spec;
-    partitioner = pname;
-    config = cluster.Cluster.name;
-    algo;
-    metrics;
-    time_s = (if completed then trace.Trace.total_s else Float.nan);
-    completed;
-    supersteps = Trace.num_supersteps trace;
-    network_s = Trace.total_network_s trace;
-    compute_s = Trace.total_compute_s trace;
-  }
-
 let run opts =
   let results = ref [] in
   let log fmt =
@@ -107,70 +92,50 @@ let run opts =
                 Partitioner.assign partitioner ~num_partitions:cluster.Cluster.num_partitions g
               in
               let pg = Pgraph.build g ~num_partitions:cluster.Cluster.num_partitions assignment in
+              let p = Cutfit.Pipeline.of_pgraph ~cluster ~scale ~cost:opts.cost ~partitioner pg in
               let metrics = Pgraph.metrics pg in
-              let emit m = results := m :: !results in
               List.iter
                 (fun algo ->
-                  match algo with
-                  | Pagerank ->
-                      let r =
-                        Cutfit_algo.Pagerank.run ~iterations:opts.iterations ~scale
-                          ~cost:opts.cost ~cluster pg
+                  (* SSSP runs once per source and the cell averages the
+                     runs (one OOM marks the whole cell failed, as in the
+                     paper); the other algorithms run once. *)
+                  let landmark_sets =
+                    if algo = Shortest_paths then Array.map (fun s -> [| s |]) sources
+                    else [| [||] |]
+                  in
+                  let total = ref 0.0
+                  and all_ok = ref true
+                  and steps = ref 0
+                  and net = ref 0.0
+                  and cmp = ref 0.0 in
+                  Array.iter
+                    (fun landmarks ->
+                      let (Cutfit.Pipeline.Algo a) =
+                        Cutfit.Pipeline.algo ~iterations:opts.iterations ?undirected:und
+                          ~landmarks:(Lazy.from_val landmarks) algo
                       in
-                      emit
-                        (of_trace ~spec ~pname ~cluster ~algo ~metrics
-                           r.Cutfit_algo.Pagerank.trace)
-                  | Connected_components ->
-                      let r =
-                        Cutfit_algo.Connected_components.run ~iterations:opts.iterations ~scale
-                          ~cost:opts.cost ~cluster pg
-                      in
-                      emit
-                        (of_trace ~spec ~pname ~cluster ~algo ~metrics
-                           r.Cutfit_algo.Connected_components.trace)
-                  | Triangle_count ->
-                      let r =
-                        Cutfit_algo.Triangle_count.run ~scale ~cost:opts.cost ?undirected:und
-                          ~cluster pg
-                      in
-                      emit
-                        (of_trace ~spec ~pname ~cluster ~algo ~metrics
-                           r.Cutfit_algo.Triangle_count.trace)
-                  | Shortest_paths ->
-                      (* Average the per-source job times; one OOM marks
-                         the whole cell failed, as in the paper. *)
-                      let total = ref 0.0
-                      and all_ok = ref true
-                      and steps = ref 0
-                      and net = ref 0.0
-                      and cmp = ref 0.0 in
-                      Array.iter
-                        (fun source ->
-                          let r =
-                            Cutfit_algo.Sssp.run ~scale ~cost:opts.cost ~cluster
-                              ~landmarks:[| source |] pg
-                          in
-                          let t = r.Cutfit_algo.Sssp.trace in
-                          if not (Trace.completed t) then all_ok := false;
-                          total := !total +. t.Trace.total_s;
-                          steps := max !steps (Trace.num_supersteps t);
-                          net := !net +. Trace.total_network_s t;
-                          cmp := !cmp +. Trace.total_compute_s t)
-                        sources;
-                      let k = float_of_int (max 1 (Array.length sources)) in
-                      emit
-                        {
-                          dataset = spec;
-                          partitioner = pname;
-                          config = cluster.Cluster.name;
-                          algo;
-                          metrics;
-                          time_s = (if !all_ok then !total /. k else Float.nan);
-                          completed = !all_ok;
-                          supersteps = !steps;
-                          network_s = !net /. k;
-                          compute_s = !cmp /. k;
-                        })
+                      let _, t = a.Cutfit.Pipeline.run p in
+                      if not (Trace.completed t) then all_ok := false;
+                      total := !total +. t.Trace.total_s;
+                      steps := max !steps (Trace.num_supersteps t);
+                      net := !net +. Trace.total_network_s t;
+                      cmp := !cmp +. Trace.total_compute_s t)
+                    landmark_sets;
+                  let k = float_of_int (max 1 (Array.length landmark_sets)) in
+                  results :=
+                    {
+                      dataset = spec;
+                      partitioner = pname;
+                      config = cluster.Cluster.name;
+                      algo;
+                      metrics;
+                      time_s = (if !all_ok then !total /. k else Float.nan);
+                      completed = !all_ok;
+                      supersteps = !steps;
+                      network_s = !net /. k;
+                      compute_s = !cmp /. k;
+                    }
+                    :: !results)
                 opts.algos)
             opts.partitioners)
         opts.clusters)

@@ -3,6 +3,7 @@ module Characterize = Cutfit_graph.Characterize
 module Diameter = Cutfit_graph.Diameter
 module Partitioner = Cutfit_partition.Partitioner
 module Metrics = Cutfit_partition.Metrics
+module Summary = Cutfit_stats.Summary
 
 let table1 ppf =
   let header =
@@ -16,17 +17,17 @@ let table1 ppf =
         let c = Characterize.compute g in
         [
           spec.Datasets.display;
-          Report.commas c.Characterize.vertices;
-          Report.commas c.Characterize.edges;
+          Summary.commas c.Characterize.vertices;
+          Summary.commas c.Characterize.edges;
           Printf.sprintf "%.2f" c.Characterize.symmetry_pct;
           Printf.sprintf "%.2f" c.Characterize.zero_in_pct;
           Printf.sprintf "%.2f" c.Characterize.zero_out_pct;
-          Report.commas c.Characterize.triangles;
-          Report.commas c.Characterize.components;
+          Summary.commas c.Characterize.triangles;
+          Summary.commas c.Characterize.components;
           Diameter.to_string c.Characterize.diameter;
-          Report.commas c.Characterize.size_bytes ^ "B";
-          Report.commas spec.Datasets.paper_vertices;
-          Report.commas spec.Datasets.paper_edges;
+          Summary.commas c.Characterize.size_bytes ^ "B";
+          Summary.commas spec.Datasets.paper_vertices;
+          Summary.commas spec.Datasets.paper_edges;
         ])
       Datasets.all
   in
@@ -46,9 +47,9 @@ let partition_metrics ?(partitioners = Partitioner.paper_six) ~num_partitions pp
               spec.Datasets.display;
               Partitioner.name p;
               Printf.sprintf "%.2f" m.Metrics.balance;
-              Report.commas m.Metrics.non_cut;
-              Report.commas m.Metrics.cut;
-              Report.commas m.Metrics.comm_cost;
+              Summary.commas m.Metrics.non_cut;
+              Summary.commas m.Metrics.cut;
+              Summary.commas m.Metrics.comm_cost;
               Printf.sprintf "%.2f" m.Metrics.part_stdev;
             ])
           partitioners)

@@ -47,3 +47,15 @@ let percentiles xs =
 
 let pp_ptiles ppf p =
   Format.fprintf ppf "p50=%.4g p95=%.4g p99=%.4g" p.p50 p.p95 p.p99
+
+let commas n =
+  let s = string_of_int (abs n) in
+  let len = String.length s in
+  let buf = Buffer.create (len + (len / 3)) in
+  if n < 0 then Buffer.add_char buf '-';
+  String.iteri
+    (fun i c ->
+      if i > 0 && (len - i) mod 3 = 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf c)
+    s;
+  Buffer.contents buf

@@ -19,3 +19,6 @@ val percentiles : float array -> ptiles
     latencies). Deterministic. @raise Invalid_argument on empty. *)
 
 val pp_ptiles : Format.formatter -> ptiles -> unit
+
+val commas : int -> string
+(** ["12,345,678"]: the formatting of Tables 2 and 3 and of counts. *)

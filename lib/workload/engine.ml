@@ -1050,21 +1050,17 @@ let deadline_of st (job : Job.t) =
 (* --- one attempt --- *)
 
 let run_algorithm st (job : Job.t) prepared =
-  match job.Job.algorithm with
-  | Advisor.Pagerank -> snd (Pipeline.pagerank ?iterations:st.iterations prepared)
-  | Advisor.Connected_components ->
-      snd (Pipeline.connected_components ?iterations:st.iterations prepared)
-  | Advisor.Triangle_count ->
-      let _, _, trace = Pipeline.triangles prepared in
-      trace
-  | Advisor.Shortest_paths ->
-      let g, _, _ = Memo.graph_of st.memo job.Job.dataset in
-      let job_seed =
-        Splitmix64.mix64
-          (Int64.logxor st.seed (Int64.mul (Int64.of_int (job.Job.id + 1)) 0x9E3779B97F4A7C15L))
-      in
-      let landmarks = Sssp.pick_landmarks ~seed:job_seed ~count:3 g in
-      snd (Pipeline.shortest_paths ~landmarks prepared)
+  let landmarks =
+    lazy
+      (let g, _, _ = Memo.graph_of st.memo job.Job.dataset in
+       let job_seed =
+         Splitmix64.mix64
+           (Int64.logxor st.seed (Int64.mul (Int64.of_int (job.Job.id + 1)) 0x9E3779B97F4A7C15L))
+       in
+       Sssp.pick_landmarks ~seed:job_seed ~count:3 g)
+  in
+  let (Pipeline.Algo a) = Pipeline.algo ?iterations:st.iterations ~landmarks job.Job.algorithm in
+  snd (a.Pipeline.run prepared)
 
 let emit_end st r =
   st.emit

@@ -351,14 +351,21 @@ let test_replay () =
 
 (* --- full-pipeline sanitizer --- *)
 
+(* Every algorithm's table entry (its run, payload and value digest)
+   passes the five default suites. *)
 let test_check_run () =
-  let report = Cutfit.Sanitize.check_run ~cluster ~algorithm:Cutfit.Advisor.Pagerank g in
-  checkb "report ok" true (Cutfit.Sanitize.ok report);
-  checki "five suites" 5 (List.length report.Cutfit.Sanitize.suites);
   List.iter
-    (fun (suite, n) -> checki (suite ^ " count") 0 n)
-    report.Cutfit.Sanitize.suites;
-  checki "no violations" 0 (List.length report.Cutfit.Sanitize.violations)
+    (fun algorithm ->
+      let name = Cutfit.Advisor.algorithm_name algorithm in
+      let report = Cutfit.Sanitize.check_run ~cluster ~algorithm g in
+      checkb (name ^ " report ok") true (Cutfit.Sanitize.ok report);
+      checki (name ^ " five suites") 5 (List.length report.Cutfit.Sanitize.suites);
+      List.iter
+        (fun (suite, n) -> checki (name ^ " " ^ suite ^ " count") 0 n)
+        report.Cutfit.Sanitize.suites;
+      checki (name ^ " no violations") 0 (List.length report.Cutfit.Sanitize.violations))
+    Cutfit.Advisor.
+      [ Pagerank; Connected_components; Triangle_count; Shortest_paths ]
 
 let test_pipeline_check_flag () =
   let p = Pipeline.prepare ~check:true ~cluster ~algorithm:Cutfit.Advisor.Connected_components g in

@@ -11,6 +11,9 @@ let checki = Alcotest.(check int)
 let g = Test_util.random_graph ~seed:123L ~n:400 ~m:3000
 let cluster = Test_util.tiny_cluster ()
 
+let all_algorithms =
+  [ Advisor.Pagerank; Advisor.Connected_components; Advisor.Triangle_count; Advisor.Shortest_paths ]
+
 (* --- Advisor --- *)
 
 let test_predictive_metric () =
@@ -83,8 +86,7 @@ let test_algorithm_strings () =
       match Advisor.algorithm_of_string (Advisor.algorithm_name a) with
       | Some a' -> checkb "roundtrip" true (a = a')
       | None -> Alcotest.fail "parse failed")
-    [ Advisor.Pagerank; Advisor.Connected_components; Advisor.Triangle_count;
-      Advisor.Shortest_paths ]
+    all_algorithms
 
 (* --- Pipeline --- *)
 
@@ -103,8 +105,8 @@ let test_pipeline_cc () =
 
 let test_pipeline_triangles () =
   let p = Pipeline.prepare ~cluster ~algorithm:Advisor.Triangle_count g in
-  let _, total, _ = Pipeline.triangles p in
-  checki "total" (Cutfit.Triangles.count g) total
+  let per_vertex, _ = Pipeline.triangles p in
+  checki "total" (Cutfit.Triangles.count g) (Array.fold_left ( + ) 0 per_vertex / 3)
 
 let test_pipeline_sssp () =
   let p = Pipeline.prepare ~cluster ~algorithm:Advisor.Shortest_paths g in
@@ -131,6 +133,25 @@ let test_compare_partitioners () =
   checkb "ascending" true (List.sort compare ts = ts);
   checkb "all completed" true (List.for_all (fun t -> not (Float.is_nan t)) ts)
 
+(* --- the algorithm table --- *)
+
+(* The CLI prints both engines' values through the entry's one summary:
+   the boxed run's line must equal the compact kernel's. *)
+let test_table_summary () =
+  List.iter
+    (fun algorithm ->
+      let (Pipeline.Algo a) =
+        Pipeline.algo ~landmarks:(lazy (Pipeline.default_landmarks g)) algorithm
+      in
+      let p = Pipeline.prepare ~cluster ~algorithm g in
+      let values, trace = a.Pipeline.run p in
+      let name = Advisor.algorithm_name algorithm in
+      checkb (name ^ " completed") true (Trace.completed trace);
+      let kernel = a.Pipeline.kernel.Cutfit.Check.Kernel_check.csr in
+      let compact = kernel ~domains:2 (Cutfit.Csr.build p.Pipeline.pg) in
+      Alcotest.(check string) name (a.Pipeline.summary values) (a.Pipeline.summary compact))
+    all_algorithms
+
 let suite =
   [
     Alcotest.test_case "predictive metric" `Quick test_predictive_metric;
@@ -149,6 +170,7 @@ let suite =
     Alcotest.test_case "pipeline explicit partitioner" `Quick test_pipeline_explicit_partitioner;
     Alcotest.test_case "pipeline metrics" `Quick test_pipeline_metrics;
     Alcotest.test_case "compare partitioners" `Quick test_compare_partitioners;
+    Alcotest.test_case "table summary boxed = csr" `Quick test_table_summary;
   ]
 
 (* --- the one-sweep measurement against the two-step definition --- *)

@@ -155,21 +155,23 @@ let no_violations name vs =
   | [] -> ()
   | _ -> Alcotest.failf "%s: %a" name Check.Violation.pp_list vs
 
-(* Every kernel in the table (or the one named [only]) against its
+(* Every algorithm in the table (or the one named [only]) against its
    boxed oracle at 1, 2 and 4 domains, two runs per count, on one Csr. *)
 let engines_clean ?(cluster = cluster) ?(seed = 11L) ?only what pg =
-  let landmarks = Sssp.pick_landmarks ~seed ~count:3 (Pgraph.graph pg) in
+  let landmarks = lazy (Sssp.pick_landmarks ~seed ~count:3 (Pgraph.graph pg)) in
+  let p = Cutfit.Pipeline.of_pgraph ~cluster ~partitioner:(Partitioner.Hash Strategy.Rvc) pg in
   let c = Csr.build pg in
   List.iter
-    (fun (Test_util.Kernel k) ->
+    (fun algorithm ->
+      let (Cutfit.Pipeline.Algo a) = Cutfit.Pipeline.algo ~landmarks algorithm in
+      let k = a.Cutfit.Pipeline.kernel in
       if Option.fold ~none:true ~some:(String.equal k.Kernel_check.label) only then
         no_violations
           (Printf.sprintf "%s %s" k.Kernel_check.label what)
-          (Kernel_check.engines k
-             ~oracle:(Kernel_check.oracle k ~cluster pg)
+          (Kernel_check.engines k ~oracle:(Cutfit.Pipeline.oracle a p)
              ~plain:(lazy (Kernel_check.plain k c))
              ~domains_counts c))
-    (Test_util.kernels ~landmarks)
+    Cutfit.Advisor.[ Pagerank; Connected_components; Shortest_paths; Triangle_count ]
 
 let test_engines_pagerank () = engines_clean ~only:"pagerank" "at 1/2/4 domains" pg
 let test_engines_cc () = engines_clean ~only:"connected-components" "at 1/2/4 domains" pg

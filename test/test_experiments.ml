@@ -12,9 +12,9 @@ let checki = Alcotest.(check int)
 (* --- Report helpers --- *)
 
 let test_commas () =
-  Alcotest.(check string) "millions" "12,345,678" (Report.commas 12_345_678);
-  Alcotest.(check string) "small" "42" (Report.commas 42);
-  Alcotest.(check string) "negative" "-1,000" (Report.commas (-1000))
+  Alcotest.(check string) "millions" "12,345,678" (Cutfit_stats.Summary.commas 12_345_678);
+  Alcotest.(check string) "small" "42" (Cutfit_stats.Summary.commas 42);
+  Alcotest.(check string) "negative" "-1,000" (Cutfit_stats.Summary.commas (-1000))
 
 let test_fsig () =
   Alcotest.(check string) "small" "1.23" (Report.fsig 1.234);

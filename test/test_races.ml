@@ -207,14 +207,16 @@ let test_suites_share_plain_run () =
     {
       k with
       Kernel_check.csr =
-        (fun ~domains ?shadow c ->
+        (fun ~domains ?rounds ?shadow c ->
           if domains = 1 && Option.is_none shadow then incr plain_runs;
-          k.Kernel_check.csr ~domains ?shadow c);
+          k.Kernel_check.csr ~domains ?rounds ?shadow c);
     }
   in
   let plain = lazy (Kernel_check.plain counted csr) in
   let engines =
-    Kernel_check.engines counted ~oracle:(Kernel_check.oracle k ~cluster pg) ~plain
+    Kernel_check.engines counted
+      ~oracle:(k.Kernel_check.digest Cutfit_algo.Pagerank.(run ~cluster pg).ranks)
+      ~plain
       ~domains_counts csr
   in
   let races = Kernel_check.races counted ~plain ~domains_counts csr in
