@@ -459,7 +459,6 @@ let run_cmd =
     (match w.hetero with
     | Some h -> Fmt.pr "hetero: %s@." (Cutfit.Elastic.describe_hetero h)
     | None -> ());
-    (* The SSSP landmarks are five vertices drawn from --seed. *)
     let (Cutfit.Pipeline.Algo a) =
       Cutfit.Pipeline.algo ~landmarks:(lazy (Cutfit.Sssp.pick_landmarks ~seed ~count:5 g)) algo
     in
