@@ -143,10 +143,15 @@ dune exec bin/cutfit_cli.exe -- check TR roadnet_pa --engine csr --domains 4 >/d
 # the csr kernels at four domains must print the boxed engine's line.
 # The plain boxed SSSP run reproduces the paper's out-of-memory abort
 # on a road network and stops with partial distances; checkpointing
-# lets it finish.
+# lets it finish. A run that exits non-zero fails the check, whatever
+# it printed.
 summary_of() {
-  dune exec bin/cutfit_cli.exe -- run "$@" |
-    grep -E '^(top vertex|components|triangles|vertices reaching landmark 0)'
+  out=$(dune exec bin/cutfit_cli.exe -- run "$@") || {
+    echo "run $*: exit $?" >&2
+    return 1
+  }
+  printf '%s\n' "$out" |
+    grep -E '^(top vertex|components|triangles|vertices reaching landmark 0)' || true
 }
 for a in PR CC TR SSSP; do
   finish=""
