@@ -222,6 +222,27 @@ echo "== dynamic-graph smoke (mutation batches + priced repartitioning)"
 # the standalone mutation driver, with the three dynamic-graph laws
 dune exec bin/cutfit_cli.exe -- mutate youtube -n 16 \
   --mutations 'ins@1-4:r64,del@1-4:r16' --check >/dev/null
+# the refresh of a hub-heavy and a road cut under every heuristic at
+# P = 128: each batch's moved count, replication factor and balance
+# are printed, so a refresh that places an insert or counts a replica
+# differently moves the stdout digest
+for pin in youtube:greedy:8061d23e5cc5353aba662a30ea3900a4 \
+  youtube:hdrf:503f57785f76dc9ac4b8be0845af6f08 \
+  youtube:dbh:ed2514542adae2dbba0232a930832659 \
+  youtube:hybrid:e26c27266db126dd8e30b1b1705729cf \
+  roadnet_pa:greedy:f4c4d1d22d0cd1c9c278e2d1eb5a6f80 \
+  roadnet_pa:hdrf:b29a16b15088dc58758baeb4fecdf709 \
+  roadnet_pa:dbh:5ac2f4046d1e11a22d67962e9fe959e1 \
+  roadnet_pa:hybrid:1b28d81f90633c5040111376dcb493b7; do
+  ds=${pin%%:*} rest=${pin#*:}
+  h=${rest%%:*} want=${rest#*:}
+  got=$(dune exec bin/cutfit_cli.exe -- mutate "$ds" -n 128 -H "$h" \
+    --mutations 'ins@1-4:r64,del@1-4:r16' --check | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "mutate $ds -n 128 -H $h: stdout digest $got, want $want" >&2
+    exit 1
+  fi
+done
 # a mutating workload must pass the full sanitizer (cache conservation
 # now includes partial invalidations) and keep its run-twice digest;
 # the digest is pinned, so a batch that refreshes, prices or counts
