@@ -55,7 +55,7 @@ let positive_int what = int_in ~lo:1 ~hi:max_int what
    machine cannot hold. Every per-partition table is O(P); partition and
    advise at the ceiling stay under a 3 GB address space on youtube. *)
 let max_partitions = 1 lsl 24
-let max_jobs = 1_000_000
+let max_jobs = Cutfit.Spec_error.max_count
 
 (* The OCaml 5.1 runtime's fixed [Max_domains] (caml/domain.h): no more
    domains can run at once on any host. *)
@@ -486,7 +486,11 @@ let run_cmd =
         exit_ok
     | Boxed ->
         let values, trace = a.run p in
-        Fmt.pr "%s@." (a.summary values);
+        (* An out-of-memory or aborted run stopped with the values it had. *)
+        if Cutfit.Trace.completed trace then Fmt.pr "%s@." (a.summary values)
+        else
+          Fmt.pr "%s (partial: the run ended %s)@." (a.summary values)
+            (Cutfit.Trace.outcome_name trace.Cutfit.Trace.outcome);
         Fmt.pr "%a@." Cutfit.Trace.pp_summary trace;
         (match w.elastic with
         | Some _ ->

@@ -19,7 +19,7 @@ let parse_at ~item ~sign s =
   | None -> (int s, 1)
   | Some i ->
       let step = int (String.sub s 0 i) in
-      let count = int (String.sub s (i + 1) (String.length s - i - 1)) in
+      let count = Spec_error.count ~dsl ~item (String.sub s (i + 1) (String.length s - i - 1)) in
       if count < 1 then fail ~item "executor delta must be >= 1";
       (step, count)
 

@@ -10,6 +10,8 @@
       preemption flows through the {!Faults} recovery machinery as an
       involuntary crash; membership is unchanged.
 
+    A join or leave delta [N] is at most {!Spec_error.max_count}.
+
     Every membership change triggers a priced re-shuffle: partitions
     whose round-robin placement moves are re-shipped and their hosted
     vertex views re-broadcast, itemized as [reshuffle] trace records

@@ -25,6 +25,13 @@ let int ~dsl ~item s =
   | Some n -> n
   | None -> fail ~dsl ~item "expected an integer, got %S" s
 
+let max_count = 1_000_000
+
+let count ~dsl ~item s =
+  let n = int ~dsl ~item s in
+  if n > max_count then fail ~dsl ~item "count %d is above the ceiling of %d" n max_count;
+  n
+
 (* [nan <= 0.0] is false, so a range check downstream would let a
    non-finite number through: it is rejected here, once. *)
 let float ~dsl ~item s =

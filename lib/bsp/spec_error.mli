@@ -71,6 +71,14 @@ val kind_args : dsl:string -> string -> string * string * string list
 val int : dsl:string -> item:string -> string -> int
 val float : dsl:string -> item:string -> string -> float
 
+val max_count : int
+(** The ceiling on a count that sizes an allocation: 1,000,000. The
+    CLI bounds [--jobs] and [--slots] by it too. *)
+
+val count : dsl:string -> item:string -> string -> int
+(** {!int}, refused above {!max_count}, so a count that parses cannot
+    ask for terabytes. Each DSL keeps its own lower bound. *)
+
 val window : dsl:string -> item:string -> string -> int * int
 (** [K] as [(K, K)], [K-L] as [(K, L)]. *)
 

@@ -17,9 +17,11 @@ let cap = 8
 
 let capped violations = if List.length violations > cap then List.filteri (fun i _ -> i < cap) violations else violations
 
-(* Law 1: a delta-applied graph is the graph — bit-identical edge
-   arrays, vertex count and (hence) CSR adjacency of a from-scratch
-   build over the same edge list. *)
+(* Law 1: a delta-applied graph is the graph — bit-identical vertex
+   count, edge arrays and CSR adjacency (offsets and buckets, both
+   directions) of a from-scratch build over the same edge list.
+   [Mutation.apply] splices the adjacency from the pre-delta graph's,
+   so the adjacency is checked on its own, not inferred from the edges. *)
 let graph_identity ~expect got =
   let errs = ref [] in
   let push x = errs := x :: !errs in
@@ -42,6 +44,28 @@ let graph_identity ~expect got =
              (Graph.edge_src got e) (Graph.edge_dst got e) (Graph.edge_src expect e)
              (Graph.edge_dst expect e))
     done;
+  (* One report per CSR array: its first differing slot. *)
+  let same what (want : int array) (have : int array) =
+    let len = min (Array.length want) (Array.length have) in
+    let i = ref 0 in
+    while !i < len && want.(!i) = have.(!i) do
+      incr i
+    done;
+    if !i < len then
+      push
+        (v "delta-identity" "%s slot %d is %d, from-scratch build has %d" what !i have.(!i)
+           want.(!i))
+    else if Array.length want <> Array.length have then
+      push
+        (v "delta-identity" "%s has %d slots, from-scratch build has %d" what (Array.length have)
+           (Array.length want))
+  in
+  let (eo, ea), (go, ga) = (Graph.out_csr expect, Graph.out_csr got) in
+  let (ei, eb), (gi, gb) = (Graph.in_csr expect, Graph.in_csr got) in
+  same "out-offsets" eo go;
+  same "out-adjacency" ea ga;
+  same "in-offsets" ei gi;
+  same "in-adjacency" eb gb;
   capped (List.rev !errs)
 
 (* Validate a raw cut before anything is built from it, then build it

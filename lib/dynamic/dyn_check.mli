@@ -2,10 +2,10 @@
 
     Four laws tie the dynamic subsystem to the frozen-graph world:
 
-    + {b delta-identity} — a delta-applied graph is bit-identical (edge
-      arrays, vertex count, hence CSR adjacency) to a from-scratch
-      {!Cutfit_graph.Graph.create} over the independently maintained
-      edge list;
+    + {b delta-identity} — a delta-applied graph is bit-identical
+      (vertex count, edge arrays, and the four CSR arrays its splice
+      built) to a from-scratch {!Cutfit_graph.Graph.create} over the
+      independently maintained edge list;
     + {b cut laws} — a refreshed cut passes every
       {!Cutfit_check.Pgraph_check} / {!Cutfit_check.Metrics_check} law a
       cold-built cut does;

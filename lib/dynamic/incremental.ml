@@ -51,16 +51,26 @@ let refresh heuristic ~num_partitions ~assignment (applied : Mutation.applied) =
       touch s;
       touch t)
     delta.Mutation.inserts;
-  (* Deletes trigger bounded local repair: the replica tables and loads
-     are rebuilt from the surviving edges only (a shrink — no edge moves),
-     priced by the vertices whose neighbourhood the deletes touched. *)
-  let m' = Graph.num_edges g' and k = Array.length applied.Mutation.kept in
-  let st = Streaming.live_create ~n:(Graph.num_vertices g') ~num_partitions in
+  (* Deletes trigger bounded local repair: the loads are rebuilt from
+     the surviving edges (a shrink — no edge moves), priced by the
+     vertices whose neighbourhood the deletes touched. Every later read
+     of the live state is at a touched vertex (an insert's endpoint, or
+     a vertex whose replicas are recounted) or of a load, so only the
+     kept edges at a touched vertex replay their replicas and degrees;
+     the rest charge their load alone. *)
+  let n = Graph.num_vertices g' and m' = Graph.num_edges g' in
+  let k = Array.length applied.Mutation.kept in
+  let marked = Bytes.make n '\000' in
+  List.iter (fun v -> Bytes.set marked v '\001') !touched;
+  let src' = Graph.src_array g' and dst' = Graph.dst_array g' in
+  let st = Streaming.live_create ~n ~num_partitions in
   let out = Array.make m' 0 in
   Array.iteri
     (fun j e ->
-      let p = assignment.(e) in
-      Streaming.live_record st ~src:(Graph.edge_src g' j) ~dst:(Graph.edge_dst g' j) p;
+      let p = assignment.(e) and src = src'.(j) and dst = dst'.(j) in
+      if Bytes.get marked src <> '\000' || Bytes.get marked dst <> '\000' then
+        Streaming.live_record st ~src ~dst p
+      else Streaming.live_add_load st p;
       out.(j) <- p)
     applied.Mutation.kept;
   (* A touched vertex's kept replicas K_v are live now; its old replica
@@ -76,7 +86,7 @@ let refresh heuristic ~num_partitions ~assignment (applied : Mutation.applied) =
   (* Inserted edges are placed online by the wrapped streaming heuristic
      against the live state of the surviving cut. *)
   for j = k to m' - 1 do
-    let src = Graph.edge_src g' j and dst = Graph.edge_dst g' j in
+    let src = src'.(j) and dst = dst'.(j) in
     let p = Streaming.choose heuristic vw ~num_partitions ~src ~dst in
     Streaming.live_record st ~src ~dst p;
     out.(j) <- p

@@ -21,7 +21,7 @@ let parse_item part =
     | other -> fail ~item:part "unknown mutation kind %S (want ins or del)" other
   in
   let o = Spec_error.options ~dsl ~item:part ~allowed:"r" opts in
-  let edges = Option.fold ~none:32 ~some:(Spec_error.int ~dsl ~item:part) (o 'r') in
+  let edges = Option.fold ~none:32 ~some:(Spec_error.count ~dsl ~item:part) (o 'r') in
   let from_batch, to_batch = Spec_error.window ~dsl ~item:part head in
   if from_batch < 1 then fail ~item:part "batches are numbered from 1 (got %d)" from_batch;
   if edges < 1 then fail ~item:part "edge count must be >= 1 (got %d)" edges;
@@ -48,12 +48,20 @@ let covers batch it = it.from_batch <= batch && batch <= it.to_batch
 
 (* Items covering the same batch pool their edge counts, so the draws
    below stay keyed purely by (seed, batch, i) whatever the spec's
-   decomposition into items. *)
+   decomposition into items. A pool past the parser's ceiling is
+   refused, naming the item that passes it. *)
 let batch_counts cfg ~batch =
+  let pool total it =
+    let total = total + it.edges in
+    if total > Spec_error.max_count then
+      fail ~item:(item_to_spec it) "batch %d pools %d edges, above the ceiling of %d" batch total
+        Spec_error.max_count;
+    total
+  in
   List.fold_left
     (fun (ins, del) it ->
       if covers batch it then
-        match it.kind with Ins -> (ins + it.edges, del) | Del -> (ins, del + it.edges)
+        match it.kind with Ins -> (pool ins it, del) | Del -> (ins, pool del it)
       else (ins, del))
     (0, 0) cfg.items
 
@@ -86,55 +94,48 @@ let plan cfg ~batch g =
           (src, dst))
   in
   let del_count = min del_count m in
+  (* Distinct victims by linear probing over the edge ids: at most
+     del_count <= m ids are ever taken, so the probe always finds a
+     free one. The taken ids live in a table sized by the delta. *)
+  let taken = Hashtbl.create (2 * del_count) in
   let deletes =
-    if del_count = 0 then [||]
-    else begin
-      (* Distinct victims by linear probing: at most del_count <= m ids
-         are ever marked, so the probe always finds a free slot. *)
-      let picked = Array.make m false in
-      for i = 0 to del_count - 1 do
+    Array.init del_count (fun i ->
         let h = Splitmix64.draw ~seed:cfg.seed ~salt:((2 * batch) + 1) ~k:i in
         let e = ref (Splitmix64.draw_mod h m) in
-        while picked.(!e) do
+        while Hashtbl.mem taken !e do
           e := (!e + 1) mod m
         done;
-        picked.(!e) <- true
-      done;
-      let out = Array.make del_count 0 in
-      let j = ref 0 in
-      for e = 0 to m - 1 do
-        if picked.(e) then begin
-          out.(!j) <- e;
-          incr j
-        end
-      done;
-      out
-    end
+        Hashtbl.add taken !e ();
+        !e)
   in
+  Array.sort Int.compare deletes;
   { batch; inserts; deletes }
 
 type applied = { delta : delta; before : Graph.t; graph : Graph.t; kept : int array }
 
+(* The survivors, by a merge of the edge ids against the ascending
+   deletes. *)
 let kept g d =
-  let m = Graph.num_edges g in
-  let dead = Array.make m false in
-  Array.iter
-    (fun e ->
+  let m = Graph.num_edges g and dels = d.deletes in
+  let nd = Array.length dels in
+  Array.iteri
+    (fun j e ->
       if e < 0 || e >= m then invalid_arg "Mutation: delete edge id out of range";
-      dead.(e) <- true)
-    d.deletes;
-  let keep = Array.make (m - Array.length d.deletes) 0 in
-  let j = ref 0 in
+      if j > 0 && e <= dels.(j - 1) then invalid_arg "Mutation: deletes not strictly ascending")
+    dels;
+  let keep = Array.make (m - nd) 0 in
+  let j = ref 0 and next = ref 0 in
   for e = 0 to m - 1 do
-    if not dead.(e) then begin
+    if !next < nd && dels.(!next) = e then incr next
+    else begin
       keep.(!j) <- e;
       incr j
     end
   done;
   keep
 
+(* [Graph.splice] checks the inserted endpoints. *)
 let apply g d =
-  let n = Graph.num_vertices g in
   let keep = kept g d in
   let k = Array.length keep and extra = Array.length d.inserts in
   let src = Array.make (k + extra) 0 and dst = Array.make (k + extra) 0 in
@@ -145,9 +146,7 @@ let apply g d =
     keep;
   Array.iteri
     (fun i (s, t) ->
-      if s < 0 || s >= n || t < 0 || t >= n then
-        invalid_arg "Mutation: inserted endpoint out of range";
       src.(k + i) <- s;
       dst.(k + i) <- t)
     d.inserts;
-  { delta = d; before = g; graph = Graph.create ~n ~src ~dst; kept = keep }
+  { delta = d; before = g; graph = Graph.splice g ~deletes:d.deletes ~src ~dst; kept = keep }

@@ -10,14 +10,15 @@
     [ins@3:r64] inserts 64 random edges at batch 3; [del@2-5:r16]
     deletes 16 random edges at each of batches 2..5; items are
     comma-separated and batches are numbered from 1. [rN] defaults to
-    [r32]. Every drawn edge is a pure splitmix64 function of
-    (seed, batch, i) — batch [k] can be regenerated without replaying
-    batches [1..k-1].
+    [r32] and is at most {!Cutfit_bsp.Spec_error.max_count}, and so is
+    the pooled count of the items covering one batch. Every drawn edge
+    is a pure splitmix64 function of (seed, batch, i) — batch [k] can
+    be regenerated without replaying batches [1..k-1].
 
-    Applying a delta rebuilds the graph with {!Cutfit_graph.Graph.create}
-    (kept edges in build order, inserts appended), so the result is a
-    first-class frozen graph: CSR adjacency, freezability and all
-    [Graph] invariants are preserved by construction. *)
+    Applying a delta splices the graph with
+    {!Cutfit_graph.Graph.splice} (kept edges in build order, inserts
+    appended), so the result is a first-class frozen graph equal to a
+    {!Cutfit_graph.Graph.create} of the same edge arrays. *)
 
 type kind = Ins | Del
 
@@ -53,8 +54,12 @@ val plan : config -> batch:int -> Cutfit_graph.Graph.t -> delta
 (** The mutation batch [batch] against the current graph: inserts drawn
     uniformly over vertex pairs (self-loops nudged off the diagonal),
     deletes drawn as distinct existing edge ids (clamped to the number
-    of edges). Deterministic in (config, batch, graph shape).
-    @raise Invalid_argument if [batch < 1]. *)
+    of edges). Deterministic in (config, batch, graph shape). Its
+    temporaries are sized by the delta, not the graph.
+    @raise Invalid_argument if [batch < 1].
+    @raise Cutfit_bsp.Spec_error.Error if the items covering [batch]
+    pool more than {!Cutfit_bsp.Spec_error.max_count} inserts or
+    deletes; the error names the item that passes it. *)
 
 type applied = {
   delta : delta;
@@ -73,7 +78,9 @@ type applied = {
     delta. *)
 
 val apply : Cutfit_graph.Graph.t -> delta -> applied
-(** [apply g delta] builds the post-delta graph once. It is
-    bit-identical to a from-scratch {!Cutfit_graph.Graph.create} over
-    the same edge list ({!Dyn_check} proves this).
-    @raise Invalid_argument on out-of-range delete ids or endpoints. *)
+(** [apply g delta] builds the post-delta graph once, splicing [g]'s
+    adjacency. It is bit-identical to a from-scratch
+    {!Cutfit_graph.Graph.create} over the same edge list ({!Dyn_check}'s
+    Law 1 compares both, edge and adjacency arrays, on every batch).
+    @raise Invalid_argument on out-of-range or unsorted delete ids, or
+    out-of-range endpoints. *)

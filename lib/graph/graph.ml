@@ -63,6 +63,90 @@ let create ~n ~src ~dst =
   let in_off, in_adj = build_csr n dst src in
   { n; src; dst; out_off; out_adj; in_off; in_adj }
 
+let by_key_value (a, b) (c, d) = if a <> c then Int.compare a c else Int.compare b d
+
+(* One direction of [splice]. [dels] and [ins] are the delta's edges
+   as (key, value) pairs in ascending order. A bucket no delta edge
+   keys is copied in a run with its neighbours, its offsets shifted by
+   the inserts minus the deletes keyed below it; a touched bucket is a
+   merge of its old sorted values, less one copy per delete, with its
+   inserts. *)
+let splice_csr n (off, adj) ~dels ~ins =
+  let nd = Array.length dels and ni = Array.length ins in
+  let off' = Array.make (n + 1) 0 and adj' = Array.make (off.(n) - nd + ni) 0 in
+  let shift = ref 0 and d = ref 0 and i = ref 0 in
+  let copy_run lo hi =
+    for v = lo to hi - 1 do
+      off'.(v) <- off.(v) + !shift
+    done;
+    Array.blit adj off.(lo) adj' (off.(lo) + !shift) (off.(hi) - off.(lo))
+  in
+  let next = ref 0 in
+  while !d < nd || !i < ni do
+    let v =
+      if !i >= ni || (!d < nd && fst dels.(!d) <= fst ins.(!i)) then fst dels.(!d)
+      else fst ins.(!i)
+    in
+    copy_run !next v;
+    off'.(v) <- off.(v) + !shift;
+    let a = ref off.(v) and a_end = off.(v + 1) and out = ref off'.(v) in
+    let emit x =
+      adj'.(!out) <- x;
+      incr out
+    in
+    let del_here () = !d < nd && fst dels.(!d) = v in
+    let ins_here () = !i < ni && fst ins.(!i) = v in
+    while !a < a_end || ins_here () do
+      if !a < a_end && del_here () && adj.(!a) = snd dels.(!d) then begin
+        incr a;
+        incr d;
+        decr shift
+      end
+      else if !a < a_end && not (ins_here () && snd ins.(!i) < adj.(!a)) then begin
+        emit adj.(!a);
+        incr a
+      end
+      else begin
+        emit (snd ins.(!i));
+        incr i;
+        incr shift
+      end
+    done;
+    if del_here () then invalid_arg "Graph.splice: deleted edge not in its bucket";
+    next := v + 1
+  done;
+  copy_run !next n;
+  off'.(n) <- off.(n) + !shift;
+  (off', adj')
+
+let splice t ~deletes ~src ~dst =
+  let m = Array.length t.src and nd = Array.length deletes in
+  if Array.length src <> Array.length dst then invalid_arg "Graph.splice: src/dst length mismatch";
+  if Array.length src < m - nd then invalid_arg "Graph.splice: fewer edges than the kept ones";
+  Array.iteri
+    (fun j e ->
+      if e < 0 || e >= m || (j > 0 && e <= deletes.(j - 1)) then
+        invalid_arg "Graph.splice: deletes not ascending edge ids")
+    deletes;
+  let k = m - nd in
+  let ins_out = Array.init (Array.length src - k) (fun j -> (src.(k + j), dst.(k + j))) in
+  Array.iter
+    (fun (s, d) ->
+      if s < 0 || s >= t.n || d < 0 || d >= t.n then invalid_arg "Graph.splice: endpoint out of range")
+    ins_out;
+  let del_out = Array.map (fun e -> (t.src.(e), t.dst.(e))) deletes in
+  let swap = Array.map (fun (s, d) -> (d, s)) in
+  let del_in = swap del_out and ins_in = swap ins_out in
+  let sorted a =
+    Array.sort by_key_value a;
+    a
+  in
+  let out_off, out_adj =
+    splice_csr t.n (t.out_off, t.out_adj) ~dels:(sorted del_out) ~ins:(sorted ins_out)
+  in
+  let in_off, in_adj = splice_csr t.n (t.in_off, t.in_adj) ~dels:(sorted del_in) ~ins:(sorted ins_in) in
+  { n = t.n; src; dst; out_off; out_adj; in_off; in_adj }
+
 let of_edge_list ~n el =
   let src, dst = Edge_list.to_arrays el in
   create ~n ~src ~dst

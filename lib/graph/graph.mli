@@ -15,6 +15,20 @@ val create : n:int -> src:int array -> dst:int array -> t
     endpoint must lie in [\[0, n)].
     @raise Invalid_argument otherwise. *)
 
+val splice : t -> deletes:int array -> src:int array -> dst:int array -> t
+(** [splice g ~deletes ~src ~dst] freezes the edge arrays of [g] after
+    a delta. [deletes] are edge ids of [g], strictly ascending; [src]
+    and [dst] must hold [g]'s other edges in build order, then the
+    inserted edges. That prefix is not checked. The result equals
+    [create ~n:(num_vertices g) ~src ~dst] array for array, but the
+    adjacency is built from [g]'s: a bucket no delta edge touches is
+    copied, a touched one merges its sorted survivors with its sorted
+    inserts. O(n + m) word copies plus O(d log d) for [d] delta edges,
+    with no bucket sort.
+    @raise Invalid_argument if [deletes] is not ascending or out of
+    range, the arrays differ in length or are shorter than the kept
+    edges, or an inserted endpoint lies outside [\[0, n)]. *)
+
 val of_edge_list : n:int -> Edge_list.t -> t
 (** Freeze a builder buffer. *)
 

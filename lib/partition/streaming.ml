@@ -32,17 +32,20 @@ let live_create ~n ~num_partitions =
 
 let place st v p = if not (List.mem p st.replicas.(v)) then st.replicas.(v) <- p :: st.replicas.(v)
 
+let live_add_load st p = st.load.(p) <- st.load.(p) + 1
+
 let live_record st ~src ~dst p =
   place st src p;
   place st dst p;
-  st.load.(p) <- st.load.(p) + 1;
+  live_add_load st p;
   st.degree.(src) <- st.degree.(src) + 1;
   st.degree.(dst) <- st.degree.(dst) + 1
 
 (* The heuristics only ever consult the stream through this read-only
-   view, so the same choice functions serve both the offline [assign]
+   view, and only at the endpoints of the edge they place and in the
+   loads, so the same choice functions serve both the offline [assign]
    stream and the incremental repartitioner in [lib/dynamic], which
-   reconstructs the view from a cached cut instead of an edge stream. *)
+   reconstructs that much of the view from a cached cut. *)
 type view = {
   v_replicas : int -> int list;
   v_load : int -> int;

@@ -19,7 +19,16 @@
     Each heuristic is a pure choice function over an abstract {!view} of
     the stream state, so the same placement rules drive both the offline
     {!assign} stream and the incremental repartitioner of
-    [Cutfit_dynamic], which rebuilds the view from a cached cut. *)
+    [Cutfit_dynamic], which rebuilds the view from a cached cut.
+
+    {b Invariant: a heuristic reads the live state only at the
+    endpoints it places.} Placing [src -> dst] reads the replica lists
+    and streamed degrees of [src] and [dst], and the partition loads;
+    nothing else of the live state. So a caller that will place edges
+    at a known set of vertices only may replay {!live_record} for the
+    edges incident to that set, in stream order, and charge every other
+    edge with {!live_add_load}: each placement comes out the same as
+    after a full replay. *)
 
 type t = Dbh | Greedy | Hdrf of float | Hybrid of int
 
@@ -34,6 +43,11 @@ type live
 val live_create : n:int -> num_partitions:int -> live
 (** Empty state for a graph with [n] vertices.
     @raise Invalid_argument if [num_partitions <= 0]. *)
+
+val live_add_load : live -> int -> unit
+(** [live_add_load st p] charges one edge to partition [p]'s load
+    alone: no vertex gains a replica or a streamed degree. Every load
+    change goes through here. *)
 
 val live_record : live -> src:int -> dst:int -> int -> unit
 (** [live_record st ~src ~dst p] accounts one edge placed on partition

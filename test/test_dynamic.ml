@@ -256,6 +256,127 @@ let prop_moved_replicas_oracle =
       r.Incremental.moved_replicas
       = oracle_moved ~before ~assignment ~after:applied.Mutation.graph r.Incremental.assignment)
 
+(* The full replay the endpoint-only refresh replaced: every kept edge
+   records its replicas and degrees, not only those at a delta
+   endpoint. *)
+let full_replay_refresh heuristic ~num_partitions ~assignment (applied : Mutation.applied) =
+  let before = applied.Mutation.before and g' = applied.Mutation.graph in
+  let delta = applied.Mutation.delta in
+  let add p ps = if List.mem p ps then ps else p :: ps in
+  let deleted_parts = Hashtbl.create 64 and touched = ref [] in
+  let touch v =
+    if not (Hashtbl.mem deleted_parts v) then begin
+      Hashtbl.add deleted_parts v [];
+      touched := v :: !touched
+    end
+  in
+  Array.iter
+    (fun e ->
+      let p = assignment.(e) in
+      List.iter
+        (fun v ->
+          touch v;
+          Hashtbl.replace deleted_parts v (add p (Hashtbl.find deleted_parts v)))
+        [ Graph.edge_src before e; Graph.edge_dst before e ])
+    delta.Mutation.deletes;
+  let repaired_vertices = Hashtbl.length deleted_parts in
+  Array.iter
+    (fun (s, t) ->
+      touch s;
+      touch t)
+    delta.Mutation.inserts;
+  let m' = Graph.num_edges g' and k = Array.length applied.Mutation.kept in
+  let st = Streaming.live_create ~n:(Graph.num_vertices g') ~num_partitions in
+  let out = Array.make m' 0 in
+  Array.iteri
+    (fun j e ->
+      let p = assignment.(e) in
+      Streaming.live_record st ~src:(Graph.edge_src g' j) ~dst:(Graph.edge_dst g' j) p;
+      out.(j) <- p)
+    applied.Mutation.kept;
+  let vw = Streaming.live_view g' st in
+  let old_sets =
+    List.map
+      (fun v ->
+        (v, List.fold_left (fun ps p -> add p ps) (vw.Streaming.v_replicas v) (Hashtbl.find deleted_parts v)))
+      !touched
+  in
+  for j = k to m' - 1 do
+    let src = Graph.edge_src g' j and dst = Graph.edge_dst g' j in
+    let p = Streaming.choose heuristic vw ~num_partitions ~src ~dst in
+    Streaming.live_record st ~src ~dst p;
+    out.(j) <- p
+  done;
+  let symdiff_count a b =
+    let common = List.fold_left (fun acc p -> if List.mem p b then acc + 1 else acc) 0 a in
+    List.length a + List.length b - (2 * common)
+  in
+  let moved_replicas =
+    List.fold_left
+      (fun acc (v, old) -> acc + symdiff_count old (vw.Streaming.v_replicas v))
+      0 old_sets
+  in
+  {
+    Incremental.assignment = out;
+    placed_edges = m' - k;
+    repaired_vertices;
+    moved_replicas;
+  }
+
+(* Larger multigraphs with a few hubs and a small delta, so most
+   vertices lie outside the delta and replay their load alone. *)
+let sparse_delta_case_gen =
+  let open QCheck2.Gen in
+  int_range 2 200 >>= fun n ->
+  let vertex = frequency [ (1, int_range 0 (min 3 (n - 1))); (3, int_range 0 (n - 1)) ] in
+  int_range 1 600 >>= fun m ->
+  list_repeat m (pair vertex vertex) >>= fun edges ->
+  list_size (int_range 0 6) (pair vertex vertex) >>= fun ins ->
+  list_size (int_range 0 6) (int_range 0 (m - 1)) >|= fun dels ->
+  {
+    mc_n = n;
+    mc_edges = edges;
+    mc_heuristic = Streaming.Greedy;
+    mc_parts = 1;
+    mc_delta =
+      {
+        Mutation.batch = 1;
+        inserts = Array.of_list ins;
+        deletes = Array.of_list (List.sort_uniq compare dels);
+      };
+  }
+
+(* A moved case or a sparse-delta case under each heuristic at P from
+   1 to 256, refreshing either the heuristic's own stream cut or a
+   uniformly random one. *)
+let replay_case_gen =
+  let open QCheck2.Gen in
+  oneof [ moved_case_gen; sparse_delta_case_gen ] >>= fun c ->
+  oneofl
+    [ Streaming.Greedy; Streaming.Hdrf 1.0; Streaming.Dbh; Streaming.Hybrid 100; Streaming.Hybrid 3 ]
+  >>= fun heuristic ->
+  oneof [ int_range 1 8; int_range 1 256 ] >>= fun parts ->
+  list_repeat (List.length c.mc_edges) (int_range 0 (parts - 1)) >>= fun cut ->
+  bool >|= fun streamed ->
+  ( { c with mc_heuristic = heuristic; mc_parts = parts },
+    if streamed then None else Some (Array.of_list cut) )
+
+let prop_refresh_full_replay =
+  Test_util.qtest ~count:500 "refresh = full-replay reference"
+    ~print:(fun (c, cut) -> print_moved_case c ^ if cut = None then " (stream cut)" else " (random cut)")
+    replay_case_gen
+    (fun (c, cut) ->
+      let before = Test_util.graph_of_edges ~n:c.mc_n c.mc_edges in
+      let num_partitions = c.mc_parts in
+      let assignment =
+        match cut with
+        | Some a -> a
+        | None -> Streaming.assign c.mc_heuristic ~num_partitions before
+      in
+      let applied = Mutation.apply before c.mc_delta in
+      Incremental.refresh c.mc_heuristic ~num_partitions ~assignment applied
+      = full_replay_refresh c.mc_heuristic ~num_partitions ~assignment applied)
+
 (* --- pricing and decisions --- *)
 
 let test_prices_monotone () =
@@ -324,11 +445,29 @@ let test_dyn_check_catches_bad_graph () =
   (* corrupt one edge *)
   dst.(0) <- (dst.(0) + 1) mod Graph.num_vertices applied;
   let corrupt = Graph.create ~n:(Graph.num_vertices applied) ~src ~dst in
-  let vs = Dyn_check.graph_identity ~expect:applied corrupt in
-  checkb "delta-identity fires" true
-    (List.exists (fun v -> v.Cutfit_check.Violation.rule = "delta-identity") vs);
-  checkb "tagged with the dynamic suite" true
-    (List.for_all (fun v -> v.Cutfit_check.Violation.suite = "dynamic") vs)
+  let fires what vs =
+    checkb (what ^ ": delta-identity fires") true
+      (List.exists (fun v -> v.Cutfit_check.Violation.rule = "delta-identity") vs);
+    checkb (what ^ ": tagged with the dynamic suite") true
+      (List.for_all (fun v -> v.Cutfit_check.Violation.suite = "dynamic") vs)
+  in
+  fires "corrupt edge" (Dyn_check.graph_identity ~expect:applied corrupt);
+  (* Right edge arrays, wrong adjacency, same degrees: the edges
+     0->1 and 2->3 kept in the arrays, but spliced as if 0->3 and 2->1
+     had been kept instead. Only the two adjacency arrays differ. *)
+  let four = Test_util.graph_of_edges ~n:4 [ (0, 1); (2, 3); (0, 3); (2, 1) ] in
+  let src = [| 0; 2 |] and dst = [| 1; 3 |] in
+  let swapped = Graph.splice four ~deletes:[| 0; 1 |] ~src ~dst in
+  let expect = Graph.create ~n:4 ~src:(Array.copy src) ~dst:(Array.copy dst) in
+  let vs = Dyn_check.graph_identity ~expect swapped in
+  fires "corrupt adjacency" vs;
+  Alcotest.(check (list string))
+    "both adjacency arrays reported, nothing else"
+    [
+      "out-adjacency slot 0 is 3, from-scratch build has 1";
+      "in-adjacency slot 0 is 2, from-scratch build has 0";
+    ]
+    (List.map (fun v -> v.Cutfit_check.Violation.detail) vs)
 
 let test_dyn_check_catches_bad_cut () =
   let a = Streaming.assign Streaming.Greedy ~num_partitions g in
@@ -442,6 +581,7 @@ let suite =
     Alcotest.test_case "refresh preserves kept edges" `Quick test_refresh_preserves_kept_edges;
     Alcotest.test_case "refresh validation" `Quick test_refresh_validation;
     prop_moved_replicas_oracle;
+    prop_refresh_full_replay;
     Alcotest.test_case "prices monotone" `Quick test_prices_monotone;
     Alcotest.test_case "decide picks cheaper" `Quick test_decide_picks_cheaper;
     Alcotest.test_case "driver + events" `Quick test_run_driver_and_events;

@@ -369,6 +369,74 @@ let prop_adjacency_sorted_oracle =
           Graph.out_neighbors g v = bucket fst snd v && Test_util.in_neighbors g v = bucket snd fst v)
         (List.init n Fun.id))
 
+(* [splice] against [create] on the same edge arrays, array for array.
+   The graphs are [hub_graph_gen]'s (multi-edges, self-loops, buckets
+   past the insertion-sort threshold); the delta is empty, deletes
+   every edge, or deletes a random subset (often one copy of a
+   duplicate), with fresh inserts and copies of existing edges, some
+   of them at the hub. *)
+let splice_case_gen =
+  let open QCheck2.Gen in
+  hub_graph_gen >>= fun (n, edges) ->
+  let m = List.length edges in
+  int_range 0 2 >>= fun mode ->
+  list_repeat m (float_bound_exclusive 1.0) >>= fun coins ->
+  let vertex = int_range 0 (n - 1) in
+  list_size (int_range 0 40) (pair vertex vertex) >>= fun fresh ->
+  list_size (int_range 0 30) (int_range 0 (m - 1)) >|= fun copies ->
+  let deletes =
+    match mode with
+    | 0 -> []
+    | 1 -> List.init m Fun.id
+    | _ -> List.filteri (fun e _ -> List.nth coins e < 0.2) (List.init m Fun.id)
+  in
+  let inserts = if mode = 0 then [] else fresh @ List.map (List.nth edges) copies in
+  (n, edges, deletes, inserts)
+
+let print_splice_case (n, edges, deletes, inserts) =
+  Printf.sprintf "%s del=[%s] ins=[%s]"
+    (Test_util.print_small_graph (n, edges))
+    (String.concat ";" (List.map string_of_int deletes))
+    (String.concat ";" (List.map (fun (s, d) -> Printf.sprintf "(%d,%d)" s d) inserts))
+
+(* [g]'s edges less [deletes], in build order, then [inserts]. *)
+let after_delta g deletes inserts =
+  let edges = List.init (Graph.num_edges g) (fun e -> (e, (Graph.edge_src g e, Graph.edge_dst g e))) in
+  let kept = List.filter_map (fun (e, x) -> if List.mem e deletes then None else Some x) edges in
+  let all = kept @ inserts in
+  (Array.of_list (List.map fst all), Array.of_list (List.map snd all))
+
+let same_graph a b =
+  Graph.src_array a = Graph.src_array b
+  && Graph.dst_array a = Graph.dst_array b
+  && Graph.out_csr a = Graph.out_csr b
+  && Graph.in_csr a = Graph.in_csr b
+
+let prop_splice_equals_create =
+  Test_util.qtest ~count:300 "splice = create on the same edge arrays" ~print:print_splice_case
+    splice_case_gen (fun (n, edges, deletes, inserts) ->
+      let g = Test_util.graph_of_edges ~n edges in
+      let src, dst = after_delta g deletes inserts in
+      same_graph
+        (Graph.splice g ~deletes:(Array.of_list deletes) ~src ~dst)
+        (Graph.create ~n ~src:(Array.copy src) ~dst:(Array.copy dst)))
+
+let test_splice_one_copy () =
+  (* three copies of 0 -> 1; deleting the middle one leaves two *)
+  let g = Test_util.graph_of_edges ~n:3 [ (0, 1); (0, 1); (2, 0); (0, 1) ] in
+  let src, dst = after_delta g [ 1 ] [ (2, 1) ] in
+  let s = Graph.splice g ~deletes:[| 1 |] ~src ~dst in
+  checki "two copies left" 2 (Graph.edge_multiplicity s ~src:0 ~dst:1);
+  checkb "equals create" true (same_graph s (Graph.create ~n:3 ~src ~dst));
+  let rejects what deletes =
+    match Graph.splice g ~deletes ~src ~dst with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "splice should reject %s" what
+  in
+  rejects "unsorted deletes" [| 2; 1 |];
+  rejects "a repeated delete" [| 1; 1 |];
+  rejects "an out-of-range delete" [| 4 |]
+
 (* --- Graph_io --- *)
 
 let log10_digits v = if v = 0 then 1 else int_of_float (log10 (float_of_int v)) + 1
@@ -433,6 +501,8 @@ let suite =
     Alcotest.test_case "has_edge" `Quick test_graph_has_edge;
     Alcotest.test_case "bad input rejected" `Quick test_graph_rejects_bad_input;
     Alcotest.test_case "graph symmetrize" `Quick test_graph_symmetrize;
+    prop_splice_equals_create;
+    Alcotest.test_case "splice deletes one copy" `Quick test_splice_one_copy;
     prop_symmetrize_symmetric;
     prop_symmetrize_matches_model;
     prop_degree_sums;

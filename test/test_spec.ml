@@ -83,6 +83,46 @@ let test_shared_messages () =
     (reason scale "preempt@2:x3");
   checks "empty list" "no faults given in \" , \"" (reason faults " , ")
 
+(* A count that would size an allocation is bounded where it is read:
+   the ceiling itself parses, one past it is refused naming the item,
+   and so is a batch whose items pool past it. *)
+let test_count_ceilings () =
+  let reason parse spec =
+    match parse spec with
+    | exception Spec_error.Error e -> (e.Spec_error.item, e.Spec_error.reason)
+    | _ -> Alcotest.failf "%S should not parse" spec
+  in
+  checks "join at the ceiling" "join@1+1000000" (scale "join@1+1000000");
+  checks "leave at the ceiling" "leave@1-1000000" (scale "leave@1-1000000");
+  checks "rN at the ceiling" "ins@1:r1000000" (mutations "ins@1:r1000000");
+  List.iter
+    (fun (parse, spec) ->
+      let item, why = reason parse spec in
+      Alcotest.(check (option string)) (spec ^ ": item") (Some spec) item;
+      checks (spec ^ ": reason")
+        (Printf.sprintf "count %s is above the ceiling of 1000000"
+           (String.sub spec (String.length spec - 13) 13))
+        why)
+    [
+      (scale, "join@1+4000000000000");
+      (scale, "leave@1-4000000000000");
+      (mutations, "ins@1:r4000000000000");
+      (mutations, "del@1:r4000000000000");
+    ];
+  let _, why = reason mutations "ins@1:r1000001" in
+  checks "one past" "count 1000001 is above the ceiling of 1000000" why;
+  let pooled = Mutation.config "ins@1-2:r600000,del@1:r9,ins@2:r400001" in
+  let g = Test_util.random_graph ~seed:3L ~n:10 ~m:20 in
+  Alcotest.(check int) "batch 1 is under the ceiling" 600000
+    (Array.length (Mutation.plan pooled ~batch:1 g).Mutation.inserts);
+  match Mutation.plan pooled ~batch:2 g with
+  | exception Spec_error.Error e ->
+      Alcotest.(check (option string)) "pooled: the item that passes" (Some "ins@2:r400001")
+        e.Spec_error.item;
+      checks "pooled: reason" "batch 2 pools 1000001 edges, above the ceiling of 1000000"
+        e.Spec_error.reason
+  | _ -> Alcotest.fail "a batch pooling 1000001 inserts should be refused"
+
 (* --- one property per parser ------------------------------------------ *)
 
 (* Spec-shaped strings: items of grammar fragments, most of them
@@ -100,7 +140,8 @@ let spec_gen ?(sep = ",") ~kinds fragments =
   list_size (int_range 0 4) item >|= String.concat sep
 
 let numbers =
-  [ "0"; "1"; "2"; "3"; "7"; "12"; "0.5"; "2.5"; "1e3"; "-1"; "nan"; "inf"; "99999999999999999999"; "0x10" ]
+  [ "0"; "1"; "2"; "3"; "7"; "12"; "0.5"; "2.5"; "1e3"; "-1"; "nan"; "inf"; "99999999999999999999"; "0x10";
+    "1000000"; "1000001"; "4000000000000" ]
 
 let punctuation = [ "@"; ":"; "-"; "+"; ","; " "; "/" ]
 
@@ -124,7 +165,13 @@ let scale_prop =
   property "scale-events: any string parses or is a Spec_error; round-trips"
     (spec_gen ~kinds:[ "join@"; "leave@"; "preempt@" ] ([ ":r"; ":x" ] @ numbers @ punctuation))
     (fun s -> (Elastic.config s).Elastic.items)
-    (fun items -> (Elastic.config (Elastic.to_spec items)).Elastic.items = items)
+    (fun items ->
+      List.for_all
+        (function
+          | Elastic.Join { count; _ } | Elastic.Leave { count; _ } -> count <= Spec_error.max_count
+          | Elastic.Preempt _ -> true)
+        items
+      && (Elastic.config (Elastic.to_spec items)).Elastic.items = items)
 
 let hetero_prop =
   property "hetero: any string parses or is a Spec_error; round-trips"
@@ -136,7 +183,9 @@ let mutations_prop =
   property "mutations: any string parses or is a Spec_error; round-trips"
     (spec_gen ~kinds:[ "ins@"; "del@"; "INS@"; "grow@" ] ([ ":r"; ":x" ] @ numbers @ punctuation))
     (fun s -> (Mutation.config s).Mutation.items)
-    (fun items -> (Mutation.config (Mutation.to_spec items)).Mutation.items = items)
+    (fun items ->
+      List.for_all (fun it -> it.Mutation.edges <= Spec_error.max_count) items
+      && (Mutation.config (Mutation.to_spec items)).Mutation.items = items)
 
 let chaos_prop =
   property "chaos: any string parses or is a Spec_error; round-trips"
@@ -159,6 +208,7 @@ let suite =
     Alcotest.test_case "every kind checks its options" `Quick test_options_checked_for_every_kind;
     Alcotest.test_case "inner whitespace is trimmed" `Quick test_inner_whitespace_accepted;
     Alcotest.test_case "one message per shared rule" `Quick test_shared_messages;
+    Alcotest.test_case "counts stop at the ceiling" `Quick test_count_ceilings;
     faults_prop;
     scale_prop;
     hetero_prop;

@@ -164,6 +164,14 @@ for a in PR CC TR SSSP; do
     exit 1
   fi
 done
+# the plain boxed SSSP run stops out of memory: its summary line must
+# say that its count is partial and name the outcome
+got=$(summary_of SSSP roadnet_pa)
+want="vertices reaching landmark 0: 9735 (partial: the run ended out-of-memory)"
+if [ "$got" != "$want" ]; then
+  echo "run SSSP roadnet_pa: want '$want', got '$got'" >&2
+  exit 1
+fi
 # the forward triangle kernel must print the counts the partition-order
 # kernel printed, at one domain and at four
 for d in 1 4; do
@@ -424,6 +432,25 @@ for args in "workload --jobs 4000000000000:'--jobs'" \
   set -e
   if [ "$got" != 2 ] || ! echo "$out" | grep -qF "option ${args#*:}: expected a"; then
     echo "${args%%:*}: want exit 2 and a usage error naming ${args#*:}, got exit $got:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+
+# a join delta or a mutation edge count past 1,000,000 is refused by
+# the spec reader: exit 2 and a Spec_error naming the item
+for args in "run PR youtube --scale-events join@1+4000000000000|scale-events spec, item \"join@1+4000000000000\"" \
+  "check PR roadnet_pa --dynamic ins@1:r4000000000000|mutations spec, item \"ins@1:r4000000000000\""; do
+  set +e
+  # shellcheck disable=SC2086 # ${args%%|*} is a subcommand and its flags
+  out=$(
+    ulimit -v 3000000
+    _build/default/bin/cutfit_cli.exe ${args%%|*} 2>&1
+  )
+  got=$?
+  set -e
+  if [ "$got" != 2 ] || ! echo "$out" | grep -qF "${args#*|}: count 4000000000000 is above"; then
+    echo "${args%%|*}: want exit 2 and a spec error naming the item, got exit $got:" >&2
     echo "$out" >&2
     exit 1
   fi
