@@ -40,8 +40,6 @@ let item_to_spec it =
 
 let to_spec items = String.concat "," (List.map item_to_spec items)
 
-let config ?(seed = 42) raw = { items = parse_spec raw; seed }
-
 let describe cfg = Printf.sprintf "%s (seed %d)" (to_spec cfg.items) cfg.seed
 
 let covers batch it = it.from_batch <= batch && batch <= it.to_batch
@@ -64,6 +62,13 @@ let batch_counts cfg ~batch =
         match it.kind with Ins -> (pool ins it, del) | Del -> (ins, pool del it)
       else (ins, del))
     (0, 0) cfg.items
+
+(* A batch's pool only gains items where one starts, so checking each
+   item's first batch checks them all. *)
+let config ?(seed = 42) raw =
+  let cfg = { items = parse_spec raw; seed } in
+  List.iter (fun it -> ignore (batch_counts cfg ~batch:it.from_batch)) cfg.items;
+  cfg
 
 let max_batch cfg = List.fold_left (fun acc it -> max acc it.to_batch) 1 cfg.items
 

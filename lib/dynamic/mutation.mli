@@ -34,7 +34,8 @@ val to_spec : item list -> string
 val config : ?seed:int -> string -> config
 (** [config raw] parses [raw] (default [seed] 42).
     @raise Cutfit_bsp.Spec_error.Error (dsl ["mutations"]) on malformed
-    input. *)
+    input, or when the items covering some batch pool past the ceiling
+    (as {!plan} would). *)
 
 val describe : config -> string
 (** One-line spec summary for banners and reports. *)

@@ -132,7 +132,8 @@ let splice t ~deletes ~src ~dst =
   let ins_out = Array.init (Array.length src - k) (fun j -> (src.(k + j), dst.(k + j))) in
   Array.iter
     (fun (s, d) ->
-      if s < 0 || s >= t.n || d < 0 || d >= t.n then invalid_arg "Graph.splice: endpoint out of range")
+      if s < 0 || s >= t.n || d < 0 || d >= t.n then
+        invalid_arg "Graph.splice: endpoint out of range")
     ins_out;
   let del_out = Array.map (fun e -> (t.src.(e), t.dst.(e))) deletes in
   let swap = Array.map (fun (s, d) -> (d, s)) in
@@ -144,7 +145,9 @@ let splice t ~deletes ~src ~dst =
   let out_off, out_adj =
     splice_csr t.n (t.out_off, t.out_adj) ~dels:(sorted del_out) ~ins:(sorted ins_out)
   in
-  let in_off, in_adj = splice_csr t.n (t.in_off, t.in_adj) ~dels:(sorted del_in) ~ins:(sorted ins_in) in
+  let in_off, in_adj =
+    splice_csr t.n (t.in_off, t.in_adj) ~dels:(sorted del_in) ~ins:(sorted ins_in)
+  in
   { n = t.n; src; dst; out_off; out_adj; in_off; in_adj }
 
 let of_edge_list ~n el =

@@ -298,7 +298,8 @@ let full_replay_refresh heuristic ~num_partitions ~assignment (applied : Mutatio
   let old_sets =
     List.map
       (fun v ->
-        (v, List.fold_left (fun ps p -> add p ps) (vw.Streaming.v_replicas v) (Hashtbl.find deleted_parts v)))
+        let kept_v = vw.Streaming.v_replicas v in
+        (v, List.fold_left (fun ps p -> add p ps) kept_v (Hashtbl.find deleted_parts v)))
       !touched
   in
   for j = k to m' - 1 do
@@ -353,7 +354,9 @@ let replay_case_gen =
   let open QCheck2.Gen in
   oneof [ moved_case_gen; sparse_delta_case_gen ] >>= fun c ->
   oneofl
-    [ Streaming.Greedy; Streaming.Hdrf 1.0; Streaming.Dbh; Streaming.Hybrid 100; Streaming.Hybrid 3 ]
+    [
+      Streaming.Greedy; Streaming.Hdrf 1.0; Streaming.Dbh; Streaming.Hybrid 100; Streaming.Hybrid 3;
+    ]
   >>= fun heuristic ->
   oneof [ int_range 1 8; int_range 1 256 ] >>= fun parts ->
   list_repeat (List.length c.mc_edges) (int_range 0 (parts - 1)) >>= fun cut ->
@@ -363,7 +366,8 @@ let replay_case_gen =
 
 let prop_refresh_full_replay =
   Test_util.qtest ~count:500 "refresh = full-replay reference"
-    ~print:(fun (c, cut) -> print_moved_case c ^ if cut = None then " (stream cut)" else " (random cut)")
+    ~print:(fun (c, cut) ->
+      print_moved_case c ^ if cut = None then " (stream cut)" else " (random cut)")
     replay_case_gen
     (fun (c, cut) ->
       let before = Test_util.graph_of_edges ~n:c.mc_n c.mc_edges in

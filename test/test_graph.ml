@@ -401,7 +401,9 @@ let print_splice_case (n, edges, deletes, inserts) =
 
 (* [g]'s edges less [deletes], in build order, then [inserts]. *)
 let after_delta g deletes inserts =
-  let edges = List.init (Graph.num_edges g) (fun e -> (e, (Graph.edge_src g e, Graph.edge_dst g e))) in
+  let edges =
+    List.init (Graph.num_edges g) (fun e -> (e, (Graph.edge_src g e, Graph.edge_dst g e)))
+  in
   let kept = List.filter_map (fun (e, x) -> if List.mem e deletes then None else Some x) edges in
   let all = kept @ inserts in
   (Array.of_list (List.map fst all), Array.of_list (List.map snd all))

@@ -111,17 +111,29 @@ let test_count_ceilings () =
     ];
   let _, why = reason mutations "ins@1:r1000001" in
   checks "one past" "count 1000001 is above the ceiling of 1000000" why;
-  let pooled = Mutation.config "ins@1-2:r600000,del@1:r9,ins@2:r400001" in
+  let spec = "ins@1-2:r600000,del@1:r9,ins@2:r400001" in
+  let pooled what f =
+    match f () with
+    | exception Spec_error.Error e ->
+        Alcotest.(check (option string)) (what ^ ": the item that passes") (Some "ins@2:r400001")
+          e.Spec_error.item;
+        checks (what ^ ": reason") "batch 2 pools 1000001 edges, above the ceiling of 1000000"
+          e.Spec_error.reason
+    | _ -> Alcotest.failf "%s: a batch pooling 1000001 inserts should be refused" what
+  in
+  pooled "config" (fun () -> Mutation.config spec);
+  (* [plan] refuses it too when the config was built around the parser *)
+  let cfg =
+    {
+      Mutation.items =
+        List.concat_map (fun s -> (Mutation.config s).Mutation.items) (String.split_on_char ',' spec);
+      seed = 42;
+    }
+  in
   let g = Test_util.random_graph ~seed:3L ~n:10 ~m:20 in
   Alcotest.(check int) "batch 1 is under the ceiling" 600000
-    (Array.length (Mutation.plan pooled ~batch:1 g).Mutation.inserts);
-  match Mutation.plan pooled ~batch:2 g with
-  | exception Spec_error.Error e ->
-      Alcotest.(check (option string)) "pooled: the item that passes" (Some "ins@2:r400001")
-        e.Spec_error.item;
-      checks "pooled: reason" "batch 2 pools 1000001 edges, above the ceiling of 1000000"
-        e.Spec_error.reason
-  | _ -> Alcotest.fail "a batch pooling 1000001 inserts should be refused"
+    (Array.length (Mutation.plan cfg ~batch:1 g).Mutation.inserts);
+  pooled "plan" (fun () -> Mutation.plan cfg ~batch:2 g)
 
 (* --- one property per parser ------------------------------------------ *)
 
@@ -140,8 +152,10 @@ let spec_gen ?(sep = ",") ~kinds fragments =
   list_size (int_range 0 4) item >|= String.concat sep
 
 let numbers =
-  [ "0"; "1"; "2"; "3"; "7"; "12"; "0.5"; "2.5"; "1e3"; "-1"; "nan"; "inf"; "99999999999999999999"; "0x10";
-    "1000000"; "1000001"; "4000000000000" ]
+  [
+    "0"; "1"; "2"; "3"; "7"; "12"; "0.5"; "2.5"; "1e3"; "-1"; "nan"; "inf"; "99999999999999999999";
+    "0x10"; "1000000"; "1000001"; "4000000000000";
+  ]
 
 let punctuation = [ "@"; ":"; "-"; "+"; ","; " "; "/" ]
 
