@@ -503,8 +503,6 @@ let suite =
     Alcotest.test_case "has_edge" `Quick test_graph_has_edge;
     Alcotest.test_case "bad input rejected" `Quick test_graph_rejects_bad_input;
     Alcotest.test_case "graph symmetrize" `Quick test_graph_symmetrize;
-    prop_splice_equals_create;
-    Alcotest.test_case "splice deletes one copy" `Quick test_splice_one_copy;
     prop_symmetrize_symmetric;
     prop_symmetrize_matches_model;
     prop_degree_sums;
@@ -533,4 +531,6 @@ let suite =
     prop_digits_sample;
     prop_size_bytes_oracle;
     prop_distinct_on_multigraphs;
+    prop_splice_equals_create;
+    Alcotest.test_case "splice deletes one copy" `Quick test_splice_one_copy;
   ]
