@@ -327,6 +327,18 @@ expect_check_digests 08166d11f3e81f21fa3ec83c59905c28 c159a56112d063e05847156601
   PR roadnet_pa --faults 'crash@2,straggler@3-4:x20' --checkpoint-every 2 --speculate \
   --elastic 'leave@4-1,join@5+1'
 
+echo "== repeated PageRank supersteps (priced from the last charged step's counts)"
+# every PageRank superstep whose frontier and placement repeat the last
+# charged one reuses that step's counts; a reused step that would have
+# charged differently moves these digests. The elastic run reshuffles
+# twice, and each reshuffle must break the reuse.
+expect_check_digests e4b7e5120ccee4bec838f86dfade6735 146fb2012e82cabe52577b806a3fb6e8 \
+  PR youtube
+expect_check_digests ceae99e7d86567f6db1cf162dcb57ddf bc69114c82ef76fbf5a030860489b2ac \
+  PR roadnet_pa
+expect_check_digests 4306b1e4a44e1956504b89c09b253823 6db9f2a533f514d3d2aa91488c5107ba \
+  PR youtube --elastic 'leave@2-1,join@4+2' --hetero draw
+
 echo "== frontier-driven supersteps (sanitized runs that are mostly sparse)"
 # nearly every superstep of SSSP on roadnet_pa visits only the
 # frontier's edges; a sparse step that visits another edge set or
