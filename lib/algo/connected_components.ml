@@ -16,7 +16,7 @@ let program n =
   in
   let flush v ~first = if first || part.(v) < acc.(v) then acc.(v) <- part.(v) in
   let apply v = if acc.(v) < label.(v) then label.(v) <- acc.(v) in
-  ({ Pregel.send; flush; apply; state_bytes = 8; msg_bytes = 8 }, label)
+  ({ Pregel.send; flush; apply; static_emits = false; state_bytes = 8; msg_bytes = 8 }, label)
 
 let run ?(iterations = 10) ?scale ?cost ?what_if ?telemetry ~cluster pg =
   let program, labels = program (Cutfit_graph.Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg)) in

@@ -20,7 +20,7 @@ let program g =
   in
   let flush v ~first = if first then acc.(v) <- part.(v) else acc.(v) <- acc.(v) +. part.(v) in
   let apply v = rank.(v) <- 0.15 +. (0.85 *. acc.(v)) in
-  ({ Pregel.send; flush; apply; state_bytes = 8; msg_bytes = 8 }, rank)
+  ({ Pregel.send; flush; apply; static_emits = true; state_bytes = 8; msg_bytes = 8 }, rank)
 
 let run ?(iterations = 10) ?scale ?cost ?what_if ?telemetry ~cluster pg =
   let program, ranks = program (Cutfit_bsp.Pgraph.graph pg) in

@@ -69,6 +69,26 @@ type program = {
       (** [apply v] runs the vertex program at [v]'s master with its
           accumulator; the engine then ships [v]'s value to its
           replicas. Values read by [send] must change only here. *)
+  static_emits : bool;
+      (** [true] promises that the [emit] calls one [send ~src ~dst]
+          makes (how many, in which order, in which direction) depend
+          only on [src] and [dst], never on vertex values — PageRank's
+          every-edge sends. The charges of a superstep then follow from
+          its frontier and its partition placement alone, so a
+          superstep whose frontier and placement equal those of the
+          last charged one runs values only (the same [send], [flush]
+          and [apply] calls) and is priced from that step's stored
+          counts: the trace, the events and the values are those of a
+          [false] run, bit for bit. A program whose emissions read its
+          values (CC and SSSP compare before they emit) must say
+          [false]; nothing is then stored or compared.
+
+          The guard: a repeated superstep counts its active edges,
+          emits, first messages per partition and updated vertices,
+          and raises [Invalid_argument] when one differs from the
+          stored counts. It cannot see an emission that keeps those
+          totals but moves a message to another target or direction,
+          nor a step that is never repeated. *)
   state_bytes : int;  (** serialized payload of one vertex attribute *)
   msg_bytes : int;  (** serialized payload of one message *)
 }

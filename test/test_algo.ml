@@ -259,53 +259,158 @@ let sssp_oracle ~landmarks =
   }
 
 (* A multigraph with self-loops and parallel edges, [isolated] vertices
-   above every edge's ids, a partition count, a strategy and two
-   landmark draws. *)
+   above every edge's ids, one of clusters (i)-(iv) with a partition
+   count (small, or the cluster's own), a strategy, two landmark draws,
+   PageRank's iteration count, and the what-if the runs are priced
+   under: an optional driver-memory limit, faults, checkpoints,
+   speculation, host heterogeneity and scale events. PageRank declares
+   [static_emits] and its boxed oracle does not, so the PR comparison
+   pins the repeated-superstep reuse against steps all charged. *)
+type oracle_case = {
+  n : int;
+  edges : (int * int) list;
+  cluster : Cluster.t;
+  strategy : Strategy.t;
+  l0 : int;
+  l1 : int;
+  iterations : int;
+  driver_steps : int option;  (** the driver runs out of memory after this many stages *)
+  faults : (string * Cutfit_bsp.Faults.mode) option;
+  checkpoint_every : int option;
+  speculate : bool;
+  hetero : bool;
+  scale_events : string option;
+}
+
 let oracle_case_gen =
   let open QCheck2.Gen in
   Test_util.small_multigraph_gen >>= fun (n, edges) ->
   int_range 0 3 >>= fun isolated ->
-  oneofl [ 1; 3; 16 ] >>= fun parts ->
-  oneofl Cutfit_partition.Strategy.[ Rvc; One_d; Two_d; Crvc ] >>= fun strategy ->
+  oneofl Cluster.[ config_i; config_ii; config_iii; config_iv ] >>= fun config ->
+  oneofl [ 1; 3; 16; config.Cluster.num_partitions ] >>= fun num_partitions ->
+  oneofl Strategy.all >>= fun strategy ->
   let n = n + isolated in
-  pair (int_range 0 (n - 1)) (int_range 0 (n - 1)) >|= fun (l0, l1) ->
-  (n, edges, parts, strategy, l0, l1)
+  pair (int_range 0 (n - 1)) (int_range 0 (n - 1)) >>= fun (l0, l1) ->
+  int_range 1 12 >>= fun iterations ->
+  opt (int_range 1 12) >>= fun driver_steps ->
+  opt
+    (pair
+       (oneofl
+          [
+            "crash@2";
+            "straggler@1-3:x8";
+            "loss@2:r2";
+            "net@2-4";
+            "crash@1,loss@3";
+            "rand@0.5";
+            "crash@3,straggler@2:x20,loss@4:r3";
+          ])
+       (oneofl Cutfit_bsp.Faults.[ Rollback; Lineage ]))
+  >>= fun faults ->
+  opt (int_range 1 3) >>= fun checkpoint_every ->
+  bool >>= fun speculate ->
+  bool >>= fun hetero ->
+  opt (oneofl [ "leave@2-1,join@4+2"; "join@2"; "leave@3-2"; "preempt@2"; "join@1+3,leave@5-2" ])
+  >|= fun scale_events ->
+  {
+    n;
+    edges;
+    cluster = { config with Cluster.num_partitions };
+    strategy;
+    l0;
+    l1;
+    iterations;
+    driver_steps;
+    faults;
+    checkpoint_every;
+    speculate;
+    hetero;
+    scale_events;
+  }
 
-let print_oracle_case (n, edges, parts, strategy, l0, l1) =
-  Printf.sprintf "%s P=%d %s landmarks=%d,%d"
-    (Test_util.print_small_graph (n, edges))
-    parts (Cutfit_partition.Strategy.to_string strategy) l0 l1
+let print_oracle_case c =
+  let opt f = function None -> "-" | Some x -> f x in
+  Printf.sprintf
+    "%s %s P=%d %s landmarks=%d,%d iterations=%d driver_steps=%s faults=%s checkpoint_every=%s \
+     speculate=%b hetero=%b scale_events=%s"
+    (Test_util.print_small_graph (c.n, c.edges))
+    c.cluster.Cluster.name c.cluster.Cluster.num_partitions (Strategy.to_string c.strategy) c.l0
+    c.l1 c.iterations (opt string_of_int c.driver_steps)
+    (opt (fun (spec, mode) -> spec ^ " " ^ Cutfit_bsp.Faults.mode_name mode) c.faults)
+    (opt string_of_int c.checkpoint_every)
+    c.speculate c.hetero (opt Fun.id c.scale_events)
 
 let bits_equal a b = Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
+(* The run's trace and the digest of the events it emitted. *)
+let observed run =
+  let sink, read = Cutfit_obs.Sink.collect () in
+  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
+  let r = run telemetry in
+  Cutfit_obs.Telemetry.close telemetry;
+  (r, Determinism.events_digest (read ()))
+
 let prop_flat_programs_match_oracles =
-  Test_util.qtest ~count:80 "flat PR/CC/SSSP = boxed oracles, bit for bit" ~print:print_oracle_case
-    oracle_case_gen (fun (n, edges, parts, strategy, l0, l1) ->
-      let g = Test_util.graph_of_edges ~n edges in
-      let cluster = Test_util.tiny_cluster ~num_partitions:parts () in
-      let a = Partitioner.assign (Partitioner.Hash strategy) ~num_partitions:parts g in
+  Test_util.qtest ~count:120 "flat PR/CC/SSSP = boxed oracles, bit for bit" ~print:print_oracle_case
+    oracle_case_gen (fun c ->
+      let g = Test_util.graph_of_edges ~n:c.n c.edges in
+      let parts = c.cluster.Cluster.num_partitions in
+      let cluster =
+        match c.driver_steps with
+        | None -> c.cluster
+        | Some k ->
+            {
+              c.cluster with
+              Cluster.driver_memory_bytes =
+                (float_of_int k +. 0.5)
+                *. float_of_int parts
+                *. Cutfit_bsp.Cost_model.default.Cutfit_bsp.Cost_model.driver_meta_per_task_bytes;
+            }
+      in
+      let executors = cluster.Cluster.executors in
+      let what_if =
+        {
+          Cutfit_bsp.Pricer.checkpoint_every = c.checkpoint_every;
+          faults =
+            Option.map (fun (spec, mode) -> Cutfit_bsp.Faults.config ~seed:11 ~mode spec) c.faults;
+          speculation =
+            (if c.speculate then Some (Cutfit_bsp.Speculation.config ~seed:13 ()) else None);
+          hetero = (if c.hetero then Some (Cutfit_bsp.Elastic.draw_hetero ~seed:17 ~executors) else None);
+          elastic = Option.map (Cutfit_bsp.Elastic.config ~seed:19) c.scale_events;
+        }
+      in
+      let a = Partitioner.assign (Partitioner.Hash c.strategy) ~num_partitions:parts g in
       let pg = Pgraph.build g ~num_partitions:parts a in
-      let same what trace (o : _ Test_util.boxed_result) values_equal =
-        let digest = String.equal (Determinism.trace_digest trace) (Determinism.trace_digest o.Test_util.trace) in
-        if not digest then QCheck2.Test.fail_reportf "%s: trace digests differ" what;
+      let same what (trace, events) ((o : _ Test_util.boxed_result), o_events) values_equal =
+        if not (String.equal (Determinism.trace_digest trace) (Determinism.trace_digest o.Test_util.trace))
+        then QCheck2.Test.fail_reportf "%s: trace digests differ" what;
+        if not (String.equal events o_events) then QCheck2.Test.fail_reportf "%s: event digests differ" what;
         if not values_equal then QCheck2.Test.fail_reportf "%s: values differ" what;
         true
       in
-      let pr = Pagerank.run ~iterations:5 ~cluster pg in
-      let pr_o = Test_util.run_boxed ~max_supersteps:5 ~cluster pg (pagerank_oracle g) in
-      let cc = Cc.run ~cluster pg in
-      let cc_o = Test_util.run_boxed ~max_supersteps:10 ~cluster pg cc_oracle in
+      let pr, pr_events = observed (fun telemetry -> Pagerank.run ~iterations:c.iterations ~what_if ~telemetry ~cluster pg) in
+      let pr_o =
+        observed (fun telemetry ->
+            Test_util.run_boxed ~max_supersteps:c.iterations ~what_if ~telemetry ~cluster pg (pagerank_oracle g))
+      in
+      let cc, cc_events = observed (fun telemetry -> Cc.run ~what_if ~telemetry ~cluster pg) in
+      let cc_o =
+        observed (fun telemetry -> Test_util.run_boxed ~max_supersteps:10 ~what_if ~telemetry ~cluster pg cc_oracle)
+      in
       let sssp landmarks =
-        let r = Sssp.run ~cluster ~landmarks pg in
-        let o = Test_util.run_boxed ~max_supersteps:2000 ~cluster pg (sssp_oracle ~landmarks) in
+        let r, events = observed (fun telemetry -> Sssp.run ~what_if ~telemetry ~cluster ~landmarks pg) in
+        let o =
+          observed (fun telemetry ->
+              Test_util.run_boxed ~max_supersteps:2000 ~what_if ~telemetry ~cluster pg (sssp_oracle ~landmarks))
+        in
         same
           (Printf.sprintf "SSSP k=%d" (Array.length landmarks))
-          r.Sssp.trace o (r.Sssp.distances = o.Test_util.attrs)
+          (r.Sssp.trace, events) o (r.Sssp.distances = (fst o).Test_util.attrs)
       in
-      same "PR" pr.Pagerank.trace pr_o (bits_equal pr.Pagerank.ranks pr_o.Test_util.attrs)
-      && same "CC" cc.Cc.trace cc_o (cc.Cc.labels = cc_o.Test_util.attrs)
-      && sssp [| l0 |]
-      && sssp [| l0; l1; l0 |])
+      same "PR" (pr.Pagerank.trace, pr_events) pr_o (bits_equal pr.Pagerank.ranks (fst pr_o).Test_util.attrs)
+      && same "CC" (cc.Cc.trace, cc_events) cc_o (cc.Cc.labels = (fst cc_o).Test_util.attrs)
+      && sssp [| c.l0 |]
+      && sssp [| c.l0; c.l1; c.l0 |])
 
 let suite =
   [

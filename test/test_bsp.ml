@@ -720,3 +720,88 @@ let suite =
       Alcotest.test_case "boxed engine allocates per step, not per message" `Quick
         test_pregel_allocates_per_step;
     ]
+
+(* --- repeated supersteps ---
+
+   A PageRank superstep whose frontier and placement repeat the last
+   charged one is priced from that step's counts, and the
+   [bsp.reused_steps] counter says how many were. Step 1's frontier is
+   every vertex (superstep 0 ran them all); every later frontier is the
+   vertices with an in-edge. That is every vertex on roadnet_pa and
+   youtube, so steps 2-10 repeat step 1; pocek has vertices with no
+   in-edge, so step 2 is charged as well. CC and SSSP emit according to
+   their values and reuse nothing. *)
+let reused_steps ?(cluster = Cluster.config_i) dataset algorithm run =
+  let g = Cutfit.Datasets.generate (Cutfit.Datasets.find dataset) in
+  let telemetry = Cutfit_obs.Telemetry.create () in
+  let p =
+    Cutfit.Pipeline.prepare ~cluster ~partitioner:(Partitioner.Hash Strategy.Rvc) ~telemetry
+      ~algorithm g
+  in
+  let trace = run p in
+  let reg = Cutfit_obs.Telemetry.metrics telemetry in
+  (int_of_float (List.assoc "bsp.reused_steps" (Cutfit_obs.Metric.snapshot reg)), trace)
+
+let test_reused_steps_counted () =
+  let pagerank dataset want =
+    let reused, trace = reused_steps dataset Cutfit.Advisor.Pagerank (fun p -> snd (Cutfit.Pipeline.pagerank p)) in
+    checki (dataset ^ ": PR compute steps") 10 (List.length trace.Trace.supersteps - 2);
+    checki (dataset ^ ": PR reused steps") want reused
+  in
+  pagerank "roadnet_pa" 9;
+  pagerank "youtube" 9;
+  pagerank "pocek" 8;
+  List.iter
+    (fun dataset ->
+      let cc, _ =
+        reused_steps dataset Cutfit.Advisor.Connected_components (fun p ->
+            snd (Cutfit.Pipeline.connected_components p))
+      in
+      checki (dataset ^ ": CC reused steps") 0 cc;
+      let sssp, _ =
+        reused_steps dataset Cutfit.Advisor.Shortest_paths (fun p ->
+            snd (Cutfit.Pipeline.shortest_paths ~landmarks:(Cutfit.Pipeline.default_landmarks p.Cutfit.Pipeline.graph) p))
+      in
+      checki (dataset ^ ": SSSP reused steps") 0 sssp)
+    [ "roadnet_pa"; "youtube" ]
+
+(* A program that declares [static_emits] but emits by its values: on a
+   directed cycle every vertex gets a message every step, so steps 2 on
+   repeat step 1's frontier, and once a vertex's value reaches 2 it
+   sends a second message. The repeated step that first does so must
+   not be priced from counts it does not match. *)
+let test_static_emits_guard () =
+  let n = 12 in
+  let g = Test_util.graph_of_edges ~n (List.init n (fun v -> (v, (v + 1) mod n))) in
+  let cluster = Test_util.tiny_cluster ~num_partitions:4 () in
+  let a = Partitioner.assign (Partitioner.Hash Strategy.Rvc) ~num_partitions:4 g in
+  let pg = Pgraph.build g ~num_partitions:4 a in
+  let counting =
+    {
+      Test_util.init = (fun _ -> 0);
+      initial_msg = 0;
+      vprog = (fun _ steps _ -> steps + 1);
+      send =
+        (fun ~src:_ ~dst:_ ~src_attr ~dst_attr:_ ~emit ->
+          emit Pregel.To_dst 1;
+          if src_attr >= 2 then emit Pregel.To_dst 1);
+      merge = ( + );
+      state_bytes = 8;
+      msg_bytes = 8;
+    }
+  in
+  let honest = Test_util.run_boxed ~max_supersteps:6 ~cluster pg counting in
+  checkb "undeclared: completes its steps" true
+    (honest.Test_util.trace.Trace.outcome = Trace.Max_supersteps);
+  match Test_util.run_boxed ~static_emits:true ~max_supersteps:6 ~cluster pg counting with
+  | _ -> Alcotest.fail "a value-dependent program declared static_emits was priced"
+  | exception Invalid_argument msg ->
+      checkb "names the declaration" true (Test_util.contains "static_emits" msg)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "repeated supersteps: reused counts counted" `Quick
+        test_reused_steps_counted;
+      Alcotest.test_case "repeated supersteps: static_emits guard" `Quick test_static_emits_guard;
+    ]

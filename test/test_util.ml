@@ -117,8 +117,9 @@ type ('v, 'm) boxed_program = {
 
 (* The engine program for [b] on [n] vertices, and an accessor for its
    values. Superstep 0 (vprog with the initial message everywhere)
-   runs here, when the program is built. *)
-let boxed ~n b =
+   runs here, when the program is built. [static_emits] (default
+   [false]) is passed to the engine as the program's declaration. *)
+let boxed ?(static_emits = false) ~n b =
   let attrs = Array.init n (fun v -> b.vprog v (b.init v) b.initial_msg) in
   let part = Array.make n b.initial_msg and acc = Array.make n b.initial_msg in
   let send ~src ~dst ~emit =
@@ -128,13 +129,13 @@ let boxed ~n b =
   in
   let flush v ~first = if first then acc.(v) <- part.(v) else acc.(v) <- b.merge acc.(v) part.(v) in
   let apply v = attrs.(v) <- b.vprog v attrs.(v) acc.(v) in
-  ( { Pregel.send; flush; apply; state_bytes = b.state_bytes; msg_bytes = b.msg_bytes },
+  ( { Pregel.send; flush; apply; static_emits; state_bytes = b.state_bytes; msg_bytes = b.msg_bytes },
     fun () -> attrs )
 
 type 'v boxed_result = { attrs : 'v array; trace : Cutfit_bsp.Trace.t }
 
-let run_boxed ?max_supersteps ?scale ?what_if ?telemetry ~cluster pg b =
-  let program, values = boxed ~n:(Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg)) b in
+let run_boxed ?static_emits ?max_supersteps ?scale ?what_if ?telemetry ~cluster pg b =
+  let program, values = boxed ?static_emits ~n:(Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg)) b in
   let trace = Pregel.run ?max_supersteps ?scale ?what_if ?telemetry ~cluster pg program in
   { attrs = values (); trace }
 
