@@ -4,7 +4,9 @@ type result = { labels : int array; trace : Cutfit_bsp.Trace.t }
 
 (* Labels start at the vertex id, which superstep 0's [min] with the
    initial message ([max_int]) leaves in place. Messages, partials and
-   accumulators are ints in flat arrays, folded with int comparisons. *)
+   accumulators are ints in flat arrays, folded with int comparisons.
+   [send] emits only across differing labels, so [static_emits] is
+   false. *)
 let program n =
   let label = Array.init n Fun.id and part = Array.make n 0 and acc = Array.make n 0 in
   let send ~src ~dst ~emit =

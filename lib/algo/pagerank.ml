@@ -7,7 +7,9 @@ type result = { ranks : float array; trace : Cutfit_bsp.Trace.t }
    GraphX's initial message there is a sentinel that leaves the initial
    rank in place. [part] holds a vertex's sum of shares within the
    partition being scanned and [acc] its sum over partitions at the
-   master; both are flat float arrays, so no message is boxed. *)
+   master; both are flat float arrays, so no message is boxed. Whether
+   [send] emits reads only [src]'s out-degree, never a rank, so the
+   program declares [static_emits]. *)
 let program g =
   let n = Graph.num_vertices g in
   let out_deg = Array.init n (fun v -> float_of_int (Graph.out_degree g v)) in

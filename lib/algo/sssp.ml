@@ -20,7 +20,8 @@ let program ~n ~landmarks =
   Array.iteri (fun i l -> dist.((l * k) + i) <- 0) landmarks;
   let part = Array.make (n * k) 0 and acc = Array.make (n * k) 0 in
   (* The message from [dst] to [src] is [dst]'s row plus one hop; it is
-     sent only when it improves on [src]'s row in some slot. *)
+     sent only when it improves on [src]'s row in some slot, so
+     [static_emits] is false. *)
   let send ~src ~dst ~emit =
     let sb = src * k and db = dst * k in
     let i = ref 0 and improves = ref false in

@@ -252,27 +252,18 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
      the edge being sent over. One [emit] serves the whole run. *)
   let cur_work = ref [||] and cur_out = ref [||] and cur_in = ref [||] in
   let cur_p = ref 0 and cur_pexec = ref 0 and cur_src = ref 0 and cur_dst = ref 0 in
-  (* A message to [v] in the partition being scanned, counted; [true]
-     when it is [v]'s first there, which lists [v] for the flush. The
-     one piece of [emit] a repeated superstep keeps. *)
-  let first_message v =
+  let emit dir =
+    let v = match dir with To_src -> !cur_src | To_dst -> !cur_dst in
+    let work = !cur_work and p = !cur_p in
     incr messages;
+    work.(p) <- work.(p) +. merge_s;
     if Bytes.unsafe_get phas v <> '\000' then false
     else begin
       Bytes.unsafe_set phas v '\001';
       Ivec.push ptouched v;
-      incr shuffle_groups;
-      true
-    end
-  in
-  let emit dir =
-    let v = match dir with To_src -> !cur_src | To_dst -> !cur_dst in
-    let work = !cur_work and p = !cur_p in
-    work.(p) <- work.(p) +. merge_s;
-    if not (first_message v) then false
-    else begin
       (* The first message to [v] here opens the one shuffle aggregate
          of the (vertex, partition) pair. *)
+      incr shuffle_groups;
       let mp = master.(v) in
       let mexec = pex.(mp) and pexec = !cur_pexec in
       work.(p) <- work.(p) +. serialize_s;
@@ -286,7 +277,19 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
       true
     end
   in
-  let emit_repeated dir = first_message (match dir with To_src -> !cur_src | To_dst -> !cur_dst) in
+  (* [emit] in a repeated superstep: the count and the first-message
+     bookkeeping, no charge. *)
+  let emit_repeated dir =
+    let v = match dir with To_src -> !cur_src | To_dst -> !cur_dst in
+    incr messages;
+    if Bytes.unsafe_get phas v <> '\000' then false
+    else begin
+      Bytes.unsafe_set phas v '\001';
+      Ivec.push ptouched v;
+      incr shuffle_groups;
+      true
+    end
+  in
 
   (* Repeated supersteps. A static-emits program's charges in a step
      follow from the frontier (which fixes the active edges, the
@@ -347,9 +350,9 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
     for p = 0 to num_partitions - 1 do
       cur_p := p;
       cur_pexec := pex.(p);
-      (* A repeated step's scan: the dense loop's edges and [send] calls,
-         no charges. *)
       if repeat then
+        (* A repeated step's scan: the dense loop's edges and [send]
+           calls, no charges. *)
         for i = part_off.(p) to part_off.(p + 1) - 1 do
           let e = part_edges.(i) in
           let src = gsrc.(e) and dst = gdst.(e) in
@@ -360,11 +363,11 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
             program.send ~src ~dst ~emit:emit_repeated
           end
         done
+      else if not !sparse then begin
         (* The cost constants are not dyadic, so every charge stays its
            own float addition, in edge order. Skip charges chain through
            the local [wp], which is written back before [send] (its
            [emit] adds to [work.(p)] directly) and reloaded after it. *)
-      else if not !sparse then begin
         let wp = ref work.(p) in
         for i = part_off.(p) to part_off.(p + 1) - 1 do
           let e = part_edges.(i) in

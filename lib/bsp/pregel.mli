@@ -18,7 +18,9 @@
       or the memory model trips (GraphX's unbounded lineage).
 
     Time is modeled, not measured: the engine fills one {!Pricer.counts}
-    record per superstep and {!Pricer} prices it — compute is the
+    record per superstep (or, for a [static_emits] program, passes the
+    last charged one again when a superstep repeats its frontier and
+    placement) and {!Pricer} prices it — compute is the
     makespan of per-partition work over each executor's cores, network
     is per-executor egress bytes over the NIC, and fixed task-dispatch
     and barrier overheads are added — so granularity, stragglers,
