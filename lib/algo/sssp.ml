@@ -56,7 +56,8 @@ let program ~n ~landmarks =
       if acc.(j) < dist.(j) then dist.(j) <- acc.(j)
     done
   in
-  ({ Pregel.send; flush; apply; static_emits = false; state_bytes = bytes; msg_bytes = bytes }, dist)
+  ( { Pregel.send; flush; apply; static_emits = false; state_bytes = bytes; msg_bytes = bytes },
+    dist )
 
 let run ?(max_supersteps = 2000) ?scale ?cost ?what_if ?telemetry ~cluster ~landmarks pg =
   if Array.length landmarks = 0 then invalid_arg "Sssp.run: empty landmark set";

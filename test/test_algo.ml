@@ -375,39 +375,44 @@ let prop_flat_programs_match_oracles =
             Option.map (fun (spec, mode) -> Cutfit_bsp.Faults.config ~seed:11 ~mode spec) c.faults;
           speculation =
             (if c.speculate then Some (Cutfit_bsp.Speculation.config ~seed:13 ()) else None);
-          hetero = (if c.hetero then Some (Cutfit_bsp.Elastic.draw_hetero ~seed:17 ~executors) else None);
+          hetero =
+            (if c.hetero then Some (Cutfit_bsp.Elastic.draw_hetero ~seed:17 ~executors) else None);
           elastic = Option.map (Cutfit_bsp.Elastic.config ~seed:19) c.scale_events;
         }
       in
       let a = Partitioner.assign (Partitioner.Hash c.strategy) ~num_partitions:parts g in
       let pg = Pgraph.build g ~num_partitions:parts a in
       let same what (trace, events) ((o : _ Test_util.boxed_result), o_events) values_equal =
-        if not (String.equal (Determinism.trace_digest trace) (Determinism.trace_digest o.Test_util.trace))
-        then QCheck2.Test.fail_reportf "%s: trace digests differ" what;
-        if not (String.equal events o_events) then QCheck2.Test.fail_reportf "%s: event digests differ" what;
+        let o_trace = Determinism.trace_digest o.Test_util.trace in
+        if not (String.equal (Determinism.trace_digest trace) o_trace) then
+          QCheck2.Test.fail_reportf "%s: trace digests differ" what;
+        if not (String.equal events o_events) then
+          QCheck2.Test.fail_reportf "%s: event digests differ" what;
         if not values_equal then QCheck2.Test.fail_reportf "%s: values differ" what;
         true
       in
-      let pr, pr_events = observed (fun telemetry -> Pagerank.run ~iterations:c.iterations ~what_if ~telemetry ~cluster pg) in
-      let pr_o =
+      let oracle ~max_supersteps b =
         observed (fun telemetry ->
-            Test_util.run_boxed ~max_supersteps:c.iterations ~what_if ~telemetry ~cluster pg (pagerank_oracle g))
+            Test_util.run_boxed ~max_supersteps ~what_if ~telemetry ~cluster pg b)
       in
+      let pr, pr_events =
+        observed (fun telemetry ->
+            Pagerank.run ~iterations:c.iterations ~what_if ~telemetry ~cluster pg)
+      in
+      let pr_o = oracle ~max_supersteps:c.iterations (pagerank_oracle g) in
       let cc, cc_events = observed (fun telemetry -> Cc.run ~what_if ~telemetry ~cluster pg) in
-      let cc_o =
-        observed (fun telemetry -> Test_util.run_boxed ~max_supersteps:10 ~what_if ~telemetry ~cluster pg cc_oracle)
-      in
+      let cc_o = oracle ~max_supersteps:10 cc_oracle in
       let sssp landmarks =
-        let r, events = observed (fun telemetry -> Sssp.run ~what_if ~telemetry ~cluster ~landmarks pg) in
-        let o =
-          observed (fun telemetry ->
-              Test_util.run_boxed ~max_supersteps:2000 ~what_if ~telemetry ~cluster pg (sssp_oracle ~landmarks))
+        let r, events =
+          observed (fun telemetry -> Sssp.run ~what_if ~telemetry ~cluster ~landmarks pg)
         in
+        let o = oracle ~max_supersteps:2000 (sssp_oracle ~landmarks) in
         same
           (Printf.sprintf "SSSP k=%d" (Array.length landmarks))
           (r.Sssp.trace, events) o (r.Sssp.distances = (fst o).Test_util.attrs)
       in
-      same "PR" (pr.Pagerank.trace, pr_events) pr_o (bits_equal pr.Pagerank.ranks (fst pr_o).Test_util.attrs)
+      same "PR" (pr.Pagerank.trace, pr_events) pr_o
+        (bits_equal pr.Pagerank.ranks (fst pr_o).Test_util.attrs)
       && same "CC" (cc.Cc.trace, cc_events) cc_o (cc.Cc.labels = (fst cc_o).Test_util.attrs)
       && sssp [| c.l0 |]
       && sssp [| c.l0; c.l1; c.l0 |])

@@ -731,12 +731,12 @@ let suite =
    youtube, so steps 2-10 repeat step 1; pocek has vertices with no
    in-edge, so step 2 is charged as well. CC and SSSP emit according to
    their values and reuse nothing. *)
-let reused_steps ?(cluster = Cluster.config_i) dataset algorithm run =
+let reused_steps dataset algorithm run =
   let g = Cutfit.Datasets.generate (Cutfit.Datasets.find dataset) in
   let telemetry = Cutfit_obs.Telemetry.create () in
   let p =
-    Cutfit.Pipeline.prepare ~cluster ~partitioner:(Partitioner.Hash Strategy.Rvc) ~telemetry
-      ~algorithm g
+    Cutfit.Pipeline.prepare ~cluster:Cluster.config_i ~partitioner:(Partitioner.Hash Strategy.Rvc)
+      ~telemetry ~algorithm g
   in
   let trace = run p in
   let reg = Cutfit_obs.Telemetry.metrics telemetry in
@@ -744,7 +744,9 @@ let reused_steps ?(cluster = Cluster.config_i) dataset algorithm run =
 
 let test_reused_steps_counted () =
   let pagerank dataset want =
-    let reused, trace = reused_steps dataset Cutfit.Advisor.Pagerank (fun p -> snd (Cutfit.Pipeline.pagerank p)) in
+    let reused, trace =
+      reused_steps dataset Cutfit.Advisor.Pagerank (fun p -> snd (Cutfit.Pipeline.pagerank p))
+    in
     checki (dataset ^ ": PR compute steps") 10 (List.length trace.Trace.supersteps - 2);
     checki (dataset ^ ": PR reused steps") want reused
   in
@@ -760,7 +762,8 @@ let test_reused_steps_counted () =
       checki (dataset ^ ": CC reused steps") 0 cc;
       let sssp, _ =
         reused_steps dataset Cutfit.Advisor.Shortest_paths (fun p ->
-            snd (Cutfit.Pipeline.shortest_paths ~landmarks:(Cutfit.Pipeline.default_landmarks p.Cutfit.Pipeline.graph) p))
+            let landmarks = Cutfit.Pipeline.default_landmarks p.Cutfit.Pipeline.graph in
+            snd (Cutfit.Pipeline.shortest_paths ~landmarks p))
       in
       checki (dataset ^ ": SSSP reused steps") 0 sssp)
     [ "roadnet_pa"; "youtube" ]

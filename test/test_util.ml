@@ -129,13 +129,21 @@ let boxed ?(static_emits = false) ~n b =
   in
   let flush v ~first = if first then acc.(v) <- part.(v) else acc.(v) <- b.merge acc.(v) part.(v) in
   let apply v = attrs.(v) <- b.vprog v attrs.(v) acc.(v) in
-  ( { Pregel.send; flush; apply; static_emits; state_bytes = b.state_bytes; msg_bytes = b.msg_bytes },
+  ( {
+      Pregel.send;
+      flush;
+      apply;
+      static_emits;
+      state_bytes = b.state_bytes;
+      msg_bytes = b.msg_bytes;
+    },
     fun () -> attrs )
 
 type 'v boxed_result = { attrs : 'v array; trace : Cutfit_bsp.Trace.t }
 
 let run_boxed ?static_emits ?max_supersteps ?scale ?what_if ?telemetry ~cluster pg b =
-  let program, values = boxed ?static_emits ~n:(Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg)) b in
+  let n = Graph.num_vertices (Cutfit_bsp.Pgraph.graph pg) in
+  let program, values = boxed ?static_emits ~n b in
   let trace = Pregel.run ?max_supersteps ?scale ?what_if ?telemetry ~cluster pg program in
   { attrs = values (); trace }
 
