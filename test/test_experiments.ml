@@ -201,3 +201,73 @@ let suite =
       Alcotest.test_case "csv export" `Quick test_csv_export;
       Alcotest.test_case "csv file" `Quick test_csv_roundtrip_file;
     ]
+
+(* --- the value-discarding front ends, pinned bit for bit --- *)
+
+(* [Infra.run] and [Pipeline.compare_partitioners] keep only times, so
+   no value or digest check reads them; each time is pinned here as its
+   IEEE-754 bits, one line per partitioner. *)
+let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
+
+let test_infra_bits () =
+  let lines =
+    List.map
+      (fun r ->
+        String.concat " "
+          [
+            r.E.Infra.partitioner;
+            bits r.E.Infra.time_ii;
+            bits r.E.Infra.time_iii;
+            bits r.E.Infra.time_iv;
+          ])
+      (E.Infra.run ~dataset:"youtube" ())
+  in
+  Alcotest.(check (list string))
+    "infra youtube"
+    [
+      "RVC 40153cd5db1d50da 4004bdd35ec47a45 40046c2e57f8d83a";
+      "1D 4012a18d319f34ff 4005ccc4d38c3e9b 40057b1fccc09c8f";
+      "2D 401364f364c89493 40036554262b1f6c 400313af1f5f7d60";
+      "CRVC 40105af5166ac059 400327ff9c51c3c9 4002d65a958621be";
+      "SC 40105f4f4cb3ec2d 4004a33cf595f434 40045197eeca522a";
+      "DC 4006f90d1ba6635c 400213da928369d0 4001c2358bb7c7c5";
+    ]
+    lines
+
+let test_compare_bits () =
+  List.iter
+    (fun (dataset, expected) ->
+      let g = Datasets.generate (Datasets.find dataset) in
+      let lines =
+        List.map
+          (fun (name, t) -> name ^ " " ^ bits t)
+          (Cutfit.Pipeline.compare_partitioners ~algorithm:Cutfit.Advisor.Pagerank g)
+      in
+      Alcotest.(check (list string)) ("compare PR " ^ dataset) expected lines)
+    [
+      ( "youtube",
+        [
+          "DC 3fe815c244249dc9";
+          "CRVC 3fe88b7444e5f791";
+          "SC 3fe88c9a8c8d0b15";
+          "2D 3fe89faa1f74aa0c";
+          "1D 3fe8c8ce5ef580e4";
+          "RVC 3fe8fbb87a9fedc3";
+        ] );
+      ( "roadnet_pa",
+        [
+          "DC 3fe81ca0befee111";
+          "CRVC 3fe8773a6888b2b6";
+          "1D 3fe8872f6bb6c0a9";
+          "SC 3fe89c1f9f162c2d";
+          "2D 3fe8d7a2f207966f";
+          "RVC 3fe8ea6a7b090d48";
+        ] );
+    ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "front ends pinned: infra youtube" `Quick test_infra_bits;
+      Alcotest.test_case "front ends pinned: compare PR" `Quick test_compare_bits;
+    ]
