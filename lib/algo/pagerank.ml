@@ -31,6 +31,10 @@ let run ?(iterations = 10) ?scale ?cost ?what_if ?telemetry ~cluster pg =
   in
   { ranks; trace }
 
+let price ?(iterations = 10) ?scale ?cost ?what_if ?telemetry ~cluster pg =
+  let program, _ = program (Cutfit_bsp.Pgraph.graph pg) in
+  Pregel.price ~max_supersteps:iterations ?scale ?cost ?what_if ?telemetry ~cluster pg program
+
 (* --- compact CSR kernel -------------------------------------------
 
    The same superstep recurrence as [program], on the flat Csr layout:

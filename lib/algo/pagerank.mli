@@ -20,6 +20,19 @@ val run :
 (** Default 10 iterations. [what_if]: {!Cutfit_bsp.Pricer.what_if};
     it never changes the ranks. *)
 
+val price :
+  ?iterations:int ->
+  ?scale:float ->
+  ?cost:Cutfit_bsp.Cost_model.t ->
+  ?what_if:Cutfit_bsp.Pricer.what_if ->
+  ?telemetry:Cutfit_obs.Telemetry.t ->
+  cluster:Cutfit_bsp.Cluster.t ->
+  Cutfit_bsp.Pgraph.t ->
+  Cutfit_bsp.Trace.t
+(** {!run}'s trace (and events) without its ranks, through
+    {!Cutfit_bsp.Pregel.price}: supersteps 2 on of a run whose active
+    edges repeat step 1's are priced without being executed. *)
+
 val run_gas :
   ?iterations:int ->
   ?scale:float ->

@@ -105,8 +105,10 @@ let add_skips (work : float array) p skip_s k =
   done;
   work.(p) <- !w
 
-let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?what_if ?telemetry
-    ~cluster pg program =
+(* [run] and [price] share this body; [values] is [false] only for
+   [price], whose repeated static-emits steps run no program call. *)
+let exec ~values ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?what_if
+    ?telemetry ~cluster pg program =
   let g = Pgraph.graph pg in
   let n = Graph.num_vertices g in
   let num_partitions = Pgraph.num_partitions pg in
@@ -292,13 +294,16 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
   in
 
   (* Repeated supersteps. A static-emits program's charges in a step
-     follow from the frontier (which fixes the active edges, the
-     emissions and so the touched vertices, in order) and from the
-     placement, given the fixed masters and route table. So a step whose
-     [active] bytes and [pex] equal those of the last charged step runs
-     values only, the same [send], flush and apply calls with no charge,
-     and hands that step's counts to [Pricer.superstep] again. Nothing
-     is kept for any other program. *)
+     follow from its active edges (which fix the emissions and so the
+     touched vertices, in order) and from the placement, given the fixed
+     masters and route table. So a step whose active edges and [pex]
+     equal those of the last charged step is priced from that step's
+     counts. Under [run] it still runs values, the same [send], flush
+     and apply calls with no charge; under [price] it runs nothing. Its
+     touched vertices are the charged step's, which are also its own
+     frontier (the previous step, charged or repeated, touched them), so
+     a skipped step leaves [active] and [touched] as running it would.
+     Nothing is kept for any other program. *)
   let static_emits = program.static_emits in
   let charged_active = if static_emits then Bytes.make n '\000' else Bytes.empty in
   let charged_pex = if static_emits then Array.make num_partitions 0 else [||] in
@@ -307,6 +312,35 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
     let same = ref true in
     for p = 0 to num_partitions - 1 do
       if charged_pex.(p) <> pex.(p) then same := false
+    done;
+    !same
+  in
+  (* [charged_active] is a frontier with the charged step's active
+     edges. An edge with no endpoint where the two frontiers differ
+     reads the same bytes in both, so only the edges at such a vertex
+     [x] are walked: one is active under both frontiers exactly when its
+     other endpoint is on in the frontier where [x] is off. *)
+  let out_off, out_adj = Graph.out_csr g and in_off, in_adj = Graph.in_csr g in
+  let same_active_edges () =
+    Bytes.equal active charged_active
+    ||
+    let same = ref true and x = ref 0 in
+    while !same && !x < n do
+      let v = !x in
+      let on = Bytes.unsafe_get active v in
+      if on <> Bytes.unsafe_get charged_active v then begin
+        let other = if on <> '\000' then charged_active else active in
+        let covered off adj =
+          let k = ref off.(v) in
+          while !same && !k < off.(v + 1) do
+            if Bytes.unsafe_get other adj.(!k) = '\000' then same := false;
+            incr k
+          done
+        in
+        covered out_off out_adj;
+        covered in_off in_adj
+      end;
+      incr x
     done;
     !same
   in
@@ -321,21 +355,15 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
     then
       invalid_arg
         (Printf.sprintf
-           "Pregel.run: superstep %d repeats the frontier and placement of a charged one but \
+           "Pregel.run: superstep %d repeats the active edges and placement of a charged one but \
             emitted differently; the program's emissions depend on its values, so it must not \
             declare static_emits"
            !step)
   in
-  while Option.is_none !outcome do
-    let c = Pricer.begin_step pr ~step:!step in
-    refresh_placement ();
-    let repeat =
-      Option.is_some !charged && Bytes.equal active charged_active && same_placement ()
-    in
-    if static_emits && not repeat then begin
-      Bytes.blit active 0 charged_active 0 n;
-      Array.blit pex 0 charged_pex 0 num_partitions
-    end;
+  (* One superstep's scan, flushes, vertex programs and broadcast, and
+     its counts: fresh in [c], or for a [repeat] the stored ones once
+     the guard has compared them. *)
+  let run_step (c : Pricer.counts) ~repeat =
     let work = c.Pricer.work in
     cur_work := work;
     cur_out := c.Pricer.bytes_out;
@@ -459,27 +487,39 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
       if not repeat then broadcast c v
     done;
     sparse := sparse_ratio * !frontier_degree < m;
+    match !charged with
+    | Some stored when repeat ->
+        check_repeat stored ~active_edges:!active_edges;
+        stored
+    | _ ->
+        let c =
+          {
+            c with
+            Pricer.active_edges = !active_edges;
+            messages = !messages;
+            shuffle_groups = !shuffle_groups;
+            remote_shuffles = !remote_shuffles;
+            updated = touched.Ivec.len;
+            bcast = !bcast;
+            remote_bcast = !remote_bcast;
+          }
+        in
+        if static_emits then charged := Some c;
+        c
+  in
+  while Option.is_none !outcome do
+    let c = Pricer.begin_step pr ~step:!step in
+    refresh_placement ();
+    let repeat = Option.is_some !charged && same_placement () && same_active_edges () in
+    if static_emits then begin
+      Bytes.blit active 0 charged_active 0 n;
+      if not repeat then Array.blit pex 0 charged_pex 0 num_partitions
+    end;
+    if repeat then incr reused;
     let counts =
       match !charged with
-      | Some c when repeat ->
-          check_repeat c ~active_edges:!active_edges;
-          incr reused;
-          c
-      | _ ->
-          let c =
-            {
-              c with
-              Pricer.active_edges = !active_edges;
-              messages = !messages;
-              shuffle_groups = !shuffle_groups;
-              remote_shuffles = !remote_shuffles;
-              updated = touched.Ivec.len;
-              bcast = !bcast;
-              remote_bcast = !remote_bcast;
-            }
-          in
-          if static_emits then charged := Some c;
-          c
+      | Some stored when repeat && not values -> stored
+      | _ -> run_step c ~repeat
     in
     let verdict = Pricer.superstep pr ~step:!step counts in
     outcome :=
@@ -501,3 +541,9 @@ let run ?(max_supersteps = 500) ?(scale = 1.0) ?(cost = Cost_model.default) ?wha
   (* Only this engine models executor memory: GAS and triangle counting
      report a zero peak. *)
   Pricer.finish pr ~outcome:(Option.get !outcome) ~peak_executor_bytes:exec_peak
+
+let run ?max_supersteps ?scale ?cost ?what_if ?telemetry ~cluster pg program =
+  exec ~values:true ?max_supersteps ?scale ?cost ?what_if ?telemetry ~cluster pg program
+
+let price ?max_supersteps ?scale ?cost ?what_if ?telemetry ~cluster pg program =
+  exec ~values:false ?max_supersteps ?scale ?cost ?what_if ?telemetry ~cluster pg program

@@ -19,8 +19,8 @@
 
     Time is modeled, not measured: the engine fills one {!Pricer.counts}
     record per superstep (or, for a [static_emits] program, passes the
-    last charged one again when a superstep repeats its frontier and
-    placement) and {!Pricer} prices it — compute is the
+    last charged one again when a superstep repeats its active edges
+    and placement) and {!Pricer} prices it — compute is the
     makespan of per-partition work over each executor's cores, network
     is per-executor egress bytes over the NIC, and fixed task-dispatch
     and barrier overheads are added — so granularity, stragglers,
@@ -76,21 +76,23 @@ type program = {
           makes (how many, in which order, in which direction) depend
           only on [src] and [dst], never on vertex values — PageRank's
           every-edge sends. The charges of a superstep then follow from
-          its frontier and its partition placement alone, so a
-          superstep whose frontier and placement equal those of the
-          last charged one runs values only (the same [send], [flush]
-          and [apply] calls) and is priced from that step's stored
-          counts: the trace, the events and the values are those of a
-          [false] run, bit for bit. A program whose emissions read its
-          values (CC and SSSP compare before they emit) must say
-          [false]; nothing is then stored or compared.
+          its set of active edges and its partition placement alone,
+          so a superstep whose active edges and placement equal those
+          of the last charged one is priced from that step's stored
+          counts. Under {!run} it runs values only (the same [send],
+          [flush] and [apply] calls); under {!price} it calls nothing.
+          Either way the trace and the events are those of a [false]
+          run, bit for bit, and so are {!run}'s values. A program whose
+          emissions read its values (CC and SSSP compare before they
+          emit) must say [false]; nothing is then stored or compared.
 
-          The guard: a repeated superstep counts its active edges,
-          emits, first messages per partition and updated vertices,
-          and raises [Invalid_argument] when one differs from the
-          stored counts. It cannot see an emission that keeps those
-          totals but moves a message to another target or direction,
-          nor a step that is never repeated. *)
+          The guard, under {!run} only: a repeated superstep counts its
+          active edges, emits, first messages per partition and
+          updated vertices, and raises [Invalid_argument] when one
+          differs from the stored counts. It cannot see an emission
+          that keeps those totals but moves a message to another
+          target or direction, nor a step that is never repeated.
+          {!price} runs no repeated step, so it checks nothing. *)
   state_bytes : int;  (** serialized payload of one vertex attribute *)
   msg_bytes : int;  (** serialized payload of one message *)
 }
@@ -124,3 +126,23 @@ val run :
     the very record stored in the returned {!Trace.t}, plus its executor
     profile, followed by one [Run_end] record labelled ["pregel"].
     Without it the engine allocates no telemetry records at all. *)
+
+val price :
+  ?max_supersteps:int ->
+  ?scale:float ->
+  ?cost:Cost_model.t ->
+  ?what_if:Pricer.what_if ->
+  ?telemetry:Cutfit_obs.Telemetry.t ->
+  cluster:Cluster.t ->
+  Pgraph.t ->
+  program ->
+  Trace.t
+(** [price] is {!run} for a caller that discards the values: the same
+    trace, the same events and the same failures, bit for bit. A
+    [static_emits] program's repeated supersteps run no scan, no
+    program call and no broadcast, so the program's state after
+    [price] is unspecified and the [static_emits] guard does not run:
+    a program whose declaration is false is priced from counts nobody
+    checked. Only {!run} reads values and checks the declaration. For
+    a program that does not declare [static_emits], [price] runs
+    exactly {!run}'s code. *)

@@ -65,6 +65,11 @@ let pagerank ?iterations p =
   in
   (r.Cutfit_algo.Pagerank.ranks, r.Cutfit_algo.Pagerank.trace)
 
+let price_pagerank ?iterations p =
+  start_run p "pagerank";
+  Cutfit_algo.Pagerank.price ?iterations ~scale:p.scale ~cost:p.cost ~what_if:p.what_if
+    ?telemetry:p.telemetry ~cluster:p.cluster p.pg
+
 let connected_components ?iterations p =
   start_run p "connected_components";
   let r =
@@ -96,6 +101,7 @@ let shortest_paths ~landmarks p =
 
 type 'v algo = {
   run : prepared -> 'v * Trace.t;
+  price : prepared -> Trace.t;
   kernel : 'v Kernel_check.t;
   payload_bytes : int option;
   summary : 'v -> string;
@@ -106,8 +112,11 @@ type any_algo = Algo : 'v algo -> any_algo
 let default_landmarks ?(seed = 11L) g = Cutfit_algo.Sssp.pick_landmarks ~seed ~count:3 g
 
 (* Payload bytes of one remote Pregel message: an 8-byte value for PR
-   and CC, and for SSSP a 96-byte map header plus 64 per landmark. *)
-let algo ?iterations ?undirected ~landmarks = function
+   and CC, and for SSSP a 96-byte map header plus 64 per landmark. Only
+   PageRank declares static emits, so the other entries price by running. *)
+let algo ?iterations ?undirected ~landmarks =
+  let priced run p = snd (run p) in
+  function
   | Advisor.Pagerank ->
       let summary ranks =
         let top = ref 0 in
@@ -117,6 +126,7 @@ let algo ?iterations ?undirected ~landmarks = function
       Algo
         {
           run = pagerank ?iterations;
+          price = price_pagerank ?iterations;
           kernel = Kernel_check.pagerank;
           payload_bytes = Some 8;
           summary;
@@ -129,6 +139,7 @@ let algo ?iterations ?undirected ~landmarks = function
       Algo
         {
           run = connected_components ?iterations;
+          price = priced (connected_components ?iterations);
           kernel = Kernel_check.connected_components;
           payload_bytes = Some 8;
           summary;
@@ -140,6 +151,7 @@ let algo ?iterations ?undirected ~landmarks = function
       Algo
         {
           run = triangles ?undirected;
+          price = priced (triangles ?undirected);
           kernel = Kernel_check.triangle_count;
           payload_bytes = None;
           summary;
@@ -153,6 +165,7 @@ let algo ?iterations ?undirected ~landmarks = function
       Algo
         {
           run = shortest_paths ~landmarks;
+          price = priced (shortest_paths ~landmarks);
           kernel = Kernel_check.shortest_paths ~landmarks;
           payload_bytes = Some (96 + (64 * Array.length landmarks));
           summary;
@@ -178,7 +191,7 @@ let compare_partitioners ?(check = false) ?(cluster = Cluster.config_i) ?seed ?w
     List.map
       (fun partitioner ->
         let p = prepare ~check ~cluster ~partitioner ?what_if ?telemetry ~algorithm g in
-        let _, trace = a.run p in
+        let trace = a.price p in
         let time = if Trace.completed trace then trace.Trace.total_s else Float.nan in
         (Partitioner.name partitioner, time))
       Partitioner.paper_six

@@ -97,6 +97,16 @@ val shortest_paths : landmarks:int array -> prepared -> int array array * Cutfit
 
 type 'v algo = {
   run : prepared -> 'v * Cutfit_bsp.Trace.t;  (** {!pagerank}, {!triangles}, ... *)
+  price : prepared -> Cutfit_bsp.Trace.t;
+      (** [run]'s trace, with the same events, for a caller that discards
+          the values: PageRank's goes through
+          {!Cutfit_algo.Pagerank.price}, which leaves its repeated
+          supersteps unexecuted and so skips the [static_emits] guard
+          that [run] keeps; the other entries run. The evaluation
+          matrix, the workload engine, {!compare_partitioners}, the
+          infrastructure experiment and {!Sanitize}'s determinism replay
+          price; the CLI's summary line, {!oracle}, the sanitized run
+          and every check that reads values run. *)
   kernel : 'v Cutfit_check.Kernel_check.t;  (** label, [run_csr] kernel, value digest *)
   payload_bytes : int option;
       (** of one remote Pregel message, before framing; [None] for

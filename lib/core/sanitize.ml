@@ -28,18 +28,25 @@ let payload ~scale (a : _ Pipeline.algo) =
       { Check.Trace_check.msg_wire_bytes = bytes; attr_wire_bytes = bytes; scale })
     a.Pipeline.payload_bytes
 
-(* One sanitized run. Besides the trace and its whole event stream
-   (kept however long, so the telemetry suite's counts see every
-   event), every run yields a canonical digest of its final vertex
-   values — what the fault suite compares bit-for-bit across baseline
-   and faulty executions. *)
-let run_once ~cluster ~partitioner ~scale ~algorithm ~(algo : _ Pipeline.algo) what_if g =
+(* [exec] on one pipeline with its whole event stream kept (however
+   long, so the telemetry suite's counts see every event). *)
+let observe ~cluster ~partitioner ~scale ~algorithm what_if g exec =
   let sink, contents = Obs.Sink.collect () in
   let telemetry = Obs.Telemetry.create ~sinks:[ sink ] () in
   let p = Pipeline.prepare ~cluster ~partitioner ~scale ~what_if ~telemetry ~algorithm g in
-  let values, trace = algo.Pipeline.run p in
+  let r = exec p in
   Obs.Telemetry.close telemetry;
-  (p, trace, algo.Pipeline.kernel.Check.Kernel_check.digest values, contents ())
+  (p, r, contents ())
+
+(* One sanitized run. Besides the trace and its events, every run
+   yields a canonical digest of its final vertex values — what the
+   fault suite compares bit-for-bit across baseline and faulty
+   executions. *)
+let run_once ~cluster ~partitioner ~scale ~algorithm ~(algo : _ Pipeline.algo) what_if g =
+  let p, (values, trace), events =
+    observe ~cluster ~partitioner ~scale ~algorithm what_if g algo.Pipeline.run
+  in
+  (p, trace, algo.Pipeline.kernel.Check.Kernel_check.digest values, events)
 
 let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpoint_every ?faults
     ?speculation ?elastic ?hetero ?engine_domains ?race_domains ?dynamic ~algorithm g =
@@ -53,6 +60,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
   let (Pipeline.Algo a) =
     Pipeline.algo ~landmarks:(lazy (Pipeline.default_landmarks g)) algorithm
   in
+  let observe = observe ~cluster ~partitioner ~scale ~algorithm in
   let run_once = run_once ~cluster ~partitioner ~scale ~algorithm ~algo:a in
   let p, trace, attrs_digest, events = run_once w g in
   let assignment = Pgraph.assignment p.Pipeline.pg in
@@ -68,10 +76,11 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     Printf.sprintf "%s/%s" (Advisor.algorithm_name algorithm) (Partitioner.name partitioner)
   in
   (* The sanitized run above is the first of the two complete
-     executions the determinism suite compares; one replay through the
-     same [run_once] configuration is the second. *)
+     executions the determinism suite compares; one replay of the same
+     configuration through the table's [price] is the second, so the
+     suite also holds [price] to [run]'s trace and events. *)
   let digest_of_run () =
-    let _, trace, _, events = run_once w g in
+    let _, trace, events = observe w g a.Pipeline.price in
     Check.Determinism.trace_digest trace ^ "/" ^ Check.Determinism.events_digest events
   in
   let determinism_v =

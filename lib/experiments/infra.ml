@@ -16,14 +16,17 @@ let run ?(dataset = "follow_dec") () =
   let spec = Datasets.find dataset in
   let g = Datasets.generate spec in
   let scale = Run.scale_of spec g in
+  let (Cutfit.Pipeline.Algo a) =
+    Cutfit.Pipeline.algo ~landmarks:(Lazy.from_val [||]) Cutfit.Advisor.Pagerank
+  in
   List.map
     (fun partitioner ->
       let num_partitions = Cluster.config_ii.Cluster.num_partitions in
       let assignment = Partitioner.assign partitioner ~num_partitions g in
       let pg = Pgraph.build g ~num_partitions assignment in
       let time cluster =
-        let _, trace = Cutfit.Pipeline.(pagerank (of_pgraph ~cluster ~scale ~partitioner pg)) in
-        trace.Cutfit_bsp.Trace.total_s
+        (a.Cutfit.Pipeline.price (Cutfit.Pipeline.of_pgraph ~cluster ~scale ~partitioner pg))
+          .Cutfit_bsp.Trace.total_s
       in
       let t2 = time Cluster.config_ii in
       let t3 = time Cluster.config_iii in

@@ -114,7 +114,7 @@ let run opts =
                         Cutfit.Pipeline.algo ~iterations:opts.iterations ?undirected:und
                           ~landmarks:(Lazy.from_val landmarks) algo
                       in
-                      let _, t = a.Cutfit.Pipeline.run p in
+                      let t = a.Cutfit.Pipeline.price p in
                       if not (Trace.completed t) then all_ok := false;
                       total := !total +. t.Trace.total_s;
                       steps := max !steps (Trace.num_supersteps t);

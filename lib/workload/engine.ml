@@ -1060,7 +1060,7 @@ let run_algorithm st (job : Job.t) prepared =
        Sssp.pick_landmarks ~seed:job_seed ~count:3 g)
   in
   let (Pipeline.Algo a) = Pipeline.algo ?iterations:st.iterations ~landmarks job.Job.algorithm in
-  snd (a.Pipeline.run prepared)
+  a.Pipeline.price prepared
 
 let emit_end st r =
   st.emit

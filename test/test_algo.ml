@@ -350,38 +350,42 @@ let observed run =
   Cutfit_obs.Telemetry.close telemetry;
   (r, Determinism.events_digest (read ()))
 
+(* A case's graph, cluster, what-if and partitioned graph. *)
+let oracle_setup c =
+  let g = Test_util.graph_of_edges ~n:c.n c.edges in
+  let parts = c.cluster.Cluster.num_partitions in
+  let cluster =
+    match c.driver_steps with
+    | None -> c.cluster
+    | Some k ->
+        {
+          c.cluster with
+          Cluster.driver_memory_bytes =
+            (float_of_int k +. 0.5)
+            *. float_of_int parts
+            *. Cutfit_bsp.Cost_model.default.Cutfit_bsp.Cost_model.driver_meta_per_task_bytes;
+        }
+  in
+  let executors = cluster.Cluster.executors in
+  let what_if =
+    {
+      Cutfit_bsp.Pricer.checkpoint_every = c.checkpoint_every;
+      faults =
+        Option.map (fun (spec, mode) -> Cutfit_bsp.Faults.config ~seed:11 ~mode spec) c.faults;
+      speculation =
+        (if c.speculate then Some (Cutfit_bsp.Speculation.config ~seed:13 ()) else None);
+      hetero =
+        (if c.hetero then Some (Cutfit_bsp.Elastic.draw_hetero ~seed:17 ~executors) else None);
+      elastic = Option.map (Cutfit_bsp.Elastic.config ~seed:19) c.scale_events;
+    }
+  in
+  let a = Partitioner.assign (Partitioner.Hash c.strategy) ~num_partitions:parts g in
+  (g, cluster, what_if, Pgraph.build g ~num_partitions:parts a)
+
 let prop_flat_programs_match_oracles =
   Test_util.qtest ~count:120 "flat PR/CC/SSSP = boxed oracles, bit for bit" ~print:print_oracle_case
     oracle_case_gen (fun c ->
-      let g = Test_util.graph_of_edges ~n:c.n c.edges in
-      let parts = c.cluster.Cluster.num_partitions in
-      let cluster =
-        match c.driver_steps with
-        | None -> c.cluster
-        | Some k ->
-            {
-              c.cluster with
-              Cluster.driver_memory_bytes =
-                (float_of_int k +. 0.5)
-                *. float_of_int parts
-                *. Cutfit_bsp.Cost_model.default.Cutfit_bsp.Cost_model.driver_meta_per_task_bytes;
-            }
-      in
-      let executors = cluster.Cluster.executors in
-      let what_if =
-        {
-          Cutfit_bsp.Pricer.checkpoint_every = c.checkpoint_every;
-          faults =
-            Option.map (fun (spec, mode) -> Cutfit_bsp.Faults.config ~seed:11 ~mode spec) c.faults;
-          speculation =
-            (if c.speculate then Some (Cutfit_bsp.Speculation.config ~seed:13 ()) else None);
-          hetero =
-            (if c.hetero then Some (Cutfit_bsp.Elastic.draw_hetero ~seed:17 ~executors) else None);
-          elastic = Option.map (Cutfit_bsp.Elastic.config ~seed:19) c.scale_events;
-        }
-      in
-      let a = Partitioner.assign (Partitioner.Hash c.strategy) ~num_partitions:parts g in
-      let pg = Pgraph.build g ~num_partitions:parts a in
+      let g, cluster, what_if, pg = oracle_setup c in
       let same what (trace, events) ((o : _ Test_util.boxed_result), o_events) values_equal =
         let o_trace = Determinism.trace_digest o.Test_util.trace in
         if not (String.equal (Determinism.trace_digest trace) o_trace) then
@@ -417,6 +421,53 @@ let prop_flat_programs_match_oracles =
       && sssp [| c.l0 |]
       && sssp [| c.l0; c.l1; c.l0 |])
 
+(* [Pagerank.price] leaves PageRank's repeated supersteps unexecuted;
+   its trace and events must be [run]'s over every draw above. *)
+let prop_price_matches_run =
+  Test_util.qtest ~count:120 "PR price = run, trace and events" ~print:print_oracle_case
+    oracle_case_gen (fun c ->
+      let _, cluster, what_if, pg = oracle_setup c in
+      let run, run_events =
+        observed (fun telemetry ->
+            (Pagerank.run ~iterations:c.iterations ~what_if ~telemetry ~cluster pg).Pagerank.trace)
+      in
+      let price, price_events =
+        observed (fun telemetry ->
+            Pagerank.price ~iterations:c.iterations ~what_if ~telemetry ~cluster pg)
+      in
+      if not (String.equal (Determinism.trace_digest run) (Determinism.trace_digest price)) then
+        QCheck2.Test.fail_reportf "trace digests differ";
+      if not (String.equal run_events price_events) then
+        QCheck2.Test.fail_reportf "event digests differ";
+      true)
+
+(* Every vertex of a cycle with chords has an in-edge, so PageRank's
+   steps 2-10 repeat step 1: [run] sends over every edge in each of
+   them, [price] only in step 1, and both price the same trace. *)
+let test_price_sends_in_charged_steps () =
+  let n = 40 in
+  let g =
+    Test_util.graph_of_edges ~n
+      (List.init n (fun v -> (v, (v + 1) mod n)) @ List.init n (fun v -> (v, ((7 * v) + 3) mod n)))
+  in
+  let pg = pg_of g in
+  let count exec =
+    let sends = ref 0 in
+    let program, _ = Test_util.boxed ~static_emits:true ~n (pagerank_oracle g) in
+    let send ~src ~dst ~emit =
+      incr sends;
+      program.Pregel.send ~src ~dst ~emit
+    in
+    let trace = exec { program with Pregel.send } in
+    (!sends, Determinism.trace_digest trace)
+  in
+  let run_sends, run_digest = count (Pregel.run ~max_supersteps:10 ~cluster pg) in
+  let price_sends, price_digest = count (Pregel.price ~max_supersteps:10 ~cluster pg) in
+  let m = Graph.num_edges g in
+  checki "run: every step" (10 * m) run_sends;
+  checki "price: step 1 only" m price_sends;
+  Alcotest.(check string) "same trace" run_digest price_digest
+
 let suite =
   [
     Alcotest.test_case "PR matches reference" `Quick test_pagerank_matches_reference;
@@ -441,4 +492,6 @@ let suite =
     Alcotest.test_case "SSSP long path OOM" `Quick test_sssp_long_path_ooms_small_driver;
     prop_sssp_matches_bfs;
     prop_flat_programs_match_oracles;
+    prop_price_matches_run;
+    Alcotest.test_case "PR price sends in charged steps" `Quick test_price_sends_in_charged_steps;
   ]
