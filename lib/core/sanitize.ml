@@ -28,26 +28,6 @@ let payload ~scale (a : _ Pipeline.algo) =
       { Check.Trace_check.msg_wire_bytes = bytes; attr_wire_bytes = bytes; scale })
     a.Pipeline.payload_bytes
 
-(* [exec] on one pipeline with its whole event stream kept (however
-   long, so the telemetry suite's counts see every event). *)
-let observe ~cluster ~partitioner ~scale ~algorithm what_if g exec =
-  let sink, contents = Obs.Sink.collect () in
-  let telemetry = Obs.Telemetry.create ~sinks:[ sink ] () in
-  let p = Pipeline.prepare ~cluster ~partitioner ~scale ~what_if ~telemetry ~algorithm g in
-  let r = exec p in
-  Obs.Telemetry.close telemetry;
-  (p, r, contents ())
-
-(* One sanitized run. Besides the trace and its events, every run
-   yields a canonical digest of its final vertex values — what the
-   fault suite compares bit-for-bit across baseline and faulty
-   executions. *)
-let run_once ~cluster ~partitioner ~scale ~algorithm ~(algo : _ Pipeline.algo) what_if g =
-  let p, (values, trace), events =
-    observe ~cluster ~partitioner ~scale ~algorithm what_if g algo.Pipeline.run
-  in
-  (p, trace, algo.Pipeline.kernel.Check.Kernel_check.digest values, events)
-
 let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpoint_every ?faults
     ?speculation ?elastic ?hetero ?engine_domains ?race_domains ?dynamic ~algorithm g =
   let num_partitions = cluster.Cluster.num_partitions in
@@ -60,9 +40,26 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
   let (Pipeline.Algo a) =
     Pipeline.algo ~landmarks:(lazy (Pipeline.default_landmarks g)) algorithm
   in
-  let observe = observe ~cluster ~partitioner ~scale ~algorithm in
-  let run_once = run_once ~cluster ~partitioner ~scale ~algorithm ~algo:a in
-  let p, trace, attrs_digest, events = run_once w g in
+  (* [exec] on the pipeline under [what_if], with its whole event
+     stream kept (however long, so the telemetry suite's counts see
+     every event). *)
+  let observe what_if exec =
+    let sink, contents = Obs.Sink.collect () in
+    let telemetry = Obs.Telemetry.create ~sinks:[ sink ] () in
+    let p = Pipeline.prepare ~cluster ~partitioner ~scale ~what_if ~telemetry ~algorithm g in
+    let r = exec p in
+    Obs.Telemetry.close telemetry;
+    (p, r, contents ())
+  in
+  (* One sanitized run. Besides the trace and its events, every run
+     yields a canonical digest of its final vertex values — what the
+     fault suite compares bit-for-bit across baseline and faulty
+     executions. *)
+  let run_once what_if =
+    let p, (values, trace), events = observe what_if a.Pipeline.run in
+    (p, trace, a.Pipeline.kernel.Check.Kernel_check.digest values, events)
+  in
+  let p, trace, attrs_digest, events = run_once w in
   let assignment = Pgraph.assignment p.Pipeline.pg in
   let pgraph_v = Check.Pgraph_check.validate p.Pipeline.pg in
   let metrics_v =
@@ -80,7 +77,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
      configuration through the table's [price] is the second, so the
      suite also holds [price] to [run]'s trace and events. *)
   let digest_of_run () =
-    let _, trace, events = observe w g a.Pipeline.price in
+    let _, trace, events = observe w a.Pipeline.price in
     Check.Determinism.trace_digest trace ^ "/" ^ Check.Determinism.events_digest events
   in
   let determinism_v =
@@ -101,7 +98,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     | None, None -> None
     | _ ->
         let _, baseline, baseline_attrs, _ =
-          run_once { w with faults = None; speculation = None } g
+          run_once { w with faults = None; speculation = None }
         in
         Some
           (Check.Fault_check.equivalence ~label ~baseline ~faulty:trace
@@ -117,7 +114,7 @@ let check_run ?(cluster = Cluster.config_i) ?partitioner ?(scale = 1.0) ?checkpo
     match (elastic, hetero) with
     | None, None -> None
     | _ ->
-        let _, baseline, baseline_attrs, _ = run_once { w with elastic = None; hetero = None } g in
+        let _, baseline, baseline_attrs, _ = run_once { w with elastic = None; hetero = None } in
         Some
           (Check.Elastic_check.equivalence ~label ~executors:cluster.Cluster.executors
              ~num_partitions ~baseline ~elastic:trace ~baseline_attrs

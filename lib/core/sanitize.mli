@@ -8,7 +8,9 @@
     (recomputation + §3.1 identity), [trace] (conservation laws, with
     the wire-payload law on the Pregel-engine algorithms), [telemetry]
     (event stream vs trace reconciliation), [determinism] (the
-    sanitized run and one replay of it must digest identically). With
+    sanitized run and one replay of it through the table's
+    {!Pipeline.algo} [price] must digest identically, so PageRank's
+    [price] is held to its [run] on every check). With
     a fault schedule or a speculation config a sixth suite, [faults],
     replays the pipeline fault-free and speculation-free (same
     checkpoint cadence, scale events and hosts) and proves the

@@ -328,10 +328,11 @@ expect_check_digests 08166d11f3e81f21fa3ec83c59905c28 c159a56112d063e05847156601
   --elastic 'leave@4-1,join@5+1'
 
 echo "== repeated PageRank supersteps (priced from the last charged step's counts)"
-# every PageRank superstep whose frontier and placement repeat the last
-# charged one reuses that step's counts; a reused step that would have
-# charged differently moves these digests. The elastic run reshuffles
-# twice, and each reshuffle must break the reuse.
+# every PageRank superstep whose active edges and placement repeat the
+# last charged one reuses that step's counts, and the determinism replay
+# prices it without running it; a reused step that would have charged
+# differently moves these digests. The elastic run reshuffles twice, and
+# each reshuffle must break the reuse.
 expect_check_digests e4b7e5120ccee4bec838f86dfade6735 146fb2012e82cabe52577b806a3fb6e8 \
   PR youtube
 expect_check_digests ceae99e7d86567f6db1cf162dcb57ddf bc69114c82ef76fbf5a030860489b2ac \
@@ -339,7 +340,7 @@ expect_check_digests ceae99e7d86567f6db1cf162dcb57ddf bc69114c82ef76fbf5a0308604
 expect_check_digests 4306b1e4a44e1956504b89c09b253823 6db9f2a533f514d3d2aa91488c5107ba \
   PR youtube --elastic 'leave@2-1,join@4+2' --hetero draw
 # pocek has vertices with no in-edge: its step-2 frontier drops them,
-# while every edge stays active through its target
+# while every edge stays active through its target, so step 2 repeats
 expect_check_digests f441375953cc6ee8b460814fc0029151 82fe3172d2031a1687547aab8410cbf4 \
   PR pocek
 
