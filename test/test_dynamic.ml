@@ -572,6 +572,119 @@ let test_engine_mutation_mode_strings () =
     [ Engine.Priced; Engine.Force_refresh; Engine.Force_rebuild ];
   checkb "unknown rejected" true (Engine.mutation_mode_of_string "bogus" = None)
 
+(* --- the standalone decisions, pinned bit for bit --- *)
+
+(* [cutfit mutate] prints prices through [fsig], at one or two
+   significant digits, so its stdout pins cannot see a changed sum.
+   Each decision of [Repartition.run] is pinned here with its prices as
+   IEEE-754 bits, and its events by digest. *)
+let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
+
+let decision_line (d : Repartition.decision) =
+  String.concat " "
+    [
+      string_of_int d.Repartition.batch;
+      bits d.Repartition.refresh_s;
+      bits d.Repartition.rebuild_s;
+      Repartition.choice_name d.Repartition.choice;
+      string_of_int d.Repartition.inserts;
+      string_of_int d.Repartition.deletes;
+      string_of_int d.Repartition.edges_after;
+      string_of_int d.Repartition.placed_edges;
+      string_of_int d.Repartition.repaired_vertices;
+      string_of_int d.Repartition.moved_replicas;
+    ]
+
+let events_digest events =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map Cutfit_obs.Event.to_line events)))
+
+let test_decisions_pinned () =
+  let hdrf = Option.get (Streaming.of_string "hdrf") in
+  let cfg = Mutation.config "ins@1-4:r64,del@1-4:r16" in
+  List.iter
+    (fun (dataset, heuristic, expected, expected_digest) ->
+      let g = Cutfit.Datasets.generate (Cutfit.Datasets.find dataset) in
+      let sink, read = Cutfit_obs.Sink.ring ~capacity:64 () in
+      let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
+      let steps = Repartition.run ~telemetry ~heuristic ~num_partitions:128 cfg g in
+      Cutfit_obs.Telemetry.close telemetry;
+      let what = dataset ^ " " ^ Streaming.to_string heuristic in
+      Alcotest.(check (list string))
+        what expected
+        (List.map (fun (s : Repartition.step) -> decision_line s.Repartition.decision) steps);
+      Alcotest.(check string) (what ^ " events") expected_digest (events_digest (read ())))
+    [
+      ( "youtube",
+        Streaming.Greedy,
+        [
+          "1 3f850aed68b615a0 3fb03e7d7adb2b16 refresh 64 16 37282 64 32 63";
+          "2 3f850aed68b615a0 3fb03eb14b6706a0 refresh 64 16 37330 64 32 63";
+          "3 3f85094db7b168f4 3fb03ed9fd4131c7 refresh 64 16 37378 64 31 62";
+          "4 3f850b80aa40b6ed 3fb03efd00713f08 refresh 64 16 37426 64 31 64";
+        ],
+        "60e90d5aa2171f9c7573458bdf78b072" );
+      ( "youtube",
+        hdrf,
+        [
+          "1 3f850aed68b615a0 3fb03e639855ccbc refresh 64 16 37282 64 32 63";
+          "2 3f850aed68b615a0 3fb03e9d29711292 refresh 64 16 37330 64 32 63";
+          "3 3f850b80aa40b6ed 3fb03ec5db4b3db9 refresh 64 16 37378 64 31 64";
+          "4 3f850a6730f90ff1 3fb03effe0b8f42e refresh 64 16 37426 64 31 63";
+        ],
+        "d924f1c8d37bd25e0483beb83161edbc" );
+      ( "roadnet_pa",
+        Streaming.Greedy,
+        [
+          "1 3f850c06e1fdbc9c 3fb0345b96662721 refresh 64 16 31118 64 32 64";
+          "2 3f8509d3ef6e6ea4 3fb03488abd86ab9 refresh 64 16 31166 64 32 62";
+          "3 3f850c06e1fdbc9c 3fb034b915e4d416 refresh 64 16 31214 64 32 64";
+          "4 3f850d205b456399 3fb034f4b97ae071 refresh 64 16 31262 64 32 65";
+        ],
+        "4478769ff4499c5e73746a012a0dbfa0" );
+      ( "roadnet_pa",
+        hdrf,
+        [
+          "1 3f850c06e1fdbc9c 3fb02e6fe2c83cde refresh 64 16 31118 64 32 64";
+          "2 3f850aed68b615a0 3fb02e9fd882359d refresh 64 16 31166 64 32 63";
+          "3 3f850c06e1fdbc9c 3fb02ec7a1b77f87 refresh 64 16 31214 64 32 64";
+          "4 3f850d205b456399 3fb02f0625954108 refresh 64 16 31262 64 32 65";
+        ],
+        "309980d3327b9ac983fca05a3f4cadff" );
+    ]
+
+(* With no cache budget no partitioning is ever resident, so every
+   batch decides over no cut: refresh at 0/0, nothing refreshed, and
+   both events still emitted. *)
+let test_engine_empty_resident () =
+  let sink, read = Cutfit_obs.Sink.ring ~capacity:8192 () in
+  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
+  let report =
+    Engine.run ~slots:2 ~budget_bytes:0.0 ~iterations:4 ~telemetry
+      ~mutations:(Mutation.config "ins@1-6:r48,del@1-6:r12")
+      ~mutate_every:3 ~seed:21L stream
+  in
+  Cutfit_obs.Telemetry.close telemetry;
+  let batches = List.length report.Engine.mutations in
+  checkb "batches landed" true (batches > 0);
+  List.iter
+    (fun (m : Engine.mutation_record) ->
+      Alcotest.(check string) "refresh price" (bits 0.0) (bits m.Engine.mut_refresh_s);
+      Alcotest.(check string) "rebuild price" (bits 0.0) (bits m.Engine.mut_rebuild_s);
+      Alcotest.(check string) "ties go to refresh" "refresh" m.Engine.mut_choice;
+      checki "nothing refreshed" 0 m.Engine.mut_refreshed_entries)
+    report.Engine.mutations;
+  let events = read () in
+  let count p = List.length (List.filter p events) in
+  checki "one mutation event per batch" batches
+    (count (function Cutfit_obs.Event.Mutation_batch _ -> true | _ -> false));
+  checki "one repartition event per batch" batches
+    (count (function
+      | Cutfit_obs.Event.Repartition r ->
+          r.Cutfit_obs.Event.choice = "refresh"
+          && Int64.bits_of_float r.Cutfit_obs.Event.refresh_s = 0L
+          && Int64.bits_of_float r.Cutfit_obs.Event.rebuild_s = 0L
+      | _ -> false))
+
 let suite =
   [
     Alcotest.test_case "parse spec" `Quick test_parse_spec;
@@ -599,4 +712,6 @@ let suite =
     Alcotest.test_case "engine mutations clean" `Quick test_engine_mutations_clean;
     Alcotest.test_case "forced modes diverge" `Quick test_engine_forced_modes_diverge;
     Alcotest.test_case "mutation mode strings" `Quick test_engine_mutation_mode_strings;
+    Alcotest.test_case "decisions pinned" `Quick test_decisions_pinned;
+    Alcotest.test_case "engine empty-resident batches" `Quick test_engine_empty_resident;
   ]
