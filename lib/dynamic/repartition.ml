@@ -5,11 +5,11 @@ module Metrics = Cutfit_partition.Metrics
 module Cluster = Cutfit_bsp.Cluster
 module Cost_model = Cutfit_bsp.Cost_model
 module Event = Cutfit_obs.Event
-module Telemetry = Cutfit_obs.Telemetry
 
 type choice = Refresh | Rebuild
 
 let choice_name = function Refresh -> "refresh" | Rebuild -> "rebuild"
+let cost = Cost_model.default
 
 (* Refresh: each inserted edge pays its streaming placement and shuffle,
    each repaired vertex a local table update, and each moved replica a
@@ -18,28 +18,27 @@ let choice_name = function Refresh -> "refresh" | Rebuild -> "rebuild"
    simulated cost, but the commit barrier is a single synchronization,
    not a per-unit-of-scale one: a few dozen repaired edges never pay a
    full distributed build's worth of barriers. *)
-let refresh_price ?(cost = Cost_model.default) ?(cluster = Cluster.config_i) ?(scale = 1.0)
-    ~placed_edges ~repaired_vertices ~moved_replicas () =
-  let place_s = float_of_int placed_edges *. cost.Cost_model.build_edge_s in
+let refresh_price ~cluster ~scale (r : Incremental.refreshed) =
+  let place_s = float_of_int r.Incremental.placed_edges *. cost.Cost_model.build_edge_s in
   let repair_s =
-    float_of_int (repaired_vertices + moved_replicas) *. cost.Cost_model.build_vertex_s
+    float_of_int (r.Incremental.repaired_vertices + r.Incremental.moved_replicas)
+    *. cost.Cost_model.build_vertex_s
   in
   let shuffle_bytes =
-    float_of_int placed_edges *. float_of_int cost.Cost_model.shuffle_edge_bytes
+    float_of_int r.Incremental.placed_edges *. float_of_int cost.Cost_model.shuffle_edge_bytes
   in
   let broadcast_bytes =
-    float_of_int moved_replicas *. float_of_int cost.Cost_model.vertex_object_bytes
+    float_of_int r.Incremental.moved_replicas *. float_of_int cost.Cost_model.vertex_object_bytes
   in
   let network_s = (shuffle_bytes +. broadcast_bytes) /. Cluster.network_bytes_per_s cluster in
   (scale *. (place_s +. repair_s +. network_s)) +. cost.Cost_model.superstep_barrier_s
 
 (* Rebuild: the advisor's full partition-build prediction — per-executor
    build work and shuffle from the cut's per-partition shape, plus the
-   storage load of the whole (post-delta) graph. [metrics] describes the
-   cut whose shape the rebuild is expected to reproduce; the pre-delta
-   cut is the natural estimate. *)
-let rebuild_price ?(cost = Cost_model.default) ?(cluster = Cluster.config_i) ?(scale = 1.0) g
-    (m : Metrics.t) =
+   storage load of the whole (post-delta) graph. [m] describes the cut
+   whose shape the rebuild is expected to reproduce; the pre-delta cut
+   is the natural estimate. *)
+let rebuild_price ~cluster ~scale g (m : Metrics.t) =
   let executors = cluster.Cluster.executors in
   let cores = cluster.Cluster.cores_per_executor in
   let per_exec_work = Array.make executors 0.0 in
@@ -76,71 +75,75 @@ let rebuild_price ?(cost = Cost_model.default) ?(cluster = Cluster.config_i) ?(s
   in
   scale *. (load +. Float.max compute network +. overhead)
 
+type priced = { refreshed : Incremental.refreshed; refresh_s : float; rebuild_s : float }
+
+let price ~cluster ~scale ~old_metrics (applied : Mutation.applied) refreshed =
+  {
+    refreshed;
+    refresh_s = refresh_price ~cluster ~scale refreshed;
+    rebuild_s = rebuild_price ~cluster ~scale applied.Mutation.graph old_metrics;
+  }
+
 type decision = {
   batch : int;
   inserts : int;
   deletes : int;
+  edges_before : int;
+  edges_after : int;
   refresh_s : float;
   rebuild_s : float;
   choice : choice;
   placed_edges : int;
   repaired_vertices : int;
   moved_replicas : int;
-  edges_after : int;
 }
 
-let decide ?cost ?cluster ?scale ~old_metrics (applied : Mutation.applied)
-    (r : Incremental.refreshed) =
-  let delta = applied.Mutation.delta and g' = applied.Mutation.graph in
-  let refresh_s =
-    refresh_price ?cost ?cluster ?scale ~placed_edges:r.Incremental.placed_edges
-      ~repaired_vertices:r.Incremental.repaired_vertices
-      ~moved_replicas:r.Incremental.moved_replicas ()
-  in
-  let rebuild_s = rebuild_price ?cost ?cluster ?scale g' old_metrics in
+(* Sums fold from 0.0 in list order, so a single cut's sum is its own
+   price and no list is summed in two orders. *)
+let decide (applied : Mutation.applied) (cuts : priced list) =
+  let delta = applied.Mutation.delta in
+  let sumf f = List.fold_left (fun acc (p : priced) -> acc +. f p) 0.0 cuts in
+  let sumi f = List.fold_left (fun acc (p : priced) -> acc + f p.refreshed) 0 cuts in
+  let refresh_s = sumf (fun p -> p.refresh_s) and rebuild_s = sumf (fun p -> p.rebuild_s) in
   {
     batch = delta.Mutation.batch;
     inserts = Array.length delta.Mutation.inserts;
     deletes = Array.length delta.Mutation.deletes;
+    edges_before = Graph.num_edges applied.Mutation.before;
+    edges_after = Graph.num_edges applied.Mutation.graph;
     refresh_s;
     rebuild_s;
     choice = (if refresh_s <= rebuild_s then Refresh else Rebuild);
-    placed_edges = r.Incremental.placed_edges;
-    repaired_vertices = r.Incremental.repaired_vertices;
-    moved_replicas = r.Incremental.moved_replicas;
-    edges_after = Graph.num_edges g';
+    placed_edges = sumi (fun r -> r.Incremental.placed_edges);
+    repaired_vertices = sumi (fun r -> r.Incremental.repaired_vertices);
+    moved_replicas = sumi (fun r -> r.Incremental.moved_replicas);
   }
 
-(* The standalone driver has neither a graph name nor a clock: events
-   carry graph ["-"] at time 0. *)
-let emit_events ?telemetry ~edges_before (d : decision) =
-  match telemetry with
-  | None -> ()
-  | Some tel ->
-      Telemetry.emit tel
-        (Event.Mutation_batch
-           {
-             batch = d.batch;
-             graph = "-";
-             inserts = d.inserts;
-             deletes = d.deletes;
-             edges_before;
-             edges_after = d.edges_after;
-             at_s = 0.0;
-           });
-      Telemetry.emit tel
-        (Event.Repartition
-           {
-             batch = d.batch;
-             graph = "-";
-             choice = choice_name d.choice;
-             refresh_s = d.refresh_s;
-             rebuild_s = d.rebuild_s;
-             placed_edges = d.placed_edges;
-             repaired_vertices = d.repaired_vertices;
-             moved_replicas = d.moved_replicas;
-             at_s = 0.0;
-           })
+let events ~graph ~at_s (d : decision) =
+  [
+    Event.Mutation_batch
+      {
+        batch = d.batch;
+        graph;
+        inserts = d.inserts;
+        deletes = d.deletes;
+        edges_before = d.edges_before;
+        edges_after = d.edges_after;
+        at_s;
+      };
+    Event.Repartition
+      {
+        batch = d.batch;
+        graph;
+        choice = choice_name d.choice;
+        refresh_s = d.refresh_s;
+        rebuild_s = d.rebuild_s;
+        placed_edges = d.placed_edges;
+        repaired_vertices = d.repaired_vertices;
+        moved_replicas = d.moved_replicas;
+        at_s;
+      };
+  ]
 
 type step = {
   decision : decision;
@@ -149,7 +152,7 @@ type step = {
   metrics : Metrics.t;
 }
 
-let run ?cost ?cluster ?scale ?telemetry ?batches ~heuristic ~num_partitions cfg g0 =
+let run ?(cluster = Cluster.config_i) ?batches ~heuristic ~num_partitions cfg g0 =
   if num_partitions <= 0 then invalid_arg "Repartition.run: num_partitions <= 0";
   let batches = match batches with Some b -> b | None -> Mutation.max_batch cfg in
   if batches < 1 then invalid_arg "Repartition.run: batches < 1";
@@ -160,11 +163,11 @@ let run ?cost ?cluster ?scale ?telemetry ?batches ~heuristic ~num_partitions cfg
   for batch = 1 to batches do
     let delta = Mutation.plan cfg ~batch !g in
     if not (Mutation.is_empty delta) then begin
-      let edges_before = Graph.num_edges !g in
       let applied = Mutation.apply !g delta in
       let refreshed = Incremental.refresh heuristic ~num_partitions ~assignment:!a applied in
-      let d = decide ?cost ?cluster ?scale ~old_metrics:!metrics applied refreshed in
-      emit_events ?telemetry ~edges_before d;
+      let d =
+        decide applied [ price ~cluster ~scale:1.0 ~old_metrics:!metrics applied refreshed ]
+      in
       g := applied.Mutation.graph;
       (a :=
          match d.choice with

@@ -6,50 +6,72 @@
     rebuild} it from scratch (the advisor's full partition-build
     prediction). Both are priced through the same
     {!Cutfit_bsp.Cost_model}/{!Cutfit_bsp.Cluster} the simulator and
-    advisor use, and the cheaper one wins. *)
+    advisor use, and the cheaper one wins.
+
+    This is the one decision for both drivers: {!run} (behind [cutfit
+    mutate]) decides over its one live cut, and the workload engine
+    over every resident partitioning of the mutated dataset. Each
+    prices its cuts with {!price}, decides with {!decide} and narrates
+    the decision with {!events}. *)
 
 type choice = Refresh | Rebuild
 
 val choice_name : choice -> string
 (** ["refresh"] | ["rebuild"]. *)
 
-val refresh_price :
-  ?cost:Cutfit_bsp.Cost_model.t ->
-  ?cluster:Cutfit_bsp.Cluster.t ->
-  ?scale:float ->
-  placed_edges:int ->
-  repaired_vertices:int ->
-  moved_replicas:int ->
-  unit ->
-  float
-(** Modeled seconds to refresh a cut in place: streaming placement and
-    shuffle of the inserted edges, local table repair for delete-touched
-    vertices, mirror re-broadcast of moved replicas, one barrier. *)
+type priced = {
+  refreshed : Incremental.refreshed;
+  refresh_s : float;
+      (** modeled seconds to refresh the cut in place: streaming
+          placement and shuffle of the inserted edges, local table
+          repair for delete-touched vertices, mirror re-broadcast of
+          moved replicas, one barrier *)
+  rebuild_s : float;
+      (** modeled seconds to rebuild the cut of the post-delta graph
+          from scratch: the advisor's build prediction over the
+          per-partition shape of the old cut plus the storage load of
+          the whole graph *)
+}
+(** One cut priced both ways. *)
 
-val rebuild_price :
-  ?cost:Cutfit_bsp.Cost_model.t ->
-  ?cluster:Cutfit_bsp.Cluster.t ->
-  ?scale:float ->
-  Cutfit_graph.Graph.t ->
-  Cutfit_partition.Metrics.t ->
-  float
-(** Modeled seconds to rebuild the cut of the (post-delta) graph from
-    scratch: the advisor's build prediction over the per-partition shape
-    of [metrics] (the pre-delta cut is the natural estimate) plus the
-    storage load of the whole graph. *)
+val price :
+  cluster:Cutfit_bsp.Cluster.t ->
+  scale:float ->
+  old_metrics:Cutfit_partition.Metrics.t ->
+  Mutation.applied ->
+  Incremental.refreshed ->
+  priced
+(** [price ~cluster ~scale ~old_metrics applied refreshed] prices the
+    refresh [refreshed] of a cut whose pre-delta metrics are
+    [old_metrics] against rebuilding it on [applied.graph]. [scale]
+    multiplies the per-item work (the paper-size factor); the refresh's
+    commit barrier is not scaled. *)
 
 type decision = {
   batch : int;
   inserts : int;
   deletes : int;
-  refresh_s : float;
-  rebuild_s : float;
-  choice : choice;
-  placed_edges : int;
-  repaired_vertices : int;
-  moved_replicas : int;
+  edges_before : int;
   edges_after : int;
+  refresh_s : float;  (** summed over the priced cuts *)
+  rebuild_s : float;  (** summed over the priced cuts *)
+  choice : choice;
+  placed_edges : int;  (** summed over the priced cuts *)
+  repaired_vertices : int;  (** summed over the priced cuts *)
+  moved_replicas : int;  (** summed over the priced cuts *)
 }
+
+val decide : Mutation.applied -> priced list -> decision
+(** The decision on one batch over its priced cuts: sums folded from
+    [0.0] in list order (one cut's sum is its own price), and
+    [Refresh] when the summed refresh is no dearer than the summed
+    rebuild. An empty list decides [Refresh] at 0/0. *)
+
+val events : graph:string -> at_s:float -> decision -> Cutfit_obs.Event.t list
+(** The decision's {!Cutfit_obs.Event.Mutation_batch} and
+    {!Cutfit_obs.Event.Repartition} records, in that order, on dataset
+    [graph] at simulated instant [at_s] (["-"] and [0] outside the
+    workload engine). *)
 
 type step = {
   decision : decision;
@@ -59,10 +81,7 @@ type step = {
 }
 
 val run :
-  ?cost:Cutfit_bsp.Cost_model.t ->
   ?cluster:Cutfit_bsp.Cluster.t ->
-  ?scale:float ->
-  ?telemetry:Cutfit_obs.Telemetry.t ->
   ?batches:int ->
   heuristic:Cutfit_partition.Streaming.t ->
   num_partitions:int ->
@@ -71,9 +90,8 @@ val run :
   step list
 (** The standalone mutation driver behind [cutfit mutate]: stream an
     initial cut with [heuristic], then walk batches [1..batches]
-    (default {!Mutation.max_batch}), refreshing or re-streaming,
-    whichever is priced cheaper (ties go to refresh). Batches whose
-    delta is empty are skipped. Emits one
-    {!Cutfit_obs.Event.Mutation_batch} / {!Cutfit_obs.Event.Repartition}
-    pair per non-empty batch when [telemetry] is given.
+    (default {!Mutation.max_batch}), pricing the live cut on [cluster]
+    (default {!Cutfit_bsp.Cluster.config_i}) at scale 1 and refreshing
+    or re-streaming it as {!decide} chooses. Batches whose delta is
+    empty are skipped.
     @raise Invalid_argument if [num_partitions <= 0] or [batches < 1]. *)

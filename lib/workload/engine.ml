@@ -753,30 +753,6 @@ module Ingest = struct
   let create ?mutations ~every ~mode ~heuristic ~cluster () =
     { mutations; every; mode; heuristic; cluster; launches = 0; log = [] }
 
-  (* Price refreshing each resident partitioning of [dataset] against
-     rebuilding it on the post-delta graph. Every resident entry was
-     built against the memoized pre-delta graph (an earlier batch
-     dropped anything older), so the refresh is well-defined. *)
-  let price_resident t ~cache ~on_dataset ~new_scale (applied : Mutation.applied) =
-    let new_g = applied.Mutation.graph in
-    List.map
-      (fun ((k : Cache.key), pg) ->
-        let refreshed =
-          Incremental.refresh t.heuristic ~num_partitions:k.Cache.num_partitions
-            ~assignment:(Pgraph.assignment pg) applied
-        in
-        let refresh_s =
-          Repartition.refresh_price ~cluster:t.cluster ~scale:new_scale
-            ~placed_edges:refreshed.Incremental.placed_edges
-            ~repaired_vertices:refreshed.Incremental.repaired_vertices
-            ~moved_replicas:refreshed.Incremental.moved_replicas ()
-        in
-        let rebuild_s =
-          Repartition.rebuild_price ~cluster:t.cluster ~scale:new_scale new_g (Pgraph.metrics pg)
-        in
-        (k, refreshed, refresh_s, rebuild_s))
-      (Cache.peek_entries cache.Narrated.cache ~pred:on_dataset)
-
   let land_batch t ~memo ~cache ~emit ~at_s ~batch ~dataset cfg =
     let g, _, spec = Memo.graph_of memo dataset in
     let delta = Mutation.plan cfg ~batch g in
@@ -788,25 +764,39 @@ module Ingest = struct
         float_of_int spec.Datasets.paper_edges /. float_of_int (Graph.num_edges new_g)
       in
       let on_dataset (k : Cache.key) = String.equal k.Cache.graph dataset in
-      let resident = price_resident t ~cache ~on_dataset ~new_scale applied in
-      let sumf f = List.fold_left (fun acc x -> acc +. f x) 0.0 resident in
-      let refresh_total = sumf (fun (_, _, r, _) -> r) in
-      let rebuild_total = sumf (fun (_, _, _, b) -> b) in
-      let refresh_chosen =
-        match t.mode with
-        | Force_refresh -> true
-        | Force_rebuild -> false
-        | Priced -> refresh_total <= rebuild_total
+      (* Every resident entry was built against the memoized pre-delta
+         graph (an earlier batch dropped anything older), so its
+         refresh is well-defined. *)
+      let resident =
+        List.map
+          (fun ((k : Cache.key), pg) ->
+            let refreshed =
+              Incremental.refresh t.heuristic ~num_partitions:k.Cache.num_partitions
+                ~assignment:(Pgraph.assignment pg) applied
+            in
+            ( k,
+              Repartition.price ~cluster:t.cluster ~scale:new_scale
+                ~old_metrics:(Pgraph.metrics pg) applied refreshed ))
+          (Cache.peek_entries cache.Narrated.cache ~pred:on_dataset)
       in
-      let choice = if refresh_chosen then "refresh" else "rebuild" in
+      let decided = Repartition.decide applied (List.map snd resident) in
+      let d =
+        match t.mode with
+        | Priced -> decided
+        | Force_refresh -> { decided with Repartition.choice = Repartition.Refresh }
+        | Force_rebuild -> { decided with Repartition.choice = Repartition.Rebuild }
+      in
+      let refresh_chosen =
+        match d.Repartition.choice with Repartition.Refresh -> true | Repartition.Rebuild -> false
+      in
       Memo.advance memo dataset (new_g, new_scale, spec);
       let dropped = Narrated.invalidate cache ~at_s on_dataset in
       if refresh_chosen then
         List.iter
-          (fun ((k : Cache.key), (refreshed : Incremental.refreshed), _, rebuild_s) ->
+          (fun ((k : Cache.key), (p : Repartition.priced)) ->
             let pg' =
               Pgraph.build new_g ~num_partitions:k.Cache.num_partitions
-                refreshed.Incremental.assignment
+                p.Repartition.refreshed.Incremental.assignment
             in
             (* The repair is synchronous with the batch: the entry is
                valid the moment the (delayed) triggering job looks it
@@ -814,53 +804,25 @@ module Ingest = struct
                delay, not as entry latency. *)
             Narrated.insert cache k ~available_s:at_s ~pg:pg'
               ~bytes:(pgraph_bytes ~scale:new_scale pg')
-              ~rebuild_s)
+              ~rebuild_s:p.Repartition.rebuild_s)
           resident;
-      let sumi f =
-        List.fold_left (fun acc (_, (r : Incremental.refreshed), _, _) -> acc + f r) 0 resident
-      in
-      let inserts = Array.length delta.Mutation.inserts in
-      let deletes = Array.length delta.Mutation.deletes in
-      emit
-        (Event.Mutation_batch
-           {
-             Event.batch;
-             graph = dataset;
-             inserts;
-             deletes;
-             edges_before = Graph.num_edges g;
-             edges_after = Graph.num_edges new_g;
-             at_s;
-           });
-      emit
-        (Event.Repartition
-           {
-             Event.batch;
-             graph = dataset;
-             choice;
-             refresh_s = refresh_total;
-             rebuild_s = rebuild_total;
-             placed_edges = sumi (fun r -> r.Incremental.placed_edges);
-             repaired_vertices = sumi (fun r -> r.Incremental.repaired_vertices);
-             moved_replicas = sumi (fun r -> r.Incremental.moved_replicas);
-             at_s;
-           });
+      List.iter emit (Repartition.events ~graph:dataset ~at_s d);
       t.log <-
         {
           mut_batch = batch;
           mut_dataset = dataset;
           mut_at_s = at_s;
-          mut_inserts = inserts;
-          mut_deletes = deletes;
-          mut_edges_after = Graph.num_edges new_g;
-          mut_refresh_s = refresh_total;
-          mut_rebuild_s = rebuild_total;
-          mut_choice = choice;
+          mut_inserts = d.Repartition.inserts;
+          mut_deletes = d.Repartition.deletes;
+          mut_edges_after = d.Repartition.edges_after;
+          mut_refresh_s = d.Repartition.refresh_s;
+          mut_rebuild_s = d.Repartition.rebuild_s;
+          mut_choice = Repartition.choice_name d.Repartition.choice;
           mut_dropped_entries = List.length dropped;
           mut_refreshed_entries = (if refresh_chosen then List.length resident else 0);
         }
         :: t.log;
-      if refresh_chosen then refresh_total else 0.0
+      if refresh_chosen then d.Repartition.refresh_s else 0.0
     end
 
   (* Count one job launch; returns the stream delay of the batch it

@@ -312,11 +312,14 @@ val run :
     advisor's rankings for the dataset are re-measured lazily, and the
     cache is {e partially} invalidated — exactly the mutated dataset's
     keys are dropped ([Cache_op "invalidate"] events), other datasets
-    stay warm. Each resident partitioning is first priced both ways
-    ({!Cutfit_dynamic.Repartition.refresh_price} via an
-    {!Cutfit_dynamic.Incremental.refresh} under [mutation_heuristic],
-    default Greedy, versus {!Cutfit_dynamic.Repartition.rebuild_price});
-    per [mutation_mode] (default [Priced]) the refresh path repairs
+    stay warm. Each resident partitioning is first refreshed
+    ({!Cutfit_dynamic.Incremental.refresh} under [mutation_heuristic],
+    default Greedy) and priced both ways
+    ({!Cutfit_dynamic.Repartition.price}), and
+    {!Cutfit_dynamic.Repartition.decide} chooses over their sums, the
+    same decision [cutfit mutate] takes over its one cut. With
+    [mutation_mode] [Priced] (the default) the engine keeps that
+    choice; [Force_refresh] and [Force_rebuild] override it. The refresh path repairs
     synchronously with the batch — each refreshed partitioning is
     re-inserted immediately valid and the triggering job's start is
     delayed by the summed refresh price — while the rebuild path leaves

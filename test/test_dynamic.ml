@@ -384,43 +384,65 @@ let prop_refresh_full_replay =
 (* --- pricing and decisions --- *)
 
 let test_prices_monotone () =
-  let price placed moved =
-    Repartition.refresh_price ~placed_edges:placed ~repaired_vertices:4 ~moved_replicas:moved ()
+  let a = Streaming.assign Streaming.Greedy ~num_partitions g in
+  let old_metrics = Metrics.compute g ~num_partitions a in
+  let applied = Mutation.apply g (Mutation.plan cfg ~batch:1 g) in
+  let priced ?(scale = 1.0) placed moved =
+    Repartition.price ~cluster:Cutfit_bsp.Cluster.config_i ~scale ~old_metrics applied
+      {
+        Incremental.assignment = [||];
+        placed_edges = placed;
+        repaired_vertices = 4;
+        moved_replicas = moved;
+      }
   in
+  let price placed moved = (priced placed moved).Repartition.refresh_s in
   checkb "more placements cost more" true (price 200 10 > price 20 10);
   checkb "more moved replicas cost more" true (price 20 100 > price 20 10);
   checkb "positive even when idle" true (price 0 0 > 0.0);
-  let a = Streaming.assign Streaming.Greedy ~num_partitions g in
-  let m = Metrics.compute g ~num_partitions a in
-  let rebuild = Repartition.rebuild_price g m in
+  let rebuild = (priced 0 0).Repartition.rebuild_s in
   checkb "rebuild price positive" true (rebuild > 0.0);
-  checkb "scale multiplies rebuild" true
-    (Repartition.rebuild_price ~scale:10.0 g m > 2.0 *. rebuild)
+  checkb "scale multiplies rebuild" true ((priced ~scale:10.0 0 0).Repartition.rebuild_s > 2.0 *. rebuild)
 
 let test_decide_picks_cheaper () =
   let applied = Mutation.apply g (Mutation.plan cfg ~batch:1 g) in
-  (* one event pair per decision *)
-  let sink, read = Cutfit_obs.Sink.ring ~capacity:16 () in
-  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
   let dec =
-    match Repartition.run ~telemetry ~batches:1 ~heuristic:Streaming.Greedy ~num_partitions cfg g with
+    match Repartition.run ~batches:1 ~heuristic:Streaming.Greedy ~num_partitions cfg g with
     | [ s ] -> s.Repartition.decision
     | steps -> Alcotest.failf "expected one step, got %d" (List.length steps)
   in
-  Cutfit_obs.Telemetry.close telemetry;
   checkb "choice matches the prices" true
     (dec.Repartition.choice
     = if dec.Repartition.refresh_s <= dec.Repartition.rebuild_s then Repartition.Refresh
       else Repartition.Rebuild);
   checki "decision counts the delta" 48 dec.Repartition.inserts;
   checki "edges after" (Graph.num_edges applied.Mutation.graph) dec.Repartition.edges_after;
-  checki "mutation + repartition events" 2 (List.length (read ()))
+  checki "mutation + repartition events" 2
+    (List.length (Repartition.events ~graph:"-" ~at_s:0.0 dec));
+  (* Over several cuts the sums decide; ties and the empty list go to
+     refresh. *)
+  let cut refresh_s rebuild_s =
+    {
+      Repartition.refreshed =
+        { Incremental.assignment = [||]; placed_edges = 2; repaired_vertices = 1; moved_replicas = 3 };
+      refresh_s;
+      rebuild_s;
+    }
+  in
+  let decided cuts = Repartition.decide applied cuts in
+  let rebuilt = decided [ cut 1.0 2.0; cut 3.0 1.0 ] in
+  checkb "summed prices decide" true (rebuilt.Repartition.choice = Repartition.Rebuild);
+  checki "counts are summed" 6 rebuilt.Repartition.moved_replicas;
+  checkb "a tie refreshes" true
+    ((decided [ cut 1.0 1.0 ]).Repartition.choice = Repartition.Refresh);
+  let empty = decided [] in
+  checkb "no cut refreshes at 0/0" true
+    (empty.Repartition.choice = Repartition.Refresh
+    && empty.Repartition.refresh_s = 0.0
+    && empty.Repartition.rebuild_s = 0.0)
 
 let test_run_driver_and_events () =
-  let sink, read = Cutfit_obs.Sink.ring ~capacity:256 () in
-  let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
-  let steps = Repartition.run ~telemetry ~heuristic:Streaming.Greedy ~num_partitions cfg g in
-  Cutfit_obs.Telemetry.close telemetry;
+  let steps = Repartition.run ~heuristic:Streaming.Greedy ~num_partitions cfg g in
   checki "one step per non-empty batch" 3 (List.length steps);
   List.iter
     (fun (s : Repartition.step) ->
@@ -428,7 +450,11 @@ let test_run_driver_and_events () =
         (Metrics.compute s.Repartition.graph ~num_partitions s.Repartition.assignment)
           .Metrics.comm_cost s.Repartition.metrics.Metrics.comm_cost)
     steps;
-  let events = read () in
+  let events =
+    List.concat_map
+      (fun (s : Repartition.step) -> Repartition.events ~graph:"-" ~at_s:0.0 s.Repartition.decision)
+      steps
+  in
   let count p = List.length (List.filter p events) in
   checki "one mutation event per batch" 3
     (count (function Cutfit_obs.Event.Mutation_batch _ -> true | _ -> false));
@@ -604,15 +630,15 @@ let test_decisions_pinned () =
   List.iter
     (fun (dataset, heuristic, expected, expected_digest) ->
       let g = Cutfit.Datasets.generate (Cutfit.Datasets.find dataset) in
-      let sink, read = Cutfit_obs.Sink.ring ~capacity:64 () in
-      let telemetry = Cutfit_obs.Telemetry.create ~sinks:[ sink ] () in
-      let steps = Repartition.run ~telemetry ~heuristic ~num_partitions:128 cfg g in
-      Cutfit_obs.Telemetry.close telemetry;
+      let steps = Repartition.run ~heuristic ~num_partitions:128 cfg g in
+      let decisions = List.map (fun (s : Repartition.step) -> s.Repartition.decision) steps in
       let what = dataset ^ " " ^ Streaming.to_string heuristic in
       Alcotest.(check (list string))
         what expected
-        (List.map (fun (s : Repartition.step) -> decision_line s.Repartition.decision) steps);
-      Alcotest.(check string) (what ^ " events") expected_digest (events_digest (read ())))
+        (List.map decision_line decisions);
+      Alcotest.(check string)
+        (what ^ " events") expected_digest
+        (events_digest (List.concat_map (Repartition.events ~graph:"-" ~at_s:0.0) decisions)))
     [
       ( "youtube",
         Streaming.Greedy,
