@@ -1165,7 +1165,8 @@ let chaos_cmd =
         Out_channel.output_char oc '\n')
   in
   let action seed count budget no_shrink repro shrink_after report_out artifact_out =
-    if budget <= 0.0 then usage_fail "budget-s must be positive (got %g)" budget;
+    if not (Float.is_finite budget && budget > 0.0) then
+      usage_fail "budget-s must be finite and positive (got %g)" budget;
     match repro with
     | Some spec -> (
         let sc = C.Scenario.of_spec spec in

@@ -82,6 +82,8 @@ let execute (sc : Scenario.t) =
    drains the pipe with [select] against the deadline, so a child
    producing more than the pipe's capacity can still finish. *)
 let run ?(budget_s = 30.0) (sc : Scenario.t) : outcome =
+  if not (Float.is_finite budget_s && budget_s > 0.0) then
+    invalid_arg "Runner.run: budget_s must be finite and positive";
   let rd, wr = Unix.pipe () in
   match Unix.fork () with
   | 0 ->

@@ -25,4 +25,5 @@ val run : ?budget_s:float -> Scenario.t -> outcome
     marshals its result over a pipe and [_exit]s; a blown budget
     SIGKILLs it and reports {!Hung}; an escape of any other kind is
     {!Crashed}. The parent never trusts the child beyond the pipe, so a
-    campaign outlives anything a scenario does. *)
+    campaign outlives anything a scenario does.
+    @raise Invalid_argument unless [budget_s] is finite and positive. *)

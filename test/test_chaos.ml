@@ -163,6 +163,17 @@ let test_fork_runner_outcomes () =
       checks "rule crosses the pipe" "selftest" v.Violation.rule
   | o -> Alcotest.fail ("expected the injected violation, got " ^ Runner.outcome_name o)
 
+(* A budget that is not a finite positive number of seconds is refused
+   before any child is forked: NaN would reach [Unix.select] as a
+   timeout, and infinity would switch off the hang guard. *)
+let test_runner_rejects_budgets () =
+  List.iter
+    (fun budget_s ->
+      match Runner.run ~budget_s (Scenario.of_spec "jobs=0") with
+      | exception Invalid_argument _ -> ()
+      | o -> Alcotest.failf "budget %g ran to %s" budget_s (Runner.outcome_name o))
+    [ Float.nan; Float.infinity; 0.0; -1.0 ]
+
 (* --- timeouts and campaign digests --- *)
 
 let test_hung_campaign_digest () =
@@ -402,6 +413,7 @@ let suite =
     Alcotest.test_case "regression: checkpointed SSSP vs un-checkpointed baseline" `Quick
       test_checkpoint_baseline_regression;
     Alcotest.test_case "failure classes" `Quick test_classify;
+    Alcotest.test_case "runner rejects non-finite budgets" `Quick test_runner_rejects_budgets;
     (* last: spawns domains, which permanently forbids fork (OCaml 5.1) *)
     Alcotest.test_case "regression: OOM-aborted oracle (SSSP, road network)" `Quick
       test_oom_oracle_regression;

@@ -530,6 +530,8 @@ expect_exit 2 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --faults 'crash@
 expect_exit 2 dune exec bin/cutfit_cli.exe -- run PR roadnet_pa --faults 'straggler@3-1'
 expect_exit 2 dune exec bin/cutfit_cli.exe -- workload --mutations 'ins@1:x4'
 expect_exit 2 dune exec bin/cutfit_cli.exe -- chaos --repro 'speculate=nan'
+expect_exit 2 dune exec bin/cutfit_cli.exe -- chaos --count 1 --seed 1 --no-shrink --budget-s nan
+expect_exit 2 dune exec bin/cutfit_cli.exe -- chaos --count 1 --seed 1 --no-shrink --budget-s inf
 # a trace file that cannot be opened fails run and workload alike:
 # exit 1 with a one-line reason, never an uncaught exception
 for sub in "run PR roadnet_pa" workload; do
