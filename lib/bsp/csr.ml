@@ -4,7 +4,6 @@ type int_buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  pg : Pgraph.t;
   graph : Graph.t;
   num_partitions : int;
   num_vertices : int;
@@ -115,7 +114,6 @@ let build pg =
   Bigarray.Array1.fill facc 0.0;
   Bigarray.Array1.fill iacc 0;
   {
-    pg;
     graph = g;
     num_partitions;
     num_vertices = n;

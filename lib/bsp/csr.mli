@@ -42,12 +42,11 @@ type int_buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = private {
-  pg : Pgraph.t;  (** the partitioned graph this was frozen from *)
   graph : Cutfit_graph.Graph.t;
   num_partitions : int;
   num_vertices : int;
   num_edges : int;
-  num_slots : int;  (** = [Pgraph.total_replicas pg] *)
+  num_slots : int;  (** = {!Pgraph.total_replicas} of the frozen graph *)
   part_off : int_buf;  (** [P+1]: partition [p]'s edges are [\[part_off p, part_off (p+1))] *)
   edge_src : int_buf;  (** [E], grouped by partition, partition edge order *)
   edge_dst : int_buf;  (** [E] *)
