@@ -19,20 +19,8 @@ type choice = Refresh | Rebuild
 val choice_name : choice -> string
 (** ["refresh"] | ["rebuild"]. *)
 
-type priced = {
-  refreshed : Incremental.refreshed;
-  refresh_s : float;
-      (** modeled seconds to refresh the cut in place: streaming
-          placement and shuffle of the inserted edges, local table
-          repair for delete-touched vertices, mirror re-broadcast of
-          moved replicas, one barrier *)
-  rebuild_s : float;
-      (** modeled seconds to rebuild the cut of the post-delta graph
-          from scratch: the advisor's build prediction over the
-          per-partition shape of the old cut plus the storage load of
-          the whole graph *)
-}
-(** One cut priced both ways. *)
+type priced = { refreshed : Incremental.refreshed; refresh_s : float; rebuild_s : float }
+(** One cut priced both ways, in modeled seconds. *)
 
 val price :
   cluster:Cutfit_bsp.Cluster.t ->
@@ -42,10 +30,14 @@ val price :
   Incremental.refreshed ->
   priced
 (** [price ~cluster ~scale ~old_metrics applied refreshed] prices the
-    refresh [refreshed] of a cut whose pre-delta metrics are
-    [old_metrics] against rebuilding it on [applied.graph]. [scale]
-    multiplies the per-item work (the paper-size factor); the refresh's
-    commit barrier is not scaled. *)
+    cut [refreshed] of [applied.graph]. The refresh pays streaming
+    placement and shuffle of the inserted edges, local table repair for
+    delete-touched vertices, mirror re-broadcast of moved replicas and
+    one commit barrier. The rebuild is the advisor's build prediction
+    over the per-partition shape [old_metrics] of the pre-delta cut plus
+    the storage load of the whole post-delta graph. [scale] (the
+    paper-size factor) multiplies everything but the refresh's
+    barrier. *)
 
 type decision = {
   batch : int;
@@ -53,19 +45,19 @@ type decision = {
   deletes : int;
   edges_before : int;
   edges_after : int;
-  refresh_s : float;  (** summed over the priced cuts *)
-  rebuild_s : float;  (** summed over the priced cuts *)
+  refresh_s : float;
+  rebuild_s : float;
   choice : choice;
-  placed_edges : int;  (** summed over the priced cuts *)
-  repaired_vertices : int;  (** summed over the priced cuts *)
-  moved_replicas : int;  (** summed over the priced cuts *)
+  placed_edges : int;
+  repaired_vertices : int;
+  moved_replicas : int;
 }
+(** One batch's decision; prices and counts are summed over its cuts. *)
 
 val decide : Mutation.applied -> priced list -> decision
-(** The decision on one batch over its priced cuts: sums folded from
-    [0.0] in list order (one cut's sum is its own price), and
-    [Refresh] when the summed refresh is no dearer than the summed
-    rebuild. An empty list decides [Refresh] at 0/0. *)
+(** Sums folded from [0.0] in list order (one cut's sum is its own
+    price), then [Refresh] when the summed refresh is no dearer than
+    the summed rebuild. An empty list decides [Refresh] at 0/0. *)
 
 val events : graph:string -> at_s:float -> decision -> Cutfit_obs.Event.t list
 (** The decision's {!Cutfit_obs.Event.Mutation_batch} and
