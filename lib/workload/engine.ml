@@ -733,7 +733,9 @@ end
 (* Streaming ingestion: every [every]-th job launch first lands a
    mutation batch on its own dataset. The memoized graph advances, the
    advisor's measurements for that dataset are forgotten, and the cache
-   loses exactly that dataset's keys. On the refresh path the
+   loses exactly that dataset's keys. The path is [Repartition.decide]'s
+   choice over every resident cut of the dataset, unless a forced
+   mutation mode overrides it. On the refresh path the
    incremental repair runs synchronously with the batch — the refreshed
    partitionings are valid the instant it completes, and the triggering
    job is delayed by the summed refresh price (the value [launch]
@@ -809,7 +811,7 @@ module Ingest = struct
       List.iter emit (Repartition.events ~graph:dataset ~at_s d);
       t.log <-
         {
-          mut_batch = batch;
+          mut_batch = d.Repartition.batch;
           mut_dataset = dataset;
           mut_at_s = at_s;
           mut_inserts = d.Repartition.inserts;
